@@ -458,6 +458,7 @@ def cmd_sql(args: argparse.Namespace) -> int:
               f"/{stats.row_groups_total} row groups; "
               f"skipped {stats.row_groups_skipped_zone} by zone map, "
               f"{stats.row_groups_skipped_bloom} by bloom filter; "
+              f"{stats.columns_read} columns read; "
               f"{stats.morsels_executed} morsels on {stats.threads} thread(s))")
     return 0
 

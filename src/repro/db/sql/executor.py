@@ -44,6 +44,7 @@ from repro.db.errors import UnsupportedSQLError
 from repro.db.sql import ast
 from repro.db.sql.aggregates import Accumulator, make_accumulator
 from repro.db.sql.expressions import evaluate, expr_name
+from repro.db.sql.normalize import referenced_column_names
 from repro.db.sql.pruning import skip_reason
 from repro.frame import Frame, concat
 from repro.frame.join import merge
@@ -55,11 +56,17 @@ from repro.obs.tracer import get_tracer
 
 @_dataclass
 class ScanStats:
-    """Row-group pruning and morsel accounting for one query."""
+    """Row-group pruning, projection and morsel accounting for one query.
+
+    ``columns_read`` counts the distinct columns whose segments the
+    statement's table scans open (summed over the tables it reads): more
+    than the statement references is a projection leak.
+    """
 
     row_groups_total: int = 0
     row_groups_skipped_zone: int = 0
     row_groups_skipped_bloom: int = 0
+    columns_read: int = 0
     morsels_executed: int = 0
     threads: int = 1
 
@@ -248,7 +255,9 @@ class _StoreSource:
 
     def __init__(self, store, columns, where, stats: ScanStats | None):
         self.store = store
-        self.columns = columns
+        self.columns = store.columns if columns is None else columns
+        if stats is not None:
+            stats.columns_read += len(self.columns)
         self.survivors: list[int] = []
         for i in range(store.num_row_groups):
             if stats is not None:
@@ -266,8 +275,7 @@ class _StoreSource:
 
     @property
     def schema(self) -> dict[str, np.dtype]:
-        names = self.columns if self.columns is not None else self.store.columns
-        return {n: self.store.dtype_of(n) for n in names}
+        return {n: self.store.dtype_of(n) for n in self.columns}
 
     def morsels(self) -> list[int]:
         return self.survivors
@@ -280,33 +288,10 @@ class _StoreSource:
             yield self.read(i)
 
 
-def _referenced_columns(stmt: ast.SelectStatement) -> set[str] | None:
-    """Bare column names the query touches; None means SELECT * (all)."""
-    names: set[str] = set()
-    exprs: list[ast.Expr] = [item.expr for item in stmt.items]
-    if stmt.where is not None:
-        exprs.append(stmt.where)
-    if stmt.having is not None:
-        exprs.append(stmt.having)
-    exprs.extend(stmt.group_by)
-    exprs.extend(o.expr for o in stmt.order_by)
-    for j in stmt.joins:
-        for lk, rk in j.keys:
-            exprs.append(lk)
-            exprs.append(rk)
-    for e in exprs:
-        for node in ast.walk(e):
-            if isinstance(node, ast.Star):
-                return None
-            if isinstance(node, ast.Column):
-                names.add(node.name)
-    return names
-
-
 def _resolve_source(
     db, stmt: ast.SelectStatement, stats: ScanStats | None, threads: int
 ):
-    needed = _referenced_columns(stmt)
+    needed = referenced_column_names(stmt)
     if stmt.table.is_subquery and not stmt.joins:
         inner = execute(db, stmt.table.subquery, stats, num_threads=threads)
         return _FrameSource([inner])
@@ -317,10 +302,12 @@ def _resolve_source(
             # pure COUNT(*)-style query: stream the cheapest column
             columns = store.columns[:1]
         return _StoreSource(store, columns, stmt.where, stats)
-    return _FrameSource([_materialize_join(db, stmt, needed)])
+    return _FrameSource([_materialize_join(db, stmt, needed, stats)])
 
 
-def _materialize_join(db, stmt: ast.SelectStatement, needed: set[str] | None) -> Frame:
+def _materialize_join(
+    db, stmt: ast.SelectStatement, needed: set[str] | None, stats: ScanStats | None
+) -> Frame:
     """Column-pruned two-or-more-way equijoin through Frame merge."""
     def load(table: ast.TableRef, extra: set[str]) -> Frame:
         if table.is_subquery:
@@ -334,6 +321,8 @@ def _materialize_join(db, stmt: ast.SelectStatement, needed: set[str] | None) ->
             columns = store.columns
         else:
             columns = [c for c in store.columns if c in needed or c in extra]
+        if stats is not None:
+            stats.columns_read += len(columns)
         return store.read_all(columns)
 
     left_keys = {lk.name for j in stmt.joins for lk, _ in j.keys}

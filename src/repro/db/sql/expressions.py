@@ -106,9 +106,25 @@ def _eval_unary(expr: ast.Unary, frame: Frame) -> np.ndarray:
     raise UnsupportedSQLError(f"unknown unary operator {expr.op!r}")
 
 
+def _text(arr: np.ndarray) -> np.ndarray | None:
+    """``arr`` as a ``U`` array when every element is a ``str``, else None."""
+    if arr.dtype.kind == "U":
+        return arr
+    if arr.dtype == object and set(map(type, arr.tolist())) <= {str, np.str_}:
+        return arr.astype(str)
+    return None
+
+
 def _compare_eq(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     if left.dtype == object or right.dtype == object:
-        return np.asarray([str(a) == str(b) for a, b in zip(left, right)])
+        left_text, right_text = _text(left), _text(right)
+        if left_text is not None and right_text is not None:
+            return left_text == right_text
+        # genuinely mixed operands (a number or bytes against text)
+        # compare by their printed form, one row at a time
+        return np.asarray(
+            [str(a) == str(b) for a, b in zip(left, right)], dtype=bool
+        )
     return left == right
 
 
@@ -153,15 +169,24 @@ def _eval_binary(expr: ast.Binary, frame: Frame) -> np.ndarray:
 def _eval_like(values: np.ndarray, patterns: np.ndarray) -> np.ndarray:
     pattern = str(patterns[0]) if len(patterns) else ""
     regex = re.compile(
-        "^" + re.escape(pattern).replace("%", ".*").replace("_", ".") + "$"
-    )
-    # re.escape escapes % and _ as themselves (no backslash for %); handle both
-    regex = re.compile(
         "^"
         + re.escape(pattern).replace(re.escape("%"), ".*").replace(re.escape("_"), ".")
         + "$"
     )
-    return np.asarray([bool(regex.match(str(v))) for v in values])
+
+    def matches(candidates: np.ndarray) -> np.ndarray:
+        return np.fromiter(
+            (regex.match(str(v)) is not None for v in candidates),
+            dtype=bool,
+            count=len(candidates),
+        )
+
+    text = _text(values)
+    if text is None:
+        return matches(values)
+    # equal strings match alike: one regex call per distinct value
+    distinct, inverse = np.unique(text, return_inverse=True)
+    return matches(distinct)[inverse]
 
 
 def _eval_func(expr: ast.FuncCall, frame: Frame) -> np.ndarray:

@@ -196,12 +196,18 @@ class Frame:
             order = np.argsort(col, kind="stable")
             if not asc:
                 order = order[::-1]
-                # keep stability for equal keys under descending order
+                # keep stability for equal keys under descending order:
+                # mirror each run [start, end) of equal keys about its own
+                # midpoint (p -> start + end - 1 - p), which puts ties back
+                # in their original relative order (NaN never equals NaN,
+                # so every NaN is a run of one and stays where it is)
                 col_sorted = col[order]
-                # reverse ties back to original relative order
-                boundaries = np.flatnonzero(col_sorted[1:] != col_sorted[:-1]) + 1
-                segments = np.split(order, boundaries)
-                order = np.concatenate([seg[::-1] for seg in segments]) if segments else order
+                starts = np.flatnonzero(
+                    np.concatenate(([True], col_sorted[1:] != col_sorted[:-1]))
+                )
+                ends = np.append(starts[1:], len(order))
+                mirror = np.repeat(starts + ends - 1, ends - starts)
+                order = order[mirror - np.arange(len(order))]
             idx = idx[order]
         return self.take(idx)
 

@@ -63,14 +63,14 @@ def merge(left: Frame, right: Frame, on: str | Sequence[str], how: str = "inner"
     out_counts = np.where(matched, match_counts, 1 if how == "left" else 0)[keep]
     left_idx = np.repeat(np.flatnonzero(keep), out_counts)
 
-    # right row index per output row; -1 marks a left-join miss
-    right_idx = np.full(int(out_counts.sum()), -1, dtype=np.int64)
-    write = 0
-    kept_rows = np.flatnonzero(keep)
-    for row, count in zip(kept_rows, out_counts):
-        if match_counts[row] > 0:
-            right_idx[write : write + count] = r_order[lo[row] : hi[row]]
-        write += count
+    # right row index per output row; -1 marks a left-join miss.  Output
+    # row j of a left row's run is that row's j-th match in r_order.
+    within_run = np.arange(len(left_idx)) - np.repeat(
+        np.cumsum(out_counts) - out_counts, out_counts
+    )
+    hit = matched[left_idx]
+    right_idx = np.full(len(left_idx), -1, dtype=np.int64)
+    right_idx[hit] = r_order[(lo[left_idx] + within_run)[hit]]
 
     cols: dict[str, np.ndarray] = {}
     for name in left.columns:

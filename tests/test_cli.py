@@ -95,6 +95,7 @@ class TestSQL:
         out = capsys.readouterr().out
         assert "3" in out
         assert "row groups" in out
+        assert "1 columns read" in out
 
 
 class TestCache:
