@@ -104,7 +104,7 @@ class BloomFilter:
     @property
     def load(self) -> float:
         """Fraction of bits set (refutation power decays as this grows)."""
-        return sum(bin(b).count("1") for b in self.bits) / self.m
+        return int.from_bytes(self.bits, "little").bit_count() / self.m
 
     # ------------------------------------------------------------------
     # persistence (meta.json-embeddable)

@@ -15,7 +15,6 @@ free, giving zero-copy selective column reads.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 import os
@@ -189,7 +188,12 @@ class TableStore:
         """
         if frame.num_columns == 0:
             return None
-        staged = copy.deepcopy(self._meta)
+        # per-row-group docs are never mutated once appended, so the staged
+        # doc shares them with ``self._meta`` and copies only the containers
+        # this append grows
+        staged = dict(self._meta)
+        for key in ("row_groups", "zone_maps", "blooms", "checksums"):
+            staged[key] = list(staged.get(key, ()))
         if not staged["columns"]:
             staged["columns"] = {
                 n: np.asarray(frame.column(n)).dtype.str for n in frame.columns
@@ -203,9 +207,6 @@ class TableStore:
                     f"frame has {sorted(got)}"
                 )
         self.path.mkdir(parents=True, exist_ok=True)
-        staged.setdefault("zone_maps", [])
-        staged.setdefault("blooms", [])
-        staged.setdefault("checksums", [])
         # legacy tables written before a stats kind existed: pad the
         # per-row-group list with empty docs so indexes stay aligned with
         # the groups being appended now (an empty doc never prunes)

@@ -33,23 +33,36 @@ def mmr_select(
     if not 0.0 <= lambda_mult <= 1.0:
         raise ValueError("lambda_mult must be in [0, 1]")
     k = min(k, n)
-    pool_size = min(candidate_pool or max(4 * k, 32), n)
-    pool = list(np.argsort(query_sims)[::-1][:pool_size])
+    if candidate_pool is None:
+        candidate_pool = max(4 * k, 32)
+    elif candidate_pool <= 0:
+        raise ValueError("candidate_pool must be positive")
+    pool = np.argsort(query_sims)[::-1][: min(candidate_pool, n)].tolist()
 
+    # redundancy[i] is max sim(i, s) over the documents selected so far,
+    # folded forward one pick at a time: each pick costs one row-by-row dot
+    # per remaining candidate instead of one per (candidate, selected)
+    # pair.  The dots stay pairwise: a matrix product differs from them in
+    # the last ulp, enough to flip a pick between near-duplicate documents.
+    relevance = {i: lambda_mult * float(query_sims[i]) for i in pool}
+    rows = {i: doc_matrix[i] for i in pool}
+    redundancy = dict.fromkeys(pool, 0.0)
+    diversity_weight = 1.0 - lambda_mult
     selected: list[int] = []
-    selected_vecs: list[np.ndarray] = []
     remaining = set(pool)
     while len(selected) < k and remaining:
         best_idx = -1
         best_score = -np.inf
         for i in remaining:
-            redundancy = 0.0
-            if selected_vecs:
-                redundancy = max(float(doc_matrix[i] @ v) for v in selected_vecs)
-            score = lambda_mult * float(query_sims[i]) - (1.0 - lambda_mult) * redundancy
+            score = relevance[i] - diversity_weight * redundancy[i]
             if score > best_score:
                 best_score, best_idx = score, i
         selected.append(best_idx)
-        selected_vecs.append(doc_matrix[best_idx])
         remaining.discard(best_idx)
+        sim_to_picked = doc_matrix[best_idx].dot
+        first_pick = len(selected) == 1
+        for i in remaining:
+            sim = float(sim_to_picked(rows[i]))
+            if first_pick or sim > redundancy[i]:
+                redundancy[i] = sim
     return selected

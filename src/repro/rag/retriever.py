@@ -64,6 +64,19 @@ class ColumnRetriever:
         self._important_prompt = "[IMPORTANT] " + " ".join(
             d.text for d in self.documents if d.important
         )
+        # prompt and index are fixed for the retriever's life, so its MMR
+        # selection per k is too; racing fills store equal lists
+        self._important_chosen: dict[int, list[int]] = {}
+
+    def _select(self, prompt: str, k: int) -> list[int]:
+        sims = self.index.similarities(prompt)
+        return mmr_select(sims, self.index.embedding_matrix(), k, self.lambda_mult)
+
+    def _select_important(self, k: int) -> list[int]:
+        chosen = self._important_chosen.get(k)
+        if chosen is None:
+            chosen = self._important_chosen[k] = self._select(self._important_prompt, k)
+        return chosen
 
     def retrieve(
         self,
@@ -82,12 +95,13 @@ class ColumnRetriever:
         prompts["important"] = self._important_prompt
 
         with get_tracer().span("rag.retrieve", prompts=len(prompts)) as sp:
-            matrix = self.index.embedding_matrix()
             merged: dict[str, ColumnDocument] = {}
             per_prompt: dict[str, list[str]] = {}
             for name, prompt in prompts.items():
-                sims = self.index.similarities(prompt)
-                chosen = mmr_select(sims, matrix, k_per_prompt, self.lambda_mult)
+                if name == "important":
+                    chosen = self._select_important(k_per_prompt)
+                else:
+                    chosen = self._select(prompt, k_per_prompt)
                 ids = []
                 for i in chosen:
                     doc = self.documents[i]

@@ -14,12 +14,16 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-_WORD_RE = re.compile(r"[A-Za-z_]+|\d+|[^\sA-Za-z\d]")
-
 # Average characters per BPE token for alphabetic words; GPT-4-family
 # tokenizers average ~4 chars/token on English prose.
 _CHARS_PER_PIECE = 4
 _DIGITS_PER_PIECE = 3
+
+# greedy bounded repeats cut a run left to right into full-size pieces
+# plus a shorter tail; any other non-space character is its own piece
+_PIECE_RE = re.compile(
+    rf"[A-Za-z_]{{1,{_CHARS_PER_PIECE}}}|\d{{1,{_DIGITS_PER_PIECE}}}|[^\sA-Za-z\d]"
+)
 
 
 def tokenize(text: str) -> list[str]:
@@ -28,19 +32,7 @@ def tokenize(text: str) -> list[str]:
     Deterministic and allocation-light; used both for counting and for the
     RAG chunker's 80-token document limit.
     """
-    pieces: list[str] = []
-    for match in _WORD_RE.finditer(text):
-        tok = match.group(0)
-        if tok.isdigit():
-            step = _DIGITS_PER_PIECE
-        elif tok[0].isalpha() or tok[0] == "_":
-            step = _CHARS_PER_PIECE
-        else:
-            pieces.append(tok)
-            continue
-        for start in range(0, len(tok), step):
-            pieces.append(tok[start : start + step])
-    return pieces
+    return _PIECE_RE.findall(text)
 
 
 def count_tokens(text: str) -> int:
