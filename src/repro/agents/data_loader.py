@@ -10,8 +10,8 @@ The agent combines the plan's requested columns with RAG retrieval over
 the metadata dictionaries (so semantically phrased questions still find
 their columns), reads *only those columns* from the GenericIO files via
 selective column reads, annotates rows with ``run``/``step`` (and the
-sub-grid parameter columns when the analysis needs them), and appends
-everything into on-disk database tables.
+sub-grid parameter columns when the analysis needs them), and writes
+each entity's rows into its on-disk database table in one commit.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.agents.base import AgentContext
-from repro.frame import Frame
+from repro.frame import Frame, concat
 from repro.sim.ensemble import Ensemble
 
 
@@ -56,7 +56,7 @@ class DataLoadingAgent:
         steps = step_params.get("steps")
         param_columns: list[str] = step_params.get("param_columns", [])
 
-        if runs is None:
+        if not runs:  # absent or empty: every run
             run_list = list(range(self.ensemble.n_runs))
         else:
             run_list = [r for r in runs if 0 <= r < self.ensemble.n_runs]
@@ -111,17 +111,14 @@ class DataLoadingAgent:
                     for pname in param_columns:
                         extra[f"param_{pname}"] = np.full(frame.num_rows, params[pname])
                     frames.append(frame.assign(**extra))
-            table = entity
-            total_rows = 0
-            for i, frame in enumerate(frames):
-                if i == 0:
-                    if self.context.db.has_table(table):
-                        self.context.db.drop_table(table)
-                    self.context.db.create_table(table, frame)
-                else:
-                    self.context.db.append(table, frame)
-                total_rows += frame.num_rows
-            report.tables[table] = total_rows
+            # one durable commit per entity: a crash mid-load leaves the
+            # table absent or whole, never holding a prefix of the files
+            merged = concat(frames)
+            del frames, frame  # peak is one extra copy of the subset, not two
+            if self.context.db.has_table(entity):
+                self.context.db.drop_table(entity)
+            self.context.db.create_table(entity, merged)
+            report.tables[entity] = merged.num_rows
 
         self.context.provenance.record_note(
             f"loaded {sum(report.tables.values())} rows across {report.files_read} files "
@@ -134,7 +131,7 @@ class DataLoadingAgent:
 
     def _resolve_steps(self, steps) -> list[int]:
         available = self.ensemble.timesteps
-        if steps is None:
+        if not steps:  # absent or empty: every snapshot
             return available
         resolved: list[int] = []
         for s in steps:

@@ -135,6 +135,28 @@ class TestDataLoadingAgent:
         assert "param_M_seed" in frame.columns
         assert len(np.unique(frame["param_M_seed"])) == ensemble.n_runs
 
+    def test_empty_steps_means_every_snapshot(self, context, ensemble):
+        """``steps: []`` raised IndexError (``step_list[0]``)."""
+        agent = DataLoadingAgent(context, ensemble)
+        report = agent.load(
+            {"entities": ["halos"], "columns": {"halos": ["fof_halo_count"]}, "runs": [0], "steps": []},
+            question="q",
+        )
+        assert report.resolved_steps == ensemble.timesteps
+        frame = context.db.table_frame("halos")
+        assert set(np.unique(frame["step"])) == set(ensemble.timesteps)
+
+    def test_empty_runs_means_every_run(self, context, ensemble):
+        """``runs: []`` raised ValueError (``min`` of an empty list)."""
+        agent = DataLoadingAgent(context, ensemble)
+        report = agent.load(
+            {"entities": ["halos"], "columns": {"halos": ["fof_halo_count"]}, "runs": [], "steps": [624]},
+            question="q",
+        )
+        assert report.resolved_runs == list(range(ensemble.n_runs))
+        frame = context.db.table_frame("halos")
+        assert set(np.unique(frame["run"])) == set(range(ensemble.n_runs))
+
     def test_rag_augments_requested_columns(self, context, ensemble):
         agent = DataLoadingAgent(context, ensemble)
         report = agent.load(

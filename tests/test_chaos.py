@@ -452,3 +452,58 @@ class TestLiveIngestChaos:
             expected = answer_payload(app.run_query(self.LIVE_QUESTION))
             assert json.dumps(result, sort_keys=True) == \
                 json.dumps(expected, sort_keys=True), (session, version)
+
+
+class TestLoaderKillChaos:
+    """The data loader's one-commit-per-entity write under the heavy
+    profile with the ingest kill points armed: a 24-file load is shot at
+    whichever protocol stage the seeded schedule picks, recovered and
+    retried until it lands.  After every death the table is absent or
+    holds all 24 files' rows -- never a prefix -- and the load that
+    finally lands wrote the bytes a fault-free one does."""
+
+    def test_heavy_kills_leave_loads_absent_or_whole(self, tmp_path):
+        from repro.agents import DataLoadingAgent
+        from repro.db import Database
+        from repro.db.errors import IngestKilled
+        from repro.faults import arm_ingest_kills
+        from repro.frame import concat
+        from tests.test_loader_commit import (
+            HALO_LOAD,
+            assert_absent_or_whole,
+            generate_wide_ensemble,
+            make_context,
+            report_frames,
+            table_bytes,
+        )
+
+        ensemble = generate_wide_ensemble(tmp_path / "ens")
+        twin = Database(tmp_path / "twin" / "a.db")
+        twin_agent = DataLoadingAgent(make_context(tmp_path / "twin", twin), ensemble)
+        report = twin_agent.load(HALO_LOAD, question="q")
+        assert report.files_read == 24
+        whole = concat(report_frames(ensemble, report, "halos"))
+
+        db = Database(tmp_path / "chaos" / "a.db")
+        agent = DataLoadingAgent(make_context(tmp_path / "chaos", db), ensemble)
+        # one injector across attempts, so the seeded schedule advances;
+        # recovery runs outside it, as a restarted process's would
+        injector = FaultInjector(FaultProfile.named("heavy", seed=31))
+        stages, loads = [], 0
+        for _ in range(64):
+            try:
+                with use_faults(injector), arm_ingest_kills():
+                    agent.load(HALO_LOAD, question="q")
+            except IngestKilled as exc:
+                stages.append(exc.stage)
+                db.recover()
+                assert_absent_or_whole(Database(db.path), "halos", whole)
+                continue
+            loads += 1
+            assert assert_absent_or_whole(Database(db.path), "halos", whole)
+            if loads == 4:  # several redo-style reloads, each shot at anew
+                break
+        assert loads == 4
+        assert len(set(stages)) >= 2, f"heavy profile armed but killed at {stages}"
+        assert db.table_version("halos") == 1
+        assert table_bytes(db, "halos") == table_bytes(twin, "halos")
