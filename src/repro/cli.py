@@ -410,25 +410,9 @@ def cmd_cache(args: argparse.Namespace) -> int:
               f"run a query or the eval harness first")
         return 0
 
-    import json as _json
-
     qstats = query_cache.stats_snapshot()
     print(f"query result cache ({store.cache_dir})")
     print(f"  disk: {len(store.disk_entries())} entries, {store.footprint_bytes():,} bytes")
-    # entries published by an older repro version have no CRC sidecar
-    # field; they still load (verified structurally on first read), but
-    # say so instead of letting a missing key look like corruption
-    legacy = 0
-    for entry in store.disk_entries():
-        try:
-            meta = _json.loads((entry / query_cache.SIDECAR_NAME).read_text())
-        except (OSError, ValueError):
-            continue  # unreadable entries are the read path's problem
-        if isinstance(meta, dict) and "crc32" not in meta:
-            legacy += 1
-    if legacy:
-        print(f"  note: {legacy} entries written by an older repro version "
-              f"(no CRC sidecar); verified structurally on first read")
     quarantined_disk = len(store.quarantined_entries())
     if quarantined_disk:
         print(f"  quarantined: {quarantined_disk} corrupt entries moved aside")

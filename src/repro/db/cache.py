@@ -117,7 +117,7 @@ QUERY_STATS = QueryCacheStats()
 
 # tier 1: key -> result Frame, LRU over insertion/use order
 _MEMORY: OrderedDict[str, Frame] = OrderedDict()
-_MEMORY_CAPACITY = int(os.environ.get("REPRO_QUERY_CACHE_ENTRIES", DEFAULT_MEMORY_ENTRIES))
+_MEMORY_CAPACITY = DEFAULT_MEMORY_ENTRIES
 
 # incremental-parent registry: "<table>@<state>" -> recent eligible parents
 _PARENTS: OrderedDict[str, list["_ParentRecord"]] = OrderedDict()
@@ -409,24 +409,25 @@ class QueryResultCache:
             raise _CorruptEntry(f"sidecar unreadable: {exc}") from None
         if not isinstance(meta, dict) or meta.get("key") != key:
             raise _CorruptEntry("sidecar key mismatch")
-        crcs = meta.get("crc32")
         try:
             names = list(meta["columns"])
             num_rows = int(meta["num_rows"])
+            crcs = [int(crc) for crc in meta["crc32"]]
+            if len(crcs) != len(names):
+                raise ValueError(f"{len(crcs)} CRCs for {len(names)} columns")
         except (KeyError, TypeError, ValueError) as exc:
             raise _CorruptEntry(f"sidecar schema: {exc}") from None
         columns: dict[str, np.ndarray] = {}
         for i, name in enumerate(names):
             path = entry / f"col{i:05d}.npy"
-            if crcs is not None:
-                try:
-                    raw = path.read_bytes()
-                except FileNotFoundError:
-                    raise _CorruptEntry(f"column file {path.name} missing") from None
-                if injector.fire(faults.STORAGE_BIT_FLIP):
-                    raw = injector.flip_bit(faults.STORAGE_BIT_FLIP, raw)
-                if (zlib.crc32(raw) & 0xFFFFFFFF) != int(crcs[i]):
-                    raise _CorruptEntry(f"column {name!r} failed CRC")
+            try:
+                raw = path.read_bytes()
+            except FileNotFoundError:
+                raise _CorruptEntry(f"column file {path.name} missing") from None
+            if injector.fire(faults.STORAGE_BIT_FLIP):
+                raw = injector.flip_bit(faults.STORAGE_BIT_FLIP, raw)
+            if (zlib.crc32(raw) & 0xFFFFFFFF) != crcs[i]:
+                raise _CorruptEntry(f"column {name!r} failed CRC")
             try:
                 arr = np.load(path, mmap_mode="r", allow_pickle=False)
             except (OSError, ValueError) as exc:

@@ -48,12 +48,9 @@ from repro.db.errors import DBError, IngestKilled, UnknownTableError
 from repro.db.sql.ast import CreateTableAs, SelectStatement
 from repro.db.sql.executor import execute
 from repro.db.sql.parser import parse_sql
-from repro.db.storage import (
-    DEFAULT_ROW_GROUP_SIZE,
-    TableStore,
-    publish_json_verified,
-)
+from repro.db.storage import DEFAULT_ROW_GROUP_SIZE, TableStore
 from repro.db.wal import WriteAheadLog, make_append_record
+from repro.durable import atomic_publish
 from repro.frame import Frame
 from repro.obs import names as obs_names
 from repro.obs.logsetup import get_logger
@@ -63,6 +60,21 @@ from repro.obs.tracer import get_tracer
 log = get_logger("db.database")
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*$")
+
+
+def _catalog_entry(db_path: Path, tables: dict[str, dict], name: str) -> dict:
+    """The catalog entry of ``name``; every entry a writer at this version
+    produced carries the ``committed_row_groups`` clamp readers stop at."""
+    entry = tables.get(name)
+    if entry is None:
+        raise UnknownTableError(name, sorted(tables))
+    if "committed_row_groups" not in entry:
+        raise DBError(
+            f"table {name!r} at {db_path / name} is in a format this version no "
+            f"longer reads (catalog entry has no committed_row_groups); "
+            f"regenerate the workdir"
+        )
+    return entry
 
 
 class CatalogSnapshot:
@@ -91,19 +103,13 @@ class CatalogSnapshot:
         return name in self._tables
 
     def entry(self, name: str) -> dict:
-        meta = self._tables.get(name)
-        if meta is None:
-            raise UnknownTableError(name, self.list_tables())
-        return meta
+        return _catalog_entry(self.db_path, self._tables, name)
 
     def table_version(self, name: str) -> int:
         return int(self.entry(name).get("version", 0))
 
-    def committed_row_groups(self, name: str) -> int | None:
-        """The clamp for this table, or None for pre-WAL legacy entries
-        (which are only ever written quiescently, so every group counts)."""
-        value = self.entry(name).get("committed_row_groups")
-        return None if value is None else int(value)
+    def committed_row_groups(self, name: str) -> int:
+        return int(self.entry(name)["committed_row_groups"])
 
     def versions(self) -> dict[str, int]:
         return {name: self.table_version(name) for name in self._tables}
@@ -112,7 +118,6 @@ class CatalogSnapshot:
     def store(self, name: str) -> TableStore:
         cached = self._stores.get(name)
         if cached is None:
-            self.entry(name)  # raise with suggestions if unknown
             cached = self._stores[name] = TableStore(
                 self.db_path / name, clamp_row_groups=self.committed_row_groups(name)
             )
@@ -121,11 +126,9 @@ class CatalogSnapshot:
     def table_state(self, name: str) -> str:
         cached = self._states.get(name)
         if cached is None:
-            signature = self.store(name).content_signature()
-            if signature is None:
-                signature = f"path={self.db_path.resolve()}"
             cached = self._states[name] = (
-                f"{name}@v{self.table_version(name)}:{signature}"
+                f"{name}@v{self.table_version(name)}:"
+                f"{self.store(name).content_signature()}"
             )
         return cached
 
@@ -142,11 +145,6 @@ class Database:
     queries against this database (None defers to ``REPRO_SQL_THREADS``,
     then 1; 0 means one thread per core).  Parallel execution is
     byte-identical to sequential, so this is purely a throughput knob.
-
-    ``wal`` (default on) routes populated creates and appends through the
-    write-ahead log's commit protocol; ``wal_fsync=False`` keeps the
-    protocol but drops the per-record fsync (benchmark use only — it
-    trades the durable-intent guarantee for disk-free latency).
     """
 
     def __init__(
@@ -155,17 +153,13 @@ class Database:
         cache_dir: str | Path | None = None,
         result_cache: bool = True,
         num_threads: int | None = None,
-        wal: bool = True,
-        wal_fsync: bool = True,
     ):
         self.path = Path(path)
         self.num_threads = num_threads
         self.path.mkdir(parents=True, exist_ok=True)
         self._catalog_path = self.path / "catalog.json"
         self._tables = self._read_catalog()
-        self._wal = (
-            WriteAheadLog(self.path / "wal.log", fsync=wal_fsync) if wal else None
-        )
+        self._wal = WriteAheadLog(self.path / "wal.log")
         self._write_lock = threading.Lock()
         self._pins = threading.local()
         if result_cache:
@@ -204,13 +198,9 @@ class Database:
         snap = self._active_snapshot()
         if snap is not None:
             return snap.store(name)
-        meta = self._tables.get(name)
-        if meta is None:
-            raise UnknownTableError(name, self.list_tables())
-        clamp = meta.get("committed_row_groups")
         return TableStore(
             self.path / name,
-            clamp_row_groups=None if clamp is None else int(clamp),
+            clamp_row_groups=int(self._entry(name)["committed_row_groups"]),
         )
 
     def schema(self, name: str) -> dict[str, str]:
@@ -223,36 +213,36 @@ class Database:
         snap = self._active_snapshot()
         if snap is not None:
             return snap.table_version(name)
-        meta = self._tables.get(name)
-        if meta is None:
-            raise UnknownTableError(name, self.list_tables())
-        return int(meta.get("version", 0))
+        return int(self._entry(name).get("version", 0))
 
     def table_state(self, name: str) -> str:
         """Cache-key component identifying a table's exact contents.
 
-        Prefers the store's content signature (schema + per-segment
-        checksums), which is identical across databases holding the same
-        bytes — that is what lets harness worker processes share one
-        on-disk result cache.  Legacy tables without checksums fall back
-        to a path-scoped state, which is always safe, never shared.
+        The catalog version plus the store's content signature (schema +
+        per-segment checksums), which is identical across databases
+        holding the same bytes — that is what lets harness worker
+        processes share one on-disk result cache.
         """
         snap = self._active_snapshot()
         if snap is not None:
             return snap.table_state(name)
         version = self.table_version(name)
-        signature = self.store(name).content_signature()
-        if signature is None:
-            signature = f"path={self.path.resolve()}"
-        return f"{name}@v{version}:{signature}"
+        return f"{name}@v{version}:{self.store(name).content_signature()}"
+
+    def _entry(self, name: str) -> dict:
+        return _catalog_entry(self.path, self._tables, name)
 
     def _flush_catalog(self) -> None:
-        """Crash-safe catalog publish: temp file + verify + atomic rename
-        (a cache-invalidation version bump that dies mid-write must not
-        corrupt the catalog).  Under the WAL protocol this rename *is*
-        the commit point of an append."""
-        publish_json_verified(
-            self.path, "catalog.json", self._tables, what="catalog.json", indent=1
+        """Verified catalog publish (a version bump that dies mid-write
+        must not corrupt the catalog).  Under the WAL protocol this
+        rename *is* the commit point of an append."""
+        atomic_publish(
+            self._catalog_path,
+            json.dumps(self._tables, indent=1).encode("utf-8"),
+            verify=True,
+            fault_point=faults.STORAGE_TORN_WRITE,
+            what="catalog.json",
+            error=DBError,
         )
 
     # ------------------------------------------------------------------
@@ -315,9 +305,6 @@ class Database:
         database; read paths never trigger it.  Returns an accounting doc
         (also stamped on a ``wal.recover`` span).
         """
-        if self._wal is None:
-            return {"replayed": 0, "skipped": 0, "torn_tail": 0, "corrupt": 0,
-                    "orphan_groups": 0}
         with self._write_lock:
             return self._recover_locked()
 
@@ -389,13 +376,10 @@ class Database:
 
     def _discard_uncommitted(self, name: str) -> int:
         """Trim one table back to its committed prefix (recovery helper)."""
-        entry = self._tables.get(name)
-        if entry is None:
+        if name not in self._tables:
             return 0
-        committed = entry.get("committed_row_groups")
-        if committed is None:
-            return 0
-        return TableStore(self.path / name).discard_uncommitted(int(committed))
+        committed = int(self._entry(name)["committed_row_groups"])
+        return TableStore(self.path / name).discard_uncommitted(committed)
 
     def _commit(
         self,
@@ -476,19 +460,11 @@ class Database:
         Crash-safe: the frame is WAL-logged before any table bytes move,
         and becomes visible only at the atomic catalog publish.
         """
-        meta = self._tables.get(name)
-        if meta is None:
-            raise UnknownTableError(name, self.list_tables())
-        self._write(name, frame, kind="append", row_group_size=int(meta["row_group_size"]))
+        row_group_size = int(self._entry(name)["row_group_size"])
+        self._write(name, frame, kind="append", row_group_size=row_group_size)
 
     def _write(self, name: str, frame: Frame, kind: str, row_group_size: int) -> None:
         with self._write_lock:
-            if self._wal is None:
-                # direct path (WAL disabled): still commit-ordered — the
-                # catalog publish carries the clamp covering the new groups
-                self._commit(name, frame, kind=kind, row_group_size=row_group_size,
-                             allow_kills=False)
-                return
             if self._wal.exists_nonempty():
                 # a previous writer died mid-commit; settle its state first
                 self._recover_locked()
@@ -496,14 +472,6 @@ class Database:
                     raise UnknownTableError(name, sorted(self._tables))
                 if kind == "create" and name in self._tables:
                     raise DBError(f"table {name!r} already exists")
-            if kind == "append" and "committed_row_groups" not in self._tables[name]:
-                # first WAL-protected append to a pre-WAL table: publish a
-                # clamp covering today's quiescent contents, so a crash in
-                # the upcoming commit cannot expose its staged tail
-                legacy = TableStore(self.path / name)
-                self._tables[name]["committed_row_groups"] = legacy.num_row_groups
-                self._tables[name]["committed_rows"] = legacy.num_rows
-                self._flush_catalog()
             base = (
                 int(self._tables[name].get("version", 0))
                 if name in self._tables

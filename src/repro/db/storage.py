@@ -17,9 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import shutil
-import tempfile
 import zlib
 from collections.abc import Iterator, Sequence
 from pathlib import Path
@@ -29,55 +27,12 @@ import numpy as np
 from repro import faults
 from repro.db.bloom import BloomFilter
 from repro.db.errors import DBError, IngestKilled, UnknownColumnError
+from repro.durable import atomic_publish
 from repro.frame import Frame
-from repro.obs.logsetup import get_logger
-from repro.obs.metrics import get_registry
-
-log = get_logger("db.storage")
 
 DEFAULT_ROW_GROUP_SIZE = 65536
-_PUBLISH_ATTEMPTS = 3
-
-
-def publish_json_verified(
-    dir_path: Path, final_name: str, obj, what: str, indent: int | None = None
-) -> None:
-    """Atomic JSON publish hardened with write-verify-retry.
-
-    Catalog and table metadata are re-read from disk by *fresh* objects on
-    every ``Database.store()`` call, so — unlike cache entries, which heal
-    on read — a torn publish here cannot be deferred to a read-side check:
-    the temp file is read back and compared against the intended bytes
-    before ``os.replace`` makes it visible, and a mismatch (the
-    ``storage.torn_write`` fault point, or a genuinely short write) is
-    rewritten.  After ``_PUBLISH_ATTEMPTS`` failures the publish raises a
-    classified :class:`DBError` instead of silently shipping garbage.
-    """
-    dir_path.mkdir(parents=True, exist_ok=True)
-    expected = json.dumps(obj, indent=indent).encode("utf-8")
-    injector = faults.get_injector()
-    fd, tmp_name = tempfile.mkstemp(dir=dir_path, prefix=final_name + ".", suffix=".tmp")
-    os.close(fd)
-    tmp = Path(tmp_name)
-    try:
-        for attempt in range(1, _PUBLISH_ATTEMPTS + 1):
-            data = expected
-            if injector.fire(faults.STORAGE_TORN_WRITE):
-                data = injector.truncate(faults.STORAGE_TORN_WRITE, data)
-            tmp.write_bytes(data)
-            if tmp.read_bytes() == expected:
-                os.replace(tmp, dir_path / final_name)
-                return
-            get_registry().counter("storage.write_verify_retry").inc()
-            log.warning(
-                "torn write publishing %s (attempt %d/%d); rewriting",
-                what, attempt, _PUBLISH_ATTEMPTS,
-            )
-        raise DBError(
-            f"could not publish intact {what} after {_PUBLISH_ATTEMPTS} attempts"
-        )
-    finally:
-        tmp.unlink(missing_ok=True)
+# the per-row-group lists every ``meta.json`` carries, one entry per group
+_ROW_GROUP_LISTS = ("row_groups", "zone_maps", "blooms", "checksums")
 
 
 class TableStore:
@@ -106,6 +61,13 @@ class TableStore:
                 raise DBError(
                     f"corrupt table metadata at {meta_path}: {exc}"
                 ) from exc
+            missing = [key for key in _ROW_GROUP_LISTS if key not in self._meta]
+            if missing:
+                raise DBError(
+                    f"table {self.path.name!r} at {self.path} is in a format this "
+                    f"version no longer reads (meta.json has no {', '.join(missing)}); "
+                    f"regenerate the workdir"
+                )
 
     # ------------------------------------------------------------------
     @property
@@ -128,24 +90,23 @@ class TableStore:
         """Monotonic content version; bumped on every append."""
         return int(self._meta.get("version", 0))
 
-    def content_signature(self) -> str | None:
+    def content_signature(self) -> str:
         """Content hash over schema + per-segment checksums.
 
         The query-result cache keys cached frames on this signature, which
         makes results shareable across databases (and across harness
-        worker processes) that hold byte-identical tables.  Tables written
-        before checksums existed return None; callers must then fall back
-        to a path-scoped key.
+        worker processes) that hold byte-identical tables.
 
         Computed over the *visible* (clamped) prefix, so a snapshot's
         signature never changes while a writer stages new groups.
         """
         n = self.num_row_groups
-        checksums = self._meta.get("checksums", [])
-        if len(checksums) < n:
-            return None
         doc = json.dumps(
-            [self._meta["columns"], self._meta["row_groups"][:n], checksums[:n]],
+            [
+                self._meta["columns"],
+                self._meta["row_groups"][:n],
+                self._meta.get("checksums", [])[:n],
+            ],
             sort_keys=True,
         )
         return hashlib.blake2b(doc.encode(), digest_size=16).hexdigest()
@@ -192,7 +153,7 @@ class TableStore:
         # doc shares them with ``self._meta`` and copies only the containers
         # this append grows
         staged = dict(self._meta)
-        for key in ("row_groups", "zone_maps", "blooms", "checksums"):
+        for key in _ROW_GROUP_LISTS:
             staged[key] = list(staged.get(key, ()))
         if not staged["columns"]:
             staged["columns"] = {
@@ -207,12 +168,6 @@ class TableStore:
                     f"frame has {sorted(got)}"
                 )
         self.path.mkdir(parents=True, exist_ok=True)
-        # legacy tables written before a stats kind existed: pad the
-        # per-row-group list with empty docs so indexes stay aligned with
-        # the groups being appended now (an empty doc never prunes)
-        for stats_key in ("zone_maps", "blooms"):
-            while len(staged[stats_key]) < len(staged["row_groups"]):
-                staged[stats_key].append({})
         for start in range(0, frame.num_rows, row_group_size):
             chunk = frame[start : start + row_group_size]
             rg_index = len(staged["row_groups"])
@@ -277,9 +232,8 @@ class TableStore:
         """
         raw_groups = self._meta.get("row_groups", [])
         if committed_groups < len(raw_groups):
-            for key in ("row_groups", "zone_maps", "blooms", "checksums"):
-                if key in self._meta:
-                    del self._meta[key][committed_groups:]
+            for key in _ROW_GROUP_LISTS:
+                del self._meta[key][committed_groups:]
             self._bloom_cache.clear()
             self._flush_meta()
         dropped = 0
@@ -294,14 +248,17 @@ class TableStore:
         return dropped
 
     def _flush_meta(self) -> None:
-        """Crash-safe metadata publish: temp file + verify + atomic rename.
-
-        A process dying mid-write must never leave a truncated meta.json
-        behind — that would corrupt the whole table, not just the append
-        (or the cache-invalidating version bump) in flight.
-        """
-        publish_json_verified(
-            self.path, "meta.json", self._meta, what=f"meta.json of {self.path.name!r}"
+        """Verified publish: a process dying mid-write must never leave a
+        truncated meta.json behind — that would corrupt the whole table,
+        not just the append (or the version bump) in flight, and fresh
+        ``TableStore`` objects re-read it on every statement."""
+        atomic_publish(
+            self.path / "meta.json",
+            json.dumps(self._meta).encode("utf-8"),
+            verify=True,
+            fault_point=faults.STORAGE_TORN_WRITE,
+            what=f"meta.json of {self.path.name!r}",
+            error=DBError,
         )
 
     # ------------------------------------------------------------------
@@ -321,26 +278,19 @@ class TableStore:
         )
 
     def zone_map(self, index: int) -> dict[str, tuple[float, float]]:
-        """Per-column (min, max) of one row group (empty for legacy tables)."""
-        maps = self._meta.get("zone_maps", [])
-        if index >= len(maps):
-            return {}
-        return {k: (v[0], v[1]) for k, v in maps[index].items()}
+        """Per-column (min, max) of one row group."""
+        return {k: (v[0], v[1]) for k, v in self._meta["zone_maps"][index].items()}
 
     def blooms(self, index: int) -> dict[str, BloomFilter]:
         """Per-column equality bloom filters of one row group.
 
-        Empty for tables written before filters existed (legacy tables
-        stay readable, they just never bloom-prune) and for columns whose
-        cardinality saturated the bitset at append time.
+        Empty for columns whose cardinality saturated the bitset at
+        append time.
         """
-        docs = self._meta.get("blooms", [])
-        if index >= len(docs):
-            return {}
         cached = self._bloom_cache.get(index)
         if cached is None:
             cached = {}
-            for name, doc in docs[index].items():
+            for name, doc in self._meta["blooms"][index].items():
                 bloom = BloomFilter.from_meta(doc)
                 if bloom is not None:
                     cached[name] = bloom

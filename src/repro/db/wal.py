@@ -2,10 +2,8 @@
 
 Every mutation that flows through :meth:`repro.db.database.Database.append`
 (or a populated ``create_table``) is made durable here *before* any table
-bytes move, using the same framing discipline as
-:class:`repro.graph.checkpoint.DurableCheckpointer`::
-
-    RWAL1\\n | payload_len (8 bytes LE) | crc32 (4 bytes LE) | pickle payload
+bytes move, as one :func:`repro.durable.frame` record under the magic
+``RWAL1\\n`` with a pickle payload.
 
 The commit protocol (driven by the database, not this module):
 
@@ -24,23 +22,22 @@ skips the already-committed record).  Readers never see a hybrid because
 they clamp every scan to ``committed_row_groups`` (see
 :class:`repro.db.storage.TableStore`).
 
-Recovery scans the log sequentially and stops at the first frame that is
-short (torn tail — counted as ``wal.torn_tail_dropped``) or fails its CRC
-(counted as ``wal.corrupt_record_dropped``); everything before the bad
-frame replays, everything from it on is truncated away.
+Recovery scans the log with :func:`repro.durable.scan_frames` and stops
+at the first frame that is short (torn tail — counted as
+``wal.torn_tail_dropped``) or fails its CRC (counted as
+``wal.corrupt_record_dropped``); everything before the bad frame replays,
+everything from it on is truncated away.
 """
 
 from __future__ import annotations
 
-import io
 import os
 import pickle
-import zlib
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro import faults
 from repro.db.errors import DBError, IngestKilled
+from repro.durable import FrameScan, frame, scan_frames
 from repro.obs import names as obs_names
 from repro.obs.logsetup import get_logger
 from repro.obs.metrics import get_registry
@@ -48,29 +45,6 @@ from repro.obs.metrics import get_registry
 log = get_logger("db.wal")
 
 _MAGIC = b"RWAL1\n"
-_LEN_BYTES = 8
-_CRC_BYTES = 4
-_HEADER_BYTES = len(_MAGIC) + _LEN_BYTES + _CRC_BYTES
-
-
-def _frame_record(payload: bytes) -> bytes:
-    return (
-        _MAGIC
-        + len(payload).to_bytes(_LEN_BYTES, "little")
-        + zlib.crc32(payload).to_bytes(_CRC_BYTES, "little")
-        + payload
-    )
-
-
-@dataclass
-class WalScanResult:
-    """Outcome of one sequential recovery scan."""
-
-    records: list[dict] = field(default_factory=list)
-    good_bytes: int = 0          # offset of the first bad byte (log is valid up to here)
-    torn_tail: bool = False      # trailing frame shorter than its header promised
-    corrupt_record: bool = False  # complete frame whose payload failed CRC
-    dropped_bytes: int = 0       # bytes discarded after good_bytes
 
 
 class WriteAheadLog:
@@ -78,8 +52,8 @@ class WriteAheadLog:
 
     ``fsync`` discipline: every appended record is flushed and fsynced
     before :meth:`append` returns, so a record's presence in the log is a
-    durable promise.  Benchmarks may relax this (``fsync=False``) to
-    measure the protocol without the disk in the loop.
+    durable promise.  ``fsync=False`` is for tests that rewrite a log at
+    every byte offset; ``Database`` always fsyncs.
     """
 
     def __init__(self, path: str | Path, fsync: bool = True):
@@ -104,7 +78,7 @@ class WriteAheadLog:
         """Frame, append and fsync one record; the armed ``wal_torn_tail``
         fault dies mid-write, leaving a durable-but-torn tail behind."""
         payload = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
-        framed = _frame_record(payload)
+        framed = frame(_MAGIC, payload)
         torn = None
         if faults.fire_ingest_kill(faults.WAL_TORN_TAIL):
             injector = faults.get_injector()
@@ -120,49 +94,13 @@ class WriteAheadLog:
         get_registry().counter(obs_names.WAL_APPENDS).inc()
 
     # ------------------------------------------------------------------
-    def scan(self) -> WalScanResult:
+    def scan(self) -> FrameScan:
         """Sequential validity scan; classifies why the scan stopped."""
-        result = WalScanResult()
         try:
             data = self.path.read_bytes()
         except OSError:
-            return result
-        total = len(data)
-        buf = io.BytesIO(data)
-        while True:
-            offset = buf.tell()
-            header = buf.read(_HEADER_BYTES)
-            if not header:
-                result.good_bytes = offset
-                return result
-            if len(header) < _HEADER_BYTES:
-                result.torn_tail = True
-                break
-            if not header.startswith(_MAGIC):
-                # a full-length header with bad magic is corruption (e.g. a
-                # flipped bit), not an in-flight write that ran short
-                result.corrupt_record = True
-                break
-            length = int.from_bytes(header[len(_MAGIC):len(_MAGIC) + _LEN_BYTES], "little")
-            crc = int.from_bytes(header[len(_MAGIC) + _LEN_BYTES:], "little")
-            payload = buf.read(length)
-            if len(payload) < length:
-                result.torn_tail = True
-                break
-            if zlib.crc32(payload) != crc:
-                result.corrupt_record = True
-                break
-            try:
-                record = pickle.loads(payload)
-            except Exception:
-                # CRC passed but the payload does not decode — treat as
-                # corruption, not a torn tail (the frame was complete)
-                result.corrupt_record = True
-                break
-            result.records.append(record)
-        result.good_bytes = offset
-        result.dropped_bytes = total - offset
-        return result
+            return FrameScan()
+        return scan_frames(_MAGIC, data, decode=pickle.loads)
 
     def truncate_to(self, size: int) -> None:
         """Cut the log at ``size`` bytes (drop a torn/corrupt tail)."""
@@ -178,7 +116,7 @@ class WriteAheadLog:
             self.truncate_to(0)
 
     # ------------------------------------------------------------------
-    def pending(self) -> tuple[list[dict], WalScanResult]:
+    def pending(self) -> tuple[list[dict], FrameScan]:
         """Scan, count classified drops, and truncate any bad tail.
 
         Returns the complete records (in append order) plus the scan

@@ -9,9 +9,10 @@ deep copies, so later mutation cannot corrupt history; branching copies a
 checkpoint chain onto a new thread id and execution resumes from there.
 
 :class:`DurableCheckpointer` additionally persists every checkpoint as a
-CRC-framed blob under a workdir directory — one file per checkpoint,
-published atomically (temp file + ``os.replace``), hydrated lazily per
-thread on first access.  Resume is *tolerant*: a truncated or bit-flipped
+framed blob under a workdir directory — one file per checkpoint, one
+:func:`repro.durable.frame` record per file, published with
+:func:`repro.durable.atomic_publish`, hydrated lazily per thread on first
+access.  Resume is *tolerant*: a truncated or bit-flipped
 tail (a process killed mid-write, media corruption, or the chaos suite's
 ``checkpoint.corrupt`` fault) is quarantined and counted, and the thread
 restarts from the last checkpoint that verifies — never a raw unpickling
@@ -21,23 +22,22 @@ traceback.
 from __future__ import annotations
 
 import copy
-import os
 import pickle
 import re
-import tempfile
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
 from repro import faults
+from repro.durable import atomic_publish, frame, scan_frames
 from repro.obs.logsetup import get_logger
 from repro.obs.metrics import get_registry
 
 log = get_logger("graph.checkpoint")
 
-# blob framing: magic + 4-byte little-endian CRC32 of the pickle payload
-_MAGIC = b"RCKP1\n"
+# RCKP1 blobs (magic | crc | payload, no length) read as a corrupt tail
+_MAGIC = b"RCKP2\n"
 
 
 @dataclass
@@ -143,22 +143,15 @@ def _encode_checkpoint(cp: Checkpoint) -> bytes:
         },
         protocol=pickle.HIGHEST_PROTOCOL,
     )
-    return _MAGIC + zlib.crc32(payload).to_bytes(4, "little") + payload
+    return frame(_MAGIC, payload)
 
 
 def _decode_checkpoint(blob: bytes) -> Checkpoint:
-    """Decode a framed blob; raises ``ValueError`` on any corruption."""
-    if not blob.startswith(_MAGIC) or len(blob) < len(_MAGIC) + 4:
-        raise ValueError("bad checkpoint framing")
-    crc = int.from_bytes(blob[len(_MAGIC) : len(_MAGIC) + 4], "little")
-    payload = blob[len(_MAGIC) + 4 :]
-    if zlib.crc32(payload) != crc:
-        raise ValueError("checkpoint CRC mismatch")
-    try:
-        doc = pickle.loads(payload)
-    except Exception as exc:  # corrupt pickles raise many exception types
-        raise ValueError(f"checkpoint unpickle failed: {exc}") from exc
-    return Checkpoint(**doc)
+    """Decode a one-frame blob; raises ``ValueError`` on any corruption."""
+    scan = scan_frames(_MAGIC, blob, decode=pickle.loads)
+    if scan.dropped_bytes or len(scan.records) != 1:
+        raise ValueError("torn checkpoint blob" if scan.torn_tail else "corrupt checkpoint blob")
+    return Checkpoint(**scan.records[0])
 
 
 def _thread_dirname(thread_id: str) -> str:
@@ -201,10 +194,7 @@ class DurableCheckpointer(Checkpointer):
             marker = tdir / "thread.txt"
             if not marker.exists():
                 marker.write_text(cp.thread_id)
-            fd, tmp_name = tempfile.mkstemp(dir=tdir, prefix=".ckpt_", suffix=".tmp")
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(blob)
-            os.replace(tmp_name, tdir / f"ckpt_{cp.seq:06d}.bin")
+            atomic_publish(tdir / f"ckpt_{cp.seq:06d}.bin", blob)
         except OSError as exc:
             # a read-only workdir degrades to in-memory checkpointing
             log.warning("checkpoint persist failed for %s: %s", cp.checkpoint_id, exc)

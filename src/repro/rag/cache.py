@@ -18,9 +18,9 @@ hundreds of column embeddings.  Three tiers:
    sidecar's fingerprint and shape; matrices up to
    ``MATERIALIZE_MAX_BYTES`` are then copied into memory, because MMR's
    per-row indexed dot products are ~4x slower over a memmap);
-3. cold build via ``embedder.embed_batch`` followed by an atomic
-   write-then-rename publish, so racing processes never observe a
-   half-written artifact.
+3. cold build via ``embedder.embed_batch`` followed by a
+   :func:`repro.durable.atomic_publish` of matrix then sidecar, so racing
+   processes never observe a half-written artifact.
 
 All tiers are counted in process-local :class:`CacheStats`; the
 evaluation harness snapshots them around each run and merges the deltas
@@ -32,14 +32,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from repro.durable import atomic_publish
 from repro.llm.embeddings import HashedEmbedder
 from repro.util.stats import MergeableCounters
 
@@ -50,7 +49,7 @@ QUERY_MEMO_MAX = 1024
 # thousands of per-row indexed dot products per retrieval, which run
 # ~4x slower over a memmap subclass than over a plain ndarray.  Large
 # corpora stay memory-mapped so workers still share one on-disk copy.
-MATERIALIZE_MAX_BYTES = int(os.environ.get("REPRO_RAG_MMAP_THRESHOLD", 32 << 20))
+MATERIALIZE_MAX_BYTES = 32 << 20
 
 
 # ----------------------------------------------------------------------
@@ -86,7 +85,7 @@ _MATRIX_MEMO: dict[str, np.ndarray] = {}
 # re-embed the same handful of prompts across retrieve calls, redo
 # attempts, and harness runs, so one memo beats one per index instance.
 _QUERY_MEMO: OrderedDict[tuple[str, str], np.ndarray] = OrderedDict()
-_QUERY_MEMO_CAPACITY = int(os.environ.get("REPRO_QUERY_MEMO_ENTRIES", QUERY_MEMO_MAX))
+_QUERY_MEMO_CAPACITY = QUERY_MEMO_MAX
 
 
 def stats_snapshot() -> CacheStats:
@@ -215,8 +214,8 @@ class RetrievalArtifactCache:
         return matrix
 
     def _publish(self, key: str, matrix: np.ndarray, embedder: HashedEmbedder) -> None:
-        """Atomic write-then-rename so concurrent builders never clash."""
-        self.cache_dir.mkdir(parents=True, exist_ok=True)
+        """Matrix first, sidecar last: ``_load`` needs both, so a reader
+        never pairs a new sidecar with a missing matrix."""
         sidecar = {
             "key": key,
             "embedder": embedder.cache_key(),
@@ -225,14 +224,8 @@ class RetrievalArtifactCache:
             "dtype": str(matrix.dtype),
         }
         try:
-            fd, tmp_name = tempfile.mkstemp(dir=self.cache_dir, suffix=MATRIX_SUFFIX)
-            with os.fdopen(fd, "wb") as fh:
-                np.save(fh, matrix)
-            os.replace(tmp_name, self.matrix_path(key))
-            fd, tmp_name = tempfile.mkstemp(dir=self.cache_dir, suffix=SIDECAR_SUFFIX)
-            with os.fdopen(fd, "w") as fh:
-                json.dump(sidecar, fh, indent=1)
-            os.replace(tmp_name, self.sidecar_path(key))
+            atomic_publish(self.matrix_path(key), lambda fh: np.save(fh, matrix))
+            atomic_publish(self.sidecar_path(key), json.dumps(sidecar, indent=1).encode())
         except OSError:
             # a read-only workdir degrades to in-process caching only
             pass

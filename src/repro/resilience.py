@@ -19,6 +19,10 @@ deadline, a dependency flapping.  Three primitives, all clock-injected
   until ``reset_timeout_s`` has elapsed on the injected clock; then one
   half-open probe decides between closing and re-opening.
 
+:class:`ServiceEWMA`, the moving average of service times behind the
+sandbox fleet's routing tiebreak and admission control's ``Retry-After``
+estimate, lives here too.
+
 Failures escalate into *classified* errors (:class:`RetriesExhausted`,
 :class:`CircuitOpen`, :class:`DeadlineExceeded`) so callers and
 provenance records see a named degradation, never a raw traceback from
@@ -27,6 +31,7 @@ deep inside a transport stack.
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
@@ -288,6 +293,35 @@ class CircuitBreaker:
             raise
         self.record_success()
         return result
+
+
+class ServiceEWMA:
+    """Thread-safe exponentially weighted moving average of service times.
+
+    ``value`` reads ``initial`` until the first sample, which replaces it
+    outright.  The sandbox fleet starts at 0.0 so untried members sort
+    ahead of proven-slow ones; admission control starts at 1.0 so a cold
+    server quotes a one-second wait rather than none.
+    """
+
+    def __init__(self, alpha: float = 0.2, initial: float = 0.0):
+        self.alpha = float(alpha)
+        self.initial = float(initial)
+        self._lock = threading.Lock()
+        self.reset()
+
+    def observe(self, seconds: float) -> None:
+        with self._lock:
+            self.samples += 1
+            if self.samples == 1:
+                self.value = float(seconds)
+            else:
+                self.value += self.alpha * (float(seconds) - self.value)
+
+    def reset(self) -> None:
+        with self._lock:
+            self.value = self.initial
+            self.samples = 0
 
 
 def classify(exc: BaseException) -> str:

@@ -47,11 +47,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
+from repro.durable import atomic_publish
 from repro.frame import Frame
 from repro.obs.logsetup import get_logger
 from repro.obs.metrics import get_registry
 from repro.obs.tracer import get_tracer
-from repro.resilience import CircuitBreaker
+from repro.resilience import CircuitBreaker, ServiceEWMA
 from repro.sandbox.client import InProcessClient, SandboxClient, SandboxUnavailable
 from repro.sandbox.executor import ExecutionResult, SandboxExecutor
 from repro.sandbox.server import LatencyExecutor, SandboxServer
@@ -89,27 +90,6 @@ def resolve_sandbox_workers(explicit: int | None = None) -> int | None:
     if explicit == 0:
         return max(1, os.cpu_count() or 1)
     return int(explicit)
-
-
-class ServiceEWMA:
-    """Exponentially weighted service time; 0.0 until the first sample
-    so untried members sort ahead of proven-slow ones."""
-
-    def __init__(self, alpha: float = 0.2):
-        self.alpha = float(alpha)
-        self.value = 0.0
-        self.samples = 0
-
-    def observe(self, seconds: float) -> None:
-        self.samples += 1
-        if self.samples == 1:
-            self.value = float(seconds)
-        else:
-            self.value = self.alpha * float(seconds) + (1.0 - self.alpha) * self.value
-
-    def reset(self) -> None:
-        self.value = 0.0
-        self.samples = 0
 
 
 # ----------------------------------------------------------------------
@@ -565,12 +545,11 @@ class SandboxFleet:
         """Atomically snapshot ``stats()`` for ``repro sandbox stats``."""
         if self.stats_path is None:
             return
-        doc = self.stats()
+        doc = json.dumps(self.stats(), indent=2, sort_keys=True)
         try:
-            self.stats_path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = self.stats_path.with_suffix(".tmp")
-            tmp.write_text(json.dumps(doc, indent=2, sort_keys=True))
-            os.replace(tmp, self.stats_path)
+            # called from every routing thread, outside the lock: each call
+            # writes its own temp file, so snapshots cannot tear each other
+            atomic_publish(self.stats_path, doc.encode())
         except OSError:  # telemetry write failures never break requests
             log.debug("fleet stats checkpoint failed", exc_info=True)
 

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+from repro.durable import atomic_publish
 from repro.obs.cost import CostLedger
 
 
@@ -88,11 +89,10 @@ class ServeSession:
 
     def checkpoint(self) -> None:
         """Write this session's ledger to ``cost_ledger.json`` atomically."""
-        self.workdir.mkdir(parents=True, exist_ok=True)
-        target = self.workdir / "cost_ledger.json"
-        tmp = target.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(self.ledger.as_dict(), indent=2, sort_keys=True))
-        tmp.replace(target)
+        atomic_publish(
+            self.workdir / "cost_ledger.json",
+            json.dumps(self.ledger.as_dict(), indent=2, sort_keys=True).encode(),
+        )
 
 
 class SessionRegistry:
@@ -158,7 +158,5 @@ class SessionRegistry:
             "aggregate": self.aggregate.as_dict(),
         }
         target = self.root / "sessions.json"
-        tmp = target.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(doc, indent=2, sort_keys=True))
-        tmp.replace(target)
+        atomic_publish(target, json.dumps(doc, indent=2, sort_keys=True).encode())
         return target

@@ -26,6 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
+from repro import faults
+from repro.durable import atomic_publish
 from repro.frame import Frame
 from repro.gio import GIOFile, write_gio
 from repro.sim.cosmology import Cosmology, DEFAULT_COSMOLOGY
@@ -189,13 +191,16 @@ def _publish_manifest(root: Path, manifest: dict) -> None:
     """Atomic manifest publish — the commit point of ensemble mutation.
 
     Live ingestion appends snapshots while serve sessions read; a reader
-    must see either the old or the new manifest, never a torn one.
-    Reuses the write-verify-retry publish the DB catalog hardens against
-    ``storage.torn_write``.
+    must see either the old or the new manifest, never a torn one, and
+    nothing downstream re-checks it, so the publish is verified.
     """
-    from repro.db.storage import publish_json_verified
-
-    publish_json_verified(root, "manifest.json", manifest, what="ensemble manifest", indent=1)
+    atomic_publish(
+        root / "manifest.json",
+        json.dumps(manifest, indent=1).encode("utf-8"),
+        verify=True,
+        fault_point=faults.STORAGE_TORN_WRITE,
+        what="ensemble manifest",
+    )
 
 
 def generate_ensemble(root: str | Path, spec: EnsembleSpec) -> "Ensemble":
@@ -289,8 +294,6 @@ def append_snapshot(root: str | Path, step: int) -> "Ensemble":
     )
     spec.validate()
     seeds = SeedSequenceFactory(spec.seed)
-
-    from repro import faults
 
     for run_entry in manifest["runs"]:
         run = int(run_entry["run"])

@@ -2,7 +2,7 @@
 
 from repro.util.tokens import count_tokens, tokenize, TokenMeter
 from repro.util.rngs import SeedSequenceFactory, derive_seed
-from repro.util.timing import Timer, WallClock, SimulatedClock
+from repro.util.timing import WallClock, SimulatedClock
 from repro.util.text import normalize_ws, snake_words, levenshtein
 
 __all__ = [
@@ -11,7 +11,6 @@ __all__ = [
     "TokenMeter",
     "SeedSequenceFactory",
     "derive_seed",
-    "Timer",
     "WallClock",
     "SimulatedClock",
     "normalize_ws",

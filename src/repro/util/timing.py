@@ -1,4 +1,4 @@
-"""Wall-clock and simulated clocks plus a scoped timer.
+"""Wall-clock and simulated clocks.
 
 The evaluation harness reports per-query runtime (Table 2 "Time" column).
 Real runs use :class:`WallClock`; tests use :class:`SimulatedClock` so that
@@ -9,7 +9,6 @@ dependency rather than calling ``time.perf_counter`` directly.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
 
 class WallClock:
@@ -40,42 +39,3 @@ class SimulatedClock:
         if seconds < 0:
             raise ValueError("cannot advance a clock backwards")
         self._now += seconds
-
-
-@dataclass
-class Timer:
-    """Accumulating named-section timer.
-
-    >>> t = Timer()
-    >>> with t.section("load"):
-    ...     pass
-    >>> "load" in t.totals
-    True
-    """
-
-    clock: WallClock | SimulatedClock = field(default_factory=WallClock)
-    totals: dict[str, float] = field(default_factory=dict)
-
-    def section(self, name: str) -> "_Section":
-        return _Section(self, name)
-
-    def add(self, name: str, seconds: float) -> None:
-        self.totals[name] = self.totals.get(name, 0.0) + seconds
-
-    @property
-    def total(self) -> float:
-        return sum(self.totals.values())
-
-
-class _Section:
-    def __init__(self, timer: Timer, name: str):
-        self._timer = timer
-        self._name = name
-        self._start = 0.0
-
-    def __enter__(self) -> "_Section":
-        self._start = self._timer.clock.now()
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self._timer.add(self._name, self._timer.clock.now() - self._start)

@@ -344,20 +344,9 @@ class TestVerbosity:
 
 
 class TestArtifactCompat:
-    """Stats commands must tolerate artifacts written by older repro
-    versions: missing schema/CRC fields degrade to defaults with an
+    """``repro sandbox stats`` must tolerate snapshots written by older
+    repro versions: missing schema fields degrade to defaults with an
     explicit provenance note, never a KeyError."""
-
-    def test_cache_stats_notes_pre_crc_entries(self, tmp_path, capsys):
-        entry = tmp_path / "w" / ".query_cache" / "q_cafe0000"
-        entry.mkdir(parents=True)
-        (entry / "result.json").write_text(json.dumps(
-            {"key": "q_cafe0000", "columns": [], "dtypes": {}, "num_rows": 0}
-        ))
-        assert main(["cache", "stats", "--workdir", str(tmp_path / "w")]) == 0
-        out = capsys.readouterr().out
-        assert "1 entries written by an older repro version" in out
-        assert "no CRC sidecar" in out
 
     def test_sandbox_stats_notes_pre_schema_snapshot(self, tmp_path, capsys):
         (tmp_path / "sandbox_fleet.json").write_text(json.dumps(

@@ -1,6 +1,8 @@
 """Semantic query-result cache: byte-identity, invalidation, incremental
 re-execution, disk sharing, and bounded memory (repro.db.cache)."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -268,6 +270,27 @@ class TestDiskSharing:
         out = db.query(sql)
         assert stats_snapshot().delta(before).quarantined == 1
         assert_frames_byte_identical(out, expected)
+
+    @pytest.mark.parametrize("damage", ["stripped", "short"])
+    def test_sidecar_without_every_crc_is_quarantined(self, db, oracle, damage):
+        """The CRC check is not the entry's to opt out of: a sidecar with
+        no ``crc32`` (or one CRC too few) is corrupt, never served as is."""
+        sql = "SELECT mass, count FROM halos WHERE step = 5"
+        db.query(sql)
+        (entry,) = db._result_cache.disk_entries()
+        sidecar = entry / qcache.SIDECAR_NAME
+        meta = json.loads(sidecar.read_text())
+        if damage == "stripped":
+            del meta["crc32"]
+        else:
+            meta["crc32"].pop()
+        sidecar.write_text(json.dumps(meta))
+        clear_memory_cache()
+        before = stats_snapshot()
+        out = db.query(sql)
+        delta = stats_snapshot().delta(before)
+        assert (delta.quarantined, delta.disk_hits, delta.misses) == (1, 0, 1)
+        assert_frames_byte_identical(out, oracle.query(sql))
 
     def test_injected_torn_write_never_published(self, db, oracle):
         """With storage.torn_write at rate 1.0 every publish attempt tears

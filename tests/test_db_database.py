@@ -133,17 +133,58 @@ class TestCrashSafeCatalog:
         assert list(db.path.glob("catalog.*.tmp")) == []
 
     def test_failed_flush_preserves_catalog(self, tmp_path, monkeypatch):
-        # the catalog publish lives in storage.publish_json_verified now
-        import repro.db.storage as storage_mod
+        import repro.durable as durable_mod
 
         db = Database(tmp_path / "c.db")
         db.create_table("t", Frame({"x": np.arange(5)}))
         good = (db.path / "catalog.json").read_text()
         monkeypatch.setattr(
-            storage_mod.os, "replace",
+            durable_mod.os, "replace",
             lambda s, d: (_ for _ in ()).throw(OSError("simulated crash")),
         )
         with pytest.raises(OSError):
             db.create_table("u", Frame({"y": np.arange(3)}))
         assert (db.path / "catalog.json").read_text() == good
         assert Database(tmp_path / "c.db").list_tables() == ["t"]
+
+
+class TestOneTableFormat:
+    """Every writer since PR 10 produces the four per-row-group lists and
+    the ``committed_row_groups`` clamp; a table without one of them is
+    refused by name, not guessed at."""
+
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            ("halos/meta.json", "checksums"),
+            ("halos/meta.json", "zone_maps"),
+            ("halos/meta.json", "blooms"),
+            ("catalog.json", "committed_row_groups"),
+        ],
+    )
+    def test_older_dialects_are_refused_by_name(self, db, doc, key):
+        import json
+
+        path = db.path / doc
+        content = json.loads(path.read_text())
+        del (content["halos"] if doc == "catalog.json" else content)[key]
+        path.write_text(json.dumps(content))
+
+        row = Frame({"run": [9], "step": [0], "mass": [1.0], "count": [5]})
+        for attempt in (
+            lambda d: d.query("SELECT COUNT(*) AS n FROM halos"),
+            lambda d: d.store("halos"),
+            lambda d: d.append("halos", row),
+        ):
+            with pytest.raises(DBError, match="regenerate the workdir") as exc:
+                attempt(Database(db.path, result_cache=False))
+            assert "'halos'" in str(exc.value) and key in str(exc.value)
+
+    def test_table_created_empty_has_no_meta_and_opens(self, tmp_path):
+        d = Database(tmp_path / "e.db")
+        d.create_table("t")
+        assert not (d.path / "t" / "meta.json").exists()
+        reopened = Database(d.path)
+        assert reopened.store("t").num_rows == 0
+        reopened.append("t", Frame({"x": np.arange(3)}))
+        assert Database(d.path).query("SELECT COUNT(*) AS n FROM t")["n"][0] == 3

@@ -196,26 +196,6 @@ class TestEndToEndPruning:
         # middle group ["c","d"] holds neither option: bloom-refuted
         assert d.last_scan_stats.row_groups_skipped_bloom == 1
 
-    def test_legacy_table_without_blooms(self, tmp_path):
-        """Tables written before bloom filters existed stay readable and
-        simply never bloom-prune."""
-        import json
-
-        d = Database(tmp_path / "lb.db")
-        d.create_table(
-            "t",
-            Frame({"name": np.asarray(["a", "b", "c", "d"]), "k": np.arange(4)}),
-            row_group_size=2,
-        )
-        meta_path = d.path / "t" / "meta.json"
-        meta = json.loads(meta_path.read_text())
-        del meta["blooms"]
-        meta_path.write_text(json.dumps(meta))
-        d2 = Database(d.path)
-        out = d2.query("SELECT k FROM t WHERE name = 'd'")
-        assert out.num_rows == 1 and out["k"][0] == 3
-        assert d2.last_scan_stats.row_groups_skipped == 0
-
     def test_mixed_finite_and_nonfinite_groups(self, tmp_path):
         """Finite groups keep pruning; only the non-finite group scans."""
         d = Database(tmp_path / "mx.db")
@@ -225,18 +205,3 @@ class TestEndToEndPruning:
         assert sorted(out["x"].tolist()) == [100.0, 200.0]
         # group [1,2] refuted by zone map; group [nan,4] must be scanned
         assert d.last_scan_stats.row_groups_skipped == 1
-
-    def test_legacy_table_without_zone_maps(self, tmp_path):
-        """Tables written before zone maps existed must still query fine."""
-        import json
-
-        d = Database(tmp_path / "l.db")
-        d.create_table("t", Frame({"a": np.arange(10)}), row_group_size=5)
-        meta_path = d.path / "t" / "meta.json"
-        meta = json.loads(meta_path.read_text())
-        del meta["zone_maps"]
-        meta_path.write_text(json.dumps(meta))
-        d2 = Database(d.path)
-        out = d2.query("SELECT a FROM t WHERE a >= 5")
-        assert out.num_rows == 5
-        assert d2.last_scan_stats.row_groups_skipped == 0

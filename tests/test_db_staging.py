@@ -54,15 +54,6 @@ class TestStagedIsInvisible:
         assert store._meta == {"columns": {}, "row_groups": []}
         assert store.columns == [] and not (store.path / "meta.json").exists()
 
-    def test_legacy_meta_is_padded_in_the_staged_doc_only(self, store):
-        for key in PER_GROUP_KEYS:
-            del store._meta[key]
-        meta = copy.deepcopy(store._meta)
-        staged = store.stage_append(make_frame(10, offset=25), row_group_size=10)
-        assert store._meta == meta
-        assert [len(staged[key]) for key in PER_GROUP_KEYS] == [4, 4, 1]
-        assert staged["zone_maps"][:3] == staged["blooms"][:3] == [{}, {}, {}]
-
     def test_kill_mid_stage_leaves_meta_untouched(self, store):
         meta = copy.deepcopy(store._meta)
         # at this seed the kill strikes the fourth new group, after three

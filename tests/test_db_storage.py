@@ -126,16 +126,6 @@ class TestVersioningAndSignatures:
         store.append(make_frame(10, offset=10))
         assert store.content_signature() != before
 
-    def test_legacy_meta_without_checksums(self, store, tmp_path):
-        import json
-
-        store.append(make_frame(10))
-        meta_path = tmp_path / "t" / "meta.json"
-        meta = json.loads(meta_path.read_text())
-        del meta["checksums"]
-        meta_path.write_text(json.dumps(meta))
-        assert TableStore(tmp_path / "t").content_signature() is None
-
 
 class TestCrashSafeMeta:
     def test_no_temp_files_left_behind(self, store, tmp_path):
@@ -159,12 +149,12 @@ class TestCrashSafeMeta:
         store.append(make_frame(10))
         good = (tmp_path / "t" / "meta.json").read_text()
 
-        import repro.db.storage as storage_mod
+        import repro.durable as durable_mod
 
         def exploding_replace(src, dst):
             raise OSError("simulated crash")
 
-        monkeypatch.setattr(storage_mod.os, "replace", exploding_replace)
+        monkeypatch.setattr(durable_mod.os, "replace", exploding_replace)
         with pytest.raises(OSError):
             store.append(make_frame(10))
         assert (tmp_path / "t" / "meta.json").read_text() == good

@@ -10,14 +10,19 @@ single bit flips) is always classified: torn tail vs corrupt record,
 never a crash or a hybrid table.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro import faults
 from repro.db.database import Database
 from repro.db.errors import IngestKilled
+from repro.db.wal import _MAGIC as WAL_MAGIC
 from repro.db.wal import WriteAheadLog, make_append_record
+from repro.durable import frame, scan_frames
 from repro.frame import Frame
+from repro.graph.checkpoint import _MAGIC as CHECKPOINT_MAGIC
 from repro.obs import names as obs_names
 from repro.obs.metrics import get_registry
 
@@ -210,81 +215,101 @@ class TestCommitProtocol:
 
 
 # ----------------------------------------------------------------------
-# damage property tests: every truncation point, single bit flips
+# damage property tests: every truncation point, single bit flips.  The
+# verdict is repro.durable.scan_frames', so both users of the framing (this
+# log, the checkpoint blobs) are inputs; what the log adds is tested after.
 # ----------------------------------------------------------------------
-def _damage_log(tmp_path):
-    """A three-record log plus the byte offsets of its frame boundaries."""
-    wal = WriteAheadLog(tmp_path / "wal.log", fsync=False)
-    boundaries = [0]
+MAGICS = (WAL_MAGIC, CHECKPOINT_MAGIC)
+
+
+def _damage_log(magic: bytes) -> tuple[bytes, list[int]]:
+    """Three framed records plus the byte offsets of the frame boundaries."""
+    data, boundaries = b"", [0]
     for i in range(3):
-        wal.append(
-            make_append_record(
-                "t", "append", base_version=i, row_group_size=32,
-                columns={"a": np.arange(10 * (i + 1), dtype=np.int64)},
-            )
+        record = make_append_record(
+            "t", "append", base_version=i, row_group_size=32,
+            columns={"a": np.arange(10 * (i + 1), dtype=np.int64)},
         )
-        boundaries.append(wal.size_bytes())
-    return wal.path.read_bytes(), boundaries
+        data += frame(magic, pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL))
+        boundaries.append(len(data))
+    return data, boundaries
 
 
-def test_truncation_at_every_byte_boundary_classified(tmp_path):
-    """Cut the log at *every* byte offset: recovery must keep exactly the
-    frames wholly before the cut, classify the remainder as a torn tail,
-    and leave the log physically truncated to the good prefix."""
-    data, boundaries = _damage_log(tmp_path)
-    path = tmp_path / "cut.log"
-    for cut in range(len(data) + 1):
-        path.write_bytes(data[:cut])
-        wal = WriteAheadLog(path, fsync=False)
-        torn_before = counter(obs_names.WAL_TORN_TAIL_DROPPED)
-        corrupt_before = counter(obs_names.WAL_CORRUPT_DROPPED)
-        records, scan = wal.pending()
-
-        keep = max(i for i, b in enumerate(boundaries) if b <= cut)
-        assert [r["base_version"] for r in records] == list(range(keep)), cut
-        assert scan.good_bytes == boundaries[keep]
-        assert path.stat().st_size == boundaries[keep]  # tail truncated away
-        if cut in boundaries:
-            assert not scan.torn_tail and not scan.corrupt_record
-            assert counter(obs_names.WAL_TORN_TAIL_DROPPED) == torn_before
-        else:
-            assert scan.torn_tail and not scan.corrupt_record, cut
-            assert counter(obs_names.WAL_TORN_TAIL_DROPPED) == torn_before + 1
-            assert counter(obs_names.WAL_CORRUPT_DROPPED) == corrupt_before
+def test_truncation_at_every_byte_boundary_classified():
+    """Cut the frames at *every* byte offset: the scan keeps exactly the
+    frames wholly before the cut and classifies the remainder as a torn
+    tail, never as corruption."""
+    for magic in MAGICS:
+        data, boundaries = _damage_log(magic)
+        for cut in range(len(data) + 1):
+            scan = scan_frames(magic, data[:cut], pickle.loads)
+            keep = max(i for i, b in enumerate(boundaries) if b <= cut)
+            assert [r["base_version"] for r in scan.records] == list(range(keep)), (magic, cut)
+            assert scan.good_bytes == boundaries[keep]
+            assert scan.dropped_bytes == cut - boundaries[keep]
+            assert scan.torn_tail == (cut not in boundaries), (magic, cut)
+            assert not scan.corrupt_record, (magic, cut)
 
 
-def test_single_bit_flips_classified_and_recovered(tmp_path):
-    """Flip one bit anywhere in the log: the scan never crashes, keeps
-    exactly the frames before the damaged one, classifies the damage
-    (corrupt record, or torn tail when a length field inflates), and a
-    second pass over the truncated log is clean."""
-    data, boundaries = _damage_log(tmp_path)
-    path = tmp_path / "flip.log"
-    rng = np.random.default_rng(2024)
-    positions = rng.choice(len(data), size=min(160, len(data)), replace=False)
-    for pos in sorted(int(p) for p in positions):
-        flipped = bytearray(data)
-        flipped[pos] ^= 1 << int(rng.integers(8))
-        path.write_bytes(bytes(flipped))
-        wal = WriteAheadLog(path, fsync=False)
-        torn_before = counter(obs_names.WAL_TORN_TAIL_DROPPED)
-        corrupt_before = counter(obs_names.WAL_CORRUPT_DROPPED)
-        records, scan = wal.pending()
+def test_single_bit_flips_classified_and_recovered():
+    """Flip one bit anywhere: the scan never crashes, keeps exactly the
+    frames before the damaged one, classifies the damage (corrupt record,
+    or torn tail when a length field inflates), and the surviving prefix
+    scans clean."""
+    for magic in MAGICS:
+        data, boundaries = _damage_log(magic)
+        rng = np.random.default_rng(2024)
+        positions = rng.choice(len(data), size=min(160, len(data)), replace=False)
+        for pos in sorted(int(p) for p in positions):
+            flipped = bytearray(data)
+            flipped[pos] ^= 1 << int(rng.integers(8))
+            scan = scan_frames(magic, bytes(flipped), pickle.loads)
 
-        # the damaged frame and everything after it are dropped
-        damaged = max(i for i, b in enumerate(boundaries) if b <= pos)
-        assert [r["base_version"] for r in records] == list(range(damaged)), pos
-        assert scan.torn_tail != scan.corrupt_record, pos  # exactly one class
-        assert scan.good_bytes == boundaries[damaged]
-        dropped = (counter(obs_names.WAL_TORN_TAIL_DROPPED) - torn_before) + (
-            counter(obs_names.WAL_CORRUPT_DROPPED) - corrupt_before
-        )
-        assert dropped == 1
+            # the damaged frame and everything after it are dropped
+            damaged = max(i for i, b in enumerate(boundaries) if b <= pos)
+            assert [r["base_version"] for r in scan.records] == list(range(damaged)), (magic, pos)
+            assert scan.torn_tail != scan.corrupt_record, (magic, pos)  # exactly one class
+            assert scan.good_bytes == boundaries[damaged]
+            assert scan.dropped_bytes == len(data) - boundaries[damaged]
 
-        # idempotence: the truncated log now scans clean
-        again, rescan = wal.pending()
-        assert [r["base_version"] for r in again] == list(range(damaged))
-        assert not rescan.torn_tail and not rescan.corrupt_record
+            rescan = scan_frames(magic, bytes(flipped[: scan.good_bytes]), pickle.loads)
+            assert len(rescan.records) == damaged
+            assert not rescan.torn_tail and not rescan.corrupt_record
+
+
+@pytest.mark.parametrize(
+    "damage, counted",
+    [("cut", obs_names.WAL_TORN_TAIL_DROPPED), ("flip", obs_names.WAL_CORRUPT_DROPPED)],
+)
+def test_pending_counts_the_drop_and_cuts_the_log(tmp_path, damage, counted):
+    """The log's own half: ``pending`` counts the scan's verdict once under
+    its classified name and physically truncates to the good prefix, after
+    which the log holds exactly the records it returned."""
+    data, boundaries = _damage_log(WAL_MAGIC)
+    raw = bytearray(data)
+    if damage == "cut":
+        del raw[boundaries[2] + 5:]  # inside the third frame's header
+    else:
+        raw[boundaries[2] - 3] ^= 0x10  # inside the second frame's payload
+    wal = WriteAheadLog(tmp_path / "wal.log", fsync=False)
+    wal.path.write_bytes(bytes(raw))
+    names = (obs_names.WAL_TORN_TAIL_DROPPED, obs_names.WAL_CORRUPT_DROPPED)
+    before = {name: counter(name) for name in names}
+
+    records, scan = wal.pending()
+    kept = 2 if damage == "cut" else 1
+    assert [r["base_version"] for r in records] == list(range(kept))
+    assert wal.size_bytes() == scan.good_bytes == boundaries[kept]
+    assert {name: counter(name) - before[name] for name in names} == {
+        name: int(name == counted) for name in names
+    }
+
+    again, rescan = wal.pending()
+    assert [r["base_version"] for r in again] == list(range(kept))
+    assert not rescan.torn_tail and not rescan.corrupt_record
+    assert {name: counter(name) - before[name] for name in names} == {
+        name: int(name == counted) for name in names
+    }
 
 
 def test_corrupt_record_mid_log_drops_suffix(tmp_path):

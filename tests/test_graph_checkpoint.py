@@ -192,6 +192,6 @@ class TestDurableCheckpointer:
             raise OSError("read-only filesystem")
 
         cp = DurableCheckpointer(tmp_path / "ckpt")
-        monkeypatch.setattr("repro.graph.checkpoint.os.replace", refuse)
+        monkeypatch.setattr("repro.durable.os.replace", refuse)
         cp.save("t", 1, "a", None, {"x": 1})
         assert cp.latest("t").state == {"x": 1}  # in-memory copy intact

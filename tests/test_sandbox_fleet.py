@@ -19,7 +19,7 @@ from repro.frame import Frame
 from repro.obs.metrics import get_registry
 from repro.obs.names import is_canonical_excluded_attr
 from repro.obs.tracer import Tracer, use_tracer
-from repro.resilience import CircuitBreaker, OPEN
+from repro.resilience import OPEN, CircuitBreaker, ServiceEWMA
 from repro.sandbox import (
     ExecutionResult,
     InProcessClient,
@@ -30,7 +30,7 @@ from repro.sandbox import (
     SandboxUnavailable,
     resolve_sandbox_workers,
 )
-from repro.sandbox.fleet import ServiceEWMA, WorkerHandle
+from repro.sandbox.fleet import WorkerHandle
 from repro.util.timing import SimulatedClock
 
 
@@ -301,6 +301,53 @@ class TestObservability:
         assert doc["lifetime"]["routes"] == 1
         assert doc["members"][0]["breaker"] == "closed"
         fleet.close()
+
+    def test_concurrent_checkpoints_never_tear_the_snapshot(self, tmp_path, monkeypatch):
+        """``_checkpoint`` runs outside the fleet lock on every routing
+        thread: a reader of ``sandbox_fleet.json`` must see a whole
+        snapshot every time, no publish may fail, no temp file may stay."""
+        import json
+        import sys
+        import threading
+
+        from repro.sandbox import fleet as fleet_mod
+
+        swallowed: list[tuple] = []
+        monkeypatch.setattr(fleet_mod.log, "debug", lambda *args, **kw: swallowed.append(args))
+        clock = SimulatedClock()
+        path = tmp_path / "sandbox_fleet.json"
+        fleet = make_fleet(clock, [StubClient(i, clock) for i in range(4)], stats_path=path)
+        fleet._checkpoint()
+        done = threading.Event()
+        published = itertools.count()
+
+        def publish():
+            while not done.is_set():
+                fleet._checkpoint()
+                next(published)
+
+        writers = [threading.Thread(target=publish) for _ in range(4)]
+        torn = 0
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in writers:
+                thread.start()
+            for _ in range(1000):
+                try:
+                    assert json.loads(path.read_text())["workers"] == 4
+                except ValueError:
+                    torn += 1
+                time.sleep(0)  # hand the interpreter to a publisher
+        finally:
+            done.set()
+            for thread in writers:
+                thread.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in writers)
+        assert next(published) > 100  # the reader really had company
+        assert (torn, swallowed) == (0, [])
+        assert list(tmp_path.glob("*.tmp")) == []
 
     def test_warm_probes_every_member(self):
         with SandboxServer(executor=SandboxExecutor()) as server:

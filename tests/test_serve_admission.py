@@ -6,7 +6,8 @@ import threading
 
 import pytest
 
-from repro.serve.admission import AdmissionQueue, QueueClosed, QueueFull, ServiceTimeEWMA
+from repro.resilience import ServiceEWMA
+from repro.serve.admission import AdmissionQueue, QueueClosed, QueueFull
 from repro.util.timing import SimulatedClock
 
 
@@ -47,12 +48,12 @@ def test_retry_after_scales_with_backlog_and_workers():
 
 
 def test_ewma_converges_toward_recent_observations():
-    ewma = ServiceTimeEWMA(alpha=0.5, initial_s=1.0)
-    assert ewma.value_s == 1.0  # prior before any observation
+    ewma = ServiceEWMA(alpha=0.5, initial=1.0)
+    assert ewma.value == 1.0  # prior before any observation
     ewma.observe(3.0)
-    assert ewma.value_s == 3.0  # first observation replaces the prior
+    assert ewma.value == 3.0  # first observation replaces the prior
     ewma.observe(1.0)
-    assert ewma.value_s == pytest.approx(2.0)
+    assert ewma.value == pytest.approx(2.0)
 
 
 def test_close_refuses_new_work_but_drains_backlog():

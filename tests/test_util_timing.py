@@ -1,8 +1,8 @@
-"""Clocks and section timers."""
+"""Clocks."""
 
 import pytest
 
-from repro.util.timing import SimulatedClock, Timer, WallClock
+from repro.util.timing import SimulatedClock, WallClock
 
 
 class TestSimulatedClock:
@@ -26,20 +26,3 @@ class TestWallClock:
         b = c.now()
         assert b >= a
 
-
-class TestTimer:
-    def test_sections_accumulate(self):
-        clock = SimulatedClock()
-        t = Timer(clock=clock)
-        with t.section("load"):
-            clock.advance(1.0)
-        with t.section("load"):
-            clock.advance(0.5)
-        with t.section("viz"):
-            clock.advance(2.0)
-        assert t.totals["load"] == pytest.approx(1.5)
-        assert t.totals["viz"] == pytest.approx(2.0)
-        assert t.total == pytest.approx(3.5)
-
-    def test_empty_timer(self):
-        assert Timer().total == 0.0
