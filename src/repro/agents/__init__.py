@@ -7,7 +7,7 @@ programming, visualization, quality assurance (1-100 scoring, threshold
 supervisor exactly as in Fig. 3 of the paper.
 """
 
-from repro.agents.base import AgentContext
+from repro.agents.base import AgentContext, StepOutcome
 from repro.agents.planner import PlanningAgent, FeedbackProvider, AutoApprove, ScriptedFeedback
 from repro.agents.data_loader import DataLoadingAgent, LoadReport
 from repro.agents.sql_agent import SQLProgrammingAgent
@@ -19,6 +19,7 @@ from repro.agents.supervisor import Supervisor, StepResult, RunReport
 
 __all__ = [
     "AgentContext",
+    "StepOutcome",
     "PlanningAgent",
     "FeedbackProvider",
     "AutoApprove",

@@ -9,15 +9,23 @@ stateless and testable.
 only its delegated task without knowledge of upstream processes."
 ``build_prompt`` implements exactly that; the full-history mode exists for
 the token-cost ablation.
+
+:class:`StepOutcome` and :class:`CodeAgent` are the step protocol: what
+one attempt at a code-generating plan step returns, and the one attempt
+skeleton (prompt, chat, extract the fence, record, run) the SQL, Python
+and visualization agents share.  The supervisor's judge turns an outcome
+plus a QA verdict into pass, redo or fail.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.db import Database
+from repro.frame import Frame
 from repro.llm.base import ChatMessage, ChatResponse, MeteredModel
 from repro.obs.cost import get_ledger
 from repro.obs.metrics import get_registry
@@ -77,3 +85,85 @@ class AgentContext:
     @property
     def total_tokens(self) -> int:
         return self.llm.meter.total
+
+
+@dataclass
+class StepOutcome:
+    """What one attempt at a code-generating step produced."""
+
+    ok: bool
+    code: str                   # what ran (the failing companion query, for SQL)
+    error: str = ""             # "<Type>: <message>", fed to QA and the next attempt
+    result: Frame | None = None
+    # what the attempt publishes into the session's working tables
+    tables: dict[str, Frame] = field(default_factory=dict)
+    op: str = ""                # 'sql' | the Python step's op | 'viz'
+    form_used: str = ""         # chart form the model actually chose
+    svg: str = ""
+
+    @classmethod
+    def failure(cls, code: str, error_type: str, message: str, op: str) -> "StepOutcome":
+        return cls(ok=False, code=code, error=f"{error_type}: {message}", op=op)
+
+    @property
+    def rows(self) -> int:
+        return self.result.num_rows if self.result is not None else 0
+
+    @property
+    def columns(self) -> list[str]:
+        return self.result.columns if self.result is not None else []
+
+
+class CodeAgent:
+    """One attempt at a plan step: ask for code, record it, run it.
+
+    Subclasses set the chat ``role`` and the fence ``language`` and say
+    how the code runs (:meth:`_run`); the prompt, the payload's key order
+    and the provenance record are the same for all of them, which is what
+    keeps ``llm.tokens`` and the trail's bytes a function of the step
+    alone.
+    """
+
+    role: str
+    language = "python"
+
+    def __init__(self, context: AgentContext):
+        self.context = context
+
+    def run_step(
+        self,
+        step: dict,
+        tables: dict[str, Frame],
+        step_key: str,
+        attempt: int,
+        semantic_level: int,
+        previous_error: str = "",
+    ) -> StepOutcome:
+        context_text = step["description"]
+        if previous_error:
+            context_text += f"\nThe previous attempt failed: {previous_error}"
+        context_text += self._extra_context(step)
+        reply = self.context.chat(
+            self.role,
+            {
+                "step_key": step_key,
+                "attempt": attempt,
+                "semantic_level": semantic_level,
+                "params": step["params"],
+            },
+            context_text=context_text,
+            step_index=step["index"],
+        ).content
+        fence = re.search(rf"```{self.language}\s*(.*?)```", reply, re.DOTALL)
+        code = (fence.group(1) if fence else reply).strip()
+        self.context.provenance.record_code(
+            step["index"], code, language=self.language, attempt=attempt
+        )
+        return self._run(step, code, tables, reply)
+
+    def _extra_context(self, step: dict) -> str:
+        """Prompt text after the description and the previous-error line."""
+        return ""
+
+    def _run(self, step: dict, code: str, tables: dict[str, Frame], reply: str) -> StepOutcome:
+        raise NotImplementedError

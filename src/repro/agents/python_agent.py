@@ -9,72 +9,33 @@ the paper's architecture.
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass
-
-from repro.agents.base import AgentContext
+from repro.agents.base import CodeAgent, StepOutcome
 from repro.frame import Frame
-from repro.sandbox.executor import ExecutionResult
-
-_PY_FENCE_RE = re.compile(r"```python\s*(.*?)```", re.DOTALL)
 
 
-@dataclass
-class PythonOutcome:
-    ok: bool
-    code: str
-    execution: ExecutionResult | None = None
-    error: str = ""
-
-
-class PythonProgrammingAgent:
+class PythonProgrammingAgent(CodeAgent):
     role = "python"
 
-    def __init__(self, context: AgentContext):
-        self.context = context
-
-    def run_step(
-        self,
-        step: dict,
-        tables: dict[str, Frame],
-        step_key: str,
-        attempt: int,
-        semantic_level: int,
-        previous_error: str = "",
-    ) -> PythonOutcome:
-        context_text = step["description"]
-        if previous_error:
-            context_text += f"\nThe previous attempt failed: {previous_error}"
+    def _extra_context(self, step: dict) -> str:
         retrieval = self.context.retriever.retrieve(
             query=step["description"], task=str(step["params"].get("op", ""))
         )
-        context_text += "\nRelevant columns:\n" + "\n".join(
-            d.text for d in retrieval.documents[:10]
-        )
-        response = self.context.chat(
-            self.role,
-            {
-                "step_key": step_key,
-                "attempt": attempt,
-                "semantic_level": semantic_level,
-                "params": step["params"],
-            },
-            context_text=context_text,
-            step_index=step["index"],
-        )
-        code = self._extract_code(response.content)
-        self.context.provenance.record_code(step["index"], code, attempt=attempt)
+        return "\nRelevant columns:\n" + "\n".join(d.text for d in retrieval.documents[:10])
+
+    def _run(self, step: dict, code: str, tables: dict[str, Frame], reply: str) -> StepOutcome:
+        op = step["params"].get("op", "")
         execution = self.context.sandbox.execute(code, tables)
         if not execution.ok:
-            return PythonOutcome(
-                ok=False,
-                code=code,
-                execution=execution,
-                error=f"{execution.error_type}: {execution.error_message}",
-            )
-        return PythonOutcome(ok=True, code=code, execution=execution)
-
-    @staticmethod
-    def _extract_code(content: str) -> str:
-        m = _PY_FENCE_RE.search(content)
-        return m.group(1).strip() if m else content.strip()
+            return StepOutcome.failure(code, execution.error_type, execution.error_message, op)
+        published = dict(execution.tables)
+        result = execution.result
+        if result is not None:
+            # the ops whose result later steps read by name
+            if op == "top_k_per_cell":
+                published["work"] = result
+            elif op == "aggregate":
+                published["aggregated"] = result
+            elif op == "track_evolution":
+                published[f"track_{step['params'].get('metric', 'metric')}"] = result
+            self.context.provenance.record_result(step["index"], result)
+        return StepOutcome(ok=True, code=code, result=result, tables=published, op=op)

@@ -12,68 +12,28 @@ feeds back into the next attempt.
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass
-
-from repro.agents.base import AgentContext
+from repro.agents.base import CodeAgent, StepOutcome
 from repro.db.errors import DBError
 from repro.frame import Frame
 
-_SQL_FENCE_RE = re.compile(r"```sql\s*(.*?)```", re.DOTALL)
 
+class SQLProgrammingAgent(CodeAgent):
+    role = "sql"
+    language = "sql"
 
-@dataclass
-class SQLOutcome:
-    ok: bool
-    sql: str
-    result: Frame | None = None
-    secondary: dict[str, Frame] | None = None
-    error: str = ""
-
-
-class SQLProgrammingAgent:
-    def __init__(self, context: AgentContext):
-        self.context = context
-
-    def run_step(
-        self,
-        step: dict,
-        step_key: str,
-        attempt: int,
-        semantic_level: int,
-        previous_error: str = "",
-    ) -> SQLOutcome:
+    def _run(self, step: dict, code: str, tables: dict[str, Frame], reply: str) -> StepOutcome:
         params = step["params"]
-        context_text = step["description"]
-        if previous_error:
-            context_text += f"\nThe previous attempt failed: {previous_error}"
-        response = self.context.chat(
-            "sql",
-            {
-                "step_key": step_key,
-                "attempt": attempt,
-                "semantic_level": semantic_level,
-                "params": params,
-            },
-            context_text=context_text,
-            step_index=step["index"],
-        )
-        m = _SQL_FENCE_RE.search(response.content)
-        sql = m.group(1).strip() if m else response.content.strip()
-        self.context.provenance.record_code(step["index"], sql, language="sql", attempt=attempt)
+        statement = code
         try:
-            result = self.context.db.query(sql)
+            result = self.context.db.query(statement)
+            published = {"work": result}
+            for entity in params.get("secondary", []):
+                statement = self._secondary_sql(params, entity)
+                published[f"work_{entity}"] = self.context.db.query(statement)
         except DBError as exc:
-            return SQLOutcome(ok=False, sql=sql, error=f"{type(exc).__name__}: {exc}")
-
-        secondary: dict[str, Frame] = {}
-        for entity in params.get("secondary", []):
-            sec_sql = self._secondary_sql(params, entity)
-            try:
-                secondary[f"work_{entity}"] = self.context.db.query(sec_sql)
-            except DBError as exc:
-                return SQLOutcome(ok=False, sql=sec_sql, error=f"{type(exc).__name__}: {exc}")
-        return SQLOutcome(ok=True, sql=sql, result=result, secondary=secondary)
+            return StepOutcome.failure(statement, type(exc).__name__, str(exc), "sql")
+        self.context.provenance.record_result(step["index"], result, "sql_result")
+        return StepOutcome(ok=True, code=code, result=result, tables=published, op="sql")
 
     def _secondary_sql(self, params: dict, entity: str) -> str:
         """Deterministic companion query for the secondary entity table."""

@@ -15,9 +15,9 @@ at the end.
 from __future__ import annotations
 
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext as _null_scope
 from dataclasses import dataclass, field
-from typing import Any
 
 from repro.agents.base import AgentContext
 from repro.agents.data_loader import DataLoadingAgent, LoadReport
@@ -28,7 +28,13 @@ from repro.agents.sql_agent import SQLProgrammingAgent
 from repro.agents.viz_agent import VisualizationAgent
 from repro.frame import Frame
 from repro.graph import Channel, StateGraph, END, Checkpointer
-from repro.graph.state import append_reducer, merge_reducer, add_reducer
+from repro.graph.state import (
+    add_reducer,
+    append_reducer,
+    apply_update,
+    initial_state,
+    merge_reducer,
+)
 from repro.obs.cost import cost_attribution, current_attribution, get_ledger, use_ledger
 from repro.obs.metrics import get_registry
 from repro.obs.tracer import use_tracer
@@ -77,12 +83,79 @@ class RunReport:
     # error (e.g. 'budget-exceeded') rather than a step failure
     failure: str = ""
 
+    @classmethod
+    def from_state(
+        cls,
+        context: AgentContext,
+        question: str,
+        plan_steps: list[dict],
+        semantic_level: int,
+        intent: dict,
+        *,
+        llm_latency_s: float,
+        wall_s: float = 0.0,
+        state: dict | None = None,
+        failure: str = "",
+    ) -> "RunReport":
+        """Assemble the report from the graph's final ``state``.
+
+        A session that a classified ``failure`` ended before the graph
+        finished has no final state and reports the channels' defaults.
+        """
+        if state is None:
+            state = initial_state(_CHANNELS)
+        return cls(
+            question=question,
+            completed=not failure and state["status"] != "failed",
+            failed_at_step=state["failed_at_step"],
+            steps=[StepResult(**r) for r in state["step_results"]],
+            plan_size=len(plan_steps),
+            analysis_steps=sum(
+                1 for s in plan_steps if s["kind"] in ("load", "sql", "python", "viz")
+            ),
+            tokens=context.total_tokens,
+            storage_bytes=context.provenance.storage_bytes(),
+            time_s=wall_s + llm_latency_s,
+            llm_latency_s=llm_latency_s,
+            redo_iterations=state["redo_iterations"],
+            load_report=state["load_report"],
+            tables=state["tables"],
+            figures=state["figures"],
+            semantic_level=semantic_level,
+            intent=intent,
+            failure=failure,
+        )
+
     @property
     def tasks_completed_fraction(self) -> float:
         if not self.steps:
             return 0.0
         done = sum(1 for s in self.steps if s.status == "ok")
         return done / self.plan_size if self.plan_size else 0.0
+
+
+# the session state: one channel per fact the graph's nodes exchange
+_CHANNELS = {
+    channel.name: channel
+    for channel in (
+        Channel("plan", default=[]),
+        Channel("question", default=""),
+        Channel("semantic_level", default=0),
+        Channel("step_index", default=0),
+        Channel("attempt", default=0),
+        Channel("status", default="running"),
+        Channel("last_error", default=""),
+        Channel("last_outcome", default=None),
+        Channel("tables", merge_reducer, default={}),
+        Channel("step_results", append_reducer, default=[]),
+        Channel("figures", append_reducer, default=[]),
+        Channel("redo_iterations", add_reducer, default=0),
+        Channel("load_report", default=None),
+        Channel("resolved_steps", default=None),
+        Channel("failed_at_step", default=None),
+        Channel("summary", default=""),
+    )
+}
 
 
 class Supervisor:
@@ -94,52 +167,33 @@ class Supervisor:
         qa_mode: str = "score",
         enable_documentation: bool = True,
         supervisor_history: int | None = 6,
-        use_checkpointer: bool = False,
         parallel_viz: bool = False,
-        checkpointer: "Checkpointer | None" = None,
+        checkpointer: Checkpointer | None = None,
     ):
         self.context = context
         self.data_loader = data_loader
-        self.sql_agent = SQLProgrammingAgent(context)
-        self.python_agent = PythonProgrammingAgent(context)
-        self.viz_agent = VisualizationAgent(context)
+        # the code-generating agents, by the plan-step kind they serve
+        self.agents = {
+            "sql": SQLProgrammingAgent(context),
+            "python": PythonProgrammingAgent(context),
+            "viz": VisualizationAgent(context),
+        }
         self.qa_agent = QualityAssuranceAgent(context, mode=qa_mode)
         self.doc_agent = DocumentationAgent(context)
         self.max_revisions = max_revisions
         self.enable_documentation = enable_documentation
         self.supervisor_history = supervisor_history
-        # an injected checkpointer (e.g. the durable on-disk store) wins
-        # over the plain in-memory one the boolean flag selects
-        self.checkpointer = checkpointer or (Checkpointer() if use_checkpointer else None)
+        self.checkpointer = checkpointer
         self.parallel_viz = parallel_viz
 
     # ------------------------------------------------------------------
     def build_graph(self):
-        channels = [
-            Channel("plan", default=[]),
-            Channel("question", default=""),
-            Channel("semantic_level", default=0),
-            Channel("step_index", default=0),
-            Channel("attempt", default=0),
-            Channel("status", default="running"),
-            Channel("last_error", default=""),
-            Channel("last_outcome", default=None),
-            Channel("tables", merge_reducer, default={}),
-            Channel("step_results", append_reducer, default=[]),
-            Channel("figures", append_reducer, default=[]),
-            Channel("redo_iterations", add_reducer, default=0),
-            Channel("load_report", default=None),
-            Channel("resolved_steps", default=None),
-            Channel("failed_at_step", default=None),
-            Channel("summary", default=""),
-        ]
-        g = StateGraph(channels)
+        g = StateGraph(list(_CHANNELS.values()))
         g.add_node("supervisor", self._node_supervisor)
         g.add_node("data_loader", self._node_load)
-        g.add_node("sql", self._node_sql)
-        g.add_node("python", self._node_python)
-        g.add_node("viz", self._node_viz)
-        g.add_node("qa", self._node_qa)
+        for kind in self.agents:
+            g.add_node(kind, self._attempt)
+        g.add_node("qa", self._judge)
         g.add_node("viz_batch", self._node_viz_batch)
         g.add_node("documentation", self._node_documentation)
         g.set_entry_point("supervisor")
@@ -221,293 +275,153 @@ class Supervisor:
             "step_results": result.as_dict(),
         }
 
-    def _node_sql(self, state: dict) -> dict:
-        step = state["plan"][state["step_index"]]
+    def _attempt(self, state: dict, parent=None) -> dict:
+        """One attempt at the current step: the ``sql``, ``python`` and ``viz`` nodes."""
+        position, attempt = state["step_index"], state["attempt"]
+        step = state["plan"][position]
         with self.context.tracer.span(
-            "step.sql", step=state["step_index"], attempt=state["attempt"]
-        ) as sp, cost_attribution(attempt=state["attempt"]):
-            outcome = self.sql_agent.run_step(
-                step,
-                self._step_key(state),
-                state["attempt"],
-                state["semantic_level"],
-                previous_error=state["last_error"],
-            )
-            sp.set(ok=outcome.ok)
-        update: dict[str, Any] = {"last_outcome": _sql_summary(step, outcome)}
-        if outcome.ok:
-            tables = {"work": outcome.result}
-            tables.update(outcome.secondary or {})
-            update["tables"] = tables
-            update["last_error"] = ""
-            self.context.provenance.record_result(step["index"], outcome.result, "sql_result")
-        else:
-            update["last_error"] = outcome.error
-        return update
-
-    def _node_python(self, state: dict) -> dict:
-        step = state["plan"][state["step_index"]]
-        with self.context.tracer.span(
-            "step.python", step=state["step_index"], attempt=state["attempt"]
-        ) as sp, cost_attribution(attempt=state["attempt"]):
-            outcome = self.python_agent.run_step(
+            f"step.{step['kind']}", parent=parent, step=position, attempt=attempt
+        ) as sp, cost_attribution(attempt=attempt):
+            outcome = self.agents[step["kind"]].run_step(
                 step,
                 state["tables"],
                 self._step_key(state),
-                state["attempt"],
+                attempt,
                 state["semantic_level"],
                 previous_error=state["last_error"],
             )
             sp.set(ok=outcome.ok)
-        update: dict[str, Any] = {
+        update = {
+            "last_error": outcome.error,
+            # checkpointed with the state, so only the StepResult fields the
+            # judge will need and never the outcome's frames
             "last_outcome": {
-                "ok": outcome.ok,
-                "rows": outcome.execution.result_rows if outcome.execution else 0,
-                "op": step["params"].get("op", ""),
-                "columns": (
-                    outcome.execution.result.columns
-                    if outcome.execution and outcome.execution.result is not None
-                    else []
-                ),
-            }
-        }
-        if outcome.ok and outcome.execution is not None:
-            tables = dict(outcome.execution.tables)
-            result = outcome.execution.result
-            op = step["params"].get("op", "")
-            if result is not None:
-                if op == "top_k_per_cell":
-                    tables["work"] = result
-                elif op == "aggregate":
-                    tables["aggregated"] = result
-                elif op == "track_evolution":
-                    tables[f"track_{step['params'].get('metric', 'metric')}"] = result
-                self.context.provenance.record_result(step["index"], result)
-            update["tables"] = tables
-            update["last_error"] = ""
-        else:
-            update["last_error"] = outcome.error
-        return update
-
-    def _node_viz(self, state: dict) -> dict:
-        step = state["plan"][state["step_index"]]
-        with self.context.tracer.span(
-            "step.viz", step=state["step_index"], attempt=state["attempt"]
-        ) as sp, cost_attribution(attempt=state["attempt"]):
-            outcome = self.viz_agent.run_step(
-                step,
-                state["tables"],
-                self._step_key(state),
-                state["attempt"],
-                state["semantic_level"],
-                previous_error=state["last_error"],
-            )
-            sp.set(ok=outcome.ok)
-        update: dict[str, Any] = {
-            "last_outcome": {
-                "ok": outcome.ok,
-                "rows": outcome.execution.result_rows if outcome.execution else 0,
-                "op": "viz",
+                "op": outcome.op,
                 "form_intended": step["params"].get("form", ""),
                 "form_used": outcome.form_used,
-            }
+                "result_rows": outcome.rows,
+                "result_columns": outcome.columns,
+            },
         }
-        if outcome.ok:
-            update["last_error"] = ""
-            if outcome.svg:
-                update["figures"] = outcome.svg
-        else:
-            update["last_error"] = outcome.error
+        if outcome.tables:
+            update["tables"] = outcome.tables
+        if outcome.svg:
+            update["figures"] = outcome.svg
         return update
 
-    def _node_qa(self, state: dict) -> dict:
-        step = state["plan"][state["step_index"]]
-        outcome = state["last_outcome"] or {}
+    def _judge(self, state: dict) -> dict:
+        """Pass, redo or fail the attempt just made: the ``qa`` node.
+
+        QA sees every attempt, failed executions included.  An attempt
+        passes when it ran clean and QA accepts it; otherwise it is redone
+        with the error text in context until ``max_revisions`` redos are
+        spent, which fails the run.
+        """
+        position, attempt, error = state["step_index"], state["attempt"], state["last_error"]
+        step = state["plan"][position]
+        facts = state["last_outcome"]
         with self.context.tracer.span(
-            "qa.assess", step=state["step_index"], attempt=state["attempt"]
-        ) as sp, cost_attribution(attempt=state["attempt"]):
+            "qa.assess", step=position, attempt=attempt
+        ) as sp, cost_attribution(attempt=attempt):
             verdict = self.qa_agent.assess(
                 step,
                 self._step_key(state),
-                state["attempt"],
-                result_rows=int(outcome.get("rows", 0)),
-                error=state["last_error"],
+                attempt,
+                result_rows=facts["result_rows"],
+                error=error,
                 expects_rows=step["kind"] != "viz",
             )
-            sp.set(passed=verdict.passed and not state["last_error"])
-        if verdict.passed and not state["last_error"]:
-            result = StepResult(
-                index=step["index"],
-                kind=step["kind"],
-                description=step["description"],
-                status="ok",
-                attempts=state["attempt"] + 1,
-                op=str(outcome.get("op", "")),
-                form_intended=str(outcome.get("form_intended", "")),
-                form_used=str(outcome.get("form_used", "")),
-                result_rows=int(outcome.get("rows", 0)),
-                result_columns=list(outcome.get("columns", [])),
-                redo_iterations=state["attempt"],
-            )
+            passed = verdict.passed and not error
+            sp.set(passed=passed)
+        if not passed and attempt < self.max_revisions:
+            get_registry().counter("qa.redo").inc()
             return {
-                "step_index": state["step_index"] + 1,
+                "attempt": attempt + 1,
+                "redo_iterations": 1,
+                "last_error": error or f"QA rejected output: {verdict.feedback}",
+            }
+        result = StepResult(
+            index=step["index"],
+            kind=step["kind"],
+            description=step["description"],
+            status="ok" if passed else "failed",
+            attempts=attempt + 1,
+            redo_iterations=attempt,
+            **(facts if passed else {"op": facts["op"]}),
+        ).as_dict()
+        if passed:
+            return {
+                "step_index": position + 1,
                 "attempt": 0,
                 "last_error": "",
-                "step_results": result.as_dict(),
+                "step_results": result,
             }
-        attempt = state["attempt"] + 1
-        if attempt > self.max_revisions:
-            result = StepResult(
-                index=step["index"],
-                kind=step["kind"],
-                description=step["description"],
-                status="failed",
-                attempts=attempt,
-                op=str(outcome.get("op", "")),
-                redo_iterations=attempt - 1,
-            )
-            return {
-                "status": "failed",
-                "failed_at_step": state["step_index"],
-                "step_results": result.as_dict(),
-                "redo_iterations": attempt - 1,
-            }
-        get_registry().counter("qa.redo").inc()
         return {
-            "attempt": attempt,
-            "redo_iterations": 1,
-            "last_error": state["last_error"] or f"QA rejected output: {verdict.feedback}",
+            "status": "failed",
+            "failed_at_step": position,
+            "step_results": result,
+            # known double count (DESIGN.md, "Step protocol"): the channel
+            # adds, and each of these redos already added its own 1
+            "redo_iterations": attempt,
         }
 
     def _node_viz_batch(self, state: dict) -> dict:
-        """Execute a run of consecutive viz steps with parallel sandboxing.
+        """Run consecutive viz steps concurrently, each as it would run in turn.
 
         The paper's stated future work ("investigate parallelized workflow
         execution to reduce execution runtime"): visualization steps are
-        mutually independent, so their code generation stays serial (the
-        LLM and provenance are shared) while the sandbox executions — the
-        dominant cost — run concurrently.  QA still gates each step, with
-        the same per-step revision budget.
+        mutually independent, so each plot gets a private copy of the state
+        and goes through the serial attempt and judge under its serial step
+        key; the attempts of a round (chat and sandbox) overlap.  The mock
+        model keys its draws by (step key, attempt), so a plot produces what
+        it would have produced in turn.  What differs from the serial path
+        is one supervisor chat per batch instead of one per attempt.
         """
-        from concurrent.futures import ThreadPoolExecutor
+        plan, start = state["plan"], state["step_index"]
+        end = start
+        while end < len(plan) and plan[end]["kind"] == "viz":
+            end += 1
+        # the accumulating channels start empty per plot and are joined in
+        # plan order below, which is the order the serial path fills them in
+        fresh = {"figures": [], "step_results": [], "redo_iterations": 0}
+        plots = {p: {**state, **fresh, "step_index": p} for p in range(start, end)}
 
-        plan = state["plan"]
-        start = state["step_index"]
-        batch: list[dict] = []
-        while start + len(batch) < len(plan) and plan[start + len(batch)]["kind"] == "viz":
-            batch.append(plan[start + len(batch)])
+        tracer = self.context.tracer
+        parent, attribution, ledger = tracer.current(), current_attribution(), get_ledger()
 
-        pending = {step["index"]: 0 for step in batch}  # step index -> attempt
-        errors: dict[int, str] = {}
-        done: dict[int, StepResult] = {}
-        figures: list[str] = []
-        redo_total = 0
-        failed_at: int | None = None
+        def attempt(plot: dict) -> dict:
+            # pool threads start with an empty span stack and no active
+            # tracer, ledger or attribution (all context-scoped): re-enter
+            # the coordinator's, so spans stay inside this trace and LLM
+            # spend stays charged to this session and node
+            with use_tracer(tracer), (
+                use_ledger(ledger) if ledger is not None else _null_scope()
+            ), cost_attribution(**attribution):
+                return self._attempt(plot, parent=parent)
 
+        pending = list(plots)
+        failed_at = None
         while pending and failed_at is None:
-            # serial generation (shared LLM/provenance), parallel execution
-            generated = []
-            for step in batch:
-                if step["index"] not in pending:
-                    continue
-                attempt = pending[step["index"]]
-                generated.append((step, attempt))
+            with ThreadPoolExecutor(max_workers=len(pending)) as pool:
+                attempted = list(pool.map(attempt, [plots[p] for p in pending]))
+            for position, update in zip(pending, attempted):
+                plot = apply_update(_CHANNELS, plots[position], update)
+                plot = plots[position] = apply_update(_CHANNELS, plot, self._judge(plot))
+                if plot["status"] == "failed":
+                    failed_at = position
+                    break
+            pending = [p for p in pending if not plots[p]["step_results"]]
 
-            tracer = self.context.tracer
-            batch_parent = tracer.current()
-            batch_attribution = current_attribution()
-            batch_ledger = get_ledger()
-
-            def run_one(item):
-                step, attempt = item
-                # pool threads have no span stack, no active tracer, no
-                # ledger, and no attribution context: re-activate the
-                # session tracer (with an explicit parent) and re-apply the
-                # coordinator's ledger + cost scopes so sandbox/LLM spans
-                # stay inside this trace and LLM spend stays attributed to
-                # this session/node/attempt (the ledger is context-scoped,
-                # so fresh threads start unmetered)
-                ledger_scope = (
-                    use_ledger(batch_ledger) if batch_ledger is not None
-                    else _null_scope()
-                )
-                with use_tracer(tracer), ledger_scope, cost_attribution(
-                    **{**batch_attribution, "attempt": attempt}
-                ), tracer.span(
-                    "step.viz",
-                    parent=batch_parent,
-                    step=step["index"],
-                    attempt=attempt,
-                    parallel=True,
-                ) as sp:
-                    outcome = self.viz_agent.run_step(
-                        step,
-                        state["tables"],
-                        f"{self._step_key(state)}.v{step['index']}",
-                        attempt,
-                        state["semantic_level"],
-                        previous_error=errors.get(step["index"], ""),
-                    )
-                    sp.set(ok=outcome.ok)
-                return step, attempt, outcome
-
-            with ThreadPoolExecutor(max_workers=max(len(generated), 1)) as pool:
-                outcomes = list(pool.map(run_one, generated))
-
-            for step, attempt, outcome in outcomes:
-                verdict = self.qa_agent.assess(
-                    step,
-                    f"{self._step_key(state)}.v{step['index']}",
-                    attempt,
-                    result_rows=outcome.execution.result_rows if outcome.execution else 0,
-                    error=outcome.error,
-                    expects_rows=False,
-                )
-                if outcome.ok and verdict.passed:
-                    if outcome.svg:
-                        figures.append(outcome.svg)
-                    done[step["index"]] = StepResult(
-                        index=step["index"],
-                        kind="viz",
-                        description=step["description"],
-                        status="ok",
-                        attempts=attempt + 1,
-                        op="viz",
-                        form_intended=step["params"].get("form", ""),
-                        form_used=outcome.form_used,
-                        redo_iterations=attempt,
-                    )
-                    del pending[step["index"]]
-                else:
-                    errors[step["index"]] = outcome.error or verdict.feedback
-                    redo_total += 1
-                    get_registry().counter("qa.redo").inc()
-                    pending[step["index"]] = attempt + 1
-                    if pending[step["index"]] > self.max_revisions:
-                        done[step["index"]] = StepResult(
-                            index=step["index"],
-                            kind="viz",
-                            description=step["description"],
-                            status="failed",
-                            attempts=attempt + 1,
-                            op="viz",
-                            redo_iterations=attempt,
-                        )
-                        failed_at = state["step_index"]
-                        break
-
-        update: dict[str, Any] = {
-            "step_index": start + len(batch),
+        joined = {
+            "step_index": end,
             "attempt": 0,
-            "step_results": [done[i].as_dict() for i in sorted(done)],
-            "redo_iterations": redo_total,
+            "step_results": [r for plot in plots.values() for r in plot["step_results"]],
+            "figures": [svg for plot in plots.values() for svg in plot["figures"]],
+            "redo_iterations": sum(plot["redo_iterations"] for plot in plots.values()),
         }
-        if figures:
-            update["figures"] = figures
         if failed_at is not None:
-            update["status"] = "failed"
-            update["failed_at_step"] = failed_at
-        return update
+            joined.update(status="failed", failed_at_step=failed_at)
+        return joined
 
     def _node_documentation(self, state: dict) -> dict:
         summary = self.doc_agent.summarize(state["question"], state["step_results"])
@@ -528,6 +442,8 @@ class Supervisor:
         # call time APIs directly), so runs under SimulatedClock are exact
         t0 = tracer.clock.now()
         latency0 = self.context.simulated_latency_s
+        self._last_graph, self._last_events = graph, []
+        state, failure = None, ""
         try:
             with tracer.span(
                 "supervisor.execute", thread=thread_id, plan_size=len(plan_steps)
@@ -540,70 +456,24 @@ class Supervisor:
                     },
                     thread_id=thread_id,
                 )
+            state, self._last_events = result.state, result.events
         except BudgetExceeded as exc:
             # a blown token budget ends the session as a classified
             # failure instead of funding further redo growth
             get_registry().counter("cost.budget_exceeded").inc()
-            wall = tracer.clock.now() - t0
-            latency = self.context.simulated_latency_s - latency0
-            self._last_graph = graph
-            self._last_events = []
-            return RunReport(
-                question=question,
-                completed=False,
-                failed_at_step=None,
-                steps=[],
-                plan_size=len(plan_steps),
-                analysis_steps=sum(
-                    1 for s in plan_steps if s["kind"] in ("load", "sql", "python", "viz")
-                ),
-                tokens=self.context.total_tokens,
-                storage_bytes=self.context.provenance.storage_bytes(),
-                time_s=wall + latency,
-                llm_latency_s=latency,
-                redo_iterations=0,
-                load_report=None,
-                tables={},
-                figures=[],
-                semantic_level=semantic_level,
-                intent=intent,
-                failure=exc.classification,
-            )
-        wall = tracer.clock.now() - t0
-        latency = self.context.simulated_latency_s - latency0
-        state = result.state
-        steps = [StepResult(**r) for r in state["step_results"]]
-        analysis_steps = sum(1 for s in plan_steps if s["kind"] in ("load", "sql", "python", "viz"))
-        self._last_graph = graph
-        self._last_events = result.events
-        return RunReport(
-            question=question,
-            completed=state["status"] != "failed",
-            failed_at_step=state["failed_at_step"],
-            steps=steps,
-            plan_size=len(plan_steps),
-            analysis_steps=analysis_steps,
-            tokens=self.context.total_tokens,
-            storage_bytes=self.context.provenance.storage_bytes(),
-            time_s=wall + latency,
-            llm_latency_s=latency,
-            redo_iterations=state["redo_iterations"],
-            load_report=state["load_report"],
-            tables=state["tables"],
-            figures=state["figures"],
-            semantic_level=semantic_level,
-            intent=intent,
+            failure = exc.classification
+        return RunReport.from_state(
+            self.context,
+            question,
+            plan_steps,
+            semantic_level,
+            intent,
+            llm_latency_s=self.context.simulated_latency_s - latency0,
+            wall_s=tracer.clock.now() - t0,
+            state=state,
+            failure=failure,
         )
 
 
 def _plan_text(plan: list[dict]) -> str:
     return "\n".join(f"{s['index']}. [{s['kind']}] {s['description']}" for s in plan)
-
-
-def _sql_summary(step: dict, outcome) -> dict:
-    return {
-        "ok": outcome.ok,
-        "rows": outcome.result.num_rows if outcome.result is not None else 0,
-        "op": "sql",
-        "columns": outcome.result.columns if outcome.result is not None else [],
-    }

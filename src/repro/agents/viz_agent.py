@@ -10,74 +10,26 @@ compares that against the plan's intended form.
 from __future__ import annotations
 
 import json
-import re
-from dataclasses import dataclass
 
-from repro.agents.base import AgentContext
-from repro.agents.python_agent import PythonProgrammingAgent
+from repro.agents.base import CodeAgent, StepOutcome
 from repro.frame import Frame
-from repro.sandbox.executor import ExecutionResult
 from repro.viz import Figure, Scene3D
 
-_PY_FENCE_RE = re.compile(r"```python\s*(.*?)```", re.DOTALL)
 
+class VisualizationAgent(CodeAgent):
+    role = "viz"
 
-@dataclass
-class VizOutcome:
-    ok: bool
-    code: str
-    form_used: str
-    execution: ExecutionResult | None = None
-    error: str = ""
-    svg: str = ""
-
-
-class VisualizationAgent:
-    def __init__(self, context: AgentContext):
-        self.context = context
-        self._python = PythonProgrammingAgent(context)
-
-    def run_step(
-        self,
-        step: dict,
-        tables: dict[str, Frame],
-        step_key: str,
-        attempt: int,
-        semantic_level: int,
-        previous_error: str = "",
-    ) -> VizOutcome:
-        context_text = step["description"]
-        if previous_error:
-            context_text += f"\nThe previous attempt failed: {previous_error}"
-        response = self.context.chat(
-            "viz",
-            {
-                "step_key": step_key,
-                "attempt": attempt,
-                "semantic_level": semantic_level,
-                "params": step["params"],
-            },
-            context_text=context_text,
-            step_index=step["index"],
-        )
+    def _run(self, step: dict, code: str, tables: dict[str, Frame], reply: str) -> StepOutcome:
+        # the reply's first line is a JSON header naming the form the
+        # model chose; without one the plan's intended form stands
         form_used = step["params"].get("form", "")
-        header_line = response.content.splitlines()[0] if response.content else "{}"
         try:
-            form_used = json.loads(header_line).get("form", form_used)
+            form_used = json.loads(reply.splitlines()[0] if reply else "{}").get("form", form_used)
         except json.JSONDecodeError:
             pass
-        m = _PY_FENCE_RE.search(response.content)
-        code = m.group(1).strip() if m else response.content
-        self.context.provenance.record_code(step["index"], code, attempt=attempt)
         execution = self.context.sandbox.execute(code, tables)
         if not execution.ok:
-            return VizOutcome(
-                ok=False,
-                code=code,
-                form_used=form_used,
-                execution=execution,
-                error=f"{execution.error_type}: {execution.error_message}",
-            )
+            return StepOutcome.failure(code, execution.error_type, execution.error_message, "viz")
         svg = ""
         fig = execution.figure
         if isinstance(fig, (Figure, Scene3D)):
@@ -87,4 +39,6 @@ class VisualizationAgent:
             svg = execution.meta["figure_svg"]
         if svg:
             self.context.provenance.record_figure(step["index"], svg, form_used)
-        return VizOutcome(ok=True, code=code, form_used=form_used, execution=execution, svg=svg)
+        return StepOutcome(
+            ok=True, code=code, result=execution.result, op="viz", form_used=form_used, svg=svg
+        )

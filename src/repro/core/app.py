@@ -34,7 +34,7 @@ from repro.db import Database
 from repro.faults import FaultInjector, FaultProfile, use_faults
 from repro.frame import Frame
 from repro.graph.checkpoint import DurableCheckpointer
-from repro.llm import HashedEmbedder, MockLLM
+from repro.llm import MockLLM
 from repro.llm.base import MeteredModel
 from repro.obs.cost import CostLedger, cost_attribution, use_ledger
 from repro.obs.metrics import get_registry
@@ -180,7 +180,6 @@ class InferA:
                 self.column_descriptions,
                 self.structure,
                 important=IMPORTANT_COLUMNS,
-                embedder=HashedEmbedder(cfg.embedder_dim),
                 cache=self._retrieval_cache,
             )
         retriever = self._retriever
@@ -298,7 +297,7 @@ class InferA:
 
                 loader = DataLoadingAgent(context, self.ensemble)
                 checkpointer = None
-                if self.config.use_checkpointer and self.config.durable_checkpoints:
+                if self.config.use_checkpointer:
                     checkpointer = DurableCheckpointer(
                         self.workdir / session_id / "checkpoints"
                     )
@@ -309,7 +308,6 @@ class InferA:
                     qa_mode=self.config.qa_mode,
                     enable_documentation=self.config.enable_documentation,
                     supervisor_history=self.config.supervisor_history,
-                    use_checkpointer=self.config.use_checkpointer,
                     parallel_viz=self.config.parallel_viz,
                     checkpointer=checkpointer,
                 )
@@ -331,23 +329,13 @@ class InferA:
                         intent={}, steps=[], semantic_level=0,
                         reasoning="", rounds=0,
                     )
-                run = RunReport(
-                    question=question,
-                    completed=False,
-                    failed_at_step=None,
-                    steps=[],
-                    plan_size=len(plan_result.steps),
-                    analysis_steps=0,
-                    tokens=context.total_tokens,
-                    storage_bytes=context.provenance.storage_bytes(),
-                    time_s=context.simulated_latency_s,
+                run = RunReport.from_state(
+                    context,
+                    question,
+                    plan_result.steps,
+                    plan_result.semantic_level,
+                    plan_result.intent,
                     llm_latency_s=context.simulated_latency_s,
-                    redo_iterations=0,
-                    load_report=None,
-                    tables={},
-                    figures=[],
-                    semantic_level=0,
-                    intent=plan_result.intent,
                     failure=exc.classification,
                 )
             # telemetry-only rollup span (canonical-tree excluded): the

@@ -21,16 +21,16 @@ class InferAConfig:
     seed: int = 0
     max_revisions: int = 5
     qa_mode: str = "score"               # 'score' | 'binary' (the §4.2.4 ablation)
-    qa_threshold: int = 50
     limited_context: bool = True         # per-agent context isolation (§4.2.5)
     supervisor_history: int | None = 6   # messages of history the supervisor sees
     enable_documentation: bool = True
-    use_checkpointer: bool = False       # stateful branching support (§4.2.1)
+    # stateful branching (§4.2.1): every graph node checkpoints under
+    # "<workdir>/<session>/checkpoints", so a restarted process can
+    # resume or branch
+    use_checkpointer: bool = False
     parallel_viz: bool = False           # parallel viz execution (§5 future work)
     error_model: ErrorModel = field(default_factory=ErrorModel)
     llm_latency_s: float = 1.2           # simulated per-invocation latency
-    embedder_dim: int = 384
-    row_group_size: int = 65536
     # where the shared retrieval-artifact cache (corpus embedding matrix,
     # see repro.rag.cache) lives; None -> "<workdir>/.retrieval_cache".
     # The evaluation harness points every run at one shared directory so
@@ -63,9 +63,6 @@ class InferAConfig:
     # turn defaults to off.  Injected faults are absorbed by the
     # resilience layer, so answers stay byte-identical to a fault-free run
     fault_profile: FaultProfile | None = None
-    # persist checkpoints under "<workdir>/<session>/checkpoints" so a
-    # restarted process can resume/branch; only active with use_checkpointer
-    durable_checkpoints: bool = True
     # hard per-session token budget enforced by the cost ledger at the
     # agent boundary (None = unbounded): crossing it raises a classified
     # BudgetExceeded that ends the session like a resilience failure,

@@ -9,6 +9,7 @@ numbers add (token counters).
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -65,6 +66,8 @@ def apply_update(
 
 
 def initial_state(channels: dict[str, Channel], overrides: dict[str, Any] | None = None) -> dict[str, Any]:
-    state = {name: ch.default for name, ch in channels.items()}
+    # a default is a template: each run owns its containers, so channel
+    # tables can be module-level constants shared by every graph built
+    state = {name: copy(ch.default) for name, ch in channels.items()}
     state.update(overrides or {})
     return state

@@ -36,8 +36,6 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Any, Iterator
 
-from repro.resilience import BudgetExceeded
-
 # ----------------------------------------------------------------------
 # prices
 # ----------------------------------------------------------------------
@@ -158,12 +156,17 @@ class CostLedger:
 
     # -- budget --------------------------------------------------------
     def check_budget(self) -> None:
-        """Raise :class:`BudgetExceeded` once spend crosses the budget."""
+        """Raise :class:`~repro.resilience.BudgetExceeded` once spend crosses the budget."""
         budget = self.token_budget
         if budget is None:
             return
         spent = self.total_tokens()
         if spent > budget:
+            # imported where it is raised: repro.resilience imports
+            # repro.obs (for the metrics registry), so a module-level
+            # import here makes whichever of the two loads first fail
+            from repro.resilience import BudgetExceeded
+
             raise BudgetExceeded(
                 f"token budget exceeded: {spent} tokens spent of {budget} budgeted"
             )

@@ -59,6 +59,36 @@ class BadRequest(ValueError):
     """Client-side payload problem → 400 with a structured body."""
 
 
+class PayloadTooLarge(BadRequest):
+    """Body exceeds the handler's byte limit → 413."""
+
+
+def read_json_object(handler: BaseHTTPRequestHandler, max_bytes: int) -> dict[str, Any]:
+    """Read one request body as a JSON object, or say why not.
+
+    The length is checked before a byte is read, so a bogus or huge
+    ``Content-Length`` costs nothing; no body at all reads as ``{}``.
+    Shared by this gateway and the ``repro serve`` front door.
+    """
+    try:
+        length = int(handler.headers.get("Content-Length") or 0)
+    except ValueError:
+        raise BadRequest("non-integer Content-Length") from None
+    if length < 0:
+        raise BadRequest("negative Content-Length")
+    if length > max_bytes:
+        raise PayloadTooLarge(f"body of {length} bytes exceeds the {max_bytes}-byte limit")
+    if length == 0:
+        return {}
+    try:
+        payload = json.loads(handler.rfile.read(length).decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise BadRequest(f"body is not valid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise BadRequest("payload must be a JSON object")
+    return payload
+
+
 class LatencyExecutor:
     """Executor wrapper adding a fixed real-time delay per execution.
 
@@ -155,7 +185,7 @@ class SandboxServer:
                     if isinstance(result.figure, (Figure, Scene3D)):
                         doc["figure_svg"] = result.figure.to_svg()
                     self._reply(200, doc)
-                except _PayloadTooLarge as exc:
+                except PayloadTooLarge as exc:
                     self._error(413, "PayloadTooLarge", str(exc))
                 except BadRequest as exc:
                     self._error(400, "BadRequest", str(exc))
@@ -167,23 +197,7 @@ class SandboxServer:
                     self._error(500, type(exc).__name__, str(exc))
 
             def _read_payload(self) -> dict[str, Any]:
-                try:
-                    length = int(self.headers.get("Content-Length", ""))
-                except ValueError:
-                    raise BadRequest("missing or non-integer Content-Length") from None
-                if length < 0:
-                    raise BadRequest("negative Content-Length")
-                if length > max_body:
-                    raise _PayloadTooLarge(
-                        f"body of {length} bytes exceeds the {max_body}-byte limit"
-                    )
-                body = self.rfile.read(length)
-                try:
-                    payload = json.loads(body.decode("utf-8"))
-                except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                    raise BadRequest(f"body is not valid JSON: {exc}") from None
-                if not isinstance(payload, dict):
-                    raise BadRequest("payload must be a JSON object")
+                payload = read_json_object(self, max_body)
                 if not isinstance(payload.get("code"), str):
                     raise BadRequest("payload must carry a string 'code' field")
                 if not isinstance(payload.get("tables", {}), dict):
@@ -226,10 +240,6 @@ class SandboxServer:
 
     def __exit__(self, *exc: Any) -> None:
         self.stop()
-
-
-class _PayloadTooLarge(BadRequest):
-    """Body exceeds ``max_body_bytes`` → 413."""
 
 
 def main(argv: list[str] | None = None) -> int:

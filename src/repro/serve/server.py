@@ -43,6 +43,12 @@ from repro.core.config import InferAConfig
 from repro.graph.checkpoint import DurableCheckpointer
 from repro.obs.events import EventBus, use_bus
 from repro.resilience import Deadline
+from repro.sandbox.server import (
+    DEFAULT_MAX_BODY_BYTES,
+    BadRequest,
+    PayloadTooLarge,
+    read_json_object,
+)
 from repro.serve.admission import AdmissionQueue, QueueClosed, QueueFull
 from repro.serve.session import InvalidSessionId, SessionRegistry
 from repro.serve.state import WarmState
@@ -320,13 +326,18 @@ def _make_handler(server: ReproServer):
             self.wfile.write(body)
 
         def _read_body(self) -> dict[str, Any] | None:
-            length = int(self.headers.get("Content-Length") or 0)
-            if length <= 0:
-                return None
+            """The body as a JSON object, or None once 400/413 has been sent."""
             try:
-                return json.loads(self.rfile.read(length).decode())
-            except (ValueError, UnicodeDecodeError):
-                return None
+                return read_json_object(self, DEFAULT_MAX_BODY_BYTES)
+            except PayloadTooLarge as exc:
+                status, error, detail = 413, "payload-too-large", str(exc)
+            except BadRequest as exc:
+                status, error, detail = 400, "bad-request", str(exc)
+            # the body may be unread (413 refuses before reading), so this
+            # connection cannot carry another request
+            self.close_connection = True
+            self._send_json(status, {"error": error, "detail": detail})
+            return None
 
         # -- routes ----------------------------------------------------
         def do_GET(self):
@@ -352,7 +363,9 @@ def _make_handler(server: ReproServer):
                 self._send_json(404, {"error": "not-found", "path": self.path})
                 return
             doc = self._read_body()
-            if not doc or not isinstance(doc.get("question"), str) or not doc["question"].strip():
+            if doc is None:
+                return
+            if not isinstance(doc.get("question"), str) or not doc["question"].strip():
                 self._send_json(400, {"error": "bad-request", "detail": "body must be JSON with a non-empty 'question'"})
                 return
             question = doc["question"]
@@ -411,7 +424,9 @@ def _make_handler(server: ReproServer):
                 self._block_response(request)
 
         def _ingest_response(self) -> None:
-            doc = self._read_body() or {}
+            doc = self._read_body()
+            if doc is None:
+                return
             step = doc.get("step")
             if step is not None and not isinstance(step, int):
                 self._send_json(

@@ -34,7 +34,6 @@ from pathlib import Path
 from typing import Any
 
 from repro.core.config import InferAConfig
-from repro.llm import HashedEmbedder
 from repro.obs.names import SERVE_WARMUP_SPAN
 from repro.obs.tracer import get_tracer
 from repro.rag import ColumnRetriever, RetrievalArtifactCache
@@ -141,10 +140,9 @@ class WarmState:
                 manifest.get("column_descriptions", COLUMN_DESCRIPTIONS),
                 manifest.get("structure", FILE_STRUCTURE_DESCRIPTIONS),
                 important=IMPORTANT_COLUMNS,
-                embedder=HashedEmbedder(self.config.embedder_dim),
                 cache=RetrievalArtifactCache(self.retrieval_cache_dir),
             )
-        report.details["retriever"] = f"dim={self.config.embedder_dim}"
+        report.details["retriever"] = f"dim={self.retriever.index.embedder.dim}"
 
     def _warm_query_cache(self, report: WarmupReport) -> None:
         from repro.db.cache import QueryResultCache

@@ -55,6 +55,15 @@ class TestExecution:
         result = g.compile().invoke({"x": 10})
         assert result.state["x"] == 20
 
+    def test_runs_do_not_share_default_containers(self):
+        g = StateGraph([Channel("seen", default=[])])
+        g.add_node("noop", lambda s: {})
+        g.set_entry_point("noop")
+        g.add_edge("noop", END)
+        compiled = g.compile()
+        compiled.invoke().state["seen"].append("leak")
+        assert compiled.invoke().state["seen"] == []
+
     def test_node_must_return_dict(self):
         g = StateGraph()
         g.add_node("bad", lambda s: [1, 2])

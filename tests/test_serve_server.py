@@ -4,6 +4,7 @@ streaming, and graceful shutdown."""
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -108,6 +109,35 @@ def test_bad_requests(server):
     with pytest.raises(urllib.error.HTTPError) as exc:
         urllib.request.urlopen(f"{server.url}/nope", timeout=10.0)
     assert exc.value.code == 404
+
+
+@pytest.mark.parametrize("path", ["/v1/query", "/v1/ingest"])
+@pytest.mark.parametrize(
+    "content_length, status, error, detail",
+    [
+        ("abc", 400, "bad-request", "non-integer Content-Length"),
+        ("-5", 400, "bad-request", "negative Content-Length"),
+        ("999999999999", 413, "payload-too-large", "999999999999 bytes exceeds"),
+    ],
+    ids=["non-integer", "negative", "huge"],
+)
+def test_bogus_content_length_gets_a_json_error(
+    server, capfd, path, content_length, status, error, detail
+):
+    host, port = server.url.removeprefix("http://").split(":")
+    with socket.create_connection((host, int(port)), timeout=10.0) as sock:
+        sock.sendall(
+            f"POST {path} HTTP/1.1\r\nHost: x\r\nContent-Length: {content_length}\r\n\r\n{{}}".encode()
+        )
+        reply = b""
+        while chunk := sock.recv(65536):  # the server closes: the body is unread
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.startswith(f"HTTP/1.1 {status} ".encode())
+    doc = json.loads(body)
+    assert doc["error"] == error and detail in doc["detail"]
+    assert get_json(f"{server.url}/healthz")[0] == 200
+    assert capfd.readouterr().err == ""  # no handler traceback
 
 
 # ----------------------------------------------------------------------
