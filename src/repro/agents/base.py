@@ -7,8 +7,8 @@ stateless and testable.
 
 §4.2.5: "each agent operates with limited context awareness, receiving
 only its delegated task without knowledge of upstream processes."
-``build_prompt`` implements exactly that; the full-history mode exists for
-the token-cost ablation.
+:meth:`AgentContext.chat` implements exactly that; the full-history mode
+(``limited_context=False``) exists for the token-cost ablation.
 
 :class:`StepOutcome` and :class:`CodeAgent` are the step protocol: what
 one attempt at a code-generating plan step returns, and the one attempt

@@ -21,12 +21,15 @@ class VisualizationAgent(CodeAgent):
 
     def _run(self, step: dict, code: str, tables: dict[str, Frame], reply: str) -> StepOutcome:
         # the reply's first line is a JSON header naming the form the
-        # model chose; without one the plan's intended form stands
+        # model chose; without one (no JSON, or JSON that is not an
+        # object) the plan's intended form stands
         form_used = step["params"].get("form", "")
         try:
-            form_used = json.loads(reply.splitlines()[0] if reply else "{}").get("form", form_used)
+            header = json.loads(reply.splitlines()[0] if reply else "{}")
         except json.JSONDecodeError:
-            pass
+            header = {}
+        if isinstance(header, dict):
+            form_used = header.get("form", form_used)
         execution = self.context.sandbox.execute(code, tables)
         if not execution.ok:
             return StepOutcome.failure(code, execution.error_type, execution.error_message, "viz")

@@ -162,9 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
     slo.add_argument("--policy", default=None,
                      help="policy JSON file (default: the built-in "
                           "machine-independent policy)")
-    slo.add_argument("--bench-dir", default=None,
-                     help="directory holding BENCH_*.json perf artifacts for "
-                          "the bench gates (e.g. benchmarks/output)")
 
     chat = sub.add_parser(
         "chat", help="interactive session with plan review (the paper's intended mode)"
@@ -300,8 +297,9 @@ def cmd_query(args: argparse.Namespace) -> int:
     log.debug("trace: %d spans recorded under %s", len(report.trace_spans), report.session_dir)
     print(f"completed: {report.completed}")
     print(f"steps: {sum(1 for s in report.run.steps if s.status == 'ok')}/{report.run.plan_size} ok")
+    llm_s = report.run.llm_latency_s
     print(f"tokens: {report.tokens:,}  storage: {report.storage_bytes:,} bytes  "
-          f"time: {report.time_s:.1f} s")
+          f"time: {report.time_s - llm_s:.2f} s wall + {llm_s:.1f} s simulated LLM")
     totals = report.cost.get("totals", {})
     if totals.get("calls"):
         print(f"cost: ${report.cost_usd:.4f} over {totals['calls']} LLM calls "
@@ -597,9 +595,13 @@ def cmd_profile(args: argparse.Namespace) -> int:
 def cmd_slo(args: argparse.Namespace) -> int:
     from repro.obs.slo import SLOPolicy, check_workdir
 
-    policy = SLOPolicy.from_json(args.policy) if args.policy else SLOPolicy.default()
     try:
-        report = check_workdir(args.path, policy=policy, bench_dir=args.bench_dir)
+        policy = SLOPolicy.from_json(args.policy) if args.policy else SLOPolicy.default()
+    except ValueError as exc:
+        print(f"cannot use policy {args.policy}: {exc}")
+        return 1
+    try:
+        report = check_workdir(args.path, policy=policy)
     except FileNotFoundError:
         print(f"no trace yet under {args.path} "
               f"(run a query or the eval harness first)")
@@ -610,6 +612,8 @@ def cmd_slo(args: argparse.Namespace) -> int:
 
 def cmd_sandbox(args: argparse.Namespace) -> int:
     import json
+
+    from repro.sandbox.fleet import STATS_SCHEMA
 
     snapshot = Path(args.workdir) / "sandbox_fleet.json"
     if not snapshot.is_file():
@@ -622,29 +626,25 @@ def cmd_sandbox(args: argparse.Namespace) -> int:
     except (json.JSONDecodeError, OSError) as exc:
         print(f"cannot read {snapshot}: {exc}")
         return 1
-    lifetime = doc.get("lifetime", {})
-    schema = doc.get("schema")
-    if schema is None:
-        # pre-schema snapshots (older repro versions) can miss whole
-        # sections; every field below falls back instead of KeyError-ing
-        print("note: snapshot written by an older repro version "
-              "(no schema field); missing counters shown as defaults")
-    elif schema > 2:
-        print(f"note: snapshot schema {schema} is newer than this repro "
-              f"version understands; unknown fields are ignored")
-    print(f"sandbox fleet: {doc.get('workers', 0)} worker(s), "
-          f"mode={doc.get('mode', '?')}")
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    if schema != STATS_SCHEMA:
+        print(f"{snapshot} is not a snapshot this repro version reads "
+              f"(schema {schema!r}, SandboxFleet.stats() writes schema "
+              f"{STATS_SCHEMA}); regenerate it with a fleet-enabled run")
+        return 1
+    print(f"sandbox fleet: {doc['workers']} worker(s), mode={doc['mode']}")
     print(f"{'worker':>6} {'in_flight':>9} {'ewma_s':>10} {'breaker':>9} "
           f"{'routes':>7} {'trips':>6} {'respawns':>8}  url")
-    for member in doc.get("members", []):
-        print(f"{member.get('index', '?'):>6} {member.get('in_flight', 0):>9} "
-              f"{member.get('ewma_s', 0.0):>10.4f} {member.get('breaker', '?'):>9} "
-              f"{member.get('routes', 0):>7} {member.get('trips', 0):>6} "
-              f"{member.get('respawns', 0):>8}  {member.get('url', '?')}")
-    print(f"lifetime: {lifetime.get('routes', 0)} routed, "
-          f"{lifetime.get('trips', 0)} trips, "
-          f"{lifetime.get('respawns', 0)} respawns, "
-          f"{lifetime.get('fallbacks', 0)} fallbacks")
+    for member in doc["members"]:
+        print(f"{member['index']:>6} {member['in_flight']:>9} "
+              f"{member['ewma_s']:>10.4f} {member['breaker']:>9} "
+              f"{member['routes']:>7} {member['trips']:>6} "
+              f"{member['respawns']:>8}  {member['url']}")
+    lifetime = doc["lifetime"]
+    print(f"lifetime: {lifetime['routes']} routed, "
+          f"{lifetime['trips']} trips, "
+          f"{lifetime['respawns']} respawns, "
+          f"{lifetime['fallbacks']} fallbacks")
     return 0
 
 

@@ -48,9 +48,8 @@ class Checkpoint:
     node: str
     next_node: str | None
     state: dict[str, Any]
-    # serialized ExecutionEvent dicts up to this point; restored tolerantly
-    # on resume so event history (including timing fields) survives the
-    # round-trip even across schema evolution
+    # serialized ExecutionEvent dicts up to this point; restored on resume
+    # so event history (including timing fields) survives the round-trip
     events: list[dict[str, Any]] = field(default_factory=list)
 
 

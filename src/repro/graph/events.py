@@ -11,8 +11,7 @@ class ExecutionEvent:
     """One node execution in a graph run.
 
     ``started_at``/``duration`` come from the graph's injected clock
-    (``None`` for events that carry no timing, e.g. interrupts, or events
-    decoded from a checkpoint written before timing existed).
+    (``None`` for events that carry no timing, e.g. interrupts).
     """
 
     seq: int
@@ -38,17 +37,15 @@ class ExecutionEvent:
 
     @classmethod
     def from_dict(cls, doc: dict[str, Any]) -> "ExecutionEvent":
-        """Tolerant decode for checkpoint round-trips.
+        """Decode a document :meth:`as_dict` wrote (its only writer).
 
-        Unknown keys (from newer writers) are ignored and missing keys
-        (from older checkpoints) fall back to field defaults, so events
-        survive schema evolution in either direction.
+        One format: a document with other keys is refused by name rather
+        than patched up with defaults.
         """
-        known = {f.name for f in fields(cls)}
-        kwargs = {k: v for k, v in doc.items() if k in known}
-        kwargs.setdefault("seq", 0)
-        kwargs.setdefault("node", "")
-        kwargs.setdefault("status", "ok")
-        if kwargs.get("updated_keys") is not None:
-            kwargs["updated_keys"] = list(kwargs.get("updated_keys") or [])
-        return cls(**kwargs)
+        if set(doc) != {f.name for f in fields(cls)}:
+            raise ValueError(
+                f"not an ExecutionEvent.as_dict() document (keys {sorted(doc)}): "
+                f"the checkpoint was written by another version of this repo; "
+                f"start the thread afresh"
+            )
+        return cls(**doc)

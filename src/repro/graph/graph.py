@@ -146,8 +146,6 @@ class CompiledGraph:
                 raise GraphError(f"nothing to resume for thread {thread_id!r}")
             current = cp.next_node or END
             run_state = dict(cp.state)
-            # restore event history tolerantly: events written by older or
-            # newer engine versions decode with defaults / ignored extras
             events = [ExecutionEvent.from_dict(d) for d in cp.events]
             skip_interrupt_at = current
         else:

@@ -57,12 +57,16 @@ def find_trace_file(path: str | Path) -> Path:
 
     Directories are searched for provenance-registered ``*trace.jsonl``
     files (latest sequence number wins, matching "the session's trace").
+    A ``repro query`` workdir keeps its traces one level down, in the
+    ``query_NNN_*`` session directories: the latest session's trace wins.
     """
     path = Path(path)
     if path.is_file():
         return path
     if path.is_dir():
-        candidates = sorted(path.glob("*trace.jsonl"))
+        candidates = sorted(path.glob("*trace.jsonl")) or sorted(
+            path.glob("*/*trace.jsonl")
+        )
         if candidates:
             return candidates[-1]
         raise FileNotFoundError(f"no *trace.jsonl under {path}")

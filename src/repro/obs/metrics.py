@@ -199,20 +199,25 @@ class MetricsRegistry:
 
 
 def _hist_from_doc(name: str, doc: dict[str, Any]) -> Histogram:
-    """Decode a histogram snapshot dict tolerantly: pre-underflow/min/max
-    snapshots (older traces, older workers) default to empty extremes."""
-    vmin = doc.get("min")
-    vmax = doc.get("max")
-    return Histogram(
-        name,
-        tuple(doc["bounds"]),
-        list(doc["counts"]),
-        doc.get("total", 0.0),
-        doc.get("count", 0),
-        doc.get("underflow", 0),
-        math.inf if vmin is None else vmin,
-        -math.inf if vmax is None else vmax,
-    )
+    """Decode a histogram snapshot dict: the seven keys ``snapshot`` and
+    ``_hist_doc`` write, nothing less."""
+    try:
+        vmin, vmax = doc["min"], doc["max"]
+        return Histogram(
+            name,
+            tuple(doc["bounds"]),
+            list(doc["counts"]),
+            doc["total"],
+            doc["count"],
+            doc["underflow"],
+            math.inf if vmin is None else vmin,
+            -math.inf if vmax is None else vmax,
+        )
+    except KeyError as exc:
+        raise ValueError(
+            f"histogram snapshot {name!r} has no {exc.args[0]!r} key: it was "
+            f"written by another version of this repo; regenerate the snapshot"
+        ) from None
 
 
 def _hist_doc(h: Histogram) -> dict[str, Any]:

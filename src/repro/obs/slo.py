@@ -1,4 +1,4 @@
-"""Declarative SLO gates over traces, metrics, cost ledgers, and benches.
+"""Declarative SLO gates over traces, metrics, and cost ledgers.
 
 A policy is a plain dict (authored inline or as JSON) of budgets:
 
@@ -10,18 +10,15 @@ A policy is a plain dict (authored inline or as JSON) of budgets:
   ``max_errors`` / ``max_spans``);
 * ``histograms`` — true-extremes gates on metrics snapshots using the
   streaming min/max tracked by :class:`repro.obs.metrics.Histogram`
-  (``min_p0`` / ``max_p100`` / ``max_underflow``);
-* ``bench``      — gates on ``benchmarks/output/BENCH_*.json`` perf
-  artifacts: each rule names a file, a dot-path key, and a ``max`` or
-  ``min`` bound.  Files absent on this machine are skipped unless the
-  rule says ``"required": true`` — CI has the artifacts, a laptop may
-  not.
+  (``min_p0`` / ``max_p100`` / ``max_underflow``).
 
 Every budget is opt-in; :meth:`SLOPolicy.default` carries only the
 machine-independent invariants (no span left open, a generous token
-ceiling, and the telemetry-overhead ratio gate when ``BENCH_obs.json``
-is present), so ``repro slo check`` is useful with zero configuration
-and strict exactly where a config says to be.
+ceiling), so ``repro slo check`` is useful with zero configuration and
+strict exactly where a config says to be.  Wall-clock performance is
+not an SLO family: it is measured by ``benchmarks/e2e/run.py`` in paired
+parent/change runs (``BENCHMARK.json``), so a policy that still carries
+the retired ``bench`` section is refused by name.
 """
 
 from __future__ import annotations
@@ -42,89 +39,6 @@ DEFAULT_POLICY: dict[str, Any] = {
     },
     "phases": {},
     "histograms": {},
-    "bench": [
-        {
-            "file": "BENCH_obs.json",
-            "key": "site.overhead_ratio",
-            "max": 1.02,
-        },
-        # serving-layer load profile: the server must make progress with
-        # zero failed requests, shed excess load honestly (backpressure is
-        # measured, not gated), and keep tail latency bounded.  The p99
-        # bound is generous because the benchmark's simulated LLM latency
-        # dominates it; the regression it catches is queuing collapse.
-        {
-            "file": "BENCH_serve.json",
-            "key": "load.qps",
-            "min": 0.1,
-        },
-        {
-            "file": "BENCH_serve.json",
-            "key": "load.failed_requests",
-            "max": 0,
-        },
-        {
-            "file": "BENCH_serve.json",
-            "key": "load.p99_s",
-            "max": 30.0,
-        },
-        # sandbox-fleet gates: four workers must beat one single-server
-        # baseline by a real margin (the CI smoke runs --quick, so the
-        # policy floor sits below the full run's asserted 2x), every
-        # request must complete with byte-identical results, and a healthy
-        # benchmark run must not burn through its respawn budget
-        {
-            "file": "BENCH_sandbox.json",
-            "key": "fleet.speedup_4w",
-            "min": 1.2,
-        },
-        {
-            "file": "BENCH_sandbox.json",
-            "key": "fleet.failed",
-            "max": 0,
-        },
-        {
-            "file": "BENCH_sandbox.json",
-            "key": "fleet.mismatches",
-            "max": 0,
-        },
-        {
-            "file": "BENCH_sandbox.json",
-            "key": "fleet.respawns",
-            "max": 2,
-        },
-        # live-ingestion gates: queries racing the ingester must stay
-        # within 10% of quiescent p95 (the snapshot-isolation design
-        # promises readers never block on the writer), every raced query
-        # must be byte-identical to its pinned-snapshot baseline, the
-        # writer must make real progress, and crash recovery must be
-        # bounded and lossless
-        {
-            "file": "BENCH_ingest.json",
-            "key": "ingest.concurrent_p95_ratio",
-            "max": 1.10,
-        },
-        {
-            "file": "BENCH_ingest.json",
-            "key": "ingest.mismatches",
-            "max": 0,
-        },
-        {
-            "file": "BENCH_ingest.json",
-            "key": "ingest.append_rows_per_s",
-            "min": 100.0,
-        },
-        {
-            "file": "BENCH_ingest.json",
-            "key": "ingest.recovery_s",
-            "max": 5.0,
-        },
-        {
-            "file": "BENCH_ingest.json",
-            "key": "ingest.recovery_lost_rows",
-            "max": 0,
-        },
-    ],
 }
 
 
@@ -166,20 +80,16 @@ class SLOReport:
         return "\n".join([*lines, verdict])
 
 
-def _resolve(doc: Any, dotted: str) -> Any:
-    """Walk ``a.b.c`` through nested dicts; raises KeyError when absent."""
-    node = doc
-    for part in dotted.split("."):
-        if not isinstance(node, dict) or part not in node:
-            raise KeyError(dotted)
-        node = node[part]
-    return node
-
-
 class SLOPolicy:
     """A set of declarative budgets, checkable against run artifacts."""
 
     def __init__(self, doc: dict[str, Any]):
+        if "bench" in doc:
+            raise ValueError(
+                "SLO policy carries a 'bench' section: that gate family is "
+                "retired (wall-clock performance is measured by "
+                "benchmarks/e2e/run.py, see BENCHMARK.json); remove the section"
+            )
         self.doc = doc
 
     @classmethod
@@ -200,7 +110,6 @@ class SLOPolicy:
         spans: list[dict[str, Any]],
         metrics: dict[str, Any] | None = None,
         cost: dict[str, Any] | None = None,
-        bench_dir: str | Path | None = None,
     ) -> SLOReport:
         """Evaluate every budget in the policy; returns the full report.
 
@@ -212,7 +121,6 @@ class SLOPolicy:
         self._check_trace(report, spans, cost)
         self._check_phases(report, spans)
         self._check_histograms(report, metrics)
-        self._check_bench(report, bench_dir)
         return report
 
     # ------------------------------------------------------------------
@@ -315,50 +223,10 @@ class SLOPolicy:
                     f"hist.{name}.underflow", observed, f"<= {limit}",
                     observed <= limit))
 
-    def _check_bench(self, report: SLOReport, bench_dir: str | Path | None) -> None:
-        rules = self.doc.get("bench", [])
-        if not rules:
-            return
-        for rule in rules:
-            file_name = rule.get("file", "?")
-            key = rule.get("key", "?")
-            label = f"bench.{file_name}:{key}"
-            if bench_dir is None:
-                report.checks.append(SLOCheck(
-                    label, None, "", True, skipped=True, note="no bench dir given"))
-                continue
-            path = Path(bench_dir) / file_name
-            if not path.is_file():
-                if rule.get("required"):
-                    report.checks.append(SLOCheck(
-                        label, None, "present", False, note=f"{path} missing"))
-                else:
-                    report.checks.append(SLOCheck(
-                        label, None, "", True, skipped=True,
-                        note=f"{file_name} not produced on this machine"))
-                continue
-            try:
-                observed = _resolve(json.loads(path.read_text()), key)
-            except (KeyError, json.JSONDecodeError) as exc:
-                report.checks.append(SLOCheck(
-                    label, None, "readable", False,
-                    note=f"cannot read {key} from {path}: {exc}"))
-                continue
-            bounds: list[str] = []
-            ok = True
-            if "max" in rule:
-                bounds.append(f"<= {rule['max']}")
-                ok = ok and observed <= rule["max"]
-            if "min" in rule:
-                bounds.append(f">= {rule['min']}")
-                ok = ok and observed >= rule["min"]
-            report.checks.append(SLOCheck(label, observed, " and ".join(bounds) or "any", ok))
-
 
 def check_workdir(
     path: str | Path,
     policy: SLOPolicy | None = None,
-    bench_dir: str | Path | None = None,
 ) -> SLOReport:
     """Check a trace file or harness workdir against a policy.
 
@@ -366,15 +234,15 @@ def check_workdir(
     the trace: ``metrics.json`` (histogram gates) and ``cost_ledger.json``
     (spend gates).  For a bare trace file those gates are skipped.
     """
-    from repro.obs.export import read_spans
+    from repro.obs.export import find_trace_file, read_spans
 
     policy = policy or SLOPolicy.default()
-    spans = read_spans(path)
-    base = Path(path)
-    side_dir = base if base.is_dir() else base.parent
+    trace = find_trace_file(path)
+    spans = read_spans(trace)
+    side_dir = trace.parent
     metrics = _load_optional(side_dir / "metrics.json")
     cost = _load_optional(side_dir / "cost_ledger.json")
-    return policy.check(spans, metrics=metrics, cost=cost, bench_dir=bench_dir)
+    return policy.check(spans, metrics=metrics, cost=cost)
 
 
 def _load_optional(path: Path) -> dict[str, Any] | None:

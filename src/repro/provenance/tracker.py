@@ -18,6 +18,7 @@ including the analysis database when it is registered — Table 2's
 from __future__ import annotations
 
 import json
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -65,6 +66,10 @@ class ProvenanceTracker:
         # so provenance timestamps are deterministic under SimulatedClock
         self.clock = clock or WallClock()
         self._t0 = self.clock.now()
+        # one lock around numbering + write + append: an artifact's file
+        # name and its record's ``seq`` are both ``len(self.records)``, and
+        # the parallel-viz pool records from several threads at once
+        self._lock = threading.RLock()
 
     # ------------------------------------------------------------------
     def _record(
@@ -75,54 +80,61 @@ class ProvenanceTracker:
         nbytes: int,
         **meta,
     ) -> ArtifactRecord:
-        rec = ArtifactRecord(
-            seq=len(self.records),
-            kind=kind,
-            path=path.name if path else None,
-            step_index=step_index,
-            nbytes=nbytes,
-            meta=meta,
-        )
-        self.records.append(rec)
-        with self._trail.open("a") as fh:
-            fh.write(json.dumps(rec.as_dict()) + "\n")
+        with self._lock:
+            rec = ArtifactRecord(
+                seq=len(self.records),
+                kind=kind,
+                path=path.name if path else None,
+                step_index=step_index,
+                nbytes=nbytes,
+                meta=meta,
+            )
+            self.records.append(rec)
+            with self._trail.open("a") as fh:
+                fh.write(json.dumps(rec.as_dict()) + "\n")
         return rec
 
     def _file(self, stem: str, suffix: str) -> Path:
         return self.root / f"{len(self.records):03d}_{stem}{suffix}"
 
+    def _record_file(
+        self, kind: str, stem: str, suffix: str, step_index: int | None, data: bytes, **meta
+    ) -> ArtifactRecord:
+        with self._lock:
+            path = self._file(stem, suffix)
+            path.write_bytes(data)
+            return self._record(kind, path, step_index, len(data), **meta)
+
     # ------------------------------------------------------------------
     def record_query(self, question: str) -> ArtifactRecord:
-        path = self._file("query", ".txt")
-        data = question.encode("utf-8")
-        path.write_bytes(data)
-        return self._record("query", path, None, len(data))
+        return self._record_file("query", "query", ".txt", None, question.encode("utf-8"))
 
     def record_plan(self, plan_doc: dict) -> ArtifactRecord:
-        path = self._file("plan", ".json")
         data = json.dumps(plan_doc, indent=1).encode("utf-8")
-        path.write_bytes(data)
-        return self._record("plan", path, None, len(data), steps=len(plan_doc.get("steps", [])))
+        return self._record_file(
+            "plan", "plan", ".json", None, data, steps=len(plan_doc.get("steps", []))
+        )
 
     def record_code(self, step_index: int, code: str, language: str = "python", attempt: int = 0) -> ArtifactRecord:
         suffix = ".sql" if language == "sql" else ".py"
-        path = self._file(f"step{step_index:02d}_attempt{attempt}_code", suffix)
-        data = code.encode("utf-8")
-        path.write_bytes(data)
-        return self._record("code", path, step_index, len(data), language=language, attempt=attempt)
-
-    def record_result(self, step_index: int, frame: Frame, name: str = "result") -> ArtifactRecord:
-        path = self._file(f"step{step_index:02d}_{name}", ".csv")
-        nbytes = write_csv(frame, path)
-        return self._record(
-            "result", path, step_index, nbytes, rows=frame.num_rows, columns=frame.columns
+        return self._record_file(
+            "code", f"step{step_index:02d}_attempt{attempt}_code", suffix, step_index,
+            code.encode("utf-8"), language=language, attempt=attempt,
         )
 
+    def record_result(self, step_index: int, frame: Frame, name: str = "result") -> ArtifactRecord:
+        with self._lock:
+            path = self._file(f"step{step_index:02d}_{name}", ".csv")
+            nbytes = write_csv(frame, path)
+            return self._record(
+                "result", path, step_index, nbytes, rows=frame.num_rows, columns=frame.columns
+            )
+
     def record_figure(self, step_index: int, svg: str, form: str) -> ArtifactRecord:
-        path = self._file(f"step{step_index:02d}_figure", ".svg")
-        data = svg.encode("utf-8")
-        path.write_bytes(data)
-        return self._record("figure", path, step_index, len(data), form=form)
+        return self._record_file(
+            "figure", f"step{step_index:02d}_figure", ".svg", step_index,
+            svg.encode("utf-8"), form=form,
+        )
 
     def record_llm_exchange(self, role: str, prompt_tokens: int, completion_tokens: int, step_index: int | None = None) -> ArtifactRecord:
         return self._record(
@@ -146,11 +158,11 @@ class ProvenanceTracker:
         the artifacts *and* the spans that produced them, inspectable with
         ``repro trace summary/tree <session-dir>``.
         """
-        path = self._file("trace", ".jsonl")
         data = "".join(json.dumps(span) + "\n" for span in spans).encode("utf-8")
-        path.write_bytes(data)
         trace_id = spans[0].get("trace_id", "") if spans else ""
-        return self._record("trace", path, None, len(data), spans=len(spans), trace_id=trace_id)
+        return self._record_file(
+            "trace", "trace", ".jsonl", None, data, spans=len(spans), trace_id=trace_id
+        )
 
     def register_external(self, path: str | Path) -> None:
         """Count an external artifact (e.g. the analysis database directory)

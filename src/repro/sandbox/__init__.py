@@ -12,8 +12,8 @@ This package provides the same contract:
 * :mod:`repro.sandbox.executor` — a restricted ``exec`` namespace over
   copied Frames, returning a structured :class:`ExecutionResult`;
 * :mod:`repro.sandbox.server` / ``client`` — a stdlib HTTP JSON gateway
-  mirroring the paper's Uvicorn/FastAPI deployment (keep-alive, bounded
-  concurrent executions), with an in-process client for tests and the
+  mirroring the paper's Uvicorn/FastAPI deployment (keep-alive, one
+  execution at a time), with an in-process client for tests and the
   evaluation harness;
 * :mod:`repro.sandbox.fleet` — N warm gateway workers behind one client
   interface: least-loaded routing, per-worker circuit breakers, reap/
@@ -22,7 +22,7 @@ This package provides the same contract:
 
 from repro.sandbox.safety import audit_code, SafetyViolation
 from repro.sandbox.executor import SandboxExecutor, ExecutionResult
-from repro.sandbox.server import LatencyExecutor, SandboxServer
+from repro.sandbox.server import SandboxServer
 from repro.sandbox.client import (
     HealthStatus,
     InProcessClient,
@@ -43,7 +43,6 @@ __all__ = [
     "SandboxExecutor",
     "ExecutionResult",
     "SandboxServer",
-    "LatencyExecutor",
     "SandboxClient",
     "InProcessClient",
     "HealthStatus",

@@ -55,7 +55,7 @@ from repro.obs.tracer import get_tracer
 from repro.resilience import CircuitBreaker, ServiceEWMA
 from repro.sandbox.client import InProcessClient, SandboxClient, SandboxUnavailable
 from repro.sandbox.executor import ExecutionResult, SandboxExecutor
-from repro.sandbox.server import LatencyExecutor, SandboxServer
+from repro.sandbox.server import SandboxServer
 from repro.util.timing import SimulatedClock, WallClock
 
 log = get_logger("sandbox.fleet")
@@ -67,6 +67,10 @@ FLEET_WORKERS_ENV = "REPRO_SANDBOX_WORKERS"
 DEFAULT_FAILURE_THRESHOLD = 3
 DEFAULT_RESET_TIMEOUT_S = 2.0
 DEFAULT_RESPAWN_AFTER = 2
+
+# the shape of ``SandboxFleet.stats()`` / ``sandbox_fleet.json``; bump when
+# it changes: ``repro sandbox stats`` reads this schema and no other
+STATS_SCHEMA = 2
 
 
 def resolve_sandbox_workers(explicit: int | None = None) -> int | None:
@@ -111,8 +115,8 @@ class WorkerHandle:
 
 class ThreadSpawner:
     """In-process workers: one :class:`SandboxServer` (daemon threads)
-    per member.  Cheap to spawn — the spawner of the chaos suite and the
-    fleet benchmark — while still crossing a real HTTP socket boundary.
+    per member.  Cheap to spawn — the spawner of the chaos suite —
+    while still crossing a real HTTP socket boundary.
     """
 
     mode = "thread"
@@ -120,32 +124,23 @@ class ThreadSpawner:
     def __init__(
         self,
         executor_factory: Callable[[], Any] | None = None,
-        exec_latency_s: float = 0.0,
-        max_concurrent: int = 1,
         read_timeout_s: float = 30.0,
     ):
         self._executor_factory = executor_factory
-        self.exec_latency_s = float(exec_latency_s)
-        self.max_concurrent = int(max_concurrent)
         self.read_timeout_s = float(read_timeout_s)
 
     def _build_executor(self) -> Any:
         if self._executor_factory is not None:
-            executor = self._executor_factory()
-        else:
-            # deferred: agents.tools pulls in the full agent stack
-            from repro.agents.tools import default_toolset
+            return self._executor_factory()
+        # deferred: agents.tools pulls in the full agent stack
+        from repro.agents.tools import default_toolset
 
-            executor = SandboxExecutor(tools=default_toolset())
-        if self.exec_latency_s > 0:
-            executor = LatencyExecutor(executor, latency_s=self.exec_latency_s)
-        return executor
+        return SandboxExecutor(tools=default_toolset())
 
     def spawn(self, index: int) -> WorkerHandle:
         server = SandboxServer(
             executor=self._build_executor(),
             read_timeout_s=self.read_timeout_s,
-            max_concurrent=self.max_concurrent,
         )
         server.start()
         return WorkerHandle(url=server.url, _kill=server.stop)
@@ -162,24 +157,13 @@ class ProcessSpawner:
 
     mode = "process"
 
-    def __init__(
-        self,
-        exec_latency_s: float = 0.0,
-        max_concurrent: int = 1,
-        spawn_timeout_s: float = 60.0,
-    ):
-        self.exec_latency_s = float(exec_latency_s)
-        self.max_concurrent = int(max_concurrent)
+    def __init__(self, spawn_timeout_s: float = 60.0):
         self.spawn_timeout_s = float(spawn_timeout_s)
 
     def spawn(self, index: int) -> WorkerHandle:
         import repro
 
         cmd = [sys.executable, "-m", "repro.sandbox.server", "--port", "0"]
-        if self.exec_latency_s > 0:
-            cmd += ["--exec-latency", str(self.exec_latency_s)]
-        if self.max_concurrent != 1:
-            cmd += ["--max-concurrent", str(self.max_concurrent)]
         env = dict(os.environ)
         src_root = str(Path(repro.__file__).resolve().parents[1])
         env["PYTHONPATH"] = (
@@ -309,8 +293,6 @@ class SandboxFleet:
         mode: str = "thread",
         fallback: InProcessClient | None = None,
         executor_factory: Callable[[], Any] | None = None,
-        exec_latency_s: float = 0.0,
-        max_concurrent: int = 1,
         stats_path: str | Path | None = None,
         clock: WallClock | SimulatedClock | None = None,
         seed: int = 0,
@@ -319,15 +301,9 @@ class SandboxFleet:
     ) -> "SandboxFleet":
         """Spawn ``workers`` members locally (``thread`` or ``process``)."""
         if mode == "process":
-            spawner: Any = ProcessSpawner(
-                exec_latency_s=exec_latency_s, max_concurrent=max_concurrent
-            )
+            spawner: Any = ProcessSpawner()
         elif mode == "thread":
-            spawner = ThreadSpawner(
-                executor_factory=executor_factory,
-                exec_latency_s=exec_latency_s,
-                max_concurrent=max_concurrent,
-            )
+            spawner = ThreadSpawner(executor_factory=executor_factory)
         else:
             raise ValueError(f"unknown fleet spawn mode {mode!r}")
         return cls(
@@ -527,9 +503,7 @@ class SandboxFleet:
     def stats(self) -> dict[str, Any]:
         with self._lock:
             return {
-                # bump when the document shape changes: readers (the CLI,
-                # dashboards) use it to stay tolerant of older snapshots
-                "schema": 2,
+                "schema": STATS_SCHEMA,
                 "workers": len(self.members),
                 "mode": self.mode,
                 "members": [m.as_dict() for m in self.members],

@@ -25,11 +25,10 @@ connection is closed by the same ``read_timeout_s`` socket timeout; a
 client reusing a connection the server already closed sees a reset and
 reconnects (classified retryable on the client side).
 
-``max_concurrent`` bounds how many executions run at once *inside this
-server* (default 1): one sandbox worker models one isolated interpreter
-that runs one job at a time, which is the unit the fleet multiplies.
-HTTP threads still accept/parse concurrently — only the execute step
-serializes.
+One execution runs at a time *inside this server*: one sandbox worker
+models one isolated interpreter that runs one job at a time, which is
+the unit the fleet multiplies.  HTTP threads still accept/parse
+concurrently — only the execute step serializes.
 
 Run ``python -m repro.sandbox.server`` to start a standalone worker
 process; it prints one ``SANDBOX_URL=<url>`` line on stdout when ready
@@ -42,13 +41,11 @@ from __future__ import annotations
 import json
 import socket
 import threading
-import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 
-from repro.sandbox.executor import ExecutionResult, SandboxExecutor
+from repro.sandbox.executor import SandboxExecutor
 from repro.sandbox.serialize import frame_from_json, frame_to_json
-from repro.frame import Frame
 from repro.viz import Figure, Scene3D
 
 DEFAULT_MAX_BODY_BYTES = 64 * 1024 * 1024
@@ -89,25 +86,6 @@ def read_json_object(handler: BaseHTTPRequestHandler, max_bytes: int) -> dict[st
     return payload
 
 
-class LatencyExecutor:
-    """Executor wrapper adding a fixed real-time delay per execution.
-
-    Models a heavy/remote execution cost (container round-trip, large
-    simulation post-processing) so fleet benchmarks measure concurrency
-    engineering honestly on any core count — overlapping N sleeps needs
-    N workers regardless of how many CPUs the host has.
-    """
-
-    def __init__(self, inner: SandboxExecutor | None = None, latency_s: float = 0.02):
-        self.inner = inner or SandboxExecutor()
-        self.latency_s = float(latency_s)
-
-    def execute(self, code: str, tables: dict[str, Frame]) -> ExecutionResult:
-        if self.latency_s > 0:
-            time.sleep(self.latency_s)
-        return self.inner.execute(code, tables)
-
-
 class SandboxServer:
     """Owns the HTTP server lifecycle; use as a context manager in tests."""
 
@@ -118,15 +96,13 @@ class SandboxServer:
         port: int = 0,
         max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
         read_timeout_s: float = DEFAULT_READ_TIMEOUT_S,
-        max_concurrent: int = 1,
     ):
         self.executor = executor or SandboxExecutor()
         self.max_body_bytes = int(max_body_bytes)
         self.read_timeout_s = float(read_timeout_s)
         # one worker = one isolated interpreter: executions serialize here
-        # (HTTP accept/parse stays concurrent); raise to co-host workloads
-        self.max_concurrent = max(1, int(max_concurrent))
-        self._exec_gate = threading.BoundedSemaphore(self.max_concurrent)
+        # (HTTP accept/parse stays concurrent)
+        self._exec_gate = threading.Lock()
         self._httpd = ThreadingHTTPServer((host, port), self._make_handler())
         self._thread: threading.Thread | None = None
 
@@ -255,14 +231,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=0, help="0 = ephemeral")
     parser.add_argument(
-        "--max-concurrent", type=int, default=1,
-        help="executions allowed at once in this worker (default 1)",
-    )
-    parser.add_argument(
-        "--exec-latency", type=float, default=0.0,
-        help="fixed per-execution delay in seconds (benchmark workloads)",
-    )
-    parser.add_argument(
         "--read-timeout", type=float, default=DEFAULT_READ_TIMEOUT_S,
         help="socket read / keep-alive idle timeout in seconds",
     )
@@ -272,15 +240,11 @@ def main(argv: list[str] | None = None) -> int:
     # module must not import at module load (fleet imports server)
     from repro.agents.tools import default_toolset
 
-    executor: Any = SandboxExecutor(tools=default_toolset())
-    if args.exec_latency > 0:
-        executor = LatencyExecutor(executor, latency_s=args.exec_latency)
     server = SandboxServer(
-        executor=executor,
+        executor=SandboxExecutor(tools=default_toolset()),
         host=args.host,
         port=args.port,
         read_timeout_s=args.read_timeout,
-        max_concurrent=args.max_concurrent,
     )
     print(f"SANDBOX_URL={server.url}", flush=True)
     try:

@@ -23,8 +23,9 @@ artifacts across every session it serves:
   the warm-up report, requests routed least-loaded across it.
 
 :meth:`WarmState.warm` times each component and returns a
-:class:`WarmupReport` that the server logs at startup and the load
-benchmark folds into ``BENCH_serve.json``.
+:class:`WarmupReport` that the server logs at startup and the
+``serve_mixed`` workload of ``benchmarks/e2e`` reports as
+``serve.warmup_s``.
 """
 
 from __future__ import annotations

@@ -247,6 +247,11 @@ class TestVizAgent:
         outcome = run(context, "viz", f"```python\n{VIZ_CODE}\n```")
         assert outcome.form_used == "line"
 
+    @pytest.mark.parametrize("first_line", ['["hist"]', '"hist"', "3", "null"])
+    def test_a_json_first_line_that_is_not_an_object_is_no_header(self, context, first_line):
+        outcome = run(context, "viz", f"{first_line}\n```python\n{VIZ_CODE}\n```")
+        assert outcome.ok and outcome.form_used == "line"
+
     def test_code_without_a_figure_records_none(self, context):
         outcome = run(context, "viz", "```python\nresult = tables['work']\n```")
         assert outcome.ok and outcome.svg == ""

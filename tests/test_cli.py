@@ -1,12 +1,14 @@
 """CLI commands (invoked in-process via main(argv))."""
 
 import json
+import re
 
 import pytest
 
 from repro.cli import main
 from repro.db import Database
 from repro.frame import Frame
+from repro.sandbox import InProcessClient, SandboxExecutor, SandboxFleet
 
 
 @pytest.fixture()
@@ -45,6 +47,10 @@ class TestQuery:
         out = capsys.readouterr().out
         assert "completed: True" in out
         assert "provenance:" in out
+        # wall and simulated-LLM seconds are reported apart, not summed
+        assert re.search(
+            r"tokens: [\d,]+  storage: [\d,]+ bytes  "
+            r"time: [\d.]+ s wall \+ [\d.]+ s simulated LLM", out)
 
     def test_query_writes_figures(self, cli_ensemble, tmp_path, capsys):
         main([
@@ -240,6 +246,16 @@ class TestTrace:
         assert doc["traceEvents"]
         assert str(out_path) in capsys.readouterr().out
 
+    def test_query_workdir_resolves_to_its_latest_session(self, traced_session, capsys):
+        # `repro query --workdir W` keeps the trace one directory down, in
+        # W/query_NNN_*: W itself must work wherever a session dir does
+        workdir = traced_session.parent
+        capsys.readouterr()
+        assert main(["trace", "summary", str(workdir)]) == 0
+        assert "llm tokens:" in capsys.readouterr().out
+        assert main(["slo", "check", str(workdir)]) == 0
+        assert "SLO: PASS" in capsys.readouterr().out
+
     def test_missing_trace_is_friendly(self, tmp_path, capsys):
         # a fresh workdir has no trace yet: report that, exit 0
         for action in ("summary", "tree"):
@@ -288,6 +304,12 @@ class TestSloCommand:
         policy.write_text(json.dumps({"trace": {"max_total_tokens": 1}}))
         assert main(["slo", "check", str(traced_session), "--policy", str(policy)]) == 1
         assert "SLO: FAIL" in capsys.readouterr().out
+        # a policy from before the bench family was retired is refused by
+        # name, not evaluated without its bench rules
+        policy.write_text(json.dumps({"bench": []}))
+        assert main(["slo", "check", str(traced_session), "--policy", str(policy)]) == 1
+        out = capsys.readouterr().out
+        assert "'bench' section" in out and "SLO:" not in out
 
 
 class TestProfileCommand:
@@ -344,36 +366,38 @@ class TestVerbosity:
 
 
 class TestArtifactCompat:
-    """``repro sandbox stats`` must tolerate snapshots written by older
-    repro versions: missing schema fields degrade to defaults with an
-    explicit provenance note, never a KeyError."""
+    """``repro sandbox stats`` reads the one schema ``SandboxFleet.stats()``
+    writes; a snapshot of any other shape is reported as such (rc 1, no
+    KeyError, no table of made-up defaults)."""
 
     def test_sandbox_stats_notes_pre_schema_snapshot(self, tmp_path, capsys):
         (tmp_path / "sandbox_fleet.json").write_text(json.dumps(
             {"workers": 1, "mode": "thread", "members": [{"index": 0}]}
         ))
-        assert main(["sandbox", "stats", "--workdir", str(tmp_path)]) == 0
+        assert main(["sandbox", "stats", "--workdir", str(tmp_path)]) == 1
         out = capsys.readouterr().out
-        assert "written by an older repro version" in out
-        assert "missing counters shown as defaults" in out
-        assert "1 worker(s)" in out  # still renders with defaults
+        assert "schema None" in out and "regenerate" in out
+        assert "worker(s)" not in out
 
     def test_sandbox_stats_notes_newer_schema(self, tmp_path, capsys):
         (tmp_path / "sandbox_fleet.json").write_text(json.dumps(
             {"schema": 9, "workers": 0, "mode": "thread", "members": []}
         ))
-        assert main(["sandbox", "stats", "--workdir", str(tmp_path)]) == 0
+        assert main(["sandbox", "stats", "--workdir", str(tmp_path)]) == 1
         out = capsys.readouterr().out
-        assert "schema 9 is newer than this repro version" in out
+        assert "schema 9" in out and "regenerate" in out
 
     def test_sandbox_stats_current_schema_has_no_note(self, tmp_path, capsys):
-        (tmp_path / "sandbox_fleet.json").write_text(json.dumps(
-            {"schema": 2, "workers": 0, "mode": "thread", "members": [],
-             "lifetime": {}}
-        ))
+        fleet = SandboxFleet(
+            clients=[InProcessClient(SandboxExecutor())],
+            stats_path=tmp_path / "sandbox_fleet.json",
+        )
+        fleet.close()  # final checkpoint: what a fleet-enabled run leaves
         assert main(["sandbox", "stats", "--workdir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "older repro version" not in out and "newer" not in out
+        assert "1 worker(s), mode=external" in out
+        assert "lifetime: 0 routed, 0 trips, 0 respawns, 0 fallbacks" in out
+        assert "regenerate" not in out
 
 
 class TestParser:

@@ -163,3 +163,37 @@ class TestConcurrentAppends:
         for column in results:
             assert np.array_equal(column, np.arange(len(column)))
             assert len(column) in {48 + 16 * k for k in range(7)}
+
+    def test_raced_pinned_reads_replay_byte_identical(self, tmp_path):
+        """A statement run under a pin *while* the writer commits must
+        equal the same statement re-run under the same pin long after the
+        writer has overtaken it: committed prefixes are immutable, so the
+        replay is exact if and only if isolation held during the race."""
+        db = Database(tmp_path / "db", result_cache=False)
+        db.create_table("t", make_frame(48), row_group_size=16)
+        reader = Database(tmp_path / "db", result_cache=False)
+        batches, raced, errors, stop = 6, [], [], threading.Event()
+
+        def read_loop():
+            try:
+                while not stop.is_set():
+                    snap = reader.snapshot()
+                    with reader.pinned(snap):
+                        raced.append((snap, frame_bytes(reader.query(SQL))))
+            except Exception as exc:  # pragma: no cover - surfaced below
+                errors.append(exc)
+
+        worker = threading.Thread(target=read_loop)
+        worker.start()
+        try:
+            for i in range(batches):
+                db.append("t", make_frame(16, start=48 + 16 * i))
+        finally:
+            stop.set()
+            worker.join(timeout=60.0)
+        assert not worker.is_alive() and not errors
+        assert int(reader.query(COUNT).column("n")[0]) == 48 + 16 * batches
+        assert raced
+        for snap, seen in raced:
+            with reader.pinned(snap):
+                assert frame_bytes(reader.query(SQL)) == seen

@@ -125,6 +125,10 @@ class TestParallelParity:
         ]
         assert parallel.perf.workers == 2
         assert sequential.perf.workers == 1
+        # the shared artifact cache keeps cold corpus builds to at most
+        # one per worker process, never one per run
+        assert parallel.perf.cache.builds <= 2
+        assert parallel.perf.cache.matrix_requests == len(questions) * 2
 
     def test_workers_argument_overrides_config(self, ensemble, tmp_path):
         harness = EvaluationHarness(
@@ -210,6 +214,22 @@ class TestQueryCacheSharing:
         assert warm_qc.hits == warm_qc.requests == cold_qc.requests
         assert warm_qc.hit_ratio == 1.0
         assert _rows_modulo_storage(warm) == _rows_modulo_storage(cold)
+
+    def test_warm_suite_fully_cached_across_worker_processes(self, ensemble, tmp_path):
+        """Worker processes share nothing but the on-disk tier: a warm
+        2-worker suite must still re-execute no SELECT at all."""
+        harness = EvaluationHarness(
+            ensemble,
+            tmp_path / "h",
+            HarnessConfig(runs_per_question=1, workers=2, error_model=NO_ERRORS,
+                          fault_profile=NO_FAULTS),
+        )
+        cold = harness.run_suite(questions=QUESTION_SUITE[:2])
+        warm = harness.run_suite(questions=QUESTION_SUITE[:2])
+        assert warm.perf.workers == 2
+        assert warm.perf.query_cache.requests == cold.perf.query_cache.requests > 0
+        assert warm.perf.query_cache.misses == 0
+        assert warm.perf.query_cache.hit_ratio == 1.0
 
     def test_counters_visible_in_perf_dict(self, ensemble, tmp_path):
         harness = EvaluationHarness(

@@ -5,6 +5,8 @@ import json
 import pytest
 
 from repro import faults
+from repro.eval import EvaluationHarness, HarnessConfig
+from repro.eval.questions import QUESTION_SUITE
 from repro.faults import (
     FAULT_POINTS,
     HEAVY_CHAOS,
@@ -15,6 +17,7 @@ from repro.faults import (
     get_injector,
     use_faults,
 )
+from repro.llm.errors import NO_ERRORS
 from repro.obs.metrics import get_registry
 from repro.obs.tracer import Tracer, use_tracer
 
@@ -173,3 +176,21 @@ class TestAmbientInjector:
             with use_faults(inner):
                 assert get_injector() is inner
             assert get_injector() is outer
+
+
+class TestFaultsOffIsSilent:
+    @pytest.mark.parametrize("profile", [None, NO_FAULTS], ids=["no-profile", "zero-rate"])
+    def test_suite_reports_no_fault_counters(self, ensemble, tmp_path, monkeypatch, profile):
+        """Off means off end to end: without a profile, or with every
+        rate at zero, a whole evaluation suite injects nothing and so has
+        nothing to retry, quarantine, or recompute."""
+        # "no profile" must mean none, not the chaos-smoke job's ambient one
+        monkeypatch.delenv(faults.ENV_VAR, raising=False)
+        harness = EvaluationHarness(
+            ensemble,
+            tmp_path / "wd",
+            HarnessConfig(runs_per_question=1, error_model=NO_ERRORS, fault_profile=profile),
+        )
+        result = harness.run_suite(questions=QUESTION_SUITE[:2])
+        assert result.perf.obs_metrics["counters"], "the suite recorded no counters at all"
+        assert result.perf.fault_counters == {}

@@ -212,8 +212,9 @@ class TestEndToEnd:
         # and it lands on disk for `repro cost`
         on_disk = json.loads((tmp_path / "wd" / "cost_ledger.json").read_text())
         assert on_disk == suite
-        assert suite["totals"]["calls"] == sum(
-            e["calls"] for e in suite["entries"])
+        for field in ("calls", "total_tokens", "cost_usd"):
+            assert suite["totals"][field] == pytest.approx(
+                sum(e[field] for e in suite["entries"]), abs=1e-9)
         # cross-check the ledger against the independent span-level
         # token accounting on the merged suite trace
         from repro.obs.export import token_totals

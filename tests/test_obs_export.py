@@ -80,6 +80,19 @@ class TestJsonl:
         write_jsonl(build_reference_trace(), tmp_path / "019_trace.jsonl")
         assert find_trace_file(tmp_path).name == "019_trace.jsonl"
 
+    def test_find_trace_file_one_directory_down(self, tmp_path):
+        # a `repro query` workdir: traces live in the session directories,
+        # beside caches that hold none; the latest session wins
+        for session, seq in (("query_001_first", 31), ("query_002_second", 19)):
+            (tmp_path / session).mkdir()
+            write_jsonl(build_reference_trace(), tmp_path / session / f"{seq:03d}_trace.jsonl")
+        (tmp_path / ".query_cache").mkdir()
+        found = find_trace_file(tmp_path)
+        assert found == tmp_path / "query_002_second" / "019_trace.jsonl"
+        # a trace at the top level (an eval workdir) still wins
+        write_jsonl(build_reference_trace(), tmp_path / "trace.jsonl")
+        assert find_trace_file(tmp_path) == tmp_path / "trace.jsonl"
+
     def test_missing_trace_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             find_trace_file(tmp_path / "nope")

@@ -78,14 +78,15 @@ class TestTimedEvents:
         assert restored.node == "slow"
         assert restored.checkpoint_id == snapshot.checkpoint_id
 
-    def test_tolerant_decode_of_legacy_and_future_events(self):
-        legacy = ExecutionEvent.from_dict({"seq": 1, "node": "a", "status": "ok"})
-        assert legacy.started_at is None and legacy.duration is None
-        future = ExecutionEvent.from_dict(
-            {"seq": 2, "node": "b", "status": "ok", "duration": 0.5,
-             "some_future_field": {"nested": True}}
-        )
-        assert future.duration == 0.5
+    def test_events_of_another_shape_are_refused(self):
+        # one format: as_dict is the only writer, so a document with fewer
+        # or more keys is another version's checkpoint, not a default away
+        doc = ExecutionEvent(1, "a", "ok").as_dict()
+        assert ExecutionEvent.from_dict(doc) == ExecutionEvent(1, "a", "ok")
+        with pytest.raises(ValueError, match="another version"):
+            ExecutionEvent.from_dict({"seq": 1, "node": "a", "status": "ok"})
+        with pytest.raises(ValueError, match="some_future_field"):
+            ExecutionEvent.from_dict({**doc, "some_future_field": {"nested": True}})
 
 
 @pytest.fixture(scope="module")

@@ -161,12 +161,12 @@ class TestMergeAlgebra:
         assert merged["histograms"]["h"]["min"] == 0.1
         assert merged["histograms"]["h"]["max"] == 700.0
 
-    def test_merge_tolerates_legacy_snapshots_without_extremes(self):
-        # snapshots from before min/max/underflow existed still merge
+    def test_snapshots_without_extremes_are_refused(self):
+        # every writer emits all seven keys: a snapshot lacking one is
+        # another version's, and merging guessed extremes would hide that
         a = _snap(observations=[("h", 0.5)])
-        legacy = _snap(observations=[("h", 2.0)])
         for key in ("min", "max", "underflow"):
-            del legacy["histograms"]["h"][key]
-        merged = merge_snapshots(a, legacy)
-        assert merged["histograms"]["h"]["min"] == 0.5
-        assert sum(merged["histograms"]["h"]["counts"]) == 2
+            other = _snap(observations=[("h", 2.0)])
+            del other["histograms"]["h"][key]
+            with pytest.raises(ValueError, match=f"no '{key}' key.*regenerate"):
+                merge_snapshots(a, other)

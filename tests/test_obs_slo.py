@@ -1,4 +1,4 @@
-"""Declarative SLO gates: trace, phase, histogram, and bench budgets."""
+"""Declarative SLO gates: trace, phase, and histogram budgets."""
 
 import json
 
@@ -107,35 +107,6 @@ class TestHistogramGates:
         }})
         report = policy.check([], metrics=self.METRICS)
         assert report.ok and report.checks[0].skipped
-
-
-class TestBenchGates:
-    def _policy(self, **rule):
-        return SLOPolicy.from_dict({"bench": [
-            {"file": "BENCH_x.json", "key": "site.ratio", **rule}]})
-
-    def test_max_and_min_bounds(self, tmp_path):
-        (tmp_path / "BENCH_x.json").write_text(
-            json.dumps({"site": {"ratio": 1.01}}))
-        assert self._policy(max=1.02).check([], bench_dir=tmp_path).ok
-        assert not self._policy(max=1.005).check([], bench_dir=tmp_path).ok
-        assert self._policy(min=1.0).check([], bench_dir=tmp_path).ok
-        assert not self._policy(min=1.5).check([], bench_dir=tmp_path).ok
-
-    def test_missing_artifact_skips_unless_required(self, tmp_path):
-        report = self._policy(max=1.02).check([], bench_dir=tmp_path)
-        assert report.ok and report.checks[0].skipped
-        strict = self._policy(max=1.02, required=True)
-        assert not strict.check([], bench_dir=tmp_path).ok
-
-    def test_no_bench_dir_skips(self):
-        report = self._policy(max=1.02).check([])
-        assert report.ok and report.checks[0].skipped
-
-    def test_unresolvable_key_fails_loud(self, tmp_path):
-        (tmp_path / "BENCH_x.json").write_text(json.dumps({"other": 1}))
-        report = self._policy(max=1.02).check([], bench_dir=tmp_path)
-        assert not report.ok
 
 
 class TestPolicyLoading:

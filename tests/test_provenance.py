@@ -1,6 +1,8 @@
 """Provenance tracking: sequential trail, storage accounting, replay."""
 
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -21,6 +23,36 @@ class TestRecording:
         tracker.record_note("n")
         tracker.record_code(0, "x = 1")
         assert [r.seq for r in tracker.records] == [0, 1, 2]
+
+    def test_concurrent_recorders_never_share_a_seq(self, tracker):
+        """The parallel-viz pool records from several threads at once:
+        every record gets its own ``seq``, every file its own number, and
+        the trail on disk is the record list."""
+        threads_n, per_thread = 8, 40
+
+        def record(tid: int) -> None:
+            for i in range(per_thread):
+                tracker.record_code(tid, f"x = {i}", attempt=i)
+                tracker.record_note(f"{tid}:{i}")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # force switches inside numbering + append
+        try:
+            threads = [threading.Thread(target=record, args=(t,)) for t in range(threads_n)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        total = threads_n * per_thread * 2
+        assert [r.seq for r in tracker.records] == list(range(total))
+        files = [r for r in tracker.records if r.path]
+        assert len({r.path for r in files}) == len(files) == threads_n * per_thread
+        assert all(r.path.startswith(f"{r.seq:03d}_") for r in files)
+        # the trail on disk is sequential and every file it names is whole
+        assert verify_audit_trail(tracker.root) == tracker.trail()
 
     def test_query_file_written(self, tracker):
         rec = tracker.record_query("What is the largest halo?")

@@ -10,6 +10,7 @@ real HTTP boundary.
 from __future__ import annotations
 
 import itertools
+import threading
 import time
 
 import numpy as np
@@ -407,6 +408,57 @@ class TestPersistentConnections:
             fleet.members[1].in_flight = 2
             result = fleet.execute(CODE, _tables())
             assert result.ok
+        finally:
+            fleet.close()
+
+    def test_concurrent_clients_byte_identical_to_in_process(self):
+        """Eight closed-loop callers over a 2-worker fleet: routing decides
+        *where* a snippet runs, never *what* it returns, so every response
+        equals the in-process reference with no failure and no fallback."""
+        codes = [
+            "result = tables['work'].filter(tables['work']['x'] > 4.0)",
+            "result = Frame({'s': np.asarray([float(np.sum(tables['work'].column('x')))])})",
+            "result = Frame({'top': np.sort(tables['work'].column('x'))[::-1][:3].copy()})",
+            CODE,
+        ]
+        reference = InProcessClient(SandboxExecutor())
+        expected = [reference.execute(code, _tables()) for code in codes]
+        assert all(e.ok for e in expected)
+        fleet = SandboxFleet.spawn_local(
+            2, mode="thread", executor_factory=SandboxExecutor,
+            fallback=InProcessClient(SandboxExecutor()),
+        )
+        clients, per_client = 8, 4
+        mismatches, failures = [], []
+
+        def client(cid: int) -> None:
+            for i in range(per_client):
+                k = (cid * per_client + i) % len(codes)
+                try:
+                    got = fleet.execute(codes[k], _tables())
+                except Exception as exc:
+                    failures.append(exc)
+                    continue
+                same = got.ok and got.result.columns == expected[k].result.columns and all(
+                    np.asarray(got.result[n]).tobytes()
+                    == np.asarray(expected[k].result[n]).tobytes()
+                    for n in expected[k].result.columns
+                )
+                if not same:
+                    mismatches.append((cid, i))
+
+        try:
+            assert fleet.warm()["healthy"] == 2
+            threads = [threading.Thread(target=client, args=(c,)) for c in range(clients)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+            assert not any(t.is_alive() for t in threads)
+            assert not failures and not mismatches
+            assert fleet.routes_total == clients * per_client
+            assert fleet.fallbacks_total == 0
+            assert all(m.routes > 0 for m in fleet.members)
         finally:
             fleet.close()
 

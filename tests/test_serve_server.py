@@ -3,6 +3,7 @@ streaming, and graceful shutdown."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import socket
 import threading
@@ -144,6 +145,19 @@ def test_bogus_content_length_gets_a_json_error(
 # determinism: served sessions == sequential one-shot runs
 # ----------------------------------------------------------------------
 def test_concurrent_sessions_byte_identical_to_one_shot(ensemble, tmp_path):
+    _assert_served_concurrently_equals_one_shot(ensemble, tmp_path, sandbox_workers=None)
+
+
+def test_concurrent_sessions_over_a_sandbox_fleet_byte_identical_to_one_shot(
+    ensemble, tmp_path
+):
+    # the served side executes on a 2-worker fleet, the one-shot reference
+    # in-process: where a snippet runs must not change a byte, and no
+    # request may fail with tenants racing for the fleet
+    _assert_served_concurrently_equals_one_shot(ensemble, tmp_path, sandbox_workers=2)
+
+
+def _assert_served_concurrently_equals_one_shot(ensemble, tmp_path, sandbox_workers):
     questions = [
         "How many halos are there in run 0 at the final timestep?",
         "What is the average halo mass at the final timestep?",
@@ -160,7 +174,10 @@ def test_concurrent_sessions_byte_identical_to_one_shot(ensemble, tmp_path):
             for q in questions
         ]
 
-    server = make_server(ensemble, tmp_path / "serve", config=config, app_workers=3)
+    server = make_server(
+        ensemble, tmp_path / "serve", app_workers=3,
+        config=dataclasses.replace(config, sandbox_workers=sandbox_workers),
+    )
     try:
         served: dict[str, list[str]] = {}
         errors: list[Exception] = []
