@@ -388,8 +388,12 @@ class Database:
         kind: str,
         row_group_size: int,
         allow_kills: bool = True,
+        store: TableStore | None = None,
     ) -> None:
         """Stage segments, publish meta, then commit via the catalog.
+
+        ``store`` is the writer's (unclamped) view of the table when the
+        caller has already opened it.
 
         ``allow_kills=False`` disarms the simulated-death fault points —
         recovery replays must run to completion deterministically (replay
@@ -401,7 +405,8 @@ class Database:
 
         if fire(faults.INGEST_KILL_APPLY):
             raise IngestKilled("apply", f"before staging row groups of {name!r}")
-        store = TableStore(self.path / name)
+        if store is None:
+            store = TableStore(self.path / name)
         if allow_kills:
             staged = store.stage_append(frame, row_group_size)
         else:
@@ -472,23 +477,52 @@ class Database:
                     raise UnknownTableError(name, sorted(self._tables))
                 if kind == "create" and name in self._tables:
                     raise DBError(f"table {name!r} already exists")
+            # whatever can be refused is refused before the intent is logged
+            store = TableStore(self.path / name)
+            if kind == "append" and store.columns and set(store.columns) != set(frame.columns):
+                raise DBError(
+                    f"append schema mismatch: table has {sorted(store.columns)}, "
+                    f"frame has {sorted(frame.columns)}"
+                )
             base = (
                 int(self._tables[name].get("version", 0))
                 if name in self._tables
                 else 0
             )
-            self._wal.append(
-                make_append_record(
-                    name,
-                    kind,
-                    base_version=base,
-                    row_group_size=row_group_size,
-                    columns={c: frame.column(c) for c in frame.columns},
+            log_offset = self._wal.size_bytes()
+            try:
+                self._wal.append(
+                    make_append_record(
+                        name,
+                        kind,
+                        base_version=base,
+                        row_group_size=row_group_size,
+                        columns={c: frame.column(c) for c in frame.columns},
+                    )
                 )
-            )
-            self._commit(name, frame, kind=kind, row_group_size=row_group_size)
+                self._commit(
+                    name, frame, kind=kind, row_group_size=row_group_size, store=store
+                )
+            except IngestKilled:
+                raise  # a death: the record stays for recovery to judge
+            except Exception:
+                self._roll_back(name, log_offset)
+                raise
             self._wal.clear()
             get_registry().counter(obs_names.WAL_COMMITS).inc()
+
+    def _roll_back(self, name: str, log_offset: int) -> None:
+        """Undo a statement that failed short of a death, so the handle
+        equals a fresh one on this directory: the log loses the
+        statement's record (nothing will replay it), ``_tables`` is the
+        published catalog again, and whatever the statement staged past
+        the table's committed prefix is dropped."""
+        self._wal.truncate_to(log_offset)
+        self._tables = self._read_catalog()
+        if name in self._tables:
+            self._discard_uncommitted(name)
+        else:
+            TableStore(self.path / name).drop()  # a create that never committed
 
     def drop_table(self, name: str) -> None:
         with self._write_lock:

@@ -66,8 +66,8 @@ class CountAcc(Accumulator):
         if values is None:  # COUNT(*)
             self.counts += np.bincount(group_idx, minlength=n_groups)
         else:
-            valid = ~_nan_mask(values)
-            self.counts += np.bincount(group_idx[valid], minlength=n_groups)
+            group_idx, _ = _without_nan(group_idx, values)
+            self.counts += np.bincount(group_idx, minlength=n_groups)
 
     def merge(self, other, mapping, n_groups):
         self.counts = _grow(self.counts, n_groups)
@@ -101,9 +101,11 @@ class MeanAcc(Accumulator):
     def update(self, group_idx, values, n_groups):
         self.sums = _grow(self.sums, n_groups)
         self.counts = _grow(self.counts, n_groups)
-        valid = ~_nan_mask(values)
-        self.sums += np.bincount(group_idx[valid], weights=values[valid].astype(np.float64), minlength=n_groups)
-        self.counts += np.bincount(group_idx[valid], minlength=n_groups)
+        group_idx, values = _without_nan(group_idx, values)
+        self.sums += np.bincount(
+            group_idx, weights=values.astype(np.float64, copy=False), minlength=n_groups
+        )
+        self.counts += np.bincount(group_idx, minlength=n_groups)
 
     def merge(self, other, mapping, n_groups):
         self.sums = _grow(self.sums, n_groups)
@@ -173,7 +175,7 @@ class MomentsAcc(Accumulator):
         self.n = _grow(self.n, n_groups)
         self.mean = _grow(self.mean, n_groups)
         self.m2 = _grow(self.m2, n_groups)
-        vals = values.astype(np.float64)
+        vals = values.astype(np.float64, copy=False)
         nb = np.bincount(group_idx, minlength=n_groups).astype(np.float64)
         sb = np.bincount(group_idx, weights=vals, minlength=n_groups)
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -316,12 +318,24 @@ def _grow(arr: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate([arr, pad])
 
 
-def _nan_mask(values: np.ndarray) -> np.ndarray:
+def _without_nan(
+    group_idx: np.ndarray, values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The rows whose value is not NaN: the inputs themselves, ungathered,
+    when the chunk holds none (only a float column is ever scanned)."""
     if np.issubdtype(values.dtype, np.floating):
-        return np.isnan(values)
-    return np.zeros(len(values), dtype=bool)
+        nan = np.isnan(values)
+        if nan.any():
+            valid = ~nan
+            return group_idx[valid], values[valid]
+    return group_idx, values
 
 
 def _clean(values: np.ndarray) -> np.ndarray:
-    vals = values.astype(np.float64)
-    return np.where(np.isnan(vals), 0.0, vals)
+    """``values`` as float64 with NaN read as 0.0 (SUM skips NULLs)."""
+    vals = values.astype(np.float64, copy=False)
+    if values.dtype.kind not in "iub":
+        nan = np.isnan(vals)
+        if nan.any():
+            return np.where(nan, 0.0, vals)
+    return vals

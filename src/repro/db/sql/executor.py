@@ -10,7 +10,8 @@ Execution strategy by query shape:
   SELECT expressions evaluate over the per-group frame (aggregate nodes
   substituted for materialized columns) and HAVING applies;
 * JOIN queries materialize both sides column-pruned, merge via the Frame
-  sort-merge join, then follow one of the two paths above in-memory.
+  join (:mod:`repro.frame.join`), then follow one of the two paths above
+  in-memory.
 
 ORDER BY / LIMIT run last over the (result-sized) output.
 
@@ -383,19 +384,20 @@ def _execute_over_source(
         ast.contains_aggregate(item.expr) for item in stmt.items
     )
     schema = source.schema
+    keep = _columns_after_where(stmt, schema)
     if needs_group:
         agg_calls = _collect_aggregates(stmt)
         group_exprs = list(stmt.group_by)
         pieces = _piece_stream(
             source,
-            lambda chunk: _grouped_partial(stmt, chunk, agg_calls, group_exprs),
+            lambda chunk: _grouped_partial(stmt, chunk, keep, agg_calls, group_exprs),
             threads,
             stats,
         )
         result = _merge_grouped(stmt, pieces, agg_calls, group_exprs, schema)
     else:
         pieces = _piece_stream(
-            source, lambda chunk: _plain_piece(stmt, chunk), threads, stats
+            source, lambda chunk: _plain_piece(stmt, chunk, keep), threads, stats
         )
         topk_key = _streaming_topk_key(stmt)
         if topk_key is not None:
@@ -407,11 +409,29 @@ def _execute_over_source(
     return _order_and_limit(stmt, result)
 
 
-def _filter_chunk(stmt: ast.SelectStatement, chunk: Frame) -> Frame:
-    if stmt.where is not None:
-        mask = evaluate(stmt.where, chunk).astype(bool)
-        chunk = chunk.filter(mask)
-    return chunk
+def _columns_after_where(stmt: ast.SelectStatement, schema) -> set[str] | None:
+    """Columns the statement still reads once WHERE has been applied
+    (None: all of them); a column only the predicate names is never
+    gathered.  A statement naming a column the source lacks keeps them
+    all: its error lists every candidate the source has."""
+    if stmt.where is None:
+        return None
+    keep = referenced_column_names(replace(stmt, where=None))
+    return keep if keep is not None and keep <= set(schema) else None
+
+
+def _filter_chunk(
+    stmt: ast.SelectStatement, chunk: Frame, keep: set[str] | None
+) -> Frame:
+    """Rows of ``chunk`` that pass WHERE, over the ``keep`` columns."""
+    if stmt.where is None:
+        return chunk
+    mask = evaluate(stmt.where, chunk).astype(bool, copy=False)
+    names = chunk.columns
+    if keep is not None:
+        # the row count lives in the columns: never gather none of them
+        names = [n for n in names if n in keep] or names[:1]
+    return chunk.select(names).filter(mask)
 
 
 # ----------------------------------------------------------------------
@@ -438,9 +458,11 @@ def _streaming_topk_key(stmt: ast.SelectStatement) -> str | None:
     return None
 
 
-def _plain_piece(stmt: ast.SelectStatement, chunk: Frame) -> tuple[Frame | None, int]:
+def _plain_piece(
+    stmt: ast.SelectStatement, chunk: Frame, keep: set[str] | None
+) -> tuple[Frame | None, int]:
     """Per-morsel work of the non-grouped path: WHERE + projection."""
-    chunk = _filter_chunk(stmt, chunk)
+    chunk = _filter_chunk(stmt, chunk, keep)
     if chunk.num_rows == 0:
         return None, 0
     return _densify(_project(stmt, chunk)), chunk.num_rows
@@ -580,40 +602,92 @@ def _local_codes_slow(key_arrays: list[np.ndarray]) -> tuple[list[tuple], np.nda
     return keys, codes
 
 
+# a key column (or combined code word) is coded through an offset lookup
+# table, with no sort, when its value span is at most this many table
+# entries per chunk row; wider spans take the sort-based factorisation
+_DENSE_SPAN_PER_ROW = 4
+
+
+def _dense_offsets(arr: np.ndarray) -> tuple[np.ndarray, int] | None:
+    """``(arr - min, span)`` for an integer / bool column whose value span
+    is small next to its row count, else None.  The table a caller
+    allocates from ``span`` is bounded by the chunk, never by the dtype."""
+    if arr.dtype.kind not in "iub":
+        return None
+    lo, hi = arr.min(), arr.max()
+    span = int(hi) - int(lo) + 1
+    if span > _DENSE_SPAN_PER_ROW * len(arr):
+        return None
+    # no offset exceeds the span, so the subtraction cannot wrap once the
+    # narrow dtypes are widened (int64 / uint64 are wide enough as they are)
+    wide = arr if arr.dtype.itemsize == 8 else arr.astype(np.int64)
+    return (wide - wide.dtype.type(lo)).astype(np.int64, copy=False), span
+
+
+def _first_appearance_codes(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Factorize one non-empty column: ``(first, codes)`` with ``codes``
+    dense in order of first appearance and ``first[c]`` the row where
+    code ``c`` first occurs."""
+    dense = _dense_offsets(arr)
+    if dense is None:
+        # slots are the sorted distinct values, all occupied
+        _, first_at, slots = np.unique(
+            arr, return_index=True, return_inverse=True, equal_nan=False
+        )
+    else:
+        # slots are the offsets; reversed scatter, so a slot's last write
+        # is its first row, and -1 marks a slot no row falls in
+        slots, span = dense
+        first_at = np.full(span, -1, dtype=np.int64)
+        first_at[slots[::-1]] = np.arange(len(arr) - 1, -1, -1, dtype=np.int64)
+    occupied = np.flatnonzero(first_at >= 0)
+    by_first_row = occupied[np.argsort(first_at[occupied], kind="stable")]
+    first = first_at[by_first_row]
+    first_at[by_first_row] = np.arange(len(by_first_row), dtype=np.int64)  # now slot -> code
+    return first, first_at[slots]
+
+
+def _code_word(key_arrays: list[np.ndarray]) -> np.ndarray | None:
+    """Several key columns as one int64 word per row, equal exactly where
+    every key is equal; None when the word would not fit."""
+    word = None
+    capacity = 1
+    for arr in key_arrays:
+        dense = _dense_offsets(arr)
+        if dense is None:
+            uniq, digits = np.unique(arr, return_inverse=True, equal_nan=False)
+            base = len(uniq)
+        else:
+            digits, base = dense
+        capacity *= base
+        if capacity > 2**62:
+            return None
+        word = digits if word is None else word * base + digits
+    return word
+
+
 def _local_codes(key_arrays: list[np.ndarray]) -> tuple[list[tuple], np.ndarray]:
     """Chunk-local dense group coding, vectorized.
 
-    Factorizes each key column with ``np.unique``, combines the per-column
-    codes into one int64 word, and ranks combined codes by *first
-    appearance* so local code assignment matches the order a sequential
-    row-by-row registry would produce (NaN keys stay distinct per row,
-    like dict keys).  One Python-level step per *distinct* key, not per
-    row.
+    One factorisation per statement key: a single key column is coded
+    directly, several are first packed into one int64 word per row.
+    Integer / bool keys (and words) of small span go through an offset
+    lookup table, everything else through one ``np.unique``.  Either way
+    codes are ranked by *first appearance*, so local code assignment
+    matches the order a sequential row-by-row registry would produce (NaN
+    keys stay distinct per row, like dict keys).  One Python-level step
+    per *distinct* key, not per row.
     """
+    if not len(key_arrays[0]):
+        return [], np.empty(0, dtype=np.int64)
     try:
-        inverses: list[np.ndarray] = []
-        capacity = 1
-        for arr in key_arrays:
-            uniq, inv = np.unique(arr, return_inverse=True, equal_nan=False)
-            inverses.append(inv.astype(np.int64))
-            capacity *= max(len(uniq), 1)
-            if capacity > 2**62:
-                return _local_codes_slow(key_arrays)
-        combined = inverses[0]
-        for arr, inv in zip(key_arrays[1:], inverses[1:]):
-            combined = combined * (int(inv.max(initial=-1)) + 1 or 1) + inv
-        uniq, first_idx, inverse = np.unique(
-            combined, return_index=True, return_inverse=True
-        )
+        word = key_arrays[0] if len(key_arrays) == 1 else _code_word(key_arrays)
+        if word is None:
+            return _local_codes_slow(key_arrays)
+        first, codes = _first_appearance_codes(word)
     except (TypeError, ValueError):
         return _local_codes_slow(key_arrays)
-    order = np.argsort(first_idx, kind="stable")
-    rank = np.empty(len(uniq), dtype=np.int64)
-    rank[order] = np.arange(len(uniq), dtype=np.int64)
-    codes = rank[inverse]
-    keys = [
-        tuple(_pykey(a[int(first_idx[j])]) for a in key_arrays) for j in order
-    ]
+    keys = [tuple(_pykey(a[row]) for a in key_arrays) for row in first.tolist()]
     return keys, codes
 
 
@@ -697,13 +771,14 @@ def _substitute(expr: ast.Expr, mapping: dict[ast.FuncCall, str]) -> ast.Expr:
 def _grouped_partial(
     stmt: ast.SelectStatement,
     chunk: Frame,
+    keep: set[str] | None,
     agg_calls: list[ast.FuncCall],
     group_exprs: list[ast.Expr],
 ) -> tuple[list[tuple], list[Accumulator]] | None:
     """Per-morsel work of the grouped path: one partial accumulator per
     aggregate, keyed by chunk-local dense codes.  Returns None for chunks
     the WHERE clause empties."""
-    chunk = _filter_chunk(stmt, chunk)
+    chunk = _filter_chunk(stmt, chunk, keep)
     if chunk.num_rows == 0:
         return None
     if group_exprs:

@@ -174,7 +174,8 @@ class Frame:
             raise TypeError("filter mask must be boolean")
         if len(mask) != self.num_rows:
             raise ValueError("mask length does not match frame length")
-        return Frame({n: c[mask] for n, c in self._cols.items()})
+        # one pass over the mask, then a gather per column
+        return self.take(np.flatnonzero(mask))
 
     def take(self, indices: np.ndarray) -> "Frame":
         indices = np.asarray(indices)

@@ -237,3 +237,27 @@ class TestJoins:
         assert out.num_rows >= 0
         base = db.query("SELECT tag FROM halos WHERE run = 0")
         assert set(np.unique(out["tag"]).tolist()) <= set(base["tag"].tolist())
+
+    def test_left_join_pads_a_string_column(self, tmp_path):
+        """An unmatched row of a LEFT JOIN reads '' from a string column
+        and NaN from a numeric one instead of failing the statement."""
+        db = Database(tmp_path / "lj.db")
+        db.create_table("a", Frame({"k": np.asarray([1, 2, 3])}))
+        db.create_table(
+            "b", Frame({"k": np.asarray([1, 3]), "name": np.asarray(["fof", "sod"]), "n": np.asarray([7, 9])})
+        )
+        out = db.query("SELECT a.k, b.name, b.n FROM a LEFT JOIN b ON a.k = b.k")
+        assert out["k"].tolist() == [1, 2, 3]
+        assert out["name"].tolist() == ["fof", "", "sod"]
+        assert np.array_equal(out["n"], [7.0, np.nan, 9.0], equal_nan=True)
+
+    def test_unknown_column_error_lists_every_joined_column(self, tmp_path):
+        """WHERE gathers only the columns still read, but a statement that
+        names a missing column must still show the repair loop every
+        candidate the joined frame has."""
+        db = Database(tmp_path / "cand.db")
+        db.create_table("a", Frame({"k": np.arange(4), "mass": np.arange(4.0)}))
+        db.create_table("b", Frame({"k": np.arange(4), "mass": np.arange(4.0), "tag": np.arange(4)}))
+        with pytest.raises(UnknownColumnError) as err:
+            db.query("SELECT halo_mass, tag FROM a JOIN b ON a.k = b.k WHERE a.mass > 0")
+        assert err.value.known == ["k", "mass", "mass_right", "tag"]

@@ -10,6 +10,7 @@ single bit flips) is always classified: torn tail vs corrupt record,
 never a crash or a hybrid table.
 """
 
+import json
 import pickle
 
 import numpy as np
@@ -17,7 +18,8 @@ import pytest
 
 from repro import faults
 from repro.db.database import Database
-from repro.db.errors import IngestKilled
+from repro.db.errors import DBError, IngestKilled
+from repro.db.storage import TableStore
 from repro.db.wal import _MAGIC as WAL_MAGIC
 from repro.db.wal import WriteAheadLog, make_append_record
 from repro.durable import frame, scan_frames
@@ -212,6 +214,86 @@ class TestCommitProtocol:
         twin.create_table("t", frame, row_group_size=16)
         assert open_db(tmp_path / "db").store("t").content_signature() == \
             twin.store("t").content_signature()
+
+
+def _tree_bytes(root) -> dict[str, bytes]:
+    return {str(f.relative_to(root)): f.read_bytes() for f in sorted(root.rglob("*")) if f.is_file()}
+
+
+class TestFailedStatement:
+    """A statement that fails short of a death leaves nothing behind: no
+    log record for a later write to replay, no staged row groups, and a
+    handle equal to a fresh one on the same directory."""
+
+    def _two_tables(self, path) -> Database:
+        db = open_db(path)
+        db.create_table("a", make_frame(40), row_group_size=16)
+        db.create_table("b", make_frame(8), row_group_size=16)
+        return db
+
+    def test_refused_append_poisons_nothing(self, tmp_path):
+        db = self._two_tables(tmp_path / "db")
+        before = _tree_bytes(tmp_path / "db" / "a")
+        version = db.table_version("a")
+        appends = counter(obs_names.WAL_APPENDS)
+
+        with pytest.raises(DBError, match="schema mismatch"):
+            db.append("a", Frame({"a": np.arange(3), "other": np.arange(3)}))
+
+        # refused before the intent was logged
+        assert counter(obs_names.WAL_APPENDS) == appends
+        assert not WriteAheadLog(tmp_path / "db" / "wal.log").exists_nonempty()
+        # the same handle and a fresh one both keep writing, to any table
+        db.append("b", make_frame(4, start=8))
+        fresh = open_db(tmp_path / "db")
+        fresh.append("b", make_frame(4, start=12))
+        assert fresh.store("b").num_rows == 16
+        assert fresh.recover()["replayed"] == 0
+        # and ``a`` is what it was, byte for byte
+        assert _tree_bytes(tmp_path / "db" / "a") == before
+        assert fresh.table_version("a") == version
+
+    @pytest.mark.parametrize("failing", ["publish_staged", "_flush_catalog"])
+    def test_failure_inside_commit_rolls_back(self, tmp_path, monkeypatch, failing):
+        db = self._two_tables(tmp_path / "db")
+        before = _tree_bytes(tmp_path / "db")
+        extra = make_frame(24, start=40)
+
+        def boom(*args, **kwargs):
+            raise DBError("disk says no")
+
+        owner = TableStore if failing == "publish_staged" else Database
+        with monkeypatch.context() as patched:
+            patched.setattr(owner, failing, boom)
+            with pytest.raises(DBError, match="disk says no"):
+                db.append("a", extra)
+            with pytest.raises(DBError, match="disk says no"):
+                db.create_table("c", extra, row_group_size=16)
+
+        # log cut back, staged groups gone (a table's meta.json may keep
+        # the bumped private counter recovery also leaves; nothing reads it
+        # into a result or a cache key), handle equal to a fresh one
+        after = _tree_bytes(tmp_path / "db")
+        assert after["wal.log"] == b""
+        for tree in (before, after):
+            tree["a/meta.json"] = {**json.loads(tree["a/meta.json"]), "version": None}
+        assert after == before
+        assert not (tmp_path / "db" / "c").exists()
+        fresh = open_db(tmp_path / "db")
+        assert db._tables == fresh._tables
+        assert db.list_tables() == ["a", "b"]
+        assert fresh.recover() == {"replayed": 0, "skipped": 0, "torn_tail": 0,
+                                   "corrupt": 0, "orphan_groups": 0}
+        # the retried statements land the bytes of a twin that never failed
+        db.append("a", extra)
+        db.create_table("c", extra, row_group_size=16)
+        twin = open_db(tmp_path / "twin")
+        twin.create_table("a", make_frame(40), row_group_size=16)
+        twin.append("a", extra)
+        twin.create_table("c", extra, row_group_size=16)
+        for name in ("a", "c"):
+            assert db.store(name).content_signature() == twin.store(name).content_signature()
+            assert db.table_version(name) == twin.table_version(name)
 
 
 # ----------------------------------------------------------------------

@@ -67,6 +67,54 @@ class TestLeftJoin:
         assert not np.isnan(out["b"].astype(np.float64)).any()
 
 
+    def test_right_side_with_zero_rows(self):
+        left = Frame({"k": [1, 2], "a": [10, 20]})
+        right = Frame({"k": np.empty(0, dtype=np.int64), "b": np.empty(0, dtype=np.int64)})
+        out = merge(left, right, on="k", how="left")
+        assert out["a"].tolist() == [10, 20]
+        assert out["b"].dtype == np.float64 and np.isnan(out["b"]).all()
+
+    def test_unmatched_rows_pad_strings_with_the_empty_string(self):
+        left = Frame({"k": [1, 2, 3]})
+        right = Frame(
+            {
+                "k": [1, 3],
+                "name": np.asarray(["fof", "sod"]),
+                "raw": np.asarray([b"fof", b"sod"]),
+                "tag": np.asarray(["fof", "sod"], dtype=object),
+                "flag": [True, False],
+                "n": [7, 9],
+            }
+        )
+        out = merge(left, right, on="k", how="left")
+        assert out["name"].dtype.kind == "U" and out["name"].tolist() == ["fof", "", "sod"]
+        assert out["raw"].dtype.kind == "S" and out["raw"].tolist() == [b"fof", b"", b"sod"]
+        assert out["tag"].tolist() == ["fof", None, "sod"]
+        # numeric and bool columns turn float64, NaN where unmatched
+        for name, want in (("flag", [1.0, np.nan, 0.0]), ("n", [7.0, np.nan, 9.0])):
+            assert out[name].dtype == np.float64
+            assert np.array_equal(out[name], want, equal_nan=True)
+
+
+class TestNanKeys:
+    """SQL equality is false for NaN, so a NaN key matches nothing."""
+
+    def test_nan_keys_never_join_each_other(self):
+        left = Frame({"k": [1.0, np.nan, np.nan], "a": [1, 2, 3]})
+        right = Frame({"k": [np.nan, 1.0, np.nan], "b": [10, 20, 30]})
+        inner = merge(left, right, on="k")
+        assert inner["a"].tolist() == [1] and inner["b"].tolist() == [20]
+        out = merge(left, right, on="k", how="left")
+        assert out["a"].tolist() == [1, 2, 3]
+        assert np.array_equal(out["b"], [20.0, np.nan, np.nan], equal_nan=True)
+
+    def test_nan_in_one_of_two_keys(self):
+        left = Frame({"r": [0, 0], "k": [np.nan, 2.0], "a": [1, 2]})
+        right = Frame({"r": [0, 0], "k": [np.nan, 2.0], "b": [10, 20]})
+        out = merge(left, right, on=["r", "k"])
+        assert out["a"].tolist() == [2] and out["b"].tolist() == [20]
+
+
 class TestErrors:
     def test_unknown_join_type(self):
         with pytest.raises(ValueError):

@@ -13,6 +13,7 @@ import re
 import numpy as np
 import pytest
 
+from repro.db import Database
 from repro.db.sql import ast
 from repro.db.sql.expressions import _compare_eq, evaluate
 from repro.db.sql.parser import parse_sql
@@ -95,8 +96,10 @@ class TestSortDifferential:
 # ----------------------------------------------------------------------
 def merge_reference(left: dict, right: dict, keys: list[str], how: str) -> dict[str, np.ndarray]:
     """Nested-loop join: left rows in order, each followed by its right
-    matches in right-row order; a left-join miss yields one row whose
-    right columns are NaN (any miss turns those columns float64)."""
+    matches in right-row order (NaN keys match nothing: two ``nan``
+    objects never compare equal).  A left-join miss yields one row whose
+    right columns hold NULL: '' in a string / bytes column, None in an
+    object column, NaN otherwise (any miss turns those columns float64)."""
     n_left = len(next(iter(left.values())))
     n_right = len(next(iter(right.values())))
     lkeys = list(zip(*[left[k].tolist() for k in keys])) if n_left else []
@@ -115,12 +118,18 @@ def merge_reference(left: dict, right: dict, keys: list[str], how: str) -> dict[
         if name in keys:
             continue
         out_name = f"{name}_right" if name in out else name
-        if any_miss:
-            out[out_name] = np.asarray(
-                [np.nan if j is None else col[j] for _, j in pairs], dtype=np.float64
-            )
-        else:
+        if not any_miss:
             out[out_name] = col[np.asarray([j for _, j in pairs], dtype=np.int64)]
+            continue
+        if col.dtype.kind in "US":
+            null, dtype = col.dtype.type(), col.dtype
+        elif col.dtype == object:
+            null, dtype = None, object
+        else:
+            null, dtype = np.nan, np.float64
+        padded = np.empty(len(pairs), dtype=dtype)
+        padded[:] = [null if j is None else col[j] for _, j in pairs]
+        out[out_name] = padded
     return out
 
 
@@ -138,9 +147,8 @@ def _merge_cases():
         "rv": np.arange(40) * 10,
         "v": rng.normal(size=40),      # name collision -> v_right
     }
-    # a left-join miss turns right columns into float64, so a string
-    # column may ride on the right side only as a key
     yield pytest.param(left, {n: c for n, c in right.items() if n != "tag"}, ["k"], id="many-to-many")
+    yield pytest.param(left, right, ["k"], id="string-column-rides-right")
     yield pytest.param(left, right, ["tag"], id="string-key")
     yield pytest.param(left, right, ["k", "tag"], id="two-keys")
     unique_right = {"k": np.arange(12), "rv": np.arange(12) * 1.5}
@@ -149,6 +157,10 @@ def _merge_cases():
     yield pytest.param(left, disjoint, ["k"], id="no-matches")
     empty_left = {n: c[:0] for n, c in left.items()}
     yield pytest.param(empty_left, unique_right, ["k"], id="empty-left")
+    yield pytest.param(left, {n: c[:0] for n, c in right.items()}, ["k", "tag"], id="empty-right")
+    nan_left = {"k": np.asarray([1.0, np.nan, 2.0, np.nan]), "lv": np.arange(4)}
+    nan_right = {"k": np.asarray([np.nan, 2.0, 2.0, np.nan]), "rv": np.arange(4) * 10}
+    yield pytest.param(nan_left, nan_right, ["k"], id="nan-keys")
 
 
 class TestMergeDifferential:
@@ -164,6 +176,76 @@ class TestMergeDifferential:
         got = merge(Frame(left), Frame(right), on="k")
         assert_same_frame(got, merge_reference(left, right, ["k"], "inner"))
         assert got.num_rows == 0
+
+
+    def test_join_calls_no_binary_search(self, monkeypatch):
+        """Each left row's run of matches comes from a prefix sum over the
+        dense right codes, not from probing the sorted codes."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("merge called np.searchsorted")
+
+        monkeypatch.setattr(np, "searchsorted", refuse)
+        left, right, keys = next(_merge_cases()).values
+        got = merge(Frame(left), Frame(right), on=keys, how="left")
+        assert_same_frame(got, merge_reference(left, right, keys, "left"))
+
+
+# ----------------------------------------------------------------------
+# GROUP BY: sorts per row group
+# ----------------------------------------------------------------------
+class TestGroupCodingWork:
+    """A grouped statement factorises each key column of a row group at
+    most once, and small-span integer keys without any sort."""
+
+    ROW_GROUPS = 5
+
+    @pytest.fixture(scope="class")
+    def db(self, tmp_path_factory):
+        rng = np.random.default_rng(11)
+        n = 40 * self.ROW_GROUPS
+        db = Database(tmp_path_factory.mktemp("codes") / "c.db", result_cache=False)
+        db.create_table(
+            "t",
+            Frame(
+                {
+                    "run": rng.integers(0, 8, n),
+                    "step": rng.choice(np.asarray([0, 124, 249, 374]), n),
+                    "kind": rng.choice(np.asarray(["cold", "warm", "hot"]), n),
+                    "z": rng.choice(np.asarray([0.5, 1.5, np.nan]), n),
+                    "id": rng.integers(-2**62, 2**62, n),
+                    "v": rng.normal(size=n),
+                }
+            ),
+            row_group_size=40,
+        )
+        return db
+
+    @pytest.mark.parametrize(
+        "keys,sorts_per_row_group",
+        [
+            (["run"], 0),             # span 8: offset table, no sort
+            (["step"], 1),            # span 375 over 40 rows: too wide a table
+            (["kind"], 1),
+            (["z"], 1),
+            (["id"], 1),
+            (["run", "kind"], 1),     # the combined word is narrow again
+            (["kind", "z"], 2),
+        ],
+    )
+    def test_sorts_per_row_group(self, db, monkeypatch, keys, sorts_per_row_group):
+        calls = []
+        real_unique = np.unique
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real_unique(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counting)
+        cols = ", ".join(keys)
+        out = db.query(f"SELECT {cols}, COUNT(*) AS n, AVG(v) AS m FROM t GROUP BY {cols}")
+        monkeypatch.undo()
+        assert len(calls) == sorts_per_row_group * self.ROW_GROUPS
+        assert int(out["n"].sum()) == 40 * self.ROW_GROUPS
 
 
 # ----------------------------------------------------------------------
