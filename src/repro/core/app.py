@@ -349,6 +349,7 @@ class InferA:
                 )
         spans = tracer.span_dicts()
         context.provenance.record_trace(spans)
+        context.provenance.close()
         return QueryReport(
             run=run,
             plan=plan_result,

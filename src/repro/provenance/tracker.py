@@ -61,6 +61,7 @@ class ProvenanceTracker:
         self.session_id = session_id
         self.records: list[ArtifactRecord] = []
         self._trail = self.root / "trail.jsonl"
+        self._trail_fh = None  # one append handle, opened by the first record
         self._extra_paths: list[Path] = []
         # injected clock (DESIGN: components never call time APIs directly),
         # so provenance timestamps are deterministic under SimulatedClock
@@ -90,9 +91,19 @@ class ProvenanceTracker:
                 meta=meta,
             )
             self.records.append(rec)
-            with self._trail.open("a") as fh:
-                fh.write(json.dumps(rec.as_dict()) + "\n")
+            if self._trail_fh is None:
+                self._trail_fh = self._trail.open("a")
+            # flushed per record: storage_bytes() and a crash see every line
+            self._trail_fh.write(json.dumps(rec.as_dict()) + "\n")
+            self._trail_fh.flush()
         return rec
+
+    def close(self) -> None:
+        """Release the trail handle (idempotent); a later record reopens it."""
+        with self._lock:
+            if self._trail_fh is not None:
+                self._trail_fh.close()
+                self._trail_fh = None
 
     def _file(self, stem: str, suffix: str) -> Path:
         return self.root / f"{len(self.records):03d}_{stem}{suffix}"

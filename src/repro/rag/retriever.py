@@ -9,12 +9,13 @@ retrieving up to 80 total documents."
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 from repro.llm.embeddings import HashedEmbedder
 from repro.obs.metrics import get_registry
 from repro.obs.tracer import get_tracer
-from repro.rag.cache import RetrievalArtifactCache
+from repro.rag.cache import RetrievalArtifactCache, query_memo_capacity
 from repro.rag.documents import ColumnDocument, build_documents
 from repro.rag.index import VectorIndex
 from repro.rag.mmr import mmr_select
@@ -64,18 +65,22 @@ class ColumnRetriever:
         self._important_prompt = "[IMPORTANT] " + " ".join(
             d.text for d in self.documents if d.important
         )
-        # prompt and index are fixed for the retriever's life, so its MMR
-        # selection per k is too; racing fills store equal lists
-        self._important_chosen: dict[int, list[int]] = {}
+        # index, lambda and matrix are fixed for the retriever's life, so the
+        # MMR selection is a pure function of (prompt, k): memoised up to
+        # query_memo_capacity() entries, oldest out first; racing fills
+        # store equal lists
+        self._chosen: dict[tuple[str, int], list[int]] = {}
+        self._chosen_lock = threading.Lock()
 
     def _select(self, prompt: str, k: int) -> list[int]:
-        sims = self.index.similarities(prompt)
-        return mmr_select(sims, self.index.embedding_matrix(), k, self.lambda_mult)
-
-    def _select_important(self, k: int) -> list[int]:
-        chosen = self._important_chosen.get(k)
+        chosen = self._chosen.get((prompt, k))
         if chosen is None:
-            chosen = self._important_chosen[k] = self._select(self._important_prompt, k)
+            sims = self.index.similarities(prompt)
+            chosen = mmr_select(sims, self.index.embedding_matrix(), k, self.lambda_mult)
+            with self._chosen_lock:
+                self._chosen[(prompt, k)] = chosen
+                while len(self._chosen) > query_memo_capacity():
+                    del self._chosen[next(iter(self._chosen))]
         return chosen
 
     def retrieve(
@@ -98,12 +103,8 @@ class ColumnRetriever:
             merged: dict[str, ColumnDocument] = {}
             per_prompt: dict[str, list[str]] = {}
             for name, prompt in prompts.items():
-                if name == "important":
-                    chosen = self._select_important(k_per_prompt)
-                else:
-                    chosen = self._select(prompt, k_per_prompt)
                 ids = []
-                for i in chosen:
+                for i in self._select(prompt, k_per_prompt):
                     doc = self.documents[i]
                     ids.append(doc.doc_id)
                     if len(merged) < max_total:

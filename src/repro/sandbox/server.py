@@ -86,6 +86,34 @@ def read_json_object(handler: BaseHTTPRequestHandler, max_bytes: int) -> dict[st
     return payload
 
 
+def send_json_reply(
+    handler: BaseHTTPRequestHandler,
+    status: int,
+    body: bytes,
+    headers: dict[str, str] | None = None,
+) -> None:
+    """Send one JSON reply — status line, headers and body — in one write.
+
+    ``send_response … end_headers`` followed by ``wfile.write(body)`` puts
+    two segments on an unbuffered socket; Nagle holds the second until the
+    first is ACKed and the client delays that ACK ~40 ms.  Same bytes as
+    that pair, one segment.  Shared with the ``repro serve`` front door.
+    """
+    handler.log_request(status)
+    head = [
+        f"{handler.protocol_version} {status} {handler.responses.get(status, ('',))[0]}",
+        f"Server: {handler.version_string()}",
+        f"Date: {handler.date_time_string()}",
+        "Content-Type: application/json",
+        f"Content-Length: {len(body)}",
+        *(f"{key}: {value}" for key, value in (headers or {}).items()),
+        "\r\n",
+    ]
+    if handler.request_version == "HTTP/0.9":  # has no status line or headers
+        head = []
+    handler.wfile.write("\r\n".join(head).encode("latin-1") + body)
+
+
 class SandboxServer:
     """Owns the HTTP server lifecycle; use as a context manager in tests."""
 
@@ -188,13 +216,8 @@ class SandboxServer:
                 self._reply(status, {"error": {"type": err_type, "message": message}})
 
             def _reply(self, status: int, doc: dict) -> None:
-                body = json.dumps(doc).encode("utf-8")
                 try:
-                    self.send_response(status)
-                    self.send_header("Content-Type", "application/json")
-                    self.send_header("Content-Length", str(len(body)))
-                    self.end_headers()
-                    self.wfile.write(body)
+                    send_json_reply(self, status, json.dumps(doc).encode("utf-8"))
                 except (BrokenPipeError, ConnectionResetError, socket.timeout):
                     self.close_connection = True
 

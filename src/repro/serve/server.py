@@ -48,6 +48,7 @@ from repro.sandbox.server import (
     BadRequest,
     PayloadTooLarge,
     read_json_object,
+    send_json_reply,
 )
 from repro.serve.admission import AdmissionQueue, QueueClosed, QueueFull
 from repro.serve.session import InvalidSessionId, SessionRegistry
@@ -306,24 +307,20 @@ class ReproServer:
 # ----------------------------------------------------------------------
 def _make_handler(server: ReproServer):
     class Handler(BaseHTTPRequestHandler):
-        # one worker request can take seconds; don't let keep-alive
-        # connections pin HTTP threads between requests
+        # keep-alive: one client reuses one socket (and one HTTP thread)
+        # across requests; the socket timeout closes a connection whose
+        # body read stalls or that sits idle, so neither pins the thread.
+        # A blocking request waits on its worker's Event, not the socket.
         protocol_version = "HTTP/1.1"
         server_version = "repro-serve"
+        timeout = server.request_timeout_s
 
         def log_message(self, fmt, *args):  # quiet by default
             pass
 
         # -- helpers ---------------------------------------------------
         def _send_json(self, code: int, doc: dict[str, Any], headers: dict | None = None):
-            body = json.dumps(doc, sort_keys=True).encode()
-            self.send_response(code)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            for key, value in (headers or {}).items():
-                self.send_header(key, value)
-            self.end_headers()
-            self.wfile.write(body)
+            send_json_reply(self, code, json.dumps(doc, sort_keys=True).encode(), headers)
 
         def _read_body(self) -> dict[str, Any] | None:
             """The body as a JSON object, or None once 400/413 has been sent."""

@@ -21,7 +21,8 @@ import json
 import queue
 from typing import Any, Iterator
 
-from repro.obs.events import Event, LiveRenderer, subscribe
+from repro.obs.events import SPAN_END, Event, LiveRenderer, subscribe
+from repro.obs.names import SERVE_REQUEST_SPAN
 
 
 def sse_frame(event_name: str, data: dict[str, Any]) -> bytes:
@@ -36,7 +37,7 @@ class EventStreamer:
     def __init__(self, trace_id: str, verbose: bool = False, capacity: int = 4096):
         self.trace_id = trace_id
         self.verbose = verbose
-        self._lines: queue.Queue[str] = queue.Queue()
+        self._lines: queue.Queue[str | None] = queue.Queue()  # None: request over
         # buffered: the drain thread formats and enqueues; the publisher
         # (a worker thread mid-request) only ever appends to the buffer
         self._subscription = subscribe(
@@ -47,25 +48,29 @@ class EventStreamer:
         line = LiveRenderer.format_event(event, verbose=self.verbose)
         if line is not None:
             self._lines.put(line)
+        if event.kind == SPAN_END and event.name == SERVE_REQUEST_SPAN:
+            # the request's last event: wake frames() now, not a poll later
+            self._lines.put(None)
 
     def frames(self, done, poll_s: float = 0.05) -> Iterator[bytes]:
-        """Yield progress frames until ``done`` is set and lines are drained."""
+        """Yield progress frames until ``done`` is set and lines are drained.
+
+        The request's own span end wakes the wait; the ``poll_s`` look at
+        ``done`` stays for a request whose span end the buffer dropped.
+        """
+        over = False  # done seen: sweep the stragglers without blocking
         while True:
             try:
-                line = self._lines.get(timeout=poll_s)
+                line = self._lines.get(timeout=0 if over else poll_s)
             except queue.Empty:
-                if done.is_set():
-                    # one last non-blocking sweep for stragglers the
-                    # buffer delivered after the done flag flipped
-                    while True:
-                        try:
-                            yield sse_frame(
-                                "progress", {"line": self._lines.get_nowait()}
-                            )
-                        except queue.Empty:
-                            return
-                continue
-            yield sse_frame("progress", {"line": line})
+                if over:
+                    return
+                over = done.is_set()
+            else:
+                if line is not None:
+                    yield sse_frame("progress", {"line": line})
+                else:  # the worker sets ``done`` right after that span
+                    over = done.wait(poll_s)
 
     @property
     def dropped(self) -> int:

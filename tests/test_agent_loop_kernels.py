@@ -16,7 +16,13 @@ from hypothesis import strategies as st
 from repro.db.bloom import BloomFilter
 from repro.eval.questions import QUESTION_SUITE
 from repro.rag import ColumnRetriever, mmr_select
-from repro.rag.cache import clear_memory_cache, stats_snapshot
+from repro.obs.metrics import get_registry
+from repro.rag.cache import (
+    clear_memory_cache,
+    query_memo_capacity,
+    set_query_memo_capacity,
+    stats_snapshot,
+)
 from repro.sim.schema import (
     COLUMN_DESCRIPTIONS,
     FILE_STRUCTURE_DESCRIPTIONS,
@@ -157,7 +163,7 @@ class TestImportantSelectionReuse:
         r = ColumnRetriever(COLUMN_DESCRIPTIONS, important=IMPORTANT_COLUMNS)
         first = r.retrieve("halo mass", task="load halos", plan="load, then plot")
         again = r.retrieve("halo mass", task="load halos", plan="load, then plot")
-        assert len(calls) == 4 + 3
+        assert len(calls) == 4
         assert again.per_prompt == first.per_prompt
         assert [d.doc_id for d in again.documents] == [d.doc_id for d in first.documents]
         assert list(first.per_prompt) == ["query", "task", "plan", "important"]
@@ -184,7 +190,56 @@ class TestImportantSelectionReuse:
         before = stats_snapshot()
         retriever.retrieve("halo mass")
         delta = stats_snapshot().delta(before)
-        assert delta.query_memo_misses == 1 and delta.query_memo_hits == 0
+        # a selection the retriever already holds embeds nothing at all
+        assert delta.query_memo_misses == 0 and delta.query_memo_hits == 0
+
+
+class TestSelectionMemo:
+    """The selection is a pure function of (prompt, k) for one retriever,
+    so a memoised one is the computed one, not close to it."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.text(alphabet=st.sampled_from(list("halo mas velocty_019 ,.[]")), max_size=80))
+    def test_warm_selection_is_the_fresh_one(self, retriever, prompt):
+        matrix = retriever.index.embedding_matrix()
+        for k in (1, 5, 20):
+            retriever._select(prompt, k)
+            warm = retriever._select(prompt, k)
+            fresh = mmr_select(
+                retriever.index.similarities(prompt), matrix, k, retriever.lambda_mult
+            )
+            assert warm == fresh, (prompt, k)
+
+    def test_bounded_by_the_query_memo_capacity(self):
+        r = ColumnRetriever(COLUMN_DESCRIPTIONS, important=IMPORTANT_COLUMNS)
+        capacity = query_memo_capacity()
+        set_query_memo_capacity(8)
+        try:
+            for i in range(30):
+                r.retrieve(f"halo mass {i}", task=f"load run {i}")
+                assert len(r._chosen) <= 8
+            # the oldest went first, and what is held is still right
+            assert ("halo mass 0", 20) not in r._chosen
+            assert ("halo mass 29", 20) in r._chosen
+            fresh = ColumnRetriever(COLUMN_DESCRIPTIONS, important=IMPORTANT_COLUMNS)
+            assert r.retrieve("halo mass 3").per_prompt == fresh.retrieve("halo mass 3").per_prompt
+            set_query_memo_capacity(0)  # the next fill keeps nothing and still answers
+            assert r.retrieve("halo mass 4").per_prompt == fresh.retrieve("halo mass 4").per_prompt
+            assert not r._chosen
+        finally:
+            set_query_memo_capacity(capacity)
+
+    def test_a_memo_hit_still_counts_as_a_retrieval(self, retriever):
+        registry = get_registry()
+        requests = registry.counter("retrieval.requests")
+        documents = registry.counter("retrieval.documents")
+        first = retriever.retrieve("largest halos by mass", task="load halos")
+        r0, d0 = requests.value, documents.value
+        again = retriever.retrieve("largest halos by mass", task="load halos")
+        assert requests.value == r0 + 1
+        assert documents.value == d0 + len(again.documents)
+        assert again.per_prompt == first.per_prompt
+        assert [d.doc_id for d in again.documents] == [d.doc_id for d in first.documents]
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Provenance tracking: sequential trail, storage accounting, replay."""
 
+import gc
 import json
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -94,6 +96,76 @@ class TestRecording:
         before = tracker.storage_bytes()
         tracker.register_external(extra)
         assert tracker.storage_bytes() == before + 512
+
+
+class TestTrailHandle:
+    """One append handle per tracker: what is on disk, and when, is what
+    an open-per-record tracker left there."""
+
+    @staticmethod
+    def feed(tracker, lo: int, hi: int) -> None:
+        for i in range(lo, hi):
+            tracker.record_code(i, f"x = {i}", attempt=i % 2)
+            tracker.record_note(f"note {i}", step_index=i, tag="t")
+            tracker.record_llm_exchange("sql", 10 * i, i, step_index=i)
+
+    def test_closed_and_reopened_midway_is_byte_equal(self, tmp_path):
+        straight = ProvenanceTracker(tmp_path / "a", "s")
+        reopened = ProvenanceTracker(tmp_path / "b", "s")
+        self.feed(straight, 0, 6)
+        self.feed(reopened, 0, 3)
+        reopened.close()
+        reopened.close()  # idempotent
+        self.feed(reopened, 3, 6)  # a record after close() reopens
+        straight.close()
+        reopened.close()
+        trail = (straight.root / "trail.jsonl").read_bytes()
+        assert trail == (reopened.root / "trail.jsonl").read_bytes()
+        assert [json.loads(line) for line in trail.splitlines()] == straight.trail()
+
+    def test_storage_bytes_mid_session_counts_every_written_line(self, tracker):
+        self.feed(tracker, 0, 4)  # handle still open: nothing sits in its buffer
+        on_disk = sum(f.stat().st_size for f in tracker.root.iterdir())
+        assert tracker.storage_bytes() == on_disk
+        lines = (tracker.root / "trail.jsonl").read_text().splitlines()
+        assert [json.loads(line) for line in lines] == tracker.trail()
+        tracker.close()
+        assert tracker.storage_bytes() == on_disk
+
+    def test_records_racing_a_close_keep_consecutive_seqs(self, tracker):
+        threads_n, per_thread = 8, 50
+
+        def record(tid: int) -> None:
+            for i in range(per_thread):
+                tracker.record_note(f"{tid}:{i}")
+                if tid == 0 and i % 10 == 0:
+                    tracker.close()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=record, args=(t,)) for t in range(threads_n)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        tracker.close()
+        lines = (tracker.root / "trail.jsonl").read_text().splitlines()
+        assert [json.loads(line)["seq"] for line in lines] == list(range(400))
+        assert len({json.loads(line)["meta"]["text"] for line in lines}) == 400
+
+    def test_run_query_leaves_no_open_handle(self, clean_app):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            report = clean_app.run_query("How many halos are in run 0?")
+            assert clean_app._last_context.provenance._trail_fh is None
+            clean_app._last_context = clean_app._last_supervisor = None
+            gc.collect()  # an unclosed file warns from its finaliser here
+        assert not [w for w in caught if "trail.jsonl" in str(w.message)]
+        assert verify_audit_trail(report.session_dir)[-1]["kind"] == "trace"
 
 
 class TestAudit:

@@ -1,6 +1,9 @@
 """HTTP gateway round-trips (the Uvicorn/FastAPI substitute)."""
 
 import json
+import socket
+import statistics
+import time
 import urllib.error
 import urllib.request
 
@@ -8,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.frame import Frame
-from repro.sandbox import SandboxClient, SandboxServer
+from repro.sandbox import SandboxClient, SandboxExecutor, SandboxServer
 from repro.sandbox.serialize import frame_from_json, frame_to_json
 
 
@@ -22,6 +25,68 @@ def post_raw(url, data, headers=None):
             return resp.status, json.loads(resp.read().decode())
     except urllib.error.HTTPError as exc:
         return exc.code, json.loads(exc.read().decode())
+
+
+class KeepAliveSocket:
+    """A raw HTTP/1.1 client that sends each request in one ``sendall``,
+    so the server is the only party that can split a message."""
+
+    def __init__(self, url: str):
+        host, port = url.removeprefix("http://").split(":")
+        self.sock = socket.create_connection((host, int(port)), timeout=30.0)
+        self.rfile = self.sock.makefile("rb")
+
+    def post(self, path: str, doc: dict) -> tuple[float, dict]:
+        """(seconds from send to the last body byte, parsed reply)."""
+        body = json.dumps(doc).encode()
+        head = f"POST {path} HTTP/1.1\r\nHost: x\r\nContent-Length: {len(body)}\r\n\r\n"
+        t0 = time.perf_counter()
+        self.sock.sendall(head.encode() + body)
+        length = 0
+        while (line := self.rfile.readline().strip()):
+            name, _, value = line.partition(b":")
+            if name.lower() == b"content-length":
+                length = int(value)
+        reply = json.loads(self.rfile.read(length))
+        return time.perf_counter() - t0, reply
+
+    def close(self) -> None:
+        self.rfile.close()
+        self.sock.close()
+
+
+class RecordingWriter:
+    def __init__(self):
+        self.writes: list[bytes] = []
+
+    def write(self, data: bytes) -> int:
+        self.writes.append(bytes(data))
+        return len(data)
+
+    def flush(self) -> None:
+        pass
+
+
+def fake_handler(handler_class):
+    """A handler of ``handler_class`` with no socket: replies land in
+    ``handler.wfile.writes``."""
+    handler = handler_class.__new__(handler_class)
+    handler.request_version = "HTTP/1.1"
+    handler.requestline = "POST / HTTP/1.1"
+    handler.close_connection = False
+    handler.wfile = RecordingWriter()
+    return handler
+
+
+def two_write_reply(handler, status: int, body: bytes, headers: dict | None = None) -> None:
+    """How both servers replied before: the header block, then the body."""
+    handler.send_response(status)
+    handler.send_header("Content-Type", "application/json")
+    handler.send_header("Content-Length", str(len(body)))
+    for key, value in (headers or {}).items():
+        handler.send_header(key, value)
+    handler.end_headers()
+    handler.wfile.write(body)
 
 
 @pytest.fixture(scope="module")
@@ -167,3 +232,52 @@ class TestHealthClassification:
         status = SandboxClient(f"{server.url}/bogus-prefix").health()
         assert not status.ok
         assert status.detail == "http-404"
+
+
+class TestTransport:
+    def test_sequential_keep_alive_executes_do_not_stall_on_the_reply(self):
+        class TimedExecutor(SandboxExecutor):
+            spent: list[float] = []
+
+            def execute(self, code, tables):
+                t0 = time.perf_counter()
+                try:
+                    return super().execute(code, tables)
+                finally:
+                    self.spent.append(time.perf_counter() - t0)
+
+        frame = Frame({"a": np.arange(2000, dtype=np.float64)})
+        payload = {"code": "result = tables['work']", "tables": {"work": frame_to_json(frame)}}
+        with SandboxServer(executor=TimedExecutor()) as srv:
+            client = KeepAliveSocket(srv.url)
+            try:
+                totals = []
+                for _ in range(10):
+                    total, doc = client.post("/execute", payload)
+                    assert doc["ok"] and doc["result_rows"] == 2000
+                    totals.append(total)
+            finally:
+                client.close()
+        # what is left is JSON both ways; headers and body as two segments
+        # used to add one delayed ACK (~40 ms) to every reply
+        overheads = [total - spent for total, spent in zip(totals, TimedExecutor.spent)]
+        assert statistics.median(overheads) < 0.015, overheads
+
+    def test_gateway_413_is_one_write_of_the_same_bytes(self, server, monkeypatch):
+        handler_class = server._make_handler()
+        monkeypatch.setattr(
+            handler_class, "date_time_string", lambda self: "Thu, 01 Jan 2026 00:00:00 GMT"
+        )
+        sent, reference = fake_handler(handler_class), fake_handler(handler_class)
+        sent._error(413, "PayloadTooLarge", "body of 9 bytes exceeds the 8-byte limit")
+        doc = {
+            "error": {
+                "type": "PayloadTooLarge",
+                "message": "body of 9 bytes exceeds the 8-byte limit",
+            }
+        }
+        two_write_reply(reference, 413, json.dumps(doc).encode("utf-8"))
+        assert sent.close_connection is True
+        assert len(reference.wfile.writes) == 2
+        assert len(sent.wfile.writes) == 1
+        assert sent.wfile.writes[0] == b"".join(reference.wfile.writes)

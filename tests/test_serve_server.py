@@ -6,6 +6,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import socket
+import statistics
 import threading
 import time
 import urllib.error
@@ -19,6 +20,7 @@ from repro.llm import MockLLM
 from repro.llm.errors import NO_ERRORS
 from repro.serve import ReproServer
 from repro.serve.worker import answer_payload
+from tests.test_sandbox_server import KeepAliveSocket, fake_handler, two_write_reply
 
 
 def make_server(ensemble, workdir, **kwargs) -> ReproServer:
@@ -308,6 +310,111 @@ def test_sse_stream_progress_then_result(server):
     assert doc["status"] == "ok"
     assert doc["result"]["completed"] is True
     assert doc["stream_dropped_events"] == 0
+
+
+def test_sse_stream_does_not_wait_out_a_poll_after_the_worker_is_done(server):
+    overheads = []
+    for _ in range(5):
+        body = json.dumps(
+            {"question": "How many halos are in run 0?", "session": "sse-wake", "stream": True}
+        ).encode()
+        req = urllib.request.Request(
+            f"{server.url}/v1/query", data=body, headers={"Content-Type": "application/json"}
+        )
+        t0 = time.perf_counter()
+        with urllib.request.urlopen(req, timeout=60.0) as resp:
+            raw = resp.read().decode()
+        total = time.perf_counter() - t0
+        frames = [f for f in raw.split("\n\n") if f.strip()]
+        timing = json.loads(frames[-1].split("data: ", 1)[1])["timing"]
+        overheads.append(total - timing["exec_s"] - timing["queue_wait_s"])
+    # the streamer used to notice completion only when a 50 ms poll ran out
+    assert statistics.median(overheads) < 0.015, overheads
+
+
+# ----------------------------------------------------------------------
+# transport: one write per reply, a read timeout on every connection
+# ----------------------------------------------------------------------
+def test_sequential_keep_alive_requests_do_not_stall_on_the_reply(server):
+    client = KeepAliveSocket(server.url)
+    try:
+        overheads = []
+        for _ in range(10):
+            total, doc = client.post(
+                "/v1/query", {"question": "How many halos are in run 0?", "session": "stall"}
+            )
+            assert doc["status"] == "ok"
+            overheads.append(total - doc["timing"]["exec_s"] - doc["timing"]["queue_wait_s"])
+    finally:
+        client.close()
+    # headers and body as two segments cost one delayed ACK (~40 ms) each
+    assert statistics.median(overheads) < 0.015, overheads
+
+
+@pytest.mark.parametrize(
+    "status, doc, headers",
+    [
+        (200, {"status": "ok", "b": 1, "a": [1, 2]}, None),
+        (429, {"error": "queue-full", "retry_after_s": 0.5}, {"Retry-After": "0.500"}),
+    ],
+    ids=["200", "429-retry-after"],
+)
+def test_front_door_reply_is_one_write_of_the_same_bytes(
+    server, monkeypatch, status, doc, headers
+):
+    from repro.serve.server import _make_handler
+
+    handler_class = _make_handler(server)
+    monkeypatch.setattr(
+        handler_class, "date_time_string", lambda self: "Thu, 01 Jan 2026 00:00:00 GMT"
+    )
+    sent, reference = fake_handler(handler_class), fake_handler(handler_class)
+    sent._send_json(status, doc, headers=headers)
+    two_write_reply(reference, status, json.dumps(doc, sort_keys=True).encode(), headers)
+    assert len(reference.wfile.writes) == 2
+    assert len(sent.wfile.writes) == 1
+    assert sent.wfile.writes[0] == b"".join(reference.wfile.writes)
+
+
+def test_stalled_and_idle_connections_release_their_threads(ensemble, tmp_path):
+    class SlowLLM(MockLLM):
+        """The first chat outlasts the socket timeout."""
+
+        def chat(self, messages, role="agent"):
+            if self._calls == 0:
+                time.sleep(0.4)
+            return super().chat(messages, role)
+
+    server = make_server(
+        ensemble,
+        tmp_path / "serve",
+        request_timeout_s=0.3,
+        llm_factory=lambda seed: SlowLLM(seed=seed, error_model=NO_ERRORS),
+    )
+    host, port = server.url.removeprefix("http://").split(":")
+    socks = []
+    try:
+        before = threading.active_count()
+        for _ in range(6):  # a body that never arrives
+            sock = socket.create_connection((host, int(port)), timeout=10.0)
+            sock.sendall(b"POST /v1/query HTTP/1.1\r\nHost: x\r\nContent-Length: 100\r\n\r\n{")
+            socks.append(sock)
+        idle = socket.create_connection((host, int(port)), timeout=10.0)  # never speaks
+        socks.append(idle)
+        deadline = time.monotonic() + 5.0
+        while threading.active_count() > before and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert threading.active_count() <= before
+        assert idle.recv(1) == b""  # closed by the server, not by this test
+        # the timeout is on the socket, not on the worker: a request that
+        # runs past it still gets its reply
+        status, doc = post_query(server.url, "How many halos are in run 0?", "slow")
+        assert status == 200 and doc["status"] == "ok"
+        assert doc["timing"]["exec_s"] > 0.3
+    finally:
+        for sock in socks:
+            sock.close()
+        server.shutdown()
 
 
 # ----------------------------------------------------------------------
