@@ -12,7 +12,7 @@ from conftest import emit
 from repro.agents.planner import ScriptedFeedback
 from repro.core import InferA, InferAConfig
 from repro.llm.errors import NO_ERRORS
-from repro.provenance import verify_audit_trail
+from repro.provenance.audit import verify_audit_trail
 
 
 def test_fig3_architecture_trace(benchmark, bench_ensemble, output_dir, tmp_path):

@@ -16,7 +16,7 @@ from pathlib import Path
 from repro.agents.planner import ScriptedFeedback
 from repro.core import InferAConfig, SessionManager
 from repro.llm.errors import NO_ERRORS
-from repro.provenance import verify_audit_trail
+from repro.provenance.audit import verify_audit_trail
 from repro.sim import EnsembleSpec, generate_ensemble
 
 OUT = Path(__file__).resolve().parent / "branching_out"

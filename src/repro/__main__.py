@@ -2,7 +2,12 @@
 
 import sys
 
-from repro.cli import main
+from repro.util.timing import WallClock
+
+# before the CLI's imports, so the process-root span can say what they cost
+process_start = WallClock().now()
+
+from repro.cli import main  # noqa: E402
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(process_start=process_start))

@@ -28,26 +28,14 @@ goes through the ``repro.*`` logger hierarchy on stderr, tuned with
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
-from repro.core import InferA, InferAConfig
-from repro.db import Database
-from repro.eval import EvaluationHarness, HarnessConfig, format_table2
-from repro.llm.errors import NO_ERRORS, ErrorModel
-from repro.obs.cost import CostLedger
-from repro.obs.events import EventBus, LiveRenderer, use_bus
-from repro.obs.export import (
-    read_spans,
-    render_tree,
-    summarize,
-    write_chrome_trace,
-    write_jsonl,
-)
 from repro.obs.logsetup import get_logger, setup_logging
-from repro.sim import EnsembleSpec, generate_ensemble
-from repro.sim.ensemble import Ensemble
+from repro.util.timing import WallClock
 
 log = get_logger("cli")
 
@@ -248,6 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    from repro.sim import EnsembleSpec, generate_ensemble
+
     steps = tuple(int(s) for s in args.steps.split(","))
     spec = EnsembleSpec(
         n_runs=args.runs,
@@ -262,38 +252,86 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_info(args: argparse.Namespace) -> int:
+    from repro.sim.ensemble import Ensemble
+
     print(Ensemble(args.ensemble).describe())
     return 0
 
 
-def _live_bus(enabled: bool, verbose: bool = False) -> EventBus | None:
-    """An event bus with a stderr renderer attached, or None when off."""
-    if not enabled:
-        return None
+def _live(args: argparse.Namespace):
+    """A scope streaming span completions to stderr under ``--live``."""
+    if not args.live:
+        return nullcontext()
+    from repro.obs.events import EventBus, LiveRenderer, use_bus
+
     bus = EventBus()
-    bus.subscribe(LiveRenderer(stream=sys.stderr, verbose=verbose))
-    return bus
+    bus.subscribe(LiveRenderer(stream=sys.stderr, verbose=args.verbose > 0))
+    return use_bus(bus)
+
+
+def _config(args: argparse.Namespace, **fields):
+    """The ``InferAConfig`` of a command that takes --seed / --no-errors."""
+    from repro.core.config import InferAConfig
+    from repro.llm.errors import NO_ERRORS, ErrorModel
+
+    return InferAConfig(
+        seed=args.seed,
+        error_model=NO_ERRORS if args.no_errors else ErrorModel(),
+        **fields,
+    )
+
+
+def _assistant(args: argparse.Namespace, **fields):
+    from repro.core.app import InferA
+    from repro.sim.ensemble import Ensemble
+
+    return InferA(Ensemble(args.ensemble), args.workdir, _config(args, **fields))
+
+
+@contextmanager
+def _process_span(args: argparse.Namespace):
+    """The process-root span of ``repro query`` / ``repro eval``.
+
+    It starts where ``python -m repro`` stamped the clock, before the
+    first ``repro`` import, and ``import_s`` is how much of it had gone by
+    when the handler had imported its subsystem; the session (or suite)
+    span parents under it.  Yields the span, finished on exit, for the
+    handler to write beside the trace it parents.
+    """
+    from repro.obs.names import CLI_PROCESS_SPAN
+    from repro.obs.tracer import Tracer, use_tracer
+
+    tracer = Tracer()
+    ready = tracer.clock.now()
+    span = tracer.start_span(
+        CLI_PROCESS_SPAN, command=args.command, import_s=ready - args.process_start
+    )
+    span.start = args.process_start
+    with use_tracer(tracer):
+        try:
+            yield span
+        finally:
+            tracer.end_span(span)
 
 
 def cmd_query(args: argparse.Namespace) -> int:
-    config = InferAConfig(
-        seed=args.seed,
-        error_model=NO_ERRORS if args.no_errors else ErrorModel(),
+    from repro.obs.export import write_jsonl
+
+    app = _assistant(
+        args,
         parallel_viz=args.parallel_viz,
         qa_mode=args.qa_mode,
         token_budget=args.token_budget,
     )
-    app = InferA(Ensemble(args.ensemble), args.workdir, config)
     log.info("running query against %s (seed=%d)", args.ensemble, args.seed)
-    bus = _live_bus(getattr(args, "live", False), verbose=args.verbose > 0)
     try:
-        if bus is not None:
-            with use_bus(bus):
-                report = app.run_query(args.question)
-        else:
+        with _process_span(args) as process, _live(args):
             report = app.run_query(args.question)
     finally:
         app.close()  # stop any sandbox fleet; final stats checkpoint
+    # the whole process as one trace at the workdir root, where an eval
+    # workdir keeps its merged trace; the session's own stays in its trail
+    write_jsonl([process, *report.trace_spans], Path(args.workdir) / "trace.jsonl")
     log.debug("trace: %d spans recorded under %s", len(report.trace_spans), report.session_dir)
     print(f"completed: {report.completed}")
     print(f"steps: {sum(1 for s in report.run.steps if s.status == 'ok')}/{report.run.plan_size} ok")
@@ -321,9 +359,12 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    from repro.eval.harness import EvaluationHarness, HarnessConfig
+    from repro.eval.reporting import format_table2
     from repro.faults import FaultProfile
+    from repro.sim.ensemble import Ensemble
 
-    chaos = getattr(args, "chaos", "off")
+    chaos = args.chaos
     fault_profile = (
         FaultProfile.named(chaos, seed=args.seed) if chaos != "off" else None
     )
@@ -337,12 +378,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
             fault_profile=fault_profile,
         ),
     )
-    bus = _live_bus(getattr(args, "live", False), verbose=args.verbose > 0)
-    if bus is not None:
-        with use_bus(bus):
-            result = harness.run_suite()
-    else:
+    with _process_span(args) as process, _live(args):
         result = harness.run_suite()
+    if result.trace_path is not None:
+        with result.trace_path.open("a") as fh:
+            fh.write(json.dumps(process.as_dict()) + "\n")
     print(format_table2(result.aggregator.table2_rows()))
     perf = result.perf
     if perf is not None:
@@ -364,7 +404,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
                      "details: repro cost %s",
                      totals["cost_usd"], totals["calls"],
                      f"{totals['total_tokens']:,}", args.workdir)
-        if fault_profile is not None or perf.fault_counters:
+        if chaos != "off" or perf.fault_counters:
             counters = perf.fault_counters
             injected = counters.get("faults.injected", 0)
             print(f"chaos[{chaos}]: {injected} faults injected")
@@ -431,6 +471,8 @@ def cmd_cache(args: argparse.Namespace) -> int:
 
 
 def cmd_sql(args: argparse.Namespace) -> int:
+    from repro.db.database import Database
+
     db = Database(args.db)
     result = db.query(args.statement)
     print(result)
@@ -468,11 +510,7 @@ class _StdinFeedback:
 
 
 def cmd_chat(args: argparse.Namespace) -> int:
-    config = InferAConfig(
-        seed=args.seed,
-        error_model=NO_ERRORS if args.no_errors else ErrorModel(),
-    )
-    app = InferA(Ensemble(args.ensemble), args.workdir, config)
+    app = _assistant(args)
     print("InferA interactive session. Empty question quits.")
     while True:
         try:
@@ -496,6 +534,14 @@ def cmd_chat(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
+    from repro.obs.export import (
+        read_spans,
+        render_tree,
+        summarize,
+        write_chrome_trace,
+        write_jsonl,
+    )
+
     try:
         spans = read_spans(args.path)
     except FileNotFoundError:
@@ -530,9 +576,9 @@ def cmd_cost(args: argparse.Namespace) -> int:
         print(f"no cost ledger under {args.path} "
               f"(run the eval harness with cost metering first)")
         return 0
-    import json as _json
+    from repro.obs.cost import CostLedger
 
-    ledger = CostLedger.from_dict(_json.loads(ledger_path.read_text()))
+    ledger = CostLedger.from_dict(json.loads(ledger_path.read_text()))
     totals = ledger.as_dict()["totals"]
     budget = ledger.token_budget
     budget_note = f" (budget {budget:,} tokens)" if budget else ""
@@ -561,11 +607,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     from repro.obs.profiler import SamplingProfiler, write_profile
     from repro.obs.tracer import Tracer, use_tracer
 
-    config = InferAConfig(
-        seed=args.seed,
-        error_model=NO_ERRORS if args.no_errors else ErrorModel(),
-    )
-    app = InferA(Ensemble(args.ensemble), args.workdir, config)
+    app = _assistant(args)
     profiler = SamplingProfiler(hz=args.hz)
     # an outer tracer so the capture is a (canonical-excluded) span the
     # session trace hangs under, exactly like harness-embedded profiling
@@ -611,8 +653,6 @@ def cmd_slo(args: argparse.Namespace) -> int:
 
 
 def cmd_sandbox(args: argparse.Namespace) -> int:
-    import json
-
     from repro.sandbox.fleet import STATS_SCHEMA
 
     snapshot = Path(args.workdir) / "sandbox_fleet.json"
@@ -650,7 +690,6 @@ def cmd_sandbox(args: argparse.Namespace) -> int:
 
 def _ingest_remote(args: argparse.Namespace) -> int:
     """Drive a running server's ``POST /v1/ingest`` (admission-controlled)."""
-    import json
     import urllib.error
     import urllib.request
 
@@ -683,7 +722,7 @@ def _ingest_remote(args: argparse.Namespace) -> int:
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     from repro import faults
-    from repro.db.ingest import StreamingIngester
+    from repro.sim.ingest import StreamingIngester
 
     if args.server:
         return _ingest_remote(args)
@@ -731,20 +770,19 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    from repro.serve import ReproServer
+    from repro.serve.server import ReproServer
+    from repro.sim.ensemble import Ensemble
 
-    config = InferAConfig(
-        seed=args.seed,
-        error_model=NO_ERRORS if args.no_errors else ErrorModel(),
-        token_budget=args.token_budget,
-        llm_latency_s=args.llm_latency,
-        sandbox_workers=args.sandbox_workers,
-        sandbox_spawn=args.sandbox_spawn,
-    )
     server = ReproServer(
         Ensemble(args.ensemble),
         args.workdir,
-        config,
+        _config(
+            args,
+            token_budget=args.token_budget,
+            llm_latency_s=args.llm_latency,
+            sandbox_workers=args.sandbox_workers,
+            sandbox_spawn=args.sandbox_spawn,
+        ),
         host=args.host,
         port=args.port,
         app_workers=args.app_workers,
@@ -788,8 +826,13 @@ _COMMANDS = {
 }
 
 
-def main(argv: list[str] | None = None) -> int:
+def main(argv: list[str] | None = None, process_start: float | None = None) -> int:
+    """Run one command; ``process_start`` is the ``WallClock`` reading
+    ``python -m repro`` took before importing this module (now, if absent)."""
+    if process_start is None:
+        process_start = WallClock().now()
     args = build_parser().parse_args(argv)
+    args.process_start = process_start
     # pass the stream explicitly so repeated in-process invocations (tests,
     # embedding apps) follow the current sys.stderr rather than a stale one
     setup_logging(args.verbose - args.quiet, stream=sys.stderr)

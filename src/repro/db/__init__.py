@@ -27,7 +27,6 @@ from repro.db.errors import (
     UnknownColumnError,
     UnknownTableError,
 )
-from repro.db.ingest import IngestReport, StreamingIngester
 from repro.db.wal import WriteAheadLog
 
 __all__ = [
@@ -35,11 +34,9 @@ __all__ = [
     "Database",
     "DBError",
     "IngestKilled",
-    "IngestReport",
     "QueryCacheStats",
     "QueryResultCache",
     "SQLSyntaxError",
-    "StreamingIngester",
     "UnknownColumnError",
     "UnknownTableError",
     "WriteAheadLog",

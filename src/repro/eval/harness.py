@@ -58,7 +58,7 @@ from repro.obs.metrics import (
     merge_snapshots,
     snapshot_delta,
 )
-from repro.obs.tracer import TraceContext, Tracer, use_tracer
+from repro.obs.tracer import TraceContext, Tracer, current_context, use_tracer
 from repro.rag.cache import CacheStats, stats_snapshot
 from repro.sim.ensemble import Ensemble
 from repro.util.timing import SimulatedClock, WallClock
@@ -267,8 +267,9 @@ class EvaluationHarness:
 
         # the suite tracer owns the root span; its TraceContext is handed to
         # every cell — in both modes, so sequential and parallel runs build
-        # the same span tree
-        tracer = Tracer(clock=self.clock)
+        # the same span tree; like a session it hangs under whatever trace
+        # is already active (the CLI's process span)
+        tracer = Tracer(clock=self.clock, context=current_context())
         start = tracer.clock.now()
         try:
             with use_tracer(tracer), tracer.span(

@@ -305,7 +305,7 @@ def use_faults(injector: FaultInjector) -> Iterator[FaultInjector]:
 # — a query session dying because the chaos profile shot the loader would
 # prove nothing and fail everything — so the commit protocol consults
 # :func:`ingest_kills_armed` before firing any INGEST_KILL_POINTS, and
-# only :class:`repro.db.ingest.StreamingIngester` (and targeted tests)
+# only :class:`repro.sim.ingest.StreamingIngester` (and targeted tests)
 # arm the scope.
 _INGEST_ARMED: ContextVar[bool] = ContextVar("repro_ingest_kills_armed", default=False)
 

@@ -12,117 +12,7 @@ gates (:mod:`repro.obs.slo`); shared span-name/attribute constants
 (:mod:`repro.obs.names`); JSONL + Chrome-trace exporters and trace
 analyzers (:mod:`repro.obs.export`); and the single ``repro`` logging
 hierarchy (:mod:`repro.obs.logsetup`).
+
+Import the module you need: the package re-exports nothing, so a command
+that only logs (``repro --help``) loads ``logsetup`` and none of the rest.
 """
-
-from repro.obs.cost import (
-    CostEntry,
-    CostLedger,
-    cost_attribution,
-    current_attribution,
-    get_ledger,
-    record_llm_call,
-    use_ledger,
-)
-from repro.obs.events import (
-    NULL_BUS,
-    CollectingSubscriber,
-    Event,
-    EventBus,
-    JsonlSink,
-    LiveRenderer,
-    get_bus,
-    replay_counters,
-    replay_spans,
-    use_bus,
-)
-from repro.obs.export import (
-    canonical_tree,
-    chrome_trace_json,
-    phase_rollups,
-    read_spans,
-    render_tree,
-    sql_cache_counts,
-    summarize,
-    to_chrome_trace,
-    token_totals,
-    write_chrome_trace,
-    write_jsonl,
-)
-from repro.obs.logsetup import get_logger, setup_logging
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    empty_snapshot,
-    get_registry,
-    merge_snapshots,
-    snapshot_delta,
-)
-from repro.obs.profiler import ProfileReport, SamplingProfiler, write_profile
-from repro.obs.slo import SLOPolicy, SLOReport, check_workdir
-from repro.obs.tracer import (
-    NULL_TRACER,
-    NullTracer,
-    Span,
-    TraceContext,
-    Tracer,
-    current_context,
-    get_tracer,
-    use_tracer,
-)
-
-__all__ = [
-    "CollectingSubscriber",
-    "CostEntry",
-    "CostLedger",
-    "Counter",
-    "Event",
-    "EventBus",
-    "Gauge",
-    "Histogram",
-    "JsonlSink",
-    "LiveRenderer",
-    "MetricsRegistry",
-    "NULL_BUS",
-    "NULL_TRACER",
-    "NullTracer",
-    "ProfileReport",
-    "SLOPolicy",
-    "SLOReport",
-    "SamplingProfiler",
-    "Span",
-    "TraceContext",
-    "Tracer",
-    "canonical_tree",
-    "check_workdir",
-    "chrome_trace_json",
-    "cost_attribution",
-    "current_attribution",
-    "current_context",
-    "empty_snapshot",
-    "get_bus",
-    "get_ledger",
-    "get_logger",
-    "get_registry",
-    "get_tracer",
-    "merge_snapshots",
-    "phase_rollups",
-    "read_spans",
-    "record_llm_call",
-    "render_tree",
-    "replay_counters",
-    "replay_spans",
-    "setup_logging",
-    "snapshot_delta",
-    "sql_cache_counts",
-    "summarize",
-    "to_chrome_trace",
-    "token_totals",
-    "use_bus",
-    "use_ledger",
-    "use_tracer",
-    "write_chrome_trace",
-    "write_jsonl",
-    "write_profile",
-]

@@ -24,6 +24,7 @@ from typing import Any
 
 from repro.obs.names import (
     CANONICAL_EXCLUDED_SPANS,
+    CLI_PROCESS_SPAN,
     INGEST_STEP_SPAN,
     LLM_CHAT_SPAN,
     SQL_EXECUTE_SPAN,
@@ -57,8 +58,10 @@ def find_trace_file(path: str | Path) -> Path:
 
     Directories are searched for provenance-registered ``*trace.jsonl``
     files (latest sequence number wins, matching "the session's trace").
-    A ``repro query`` workdir keeps its traces one level down, in the
-    ``query_NNN_*`` session directories: the latest session's trace wins.
+    An eval workdir and a ``repro query`` workdir hold the process's
+    ``trace.jsonl`` at their root; a workdir the library wrote keeps its
+    traces one level down, in the ``query_NNN_*`` session directories,
+    and the latest session's trace wins.
     """
     path = Path(path)
     if path.is_file():
@@ -225,33 +228,32 @@ def canonical_tree(spans: list[SpanLike]) -> tuple:
     parallel (or cache-warm, or chaos, or cost-metered) evaluation
     compares equal to a sequential cold one whenever the same operations
     happened with the same structure.  Spans named in
-    ``CANONICAL_EXCLUDED_SPANS`` (cost rollups, profiler captures) are
-    dropped with their subtrees: they exist only when an optional
-    telemetry layer is on.
+    ``CANONICAL_EXCLUDED_SPANS`` (cost rollups, profiler captures, the
+    CLI's process root) are dropped and their children take their place:
+    they exist only when an optional telemetry layer or an outer entry
+    point is there.
     """
     dicts = [_as_dict(s) for s in spans]
     roots, children = _children_index(dicts)
 
-    def canon(span: dict[str, Any]) -> tuple | None:
-        if span.get("name", "") in CANONICAL_EXCLUDED_SPANS:
-            return None
-        attrs = tuple(
-            sorted(
-                (k, repr(v))
-                for k, v in span.get("attributes", {}).items()
-                if not is_canonical_excluded_attr(k)
+    def canon(siblings: list[dict[str, Any]]) -> tuple:
+        nodes: list[tuple] = []
+        for span in siblings:
+            kids = canon(children.get(span.get("span_id"), []))
+            if span.get("name", "") in CANONICAL_EXCLUDED_SPANS:
+                nodes.extend(kids)
+                continue
+            attrs = tuple(
+                sorted(
+                    (k, repr(v))
+                    for k, v in span.get("attributes", {}).items()
+                    if not is_canonical_excluded_attr(k)
+                )
             )
-        )
-        kids = tuple(
-            sorted(
-                c
-                for c in (canon(child) for child in children.get(span.get("span_id"), []))
-                if c is not None
-            )
-        )
-        return (span.get("name", ""), span.get("status", ""), attrs, kids)
+            nodes.append((span.get("name", ""), span.get("status", ""), attrs, kids))
+        return tuple(sorted(nodes))
 
-    return tuple(sorted(c for c in (canon(r) for r in roots) if c is not None))
+    return canon(roots)
 
 
 def summarize(spans: list[SpanLike]) -> str:
@@ -271,6 +273,14 @@ def summarize(spans: list[SpanLike]) -> str:
         lines.append(
             f"{phase:<14} {int(agg['spans']):>6} {agg['total_s']:>10.3f} {int(agg['errors']):>7}"
         )
+    for span in dicts:
+        if span.get("name") == CLI_PROCESS_SPAN:
+            attrs = span.get("attributes", {})
+            lines.append(
+                f"startup: {float(attrs.get('import_s', 0.0)):.3f} s of imports before "
+                f"`repro {attrs.get('command', '?')}` started work "
+                f"({float(span.get('duration', 0.0)):.3f} s process)"
+            )
     tokens = token_totals(dicts)
     lines.append(
         f"llm tokens: prompt={tokens['prompt_tokens']:,} "

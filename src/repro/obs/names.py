@@ -16,10 +16,11 @@ Two kinds of canonicalization exclusion:
   ``COST_ATTRS``) are dropped from a span's canonical form because they
   vary run to run without the traced *work* differing — latency-shaped
   measurements, cache tiers, absorbed faults, priced-token accounting;
-* **span names** (``CANONICAL_EXCLUDED_SPANS``) drop the whole span (and
-  its subtree) because the span only exists when an optional telemetry
-  layer is switched on — a profiled run must canonicalize equal to an
-  unprofiled one.
+* **span names** (``CANONICAL_EXCLUDED_SPANS``) drop the span and put
+  its children in its place, because the span only exists when an
+  optional telemetry layer or an outer entry point is there — a profiled
+  run must canonicalize equal to an unprofiled one, a ``repro query``
+  process equal to the same query run through the library.
 """
 
 from __future__ import annotations
@@ -46,6 +47,11 @@ COST_LEDGER_SPAN = "cost.ledger"
 # wraps a profiled run (repro.obs.profiler / ``repro profile``);
 # telemetry-only, excluded from canonical trees
 PROFILE_CAPTURE_SPAN = "profile.capture"
+# the root span of a ``repro query`` / ``repro eval`` process
+# (repro.cli): starts at the clock reading ``python -m repro`` took before
+# its first ``repro`` import, carries ``import_s`` and ``command``, and
+# parents the session / suite span; excluded from canonical trees
+CLI_PROCESS_SPAN = "cli.process"
 
 # counter-event name for per-morsel completions published from the SQL
 # engine's worker threads (parented on the enclosing sql.execute span)
@@ -59,7 +65,7 @@ SERVE_REQUEST_SPAN = "serve.request"
 # read-only state before the first request arrives
 SERVE_WARMUP_SPAN = "serve.warmup"
 
-# one per ingested snapshot (repro.db.ingest.StreamingIngester): wraps
+# one per ingested snapshot (repro.sim.ingest.StreamingIngester): wraps
 # ensemble extension plus the WAL-protected table appends; WAL accounting
 # (commits / replays / torn tails) rides on its attributes, which is what
 # ``repro trace summary`` folds into its ingest line
@@ -127,9 +133,12 @@ COST_ATTRS = frozenset({"cost_usd", "model", "budget_tokens"})
 # Matched by prefix (``fleet_*``) like the per-point fault attrs
 FLEET_ATTR_PREFIX = "fleet_"
 
-# spans that exist only when an optional telemetry layer is on; dropped
-# (with their subtrees) from canonical trees
-CANONICAL_EXCLUDED_SPANS = frozenset({COST_LEDGER_SPAN, PROFILE_CAPTURE_SPAN})
+# spans that exist only when an optional telemetry layer is on or the
+# work was entered through the CLI; canonical trees drop them and keep
+# their children
+CANONICAL_EXCLUDED_SPANS = frozenset(
+    {COST_LEDGER_SPAN, PROFILE_CAPTURE_SPAN, CLI_PROCESS_SPAN}
+)
 
 
 def is_fault_attr(key: str) -> bool:

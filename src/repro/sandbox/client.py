@@ -30,19 +30,21 @@ pooled socket — the server restarted, or reaped the idle connection —
 surfaces as a :class:`TransientSandboxError`, so the normal retry dials
 fresh; staleness is indistinguishable from (and handled exactly like) a
 transient network failure.
+
+``http.client`` / ``urllib.request`` (and the ssl and email packages under
+them, ~50 ms and 8 MB cold) are imported by the three methods that dial:
+every process that runs a query imports this module for
+:class:`InProcessClient`, few of them ever open a socket.
 """
 
 from __future__ import annotations
 
-import http.client
 import io
 import json
 import threading
-import urllib.error
 import urllib.parse
-import urllib.request
 from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro import faults
 from repro.frame import Frame
@@ -65,6 +67,9 @@ from repro.util.rngs import derive_seed
 from repro.util.timing import SimulatedClock, WallClock
 
 import numpy as np
+
+if TYPE_CHECKING:
+    import http.client
 
 log = get_logger("sandbox")
 
@@ -150,6 +155,8 @@ class SandboxClient:
 
     # -- persistent connections ----------------------------------------
     def _acquire_conn(self, timeout_s: float) -> http.client.HTTPConnection:
+        import http.client
+
         with self._conn_lock:
             conn = self._idle_conns.pop() if self._idle_conns else None
         if conn is not None:
@@ -181,6 +188,9 @@ class SandboxClient:
     # ------------------------------------------------------------------
     def health(self, timeout_s: float | None = None) -> HealthStatus:
         """Probe ``GET /health``, classifying *why* it failed if it did."""
+        import urllib.error
+        import urllib.request
+
         try:
             with urllib.request.urlopen(
                 f"{self.url}/health", timeout=timeout_s or self.timeout_s
@@ -279,6 +289,9 @@ class SandboxClient:
     ) -> dict[str, Any]:
         """One transport attempt; raises :class:`TransientSandboxError`
         for anything a retry could fix."""
+        import http.client
+        import urllib.error
+
         injector = faults.get_injector()
         if injector.fire(faults.SANDBOX_DROP):
             raise TransientSandboxError("injected: connection reset by peer")

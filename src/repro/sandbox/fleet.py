@@ -4,7 +4,7 @@ After the serving layer landed, the single HTTP sandbox gateway was the
 last serial resource in an otherwise parallel stack — every concurrent
 session funnels its generated-code executions through one process.  The
 fleet multiplies that resource: N warm :class:`SandboxServer` workers
-(threads in-process, or separate ``python -m repro.sandbox.server``
+(threads in-process, or separate ``python -m repro.sandbox``
 processes), each fronted by its own :class:`SandboxClient` with its own
 :class:`CircuitBreaker`, behind one fleet façade that speaks the same
 ``execute(code, tables)`` interface as a plain client.
@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import json
 import os
-import subprocess
 import sys
 import threading
 from dataclasses import dataclass, field
@@ -147,12 +146,15 @@ class ThreadSpawner:
 
 
 class ProcessSpawner:
-    """Separate-process workers via ``python -m repro.sandbox.server``.
+    """Separate-process workers via ``python -m repro.sandbox``.
 
     The child prints ``SANDBOX_URL=<url>`` when its ephemeral port is
-    bound; kill is terminate-then-wait.  This is the production shape —
-    a crashed worker cannot take the host down — at the cost of a
-    per-spawn interpreter boot.
+    bound; one that has not within ``spawn_timeout_s``, or exits first,
+    is killed and reaped and the spawn raises a classified
+    :class:`SandboxUnavailable` carrying the tail of its stderr.  Kill is
+    terminate-then-wait.  This is the production shape — a crashed
+    worker cannot take the host down — at the cost of a per-spawn
+    interpreter boot.
     """
 
     mode = "process"
@@ -160,10 +162,15 @@ class ProcessSpawner:
     def __init__(self, spawn_timeout_s: float = 60.0):
         self.spawn_timeout_s = float(spawn_timeout_s)
 
+    def _command(self) -> list[str]:
+        return [sys.executable, "-m", "repro.sandbox", "--port", "0"]
+
     def spawn(self, index: int) -> WorkerHandle:
+        import subprocess
+        import tempfile
+
         import repro
 
-        cmd = [sys.executable, "-m", "repro.sandbox.server", "--port", "0"]
         env = dict(os.environ)
         src_root = str(Path(repro.__file__).resolve().parents[1])
         env["PYTHONPATH"] = (
@@ -171,20 +178,45 @@ class ProcessSpawner:
             if env.get("PYTHONPATH")
             else src_root
         )
-        proc = subprocess.Popen(
-            cmd,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL,
-            env=env,
-            text=True,
-        )
-        line = proc.stdout.readline() if proc.stdout else ""
-        if not line.startswith("SANDBOX_URL="):
-            rc = proc.poll()
-            proc.kill()
-            raise RuntimeError(
-                f"sandbox worker {index} failed to start (rc={rc}, got {line!r})"
+        # stderr to a file, not a pipe: nobody drains it while the member
+        # serves, and it is only read when the member failed to start
+        with tempfile.TemporaryFile() as errlog:
+            proc = subprocess.Popen(
+                self._command(),
+                stdout=subprocess.PIPE,
+                stderr=errlog,
+                env=env,
+                text=True,
             )
+            # readline() has no timeout of its own: wait for it on a thread
+            lines: list[str] = []
+            reader = threading.Thread(
+                target=lambda: lines.append(proc.stdout.readline()), daemon=True
+            )
+            reader.start()
+            reader.join(self.spawn_timeout_s)
+            line = lines[0] if lines else ""
+            if not line.startswith("SANDBOX_URL="):
+                try:
+                    # stdout at EOF means the child is on its way out: let
+                    # it finish, so the exit code reported is its own
+                    rc = proc.wait(timeout=1.0 if lines else 0.0)
+                except subprocess.TimeoutExpired:
+                    rc = None
+                    proc.kill()
+                    proc.wait()
+                reader.join()
+                proc.stdout.close()
+                errlog.seek(0)
+                tail = errlog.read()[-2000:].decode(errors="replace").strip()
+                why = (
+                    f"exited {rc}" if rc is not None
+                    else f"printed no SANDBOX_URL within {self.spawn_timeout_s:g} s"
+                )
+                raise SandboxUnavailable(
+                    f"sandbox worker {index} failed to start ({why}, "
+                    f"stdout {line!r}); stderr: {tail or '(empty)'}"
+                )
         url = line.split("=", 1)[1].strip()
 
         def kill() -> None:

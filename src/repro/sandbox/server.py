@@ -30,23 +30,27 @@ models one isolated interpreter that runs one job at a time, which is
 the unit the fleet multiplies.  HTTP threads still accept/parse
 concurrently — only the execute step serializes.
 
-Run ``python -m repro.sandbox.server`` to start a standalone worker
-process; it prints one ``SANDBOX_URL=<url>`` line on stdout when ready
-(how :class:`~repro.sandbox.fleet.ProcessSpawner` learns the bound
-port).
+Run ``python -m repro.sandbox`` to start a standalone worker process
+(:func:`main`; the package's ``__main__`` calls it); it prints one
+``SANDBOX_URL=<url>`` line on stdout when ready (how
+:class:`~repro.sandbox.fleet.ProcessSpawner` learns the bound port).
+
+``http.server`` is imported where a server is built: the package imports
+this module for every process, and one without a gateway never listens.
 """
 
 from __future__ import annotations
 
 import json
-import socket
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.sandbox.executor import SandboxExecutor
 from repro.sandbox.serialize import frame_from_json, frame_to_json
 from repro.viz import Figure, Scene3D
+
+if TYPE_CHECKING:
+    from http.server import BaseHTTPRequestHandler
 
 DEFAULT_MAX_BODY_BYTES = 64 * 1024 * 1024
 DEFAULT_READ_TIMEOUT_S = 30.0
@@ -125,6 +129,8 @@ class SandboxServer:
         max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
         read_timeout_s: float = DEFAULT_READ_TIMEOUT_S,
     ):
+        from http.server import ThreadingHTTPServer
+
         self.executor = executor or SandboxExecutor()
         self.max_body_bytes = int(max_body_bytes)
         self.read_timeout_s = float(read_timeout_s)
@@ -144,6 +150,8 @@ class SandboxServer:
         return f"http://{host}:{port}"
 
     def _make_handler(self):
+        from http.server import BaseHTTPRequestHandler
+
         executor = self.executor
         max_body = self.max_body_bytes
         read_timeout = self.read_timeout_s
@@ -154,7 +162,7 @@ class SandboxServer:
             # executions (every _reply carries an exact Content-Length)
             protocol_version = "HTTP/1.1"
             # socket read timeout (applied in StreamRequestHandler.setup):
-            # a stalled client raises socket.timeout in rfile.read /
+            # a stalled client raises TimeoutError in rfile.read /
             # request parsing instead of pinning the thread forever; the
             # same timeout reaps idle keep-alive connections
             timeout = read_timeout
@@ -193,7 +201,7 @@ class SandboxServer:
                     self._error(413, "PayloadTooLarge", str(exc))
                 except BadRequest as exc:
                     self._error(400, "BadRequest", str(exc))
-                except socket.timeout:
+                except TimeoutError:
                     # stalled client: close without a reply; the connection
                     # is already unusable
                     self.close_connection = True
@@ -218,7 +226,7 @@ class SandboxServer:
             def _reply(self, status: int, doc: dict) -> None:
                 try:
                     send_json_reply(self, status, json.dumps(doc).encode("utf-8"))
-                except (BrokenPipeError, ConnectionResetError, socket.timeout):
+                except (BrokenPipeError, ConnectionResetError, TimeoutError):
                     self.close_connection = True
 
         return Handler
@@ -242,7 +250,7 @@ class SandboxServer:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Standalone worker entry: ``python -m repro.sandbox.server``.
+    """Standalone worker entry: ``python -m repro.sandbox``.
 
     Binds (port 0 → ephemeral), prints ``SANDBOX_URL=<url>`` on stdout
     so a spawning parent (:class:`~repro.sandbox.fleet.ProcessSpawner`)
@@ -277,7 +285,3 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         server._httpd.server_close()
     return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

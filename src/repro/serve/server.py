@@ -189,7 +189,7 @@ class ReproServer:
     # -- live ingestion -------------------------------------------------
     def _ensure_ingester(self):
         from repro import faults
-        from repro.db.ingest import StreamingIngester
+        from repro.sim.ingest import StreamingIngester
 
         if self._ingester is None:
             self._ingester = StreamingIngester(

@@ -35,7 +35,7 @@ from repro.sim.cosmology import DEFAULT_COSMOLOGY
 from repro.sim.ensemble import Ensemble, append_snapshot
 from repro.util.timing import WallClock
 
-log = get_logger("db.ingest")
+log = get_logger("sim.ingest")
 
 DEFAULT_TABLES = ("halos", "galaxies")
 

@@ -12,11 +12,15 @@ each halo's progenitor line.
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.frame import Frame
 from repro.sim.ensemble import Ensemble
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def match_halos(
@@ -90,6 +94,9 @@ def halo_lineage_graph(
     shared particle count between consecutive snapshots.  Requires the
     ensemble to have particle files.
     """
+    # networkx costs ~0.1 s to import and only this function builds a graph
+    import networkx as nx
+
     graph = nx.DiGraph()
     steps = ensemble.timesteps
     previous = None

@@ -1,19 +1,7 @@
-"""Shared low-level utilities: tokenization, RNG streams, timing, logging."""
+"""Shared low-level utilities, one module each: ``tokens`` (tokenization
+and metering), ``rngs`` (seed derivation, numpy streams), ``timing`` (the
+injected clocks), ``text``, ``stats`` (mergeable counters).
 
-from repro.util.tokens import count_tokens, tokenize, TokenMeter
-from repro.util.rngs import SeedSequenceFactory, derive_seed
-from repro.util.timing import WallClock, SimulatedClock
-from repro.util.text import normalize_ws, snake_words, levenshtein
-
-__all__ = [
-    "count_tokens",
-    "tokenize",
-    "TokenMeter",
-    "SeedSequenceFactory",
-    "derive_seed",
-    "WallClock",
-    "SimulatedClock",
-    "normalize_ws",
-    "snake_words",
-    "levenshtein",
-]
+Import the module you need: the package re-exports nothing, so taking a
+clock does not load numpy.
+"""

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 import numpy as np
 
 from repro.viz.colormap import SURFACE, TEXT_PRIMARY, categorical_color
-from repro.viz.svg import SVGDocument
+from repro.viz.svg import SVGDocument, escape
 
 
 @dataclass

@@ -8,7 +8,23 @@ attributes and escaping.
 from __future__ import annotations
 
 from pathlib import Path
-from xml.sax.saxutils import escape, quoteattr
+
+
+def escape(text: str) -> str:
+    """``&``, ``<`` and ``>`` as entities, byte for byte what
+    ``xml.sax.saxutils.escape`` emits (that module imports
+    ``urllib.request`` and with it the http/ssl stack)."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
+def quoteattr(text: str) -> str:
+    """An attribute value escaped and quoted as ``saxutils.quoteattr`` does."""
+    text = escape(text).replace("\n", "&#10;").replace("\r", "&#13;").replace("\t", "&#9;")
+    if '"' not in text:
+        return f'"{text}"'
+    if "'" not in text:
+        return f"'{text}'"
+    return '"' + text.replace('"', "&quot;") + '"'
 
 
 def _fmt(v: object) -> str:

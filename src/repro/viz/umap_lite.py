@@ -14,8 +14,6 @@ outliers separate.
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.linalg import eigsh
 
 
 def umap_embed(
@@ -25,6 +23,10 @@ def umap_embed(
     seed: int = 0,
 ) -> np.ndarray:
     """Embed ``data`` (n, d) into 2-D; deterministic for a given seed."""
+    # scipy costs ~0.3 s to import and nothing else in the package uses it
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.linalg import eigsh
+
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2:
         raise ValueError("data must be 2-D (n_samples, n_features)")

@@ -8,6 +8,9 @@ import pytest
 from repro.cli import main
 from repro.db import Database
 from repro.frame import Frame
+from repro.obs.export import canonical_tree, read_spans
+from repro.obs.names import CLI_PROCESS_SPAN
+from repro.provenance.audit import verify_audit_trail
 from repro.sandbox import InProcessClient, SandboxExecutor, SandboxFleet
 
 
@@ -247,14 +250,49 @@ class TestTrace:
         assert str(out_path) in capsys.readouterr().out
 
     def test_query_workdir_resolves_to_its_latest_session(self, traced_session, capsys):
-        # `repro query --workdir W` keeps the trace one directory down, in
-        # W/query_NNN_*: W itself must work wherever a session dir does
+        # the session's trace is one directory down, in W/query_NNN_*; W
+        # itself holds the process's (the same spans under one root)
         workdir = traced_session.parent
         capsys.readouterr()
         assert main(["trace", "summary", str(workdir)]) == 0
         assert "llm tokens:" in capsys.readouterr().out
         assert main(["slo", "check", str(workdir)]) == 0
         assert "SLO: PASS" in capsys.readouterr().out
+
+    def test_process_root_span_parents_the_session(self, traced_session, capsys):
+        workdir = traced_session.parent
+        process_trace = read_spans(workdir)
+        session_trace = read_spans(traced_session)
+        (root,) = [s for s in process_trace if s["name"] == CLI_PROCESS_SPAN]
+        session = next(s for s in process_trace if s["name"] == "session")
+        assert session["parent_id"] == root["span_id"]
+        assert session["trace_id"] == root["trace_id"]
+        assert root["attributes"]["command"] == "query"
+        assert 0.0 <= root["attributes"]["import_s"] <= root["duration"]
+        assert root["start"] <= session["start"] and session["end"] <= root["end"]
+        # one more span, the same tree: every byte-identity comparison holds
+        assert len(process_trace) == len(session_trace) + 1
+        assert canonical_tree(process_trace) == canonical_tree(session_trace)
+        # the session's own trail is as the library wrote it
+        verify_audit_trail(traced_session)
+        capsys.readouterr()
+        main(["trace", "summary", str(workdir)])
+        assert "startup: " in capsys.readouterr().out
+        main(["trace", "summary", str(traced_session)])
+        assert "startup: " not in capsys.readouterr().out
+
+    def test_process_root_span_parents_the_eval_suite(self, cli_ensemble, tmp_path, capsys):
+        workdir = tmp_path / "e"
+        assert main(["eval", "--ensemble", str(cli_ensemble), "--workdir", str(workdir),
+                     "--runs-per-question", "1"]) == 0
+        spans = read_spans(workdir)
+        (root,) = [s for s in spans if s["name"] == CLI_PROCESS_SPAN]
+        suite = next(s for s in spans if s["name"] == "harness.run_suite")
+        assert suite["parent_id"] == root["span_id"]
+        assert root["attributes"]["command"] == "eval"
+        capsys.readouterr()
+        main(["trace", "summary", str(workdir)])
+        assert "`repro eval` started work" in capsys.readouterr().out
 
     def test_missing_trace_is_friendly(self, tmp_path, capsys):
         # a fresh workdir has no trace yet: report that, exit 0

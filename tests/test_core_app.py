@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.eval.metrics import oracle_assess
-from repro.provenance import verify_audit_trail
+from repro.provenance.audit import verify_audit_trail
 
 
 class TestSimpleExtraction:

@@ -17,7 +17,7 @@ import pytest
 from repro import faults
 from repro.cli import main as cli_main
 from repro.db.database import Database
-from repro.db.ingest import StreamingIngester
+from repro.sim.ingest import StreamingIngester
 from repro.sim import EnsembleSpec, generate_ensemble
 from repro.sim.ensemble import Ensemble, append_snapshot
 

@@ -147,6 +147,25 @@ class TestTreeViews:
                 span["parent_id"] = "zz" + span["parent_id"]
         assert canonical_tree(a) == canonical_tree(b)
 
+    def test_canonical_tree_drops_an_excluded_span_and_keeps_its_children(self):
+        """A wrapper (the CLI's process root, a profiler capture) is not
+        work: the tree under it must read as if it were not there."""
+        plain = build_reference_trace()
+        wrapped = build_reference_trace()
+        wrapped[0]["parent_id"] = "cc00-0001"
+        wrapped.append({
+            "trace_id": "trace-golden", "span_id": "cc00-0001", "parent_id": None,
+            "name": "cli.process", "start": -0.4, "end": 0.1, "duration": 0.5,
+            "status": "ok", "attributes": {"command": "query", "import_s": 0.4},
+        })
+        assert canonical_tree(wrapped) == canonical_tree(plain)
+        assert "startup: 0.400 s of imports before `repro query`" in summarize(wrapped)
+        # an excluded leaf goes, and nothing else with it
+        with_cost = build_reference_trace()
+        with_cost.append(dict(wrapped[-1], name="cost.ledger", span_id="cc00-0002",
+                              parent_id=with_cost[0]["span_id"]))
+        assert canonical_tree(with_cost) == canonical_tree(plain)
+
     def test_canonical_tree_detects_structural_change(self):
         a, b = build_reference_trace(), build_reference_trace()
         b[1]["name"] = "step.python"

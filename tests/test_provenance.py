@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from repro.frame import Frame
-from repro.provenance import ProvenanceTracker, replay_step, verify_audit_trail
+from repro.provenance import ProvenanceTracker
+from repro.provenance.audit import replay_step, verify_audit_trail
 from repro.provenance.audit import AuditError, load_recorded_result
 
 

@@ -10,8 +10,11 @@ real HTTP boundary.
 from __future__ import annotations
 
 import itertools
+import os
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +34,7 @@ from repro.sandbox import (
     SandboxUnavailable,
     resolve_sandbox_workers,
 )
-from repro.sandbox.fleet import WorkerHandle
+from repro.sandbox.fleet import ProcessSpawner, WorkerHandle
 from repro.util.timing import SimulatedClock
 
 
@@ -473,3 +476,74 @@ class TestPersistentConnections:
             assert result.result.column("y").tobytes() == expected.tobytes()
         finally:
             fleet.close()
+
+
+# ----------------------------------------------------------------------
+# process members that never come up
+# ----------------------------------------------------------------------
+class StubChildSpawner(ProcessSpawner):
+    """Spawns ``python -c <script>`` in place of the sandbox member."""
+
+    def __init__(self, script: str, spawn_timeout_s: float):
+        super().__init__(spawn_timeout_s=spawn_timeout_s)
+        self.script = script
+
+    def _command(self) -> list[str]:
+        return [sys.executable, "-c", self.script]
+
+
+def _children_of_this_process() -> set[int]:
+    return {
+        int(task.name)
+        for task in Path("/proc").iterdir()
+        if task.name.isdigit()
+        and (task / "stat").exists()
+        and (task / "stat").read_text().rsplit(")", 1)[-1].split()[1] == str(os.getpid())
+    }
+
+
+class TestProcessSpawnerStartFailures:
+    def test_a_member_that_hangs_before_its_url_is_killed_within_the_timeout(self):
+        before = _children_of_this_process()
+        spawner = StubChildSpawner(
+            "import sys, time; print('warming', file=sys.stderr, flush=True); time.sleep(60)",
+            spawn_timeout_s=0.5,
+        )
+        t0 = time.monotonic()
+        with pytest.raises(SandboxUnavailable) as caught:
+            spawner.spawn(0)
+        assert time.monotonic() - t0 < 10.0
+        assert caught.value.classification == "sandbox-unavailable"
+        assert "no SANDBOX_URL within 0.5 s" in str(caught.value)
+        assert "warming" in str(caught.value)        # the child's stderr
+        assert _children_of_this_process() == before  # killed and reaped
+
+    def test_a_member_that_exits_reports_its_code_and_stderr(self):
+        before = _children_of_this_process()
+        spawner = StubChildSpawner(
+            "import sys; print('no toolset on this host', file=sys.stderr); sys.exit(3)",
+            spawn_timeout_s=30.0,
+        )
+        with pytest.raises(SandboxUnavailable) as caught:
+            spawner.spawn(7)
+        message = str(caught.value)
+        assert "worker 7" in message and "exited 3" in message
+        assert "no toolset on this host" in message
+        assert _children_of_this_process() == before
+
+    def test_a_member_boots_clean_under_runtime_warnings_as_errors(self):
+        """``python -m repro.sandbox.server`` ran the module twice (the
+        package imports it, then runpy executes it as ``__main__``) and
+        said so in a RuntimeWarning nobody saw.  The member's entry is
+        one its package does not import."""
+
+        class Strict(ProcessSpawner):
+            def _command(self) -> list[str]:
+                cmd = super()._command()
+                return [cmd[0], "-W", "error::RuntimeWarning", *cmd[1:]]
+
+        handle = Strict(spawn_timeout_s=60.0).spawn(0)
+        try:
+            assert SandboxClient(handle.url).health().ok
+        finally:
+            handle.kill()

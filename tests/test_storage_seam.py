@@ -24,7 +24,7 @@ import pytest
 from repro import faults
 from repro.core import InferA, InferAConfig
 from repro.db import Database, DBError
-from repro.db.ingest import StreamingIngester
+from repro.sim.ingest import StreamingIngester
 from repro.db.wal import WriteAheadLog, make_append_record
 from repro.durable import PUBLISH_ATTEMPTS, PublishError, atomic_publish, frame, scan_frames
 from repro.faults import NO_FAULTS, FaultInjector, use_faults

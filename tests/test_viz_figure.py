@@ -137,3 +137,20 @@ class TestFigure:
         ax.plot([0, 1], [0, 1])
         svg = fig.to_svg()
         assert "a &lt; b &amp; c" in svg
+
+
+def test_svg_escaping_matches_saxutils():
+    """``svg.escape`` / ``svg.quoteattr`` replaced the ``xml.sax.saxutils``
+    pair (which imports urllib.request and the http/ssl stack with it):
+    the figures recorded in a trail must not change by a byte."""
+    import itertools
+    from xml.sax import saxutils
+
+    from repro.viz import svg
+
+    alphabet = ["a", "&", "<", ">", '"', "'", "\n", "\r", "\t", "&amp;", " "]
+    for n in range(4):
+        for combo in itertools.product(alphabet, repeat=n):
+            text = "".join(combo)
+            assert svg.escape(text) == saxutils.escape(text)
+            assert svg.quoteattr(text) == saxutils.quoteattr(text)
