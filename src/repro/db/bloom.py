@@ -5,7 +5,8 @@ group whose [min, max] interval happens to straddle the probe value — or
 against a *string* column, which has no interval at all — always falls
 through to a full segment read.  A small fixed-size bloom filter per
 (row group, column), built over the group's **distinct** values at append
-time and persisted in ``meta.json`` next to the zone maps, lets the
+time and persisted in the table's ``catalog.json`` entry next to the
+zone maps, lets the
 pruner refute ``col = literal`` and ``col IN (...)`` without touching the
 segment's bytes.
 
@@ -107,7 +108,7 @@ class BloomFilter:
         return int.from_bytes(self.bits, "little").bit_count() / self.m
 
     # ------------------------------------------------------------------
-    # persistence (meta.json-embeddable)
+    # persistence (embeddable in a catalog entry)
     # ------------------------------------------------------------------
     def to_meta(self) -> dict:
         return {"m": self.m, "k": self.k, "bits": bytes(self.bits).hex()}

@@ -7,14 +7,17 @@ Usage::
     top = db.query("SELECT fof_halo_tag, fof_halo_count FROM halos "
                    "ORDER BY fof_halo_count DESC LIMIT 20")
 
-The database is a directory; every table is a column-segmented subdirectory
-(see :mod:`repro.db.storage`).  All query execution streams from disk.
+The database is a directory: ``catalog.json``, ``wal.log`` and one
+column-segmented subdirectory per table (see :mod:`repro.db.storage`).
+``catalog.json`` is its only metadata file: per table, a ``version``, the
+``row_group_size`` and the table metadata (columns, row-group row counts,
+zone maps, blooms, checksums).  All query execution streams from disk.
 ``nbytes()`` reports exact on-disk footprint — the paper's storage-overhead
 metric counts these bytes.
 
 Every catalog entry carries a monotonic ``version`` bumped on
-create/append/drop; combined with the store's content signature it forms
-the per-table state that keys the semantic query-result cache
+create/append; combined with the store's content signature it forms the
+per-table state that keys the semantic query-result cache
 (:mod:`repro.db.cache`), so appending rows provably invalidates every
 cached result computed over the old contents.
 
@@ -23,19 +26,18 @@ Writes are crash-safe and reads are snapshot-isolated (MVCC-lite):
 * every populated create/append first lands in a CRC-framed, fsynced
   write-ahead log (:mod:`repro.db.wal`), then stages its row-group
   segments, and only *commits* via a single atomic ``catalog.json``
-  publish carrying the bumped version and a ``committed_row_groups``
-  clamp — a kill at any byte offset recovers to exactly the pre- or
-  post-append table, never a hybrid;
-* readers pin a :class:`CatalogSnapshot` — an immutable catalog image
-  whose stores clamp every scan, zone map, bloom and cache key to the
-  committed row-group prefix — for the duration of a query (automatic)
-  or a whole session (:meth:`Database.pinned`), so concurrent appends
-  land new groups without perturbing in-flight work.
+  publish carrying the table's new entry — a kill at any byte offset
+  recovers to exactly the pre- or post-append table, never a hybrid;
+* readers pin a :class:`CatalogSnapshot` — one parsed catalog, whose
+  stores read exactly the row groups their entries list — for the
+  duration of a query (automatic) or a whole session
+  (:meth:`Database.pinned`), so concurrent appends land new groups
+  without perturbing in-flight work.  A handle re-parses the catalog only
+  when its bytes change.
 """
 
 from __future__ import annotations
 
-import copy
 import json
 import re
 import threading
@@ -48,7 +50,12 @@ from repro.db.errors import DBError, IngestKilled, UnknownTableError
 from repro.db.sql.ast import CreateTableAs, SelectStatement
 from repro.db.sql.executor import execute
 from repro.db.sql.parser import parse_sql
-from repro.db.storage import DEFAULT_ROW_GROUP_SIZE, TableStore
+from repro.db.storage import (
+    DEFAULT_ROW_GROUP_SIZE,
+    TABLE_META_KEYS,
+    TableStore,
+    empty_table_meta,
+)
 from repro.db.wal import WriteAheadLog, make_append_record
 from repro.durable import atomic_publish
 from repro.frame import Frame
@@ -64,63 +71,58 @@ _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*$")
 
 def _catalog_entry(db_path: Path, tables: dict[str, dict], name: str) -> dict:
     """The catalog entry of ``name``; every entry a writer at this version
-    produced carries the ``committed_row_groups`` clamp readers stop at."""
+    produced carries the table metadata its store is built from."""
     entry = tables.get(name)
     if entry is None:
         raise UnknownTableError(name, sorted(tables))
-    if "committed_row_groups" not in entry:
+    missing = [key for key in TABLE_META_KEYS if key not in entry]
+    if missing:
         raise DBError(
             f"table {name!r} at {db_path / name} is in a format this version no "
-            f"longer reads (catalog entry has no committed_row_groups); "
+            f"longer reads (catalog entry has no {', '.join(missing)}); "
             f"regenerate the workdir"
         )
     return entry
 
 
 class CatalogSnapshot:
-    """An immutable catalog image: table → version + committed row groups.
+    """One parsed ``catalog.json``: table name → entry.
 
-    Reads through a snapshot are repeatable for its whole lifetime even
-    while a writer appends: committed segment directories are immutable,
-    so clamping every store to the snapshot's ``committed_row_groups``
-    yields byte-identical scans no matter how far the live table has
-    advanced.  ``table_state`` is likewise computed over the clamp, so
-    query-result cache keys taken under a pin match exactly the results
-    a quiescent database at this version would produce.
+    Entries are replaced on commit and never mutated, so a snapshot is
+    immutable without a copy, and reads through it are repeatable for its
+    whole lifetime even while a writer appends: committed segment
+    directories are immutable and each store reads exactly the row groups
+    its entry lists.  ``table_state`` comes from the same entry, so
+    query-result cache keys taken under a pin match exactly the results a
+    quiescent database at this version would produce.  Stores (with their
+    bloom caches) and states are built once and shared by every statement
+    and thread that reads through the snapshot.
     """
 
     def __init__(self, db_path: Path, tables: dict[str, dict]):
         self.db_path = Path(db_path)
-        self._tables = copy.deepcopy(tables)
+        self.tables = tables
         self._stores: dict[str, TableStore] = {}
         self._states: dict[str, str] = {}
 
     # -- catalog ----------------------------------------------------------
     def list_tables(self) -> list[str]:
-        return sorted(self._tables)
+        return sorted(self.tables)
 
     def has_table(self, name: str) -> bool:
-        return name in self._tables
+        return name in self.tables
 
     def entry(self, name: str) -> dict:
-        return _catalog_entry(self.db_path, self._tables, name)
+        return _catalog_entry(self.db_path, self.tables, name)
 
     def table_version(self, name: str) -> int:
-        return int(self.entry(name).get("version", 0))
-
-    def committed_row_groups(self, name: str) -> int:
-        return int(self.entry(name)["committed_row_groups"])
-
-    def versions(self) -> dict[str, int]:
-        return {name: self.table_version(name) for name in self._tables}
+        return int(self.entry(name)["version"])
 
     # -- reads ------------------------------------------------------------
     def store(self, name: str) -> TableStore:
         cached = self._stores.get(name)
         if cached is None:
-            cached = self._stores[name] = TableStore(
-                self.db_path / name, clamp_row_groups=self.committed_row_groups(name)
-            )
+            cached = self._stores[name] = TableStore(self.db_path / name, self.entry(name))
         return cached
 
     def table_state(self, name: str) -> str:
@@ -158,7 +160,14 @@ class Database:
         self.num_threads = num_threads
         self.path.mkdir(parents=True, exist_ok=True)
         self._catalog_path = self.path / "catalog.json"
-        self._tables = self._read_catalog()
+        # the catalog bytes last parsed or published (None: no catalog.json
+        # yet) and their snapshot, swapped as one tuple so a racing reader
+        # never pairs one commit's bytes with another's parse
+        self._parsed: tuple[bytes | None, CatalogSnapshot] = (
+            None, CatalogSnapshot(self.path, {})
+        )
+        # the writer's catalog: replaced, never mutated, once a commit is on disk
+        self._tables = self.snapshot().tables
         self._wal = WriteAheadLog(self.path / "wal.log")
         self._write_lock = threading.Lock()
         self._pins = threading.local()
@@ -169,39 +178,21 @@ class Database:
         else:
             self._result_cache = None
 
-    def _read_catalog(self) -> dict[str, dict]:
-        if self._catalog_path.exists():
-            try:
-                return json.loads(self._catalog_path.read_text())
-            except (OSError, json.JSONDecodeError) as exc:
-                raise DBError(
-                    f"corrupt catalog at {self._catalog_path}: {exc}"
-                ) from exc
-        return {}
-
     # ------------------------------------------------------------------
     # catalog
     # ------------------------------------------------------------------
+    def _view(self) -> CatalogSnapshot:
+        """What this thread reads: its pin, else the latest commit."""
+        return self._active_snapshot() or self.snapshot()
+
     def list_tables(self) -> list[str]:
-        snap = self._active_snapshot()
-        if snap is not None:
-            return snap.list_tables()
-        return sorted(self._tables)
+        return self._view().list_tables()
 
     def has_table(self, name: str) -> bool:
-        snap = self._active_snapshot()
-        if snap is not None:
-            return snap.has_table(name)
-        return name in self._tables
+        return self._view().has_table(name)
 
     def store(self, name: str) -> TableStore:
-        snap = self._active_snapshot()
-        if snap is not None:
-            return snap.store(name)
-        return TableStore(
-            self.path / name,
-            clamp_row_groups=int(self._entry(name)["committed_row_groups"]),
-        )
+        return self._view().store(name)
 
     def schema(self, name: str) -> dict[str, str]:
         """Column name -> dtype string for a table."""
@@ -210,10 +201,7 @@ class Database:
 
     def table_version(self, name: str) -> int:
         """Monotonic catalog version of a table (bumped on create/append)."""
-        snap = self._active_snapshot()
-        if snap is not None:
-            return snap.table_version(name)
-        return int(self._entry(name).get("version", 0))
+        return self._view().table_version(name)
 
     def table_state(self, name: str) -> str:
         """Cache-key component identifying a table's exact contents.
@@ -223,40 +211,62 @@ class Database:
         holding the same bytes — that is what lets harness worker
         processes share one on-disk result cache.
         """
-        snap = self._active_snapshot()
-        if snap is not None:
-            return snap.table_state(name)
-        version = self.table_version(name)
-        return f"{name}@v{version}:{self.store(name).content_signature()}"
+        return self._view().table_state(name)
 
     def _entry(self, name: str) -> dict:
         return _catalog_entry(self.path, self._tables, name)
 
-    def _flush_catalog(self) -> None:
-        """Verified catalog publish (a version bump that dies mid-write
-        must not corrupt the catalog).  Under the WAL protocol this
-        rename *is* the commit point of an append."""
+    def _writer_store(self, name: str) -> TableStore:
+        """The committed state of ``name`` as the writer sees it; an empty
+        table when the catalog does not hold it."""
+        meta = self._entry(name) if name in self._tables else empty_table_meta()
+        return TableStore(self.path / name, meta)
+
+    def _flush_catalog(self, tables: dict[str, dict]) -> None:
+        """Commit ``tables`` with one verified ``catalog.json`` publish (a
+        commit that dies mid-write must not corrupt the catalog).  This
+        rename is the commit point of every write; the handle takes
+        ``tables`` as its catalog only once it is on disk."""
+        data = json.dumps(tables).encode("utf-8")
         atomic_publish(
             self._catalog_path,
-            json.dumps(self._tables, indent=1).encode("utf-8"),
+            data,
             verify=True,
             fault_point=faults.STORAGE_TORN_WRITE,
             what="catalog.json",
             error=DBError,
         )
+        self._tables = tables
+        self._parsed = (data, CatalogSnapshot(self.path, tables))
 
     # ------------------------------------------------------------------
     # snapshots (MVCC-lite)
     # ------------------------------------------------------------------
     def snapshot(self) -> CatalogSnapshot:
-        """Pin the current committed catalog as an immutable snapshot.
+        """The current committed catalog as an immutable snapshot.
 
-        Re-reads ``catalog.json`` so a long-lived handle observes appends
-        committed by other handles/threads since it was opened (the
-        snapshot is taken at *call* time; it never moves afterwards).
+        Reads ``catalog.json`` so a long-lived handle observes commits by
+        other handles/threads since it was opened (the snapshot is taken at
+        *call* time; it never moves afterwards), and parses it only when
+        its bytes differ from the last ones this handle parsed or
+        published: calls with no commit between them return the same
+        snapshot, stores and cache-key states included.
         """
-        tables = self._read_catalog() if self._catalog_path.exists() else self._tables
-        return CatalogSnapshot(self.path, tables)
+        try:
+            data = self._catalog_path.read_bytes()
+        except FileNotFoundError:
+            data = None
+        except OSError as exc:
+            raise DBError(f"unreadable catalog at {self._catalog_path}: {exc}") from exc
+        parsed, snap = self._parsed
+        if data != parsed:
+            try:
+                tables = json.loads(data) if data is not None else {}
+            except ValueError as exc:
+                raise DBError(f"corrupt catalog at {self._catalog_path}: {exc}") from exc
+            snap = CatalogSnapshot(self.path, tables)
+            self._parsed = (data, snap)
+        return snap
 
     def _pin_stack(self) -> list[CatalogSnapshot]:
         stack = getattr(self._pins, "stack", None)
@@ -313,7 +323,7 @@ class Database:
         with get_tracer().span(obs_names.WAL_RECOVER_SPAN) as span:
             # a restarted process must judge the durable state, not a
             # stale in-memory image
-            self._tables = self._read_catalog()
+            self._tables = self.snapshot().tables
             records, scan = self._wal.pending()
             replayed = skipped = orphans = 0
             for record in records:
@@ -325,23 +335,19 @@ class Database:
                     if entry is not None:
                         skipped += 1  # commit already published
                         continue
-                    # a crashed create may have staged segments or even
-                    # published meta.json; replay restarts from nothing so
-                    # the staged groups cannot double up
-                    crashed = TableStore(self.path / name)
-                    if crashed.path.exists():
-                        orphans += max(crashed.num_row_groups, 1)
-                        crashed.drop()
                 elif kind == "append":
                     if entry is None:
                         skipped += 1  # table dropped after the record landed
                         continue
-                    if int(entry.get("version", 0)) > base:
+                    if int(entry["version"]) > base:
                         skipped += 1  # commit already published
                         continue
                 else:
                     skipped += 1
                     continue
+                # the killed write may have staged segments; replay restarts
+                # from the committed row groups (none, for a create) so the
+                # staged groups cannot double up
                 orphans += self._discard_uncommitted(name)
                 frame = Frame(dict(record["columns"]))
                 self._commit(
@@ -356,7 +362,7 @@ class Database:
             if skipped:
                 registry.counter(obs_names.WAL_SKIPPED_COMMITTED).inc(skipped)
             # even with no replayable record, a crashed stage may have left
-            # meta.json or segment dirs ahead of the committed clamp
+            # segment dirs past a table's committed row groups
             for name in list(self._tables):
                 orphans += self._discard_uncommitted(name)
             if orphans:
@@ -375,11 +381,9 @@ class Database:
             return report
 
     def _discard_uncommitted(self, name: str) -> int:
-        """Trim one table back to its committed prefix (recovery helper)."""
-        if name not in self._tables:
-            return 0
-        committed = int(self._entry(name)["committed_row_groups"])
-        return TableStore(self.path / name).discard_uncommitted(committed)
+        """Drop the segment directories past ``name``'s committed row
+        groups (recovery and roll-back helper)."""
+        return self._writer_store(name).discard_uncommitted()
 
     def _commit(
         self,
@@ -388,12 +392,8 @@ class Database:
         kind: str,
         row_group_size: int,
         allow_kills: bool = True,
-        store: TableStore | None = None,
     ) -> None:
-        """Stage segments, publish meta, then commit via the catalog.
-
-        ``store`` is the writer's (unclamped) view of the table when the
-        caller has already opened it.
+        """Stage segments, then commit the table's new entry via the catalog.
 
         ``allow_kills=False`` disarms the simulated-death fault points —
         recovery replays must run to completion deterministically (replay
@@ -405,32 +405,19 @@ class Database:
 
         if fire(faults.INGEST_KILL_APPLY):
             raise IngestKilled("apply", f"before staging row groups of {name!r}")
-        if store is None:
-            store = TableStore(self.path / name)
+        store = self._writer_store(name)
         if allow_kills:
             staged = store.stage_append(frame, row_group_size)
         else:
             with faults.use_faults(faults.NULL_INJECTOR):
                 staged = store.stage_append(frame, row_group_size)
-        if staged is not None:
-            store.publish_staged(staged)
         if fire(faults.INGEST_KILL_PUBLISH):
             raise IngestKilled(
-                "publish", f"meta.json of {name!r} published, catalog commit pending"
+                "publish", f"row groups of {name!r} staged, catalog commit pending"
             )
-        committed_groups = len(staged["row_groups"]) if staged is not None else 0
-        committed_rows = int(sum(staged["row_groups"])) if staged is not None else 0
-        if kind == "create":
-            entry = self._tables[name] = {
-                "row_group_size": row_group_size,
-                "version": 1,
-            }
-        else:
-            entry = self._tables[name]
-            entry["version"] = int(entry.get("version", 0)) + 1
-        entry["committed_row_groups"] = committed_groups
-        entry["committed_rows"] = committed_rows
-        self._flush_catalog()
+        version = int(self._tables[name]["version"]) + 1 if kind == "append" else 1
+        entry = {"row_group_size": row_group_size, "version": version, **staged}
+        self._flush_catalog({**self._tables, name: entry})
 
     # ------------------------------------------------------------------
     # DDL / loading
@@ -449,13 +436,8 @@ class Database:
         if frame is None or not frame.num_columns:
             # nothing to stage: the single catalog publish is already atomic
             with self._write_lock:
-                self._tables[name] = {
-                    "row_group_size": row_group_size,
-                    "version": 1,
-                    "committed_row_groups": 0,
-                    "committed_rows": 0,
-                }
-                self._flush_catalog()
+                entry = {"row_group_size": row_group_size, "version": 1, **empty_table_meta()}
+                self._flush_catalog({**self._tables, name: entry})
             return
         self._write(name, frame, kind="create", row_group_size=row_group_size)
 
@@ -478,17 +460,13 @@ class Database:
                 if kind == "create" and name in self._tables:
                     raise DBError(f"table {name!r} already exists")
             # whatever can be refused is refused before the intent is logged
-            store = TableStore(self.path / name)
-            if kind == "append" and store.columns and set(store.columns) != set(frame.columns):
+            columns = self._entry(name)["columns"] if kind == "append" else {}
+            if columns and set(columns) != set(frame.columns):
                 raise DBError(
-                    f"append schema mismatch: table has {sorted(store.columns)}, "
+                    f"append schema mismatch: table has {sorted(columns)}, "
                     f"frame has {sorted(frame.columns)}"
                 )
-            base = (
-                int(self._tables[name].get("version", 0))
-                if name in self._tables
-                else 0
-            )
+            base = int(self._tables[name]["version"]) if kind == "append" else 0
             log_offset = self._wal.size_bytes()
             try:
                 self._wal.append(
@@ -500,9 +478,7 @@ class Database:
                         columns={c: frame.column(c) for c in frame.columns},
                     )
                 )
-                self._commit(
-                    name, frame, kind=kind, row_group_size=row_group_size, store=store
-                )
+                self._commit(name, frame, kind=kind, row_group_size=row_group_size)
             except IngestKilled:
                 raise  # a death: the record stays for recovery to judge
             except Exception:
@@ -514,23 +490,22 @@ class Database:
     def _roll_back(self, name: str, log_offset: int) -> None:
         """Undo a statement that failed short of a death, so the handle
         equals a fresh one on this directory: the log loses the
-        statement's record (nothing will replay it), ``_tables`` is the
-        published catalog again, and whatever the statement staged past
-        the table's committed prefix is dropped."""
+        statement's record (nothing will replay it) and whatever the
+        statement staged past the table's committed row groups is dropped.
+        ``_tables`` is still the published catalog: a commit replaces it
+        only once it is on disk."""
         self._wal.truncate_to(log_offset)
-        self._tables = self._read_catalog()
         if name in self._tables:
             self._discard_uncommitted(name)
         else:
-            TableStore(self.path / name).drop()  # a create that never committed
+            self._writer_store(name).drop()  # a create that never committed
 
     def drop_table(self, name: str) -> None:
         with self._write_lock:
             if name not in self._tables:
                 raise UnknownTableError(name, sorted(self._tables))
-            TableStore(self.path / name).drop()
-            del self._tables[name]
-            self._flush_catalog()
+            self._writer_store(name).drop()
+            self._flush_catalog({n: e for n, e in self._tables.items() if n != name})
 
     # ------------------------------------------------------------------
     # querying
@@ -575,7 +550,7 @@ class Database:
     # ------------------------------------------------------------------
     def nbytes(self) -> int:
         """Total on-disk bytes across all tables."""
-        return sum(TableStore(self.path / n).nbytes() for n in self._tables)
+        return sum(self._writer_store(n).nbytes() for n in self._tables)
 
     def describe(self) -> str:
         lines = [f"Database at {self.path} ({self.nbytes():,} bytes)"]

@@ -1,10 +1,15 @@
 """Row-group columnar storage.
 
-A table lives in its own directory::
+A table's rows live in its own directory::
 
     <db>/<table>/
-      meta.json                 # columns, dtypes, row-group row counts
       rg00000/<column>.npy      # one contiguous array per column per group
+
+and its metadata (dtypes, row-group row counts, zone maps, blooms and
+per-segment checksums) in the table's entry of the database's
+``catalog.json`` (:mod:`repro.db.database`).  A :class:`TableStore` is
+built from that entry and reads no metadata file: it sees exactly the row
+groups the entry lists, whatever a concurrent writer has staged on disk.
 
 Row groups bound executor memory: a scan yields one group at a time, so a
 filter over a table of any size peaks at ``row_group_size`` rows — the
@@ -27,47 +32,36 @@ import numpy as np
 from repro import faults
 from repro.db.bloom import BloomFilter
 from repro.db.errors import DBError, IngestKilled, UnknownColumnError
-from repro.durable import atomic_publish
 from repro.frame import Frame
 
 DEFAULT_ROW_GROUP_SIZE = 65536
-# the per-row-group lists every ``meta.json`` carries, one entry per group
-_ROW_GROUP_LISTS = ("row_groups", "zone_maps", "blooms", "checksums")
+# the table metadata every catalog entry carries; all but ``columns`` are
+# per-row-group lists, one entry per group
+TABLE_META_KEYS = ("columns", "row_groups", "zone_maps", "blooms", "checksums")
+
+
+def empty_table_meta() -> dict:
+    """The metadata of a table that has no columns and no rows yet."""
+    return {"columns": {}, "row_groups": [], "zone_maps": [], "blooms": [], "checksums": []}
 
 
 class TableStore:
-    """On-disk storage of one table.
+    """On-disk storage of one table, as one catalog entry describes it.
 
-    ``clamp_row_groups`` bounds the *visible* row-group prefix: a snapshot
-    reader constructed with the catalog's ``committed_row_groups`` sees
-    exactly the committed prefix — scans, zone maps, blooms, row counts
-    and the content signature all stop there — even while a concurrent
-    writer stages further groups on disk.  Committed segment directories
-    are immutable (appends only ever add higher-numbered groups), which is
-    what makes a clamped prefix a consistent snapshot rather than a racy
-    window.  ``None`` (the default, and the writer's view) clamps nothing.
+    ``meta`` is never mutated: a write stages a new metadata doc
+    (:meth:`stage_append`) and the database commits it as a new catalog
+    entry.  Committed segment directories are immutable (appends only ever
+    add higher-numbered groups), so a store built from an older entry keeps
+    reading exactly that entry's rows.  A store is shared by every
+    statement and morsel thread reading through the same catalog snapshot;
+    its only mutable state is the bloom cache, whose racing fills build
+    equal filters.
     """
 
-    def __init__(self, path: Path, clamp_row_groups: int | None = None):
+    def __init__(self, path: Path, meta: dict):
         self.path = Path(path)
-        self._meta: dict = {"columns": {}, "row_groups": []}
+        self._meta = meta
         self._bloom_cache: dict[int, dict[str, BloomFilter]] = {}
-        self._clamp = clamp_row_groups
-        meta_path = self.path / "meta.json"
-        if meta_path.exists():
-            try:
-                self._meta = json.loads(meta_path.read_text())
-            except (OSError, json.JSONDecodeError) as exc:
-                raise DBError(
-                    f"corrupt table metadata at {meta_path}: {exc}"
-                ) from exc
-            missing = [key for key in _ROW_GROUP_LISTS if key not in self._meta]
-            if missing:
-                raise DBError(
-                    f"table {self.path.name!r} at {self.path} is in a format this "
-                    f"version no longer reads (meta.json has no {', '.join(missing)}); "
-                    f"regenerate the workdir"
-                )
 
     # ------------------------------------------------------------------
     @property
@@ -76,19 +70,11 @@ class TableStore:
 
     @property
     def num_rows(self) -> int:
-        return int(sum(self._meta["row_groups"][: self.num_row_groups]))
+        return int(sum(self._meta["row_groups"]))
 
     @property
     def num_row_groups(self) -> int:
-        n = len(self._meta["row_groups"])
-        if self._clamp is not None:
-            n = min(n, self._clamp)
-        return n
-
-    @property
-    def version(self) -> int:
-        """Monotonic content version; bumped on every append."""
-        return int(self._meta.get("version", 0))
+        return len(self._meta["row_groups"])
 
     def content_signature(self) -> str:
         """Content hash over schema + per-segment checksums.
@@ -96,17 +82,9 @@ class TableStore:
         The query-result cache keys cached frames on this signature, which
         makes results shareable across databases (and across harness
         worker processes) that hold byte-identical tables.
-
-        Computed over the *visible* (clamped) prefix, so a snapshot's
-        signature never changes while a writer stages new groups.
         """
-        n = self.num_row_groups
         doc = json.dumps(
-            [
-                self._meta["columns"],
-                self._meta["row_groups"][:n],
-                self._meta.get("checksums", [])[:n],
-            ],
+            [self._meta["columns"], self._meta["row_groups"], self._meta["checksums"]],
             sort_keys=True,
         )
         return hashlib.blake2b(doc.encode(), digest_size=16).hexdigest()
@@ -122,51 +100,26 @@ class TableStore:
         return sum(f.stat().st_size for f in self.path.rglob("*.npy"))
 
     # ------------------------------------------------------------------
-    def append(self, frame: Frame, row_group_size: int = DEFAULT_ROW_GROUP_SIZE) -> None:
-        """Append a frame, splitting into row groups.
-
-        Stage + publish in one step — the standalone path for callers
-        without a catalog.  :class:`repro.db.database.Database` instead
-        drives :meth:`stage_append` / :meth:`publish_staged` separately so
-        its WAL commit protocol controls exactly when the new groups
-        become durable metadata.
-        """
-        staged = self.stage_append(frame, row_group_size)
-        if staged is not None:
-            self.publish_staged(staged)
-
     def stage_append(
         self, frame: Frame, row_group_size: int = DEFAULT_ROW_GROUP_SIZE
-    ) -> dict | None:
-        """Write the new row-group segments; return the updated metadata
-        doc *without publishing it*.
+    ) -> dict:
+        """Write the frame's rows as new row-group segments; return the
+        table metadata with them added, *without committing it*.
 
-        Until :meth:`publish_staged` (and, above it, the catalog commit)
-        runs, the staged groups are invisible: readers clamp to the
-        catalog's committed prefix and the on-disk ``meta.json`` is
-        untouched.  A crash mid-stage leaves only orphan segment
-        directories, which recovery discards or overwrites.
+        Until the database publishes the returned doc in ``catalog.json``
+        the staged groups are invisible: every store reads only the groups
+        its catalog entry lists.  A crash mid-stage leaves only orphan
+        segment directories, which recovery discards or overwrites.  The
+        caller has already checked the frame's columns against the table's.
         """
-        if frame.num_columns == 0:
-            return None
+        columns = self._meta["columns"] or {
+            n: np.asarray(frame.column(n)).dtype.str for n in frame.columns
+        }
         # per-row-group docs are never mutated once appended, so the staged
-        # doc shares them with ``self._meta`` and copies only the containers
-        # this append grows
-        staged = dict(self._meta)
-        for key in _ROW_GROUP_LISTS:
-            staged[key] = list(staged.get(key, ()))
-        if not staged["columns"]:
-            staged["columns"] = {
-                n: np.asarray(frame.column(n)).dtype.str for n in frame.columns
-            }
-        else:
-            expected = set(staged["columns"])
-            got = set(frame.columns)
-            if expected != got:
-                raise DBError(
-                    f"append schema mismatch: table has {sorted(expected)}, "
-                    f"frame has {sorted(got)}"
-                )
+        # doc shares them with ``self._meta`` and copies only the lists this
+        # append grows
+        staged = {"columns": columns}
+        staged.update((key, list(self._meta[key])) for key in TABLE_META_KEYS[1:])
         self.path.mkdir(parents=True, exist_ok=True)
         for start in range(0, frame.num_rows, row_group_size):
             chunk = frame[start : start + row_group_size]
@@ -177,7 +130,7 @@ class TableStore:
             blooms: dict[str, dict] = {}
             checksums: dict[str, int] = {}
             last_path: Path | None = None
-            for name in staged["columns"]:
+            for name in columns:
                 col = np.asarray(chunk.column(name))
                 if col.dtype == object:
                     col = col.astype(str)
@@ -216,50 +169,20 @@ class TableStore:
             staged["checksums"].append(checksums)
         return staged
 
-    def publish_staged(self, staged: dict) -> None:
-        """Atomically publish a staged metadata doc with a version bump."""
-        staged["version"] = self.version + 1
-        self._meta = staged
-        self._bloom_cache.clear()
-        self._flush_meta()
-
-    def discard_uncommitted(self, committed_groups: int) -> int:
-        """Drop row groups beyond the catalog's committed prefix.
-
-        Used by WAL recovery when a crash left ``meta.json`` (or orphan
-        segment directories) running ahead of the catalog commit point.
-        Returns the number of orphan segment directories removed.
-        """
-        raw_groups = self._meta.get("row_groups", [])
-        if committed_groups < len(raw_groups):
-            for key in _ROW_GROUP_LISTS:
-                del self._meta[key][committed_groups:]
-            self._bloom_cache.clear()
-            self._flush_meta()
+    def discard_uncommitted(self) -> int:
+        """Drop segment directories past this store's row groups: what a
+        crash or a failed statement staged and never committed.  Returns
+        the number of directories removed."""
         dropped = 0
         for rg_dir in self.path.glob("rg*"):
             try:
                 index = int(rg_dir.name[2:])
             except ValueError:
                 continue
-            if index >= committed_groups and rg_dir.is_dir():
+            if index >= self.num_row_groups and rg_dir.is_dir():
                 shutil.rmtree(rg_dir)
                 dropped += 1
         return dropped
-
-    def _flush_meta(self) -> None:
-        """Verified publish: a process dying mid-write must never leave a
-        truncated meta.json behind — that would corrupt the whole table,
-        not just the append (or the version bump) in flight, and fresh
-        ``TableStore`` objects re-read it on every statement."""
-        atomic_publish(
-            self.path / "meta.json",
-            json.dumps(self._meta).encode("utf-8"),
-            verify=True,
-            fault_point=faults.STORAGE_TORN_WRITE,
-            what=f"meta.json of {self.path.name!r}",
-            error=DBError,
-        )
 
     # ------------------------------------------------------------------
     def read_row_group(

@@ -9,17 +9,16 @@ The commit protocol (driven by the database, not this module):
 
 1. frame + fsync the WAL record — the intent is durable;
 2. stage the new row-group segment directories (no metadata publish);
-3. publish the table's ``meta.json`` (atomic, may run *ahead* of commit);
-4. publish ``catalog.json`` with the bumped version and the new
-   ``committed_row_groups`` clamp — **this single atomic rename is the
-   commit point**;
-5. truncate the WAL.
+3. publish ``catalog.json`` with the table's new entry (bumped version,
+   row groups, zone maps, blooms, checksums) — **this single atomic
+   rename is the commit point**;
+4. truncate the WAL.
 
 A kill at any byte offset therefore leaves one of exactly two observable
 tables: the pre-append state (catalog untouched; recovery replays or drops
 the WAL record) or the post-append state (catalog published; recovery
 skips the already-committed record).  Readers never see a hybrid because
-they clamp every scan to ``committed_row_groups`` (see
+a store reads exactly the row groups its catalog entry lists (see
 :class:`repro.db.storage.TableStore`).
 
 Recovery scans the log with :func:`repro.durable.scan_frames` and stops

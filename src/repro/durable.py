@@ -10,8 +10,9 @@ artifact with what it uses of this module and who heals it.
 read-back-and-compare (retried), ``os.replace``.  A reader sees the old
 bytes or the new bytes, never a prefix, and concurrent publishers of one
 path cannot tear each other because no two share a temp name.  ``verify``
-is for artifacts nothing downstream can heal — catalog, table metadata,
-ensemble manifest are re-read by fresh objects that trust them — while
+is for artifacts nothing downstream can heal — the catalog (which holds
+the table metadata) and the ensemble manifest are re-read by fresh
+objects that trust them — while
 caches (CRC-checked and recomputed on read) and advisory snapshots skip
 the read-back.
 

@@ -57,7 +57,7 @@ CHECKPOINT_CORRUPT = "checkpoint.corrupt"      # checkpoint blob corrupted on di
 WAL_TORN_TAIL = "ingest.wal.torn_tail"             # die mid-WAL-append: torn tail
 INGEST_KILL_APPLY = "ingest.kill.apply"            # die before staging row groups
 INGEST_PARTIAL_ROW_GROUP = "ingest.partial_row_group"  # die mid-segment: torn .npy
-INGEST_KILL_PUBLISH = "ingest.kill.publish"        # die between meta and catalog publish
+INGEST_KILL_PUBLISH = "ingest.kill.publish"        # die after staging, before the catalog commit
 
 FAULT_POINTS = (
     SANDBOX_DROP,

@@ -10,8 +10,8 @@ a committed snapshot and a killed ingester recovers exactly.
 
 This is the *only* component that arms the simulated-death fault points
 (:func:`repro.faults.arm_ingest_kills`): under a chaos profile the
-ingester can die mid-WAL-append, mid-segment, or between metadata and
-catalog publish — :meth:`ingest_step` raises
+ingester can die mid-WAL-append, mid-segment, or after staging and before
+the catalog publish — :meth:`ingest_step` raises
 :class:`repro.db.errors.IngestKilled` at the exact point a SIGKILL would
 have struck, and a retry after :meth:`recover` completes the append.
 """

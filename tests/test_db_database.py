@@ -1,9 +1,13 @@
 """Database façade: DDL, catalog, accounting."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.db import Database, DBError, UnknownTableError
+from repro.db.storage import TABLE_META_KEYS
 from repro.frame import Frame
 
 
@@ -148,43 +152,80 @@ class TestCrashSafeCatalog:
         assert Database(tmp_path / "c.db").list_tables() == ["t"]
 
 
+def _assert_refused(path, key):
+    row = Frame({"run": [9], "step": [0], "mass": [1.0], "count": [5]})
+    for attempt in (
+        lambda d: d.query("SELECT COUNT(*) AS n FROM halos"),
+        lambda d: d.store("halos"),
+        lambda d: d.append("halos", row),
+    ):
+        with pytest.raises(DBError, match="regenerate the workdir") as exc:
+            attempt(Database(path, result_cache=False))
+        assert "'halos'" in str(exc.value) and key in str(exc.value)
+
+
 class TestOneTableFormat:
-    """Every writer since PR 10 produces the four per-row-group lists and
-    the ``committed_row_groups`` clamp; a table without one of them is
-    refused by name, not guessed at."""
+    """``catalog.json`` is a database's only metadata file: every entry
+    carries the table metadata (columns and the four per-row-group lists)
+    beside its version, and an entry without one of them is refused by
+    name, not guessed at."""
 
-    @pytest.mark.parametrize(
-        "doc, key",
-        [
-            ("halos/meta.json", "checksums"),
-            ("halos/meta.json", "zone_maps"),
-            ("halos/meta.json", "blooms"),
-            ("catalog.json", "committed_row_groups"),
-        ],
-    )
-    def test_older_dialects_are_refused_by_name(self, db, doc, key):
-        import json
-
-        path = db.path / doc
+    @pytest.mark.parametrize("key", TABLE_META_KEYS)
+    def test_older_dialects_are_refused_by_name(self, db, key):
+        path = db.path / "catalog.json"
         content = json.loads(path.read_text())
-        del (content["halos"] if doc == "catalog.json" else content)[key]
+        del content["halos"][key]
         path.write_text(json.dumps(content))
+        _assert_refused(db.path, key)
 
-        row = Frame({"run": [9], "step": [0], "mass": [1.0], "count": [5]})
-        for attempt in (
-            lambda d: d.query("SELECT COUNT(*) AS n FROM halos"),
-            lambda d: d.store("halos"),
-            lambda d: d.append("halos", row),
-        ):
-            with pytest.raises(DBError, match="regenerate the workdir") as exc:
-                attempt(Database(db.path, result_cache=False))
-            assert "'halos'" in str(exc.value) and key in str(exc.value)
+    def test_a_catalog_with_per_table_meta_files_is_refused(self, db):
+        """The layout that kept the metadata in ``<table>/meta.json`` and a
+        ``committed_row_groups`` clamp in the catalog entry."""
+        path = db.path / "catalog.json"
+        entry = json.loads(path.read_text())["halos"]
+        meta = {key: entry[key] for key in TABLE_META_KEYS}
+        (db.path / "halos" / "meta.json").write_text(json.dumps({**meta, "version": 1}))
+        old = {"row_group_size": 32, "version": 1, "committed_row_groups": 4,
+               "committed_rows": 100}
+        path.write_text(json.dumps({"halos": old}, indent=1))
+        _assert_refused(db.path, ", ".join(TABLE_META_KEYS))
 
     def test_table_created_empty_has_no_meta_and_opens(self, tmp_path):
         d = Database(tmp_path / "e.db")
         d.create_table("t")
-        assert not (d.path / "t" / "meta.json").exists()
+        assert [p.name for p in d.path.iterdir()] == ["catalog.json"]
         reopened = Database(d.path)
         assert reopened.store("t").num_rows == 0
         reopened.append("t", Frame({"x": np.arange(3)}))
         assert Database(d.path).query("SELECT COUNT(*) AS n FROM t")["n"][0] == 3
+
+
+class TestOneCommitFile:
+    def test_every_write_publishes_the_catalog_once_and_nothing_else(
+        self, tmp_path, monkeypatch
+    ):
+        """A populated create or append is one verified publish (of
+        ``catalog.json``), as is a drop; the directory then holds only the
+        catalog, the log and row-group segment directories."""
+        import repro.durable as durable_mod
+
+        published, real_replace = [], durable_mod.os.replace
+
+        def counting_replace(src, dst):
+            published.append(Path(dst).name)
+            return real_replace(src, dst)
+
+        db = Database(tmp_path / "f.db", result_cache=False)
+        with monkeypatch.context() as patched:
+            patched.setattr(durable_mod.os, "replace", counting_replace)
+            db.create_table("t", Frame({"x": np.arange(50)}), row_group_size=16)
+            db.append("t", Frame({"x": np.arange(8)}))
+            db.create_table("u", Frame({"y": np.arange(3)}))
+            db.drop_table("u")
+        assert published == ["catalog.json"] * 4
+
+        files = sorted(
+            str(p.relative_to(db.path)) for p in db.path.rglob("*") if p.is_file()
+        )
+        assert files == ["catalog.json", *(f"t/rg{i:05d}/x.npy" for i in range(5)), "wal.log"]
+        assert Database(db.path).store("t").num_rows == 58

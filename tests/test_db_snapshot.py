@@ -106,6 +106,58 @@ class TestPinnedReads:
         assert int(reader.query(COUNT).column("n")[0]) == 64
 
 
+def statement_snapshots(monkeypatch) -> list:
+    """The snapshot each statement executes under, in order."""
+    seen, real = [], Database._execute_select
+
+    def spy(self, stmt):
+        seen.append(self._active_snapshot())
+        return real(self, stmt)
+
+    monkeypatch.setattr(Database, "_execute_select", spy)
+    return seen
+
+
+class TestParsedOncePerCommit:
+    """A handle parses ``catalog.json`` again only when its bytes change:
+    statements between two commits share one snapshot (its stores, bloom
+    caches and cache-key states included), and a commit from any handle
+    is visible at the next statement."""
+
+    def test_statements_without_a_commit_share_one_snapshot(self, db, monkeypatch):
+        seen = statement_snapshots(monkeypatch)
+        db.query(SQL)
+        db.query(COUNT)
+        assert len(seen) == 2 and seen[0] is seen[1]
+        assert db.snapshot() is seen[0]
+        assert db.store("t") is seen[0].store("t")
+        assert db.table_state("t") is seen[0].table_state("t")
+
+    def test_a_commit_by_another_handle_is_seen_at_the_next_statement(
+        self, tmp_path, db, monkeypatch
+    ):
+        writer = Database(tmp_path / "db", result_cache=False)
+        seen = statement_snapshots(monkeypatch)
+        assert int(db.query(COUNT).column("n")[0]) == 48
+        writer.append("t", make_frame(16, start=48))
+        assert int(db.query(COUNT).column("n")[0]) == 64
+        assert int(db.query(COUNT).column("n")[0]) == 64
+        assert seen[0] is not seen[1] and seen[1] is seen[2]
+        assert db.table_version("t") == 2
+
+    def test_a_pin_held_across_another_handles_commit_reads_the_old_rows(
+        self, tmp_path, db
+    ):
+        writer = Database(tmp_path / "db", result_cache=False)
+        with db.pinned() as snap:
+            before = frame_bytes(db.query(SQL))
+            writer.append("t", make_frame(16, start=48))
+            assert frame_bytes(db.query(SQL)) == before
+            assert (db.table_version("t"), db.store("t").num_rows) == (1, 48)
+        assert db.snapshot() is not snap
+        assert (db.table_version("t"), db.store("t").num_rows) == (2, 64)
+
+
 class TestConcurrentAppends:
     def test_reads_only_ever_see_committed_totals(self, tmp_path):
         """Unpinned counts racing a writer must land on a committed total
@@ -134,6 +186,50 @@ class TestConcurrentAppends:
         assert not errors
         allowed = {48 + 16 * k for k in range(batches + 1)}
         assert observed and set(observed) <= allowed
+
+    def test_readers_sharing_a_handle_never_lose_a_commit(self, tmp_path):
+        """Six threads share one reader handle (and so its parsed snapshot)
+        while another handle commits, with a short switch interval: each
+        thread's counts only ever grow, and every thread's first statement
+        after the last commit sees all of it.  A parse paired with the
+        wrong commit's bytes would leave a thread on a stale count."""
+        import sys
+
+        db = Database(tmp_path / "db", result_cache=False)
+        db.create_table("t", make_frame(48), row_group_size=16)
+        reader = Database(tmp_path / "db", result_cache=False)
+        batches, done = 8, threading.Event()
+        final = 48 + 16 * batches
+        observed, errors = {}, []
+
+        def read_loop(tid):
+            counts = observed[tid] = []
+            try:
+                while True:
+                    finished = done.is_set()
+                    counts.append(int(reader.query(COUNT).column("n")[0]))
+                    if finished:
+                        return
+            except Exception as exc:  # pragma: no cover - surfaced below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [threading.Thread(target=read_loop, args=(i,)) for i in range(6)]
+            for worker in workers:
+                worker.start()
+            for i in range(batches):
+                db.append("t", make_frame(16, start=48 + 16 * i))
+            done.set()
+            for worker in workers:
+                worker.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors and not any(w.is_alive() for w in workers)
+        for counts in observed.values():
+            assert counts == sorted(counts)
+            assert counts[-1] == final
 
     def test_statement_pin_keeps_one_select_consistent(self, tmp_path):
         """Even without an explicit pin, each statement runs under one

@@ -1,11 +1,11 @@
 """WAL framing, the append commit protocol, and crash recovery.
 
 The contract under test: a simulated ingester death at *any* point of the
-commit protocol — mid-WAL-append, before staging, mid-segment, between
-meta and catalog publish — leaves readers on exactly the pre-append
-table, and one recovery pass lands the database on a state byte-identical
-to a quiescent twin (or exactly back on pre-append when the WAL record
-itself was lost).  Damage to the log (truncation at every byte boundary,
+commit protocol — mid-WAL-append, before staging, mid-segment, after
+staging but before the catalog publish — leaves readers on exactly the
+pre-append table, and one recovery pass lands the database on a state
+byte-identical to a quiescent twin (or exactly back on pre-append when the
+WAL record itself was lost).  Damage to the log (truncation at every byte boundary,
 single bit flips) is always classified: torn tail vs corrupt record,
 never a crash or a hybrid table.
 """
@@ -98,10 +98,11 @@ class TestCommitProtocol:
         ["ingest_kill_apply", "ingest_partial_row_group", "ingest_kill_publish"],
     )
     def test_kill_is_invisible_then_recovery_completes(self, tmp_path, point_field):
-        """Regression for the commit-ordering bug: meta.json may publish
-        ahead of the commit, but readers clamp to the catalog's committed
-        prefix — a kill anywhere leaves exactly the pre-append table, and
-        recovery replays the WAL record to the exact post-append state."""
+        """A kill anywhere leaves exactly the pre-append table — even after
+        ``ingest_kill_publish``, when every new segment is complete on disk,
+        because a store reads only the row groups its catalog entry lists —
+        and recovery drops what was staged and replays the WAL record to
+        the exact post-append state."""
         db, base, extra = self._seeded(tmp_path / "db")
         pre_version = db.table_version("t")
         pre_signature = db.store("t").content_signature()
@@ -110,6 +111,13 @@ class TestCommitProtocol:
             with pytest.raises(IngestKilled):
                 db.append("t", extra)
 
+        # 40 rows are rg00000-rg00002; the 24 new ones would be rg00003-4
+        staged = [db.path / "t" / f"rg{i:05d}" for i in (3, 4)]
+        if point_field == "ingest_kill_publish":
+            for rg_dir, rows in zip(staged, (extra[:16], extra[16:])):
+                for column in rows.columns:
+                    segment = np.load(rg_dir / f"{column}.npy")
+                    assert np.array_equal(segment, rows.column(column))
         # a fresh handle (= a reader process) sees only the committed state
         reader = open_db(tmp_path / "db")
         assert reader.table_version("t") == pre_version
@@ -118,9 +126,13 @@ class TestCommitProtocol:
         count = reader.query("SELECT COUNT(*) AS n FROM t")
         assert int(count.column("n")[0]) == base.num_rows
 
-        # recovery replays the durable intent and lands post-append
+        # recovery drops what was staged, replays the durable intent and
+        # lands post-append
+        orphans = sum(rg_dir.is_dir() for rg_dir in staged)
+        assert orphans == {"ingest_kill_apply": 0, "ingest_partial_row_group": 1,
+                           "ingest_kill_publish": 2}[point_field]
         report = db.recover()
-        assert report["replayed"] == 1
+        assert (report["replayed"], report["orphan_groups"]) == (1, orphans)
         after = open_db(tmp_path / "db")
         assert after.table_version("t") == pre_version + 1
         assert after.store("t").num_rows == base.num_rows + extra.num_rows
@@ -253,30 +265,34 @@ class TestFailedStatement:
         assert _tree_bytes(tmp_path / "db" / "a") == before
         assert fresh.table_version("a") == version
 
-    @pytest.mark.parametrize("failing", ["publish_staged", "_flush_catalog"])
+    @pytest.mark.parametrize("failing", ["stage_append", "_flush_catalog"])
     def test_failure_inside_commit_rolls_back(self, tmp_path, monkeypatch, failing):
         db = self._two_tables(tmp_path / "db")
         before = _tree_bytes(tmp_path / "db")
         extra = make_frame(24, start=40)
+        real_stage = TableStore.stage_append
 
         def boom(*args, **kwargs):
             raise DBError("disk says no")
 
-        owner = TableStore if failing == "publish_staged" else Database
+        def fail_mid_stage(store, frame, row_group_size):
+            real_stage(store, frame[:1], row_group_size)  # one segment lands
+            boom()
+
         with monkeypatch.context() as patched:
-            patched.setattr(owner, failing, boom)
+            if failing == "stage_append":
+                patched.setattr(TableStore, "stage_append", fail_mid_stage)
+            else:
+                patched.setattr(Database, "_flush_catalog", boom)
             with pytest.raises(DBError, match="disk says no"):
                 db.append("a", extra)
             with pytest.raises(DBError, match="disk says no"):
                 db.create_table("c", extra, row_group_size=16)
 
-        # log cut back, staged groups gone (a table's meta.json may keep
-        # the bumped private counter recovery also leaves; nothing reads it
-        # into a result or a cache key), handle equal to a fresh one
+        # log cut back, staged groups gone, catalog untouched, handle equal
+        # to a fresh one
         after = _tree_bytes(tmp_path / "db")
         assert after["wal.log"] == b""
-        for tree in (before, after):
-            tree["a/meta.json"] = {**json.loads(tree["a/meta.json"]), "version": None}
         assert after == before
         assert not (tmp_path / "db" / "c").exists()
         fresh = open_db(tmp_path / "db")
@@ -294,6 +310,53 @@ class TestFailedStatement:
         for name in ("a", "c"):
             assert db.store(name).content_signature() == twin.store(name).content_signature()
             assert db.table_version(name) == twin.table_version(name)
+
+
+class TestOtherTablesEntries:
+    """Every commit rewrites the whole catalog: a write to ``a`` that dies
+    at any stage, or fails and rolls back, and the recovery after it, must
+    leave ``b``'s entry and content signature exactly as they were."""
+
+    @pytest.mark.parametrize(
+        "failure",
+        ["wal_torn_tail", "ingest_kill_apply", "ingest_partial_row_group",
+         "ingest_kill_publish", "_flush_catalog"],
+    )
+    def test_a_failed_write_to_one_table_leaves_the_other_entry(
+        self, tmp_path, monkeypatch, failure
+    ):
+        db = open_db(tmp_path / "db")
+        db.create_table("a", make_frame(40), row_group_size=16)
+        db.create_table("b", make_frame(20), row_group_size=16)
+        db.append("b", make_frame(8, start=20))
+        catalog = db.path / "catalog.json"
+        entry, signature = json.loads(catalog.read_text())["b"], db.store("b").content_signature()
+
+        def b_is_unchanged():
+            assert json.loads(catalog.read_text())["b"] == entry
+            for handle in (db, open_db(db.path)):
+                assert handle.store("b").content_signature() == signature
+                assert handle.table_version("b") == 2
+
+        extra = make_frame(24, start=40)
+        if failure == "_flush_catalog":
+            def boom(*args, **kwargs):
+                raise DBError("disk says no")
+
+            with monkeypatch.context() as patched:
+                patched.setattr(Database, "_flush_catalog", boom)
+                with pytest.raises(DBError, match="disk says no"):
+                    db.append("a", extra)
+        else:
+            with killing(failure), faults.arm_ingest_kills():
+                with pytest.raises(IngestKilled):
+                    db.append("a", extra)
+        b_is_unchanged()
+        report = db.recover()
+        assert report["replayed"] == int(failure not in ("wal_torn_tail", "_flush_catalog"))
+        b_is_unchanged()
+        db.append("a", make_frame(4, start=64))
+        b_is_unchanged()
 
 
 # ----------------------------------------------------------------------

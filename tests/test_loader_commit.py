@@ -181,8 +181,8 @@ class TestLoadLayout:
             group_size = catalog[entity]["row_group_size"]
             assert store.num_row_groups == math.ceil(rows / group_size)
             assert catalog[entity]["version"] == 1
-            assert catalog[entity]["committed_rows"] == rows
-            assert catalog[entity]["committed_row_groups"] == store.num_row_groups
+            assert sum(catalog[entity]["row_groups"]) == rows
+            assert len(catalog[entity]["row_groups"]) == store.num_row_groups
             assert report.tables[entity] == rows
             assert_frames_identical(db.table_frame(entity), concat(frames))
         assert (db.store("halos").num_row_groups > 4) == (db_class is SmallGroupDatabase)
@@ -280,7 +280,8 @@ def assert_absent_or_whole(db: Database, name: str, whole: Frame) -> bool:
 class TestLoadIsAllOrNothing:
     @pytest.fixture(scope="class")
     def unkilled(self, wide_ensemble, tmp_path_factory):
-        """Per Database class: the whole table and its on-disk bytes."""
+        """Per Database class: the whole table, its on-disk bytes and its
+        content signature."""
         out = {}
         for db_class in (Database, SmallGroupDatabase):
             workdir = tmp_path_factory.mktemp("unkilled")
@@ -290,11 +291,14 @@ class TestLoadIsAllOrNothing:
             assert report.files_read == 24
             whole = concat(report_frames(wide_ensemble, report, "halos"))
             assert_frames_identical(db.table_frame("halos"), whole)
-            out[db_class] = (whole, table_bytes(db, "halos"))
+            signature = db.store("halos").content_signature()
+            out[db_class] = (whole, table_bytes(db, "halos"), signature)
         return out
 
     def _kill_recover_retry(self, ensemble, workdir, unkilled, db_class, profile, match=None):
-        whole, twin_bytes = unkilled[db_class]
+        """Kill a load, recover, retry; returns whether recovery replayed
+        the load, and the segment bytes the dead load had staged."""
+        whole, twin_bytes, twin_signature = unkilled[db_class]
         db = db_class(workdir / "a.db")
         agent = DataLoadingAgent(make_context(workdir, db), ensemble)
         with faults.use_faults(faults.FaultInjector(profile)), faults.arm_ingest_kills():
@@ -302,14 +306,19 @@ class TestLoadIsAllOrNothing:
                 agent.load(HALO_LOAD, question="q")
         # a reader process sees nothing of the dead load ...
         assert not db_class(workdir / "a.db").has_table("halos")
-        # ... and recovery settles it to nothing or to all 24 files
+        staged = table_bytes(db, "halos") if (db.path / "halos").exists() else {}
+        # ... and recovery drops what it staged and settles it to nothing
+        # or to all 24 files
         report = db.recover()
+        assert report["orphan_groups"] == len({name.split("/")[0] for name in staged})
         present = assert_absent_or_whole(db_class(workdir / "a.db"), "halos", whole)
         assert present == (report["replayed"] == 1)
+        if present:
+            assert db.store("halos").content_signature() == twin_signature
         agent.load(HALO_LOAD, question="q")  # the retried load
         assert db.table_version("halos") == 1
         assert table_bytes(db, "halos") == twin_bytes
-        return present
+        return present, staged
 
     @pytest.mark.parametrize("db_class", [Database, SmallGroupDatabase])
     @pytest.mark.parametrize("point_field", KILL_FIELDS)
@@ -317,23 +326,30 @@ class TestLoadIsAllOrNothing:
         self, wide_ensemble, tmp_path, unkilled, db_class, point_field
     ):
         profile = faults.FaultProfile(seed=7, **{point_field: 1.0})
-        present = self._kill_recover_retry(
+        present, staged = self._kill_recover_retry(
             wide_ensemble, tmp_path, unkilled, db_class, profile
         )
         # only a torn WAL record loses the intent; every later death replays
         assert present == (point_field != "wal_torn_tail")
+        # a death after staging, before the catalog commit, left every
+        # segment of the load complete on disk, and no catalog entry
+        if point_field == "ingest_kill_publish":
+            assert staged == unkilled[db_class][1]
 
     def test_kill_after_several_staged_groups(self, wide_ensemble, tmp_path, unkilled):
         # at this seed the kill strikes the fourth of the load's row groups
         profile = faults.FaultProfile(seed=6, ingest_partial_row_group=0.5)
-        assert self._kill_recover_retry(
+        present, staged = self._kill_recover_retry(
             wide_ensemble, tmp_path, unkilled, SmallGroupDatabase, profile, match="rg00003"
         )
+        assert present and sorted({name.split("/")[0] for name in staged}) == [
+            f"rg{i:05d}" for i in range(4)
+        ]
 
     def test_killed_reload_never_keeps_a_prefix(self, wide_ensemble, tmp_path, unkilled):
         """A redo's reload that dies leaves the table absent or whole --
         the old one is dropped first, so never a stale/partial mix."""
-        whole, twin_bytes = unkilled[Database]
+        whole, twin_bytes, _ = unkilled[Database]
         db = Database(tmp_path / "a.db")
         agent = DataLoadingAgent(make_context(tmp_path, db), wide_ensemble)
         agent.load(HALO_LOAD, question="q")

@@ -5,10 +5,11 @@ Three kinds of check: a source lint in the style of
 ``test_no_direct_time.py`` (nobody else renames a temp file into place or
 does header arithmetic), unit tests of the seam itself, and pins on the
 bytes other layers rely on (the ``RWAL1`` header, the JSON key order of
-``catalog.json`` / ``meta.json``) so a refactor of the seam cannot move
+``catalog.json``) so a refactor of the seam cannot move
 ``eval.rows_digest`` or the bytes-on-disk metrics unnoticed.
 """
 
+import hashlib
 import json
 import pickle
 import re
@@ -181,8 +182,9 @@ def test_frame_layout_is_magic_len8_crc4_payload():
 
 def test_wal_record_and_json_documents_keep_their_bytes(tmp_path):
     """``storage_bytes`` and ``eval.rows_digest`` hash the analysis-DB
-    directory: the WAL record, ``catalog.json`` and ``meta.json`` must not
-    gain a field, reorder a key or change their whitespace."""
+    directory: the WAL record and ``catalog.json`` (the database's one
+    metadata file) must not gain a field, reorder a key or change their
+    whitespace."""
     record = make_append_record("t", "append", 1, 16, {"a": np.arange(3)})
     wal = WriteAheadLog(tmp_path / "wal.log", fsync=False)
     wal.append(record)
@@ -193,16 +195,22 @@ def test_wal_record_and_json_documents_keep_their_bytes(tmp_path):
     db = Database(tmp_path / "p.db")
     db.create_table("t", Frame({"a": np.arange(5)}), row_group_size=4)
     db.create_table("empty")
-    assert (db.path / "catalog.json").read_text() == (
-        '{\n "t": {\n  "row_group_size": 4,\n  "version": 1,\n'
-        '  "committed_row_groups": 2,\n  "committed_rows": 5\n },\n'
-        ' "empty": {\n  "row_group_size": 65536,\n  "version": 1,\n'
-        '  "committed_row_groups": 0,\n  "committed_rows": 0\n }\n}'
+    text = (db.path / "catalog.json").read_text()
+    assert text.startswith(
+        '{"t": {"row_group_size": 4, "version": 1, "columns": {"a": "<i8"}, '
+        '"row_groups": [4, 1], "zone_maps": [{"a": [0.0, 3.0]}, {"a": [4.0, 4.0]}], '
+        '"blooms": [{"a": {"m": 4096, "k": 4, "bits": "'
     )
-    meta_text = (db.path / "t" / "meta.json").read_text()
-    meta = json.loads(meta_text)
-    assert list(meta) == ["columns", "row_groups", "zone_maps", "blooms", "checksums", "version"]
-    assert meta_text == json.dumps(meta)
+    assert text.endswith(
+        '"checksums": [{"a": 2432700938}, {"a": 3781742995}]}, '
+        '"empty": {"row_group_size": 65536, "version": 1, "columns": {}, '
+        '"row_groups": [], "zone_maps": [], "blooms": [], "checksums": []}}'
+    )
+    assert text == json.dumps(json.loads(text))
+    assert (len(text), hashlib.sha256(text.encode()).hexdigest()) == (
+        2466, "7f0f48132cd99dd1c601427b0da295cb6798159250bfb06a13d1fb1da8949f3c"
+    )
+    assert not list(db.path.rglob("meta.json"))
     assert db.path.joinpath("wal.log").read_bytes() == b""
 
 
