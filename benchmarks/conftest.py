@@ -16,7 +16,6 @@ Scale knobs (environment variables):
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 
@@ -71,15 +70,3 @@ def emit(output_dir: Path, name: str, text: str) -> None:
     """Print a benchmark's report and persist it."""
     print("\n" + text)
     (output_dir / name).write_text(text + "\n")
-
-
-def emit_json(output_dir: Path, name: str, payload: dict) -> dict:
-    """Persist a machine-readable benchmark artifact (``BENCH_*.json``).
-
-    The shared emitter for perf-trajectory files: stable key order so
-    successive runs diff cleanly.  Returns the payload for chaining.
-    """
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    print(f"\n[{name}]\n{text}")
-    (output_dir / name).write_text(text + "\n")
-    return payload

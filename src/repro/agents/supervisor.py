@@ -15,7 +15,6 @@ at the end.
 from __future__ import annotations
 
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext as _null_scope
 from dataclasses import dataclass, field
 
@@ -377,6 +376,8 @@ class Supervisor:
         it would have produced in turn.  What differs from the serial path
         is one supervisor chat per batch instead of one per attempt.
         """
+        from concurrent.futures import ThreadPoolExecutor
+
         plan, start = state["plan"], state["step_index"]
         end = start
         while end < len(plan) and plan[end]["kind"] == "viz":

@@ -483,7 +483,7 @@ def cmd_sql(args: argparse.Namespace) -> int:
               f"skipped {stats.row_groups_skipped_zone} by zone map, "
               f"{stats.row_groups_skipped_bloom} by bloom filter; "
               f"{stats.columns_read} columns read; "
-              f"{stats.morsels_executed} morsels on {stats.threads} thread(s))")
+              f"{stats.morsels_executed} morsels)")
     return 0
 
 

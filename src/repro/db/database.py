@@ -41,6 +41,7 @@ from __future__ import annotations
 import json
 import re
 import threading
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator
@@ -143,10 +144,8 @@ class Database:
     in-process memoization tier is always active unless ``result_cache``
     is False.
 
-    ``num_threads`` sets the morsel-driven engine's thread count for
-    queries against this database (None defers to ``REPRO_SQL_THREADS``,
-    then 1; 0 means one thread per core).  Parallel execution is
-    byte-identical to sequential, so this is purely a throughput knob.
+    ``num_threads`` is deprecated and ignored: the engine runs every
+    query on the calling thread.
     """
 
     def __init__(
@@ -156,8 +155,13 @@ class Database:
         result_cache: bool = True,
         num_threads: int | None = None,
     ):
+        if num_threads is not None:
+            warnings.warn(
+                "Database(num_threads=) is ignored: the SQL engine is sequential",
+                DeprecationWarning,
+                stacklevel=2,
+            )
         self.path = Path(path)
-        self.num_threads = num_threads
         self.path.mkdir(parents=True, exist_ok=True)
         self._catalog_path = self.path / "catalog.json"
         # the catalog bytes last parsed or published (None: no catalog.json

@@ -5,16 +5,15 @@ O(#groups) state (Welford-style moments for variance) so a GROUP BY over
 an arbitrarily large table peaks at row-group memory.  MEDIAN is the one
 holdout that must buffer values, documented as such.
 
-Every accumulator is also *mergeable*: the morsel-driven parallel engine
-computes one partial accumulator per row group on worker threads, then
-folds partials into the global accumulator **in row-group order** via
-:meth:`Accumulator.merge` with a local→global group-index remap.  Merge
-is written to replay, bit for bit, the same floating-point operations the
-sequential ``update`` path performs (partials are scattered into
-full-width arrays so untouched groups see the identical ``+ 0.0`` the
-sequential bincount adds), which is what makes parallel execution
-byte-identical to sequential — the invariant the query-result cache,
-chaos suite, and canonical traces all depend on.
+Every accumulator is also *mergeable*: the engine computes one partial
+accumulator per row group (a morsel), then folds partials into the
+global accumulator **in row-group order** via :meth:`Accumulator.merge`
+with a local→global group-index remap.  Merge is written to replay, bit
+for bit, the same floating-point operations a single globally-coded
+``update`` performs (partials are scattered into full-width arrays so
+untouched groups see the identical ``+ 0.0`` that bincount adds), so a
+result's bytes depend only on the stored row groups — the invariant the
+query-result cache, chaos suite, and canonical traces all depend on.
 """
 
 from __future__ import annotations
@@ -35,8 +34,8 @@ class Accumulator:
 
         ``other`` was built by a single ``update`` over one morsel using
         chunk-local dense group codes; ``mapping[local_idx]`` is the
-        global group index.  Called in row-group order by the parallel
-        merge, and required to be bitwise-equivalent to having called
+        global group index.  Called in row-group order by the engine's
+        fold, and required to be bitwise-equivalent to having called
         ``update`` with globally-coded indices directly.
         """
         raise NotImplementedError
@@ -241,7 +240,7 @@ class DistinctCountAcc(Accumulator):
 
     def merge(self, other, mapping, n_groups):
         # set union is order-insensitive and len() is exact, so merging
-        # per-morsel distinct sets is trivially equivalent to sequential
+        # per-morsel distinct sets equals one update over every row
         for local, s in other.sets.items():
             self.sets.setdefault(int(mapping[local]), set()).update(s)
 

@@ -15,26 +15,17 @@ Execution strategy by query shape:
 
 ORDER BY / LIMIT run last over the (result-sized) output.
 
-**Morsel-driven parallelism.**  When ``num_threads > 1`` (the Database's
-``num_threads``, or the ``REPRO_SQL_THREADS`` environment variable), the
-per-row-group work — segment read, WHERE, projection, partial
-aggregation — is dispatched as (row group index) morsels onto a shared
-thread pool.  Threads, not processes: the mmap'd ``.npy`` segments are
-shared zero-copy instead of pickled, and NumPy releases the GIL across
-the kernels doing the real work.  The coordinator consumes results in
-**row-group order** through a bounded reorder window, and the sequential
-path runs the *same* per-chunk functions through the same fold, so
-parallel execution is byte-identical to sequential by construction — the
-invariant the query-result cache, the chaos suite, and canonical traces
-all depend on.
+**Morsels.**  A morsel is one surviving row group's work — segment read,
+WHERE, projection, partial aggregation — run on the calling thread, one
+row group at a time, in **row-group order**.  Partials fold through
+:meth:`Accumulator.merge` in that order, so a result's bytes depend only
+on the stored row groups — the invariant the query-result cache, the
+chaos suite, and canonical traces all depend on.
 """
 
 from __future__ import annotations
 
-import os
-import threading
 from collections.abc import Callable, Iterable, Iterator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -69,7 +60,6 @@ class ScanStats:
     row_groups_skipped_bloom: int = 0
     columns_read: int = 0
     morsels_executed: int = 0
-    threads: int = 1
 
     @property
     def row_groups_skipped(self) -> int:
@@ -82,114 +72,33 @@ class ScanStats:
         return self.row_groups_skipped / self.row_groups_total
 
 
-# ----------------------------------------------------------------------
-# thread-pool plumbing
-# ----------------------------------------------------------------------
-def resolve_num_threads(explicit: int | None = None) -> int:
-    """Engine thread count: explicit knob > REPRO_SQL_THREADS > 1.
-
-    A value of 0 (or negative) means one thread per core.  The result is
-    clamped to the host's core count — the engine is CPU-bound, so
-    oversubscribing cores only adds scheduler overhead — unless
-    ``REPRO_SQL_FORCE_PARALLEL=1`` is set (a test/bench hook so the
-    parallel merge path can be exercised on small hosts).
-    """
-    cores = max(1, os.cpu_count() or 1)
-    if explicit is None:
-        env = os.environ.get("REPRO_SQL_THREADS", "").strip()
-        if not env:
-            return 1
-        try:
-            explicit = int(env)
-        except ValueError:
-            return 1
-    if explicit <= 0:
-        return cores
-    threads = int(explicit)
-    if os.environ.get("REPRO_SQL_FORCE_PARALLEL", "") != "1":
-        threads = min(threads, cores)
-    return threads
-
-
-_POOLS: dict[int, ThreadPoolExecutor] = {}
-_POOLS_LOCK = threading.Lock()
-
-
-def _shared_pool(threads: int) -> ThreadPoolExecutor:
-    with _POOLS_LOCK:
-        pool = _POOLS.get(threads)
-        if pool is None:
-            pool = ThreadPoolExecutor(
-                max_workers=threads, thread_name_prefix="repro-sql"
-            )
-            _POOLS[threads] = pool
-        return pool
-
-
-if hasattr(os, "register_at_fork"):
-    # the evaluation harness forks worker processes; a pool's threads do
-    # not survive fork, so children must drop the parent's dead pools
-    os.register_at_fork(after_in_child=_POOLS.clear)
-
-
-def _ordered_map(
-    fn: Callable, items: list, pool: ThreadPoolExecutor, window: int
-) -> Iterator:
-    """Map ``fn`` over ``items`` on ``pool``, yielding results *in order*.
-
-    At most ``window`` futures are in flight, so an early-terminating
-    consumer (un-ordered LIMIT) never schedules the whole table; pending
-    futures are cancelled when the consumer stops.
-    """
-    futures: dict[int, object] = {}
-    next_submit = 0
-    try:
-        for next_yield in range(len(items)):
-            while next_submit < len(items) and next_submit < next_yield + window:
-                futures[next_submit] = pool.submit(fn, items[next_submit])
-                next_submit += 1
-            yield futures.pop(next_yield).result()
-    finally:
-        for fut in futures.values():
-            fut.cancel()
-
-
 def execute(
     db,
     stmt: ast.SelectStatement,
     scan_stats: ScanStats | None = None,
     cache_outcome: str | None = None,
-    num_threads: int | None = None,
 ) -> Frame:
     """Run a SELECT against ``db`` (a :class:`repro.db.database.Database`).
 
-    Traced as span ``sql.execute`` with the result size, thread count and
-    the segment-pruning outcome (zone-map vs bloom-filter skips, morsels
+    Traced as span ``sql.execute`` with the result size and the
+    segment-pruning outcome (zone-map vs bloom-filter skips, morsels
     executed) as attributes, correlating each supervisor step with the
     exact scan it triggered.  ``cache_outcome`` is stamped onto the span
     by the query-result cache (``"miss"`` on a full execution; hits never
     reach this function — see :mod:`repro.db.cache`).
-
-    ``num_threads=None`` defers to ``db.num_threads`` and then to the
-    ``REPRO_SQL_THREADS`` environment variable.
     """
-    if num_threads is None:
-        num_threads = getattr(db, "num_threads", None)
-    threads = resolve_num_threads(num_threads)
     stats = scan_stats if scan_stats is not None else ScanStats()
-    stats.threads = max(stats.threads, threads)
     with get_tracer().span(
         SQL_EXECUTE_SPAN,
         grouped=bool(stmt.group_by)
         or any(ast.contains_aggregate(item.expr) for item in stmt.items),
         joins=len(stmt.joins),
     ) as sp:
-        result = _execute_statement(db, stmt, stats, threads)
+        result = _execute_over_source(stmt, _resolve_source(db, stmt, stats), stats)
         sp.set(rows=result.num_rows)
         if cache_outcome is not None:
             sp.set(cache=cache_outcome)
         sp.set(
-            threads=threads,
             morsels=stats.morsels_executed,
             row_groups_total=stats.row_groups_total,
             row_groups_skipped=stats.row_groups_skipped,
@@ -213,15 +122,7 @@ def execute_over_frame(stmt: ast.SelectStatement, frame: Frame) -> Frame:
     (the statement's residual WHERE, projection, GROUP BY, ORDER BY and
     LIMIT all apply) without touching row groups on disk.
     """
-    return _execute_over_source(stmt, _FrameSource([frame]), 1, None)
-
-
-def _execute_statement(
-    db, stmt: ast.SelectStatement, stats: ScanStats | None, threads: int
-) -> Frame:
-    return _execute_over_source(
-        stmt, _resolve_source(db, stmt, stats, threads), threads, stats
-    )
+    return _execute_over_source(stmt, _FrameSource([frame]), None)
 
 
 # ----------------------------------------------------------------------
@@ -242,17 +143,13 @@ class _FrameSource:
                 sch.setdefault(n, np.asarray(f.column(n)).dtype)
         return sch
 
-    def morsels(self) -> None:
-        return None  # frames are in memory already; nothing to parallelize
-
     def chunks(self) -> Iterator[Frame]:
         return iter(self.frames)
 
 
 class _StoreSource:
     """Chunk source over an on-disk table: prunes row groups through zone
-    maps and bloom filters, then serves survivors sequentially or as
-    parallel morsels (``read()`` is thread-safe: segment reads mmap)."""
+    maps and bloom filters, then serves the survivors in order."""
 
     def __init__(self, store, columns, where, stats: ScanStats | None):
         self.store = store
@@ -278,23 +175,15 @@ class _StoreSource:
     def schema(self) -> dict[str, np.dtype]:
         return {n: self.store.dtype_of(n) for n in self.columns}
 
-    def morsels(self) -> list[int]:
-        return self.survivors
-
-    def read(self, index: int) -> Frame:
-        return self.store.read_row_group(index, self.columns)
-
     def chunks(self) -> Iterator[Frame]:
         for i in self.survivors:
-            yield self.read(i)
+            yield self.store.read_row_group(i, self.columns)
 
 
-def _resolve_source(
-    db, stmt: ast.SelectStatement, stats: ScanStats | None, threads: int
-):
+def _resolve_source(db, stmt: ast.SelectStatement, stats: ScanStats | None):
     needed = referenced_column_names(stmt)
     if stmt.table.is_subquery and not stmt.joins:
-        inner = execute(db, stmt.table.subquery, stats, num_threads=threads)
+        inner = execute(db, stmt.table.subquery, stats)
         return _FrameSource([inner])
     if not stmt.joins:
         store = db.store(stmt.table.name)
@@ -339,46 +228,27 @@ def _materialize_join(
 
 
 # ----------------------------------------------------------------------
-# morsel dispatch
+# morsels
 # ----------------------------------------------------------------------
-def _piece_stream(source, work: Callable, threads: int, stats: ScanStats | None):
-    """Per-chunk results of ``work``, always yielded in row-group order.
+def _piece_stream(source, work: Callable, stats: ScanStats | None):
+    """Per-chunk results of ``work``, yielded in row-group order.
 
-    Parallel dispatch only for store-backed sources with more than one
-    surviving row group; everything else (frames, joins, subqueries) is
-    already materialized and runs inline.
+    With a live bus, each morsel publishes a counter event carrying the
+    enclosing ``sql.execute`` span id, so subscribers see per-morsel
+    progress parented on the right query.
     """
     bus = get_bus()
-    if bus is not NULL_BUS:
-        # live telemetry: each morsel completion publishes a counter event
-        # carrying the enclosing sql.execute span id, captured here on the
-        # coordinator thread (worker threads have no span stack), so
-        # subscribers see per-morsel progress parented on the right query
-        enclosing = get_tracer().current()
-        enclosing_id = getattr(enclosing, "span_id", None)
-        inner_work = work
-
-        def work(chunk, _inner=inner_work, _sid=enclosing_id, _bus=bus):
-            piece = _inner(chunk)
-            _bus.publish_counter(MORSEL_EVENT, 1, span_id=_sid)
-            return piece
-
-    morsels = source.morsels()
-    if threads > 1 and morsels is not None and len(morsels) > 1:
-        pool = _shared_pool(threads)
-        stream = _ordered_map(
-            lambda i: work(source.read(i)), morsels, pool, window=2 * threads
-        )
-    else:
-        stream = (work(chunk) for chunk in source.chunks())
-    for piece in stream:
+    span_id = None if bus is NULL_BUS else getattr(get_tracer().current(), "span_id", None)
+    for chunk in source.chunks():
+        piece = work(chunk)
+        bus.publish_counter(MORSEL_EVENT, 1, span_id=span_id)
         if stats is not None:
             stats.morsels_executed += 1
         yield piece
 
 
 def _execute_over_source(
-    stmt: ast.SelectStatement, source, threads: int, stats: ScanStats | None
+    stmt: ast.SelectStatement, source, stats: ScanStats | None
 ) -> Frame:
     needs_group = bool(stmt.group_by) or any(
         ast.contains_aggregate(item.expr) for item in stmt.items
@@ -391,13 +261,12 @@ def _execute_over_source(
         pieces = _piece_stream(
             source,
             lambda chunk: _grouped_partial(stmt, chunk, keep, agg_calls, group_exprs),
-            threads,
             stats,
         )
         result = _merge_grouped(stmt, pieces, agg_calls, group_exprs, schema)
     else:
         pieces = _piece_stream(
-            source, lambda chunk: _plain_piece(stmt, chunk, keep), threads, stats
+            source, lambda chunk: _plain_piece(stmt, chunk, keep), stats
         )
         topk_key = _streaming_topk_key(stmt)
         if topk_key is not None:

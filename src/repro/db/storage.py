@@ -53,9 +53,9 @@ class TableStore:
     entry.  Committed segment directories are immutable (appends only ever
     add higher-numbered groups), so a store built from an older entry keeps
     reading exactly that entry's rows.  A store is shared by every
-    statement and morsel thread reading through the same catalog snapshot;
-    its only mutable state is the bloom cache, whose racing fills build
-    equal filters.
+    statement and thread (serve workers read concurrently) reading through
+    the same catalog snapshot; its only mutable state is the bloom cache,
+    whose racing fills build equal filters.
     """
 
     def __init__(self, path: Path, meta: dict):

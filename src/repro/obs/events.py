@@ -50,9 +50,9 @@ Design constraints, matching the tracer's:
   counted (``bus.subscriber_errors``) and skipped, never allowed to fail
   the run it is observing;
 * **process-wide and thread-safe** — the ambient bus is a module global
-  (not a contextvar) so events published from SQL morsel threads and
-  parallel-viz threads reach the same bus as the coordinator's, with a
-  lock serializing the queue.  Forked harness workers deliberately
+  (not a contextvar) so events published from parallel-viz threads and
+  serve workers reach the same bus as the coordinator's, with a lock
+  serializing the queue.  Forked harness workers deliberately
   *reset* the ambient bus (``os.register_at_fork``): a child publishing
   into an inherited sink would interleave writes into the parent's file
   descriptor.  Worker spans instead ship back with each
@@ -260,7 +260,7 @@ def use_bus(bus: EventBus) -> Iterator[EventBus]:
     """Activate ``bus`` process-wide for the extent of the block.
 
     A module global rather than a contextvar so events published from
-    worker *threads* (SQL morsels, parallel viz) reach the same bus;
+    worker *threads* (parallel viz, serve workers) reach the same bus;
     nesting restores the previous bus on exit.
     """
     global _AMBIENT

@@ -300,7 +300,7 @@ def summarize(spans: list[SpanLike]) -> str:
             f"sql engine: {engine['morsels']} morsels executed, "
             f"{engine['skipped_zone'] + engine['skipped_bloom']}/{engine['row_groups']} "
             f"row groups skipped (zone {engine['skipped_zone']}, "
-            f"bloom {engine['skipped_bloom']}), threads<={engine['max_threads']}"
+            f"bloom {engine['skipped_bloom']})"
         )
     chaos = fault_counts(dicts)
     if chaos["faults"] or chaos["degraded"] or chaos["quarantined"]:
@@ -391,16 +391,10 @@ def fault_counts(spans: list[SpanLike]) -> dict[str, int]:
 
 
 def engine_counts(spans: list[SpanLike]) -> dict[str, int]:
-    """Morsel-engine accounting recorded on ``sql.execute`` spans: morsels
-    executed, row-group totals, zone-map vs bloom-filter skip attribution,
-    and the largest thread count any query ran with."""
-    counts = {
-        "morsels": 0,
-        "row_groups": 0,
-        "skipped_zone": 0,
-        "skipped_bloom": 0,
-        "max_threads": 1,
-    }
+    """Engine accounting recorded on ``sql.execute`` spans: morsels
+    executed, row-group totals, and zone-map vs bloom-filter skip
+    attribution."""
+    counts = {"morsels": 0, "row_groups": 0, "skipped_zone": 0, "skipped_bloom": 0}
     for span in spans:
         doc = _as_dict(span)
         if doc.get("name") != SQL_EXECUTE_SPAN:
@@ -410,7 +404,6 @@ def engine_counts(spans: list[SpanLike]) -> dict[str, int]:
         counts["row_groups"] += int(attrs.get("row_groups_total", 0))
         counts["skipped_zone"] += int(attrs.get("row_groups_skipped_zone", 0))
         counts["skipped_bloom"] += int(attrs.get("row_groups_skipped_bloom", 0))
-        counts["max_threads"] = max(counts["max_threads"], int(attrs.get("threads", 1)))
     return counts
 
 

@@ -53,8 +53,8 @@ PROFILE_CAPTURE_SPAN = "profile.capture"
 # parents the session / suite span; excluded from canonical trees
 CLI_PROCESS_SPAN = "cli.process"
 
-# counter-event name for per-morsel completions published from the SQL
-# engine's worker threads (parented on the enclosing sql.execute span)
+# counter-event name for per-morsel completions published by the SQL
+# engine on the querying thread (parented on the enclosing sql.execute span)
 MORSEL_EVENT = "sql.engine.morsel"
 
 # one per served request (repro.serve.worker); the session span of the
@@ -100,9 +100,8 @@ TIMING_ATTRS = frozenset(
 # attributes that depend on which query-result-cache tier served a SELECT
 # (and how much scan work it therefore did) — a memory hit in one process
 # is a disk hit or a full scan in another without the *result* differing.
-# The same goes for the morsel engine's accounting: thread count and
-# zone-vs-bloom skip attribution are execution-mode details of a
-# byte-identical result
+# The same goes for the engine's morsel count and zone-vs-bloom skip
+# attribution: execution details of a byte-identical result
 CACHE_ATTRS = frozenset(
     {
         "cache",
@@ -112,7 +111,6 @@ CACHE_ATTRS = frozenset(
         "row_groups_skipped_zone",
         "row_groups_skipped_bloom",
         "morsels",
-        "threads",
         "cache_quarantined",
     }
 )

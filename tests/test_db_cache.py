@@ -29,45 +29,98 @@ def cold_cache():
 
 def make_frame(n=1000, seed=0):
     rng = np.random.default_rng(seed)
+    mass = rng.lognormal(3, 1, n)
+    count = rng.integers(1, 500, n)
+    run = rng.integers(0, 4, n)
+    x = rng.uniform(-50, 50, n)
+    x[rng.random(n) < 0.05] = np.nan  # NaN handling must match exactly
     return Frame(
         {
             "step": np.repeat(np.arange(n // 100), 100).astype(np.int64),
-            "mass": rng.lognormal(3, 1, n),
-            "count": rng.integers(1, 500, n),
+            "mass": mass,
+            "count": count,
             "tag": np.asarray([f"halo_{i % 7}" for i in range(n)]),
+            "run": run,
+            "x": x,
         }
     )
 
 
+def _fill(d: Database) -> Database:
+    d.create_table("halos", make_frame(), row_group_size=100)
+    d.create_table(
+        "runs",
+        Frame({"run": np.arange(4), "weight": np.asarray([1.0, 2.5, 0.5, 4.0])}),
+        row_group_size=2,
+    )
+    return d
+
+
 @pytest.fixture()
 def db(tmp_path):
-    d = Database(tmp_path / "c.db", cache_dir=tmp_path / "qc")
-    d.create_table("halos", make_frame(), row_group_size=100)
-    return d
+    return _fill(Database(tmp_path / "c.db", cache_dir=tmp_path / "qc"))
 
 
 @pytest.fixture()
 def oracle(tmp_path):
-    d = Database(tmp_path / "oracle.db", result_cache=False)
-    d.create_table("halos", make_frame(), row_group_size=100)
-    return d
+    return _fill(Database(tmp_path / "oracle.db", result_cache=False))
 
 
 def assert_frames_byte_identical(a: Frame, b: Frame):
+    """Same columns, dtypes and bytes in the same row order."""
     assert list(a.columns) == list(b.columns)
     assert a.num_rows == b.num_rows
     for name in a.columns:
         ca, cb = np.asarray(a.column(name)), np.asarray(b.column(name))
-        assert ca.dtype == cb.dtype, name
-        assert ca.tobytes() == cb.tobytes(), name
+        assert ca.dtype == cb.dtype, f"{name}: {ca.dtype} != {cb.dtype}"
+        if ca.dtype == object:
+            assert ca.tolist() == cb.tolist(), name
+        else:
+            assert ca.tobytes() == cb.tobytes(), f"{name}: bytes differ"
 
 
+# every statement shape the executor special-cases
 QUERIES = [
     "SELECT mass, count FROM halos WHERE step = 3",
     "SELECT * FROM halos WHERE mass > 20 AND count < 100",
     "SELECT step, COUNT(*) AS n, AVG(mass) AS m FROM halos GROUP BY step ORDER BY step",
     "SELECT tag, mass FROM halos ORDER BY mass DESC LIMIT 17",
     "SELECT DISTINCT tag FROM halos ORDER BY tag",
+    # plain scan over a column holding NaN
+    "SELECT mass, x FROM halos WHERE mass > 20",
+    # early-terminating un-ordered LIMIT
+    "SELECT mass FROM halos WHERE mass > 5 LIMIT 37",
+    # zone-map pruning
+    "SELECT mass FROM halos WHERE step = 9",
+    # string equality beside an IN list
+    "SELECT mass FROM halos WHERE tag = 'halo_3' AND step IN (1, 8)",
+    # streaming top-k
+    "SELECT mass FROM halos WHERE step > 1 ORDER BY mass DESC LIMIT 10",
+    # grouped: one of every accumulator kind
+    "SELECT step, COUNT(*) AS n, SUM(mass) AS s, AVG(mass) AS m, "
+    "MIN(mass) AS lo, MAX(mass) AS hi, STDDEV(mass) AS sd, "
+    "MEDIAN(mass) AS med FROM halos GROUP BY step ORDER BY step",
+    # unordered GROUP BY: row order is the registry's first-appearance order
+    "SELECT tag, COUNT(*) AS n, COUNT(DISTINCT run) AS r, VAR(x) AS v "
+    "FROM halos GROUP BY tag",
+    # multi-key grouping with HAVING and aggregate ORDER BY
+    "SELECT run, step, AVG(mass) AS m FROM halos GROUP BY run, step "
+    "HAVING COUNT(*) > 10 ORDER BY AVG(mass) DESC",
+    # global aggregate over a filtered scan
+    "SELECT COUNT(*) AS n, VAR(mass) AS v FROM halos WHERE tag = 'halo_2'",
+    # aggregates over a column holding NaN
+    "SELECT run, AVG(x) AS mx, COUNT(x) AS nx FROM halos GROUP BY run ORDER BY run",
+    # multi-column DISTINCT
+    "SELECT DISTINCT run, tag FROM halos ORDER BY run, tag",
+    # join + grouping
+    "SELECT run, COUNT(*) AS n, SUM(weight) AS w FROM halos "
+    "JOIN runs ON run = run GROUP BY run ORDER BY run",
+    # subquery source
+    "SELECT step, n FROM (SELECT step, COUNT(*) AS n FROM halos "
+    "WHERE mass > 10 GROUP BY step) s ORDER BY n DESC",
+    # zero-row results (the empty projection must stay schema-stable)
+    "SELECT mass, x FROM halos WHERE mass < 0",
+    "SELECT step, COUNT(*) AS n FROM halos WHERE mass < 0 GROUP BY step",
 ]
 
 
@@ -89,6 +142,12 @@ class TestByteIdentity:
         warm = db.query(sql)
         assert stats_snapshot().delta(before).disk_hits == 1
         assert_frames_byte_identical(warm, oracle.query(sql))
+
+    def test_num_threads_is_deprecated_and_changes_no_answer(self, oracle):
+        with pytest.warns(DeprecationWarning, match="num_threads"):
+            threaded = Database(oracle.path, result_cache=False, num_threads=2)
+        for sql in QUERIES:
+            assert_frames_byte_identical(threaded.query(sql), oracle.query(sql))
 
     def test_normalized_variants_share_one_entry(self, db):
         before = stats_snapshot()

@@ -261,3 +261,90 @@ class TestJoins:
         with pytest.raises(UnknownColumnError) as err:
             db.query("SELECT halo_mass, tag FROM a JOIN b ON a.k = b.k WHERE a.mass > 0")
         assert err.value.known == ["k", "mass", "mass_right", "tag"]
+
+
+class TestEmptyProjectionDtypes:
+    """Zero-row results carry schema-derived dtypes, not unconditional
+    float64, so an empty frame is byte-stable against a non-empty one."""
+
+    @pytest.fixture(scope="class")
+    def db(self, tmp_path_factory):
+        rng = np.random.default_rng(7)
+        n = 300
+        d = Database(tmp_path_factory.mktemp("empty") / "e.db", result_cache=False)
+        d.create_table(
+            "halos",
+            Frame(
+                {
+                    "step": rng.choice([0, 624], n),
+                    "kind": rng.choice(np.asarray(["cold", "warm", "hot"]), n),
+                    "mass": rng.lognormal(3, 1, n),
+                }
+            ),
+            row_group_size=100,
+        )
+        return d
+
+    def test_plain_empty_matches_store_schema(self, db):
+        empty = db.query("SELECT step, kind, mass FROM halos WHERE mass < 0")
+        assert empty.num_rows == 0
+        full = db.query("SELECT step, kind, mass FROM halos LIMIT 1")
+        for name in ("step", "kind", "mass"):
+            assert np.asarray(empty.column(name)).dtype == np.asarray(
+                full.column(name)
+            ).dtype
+
+    def test_count_is_integer_in_empty_grouped_result(self, db):
+        empty = db.query("SELECT step, COUNT(*) AS n FROM halos WHERE mass < 0 GROUP BY step")
+        assert empty.num_rows == 0
+        assert np.asarray(empty.column("n")).dtype == np.int64
+        full = db.query("SELECT step, COUNT(*) AS n FROM halos GROUP BY step")
+        assert np.asarray(full.column("n")).dtype == np.int64
+
+
+class TestDensify:
+    """_densify only copies mmap-backed columns."""
+
+    def test_owned_arrays_pass_through(self):
+        from repro.db.sql.executor import _densify
+
+        frame = Frame({"a": np.arange(5), "b": np.linspace(0, 1, 5)})
+        assert _densify(frame) is frame
+
+    def test_mmap_columns_are_copied(self, tmp_path):
+        from repro.db.sql.executor import _densify
+
+        np.save(tmp_path / "seg.npy", np.arange(8))
+        loaded = np.load(tmp_path / "seg.npy", mmap_mode="r")
+        out = _densify(Frame({"a": loaded}))
+        arr = np.asarray(out.column("a"))
+        assert not isinstance(arr, np.memmap)
+        assert arr.tolist() == list(range(8))
+
+
+class TestVectorizedRegistry:
+    """The np.unique-based group coder reproduces the dict loop's
+    first-appearance code assignment exactly."""
+
+    def test_codes_match_dict_loop(self):
+        from repro.db.sql.executor import _GroupRegistry, _local_codes_slow
+
+        rng = np.random.default_rng(3)
+        arrays = [
+            rng.integers(0, 5, 200),
+            rng.choice(np.asarray(["a", "b", "c"]), 200),
+        ]
+        fast = _GroupRegistry().codes_for(arrays)
+        keys, slow = _local_codes_slow([np.asarray(a) for a in arrays])
+        assert fast.tolist() == slow.tolist()
+
+    def test_registry_order_is_first_appearance(self):
+        from repro.db.sql.executor import _GroupRegistry
+
+        reg = _GroupRegistry()
+        reg.codes_for([np.asarray([30, 10, 30, 20])])
+        assert reg.keys == [(30,), (10,), (20,)]
+        # a second chunk reuses existing codes and appends new ones
+        codes = reg.codes_for([np.asarray([20, 40, 10])])
+        assert codes.tolist() == [2, 3, 1]
+        assert reg.keys[3] == (40,)

@@ -152,33 +152,27 @@ def test_dense_table_is_bounded_by_the_chunk_not_the_dtype(monkeypatch):
 @given(key_columns(), st.integers(0, 2**31))
 @example([np.asarray([], dtype="<U2")], 0)  # no groups: `want` must not default to float64
 @settings(max_examples=25, deadline=None)
-def test_group_by_is_byte_identical_across_thread_counts(tmp_path_factory, columns, seed):
+def test_group_by_matches_the_dict_loop_across_row_groups(tmp_path_factory, columns, seed):
     from repro.db.sql.executor import _local_codes_slow
-    from tests.test_db_parallel import assert_frames_byte_identical
 
     n = len(columns[0])
     rng = np.random.default_rng(seed)
     v = np.round(rng.normal(size=n), 3)
     v[rng.random(n) < 0.2] = np.nan
     names = [f"k{i}" for i in range(len(columns))]
-    path = tmp_path_factory.mktemp("groupby") / "g.db"
-    Database(path).create_table("t", Frame({**dict(zip(names, columns)), "v": v}), row_group_size=7)
+    db = Database(tmp_path_factory.mktemp("groupby") / "g.db", result_cache=False)
+    db.create_table("t", Frame({**dict(zip(names, columns)), "v": v}), row_group_size=7)
     sql = (
         f"SELECT {', '.join(names)}, COUNT(*) AS n, COUNT(v) AS c, SUM(v) AS s, AVG(v) AS m, "
         f"STDDEV(v) AS sd, MIN(v) AS lo FROM t GROUP BY {', '.join(names)}"
     )
-    with pytest.MonkeyPatch.context() as env:
-        env.setenv("REPRO_SQL_FORCE_PARALLEL", "1")
-        one, two = (
-            Database(path, result_cache=False, num_threads=t).query(sql) for t in (1, 2)
-        )
-    assert_frames_byte_identical(one, two)
+    out = db.query(sql)
     # groups come out in first-appearance order with the dict loop's keys
     slow_keys, slow_codes = _local_codes_slow(columns)
     for i, name in enumerate(names):
         want = np.asarray([key[i] for key in slow_keys], dtype=columns[i].dtype)
-        assert np.array_equal(one[name], want, equal_nan=want.dtype.kind == "f")
-    assert one["n"].tolist() == np.bincount(slow_codes, minlength=len(slow_keys)).tolist()
+        assert np.array_equal(out[name], want, equal_nan=want.dtype.kind == "f")
+    assert out["n"].tolist() == np.bincount(slow_codes, minlength=len(slow_keys)).tolist()
 
 
 @st.composite

@@ -105,7 +105,7 @@ def test_help_and_trace_summary_load_no_subsystem(tmp_path):
 def test_a_query_without_a_plot_loads_neither_scipy_nor_networkx(ensemble, tmp_path):
     argv = ["query", "top 5 halos at timestep 624 in simulation 0",
             "--ensemble", str(ensemble.root), "--workdir", str(tmp_path / "w"), "--no-errors"]
-    assert loaded(run_cli(argv), HEAVY + ("repro.eval", "repro.serve")) == []
+    assert loaded(run_cli(argv), HEAVY + ("repro.eval", "repro.serve", "concurrent.futures")) == []
     assert (tmp_path / "w" / "trace.jsonl").exists()
 
 
