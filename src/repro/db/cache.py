@@ -72,6 +72,7 @@ from repro.obs.logsetup import get_logger
 from repro.obs.names import SQL_EXECUTE_SPAN
 from repro.obs.metrics import get_registry
 from repro.obs.tracer import get_tracer
+from repro.util.pyast import load_npy
 from repro.util.stats import MergeableCounters
 
 log = get_logger("db.cache")
@@ -429,7 +430,7 @@ class QueryResultCache:
             if (zlib.crc32(raw) & 0xFFFFFFFF) != crcs[i]:
                 raise _CorruptEntry(f"column {name!r} failed CRC")
             try:
-                arr = np.load(path, mmap_mode="r", allow_pickle=False)
+                arr = load_npy(path)
             except (OSError, ValueError) as exc:
                 raise _CorruptEntry(f"column {name!r} unreadable: {exc}") from None
             if len(arr) != num_rows:

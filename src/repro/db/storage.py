@@ -33,6 +33,7 @@ from repro import faults
 from repro.db.bloom import BloomFilter
 from repro.db.errors import DBError, IngestKilled, UnknownColumnError
 from repro.frame import Frame
+from repro.util.pyast import load_npy
 
 DEFAULT_ROW_GROUP_SIZE = 65536
 # the table metadata every catalog entry carries; all but ``columns`` are
@@ -196,9 +197,7 @@ class TableStore:
             self.dtype_of(n)  # validate with a helpful error
         rg_dir = self.path / f"rg{index:05d}"
         mode = "r" if mmap else None
-        return Frame(
-            {n: np.load(rg_dir / f"{n}.npy", mmap_mode=mode, allow_pickle=False) for n in names}
-        )
+        return Frame({n: load_npy(rg_dir / f"{n}.npy", mmap_mode=mode) for n in names})
 
     def zone_map(self, index: int) -> dict[str, tuple[float, float]]:
         """Per-column (min, max) of one row group."""

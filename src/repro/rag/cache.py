@@ -40,6 +40,7 @@ import numpy as np
 
 from repro.durable import atomic_publish
 from repro.llm.embeddings import HashedEmbedder
+from repro.util.pyast import load_npy
 from repro.util.stats import MergeableCounters
 
 SIDECAR_SUFFIX = ".json"
@@ -204,7 +205,7 @@ class RetrievalArtifactCache:
             meta = json.loads(sidecar_path.read_text())
             if meta.get("key") != key:
                 return None
-            matrix = np.load(matrix_path, mmap_mode="r")
+            matrix = load_npy(matrix_path)
         except (OSError, ValueError, json.JSONDecodeError):
             return None
         if matrix.shape != (n_documents, dim):

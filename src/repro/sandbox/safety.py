@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import ast
 
+from repro.util.pyast import AST_LOCK
+
 ALLOWED_IMPORTS = {
     "numpy",
     "math",
@@ -37,7 +39,8 @@ class SafetyViolation(RuntimeError):
 def audit_code(code: str) -> ast.Module:
     """Parse and audit ``code``; returns the AST if clean."""
     try:
-        tree = ast.parse(code)
+        with AST_LOCK:
+            tree = ast.parse(code)
     except SyntaxError as exc:
         raise SafetyViolation(f"syntax error in generated code: {exc}") from exc
 

@@ -2,6 +2,7 @@
 access, signatures, and a catalog commit that fails leaving the old one."""
 
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from repro.db import Database
 from repro.db.errors import DBError, UnknownColumnError
 from repro.frame import Frame
+from repro.util.pyast import AST_LOCK
 
 
 def make_frame(n, offset=0):
@@ -113,6 +115,22 @@ class TestAppendScan:
         chunk = table.store.read_row_group(0, ["a"], mmap=True)
         assert isinstance(chunk["a"], np.ndarray)
         assert chunk["a"][5] == 5
+
+    def test_segment_opens_wait_for_the_ast_lock(self, table):
+        """NumPy parses ``.npy`` headers with ``ast``; CPython 3.11 cannot
+        build ASTs on two threads at once, so a segment open waits while
+        anything else holds :data:`AST_LOCK`."""
+        table.append(make_frame(10))
+        opened = []
+        reader = threading.Thread(
+            target=lambda: opened.append(table.store.read_row_group(0, ["a"]))
+        )
+        with AST_LOCK:
+            reader.start()
+            reader.join(timeout=0.2)
+            assert reader.is_alive() and not opened
+        reader.join(timeout=10.0)
+        assert len(opened) == 1 and list(opened[0]["a"]) == list(range(10))
 
 
 class TestVersioningAndSignatures:
