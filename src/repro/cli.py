@@ -113,7 +113,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     cache = sub.add_parser("cache", help="inspect or clear the shared caches")
     cache.add_argument("action", choices=("stats", "clear"),
-                       help="stats: tiered hit/miss counters + on-disk footprint; "
+                       help="stats: on-disk footprint + the tiered hit/miss counters "
+                            "recorded in the workdir's metrics.json; "
                             "clear: drop in-process tiers and on-disk entries")
     cache.add_argument("--workdir", default="infera_workspace",
                        help="workdir whose .query_cache/.retrieval_cache to report")
@@ -448,25 +449,35 @@ def cmd_cache(args: argparse.Namespace) -> int:
               f"run a query or the eval harness first")
         return 0
 
-    qstats = query_cache.stats_snapshot()
+    # counters live in the process that counted them: a later process
+    # can only report what a run persisted (the harness's metrics.json)
+    metrics_path = workdir / "metrics.json"
+    counters = (
+        json.loads(metrics_path.read_text())["counters"] if metrics_path.is_file() else None
+    )
     print(f"query result cache ({store.cache_dir})")
     print(f"  disk: {len(store.disk_entries())} entries, {store.footprint_bytes():,} bytes")
     quarantined_disk = len(store.quarantined_entries())
     if quarantined_disk:
         print(f"  quarantined: {quarantined_disk} corrupt entries moved aside")
-    print(f"  process counters: memory={qstats.memory_hits} disk={qstats.disk_hits} "
-          f"incremental={qstats.incremental_hits} miss={qstats.misses} "
-          f"(hit ratio {qstats.hit_ratio:.1%} of {qstats.requests})")
-    print(f"  stores={qstats.stores} evictions={qstats.evictions} "
-          f"invalidations={qstats.invalidations} quarantined={qstats.quarantined}")
-    rstats = rag_cache.stats_snapshot()
+    if counters is not None:
+        qstats = query_cache.QueryCacheStats.from_counters(counters)
+        print(f"  counters: memory={qstats.memory_hits} disk={qstats.disk_hits} "
+              f"incremental={qstats.incremental_hits} miss={qstats.misses} "
+              f"(hit ratio {qstats.hit_ratio:.1%} of {qstats.requests})")
+        print(f"  stores={qstats.stores} evictions={qstats.evictions} "
+              f"invalidations={qstats.invalidations} quarantined={qstats.quarantined}")
     print(f"retrieval artifact cache ({retrieval_dir})")
     print(f"  disk: {len(retrieval_files)} files, {retrieval_bytes:,} bytes")
-    print(f"  process counters: memory={rstats.memory_hits} disk={rstats.disk_hits} "
-          f"builds={rstats.builds}")
-    print(f"  query memo: {rstats.query_memo_hits}/{rstats.query_memo_hits + rstats.query_memo_misses} "
-          f"hits, {rstats.query_memo_evictions} evictions "
-          f"(capacity {rag_cache.query_memo_capacity()})")
+    if counters is not None:
+        rstats = rag_cache.CacheStats.from_counters(counters)
+        print(f"  counters: memory={rstats.memory_hits} disk={rstats.disk_hits} "
+              f"builds={rstats.builds}")
+        print(f"  query memo: {rstats.query_memo_hits}/"
+              f"{rstats.query_memo_hits + rstats.query_memo_misses} hits, "
+              f"{rstats.query_memo_evictions} evictions")
+    else:
+        print(f"no counters: {metrics_path.name} is written by `repro eval`")
     return 0
 
 

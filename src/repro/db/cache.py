@@ -29,9 +29,10 @@ databases (every harness run loads the same subset) share entries.
    executor pipeline instead of re-scanning row groups from disk;
 4. cold miss: full streaming execution, then publish for everyone else.
 
-All tiers count into the process-local :data:`QUERY_STATS` (mergeable —
-the harness ships deltas back from worker processes), into ``repro.obs``
-metrics counters, and onto ``sql.execute`` span attributes.
+Every tier outcome increments one ``db.cache.*`` counter of the
+:mod:`repro.obs.metrics` registry (names declared in :mod:`repro.obs.names`)
+and stamps a ``cache`` attribute on the ``sql.execute`` span;
+:class:`QueryCacheStats` is a typed read of those counters.
 
 **Self-healing.**  Every published column file carries a CRC32 in the
 sidecar.  A read that fails verification — a torn write that published a
@@ -68,12 +69,12 @@ from repro.db.sql.normalize import (
     residual_conjuncts,
 )
 from repro.frame import Frame
+from repro.obs import names as obs_names
 from repro.obs.logsetup import get_logger
 from repro.obs.names import SQL_EXECUTE_SPAN
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import CounterView, counter_field, get_registry
 from repro.obs.tracer import get_tracer
 from repro.util.pyast import load_npy
-from repro.util.stats import MergeableCounters
 
 log = get_logger("db.cache")
 
@@ -89,17 +90,22 @@ _MAX_TRACKED_FINGERPRINTS = 4096
 # statistics
 # ----------------------------------------------------------------------
 @dataclass
-class QueryCacheStats(MergeableCounters):
-    """Process-local counters for every query-result-cache tier."""
+class QueryCacheStats(CounterView):
+    """Every query-result-cache tier's registry counter, read as ints."""
 
-    memory_hits: int = 0
-    disk_hits: int = 0
-    incremental_hits: int = 0        # redo re-filtered a cached parent
-    misses: int = 0                  # full streaming executions
-    stores: int = 0
-    evictions: int = 0               # in-process LRU evictions
-    invalidations: int = 0           # a known plan's table state changed
-    quarantined: int = 0             # corrupt disk entries moved aside
+    memory_hits: int = counter_field(obs_names.DB_CACHE_HIT_MEMORY)
+    disk_hits: int = counter_field(obs_names.DB_CACHE_HIT_DISK)
+    # redo re-filtered a cached parent
+    incremental_hits: int = counter_field(obs_names.DB_CACHE_HIT_INCREMENTAL)
+    # full streaming executions
+    misses: int = counter_field(obs_names.DB_CACHE_MISS)
+    stores: int = counter_field(obs_names.DB_CACHE_STORE)
+    # in-process LRU evictions
+    evictions: int = counter_field(obs_names.DB_CACHE_EVICTION)
+    # a known plan's table state changed
+    invalidations: int = counter_field(obs_names.DB_CACHE_INVALIDATION)
+    # corrupt disk entries moved aside
+    quarantined: int = counter_field(obs_names.DB_CACHE_QUARANTINE)
 
     @property
     def hits(self) -> int:
@@ -114,7 +120,12 @@ class QueryCacheStats(MergeableCounters):
         return self.hits / self.requests if self.requests else 0.0
 
 
-QUERY_STATS = QueryCacheStats()
+# the counter each hit tier increments
+_HIT_COUNTERS = {
+    "memory": obs_names.DB_CACHE_HIT_MEMORY,
+    "disk": obs_names.DB_CACHE_HIT_DISK,
+    "incremental": obs_names.DB_CACHE_HIT_INCREMENTAL,
+}
 
 # tier 1: key -> result Frame, LRU over insertion/use order
 _MEMORY: OrderedDict[str, Frame] = OrderedDict()
@@ -128,8 +139,8 @@ _LAST_STATES: OrderedDict[str, str] = OrderedDict()
 
 
 def stats_snapshot() -> QueryCacheStats:
-    """Copy of the process-wide counters (subtract later with ``delta``)."""
-    return QUERY_STATS.copy()
+    """The process-wide counters now (subtract later with ``delta``)."""
+    return QueryCacheStats.read()
 
 
 def set_memory_capacity(entries: int) -> None:
@@ -153,8 +164,7 @@ def clear_memory_cache() -> None:
 def _evict_to_capacity() -> None:
     while len(_MEMORY) > _MEMORY_CAPACITY:
         _MEMORY.popitem(last=False)
-        QUERY_STATS.evictions += 1
-        get_registry().counter("db.cache.eviction").inc()
+        get_registry().counter(obs_names.DB_CACHE_EVICTION).inc()
 
 
 def _memory_put(key: str, frame: Frame) -> None:
@@ -300,18 +310,16 @@ class QueryResultCache:
         if frame is not None:
             return self._record_hit("incremental", plan, frame)
 
-        QUERY_STATS.misses += 1
-        get_registry().counter("db.cache.miss").inc()
+        get_registry().counter(obs_names.DB_CACHE_MISS).inc()
         frame = sql_execute(db, stmt, scan_stats, cache_outcome="miss")
         self._store(key, plan, states, frame)
         return frame
 
     def _record_hit(self, tier: str, plan: NormalizedPlan, frame: Frame) -> Frame:
-        setattr(QUERY_STATS, f"{tier}_hits", getattr(QUERY_STATS, f"{tier}_hits") + 1)
-        get_registry().counter(f"db.cache.hit.{tier}").inc()
+        get_registry().counter(_HIT_COUNTERS[tier]).inc()
         # every SELECT counts as a query regardless of how it was served,
         # so "sql.queries" stays identical between cached and cold runs
-        get_registry().counter("sql.queries").inc()
+        get_registry().counter(obs_names.SQL_QUERIES).inc()
         if tier != "incremental":  # incremental emits its own sql.execute span
             with get_tracer().span(SQL_EXECUTE_SPAN, cache=tier, **_shape_attrs(plan)) as sp:
                 sp.set(rows=frame.num_rows)
@@ -320,8 +328,7 @@ class QueryResultCache:
     def _track_invalidation(self, fingerprint: str, states_key: str) -> None:
         previous = _LAST_STATES.get(fingerprint)
         if previous is not None and previous != states_key:
-            QUERY_STATS.invalidations += 1
-            get_registry().counter("db.cache.invalidation").inc()
+            get_registry().counter(obs_names.DB_CACHE_INVALIDATION).inc()
         _LAST_STATES[fingerprint] = states_key
         _LAST_STATES.move_to_end(fingerprint)
         while len(_LAST_STATES) > _MAX_TRACKED_FINGERPRINTS:
@@ -364,8 +371,7 @@ class QueryResultCache:
     def _store(
         self, key: str, plan: NormalizedPlan, states: tuple[str, ...], frame: Frame
     ) -> None:
-        QUERY_STATS.stores += 1
-        get_registry().counter("db.cache.store").inc()
+        get_registry().counter(obs_names.DB_CACHE_STORE).inc()
         _memory_put(key, frame)
         self._disk_store(key, frame)
         _register_parent(plan, states, key, frame)
@@ -442,8 +448,7 @@ class QueryResultCache:
 
     def _quarantine(self, entry: Path, detail: str) -> None:
         """Move a corrupt entry aside so the next execution re-publishes."""
-        QUERY_STATS.quarantined += 1
-        get_registry().counter("db.cache.quarantine").inc()
+        get_registry().counter(obs_names.DB_CACHE_QUARANTINE).inc()
         span = get_tracer().current()
         if span is not None:
             attrs = span.attributes

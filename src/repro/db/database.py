@@ -508,8 +508,11 @@ class Database:
         with self._write_lock:
             if name not in self._tables:
                 raise UnknownTableError(name, sorted(self._tables))
-            self._writer_store(name).drop()
+            store = self._writer_store(name)
+            # publish first: a failed publish leaves the table whole, and a
+            # death after it leaves only segments no catalog entry lists
             self._flush_catalog({n: e for n, e in self._tables.items() if n != name})
+            store.drop()
 
     # ------------------------------------------------------------------
     # querying

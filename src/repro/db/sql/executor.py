@@ -42,7 +42,7 @@ from repro.frame import Frame, concat
 from repro.frame.join import merge
 from repro.obs.events import NULL_BUS, get_bus
 from repro.obs.metrics import get_registry
-from repro.obs.names import MORSEL_EVENT, SQL_EXECUTE_SPAN
+from repro.obs.names import MORSEL_EVENT, SQL_EXECUTE_SPAN, SQL_QUERIES
 from repro.obs.tracer import get_tracer
 
 
@@ -106,7 +106,7 @@ def execute(
             row_groups_skipped_bloom=stats.row_groups_skipped_bloom,
         )
     registry = get_registry()
-    registry.counter("sql.queries").inc()
+    registry.counter(SQL_QUERIES).inc()
     registry.counter("sql.engine.morsels").inc(stats.morsels_executed)
     registry.counter("sql.engine.skipped.zone").inc(stats.row_groups_skipped_zone)
     registry.counter("sql.engine.skipped.bloom").inc(stats.row_groups_skipped_bloom)

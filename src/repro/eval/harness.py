@@ -18,8 +18,10 @@ derived output).  All runs share one retrieval-artifact cache (see
 :mod:`repro.rag.cache`) so only the first run per corpus pays the
 column-corpus embedding cost, and one semantic query-result cache (see
 :mod:`repro.db.cache`) so a SELECT executed in any run — or any redo
-attempt — is served from memory or mmap everywhere else; hit/miss
-counters for both land in ``HarnessResult.perf``.
+attempt — is served from memory or mmap everywhere else.  Both caches
+count in the :mod:`repro.obs.metrics` registry, so their hit/miss
+counters ride in each cell's metrics delta, and ``HarnessResult.perf``
+reads them from the merged suite total.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from pathlib import Path
 from repro.agents.planner import AutoApprove
 from repro.core import InferA, InferAConfig
 from repro.db.cache import QueryCacheStats
-from repro.db.cache import stats_snapshot as query_stats_snapshot
 from repro.eval.metrics import MetricsAggregator, RunMetrics, oracle_assess
 from repro.eval.questions import (
     QUESTION_SUITE,
@@ -59,7 +60,7 @@ from repro.obs.metrics import (
     snapshot_delta,
 )
 from repro.obs.tracer import TraceContext, Tracer, current_context, use_tracer
-from repro.rag.cache import CacheStats, stats_snapshot
+from repro.rag.cache import CacheStats
 from repro.sim.ensemble import Ensemble
 from repro.util.timing import SimulatedClock, WallClock
 
@@ -89,17 +90,14 @@ class RunOutcome:
     """One grid cell's full result (what pool workers ship back)."""
 
     metrics: RunMetrics
-    cache_stats: CacheStats
     wall_s: float
     report: object | None = None
-    # semantic query-result cache counters (repro.db.cache) measured
-    # around the cell, merged across workers like ``cache_stats``
-    query_cache_stats: QueryCacheStats = field(default_factory=QueryCacheStats)
     # serialized spans of the cell (parented under the suite's root span,
     # so the parent process can merge every worker into one trace)
     spans: list[dict] = field(default_factory=list)
-    # obs-metrics delta measured around the cell; deltas from worker
-    # processes merge element-wise into the suite total
+    # obs-metrics delta measured around the cell (cache counters
+    # included); deltas from worker processes merge element-wise into
+    # the suite total
     obs_metrics: dict = field(default_factory=empty_snapshot)
     # the session's cost ledger (CostLedger.as_dict()); cell ledgers
     # merge entry-wise into the suite ledger like metrics snapshots
@@ -114,8 +112,6 @@ class HarnessPerf:
     total_wall_s: float
     runs_per_s: float
     per_run_wall_s: list[float]
-    cache: CacheStats
-    query_cache: QueryCacheStats = field(default_factory=QueryCacheStats)
     # per-phase span rollups (spans/total_s/errors keyed by phase) over
     # the merged suite trace, plus the merged obs-metrics snapshot
     span_rollups: dict = field(default_factory=dict)
@@ -123,6 +119,16 @@ class HarnessPerf:
     # the suite cost ledger (CostLedger.as_dict()): every cell's session
     # ledger merged entry-wise, totals == Σ per-entry spend
     cost: dict = field(default_factory=dict)
+
+    @property
+    def cache(self) -> CacheStats:
+        """Retrieval-cache tiers, read from the merged counters."""
+        return CacheStats.from_counters(self.obs_metrics["counters"])
+
+    @property
+    def query_cache(self) -> QueryCacheStats:
+        """Query-result-cache tiers, read from the merged counters."""
+        return QueryCacheStats.from_counters(self.obs_metrics["counters"])
 
     @property
     def fault_counters(self) -> dict[str, int]:
@@ -294,16 +300,12 @@ class EvaluationHarness:
         # a sequential run's
         aggregator = MetricsAggregator()
         kept: list = []
-        cache_total = CacheStats()
-        query_cache_total = QueryCacheStats()
         suite_ledger = CostLedger()
         per_run_wall: list[float] = []
         all_spans: list[dict] = list(tracer.span_dicts())
         obs_total = empty_snapshot()
         for outcome in outcomes:
             aggregator.add(outcome.metrics)
-            cache_total.merge(outcome.cache_stats)
-            query_cache_total.merge(outcome.query_cache_stats)
             suite_ledger.merge(outcome.cost)
             per_run_wall.append(outcome.wall_s)
             all_spans.extend(outcome.spans)
@@ -322,8 +324,6 @@ class EvaluationHarness:
             total_wall_s=total_wall,
             runs_per_s=len(grid) / total_wall if total_wall > 0 else 0.0,
             per_run_wall_s=per_run_wall,
-            cache=cache_total,
-            query_cache=query_cache_total,
             span_rollups=phase_rollups(all_spans),
             obs_metrics=obs_total,
             cost=suite_cost,
@@ -373,8 +373,6 @@ class EvaluationHarness:
         ctx: TraceContext | None = None,
     ) -> RunOutcome:
         """One grid cell: run, judge, classify, and measure."""
-        stats_before = stats_snapshot()
-        query_before = query_stats_snapshot()
         obs_before = get_registry().snapshot()
         # a fresh tracer per cell (unique span-id prefix, so merged worker
         # traces never collide) parented under the suite's root span
@@ -406,8 +404,6 @@ class EvaluationHarness:
         )
         return RunOutcome(
             metrics=metrics,
-            cache_stats=stats_snapshot().delta(stats_before),
-            query_cache_stats=query_stats_snapshot().delta(query_before),
             wall_s=wall,
             report=report if self.config.keep_reports else None,
             spans=cell_tracer.span_dicts() + list(report.trace_spans),

@@ -186,20 +186,6 @@ class MetricsAggregator:
     def add(self, metrics: RunMetrics) -> None:
         self.rows.append(metrics)
 
-    def merge(self, other: "MetricsAggregator") -> "MetricsAggregator":
-        """Fold another aggregator's rows into this one (in its order).
-
-        Sharded evaluation (the parallel harness, future multi-host
-        sweeps) aggregates per shard and merges in canonical shard order,
-        which yields the exact row list a sequential run produces.
-        """
-        self.rows.extend(other.rows)
-        return self
-
-    @classmethod
-    def from_rows(cls, rows: list[RunMetrics]) -> "MetricsAggregator":
-        return cls(rows=list(rows))
-
     def bucket(self, label: str, predicate: Callable[[RunMetrics], bool]) -> AggregateRow:
         selected = [r for r in self.rows if predicate(r)]
         n = len(selected)

@@ -3,7 +3,7 @@
 Dependency-free observability for the whole assistant: hierarchical
 spans over supervisor steps, graph nodes, SQL, sandbox runs, retrieval
 and LLM exchanges (:mod:`repro.obs.tracer`); mergeable process-local
-counters/gauges/histograms (:mod:`repro.obs.metrics`); a bounded-queue
+counters/histograms (:mod:`repro.obs.metrics`); a bounded-queue
 streaming event bus with pluggable subscribers
 (:mod:`repro.obs.events`); the per-session cost ledger with attribution
 and hard token budgets (:mod:`repro.obs.cost`); a sampling profiler

@@ -1,12 +1,15 @@
-"""Process-local counters, gauges, and fixed-bucket histograms.
+"""Process-local counters and fixed-bucket histograms.
 
 The metrics layer answers the questions the paper's tables ask —
-cumulative LLM tokens, retrieval volume, sandbox wall time, QA redo
-count — continuously rather than post-hoc.  Instruments live in a
-process-local :class:`MetricsRegistry`; the evaluation harness snapshots
-the registry around each grid cell and ships plain-dict deltas back from
-worker processes, where :func:`merge_snapshots` folds them (associatively,
-so shard merge order never matters) alongside ``MetricsAggregator``.
+cumulative LLM tokens, retrieval volume, cache tiers, sandbox wall time —
+continuously rather than post-hoc.  Instruments live in one process-local
+:class:`MetricsRegistry`, the only store of every count in the process;
+the evaluation harness snapshots it around each grid cell and ships
+plain-dict deltas back from worker processes, where
+:func:`merge_snapshots` folds them (associatively, so shard merge order
+never matters).  A :class:`CounterView` subclass (the caches'
+``CacheStats`` / ``QueryCacheStats``) is a typed read of named counters,
+from the live registry or from any snapshot.
 
 Histograms use *fixed* bucket bounds so that two histograms of the same
 name are always merge-compatible across processes: merging is element-wise
@@ -18,8 +21,8 @@ from __future__ import annotations
 import bisect
 import math
 import threading
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass, field, fields
+from typing import Any, Self
 
 from repro.obs.events import NULL_BUS, get_bus
 
@@ -27,10 +30,6 @@ from repro.obs.events import NULL_BUS, get_bus
 TIME_BUCKETS_S: tuple[float, ...] = (
     0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 60.0
 )
-# default bounds for token-count histograms
-TOKEN_BUCKETS: tuple[float, ...] = (100, 500, 1_000, 5_000, 10_000, 50_000, 100_000, 500_000)
-# default bounds for small-integer counts (rows, redo iterations, ...)
-COUNT_BUCKETS: tuple[float, ...] = (0, 1, 2, 5, 10, 50, 100, 1_000, 10_000)
 
 
 @dataclass
@@ -47,17 +46,6 @@ class Counter:
         bus = get_bus()
         if bus is not NULL_BUS:
             bus.publish_counter(self.name, amount)
-
-
-@dataclass
-class Gauge:
-    """Last-written value (queue depth, cache size, ...)."""
-
-    name: str
-    value: float = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
 
 
 @dataclass
@@ -134,7 +122,6 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self.counters: dict[str, Counter] = {}
-        self.gauges: dict[str, Gauge] = {}
         self.histograms: dict[str, Histogram] = {}
 
     def counter(self, name: str) -> Counter:
@@ -142,13 +129,6 @@ class MetricsRegistry:
             inst = self.counters.get(name)
             if inst is None:
                 inst = self.counters[name] = Counter(name)
-            return inst
-
-    def gauge(self, name: str) -> Gauge:
-        with self._lock:
-            inst = self.gauges.get(name)
-            if inst is None:
-                inst = self.gauges[name] = Gauge(name)
             return inst
 
     def histogram(self, name: str, bounds: tuple[float, ...] = TIME_BUCKETS_S) -> Histogram:
@@ -164,7 +144,6 @@ class MetricsRegistry:
         with self._lock:
             return {
                 "counters": {n: c.value for n, c in self.counters.items()},
-                "gauges": {n: g.value for n, g in self.gauges.items()},
                 "histograms": {
                     n: {
                         "bounds": list(h.bounds),
@@ -179,23 +158,6 @@ class MetricsRegistry:
                     for n, h in self.histograms.items()
                 },
             }
-
-    def merge_snapshot(self, snap: dict[str, Any]) -> None:
-        """Fold a snapshot (e.g. shipped from a worker process) into live
-        instruments."""
-        for name, value in snap.get("counters", {}).items():
-            self.counter(name).inc(value)
-        for name, value in snap.get("gauges", {}).items():
-            self.gauge(name).set(value)
-        for name, doc in snap.get("histograms", {}).items():
-            hist = self.histogram(name, tuple(doc["bounds"]))
-            hist.merge(_hist_from_doc(name, doc))
-
-    def reset(self) -> None:
-        with self._lock:
-            self.counters.clear()
-            self.gauges.clear()
-            self.histograms.clear()
 
 
 def _hist_from_doc(name: str, doc: dict[str, Any]) -> Histogram:
@@ -233,21 +195,18 @@ def _hist_doc(h: Histogram) -> dict[str, Any]:
 
 
 def empty_snapshot() -> dict[str, Any]:
-    return {"counters": {}, "gauges": {}, "histograms": {}}
+    return {"counters": {}, "histograms": {}}
 
 
 def merge_snapshots(a: dict[str, Any], b: dict[str, Any]) -> dict[str, Any]:
-    """Associative fold of two snapshots (counters/histograms add; gauges
-    take the right operand, matching 'last writer wins')."""
+    """Associative fold of two snapshots (counters and histograms add)."""
     out = {
         "counters": dict(a.get("counters", {})),
-        "gauges": dict(a.get("gauges", {})),
         "histograms": {n: _hist_doc(_hist_from_doc(n, d))
                        for n, d in a.get("histograms", {}).items()},
     }
     for name, value in b.get("counters", {}).items():
         out["counters"][name] = out["counters"].get(name, 0) + value
-    out["gauges"].update(b.get("gauges", {}))
     for name, doc in b.get("histograms", {}).items():
         mine = out["histograms"].get(name)
         if mine is None:
@@ -272,7 +231,6 @@ def snapshot_delta(after: dict[str, Any], before: dict[str, Any]) -> dict[str, A
         diff = value - before.get("counters", {}).get(name, 0)
         if diff:
             delta["counters"][name] = diff
-    delta["gauges"] = dict(after.get("gauges", {}))
     for name, doc in after.get("histograms", {}).items():
         prior = before.get("histograms", {}).get(
             name, {"bounds": doc["bounds"], "counts": [0] * len(doc["counts"]),
@@ -298,3 +256,37 @@ REGISTRY = MetricsRegistry()
 
 def get_registry() -> MetricsRegistry:
     return REGISTRY
+
+
+def counter_field(name: str) -> Any:
+    """A :class:`CounterView` field reading registry counter ``name``."""
+    return field(default=0, metadata={"counter": name})
+
+
+class CounterView:
+    """A typed, read-only view of named registry counters.
+
+    Subclass as a dataclass whose every field is a :func:`counter_field`;
+    the registry stays the only store, so a view is always a read — of
+    the live process (:meth:`read`) or of a snapshot's ``counters``
+    section, such as a harness suite's merged cell deltas.
+    """
+
+    @classmethod
+    def from_counters(cls, counters: dict[str, float]) -> Self:
+        """Read from a snapshot's ``counters`` (an absent name is 0)."""
+        return cls(**{f.name: int(counters.get(f.metadata["counter"], 0)) for f in fields(cls)})
+
+    @classmethod
+    def read(cls) -> Self:
+        """The process-wide registry's current values."""
+        return cls.from_counters(REGISTRY.snapshot()["counters"])
+
+    def delta(self, earlier: Self) -> Self:
+        """What happened between two reads of the same counters."""
+        return type(self)(
+            **{f.name: getattr(self, f.name) - getattr(earlier, f.name) for f in fields(self)}
+        )
+
+    def as_dict(self) -> dict[str, int]:
+        return {f.name: getattr(self, f.name) for f in fields(self)}

@@ -1,4 +1,4 @@
-"""Shared span names and canonicalization exclusion lists.
+"""Shared span and counter names and canonicalization exclusion lists.
 
 Before this module, the ``sql.execute`` span name and the sets of
 attributes excluded from canonical trees were string-matched
@@ -87,6 +87,28 @@ WAL_ORPHAN_GROUPS_DROPPED = "wal.orphan_row_groups_dropped"
 INGEST_STEPS = "ingest.steps"
 INGEST_ROWS = "ingest.rows"
 INGEST_KILLS = "ingest.kills"
+
+# one per SELECT however it was served (repro.db.sql.executor on a miss,
+# repro.db.cache on a hit), so it is equal between cached and cold runs
+SQL_QUERIES = "sql.queries"
+# query-result cache counters (repro.db.cache), one per tier outcome;
+# ``QueryCacheStats`` is a typed read of exactly these
+DB_CACHE_HIT_MEMORY = "db.cache.hit.memory"
+DB_CACHE_HIT_DISK = "db.cache.hit.disk"
+DB_CACHE_HIT_INCREMENTAL = "db.cache.hit.incremental"
+DB_CACHE_MISS = "db.cache.miss"
+DB_CACHE_STORE = "db.cache.store"
+DB_CACHE_EVICTION = "db.cache.eviction"
+DB_CACHE_INVALIDATION = "db.cache.invalidation"
+DB_CACHE_QUARANTINE = "db.cache.quarantine"
+# retrieval-artifact cache counters (repro.rag.cache): the corpus matrix
+# tiers and the shared query-embedding memo; ``CacheStats`` reads these
+RAG_CACHE_HIT_MEMORY = "rag.cache.hit.memory"
+RAG_CACHE_HIT_DISK = "rag.cache.hit.disk"
+RAG_CACHE_BUILD = "rag.cache.build"
+RAG_MEMO_HIT = "rag.memo.hit"
+RAG_MEMO_MISS = "rag.memo.miss"
+RAG_MEMO_EVICTION = "rag.memo.eviction"
 
 # ----------------------------------------------------------------------
 # canonical-tree exclusions

@@ -31,7 +31,7 @@ import threading
 import uuid
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Any, Iterator
 
 from repro.obs.events import NULL_BUS, get_bus
@@ -83,10 +83,6 @@ class TraceContext:
     def as_dict(self) -> dict[str, Any]:
         return {"trace_id": self.trace_id, "span_id": self.span_id}
 
-    @classmethod
-    def from_dict(cls, doc: dict[str, Any]) -> "TraceContext":
-        return cls(trace_id=doc.get("trace_id", ""), span_id=doc.get("span_id"))
-
 
 @dataclass
 class Span:
@@ -125,21 +121,6 @@ class Span:
             "error_type": self.error_type,
             "error_message": self.error_message,
         }
-
-    @classmethod
-    def from_dict(cls, doc: dict[str, Any]) -> "Span":
-        """Tolerant decode: unknown keys ignored, missing keys defaulted."""
-        known = {f.name for f in fields(cls)} - {"attributes"}
-        kwargs = {k: v for k, v in doc.items() if k in known and k != "duration"}
-        kwargs.setdefault("trace_id", "")
-        kwargs.setdefault("span_id", "")
-        kwargs.setdefault("parent_id", None)
-        kwargs.setdefault("name", "")
-        kwargs.setdefault("start", 0.0)
-        span = cls(attributes=dict(doc.get("attributes", {})), **kwargs)
-        if span.status == "open" and span.end is not None:
-            span.status = "ok"
-        return span
 
 
 class _NullSpan:

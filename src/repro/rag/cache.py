@@ -22,10 +22,11 @@ hundreds of column embeddings.  Three tiers:
    :func:`repro.durable.atomic_publish` of matrix then sidecar, so racing
    processes never observe a half-written artifact.
 
-All tiers are counted in process-local :class:`CacheStats`; the
-evaluation harness snapshots them around each run and merges the deltas
-into its result, which is how the hit/miss counters in
-``HarnessResult.perf`` are produced.
+Every tier outcome increments one ``rag.cache.*`` / ``rag.memo.*``
+counter of the :mod:`repro.obs.metrics` registry (names declared in
+:mod:`repro.obs.names`); :class:`CacheStats` is a typed read of them, so a
+harness run's ``metrics.json``, ``HarnessResult.perf.cache`` and
+``/stats`` all report the same counts.
 """
 
 from __future__ import annotations
@@ -40,8 +41,9 @@ import numpy as np
 
 from repro.durable import atomic_publish
 from repro.llm.embeddings import HashedEmbedder
+from repro.obs import names as obs_names
+from repro.obs.metrics import CounterView, counter_field, get_registry
 from repro.util.pyast import load_npy
-from repro.util.stats import MergeableCounters
 
 SIDECAR_SUFFIX = ".json"
 MATRIX_SUFFIX = ".npy"
@@ -57,15 +59,16 @@ MATERIALIZE_MAX_BYTES = 32 << 20
 # statistics
 # ----------------------------------------------------------------------
 @dataclass
-class CacheStats(MergeableCounters):
-    """Process-local counters for every cache tier (mergeable)."""
+class CacheStats(CounterView):
+    """Every retrieval-cache tier's registry counter, read as ints."""
 
-    memory_hits: int = 0
-    disk_hits: int = 0
-    builds: int = 0                  # cold misses: full corpus re-embeds
-    query_memo_hits: int = 0
-    query_memo_misses: int = 0
-    query_memo_evictions: int = 0
+    memory_hits: int = counter_field(obs_names.RAG_CACHE_HIT_MEMORY)
+    disk_hits: int = counter_field(obs_names.RAG_CACHE_HIT_DISK)
+    # cold misses: full corpus re-embeds
+    builds: int = counter_field(obs_names.RAG_CACHE_BUILD)
+    query_memo_hits: int = counter_field(obs_names.RAG_MEMO_HIT)
+    query_memo_misses: int = counter_field(obs_names.RAG_MEMO_MISS)
+    query_memo_evictions: int = counter_field(obs_names.RAG_MEMO_EVICTION)
 
     @property
     def matrix_hits(self) -> int:
@@ -75,8 +78,6 @@ class CacheStats(MergeableCounters):
     def matrix_requests(self) -> int:
         return self.memory_hits + self.disk_hits + self.builds
 
-
-GLOBAL_STATS = CacheStats()
 
 # in-process matrix memo: key -> ndarray (tier 1)
 _MATRIX_MEMO: dict[str, np.ndarray] = {}
@@ -90,8 +91,8 @@ _QUERY_MEMO_CAPACITY = QUERY_MEMO_MAX
 
 
 def stats_snapshot() -> CacheStats:
-    """Copy of the process-wide counters (subtract later with ``delta``)."""
-    return GLOBAL_STATS.copy()
+    """The process-wide counters now (subtract later with ``delta``)."""
+    return CacheStats.read()
 
 
 def clear_memory_cache() -> None:
@@ -110,7 +111,7 @@ def set_query_memo_capacity(entries: int) -> None:
     _QUERY_MEMO_CAPACITY = max(0, int(entries))
     while len(_QUERY_MEMO) > _QUERY_MEMO_CAPACITY:
         _QUERY_MEMO.popitem(last=False)
-        GLOBAL_STATS.query_memo_evictions += 1
+        get_registry().counter(obs_names.RAG_MEMO_EVICTION).inc()
 
 
 def query_memo_size() -> int:
@@ -122,15 +123,15 @@ def memoized_query_embedding(embedder: HashedEmbedder, query: str) -> np.ndarray
     key = (embedder.cache_key(), query)
     vec = _QUERY_MEMO.get(key)
     if vec is not None:
-        GLOBAL_STATS.query_memo_hits += 1
+        get_registry().counter(obs_names.RAG_MEMO_HIT).inc()
         _QUERY_MEMO.move_to_end(key)
         return vec
-    GLOBAL_STATS.query_memo_misses += 1
+    get_registry().counter(obs_names.RAG_MEMO_MISS).inc()
     vec = embedder.embed(query)
     _QUERY_MEMO[key] = vec
     while len(_QUERY_MEMO) > _QUERY_MEMO_CAPACITY:
         _QUERY_MEMO.popitem(last=False)
-        GLOBAL_STATS.query_memo_evictions += 1
+        get_registry().counter(obs_names.RAG_MEMO_EVICTION).inc()
     return vec
 
 
@@ -180,16 +181,16 @@ class RetrievalArtifactCache:
 
         cached = _MATRIX_MEMO.get(key)
         if cached is not None:
-            GLOBAL_STATS.memory_hits += 1
+            get_registry().counter(obs_names.RAG_CACHE_HIT_MEMORY).inc()
             return cached
 
         loaded = self._load(key, n_documents=len(texts), dim=embedder.dim)
         if loaded is not None:
-            GLOBAL_STATS.disk_hits += 1
+            get_registry().counter(obs_names.RAG_CACHE_HIT_DISK).inc()
             _MATRIX_MEMO[key] = loaded
             return loaded
 
-        GLOBAL_STATS.builds += 1
+        get_registry().counter(obs_names.RAG_CACHE_BUILD).inc()
         matrix = embedder.embed_batch(texts)
         self._publish(key, matrix, embedder)
         _MATRIX_MEMO[key] = matrix

@@ -1,10 +1,15 @@
 """CLI commands (invoked in-process via main(argv))."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
 from repro.db import Database
 from repro.frame import Frame
@@ -121,11 +126,34 @@ class TestCache:
         out = capsys.readouterr().out
         assert "query result cache" in out
         assert "retrieval artifact cache" in out
-        assert "hit ratio" in out and "invalidations" in out
-        assert "query memo:" in out
         # a real query ran, so results were published on disk
         entries = int(out.split("disk: ")[1].split(" entries")[0])
         assert entries > 0
+        # a query workdir persists no counters: only the footprint is shown
+        assert "no counters: metrics.json is written by `repro eval`" in out
+        assert "miss=" not in out
+
+    def test_stats_reports_the_counters_an_eval_recorded(self, cli_ensemble, tmp_path):
+        """``repro cache stats`` runs in a process of its own, so the
+        counters it prints must be the ones the eval persisted, not that
+        fresh process's (always zero)."""
+        workdir = tmp_path / "e"
+        assert main([
+            "eval", "--ensemble", str(cli_ensemble), "--workdir", str(workdir),
+            "--runs-per-question", "1",
+        ]) == 0
+        recorded = json.loads((workdir / "metrics.json").read_text())["counters"]
+        assert recorded["db.cache.miss"] > 0
+        src = str(Path(repro.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "cache", "stats", "--workdir", str(workdir)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert f"miss={recorded['db.cache.miss']} " in done.stdout
+        # the retrieval tiers are recorded and reported too
+        assert recorded["rag.memo.hit"] > 0
+        assert f"query memo: {recorded['rag.memo.hit']}/" in done.stdout
 
     def test_eval_reports_query_cache_perf(self, cli_ensemble, tmp_path, capsys):
         code = main([

@@ -418,11 +418,8 @@ class TestBoundedMemory:
 
 
 class TestStats:
-    def test_mergeable(self):
-        a = QueryCacheStats(memory_hits=2, misses=1)
-        b = QueryCacheStats(memory_hits=1, disk_hits=3)
-        a.merge(b)
-        assert a.memory_hits == 3 and a.disk_hits == 3 and a.misses == 1
+    def test_derived_totals(self):
+        a = QueryCacheStats(memory_hits=3, disk_hits=3, misses=1)
         assert a.hits == 6 and a.requests == 7
         assert a.hit_ratio == pytest.approx(6 / 7)
 

@@ -151,6 +151,22 @@ class TestCrashSafeCatalog:
         assert (db.path / "catalog.json").read_text() == good
         assert Database(tmp_path / "c.db").list_tables() == ["t"]
 
+    def test_failed_drop_publish_keeps_the_table_readable(self, tmp_path, monkeypatch):
+        """A drop whose catalog publish fails must leave the table's
+        segments in place: the catalog still lists it."""
+        db = Database(tmp_path / "c.db")
+        db.create_table("t", Frame({"a": np.arange(5)}))
+
+        def failing_flush(tables):
+            raise OSError("simulated publish failure")
+
+        monkeypatch.setattr(db, "_flush_catalog", failing_flush)
+        with pytest.raises(OSError):
+            db.drop_table("t")
+        reopened = Database(tmp_path / "c.db", result_cache=False)
+        assert reopened.list_tables() == ["t"]
+        assert reopened.query("SELECT COUNT(*) AS n FROM t")["n"][0] == 5
+
 
 def _assert_refused(path, key):
     row = Frame({"run": [9], "step": [0], "mass": [1.0], "count": [5]})

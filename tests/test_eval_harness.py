@@ -1,10 +1,12 @@
 """Evaluation harness on a reduced protocol (full 200-run protocol lives in benchmarks)."""
 
+import json
 import zlib
 from dataclasses import fields
 
 import pytest
 
+from repro.db.cache import QueryCacheStats
 from repro.eval import (
     EvaluationHarness,
     HarnessConfig,
@@ -18,7 +20,7 @@ from repro.eval.metrics import RunMetrics
 from repro.eval.questions import QUESTION_SUITE, classify_suite
 from repro.faults import NO_FAULTS
 from repro.llm.errors import NO_ERRORS
-from repro.rag.cache import clear_memory_cache
+from repro.rag.cache import CacheStats, clear_memory_cache
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +131,13 @@ class TestParallelParity:
         # one per worker process, never one per run
         assert parallel.perf.cache.builds <= 2
         assert parallel.perf.cache.matrix_requests == len(questions) * 2
+        # both cache views read the merged cell counters the suite
+        # persisted, retrieval tiers included
+        recorded = json.loads((tmp_path / "par" / "metrics.json").read_text())["counters"]
+        assert recorded["rag.memo.hit"] == parallel.perf.cache.query_memo_hits > 0
+        assert parallel.perf.cache == CacheStats.from_counters(recorded)
+        assert parallel.perf.query_cache == QueryCacheStats.from_counters(recorded)
+        assert parallel.perf.query_cache.requests > 0
 
     def test_workers_argument_overrides_config(self, ensemble, tmp_path):
         harness = EvaluationHarness(

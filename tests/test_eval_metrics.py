@@ -39,25 +39,6 @@ class TestAggregator:
         agg.add(make_metrics(tokens=300))
         assert agg.bucket("t", lambda r: True).token_usage == 200
 
-    def test_merge_preserves_shard_order(self):
-        """Sharded aggregation: merging per-shard aggregators in canonical
-        order yields exactly the sequential row list."""
-        rows = [make_metrics(qid=f"q{i:02d}", tokens=i * 100) for i in range(1, 5)]
-        sequential = MetricsAggregator.from_rows(rows)
-        shard_a = MetricsAggregator.from_rows(rows[:2])
-        shard_b = MetricsAggregator.from_rows(rows[2:])
-        merged = MetricsAggregator().merge(shard_a).merge(shard_b)
-        assert merged.rows == sequential.rows
-        assert (
-            merged.bucket("Total", lambda r: True).token_usage
-            == sequential.bucket("Total", lambda r: True).token_usage
-        )
-
-    def test_merge_returns_self_for_chaining(self):
-        agg = MetricsAggregator()
-        assert agg.merge(MetricsAggregator.from_rows([make_metrics()])) is agg
-        assert len(agg.rows) == 1
-
     def test_storage_in_gb(self):
         agg = MetricsAggregator()
         agg.add(make_metrics(storage_bytes=2_000_000_000))

@@ -1,17 +1,22 @@
-"""Mergeable process-local metrics: counters, gauges, fixed-bucket histograms."""
+"""Mergeable process-local metrics: counters and fixed-bucket histograms."""
+
+from dataclasses import fields
 
 import pytest
 
+from repro.db import cache as db_cache
+from repro.obs import names as obs_names
 from repro.obs.metrics import (
     TIME_BUCKETS_S,
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     empty_snapshot,
+    get_registry,
     merge_snapshots,
     snapshot_delta,
 )
+from repro.rag import cache as rag_cache
 
 
 class TestPrimitives:
@@ -24,12 +29,6 @@ class TestPrimitives:
     def test_counter_rejects_negative(self):
         with pytest.raises(ValueError):
             Counter("n").inc(-1)
-
-    def test_gauge_last_writer_wins(self):
-        g = Gauge("g")
-        g.set(3.0)
-        g.set(7.5)
-        assert g.value == 7.5
 
     def test_histogram_bucket_placement_and_mean(self):
         h = Histogram("h", bounds=(1.0, 10.0))
@@ -99,18 +98,10 @@ class TestRegistry:
     def test_snapshot_is_plain_data(self):
         reg = MetricsRegistry()
         reg.counter("c").inc(2)
-        reg.gauge("g").set(1.5)
         reg.histogram("h").observe(0.5)
         snap = reg.snapshot()
         assert snap["counters"]["c"] == 2
-        assert snap["gauges"]["g"] == 1.5
         assert sum(snap["histograms"]["h"]["counts"]) == 1
-
-    def test_reset_clears_everything(self):
-        reg = MetricsRegistry()
-        reg.counter("c").inc()
-        reg.reset()
-        assert reg.snapshot() == empty_snapshot()
 
 
 def _snap(counters=(), observations=()):
@@ -170,3 +161,32 @@ class TestMergeAlgebra:
             del other["histograms"]["h"][key]
             with pytest.raises(ValueError, match=f"no '{key}' key.*regenerate"):
                 merge_snapshots(a, other)
+
+
+@pytest.mark.parametrize(
+    "view, read",
+    [(db_cache.QueryCacheStats, db_cache.stats_snapshot),
+     (rag_cache.CacheStats, rag_cache.stats_snapshot)],
+    ids=["query_cache", "retrieval_cache"],
+)
+class TestCacheCounterViews:
+    """The cache stats types are reads of the registry, one declared
+    counter per field, never a second store."""
+
+    def test_every_field_reads_one_declared_counter(self, view, read):
+        declared = {v for k, v in vars(obs_names).items() if k.isupper() and isinstance(v, str)}
+        counters = [f.metadata["counter"] for f in fields(view)]
+        assert len(set(counters)) == len(counters)
+        assert set(counters) <= declared
+
+    def test_snapshot_equals_the_registry_counters(self, view, read):
+        before = read()
+        for amount, f in enumerate(fields(view), start=1):
+            get_registry().counter(f.metadata["counter"]).inc(amount)
+        after = read()
+        assert after.delta(before).as_dict() == {
+            f.name: amount for amount, f in enumerate(fields(view), start=1)
+        }
+        counters = get_registry().snapshot()["counters"]
+        assert after.as_dict() == {f.name: counters[f.metadata["counter"]] for f in fields(view)}
+        assert all(type(v) is int for v in after.as_dict().values())
