@@ -11,6 +11,7 @@ sequence and the produced artifact kinds match the figure.
 from conftest import emit
 from repro.agents.planner import ScriptedFeedback
 from repro.core import InferA, InferAConfig
+from repro.graph import node_sequence
 from repro.llm.errors import NO_ERRORS
 from repro.provenance.audit import verify_audit_trail
 
@@ -34,8 +35,8 @@ def test_fig3_architecture_trace(benchmark, bench_ensemble, output_dir, tmp_path
     assert report.plan.rounds == 2
 
     # analysis stage: supervisor routes each step; QA follows every code agent
-    events = app._last_supervisor._last_events
-    nodes = [e.node for e in events]
+    # (the graph.node.* spans of the session's thread, in order)
+    nodes = node_sequence(report.trace_spans, report.session_dir.name)
     assert nodes[0] == "supervisor"
     assert nodes[-1] == "documentation"
     for i, node in enumerate(nodes):

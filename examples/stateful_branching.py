@@ -15,6 +15,7 @@ from pathlib import Path
 
 from repro.agents.planner import ScriptedFeedback
 from repro.core import InferAConfig, SessionManager
+from repro.graph import node_sequence
 from repro.llm.errors import NO_ERRORS
 from repro.provenance.audit import verify_audit_trail
 from repro.sim import EnsembleSpec, generate_ensemble
@@ -57,8 +58,10 @@ def main() -> None:
     load_cp = next(cp for cp in checkpoints if cp.node == "data_loader")
     print(f"branching from checkpoint {load_cp.checkpoint_id} "
           f"(after '{load_cp.node}')")
-    result = session.branch_from(load_cp.checkpoint_id, "what-if")
-    rerun_nodes = [e.node for e in result.events]
+    session.branch_from(load_cp.checkpoint_id, "what-if")
+    # the branched thread's graph.node.* spans land in the session's tracer
+    spans = session.app._last_context.tracer.span_dicts()
+    rerun_nodes = node_sequence(spans, "what-if")
     print(f"branched thread re-executed only: {rerun_nodes}")
     print("the load step was restored from the snapshot, not re-run")
 

@@ -443,21 +443,20 @@ class Supervisor:
         # call time APIs directly), so runs under SimulatedClock are exact
         t0 = tracer.clock.now()
         latency0 = self.context.simulated_latency_s
-        self._last_graph, self._last_events = graph, []
+        self._last_graph = graph
         state, failure = None, ""
         try:
             with tracer.span(
                 "supervisor.execute", thread=thread_id, plan_size=len(plan_steps)
             ), cost_attribution(level=semantic_level):
-                result = graph.invoke(
+                state = graph.invoke(
                     {
                         "plan": [dict(s) for s in plan_steps],
                         "question": question,
                         "semantic_level": semantic_level,
                     },
                     thread_id=thread_id,
-                )
-            state, self._last_events = result.state, result.events
+                ).state
         except BudgetExceeded as exc:
             # a blown token budget ends the session as a classified
             # failure instead of funding further redo growth

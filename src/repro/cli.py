@@ -13,7 +13,7 @@
 * ``profile``  — run one query under the sampling profiler (flamegraph)
 * ``slo``      — check a trace/workdir against declarative SLO budgets
 * ``serve``    — long-running multi-tenant HTTP server over one warm process
-* ``sandbox``  — inspect the warm sandbox fleet (topology, per-worker state)
+* ``sandbox``  — the sandbox-fleet counters a drained server recorded
 * ``ingest``   — append generated snapshots to a live ensemble through the
   crash-safe WAL commit protocol (locally or via a running server)
 
@@ -227,11 +227,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sandbox = sub.add_parser("sandbox", help="inspect the warm sandbox fleet")
     sandbox.add_argument("action", choices=("stats",),
-                         help="stats: fleet topology, per-worker load/breaker "
-                              "state, lifetime route/trip/respawn counters")
+                         help="stats: the route/trip/respawn/fallback counters "
+                              "recorded in the workdir's metrics.json")
     sandbox.add_argument("--workdir", default="infera_serve",
-                         help="workdir whose sandbox_fleet.json snapshot to "
-                              "report (written by a fleet-enabled serve/app)")
+                         help="workdir whose metrics.json to report (written "
+                              "when `repro serve` drains, and by `repro eval`)")
 
     return parser
 
@@ -329,7 +329,7 @@ def cmd_query(args: argparse.Namespace) -> int:
         with _process_span(args) as process, _live(args):
             report = app.run_query(args.question)
     finally:
-        app.close()  # stop any sandbox fleet; final stats checkpoint
+        app.close()  # stop any sandbox fleet
     # the whole process as one trace at the workdir root, where an eval
     # workdir keeps its merged trace; the session's own stays in its trail
     write_jsonl([process, *report.trace_spans], Path(args.workdir) / "trace.jsonl")
@@ -664,38 +664,20 @@ def cmd_slo(args: argparse.Namespace) -> int:
 
 
 def cmd_sandbox(args: argparse.Namespace) -> int:
-    from repro.sandbox.fleet import STATS_SCHEMA
+    from repro.sandbox.fleet import FleetStats
 
-    snapshot = Path(args.workdir) / "sandbox_fleet.json"
-    if not snapshot.is_file():
-        print(f"no sandbox fleet snapshot under {args.workdir} "
-              f"({snapshot.name} not written yet); start a fleet-enabled "
-              f"run first, e.g. repro serve --sandbox-workers 4")
+    # like `repro cache stats`: a later process can only report what a run
+    # persisted, and live per-member state is in the server's /stats
+    metrics_path = Path(args.workdir) / "metrics.json"
+    if not metrics_path.is_file():
+        print(f"no counters under {args.workdir}: {metrics_path.name} is written "
+              f"when `repro serve` drains and by `repro eval`; for a `repro query` "
+              f"workdir, `repro trace summary {args.workdir}` has a sandbox fleet line")
         return 0
-    try:
-        doc = json.loads(snapshot.read_text())
-    except (json.JSONDecodeError, OSError) as exc:
-        print(f"cannot read {snapshot}: {exc}")
-        return 1
-    schema = doc.get("schema") if isinstance(doc, dict) else None
-    if schema != STATS_SCHEMA:
-        print(f"{snapshot} is not a snapshot this repro version reads "
-              f"(schema {schema!r}, SandboxFleet.stats() writes schema "
-              f"{STATS_SCHEMA}); regenerate it with a fleet-enabled run")
-        return 1
-    print(f"sandbox fleet: {doc['workers']} worker(s), mode={doc['mode']}")
-    print(f"{'worker':>6} {'in_flight':>9} {'ewma_s':>10} {'breaker':>9} "
-          f"{'routes':>7} {'trips':>6} {'respawns':>8}  url")
-    for member in doc["members"]:
-        print(f"{member['index']:>6} {member['in_flight']:>9} "
-              f"{member['ewma_s']:>10.4f} {member['breaker']:>9} "
-              f"{member['routes']:>7} {member['trips']:>6} "
-              f"{member['respawns']:>8}  {member['url']}")
-    lifetime = doc["lifetime"]
-    print(f"lifetime: {lifetime['routes']} routed, "
-          f"{lifetime['trips']} trips, "
-          f"{lifetime['respawns']} respawns, "
-          f"{lifetime['fallbacks']} fallbacks")
+    fleet = FleetStats.from_counters(json.loads(metrics_path.read_text())["counters"])
+    print(f"sandbox fleet ({metrics_path})")
+    print(f"  counters: routes={fleet.routes} trips={fleet.trips} "
+          f"respawns={fleet.respawns} fallbacks={fleet.fallbacks}")
     return 0
 
 

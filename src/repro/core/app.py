@@ -29,7 +29,6 @@ from repro.agents import (
 )
 from repro.agents.planner import FeedbackProvider, PlanningResult
 from repro.agents.supervisor import RunReport
-from repro.agents.tools import default_toolset
 from repro.db import Database
 from repro.faults import FaultInjector, FaultProfile, use_faults
 from repro.frame import Frame
@@ -43,13 +42,7 @@ from repro.obs.tracer import Tracer, current_context, use_tracer
 from repro.resilience import BudgetExceeded
 from repro.provenance import ProvenanceTracker
 from repro.rag import ColumnRetriever, RetrievalArtifactCache
-from repro.sandbox import (
-    InProcessClient,
-    SandboxClient,
-    SandboxExecutor,
-    SandboxFleet,
-    resolve_sandbox_workers,
-)
+from repro.sandbox import configured_sandbox
 from repro.sim.ensemble import Ensemble
 from repro.util.timing import SimulatedClock, WallClock
 from repro.sim.schema import (
@@ -135,8 +128,11 @@ class InferA:
         # process-wide read-only warm state may be injected by a host that
         # shares it across many apps (the serving layer builds the
         # retriever and sandbox once at warm-up and hands them to every
-        # per-request app); when absent they are built lazily as before
-        self._shared_sandbox = sandbox
+        # per-request app); when absent they are built on the first query
+        # and shared by every query of this app, and close() releases the
+        # sandbox the app built (a fleet's workers)
+        self.sandbox = sandbox
+        self._owns_sandbox = sandbox is None
         # the metadata dictionaries come straight from the ensemble manifest
         # when present (new datasets plug in by shipping their own)
         manifest = ensemble.manifest
@@ -145,10 +141,6 @@ class InferA:
         cache_dir = self.config.retrieval_cache_dir or self.workdir / ".retrieval_cache"
         self._retrieval_cache = RetrievalArtifactCache(cache_dir)
         self._retriever: ColumnRetriever | None = retriever
-        # warm sandbox fleet (config.sandbox_workers / REPRO_SANDBOX_WORKERS):
-        # built lazily on the first query and shared by every query of this
-        # app, like the retriever
-        self._fleet: SandboxFleet | None = None
         # chaos engineering: one injector per app so every query of a run
         # draws from the same deterministic per-fault-point schedule.  An
         # explicit profile wins; otherwise REPRO_FAULT_PROFILE (resolved
@@ -187,33 +179,15 @@ class InferA:
         query_cache_dir = cfg.query_cache_dir or self.workdir / ".query_cache"
         db = Database(self.workdir / session_id / "analysis.db", cache_dir=query_cache_dir)
         provenance.register_external(db.path)
-        fleet_workers = resolve_sandbox_workers(cfg.sandbox_workers)
-        if self._shared_sandbox is not None:
-            # a host-provided warm client (serving layer): connections,
-            # breaker state, and health history shared across requests
-            sandbox = self._shared_sandbox
-        elif fleet_workers:
-            # pooled warm workers with least-loaded routing and tiered
-            # degradation; routing never changes what an execution
-            # computes, so answers match the single-worker paths below
-            sandbox = self._sandbox_fleet(fleet_workers)
-        elif cfg.sandbox_url:
-            # remote gateway behind the resilience ladder: bounded retries,
-            # circuit breaker, and graceful degradation onto an in-process
-            # executor with identical semantics when the gateway stays down
-            sandbox = SandboxClient(
-                cfg.sandbox_url,
-                clock=self.clock,
-                seed=cfg.seed,
-                fallback=InProcessClient(SandboxExecutor(tools=default_toolset())),
-            )
-        else:
-            sandbox = InProcessClient(SandboxExecutor(tools=default_toolset()))
+        # under the query-count lock: concurrent first queries may race here
+        with self._count_lock:
+            if self.sandbox is None:
+                self.sandbox, _ = configured_sandbox(cfg, clock=self.clock)
         context = AgentContext(
             llm=MeteredModel(base_llm),
             retriever=retriever,
             db=db,
-            sandbox=sandbox,
+            sandbox=self.sandbox,
             provenance=provenance,
             limited_context=cfg.limited_context,
             tracer=tracer,
@@ -221,29 +195,12 @@ class InferA:
         return context, db
 
     # ------------------------------------------------------------------
-    def _sandbox_fleet(self, workers: int) -> SandboxFleet:
-        """Build the app's fleet once (under the query-count lock since
-        concurrent first queries may race here)."""
-        with self._count_lock:
-            if self._fleet is None:
-                self._fleet = SandboxFleet.spawn_local(
-                    workers,
-                    mode=self.config.sandbox_spawn or "thread",
-                    fallback=InProcessClient(
-                        SandboxExecutor(tools=default_toolset())
-                    ),
-                    clock=self.clock,
-                    seed=self.config.seed,
-                    stats_path=self.workdir / "sandbox_fleet.json",
-                )
-                self._fleet.warm()
-            return self._fleet
-
     def close(self) -> None:
-        """Release owned background resources (fleet workers)."""
-        if self._fleet is not None:
-            self._fleet.close()
-            self._fleet = None
+        """Release the sandbox this app built (a fleet's workers)."""
+        close = getattr(self.sandbox, "close", None)
+        if self._owns_sandbox and callable(close):
+            close()
+            self.sandbox = None
 
     # ------------------------------------------------------------------
     def run_query(

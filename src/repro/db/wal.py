@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import os
 import pickle
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro import faults
@@ -39,11 +40,23 @@ from repro.db.errors import DBError, IngestKilled
 from repro.durable import FrameScan, frame, scan_frames
 from repro.obs import names as obs_names
 from repro.obs.logsetup import get_logger
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import CounterView, counter_field, get_registry
 
 log = get_logger("db.wal")
 
 _MAGIC = b"RWAL1\n"
+
+
+@dataclass
+class WalStats(CounterView):
+    """The WAL's commit and recovery counters (plus the ingester's
+    absorbed kills), read as ints: the serve ``/stats`` ``wal`` block."""
+
+    commits: int = counter_field(obs_names.WAL_COMMITS)
+    replayed: int = counter_field(obs_names.WAL_REPLAYED)
+    torn_tails: int = counter_field(obs_names.WAL_TORN_TAIL_DROPPED)
+    corrupt_records: int = counter_field(obs_names.WAL_CORRUPT_DROPPED)
+    kills: int = counter_field(obs_names.INGEST_KILLS)
 
 
 class WriteAheadLog:

@@ -428,4 +428,7 @@ class EvaluationHarness:
             ),
             clock=self.clock,
         )
-        return app.run_query(question.text, feedback=AutoApprove())
+        try:
+            return app.run_query(question.text, feedback=AutoApprove())
+        finally:
+            app.close()  # a sandbox fleet's member servers die with the cell

@@ -8,12 +8,21 @@ with LangGraph.  This package reproduces the parts InferA relies on:
 * interrupts for human-in-the-loop pauses (plan approval),
 * a checkpointer that snapshots state after every node, enabling the
   paper's stateful branch-from-checkpoint exploration (§4.2.1).
+
+Each node execution is recorded once, as a ``graph.node.<name>`` span;
+:func:`node_sequence` reads a thread's node order back from a trace.
 """
 
 from repro.graph.state import Channel, replace_reducer, append_reducer, merge_reducer, add_reducer
-from repro.graph.graph import StateGraph, CompiledGraph, END, GraphError, GraphInterrupt
+from repro.graph.graph import (
+    END,
+    CompiledGraph,
+    GraphError,
+    GraphInterrupt,
+    StateGraph,
+    node_sequence,
+)
 from repro.graph.checkpoint import Checkpointer, Checkpoint, DurableCheckpointer
-from repro.graph.events import ExecutionEvent
 
 __all__ = [
     "Channel",
@@ -26,8 +35,8 @@ __all__ = [
     "END",
     "GraphError",
     "GraphInterrupt",
+    "node_sequence",
     "Checkpointer",
     "Checkpoint",
     "DurableCheckpointer",
-    "ExecutionEvent",
 ]

@@ -25,7 +25,7 @@ import copy
 import pickle
 import re
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
@@ -36,8 +36,9 @@ from repro.obs.metrics import get_registry
 
 log = get_logger("graph.checkpoint")
 
-# RCKP1 blobs (magic | crc | payload, no length) read as a corrupt tail
-_MAGIC = b"RCKP2\n"
+# RCKP1 blobs (magic | crc | payload, no length) and RCKP2 blobs (whose
+# record carried an ``events`` list) read as a corrupt tail
+_MAGIC = b"RCKP3\n"
 
 
 @dataclass
@@ -48,9 +49,6 @@ class Checkpoint:
     node: str
     next_node: str | None
     state: dict[str, Any]
-    # serialized ExecutionEvent dicts up to this point; restored on resume
-    # so event history (including timing fields) survives the round-trip
-    events: list[dict[str, Any]] = field(default_factory=list)
 
 
 @dataclass
@@ -66,7 +64,6 @@ class Checkpointer:
         node: str,
         next_node: str | None,
         state: dict[str, Any],
-        events: list[dict[str, Any]] | None = None,
     ) -> Checkpoint:
         cp = Checkpoint(
             checkpoint_id=f"{thread_id}:{seq}",
@@ -75,7 +72,6 @@ class Checkpointer:
             node=node,
             next_node=next_node,
             state=copy.deepcopy(state),
-            events=copy.deepcopy(events or []),
         )
         self._threads.setdefault(thread_id, []).append(cp)
         return cp
@@ -109,14 +105,11 @@ class Checkpointer:
             if cp.seq > source.seq:
                 break
             chain.append(
-                Checkpoint(
+                replace(
+                    cp,
                     checkpoint_id=f"{new_thread_id}:{cp.seq}",
                     thread_id=new_thread_id,
-                    seq=cp.seq,
-                    node=cp.node,
-                    next_node=cp.next_node,
                     state=copy.deepcopy(cp.state),
-                    events=copy.deepcopy(cp.events),
                 )
             )
         self._threads[new_thread_id] = chain
@@ -130,19 +123,8 @@ class Checkpointer:
 # durable store
 # ----------------------------------------------------------------------
 def _encode_checkpoint(cp: Checkpoint) -> bytes:
-    payload = pickle.dumps(
-        {
-            "checkpoint_id": cp.checkpoint_id,
-            "thread_id": cp.thread_id,
-            "seq": cp.seq,
-            "node": cp.node,
-            "next_node": cp.next_node,
-            "state": cp.state,
-            "events": cp.events,
-        },
-        protocol=pickle.HIGHEST_PROTOCOL,
-    )
-    return frame(_MAGIC, payload)
+    # the fields by name, in declaration order: what Checkpoint(**record) takes
+    return frame(_MAGIC, pickle.dumps(vars(cp), protocol=pickle.HIGHEST_PROTOCOL))
 
 
 def _decode_checkpoint(blob: bytes) -> Checkpoint:
@@ -242,9 +224,8 @@ class DurableCheckpointer(Checkpointer):
         node: str,
         next_node: str | None,
         state: dict[str, Any],
-        events: list[dict[str, Any]] | None = None,
     ) -> Checkpoint:
-        cp = super().save(thread_id, seq, node, next_node, state, events)
+        cp = super().save(thread_id, seq, node, next_node, state)
         self._persist(cp)
         return cp
 

@@ -6,12 +6,14 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.graph.checkpoint import Checkpointer
-from repro.graph.events import ExecutionEvent
 from repro.graph.state import Channel, apply_update, initial_state
 from repro.obs.cost import cost_attribution
 from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
 
 END = "__end__"
+# every node execution is one span named this plus the node, carrying the
+# ``thread`` it ran on and its ``seq`` in that thread
+NODE_SPAN_PREFIX = "graph.node."
 
 NodeFn = Callable[[dict[str, Any]], dict[str, Any]]
 RouterFn = Callable[[dict[str, Any]], str]
@@ -100,10 +102,21 @@ class StateGraph:
         )
 
 
+def node_sequence(spans: list[dict[str, Any]], thread_id: str) -> list[str]:
+    """The nodes ``thread_id`` executed, in order, read from the
+    ``graph.node.*`` span dicts of a trace (a tracer's ``span_dicts()``)."""
+    runs = [
+        (span["attributes"]["seq"], span["name"][len(NODE_SPAN_PREFIX):])
+        for span in spans
+        if span["name"].startswith(NODE_SPAN_PREFIX)
+        and span["attributes"].get("thread") == thread_id
+    ]
+    return [node for _seq, node in sorted(runs, key=lambda run: run[0])]
+
+
 @dataclass
 class RunResult:
     state: dict[str, Any]
-    events: list[ExecutionEvent]
     interrupted_at: str | None = None
     thread_id: str = "main"
 
@@ -137,7 +150,6 @@ class CompiledGraph:
         ``resume=True`` continues from the thread's latest checkpoint,
         skipping the interrupt that paused it.
         """
-        events: list[ExecutionEvent] = []
         if resume:
             if self.checkpointer is None:
                 raise GraphError("resume requires a checkpointer")
@@ -146,7 +158,6 @@ class CompiledGraph:
                 raise GraphError(f"nothing to resume for thread {thread_id!r}")
             current = cp.next_node or END
             run_state = dict(cp.state)
-            events = [ExecutionEvent.from_dict(d) for d in cp.events]
             skip_interrupt_at = current
         else:
             run_state = initial_state(self.channels, state)
@@ -160,40 +171,28 @@ class CompiledGraph:
                 raise GraphError(f"exceeded max_steps={self.max_steps}")
             steps += 1
             if current in self.interrupt_before and current != skip_interrupt_at:
-                events.append(
-                    ExecutionEvent(self._next_seq(thread_id), current, "interrupt")
-                )
-                self._checkpoint(thread_id, current, current, run_state, events)
-                return RunResult(run_state, events, interrupted_at=current, thread_id=thread_id)
+                self._advance_seq(thread_id)
+                self._checkpoint(thread_id, current, current, run_state)
+                return RunResult(run_state, interrupted_at=current, thread_id=thread_id)
             skip_interrupt_at = None
 
             fn = self.nodes.get(current)
             if fn is None:
                 raise GraphError(f"unknown node {current!r}")
-            started_at = self.tracer.clock.now()
             # LLM spend inside the node is attributed to it in the ledger
             with self.tracer.span(
-                f"graph.node.{current}", thread=thread_id, seq=self._seq.get(thread_id, 0)
+                f"{NODE_SPAN_PREFIX}{current}", thread=thread_id, seq=self._seq.get(thread_id, 0)
             ), cost_attribution(node=current):
                 update = fn(run_state) or {}
                 if not isinstance(update, dict):
                     raise GraphError(f"node {current!r} must return a dict update")
                 run_state = apply_update(self.channels, run_state, update)
-            duration = self.tracer.clock.now() - started_at
 
             next_node = self._route(current, run_state)
-            event = ExecutionEvent(
-                self._next_seq(thread_id),
-                current,
-                "ok",
-                updated_keys=sorted(update.keys()),
-                started_at=started_at,
-                duration=duration,
-            )
-            events.append(event)
-            self._checkpoint(thread_id, current, next_node, run_state, events, event)
+            self._advance_seq(thread_id)
+            self._checkpoint(thread_id, current, next_node, run_state)
             current = next_node
-        return RunResult(run_state, events, thread_id=thread_id)
+        return RunResult(run_state, thread_id=thread_id)
 
     # ------------------------------------------------------------------
     def _route(self, node: str, state: dict[str, Any]) -> str:
@@ -206,35 +205,14 @@ class CompiledGraph:
             return target
         return END
 
-    def _next_seq(self, thread_id: str) -> int:
-        seq = self._seq.get(thread_id, 0)
-        self._seq[thread_id] = seq + 1
-        return seq
+    def _advance_seq(self, thread_id: str) -> None:
+        self._seq[thread_id] = self._seq.get(thread_id, 0) + 1
 
     def _checkpoint(
-        self,
-        thread_id: str,
-        node: str,
-        next_node: str | None,
-        state: dict[str, Any],
-        events: list[ExecutionEvent],
-        event: ExecutionEvent | None = None,
+        self, thread_id: str, node: str, next_node: str | None, state: dict[str, Any]
     ) -> None:
-        if self.checkpointer is None:
-            return
-        cp = self.checkpointer.save(
-            thread_id,
-            self._seq.get(thread_id, 0),
-            node,
-            next_node,
-            state,
-            events=[e.as_dict() for e in events],
-        )
-        if event is not None:
-            event.checkpoint_id = cp.checkpoint_id
-            if cp.events:
-                # the serialized copy was taken before the id existed
-                cp.events[-1]["checkpoint_id"] = cp.checkpoint_id
+        if self.checkpointer is not None:
+            self.checkpointer.save(thread_id, self._seq.get(thread_id, 0), node, next_node, state)
 
     # ------------------------------------------------------------------
     def resume_from_branch(self, checkpoint_id: str, new_thread_id: str) -> RunResult:

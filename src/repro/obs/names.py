@@ -77,6 +77,7 @@ WAL_RECOVER_SPAN = "wal.recover"
 # recovery outcomes: a torn tail (short record) and a corrupt record (CRC
 # mismatch on a complete frame) are counted separately so the property
 # tests can assert *why* a tail was dropped, not just that it was.
+# ``repro.db.wal.WalStats`` reads the ones ``/stats`` reports.
 WAL_APPENDS = "wal.appends"
 WAL_COMMITS = "wal.commits"
 WAL_REPLAYED = "wal.replayed"
@@ -109,6 +110,13 @@ RAG_CACHE_BUILD = "rag.cache.build"
 RAG_MEMO_HIT = "rag.memo.hit"
 RAG_MEMO_MISS = "rag.memo.miss"
 RAG_MEMO_EVICTION = "rag.memo.eviction"
+# sandbox-fleet counters (repro.sandbox.fleet), one per routed execution,
+# tripped member, respawn and full-degradation fallback; ``FleetStats``
+# reads these
+SANDBOX_FLEET_ROUTES = "sandbox.fleet.routes"
+SANDBOX_FLEET_TRIPS = "sandbox.fleet.trips"
+SANDBOX_FLEET_RESPAWNS = "sandbox.fleet.respawns"
+SANDBOX_FLEET_FALLBACKS = "sandbox.fleet.fallbacks"
 
 # ----------------------------------------------------------------------
 # canonical-tree exclusions

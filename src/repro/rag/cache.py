@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
@@ -88,6 +89,9 @@ _MATRIX_MEMO: dict[str, np.ndarray] = {}
 # attempts, and harness runs, so one memo beats one per index instance.
 _QUERY_MEMO: OrderedDict[tuple[str, str], np.ndarray] = OrderedDict()
 _QUERY_MEMO_CAPACITY = QUERY_MEMO_MAX
+# every lookup, reorder, insert and eviction of the memo holds this: a
+# concurrent eviction between a hit's get and its reorder raised KeyError
+_QUERY_MEMO_LOCK = threading.Lock()
 
 
 def stats_snapshot() -> CacheStats:
@@ -98,7 +102,8 @@ def stats_snapshot() -> CacheStats:
 def clear_memory_cache() -> None:
     """Drop the in-process memos (tests use this to force disk reads)."""
     _MATRIX_MEMO.clear()
-    _QUERY_MEMO.clear()
+    with _QUERY_MEMO_LOCK:
+        _QUERY_MEMO.clear()
 
 
 def query_memo_capacity() -> int:
@@ -108,30 +113,39 @@ def query_memo_capacity() -> int:
 def set_query_memo_capacity(entries: int) -> None:
     """Resize the shared query-embedding LRU (evicting down if needed)."""
     global _QUERY_MEMO_CAPACITY
-    _QUERY_MEMO_CAPACITY = max(0, int(entries))
-    while len(_QUERY_MEMO) > _QUERY_MEMO_CAPACITY:
-        _QUERY_MEMO.popitem(last=False)
-        get_registry().counter(obs_names.RAG_MEMO_EVICTION).inc()
+    with _QUERY_MEMO_LOCK:
+        _QUERY_MEMO_CAPACITY = max(0, int(entries))
+        _evict_query_memo()
 
 
 def query_memo_size() -> int:
     return len(_QUERY_MEMO)
 
 
-def memoized_query_embedding(embedder: HashedEmbedder, query: str) -> np.ndarray:
-    """Embed ``query``, served from the shared bounded LRU when possible."""
-    key = (embedder.cache_key(), query)
-    vec = _QUERY_MEMO.get(key)
-    if vec is not None:
-        get_registry().counter(obs_names.RAG_MEMO_HIT).inc()
-        _QUERY_MEMO.move_to_end(key)
-        return vec
-    get_registry().counter(obs_names.RAG_MEMO_MISS).inc()
-    vec = embedder.embed(query)
-    _QUERY_MEMO[key] = vec
+def _evict_query_memo() -> None:
+    """Drop least-recently-used entries down to capacity (lock held)."""
     while len(_QUERY_MEMO) > _QUERY_MEMO_CAPACITY:
         _QUERY_MEMO.popitem(last=False)
         get_registry().counter(obs_names.RAG_MEMO_EVICTION).inc()
+
+
+def memoized_query_embedding(embedder: HashedEmbedder, query: str) -> np.ndarray:
+    """Embed ``query``, served from the shared bounded LRU when possible."""
+    key = (embedder.cache_key(), query)
+    with _QUERY_MEMO_LOCK:
+        vec = _QUERY_MEMO.get(key)
+        if vec is not None:
+            _QUERY_MEMO.move_to_end(key)
+    if vec is not None:
+        get_registry().counter(obs_names.RAG_MEMO_HIT).inc()
+        return vec
+    get_registry().counter(obs_names.RAG_MEMO_MISS).inc()
+    # outside the lock: two threads missing on one key both embed it, and
+    # the second insert replaces an equal vector
+    vec = embedder.embed(query)
+    with _QUERY_MEMO_LOCK:
+        _QUERY_MEMO[key] = vec
+        _evict_query_memo()
     return vec
 
 

@@ -30,15 +30,16 @@ sequential single-worker runs by construction.
    in-process fallback executor (identical semantics), or raises a
    classified :class:`SandboxUnavailable` when none is configured.
 
-Every route/trip/respawn/fallback lands in ``repro.obs`` counters
-(``sandbox.fleet.*``) and additive span attributes (``fleet_*``,
-excluded from the canonical trace tree), surfacing in ``repro trace
-summary``, ``repro sandbox stats``, and the serve ``/stats`` endpoint.
+Every route/trip/respawn/fallback lands in one ``repro.obs`` counter
+(``sandbox.fleet.*``, read back as :class:`FleetStats`) and in additive
+span attributes (``fleet_*``, excluded from the canonical trace tree).
+The serve ``/stats`` endpoint reads the counters live, ``repro sandbox
+stats`` reads them from a drained server's ``metrics.json``, and ``repro
+trace summary`` folds the span attributes into its fleet line.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 import threading
@@ -46,10 +47,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
-from repro.durable import atomic_publish
 from repro.frame import Frame
+from repro.obs import names as obs_names
 from repro.obs.logsetup import get_logger
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import CounterView, counter_field, get_registry
 from repro.obs.tracer import get_tracer
 from repro.resilience import CircuitBreaker, ServiceEWMA
 from repro.sandbox.client import InProcessClient, SandboxClient, SandboxUnavailable
@@ -67,9 +68,15 @@ DEFAULT_FAILURE_THRESHOLD = 3
 DEFAULT_RESET_TIMEOUT_S = 2.0
 DEFAULT_RESPAWN_AFTER = 2
 
-# the shape of ``SandboxFleet.stats()`` / ``sandbox_fleet.json``; bump when
-# it changes: ``repro sandbox stats`` reads this schema and no other
-STATS_SCHEMA = 2
+
+@dataclass
+class FleetStats(CounterView):
+    """Every fleet's lifetime counters in the process, read as ints."""
+
+    routes: int = counter_field(obs_names.SANDBOX_FLEET_ROUTES)
+    trips: int = counter_field(obs_names.SANDBOX_FLEET_TRIPS)
+    respawns: int = counter_field(obs_names.SANDBOX_FLEET_RESPAWNS)
+    fallbacks: int = counter_field(obs_names.SANDBOX_FLEET_FALLBACKS)
 
 
 def resolve_sandbox_workers(explicit: int | None = None) -> int | None:
@@ -280,8 +287,6 @@ class SandboxFleet:
         seed: int = 0,
         timeout_s: float = 30.0,
         respawn_after: int = DEFAULT_RESPAWN_AFTER,
-        stats_path: str | Path | None = None,
-        checkpoint_every: int = 32,
     ):
         self.clock = clock or WallClock()
         self.seed = int(seed)
@@ -289,16 +294,9 @@ class SandboxFleet:
         self.spawner = spawner
         self.respawn_after = max(1, int(respawn_after))
         self.fallback = fallback
-        self.stats_path = Path(stats_path) if stats_path else None
-        self.checkpoint_every = max(1, int(checkpoint_every))
         self._client_factory = client_factory or self._make_client
         self._lock = threading.Lock()
         self._closed = False
-        # lifetime accounting (member counters roll up independently)
-        self.routes_total = 0
-        self.trips_total = 0
-        self.respawns_total = 0
-        self.fallbacks_total = 0
 
         self.members: list[FleetMember] = []
         if clients is not None:
@@ -325,7 +323,6 @@ class SandboxFleet:
         mode: str = "thread",
         fallback: InProcessClient | None = None,
         executor_factory: Callable[[], Any] | None = None,
-        stats_path: str | Path | None = None,
         clock: WallClock | SimulatedClock | None = None,
         seed: int = 0,
         timeout_s: float = 30.0,
@@ -346,7 +343,6 @@ class SandboxFleet:
             seed=seed,
             timeout_s=timeout_s,
             respawn_after=respawn_after,
-            stats_path=stats_path,
         )
 
     @property
@@ -389,7 +385,6 @@ class SandboxFleet:
                 }
             )
         healthy = sum(1 for p in probes if p["ok"])
-        self._checkpoint()
         return {
             "workers": len(self.members),
             "healthy": healthy,
@@ -450,28 +445,23 @@ class SandboxFleet:
             member.ewma.observe(elapsed_s)
             member.consecutive_unavailable = 0
             member.routes += 1
-            self.routes_total += 1
-            routes = self.routes_total
-        get_registry().counter("sandbox.fleet.routes").inc()
+        get_registry().counter(obs_names.SANDBOX_FLEET_ROUTES).inc()
         span = get_tracer().current()
         if span is not None:
             attrs = span.attributes
             attrs["fleet_routes"] = int(attrs.get("fleet_routes", 0)) + 1
             attrs["fleet_worker"] = member.index
             attrs["fleet_tier"] = "degraded" if degraded else "fleet"
-        if routes % self.checkpoint_every == 0:
-            self._checkpoint()
 
     def _note_unavailable(self, member: FleetMember, exc: BaseException) -> None:
         with self._lock:
             member.trips += 1
             member.consecutive_unavailable += 1
-            self.trips_total += 1
             should_respawn = (
                 self.spawner is not None
                 and member.consecutive_unavailable >= self.respawn_after
             )
-        get_registry().counter("sandbox.fleet.trips").inc()
+        get_registry().counter(obs_names.SANDBOX_FLEET_TRIPS).inc()
         span = get_tracer().current()
         if span is not None:
             attrs = span.attributes
@@ -479,7 +469,6 @@ class SandboxFleet:
         log.warning("fleet worker %d (%s) unavailable: %s", member.index, member.url, exc)
         if should_respawn:
             self._respawn(member)
-        self._checkpoint()
 
     def _respawn(self, member: FleetMember) -> None:
         """Reap a repeatedly-failing member and put a fresh worker in its
@@ -500,8 +489,7 @@ class SandboxFleet:
             member.ewma.reset()
             member.consecutive_unavailable = 0
             member.respawns += 1
-            self.respawns_total += 1
-        get_registry().counter("sandbox.fleet.respawns").inc()
+        get_registry().counter(obs_names.SANDBOX_FLEET_RESPAWNS).inc()
         span = get_tracer().current()
         if span is not None:
             attrs = span.attributes
@@ -514,10 +502,8 @@ class SandboxFleet:
                 f"all {len(self.members)} sandbox fleet workers unavailable "
                 f"and no fallback executor is configured"
             )
-        with self._lock:
-            self.fallbacks_total += 1
         registry = get_registry()
-        registry.counter("sandbox.fleet.fallbacks").inc()
+        registry.counter(obs_names.SANDBOX_FLEET_FALLBACKS).inc()
         registry.counter("resilience.fallbacks").inc()
         registry.counter("resilience.fallbacks.sandbox").inc()
         span = get_tracer().current()
@@ -528,36 +514,20 @@ class SandboxFleet:
         log.warning(
             "sandbox fleet fully unavailable; degraded to in-process executor"
         )
-        self._checkpoint()
         return self.fallback.execute(code, tables)
 
     # -- introspection ---------------------------------------------------
     def stats(self) -> dict[str, Any]:
+        """Live topology and per-member state; ``lifetime`` is a registry
+        read of the process's ``sandbox.fleet.*`` counters."""
         with self._lock:
-            return {
-                "schema": STATS_SCHEMA,
-                "workers": len(self.members),
-                "mode": self.mode,
-                "members": [m.as_dict() for m in self.members],
-                "lifetime": {
-                    "routes": self.routes_total,
-                    "trips": self.trips_total,
-                    "respawns": self.respawns_total,
-                    "fallbacks": self.fallbacks_total,
-                },
-            }
-
-    def _checkpoint(self) -> None:
-        """Atomically snapshot ``stats()`` for ``repro sandbox stats``."""
-        if self.stats_path is None:
-            return
-        doc = json.dumps(self.stats(), indent=2, sort_keys=True)
-        try:
-            # called from every routing thread, outside the lock: each call
-            # writes its own temp file, so snapshots cannot tear each other
-            atomic_publish(self.stats_path, doc.encode())
-        except OSError:  # telemetry write failures never break requests
-            log.debug("fleet stats checkpoint failed", exc_info=True)
+            members = [m.as_dict() for m in self.members]
+        return {
+            "workers": len(members),
+            "mode": self.mode,
+            "members": members,
+            "lifetime": FleetStats.read().as_dict(),
+        }
 
     # -- lifecycle -------------------------------------------------------
     def close(self) -> None:
@@ -566,7 +536,6 @@ class SandboxFleet:
             if self._closed:
                 return
             self._closed = True
-        self._checkpoint()
         for member in self.members:
             close = getattr(member.client, "close", None)
             if callable(close):

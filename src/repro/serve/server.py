@@ -15,7 +15,9 @@ A stdlib-only long-running server over one warm process:
   version.
 * ``GET /healthz`` — liveness plus drain state.
 * ``GET /stats`` — queue, session, breaker, cache, bus, and live-ingest
-  (snapshot version + WAL) telemetry.
+  (snapshot version + WAL) telemetry.  Every count in it is a read of the
+  :mod:`repro.obs.metrics` registry or live state; nothing is counted
+  twice.
 
 The HTTP threads (one per connection, via
 :class:`~http.server.ThreadingHTTPServer`) do *admission and waiting*
@@ -24,11 +26,11 @@ connections never changes how many queries run at once.
 
 Graceful shutdown (:meth:`ReproServer.shutdown`) closes the admission
 queue (new work → 503), lets the workers drain every admitted request,
-checkpoints every session — per-session ``cost_ledger.json``, the
-``sessions.json`` registry summary, and one durable
-:class:`~repro.graph.checkpoint.DurableCheckpointer` record per session
-so a restarted server can see what each tenant ran — and only then stops
-listening.
+checkpoints every session — per-session ``cost_ledger.json`` and the
+``sessions.json`` registry summary — publishes what the registry counted
+over the server's life as ``metrics.json`` (the evaluation harness's
+snapshot format, which ``repro sandbox stats`` reads), and only then
+stops listening.
 """
 
 from __future__ import annotations
@@ -40,8 +42,9 @@ from pathlib import Path
 from typing import Any
 
 from repro.core.config import InferAConfig
-from repro.graph.checkpoint import DurableCheckpointer
+from repro.durable import atomic_publish
 from repro.obs.events import EventBus, use_bus
+from repro.obs.metrics import get_registry, snapshot_delta
 from repro.resilience import Deadline
 from repro.sandbox.server import (
     DEFAULT_MAX_BODY_BYTES,
@@ -102,7 +105,7 @@ class ReproServer:
         self._ingester = None
         self._ingest_injector = None
         self._ingest_lock = threading.Lock()
-        self.checkpointer = DurableCheckpointer(self.workdir / "server_checkpoints")
+        self._metrics_at_start: dict[str, Any] | None = None
         self._httpd: ThreadingHTTPServer | None = None
         self._http_thread: threading.Thread | None = None
         self._started_at: float | None = None
@@ -118,6 +121,7 @@ class ReproServer:
         # span events onto it, per-request SSE subscriptions filter it
         self._bus_scope = use_bus(self.bus)
         self._bus_scope.__enter__()
+        self._metrics_at_start = get_registry().snapshot()
         report = self.state.warm()
         self.pool.start()
         handler = _make_handler(self)
@@ -141,20 +145,16 @@ class ReproServer:
         self._draining = True
         # 1. refuse new admissions, let workers finish the backlog
         self.pool.stop(drain=True, timeout_s=timeout_s)
-        # 2. checkpoint every session: ledgers + registry + durable record
-        for session in self.registry.sessions():
-            self.checkpointer.save(
-                thread_id=session.session_id,
-                seq=session.requests,
-                node="serve.shutdown",
-                next_node=None,
-                state=session.as_dict(),
-            )
+        # 2. checkpoint every session: ledgers + registry summary
         manifest = self.registry.checkpoint()
         # release warm resources that own workers (the sandbox fleet)
         # after the drain, so in-flight executions finished first
         self.state.close()
-        # 3. stop accepting connections last so in-flight responses finish
+        # 3. what the registry counted while this server ran
+        if self._metrics_at_start is not None:
+            delta = snapshot_delta(get_registry().snapshot(), self._metrics_at_start)
+            atomic_publish(self.workdir / "metrics.json", json.dumps(delta, indent=1).encode())
+        # 4. stop accepting connections last so in-flight responses finish
         if self._httpd is not None:
             self._httpd.shutdown()
             self._httpd.server_close()
@@ -230,32 +230,14 @@ class ReproServer:
         finally:
             self._ingest_lock.release()
 
-    def ingest_stats(self) -> dict[str, Any]:
-        """Snapshot + WAL telemetry for ``/stats`` (cheap when no writer)."""
-        from repro.obs import names as obs_names
-        from repro.obs.metrics import get_registry
-
-        registry = get_registry()
-        doc: dict[str, Any] = {
-            "ensemble_version": self.state.ensemble.version,
-            "timesteps": len(self.state.ensemble.timesteps),
-            "wal": {
-                "commits": registry.counter(obs_names.WAL_COMMITS).value,
-                "replayed": registry.counter(obs_names.WAL_REPLAYED).value,
-                "torn_tails": registry.counter(obs_names.WAL_TORN_TAIL_DROPPED).value,
-                "corrupt_records": registry.counter(obs_names.WAL_CORRUPT_DROPPED).value,
-                "kills": registry.counter(obs_names.INGEST_KILLS).value,
-            },
-            "live": self._ingester.stats() if self._ingester is not None else None,
-        }
-        return doc
-
     def stats(self) -> dict[str, Any]:
-        from repro.db.cache import stats_snapshot as query_cache_stats
-        from repro.rag.cache import stats_snapshot as retrieval_cache_stats
+        from repro.db.cache import QueryCacheStats
+        from repro.db.wal import WalStats
+        from repro.rag.cache import CacheStats
 
-        qstats = query_cache_stats()
-        rstats = retrieval_cache_stats()
+        counters = get_registry().snapshot()["counters"]
+        qstats = QueryCacheStats.from_counters(counters)
+        ensemble = self.state.ensemble
         return {
             "uptime_s": (
                 round(self.pool.clock.now() - self._started_at, 3)
@@ -274,26 +256,20 @@ class ReproServer:
                 "consecutive_failures": self.pool.breaker.consecutive_failures,
             },
             "warmup": self.state.report.as_dict() if self.state.report else None,
-            "query_cache": {
-                "memory_hits": qstats.memory_hits,
-                "disk_hits": qstats.disk_hits,
-                "incremental_hits": qstats.incremental_hits,
-                "misses": qstats.misses,
-                "hit_ratio": round(qstats.hit_ratio, 4),
-            },
-            "retrieval_cache": {
-                "memory_hits": rstats.memory_hits,
-                "disk_hits": rstats.disk_hits,
-                "builds": rstats.builds,
-                "query_memo_hits": rstats.query_memo_hits,
-                "query_memo_misses": rstats.query_memo_misses,
-            },
+            "query_cache": {**qstats.as_dict(), "hit_ratio": round(qstats.hit_ratio, 4)},
+            "retrieval_cache": CacheStats.from_counters(counters).as_dict(),
             "bus": self.bus.stats(),
             # snapshot version queries pin against + WAL/kill counters;
             # "live" carries writer detail once the first ingest ran
-            "ingest": self.ingest_stats(),
-            # fleet topology + per-worker load/breaker state when the warm
-            # sandbox is a SandboxFleet; None for single-client setups
+            "ingest": {
+                "ensemble_version": ensemble.version,
+                "timesteps": len(ensemble.timesteps),
+                "wal": WalStats.from_counters(counters).as_dict(),
+                "live": self._ingester.stats() if self._ingester is not None else None,
+            },
+            # fleet topology + per-worker load/breaker state + the
+            # sandbox.fleet.* counters when the warm sandbox is a
+            # SandboxFleet; None for single-client setups
             "sandbox_fleet": (
                 self.state.sandbox.stats()
                 if hasattr(self.state.sandbox, "stats")

@@ -38,13 +38,7 @@ from repro.core.config import InferAConfig
 from repro.obs.names import SERVE_WARMUP_SPAN
 from repro.obs.tracer import get_tracer
 from repro.rag import ColumnRetriever, RetrievalArtifactCache
-from repro.sandbox import (
-    InProcessClient,
-    SandboxClient,
-    SandboxExecutor,
-    SandboxFleet,
-    resolve_sandbox_workers,
-)
+from repro.sandbox import configured_sandbox
 from repro.sim.ensemble import Ensemble
 from repro.sim.schema import (
     COLUMN_DESCRIPTIONS,
@@ -170,43 +164,12 @@ class WarmState:
         )
 
     def _warm_sandbox(self, report: WarmupReport) -> None:
-        from repro.agents.tools import default_toolset
-
+        # one sandbox shared by every request; the report line says how
+        # much of a fleet came up, or how the remote gateway answered
         with self._timed(report, "sandbox"):
-            fleet_workers = resolve_sandbox_workers(self.config.sandbox_workers)
-            if fleet_workers:
-                # pooled warm workers shared by every request: each member
-                # is boot-probed so the warm-up report says how much of
-                # the fleet actually came up
-                fleet = SandboxFleet.spawn_local(
-                    fleet_workers,
-                    mode=self.config.sandbox_spawn or "thread",
-                    fallback=InProcessClient(
-                        SandboxExecutor(tools=default_toolset())
-                    ),
-                    seed=self.config.seed,
-                    stats_path=self.workdir / "sandbox_fleet.json",
-                )
-                probe = fleet.warm()
-                report.details["sandbox"] = (
-                    f"fleet {probe['healthy']}/{probe['workers']} healthy "
-                    f"({probe['mode']})"
-                )
-                self.sandbox = fleet
-            elif self.config.sandbox_url:
-                client = SandboxClient(
-                    self.config.sandbox_url,
-                    seed=self.config.seed,
-                    fallback=InProcessClient(SandboxExecutor(tools=default_toolset())),
-                )
-                probe = client.health()
-                report.details["sandbox"] = f"remote {probe.detail}"
-                self.sandbox = client
-            else:
-                self.sandbox = InProcessClient(
-                    SandboxExecutor(tools=default_toolset())
-                )
-                report.details["sandbox"] = "in-process"
+            self.sandbox, report.details["sandbox"] = configured_sandbox(
+                self.config, clock=self.clock
+            )
 
     # ------------------------------------------------------------------
     def close(self) -> None:

@@ -23,6 +23,7 @@ from repro.faults import (
 from repro.frame import Frame
 from repro.llm.errors import NO_ERRORS
 from repro.sandbox import (
+    FleetStats,
     InProcessClient,
     SandboxClient,
     SandboxExecutor,
@@ -250,6 +251,7 @@ class TestFleetChaos:
             3, mode="thread", executor_factory=SandboxExecutor,
             fallback=InProcessClient(SandboxExecutor()),
         )
+        before = FleetStats.read()
         try:
             got = []
             for i, code in enumerate(self.CODES * 4):
@@ -260,8 +262,8 @@ class TestFleetChaos:
                     self._hard_kill(fleet.members[1])
                 got.append(fleet.execute(code, self._tables()))
             self._assert_results_match(expected, got)
-            assert fleet.trips_total >= 1
-            assert fleet.fallbacks_total == 0
+            delta = FleetStats.read().delta(before)
+            assert delta.trips >= 1 and delta.fallbacks == 0
         finally:
             fleet.close()
 
@@ -289,12 +291,13 @@ class TestFleetChaos:
             2, mode="thread", executor_factory=SandboxExecutor,
             fallback=InProcessClient(SandboxExecutor()),
         )
+        before = FleetStats.read()
         try:
             for member in fleet.members:
                 member.handle.kill()
             got = [fleet.execute(code, self._tables()) for code in self.CODES]
             self._assert_results_match(expected, got)
-            assert fleet.fallbacks_total >= 1
+            assert FleetStats.read().delta(before).fallbacks >= 1
         finally:
             fleet.close()
 
@@ -329,14 +332,14 @@ class TestFleetChaos:
         )
         try:
             f1 = fleet_app.run_query(QUESTION)
-            fleet = fleet_app._fleet
-            self._hard_kill(fleet.members[0])
+            before = FleetStats.read()
+            self._hard_kill(fleet_app.sandbox.members[0])
             f2 = fleet_app.run_query(QUESTION)
         finally:
             fleet_app.close()
         assert_same_answer(b1, f1)
         assert_same_answer(b2, f2)
-        assert fleet.trips_total >= 1
+        assert FleetStats.read().delta(before).trips >= 1
 
 
 class TestLiveIngestChaos:

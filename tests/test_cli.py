@@ -16,7 +16,6 @@ from repro.frame import Frame
 from repro.obs.export import canonical_tree, read_spans
 from repro.obs.names import CLI_PROCESS_SPAN
 from repro.provenance.audit import verify_audit_trail
-from repro.sandbox import InProcessClient, SandboxExecutor, SandboxFleet
 
 
 @pytest.fixture()
@@ -432,38 +431,31 @@ class TestVerbosity:
 
 
 class TestArtifactCompat:
-    """``repro sandbox stats`` reads the one schema ``SandboxFleet.stats()``
-    writes; a snapshot of any other shape is reported as such (rc 1, no
-    KeyError, no table of made-up defaults)."""
+    """``repro sandbox stats`` reads the ``sandbox.fleet.*`` counters of a
+    workdir's ``metrics.json`` (the registry snapshot a drained server or
+    an eval writes) and nothing else."""
 
     def test_sandbox_stats_notes_pre_schema_snapshot(self, tmp_path, capsys):
+        # a workdir an older tree's fleet left behind has no metrics.json:
+        # its sandbox_fleet.json snapshot is not read
         (tmp_path / "sandbox_fleet.json").write_text(json.dumps(
-            {"workers": 1, "mode": "thread", "members": [{"index": 0}]}
+            {"schema": 2, "workers": 1, "mode": "thread", "members": [{"index": 0}]}
         ))
-        assert main(["sandbox", "stats", "--workdir", str(tmp_path)]) == 1
-        out = capsys.readouterr().out
-        assert "schema None" in out and "regenerate" in out
-        assert "worker(s)" not in out
-
-    def test_sandbox_stats_notes_newer_schema(self, tmp_path, capsys):
-        (tmp_path / "sandbox_fleet.json").write_text(json.dumps(
-            {"schema": 9, "workers": 0, "mode": "thread", "members": []}
-        ))
-        assert main(["sandbox", "stats", "--workdir", str(tmp_path)]) == 1
-        out = capsys.readouterr().out
-        assert "schema 9" in out and "regenerate" in out
-
-    def test_sandbox_stats_current_schema_has_no_note(self, tmp_path, capsys):
-        fleet = SandboxFleet(
-            clients=[InProcessClient(SandboxExecutor())],
-            stats_path=tmp_path / "sandbox_fleet.json",
-        )
-        fleet.close()  # final checkpoint: what a fleet-enabled run leaves
         assert main(["sandbox", "stats", "--workdir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "1 worker(s), mode=external" in out
-        assert "lifetime: 0 routed, 0 trips, 0 respawns, 0 fallbacks" in out
-        assert "regenerate" not in out
+        assert "no counters" in out and "metrics.json" in out
+        assert f"repro trace summary {tmp_path}" in out
+        assert "routes=" not in out
+
+    def test_sandbox_stats_current_schema_has_no_note(self, tmp_path, capsys):
+        counters = {"sandbox.fleet.routes": 7, "sandbox.fleet.trips": 1, "db.cache.miss": 3}
+        (tmp_path / "metrics.json").write_text(
+            json.dumps({"counters": counters, "histograms": {}})
+        )
+        assert main(["sandbox", "stats", "--workdir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "routes=7 trips=1 respawns=0 fallbacks=0" in out
+        assert "no counters" not in out
 
 
 class TestParser:

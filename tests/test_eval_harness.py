@@ -155,6 +155,29 @@ class TestParallelParity:
         assert harness.resolve_workers() == (os.cpu_count() or 1)
 
 
+class TestSandboxFleetCells:
+    def test_each_cell_closes_its_fleet(self, ensemble, tmp_path, monkeypatch):
+        """Every cell's app builds a 2-member fleet (member servers run on
+        threads); each is closed with its cell, so none outlives the suite."""
+        import threading
+        import time
+
+        from repro.obs.metrics import get_registry
+
+        routes = get_registry().counter("sandbox.fleet.routes")
+        monkeypatch.setenv("REPRO_SANDBOX_WORKERS", "2")
+        before, routes0 = threading.active_count(), routes.value
+        result = EvaluationHarness(
+            ensemble, tmp_path / "fleet", HarnessConfig(runs_per_question=2, error_model=NO_ERRORS)
+        ).run_suite(questions=QUESTION_SUITE[:2])
+        assert len(result.metrics) == 4
+        assert routes.value > routes0  # the cells did run on fleets
+        deadline = time.monotonic() + 5.0  # a closed member's threads wind down
+        while threading.active_count() > before and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert threading.active_count() == before
+
+
 class TestRetrievalCacheSharing:
     def test_warm_cache_eliminates_rebuilds(self, ensemble, tmp_path):
         """Cold: exactly one corpus build; warm: hits only, zero builds."""

@@ -109,6 +109,31 @@ def test_a_query_without_a_plot_loads_neither_scipy_nor_networkx(ensemble, tmp_p
     assert (tmp_path / "w" / "trace.jsonl").exists()
 
 
+# the repro source lines a cold `repro query` compiles (with no bytecode
+# cache, ~6 us each): a ceiling a change may lower, and raises only by
+# saying why.  18 917 before graph/events.py and the fleet's snapshot
+# writer were deleted.
+QUERY_SOURCE_LINES = 18_818
+
+
+def test_a_query_imports_at_most_the_pinned_source_lines(ensemble, tmp_path):
+    argv = ["query", "top 5 halos at timestep 624 in simulation 0",
+            "--ensemble", str(ensemble.root), "--workdir", str(tmp_path / "w"), "--no-errors"]
+    probe = (
+        f"{run_cli(argv)}\n"
+        "import sys\n"
+        "files = {m.__file__ for n, m in list(sys.modules.items())\n"
+        "         if n.split('.')[0] == 'repro' and getattr(m, '__file__', None)}\n"
+        "print('LINES', sum(sum(1 for _ in open(f)) for f in files))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=ENV, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    lines = int(next(l for l in done.stdout.splitlines() if l.startswith("LINES ")).split()[1])
+    assert lines <= QUERY_SOURCE_LINES
+
+
 # ----------------------------------------------------------------------
 # the two functions that import on first call return what they returned
 # when the import was at module top

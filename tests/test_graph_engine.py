@@ -11,7 +11,9 @@ from repro.graph import (
     add_reducer,
     append_reducer,
     merge_reducer,
+    node_sequence,
 )
+from repro.obs.tracer import Tracer
 
 
 def linear_graph():
@@ -26,9 +28,10 @@ def linear_graph():
 
 class TestExecution:
     def test_linear_order(self):
-        result = linear_graph().compile().invoke()
+        tracer = Tracer()
+        result = linear_graph().compile(tracer=tracer).invoke()
         assert result.state["log"] == ["a", "b"]
-        assert [e.node for e in result.events] == ["a", "b"]
+        assert node_sequence(tracer.span_dicts(), "main") == ["a", "b"]
         assert result.completed
 
     def test_conditional_routing(self):

@@ -5,7 +5,6 @@ import pytest
 
 from repro.eval.metrics import MetricsAggregator
 from repro.eval.reporting import format_table2
-from repro.graph.events import ExecutionEvent
 from repro.llm import ChatMessage, MockLLM, NO_ERRORS
 from repro.llm.base import MeteredModel
 from repro.viz.svg import SVGDocument
@@ -82,12 +81,6 @@ class TestReportingEdges:
         agg = MetricsAggregator()
         text = format_table2(agg.table2_rows())
         assert "-" in text
-
-    def test_execution_event_as_dict(self):
-        event = ExecutionEvent(3, "sql", "ok", updated_keys=["tables"], checkpoint_id="t:3")
-        doc = event.as_dict()
-        assert doc["seq"] == 3 and doc["node"] == "sql"
-        assert doc["checkpoint_id"] == "t:3"
 
 
 class TestMockLLMDeterminism:

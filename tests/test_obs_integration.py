@@ -1,6 +1,6 @@
-"""End-to-end observability: session traces in provenance, timed events
-through checkpoints, and trace parity between sequential and parallel
-harness runs."""
+"""End-to-end observability: session traces in provenance, timed graph
+node spans, and trace parity between sequential and parallel harness
+runs."""
 
 import json
 
@@ -8,8 +8,7 @@ import pytest
 
 from repro.eval.harness import EvaluationHarness, HarnessConfig
 from repro.eval.questions import QUESTION_SUITE
-from repro.graph import Channel, Checkpointer, END, StateGraph
-from repro.graph.events import ExecutionEvent
+from repro.graph import Channel, END, StateGraph
 from repro.graph.state import append_reducer
 from repro.llm.errors import NO_ERRORS
 from repro.obs.export import canonical_tree, phase_rollups
@@ -57,36 +56,15 @@ class TestTimedEvents:
         return g
 
     def test_events_carry_start_and_duration(self):
+        # a node execution is recorded once, as its graph.node.* span
         clock = SimulatedClock()
-        compiled = self._timed_graph(clock).compile(tracer=Tracer(clock=clock))
-        result = compiled.invoke(thread_id="t")
-        (event,) = result.events
-        assert event.duration == pytest.approx(1.5)
-        assert event.started_at is not None
-
-    def test_timing_survives_checkpoint_round_trip(self):
-        clock = SimulatedClock()
-        cp = Checkpointer()
-        compiled = self._timed_graph(clock).compile(
-            checkpointer=cp, tracer=Tracer(clock=clock)
-        )
-        compiled.invoke(thread_id="t")
-        (snapshot,) = cp.history("t")
-        (doc,) = snapshot.events
-        restored = ExecutionEvent.from_dict(doc)
-        assert restored.duration == pytest.approx(1.5)
-        assert restored.node == "slow"
-        assert restored.checkpoint_id == snapshot.checkpoint_id
-
-    def test_events_of_another_shape_are_refused(self):
-        # one format: as_dict is the only writer, so a document with fewer
-        # or more keys is another version's checkpoint, not a default away
-        doc = ExecutionEvent(1, "a", "ok").as_dict()
-        assert ExecutionEvent.from_dict(doc) == ExecutionEvent(1, "a", "ok")
-        with pytest.raises(ValueError, match="another version"):
-            ExecutionEvent.from_dict({"seq": 1, "node": "a", "status": "ok"})
-        with pytest.raises(ValueError, match="some_future_field"):
-            ExecutionEvent.from_dict({**doc, "some_future_field": {"nested": True}})
+        tracer = Tracer(clock=clock)
+        self._timed_graph(clock).compile(tracer=tracer).invoke(thread_id="t")
+        (span,) = tracer.span_dicts()
+        assert span["name"] == "graph.node.slow"
+        assert span["attributes"] == {"thread": "t", "seq": 0}
+        assert span["start"] is not None
+        assert span["duration"] == pytest.approx(1.5)
 
 
 @pytest.fixture(scope="module")

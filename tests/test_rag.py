@@ -268,6 +268,78 @@ class TestQueryMemo:
         finally:
             cache.set_query_memo_capacity(old_cap)
 
+    def test_eviction_between_a_hits_lookup_and_reorder(self, monkeypatch):
+        """Another thread evicts while a hit is between ``get`` and
+        ``move_to_end``: the evictor waits for the hit to finish, where
+        it used to remove the key and make ``move_to_end`` raise KeyError."""
+        import threading
+        from collections import OrderedDict
+
+        from repro.rag import cache
+
+        embedder = HashedEmbedder()
+        evictor: list[threading.Thread] = []
+
+        class EvictedMidHit(OrderedDict):
+            def move_to_end(self, key, last=True):
+                if not evictor:
+                    # a miss on another query fills the 1-entry memo
+                    thread = threading.Thread(
+                        target=cache.memoized_query_embedding, args=(embedder, "other")
+                    )
+                    evictor.append(thread)
+                    thread.start()
+                    thread.join(timeout=0.5)  # done here unless the memo is locked
+                super().move_to_end(key, last)
+
+        monkeypatch.setattr(cache, "_QUERY_MEMO", EvictedMidHit())
+        monkeypatch.setattr(cache, "_QUERY_MEMO_CAPACITY", 1)
+        first = cache.memoized_query_embedding(embedder, "halo mass")
+        again = cache.memoized_query_embedding(embedder, "halo mass")
+        evictor[0].join(timeout=30)
+        assert not evictor[0].is_alive()
+        assert again is first
+        assert list(cache._QUERY_MEMO) == [(embedder.cache_key(), "other")]
+
+    def test_concurrent_lookups_over_a_tiny_memo(self, monkeypatch):
+        """Eight threads hit and evict a 2-entry memo with thread switches
+        forced every microsecond: no call raises, and every call counts
+        as exactly one hit or one miss."""
+        import sys
+        import threading
+        from collections import OrderedDict
+
+        from repro.rag import cache
+
+        embedder = HashedEmbedder()
+        monkeypatch.setattr(cache, "_QUERY_MEMO", OrderedDict())
+        monkeypatch.setattr(cache, "_QUERY_MEMO_CAPACITY", 2)
+        errors: list[BaseException] = []
+
+        def lookups(worker: int) -> None:
+            try:
+                for i in range(200):
+                    cache.memoized_query_embedding(embedder, f"q{(worker + i) % 3}")
+            except BaseException as exc:  # surfaced below
+                errors.append(exc)
+
+        before = stats_snapshot()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=lookups, args=(w,)) for w in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        delta = stats_snapshot().delta(before)
+        assert delta.query_memo_hits + delta.query_memo_misses == 8 * 200
+        assert cache.query_memo_size() <= 2
+
 
 class TestColumnRetriever:
     @pytest.fixture(scope="class")

@@ -26,6 +26,7 @@ from repro.obs.tracer import Tracer, use_tracer
 from repro.resilience import OPEN, CircuitBreaker, ServiceEWMA
 from repro.sandbox import (
     ExecutionResult,
+    FleetStats,
     InProcessClient,
     SandboxClient,
     SandboxExecutor,
@@ -138,13 +139,14 @@ class TestRouting:
             StubClient(2, clock, latencies=(0.2,)),
         ]
         fleet = make_fleet(clock, stubs)
+        before = FleetStats.read()
         for _ in range(5):
             assert fleet.execute("code", {}).ok
         # sequential load: first pass visits 0,1,2 by index (all EWMAs
         # zero), after which the fastest member (1) wins every tie
         assert [s.calls for s in stubs] == [1, 3, 1]
         assert [m.routes for m in fleet.members] == [1, 3, 1]
-        assert fleet.routes_total == 5
+        assert FleetStats.read().delta(before).routes == 5
 
     def test_in_flight_dominates_ewma(self):
         clock = SimulatedClock()
@@ -179,13 +181,14 @@ class TestDegradation:
         stubs = [StubClient(0, clock), StubClient(1, clock)]
         stubs[0].fail = True
         fleet = make_fleet(clock, stubs)
+        before = FleetStats.read()
         assert fleet.execute("code", {}).ok    # 0 trips, rerouted to 1
         assert stubs[0].calls == 1 and stubs[0].breaker.state == OPEN
         for _ in range(3):
             assert fleet.execute("code", {}).ok
         # the open breaker keeps member 0 out of the candidate set
         assert stubs[0].calls == 1
-        assert fleet.trips_total == 1
+        assert FleetStats.read().delta(before).trips == 1
         assert fleet.members[0].trips == 1
 
     def test_half_open_probe_recovers_member(self):
@@ -217,12 +220,13 @@ class TestDegradation:
             clock=clock,
             respawn_after=2,
         )
+        before = FleetStats.read()
         fleet.execute("code", {})              # consecutive_unavailable=1
         clock.advance(6.0)
         fleet.execute("code", {})              # half-open probe fails -> 2 -> respawn
         assert spawner.spawned == [0]
         member = fleet.members[0]
-        assert member.respawns == 1 and fleet.respawns_total == 1
+        assert member.respawns == 1 and FleetStats.read().delta(before).respawns == 1
         assert member.client is replacement
         assert member.consecutive_unavailable == 0
         assert member.ewma.samples == 0
@@ -245,10 +249,11 @@ class TestDegradation:
                 return ExecutionResult(ok=True, error_type="", meta={"via": "fallback"})
 
         fleet = make_fleet(clock, stubs, fallback=Fallback())
+        before = FleetStats.read()
         result = fleet.execute("code", {})
         assert result.ok and result.meta == {"via": "fallback"}
-        assert fleet.fallbacks_total == 1
-        assert fleet.trips_total == 2
+        delta = FleetStats.read().delta(before)
+        assert (delta.fallbacks, delta.trips) == (1, 2)
 
     def test_all_dead_without_fallback_is_classified(self):
         clock = SimulatedClock()
@@ -292,66 +297,18 @@ class TestObservability:
         assert registry.counter("sandbox.fleet.routes").value == routes0 + 1
         assert registry.counter("sandbox.fleet.trips").value == trips0 + 1
 
-    def test_stats_snapshot_written(self, tmp_path):
+    def test_stats_snapshot_written(self):
+        """``stats()`` is live member state plus a registry read: its
+        lifetime block is the ``sandbox.fleet.*`` counters, not a copy."""
         clock = SimulatedClock()
-        stubs = [StubClient(0, clock)]
-        path = tmp_path / "sandbox_fleet.json"
-        fleet = make_fleet(clock, stubs, stats_path=path, checkpoint_every=1)
+        fleet = make_fleet(clock, [StubClient(0, clock)])
         fleet.execute("code", {})
-        import json
-
-        doc = json.loads(path.read_text())
+        doc = fleet.stats()
         assert doc["workers"] == 1
-        assert doc["lifetime"]["routes"] == 1
+        assert doc["lifetime"] == FleetStats.read().as_dict()
+        assert doc["lifetime"]["routes"] >= 1
         assert doc["members"][0]["breaker"] == "closed"
-        fleet.close()
-
-    def test_concurrent_checkpoints_never_tear_the_snapshot(self, tmp_path, monkeypatch):
-        """``_checkpoint`` runs outside the fleet lock on every routing
-        thread: a reader of ``sandbox_fleet.json`` must see a whole
-        snapshot every time, no publish may fail, no temp file may stay."""
-        import json
-        import sys
-        import threading
-
-        from repro.sandbox import fleet as fleet_mod
-
-        swallowed: list[tuple] = []
-        monkeypatch.setattr(fleet_mod.log, "debug", lambda *args, **kw: swallowed.append(args))
-        clock = SimulatedClock()
-        path = tmp_path / "sandbox_fleet.json"
-        fleet = make_fleet(clock, [StubClient(i, clock) for i in range(4)], stats_path=path)
-        fleet._checkpoint()
-        done = threading.Event()
-        published = itertools.count()
-
-        def publish():
-            while not done.is_set():
-                fleet._checkpoint()
-                next(published)
-
-        writers = [threading.Thread(target=publish) for _ in range(4)]
-        torn = 0
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for thread in writers:
-                thread.start()
-            for _ in range(1000):
-                try:
-                    assert json.loads(path.read_text())["workers"] == 4
-                except ValueError:
-                    torn += 1
-                time.sleep(0)  # hand the interpreter to a publisher
-        finally:
-            done.set()
-            for thread in writers:
-                thread.join(timeout=30)
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in writers)
-        assert next(published) > 100  # the reader really had company
-        assert (torn, swallowed) == (0, [])
-        assert list(tmp_path.glob("*.tmp")) == []
+        assert doc["members"][0]["routes"] == 1
 
     def test_warm_probes_every_member(self):
         with SandboxServer(executor=SandboxExecutor()) as server:
@@ -452,6 +409,7 @@ class TestPersistentConnections:
 
         try:
             assert fleet.warm()["healthy"] == 2
+            before = FleetStats.read()
             threads = [threading.Thread(target=client, args=(c,)) for c in range(clients)]
             for t in threads:
                 t.start()
@@ -459,8 +417,8 @@ class TestPersistentConnections:
                 t.join(timeout=60.0)
             assert not any(t.is_alive() for t in threads)
             assert not failures and not mismatches
-            assert fleet.routes_total == clients * per_client
-            assert fleet.fallbacks_total == 0
+            delta = FleetStats.read().delta(before)
+            assert (delta.routes, delta.fallbacks) == (clients * per_client, 0)
             assert all(m.routes > 0 for m in fleet.members)
         finally:
             fleet.close()

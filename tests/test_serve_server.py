@@ -5,19 +5,25 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import socket
 import statistics
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core import InferA, InferAConfig
-from repro.graph.checkpoint import DurableCheckpointer
+from repro.db.cache import QueryCacheStats
 from repro.llm import MockLLM
 from repro.llm.errors import NO_ERRORS
+from repro.rag.cache import CacheStats
 from repro.serve import ReproServer
 from repro.serve.worker import answer_payload
 from tests.test_sandbox_server import KeepAliveSocket, fake_handler, two_write_reply
@@ -91,6 +97,21 @@ def test_stats_endpoint(server):
     assert doc["warmup"]["total_s"] > 0
     assert "hit_ratio" in doc["query_cache"]
     assert "published" in doc["bus"]
+
+
+def test_stats_counter_sections_are_registry_deltas(server):
+    """The cache sections of ``/stats`` are registry reads: across two
+    requests they move by exactly what the registry counted."""
+    views = {"query_cache": QueryCacheStats, "retrieval_cache": CacheStats}
+    before = get_json(f"{server.url}/stats")[1]
+    registry_before = {section: view.read() for section, view in views.items()}
+    for question in ("How many halos are in run 0?", "What is the average halo mass in run 1?"):
+        assert post_query(server.url, question, "deltas")[1]["status"] == "ok"
+    after = get_json(f"{server.url}/stats")[1]
+    for section, view in views.items():
+        moved = {k: after[section][k] - before[section][k] for k in view().as_dict()}
+        assert moved == view.read().delta(registry_before[section]).as_dict(), section
+        assert sum(moved.values()) > 0, section  # the requests reached this cache
 
 
 def test_bad_requests(server):
@@ -454,10 +475,32 @@ def test_graceful_shutdown_drains_and_checkpoints(ensemble, tmp_path):
         assert ledger["totals"]["total_tokens"] > 0
         # ledger entries are attributed to this session's run ids only
         assert all(e["session"].startswith("r") for e in ledger["entries"])
-    # durable checkpoints survive into a fresh process-level store
-    store = DurableCheckpointer(workdir / "server_checkpoints")
-    for name in ("s1", "s2"):
-        cp = store.latest(name)
-        assert cp is not None
-        assert cp.state["requests"] == 1
-        assert cp.state["completed"] == 1
+    # each session's record is written once, to sessions.json
+    assert {(s["requests"], s["completed"]) for s in doc["sessions"]} == {(1, 1)}
+    assert not (workdir / "server_checkpoints").exists()
+    # what the registry counted while the server ran, as a snapshot
+    metrics = json.loads((workdir / "metrics.json").read_text())
+    assert set(metrics) == {"counters", "histograms"}
+    assert metrics["counters"]["sql.queries"] > 0
+
+
+def test_sandbox_stats_reports_the_routes_of_a_drained_fleet_server(ensemble, tmp_path):
+    workdir = tmp_path / "serve"
+    config = InferAConfig(seed=5, error_model=NO_ERRORS, llm_latency_s=0.0, sandbox_workers=2)
+    server = make_server(ensemble, workdir, config=config)
+    try:
+        status, doc = post_query(server.url, "How many halos are in run 0?", "fleet")
+        assert status == 200 and doc["status"] == "ok"
+        live = get_json(f"{server.url}/stats")[1]["sandbox_fleet"]
+        assert live["workers"] == 2 and live["lifetime"]["routes"] > 0
+    finally:
+        server.shutdown()
+    assert not (workdir / "sandbox_fleet.json").exists()
+    routes = json.loads((workdir / "metrics.json").read_text())["counters"]["sandbox.fleet.routes"]
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", "sandbox", "stats", "--workdir", str(workdir)],
+        env=dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1])),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert routes > 0 and f"routes={routes} " in done.stdout

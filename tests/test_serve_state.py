@@ -49,7 +49,7 @@ def test_apps_share_warm_components_but_isolate_workdirs(ensemble, tmp_path):
     # shared read-only warm state: one retriever, one sandbox client
     assert app_a._retriever is state.retriever
     assert app_b._retriever is state.retriever
-    assert app_a._shared_sandbox is state.sandbox
+    assert app_a.sandbox is state.sandbox
     # shared on-disk cache tiers under the server workdir
     assert app_a.config.query_cache_dir == str(state.query_cache_dir)
     assert app_a.config.retrieval_cache_dir == str(state.retrieval_cache_dir)

@@ -230,6 +230,25 @@ def test_length_less_checkpoint_blob_reads_as_a_corrupt_tail(tmp_path):
     assert revived.dropped_corrupt == 1
 
 
+def test_checkpoint_blob_with_events_reads_as_a_corrupt_tail(tmp_path):
+    """An ``RCKP2`` blob carried an ``events`` list that ``Checkpoint`` no
+    longer has a field for: it hydrates as a dropped, counted tail instead
+    of raising ``TypeError`` from ``Checkpoint(**record)``."""
+    saver = DurableCheckpointer(tmp_path / "ckpt")
+    saver.save("t", 1, "a", "b", {"x": 1})
+    saver.save("t", 2, "b", None, {"x": 2})
+    last = sorted((tmp_path / "ckpt").rglob("ckpt_*.bin"))[-1]
+    record = {"checkpoint_id": "t:2", "thread_id": "t", "seq": 2, "node": "b",
+              "next_node": None, "state": {"x": 2}, "events": []}
+    last.write_bytes(frame(b"RCKP2\n", pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)))
+
+    counter = get_registry().counter("checkpoint.corrupt_dropped")
+    before = counter.value
+    revived = DurableCheckpointer(tmp_path / "ckpt")
+    assert revived.latest("t").seq == 1
+    assert counter.value == before + 1
+
+
 # ----------------------------------------------------------------------
 # end to end: nothing leaves a temp file behind
 # ----------------------------------------------------------------------
@@ -238,9 +257,11 @@ def test_query_serve_and_ingest_leave_no_temp_files(ensemble, tmp_path):
         seed=5, error_model=NO_ERRORS, llm_latency_s=0.0,
         use_checkpointer=True, sandbox_workers=2,
     )
-    report = InferA(ensemble, tmp_path / "oneshot", config).run_query(
-        "top 5 halos at timestep 624 in simulation 0"
-    )
+    app = InferA(ensemble, tmp_path / "oneshot", config)
+    try:
+        report = app.run_query("top 5 halos at timestep 624 in simulation 0")
+    finally:
+        app.close()
     assert report.completed
 
     server = ReproServer(ensemble, tmp_path / "serve", config, app_workers=1, queue_depth=2)
@@ -252,7 +273,7 @@ def test_query_serve_and_ingest_leave_no_temp_files(ensemble, tmp_path):
             assert json.loads(response.read())["status"] == "ok"
     finally:
         server.shutdown()
-    for artifact in ("sessions.json", "sandbox_fleet.json", "sessions/s/cost_ledger.json"):
+    for artifact in ("sessions.json", "metrics.json", "sessions/s/cost_ledger.json"):
         assert (tmp_path / "serve" / artifact).is_file(), artifact
 
     live = generate_ensemble(

@@ -7,8 +7,10 @@ import pytest
 
 from repro.agents import AgentContext, DataLoadingAgent, Supervisor
 from repro.db import Database
+from repro.graph import node_sequence
 from repro.llm import MockLLM, NO_ERRORS
 from repro.llm.base import MeteredModel
+from repro.obs.tracer import Tracer
 from repro.provenance import ProvenanceTracker
 from repro.rag import ColumnRetriever
 from repro.sandbox import InProcessClient, SandboxExecutor
@@ -26,8 +28,13 @@ def supervisor(ensemble, tmp_path):
         db=Database(tmp_path / "db"),
         sandbox=InProcessClient(SandboxExecutor(tools=default_toolset())),
         provenance=ProvenanceTracker(tmp_path, "s"),
+        tracer=Tracer(),
     )
     return Supervisor(context, DataLoadingAgent(context, ensemble))
+
+
+def executed_nodes(supervisor) -> list[str]:
+    return node_sequence(supervisor.context.tracer.span_dicts(), "main")
 
 
 def plan_steps():
@@ -65,7 +72,7 @@ class TestExecution:
 
     def test_routing_order(self, supervisor):
         supervisor.execute("q", plan_steps(), 0, {})
-        nodes = [e.node for e in supervisor._last_events]
+        nodes = executed_nodes(supervisor)
         assert nodes == [
             "supervisor", "data_loader",
             "supervisor", "sql", "qa",
@@ -77,8 +84,8 @@ class TestExecution:
         supervisor.enable_documentation = False
         report = supervisor.execute("q", plan_steps(), 0, {})
         assert report.completed
-        nodes = [e.node for e in supervisor._last_events]
-        assert "documentation" not in nodes
+        nodes = executed_nodes(supervisor)
+        assert nodes and "documentation" not in nodes
 
     def test_tokens_accumulate_per_step(self, supervisor):
         report = supervisor.execute("q", plan_steps(), 0, {})
