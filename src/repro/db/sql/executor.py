@@ -40,9 +40,8 @@ from repro.db.sql.normalize import referenced_column_names
 from repro.db.sql.pruning import skip_reason
 from repro.frame import Frame, concat
 from repro.frame.join import merge
-from repro.obs.events import NULL_BUS, get_bus
 from repro.obs.metrics import get_registry
-from repro.obs.names import MORSEL_EVENT, SQL_EXECUTE_SPAN, SQL_QUERIES
+from repro.obs.names import SQL_EXECUTE_SPAN, SQL_QUERIES
 from repro.obs.tracer import get_tracer
 
 
@@ -231,17 +230,9 @@ def _materialize_join(
 # morsels
 # ----------------------------------------------------------------------
 def _piece_stream(source, work: Callable, stats: ScanStats | None):
-    """Per-chunk results of ``work``, yielded in row-group order.
-
-    With a live bus, each morsel publishes a counter event carrying the
-    enclosing ``sql.execute`` span id, so subscribers see per-morsel
-    progress parented on the right query.
-    """
-    bus = get_bus()
-    span_id = None if bus is NULL_BUS else getattr(get_tracer().current(), "span_id", None)
+    """Per-chunk results of ``work``, yielded in row-group order."""
     for chunk in source.chunks():
         piece = work(chunk)
-        bus.publish_counter(MORSEL_EVENT, 1, span_id=span_id)
         if stats is not None:
             stats.morsels_executed += 1
         yield piece

@@ -113,9 +113,14 @@ class TableStore:
         segment directories, which recovery discards or overwrites.  The
         caller has already checked the frame's columns against the table's.
         """
-        columns = self._meta["columns"] or {
-            n: np.asarray(frame.column(n)).dtype.str for n in frame.columns
-        }
+        # object columns are stored as fixed-width strings, converted once
+        # over the whole frame so that every group a create writes and the
+        # dtype its catalog entry records are the same
+        arrays: dict[str, np.ndarray] = {}
+        for name in self._meta["columns"] or frame.columns:
+            col = np.asarray(frame.column(name))
+            arrays[name] = col.astype(str) if col.dtype == object else col
+        columns = self._meta["columns"] or {n: a.dtype.str for n, a in arrays.items()}
         # per-row-group docs are never mutated once appended, so the staged
         # doc shares them with ``self._meta`` and copies only the lists this
         # append grows
@@ -123,7 +128,7 @@ class TableStore:
         staged.update((key, list(self._meta[key])) for key in TABLE_META_KEYS[1:])
         self.path.mkdir(parents=True, exist_ok=True)
         for start in range(0, frame.num_rows, row_group_size):
-            chunk = frame[start : start + row_group_size]
+            stop = start + row_group_size
             rg_index = len(staged["row_groups"])
             rg_dir = self.path / f"rg{rg_index:05d}"
             rg_dir.mkdir(parents=True, exist_ok=True)
@@ -131,11 +136,9 @@ class TableStore:
             blooms: dict[str, dict] = {}
             checksums: dict[str, int] = {}
             last_path: Path | None = None
-            for name in columns:
-                col = np.asarray(chunk.column(name))
-                if col.dtype == object:
-                    col = col.astype(str)
-                elif np.issubdtype(col.dtype, np.number) and len(col):
+            for name, full in arrays.items():
+                col = full[start:stop]
+                if np.issubdtype(col.dtype, np.number) and len(col):
                     # a zone map is only sound when it bounds EVERY row:
                     # NaN/inf escape [min(finite), max(finite)], so groups
                     # holding any non-finite value publish no stats and
@@ -164,7 +167,7 @@ class TableStore:
                 raise IngestKilled(
                     "stage-row-group", f"torn segment {last_path.name} in rg{rg_index:05d}"
                 )
-            staged["row_groups"].append(chunk.num_rows)
+            staged["row_groups"].append(min(stop, frame.num_rows) - start)
             staged["zone_maps"].append(zone_map)
             staged["blooms"].append(blooms)
             staged["checksums"].append(checksums)

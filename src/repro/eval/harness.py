@@ -45,13 +45,7 @@ from repro.eval.questions import (
 from repro.faults import FaultProfile
 from repro.llm.errors import ErrorModel
 from repro.obs.cost import CostLedger
-from repro.obs.events import (
-    NULL_BUS,
-    JsonlSink,
-    get_bus,
-    replay_counters,
-    replay_spans,
-)
+from repro.obs.events import get_bus, replay_spans
 from repro.obs.export import phase_rollups, write_jsonl
 from repro.obs.metrics import (
     empty_snapshot,
@@ -261,39 +255,24 @@ class EvaluationHarness:
 
         query_cache.clear_memory_cache()
 
-        # streaming telemetry: when an event bus is active (repro eval
-        # --live, serving layer), the trace file is written incrementally
-        # by a JSONL sink as spans end, replacing the end-of-run export
-        trace_path = self.workdir / "trace.jsonl"
-        bus = get_bus()
-        sink: JsonlSink | None = None
-        if bus is not NULL_BUS:
-            sink = JsonlSink(trace_path)
-            bus.subscribe(sink)
-
         # the suite tracer owns the root span; its TraceContext is handed to
         # every cell — in both modes, so sequential and parallel runs build
         # the same span tree; like a session it hangs under whatever trace
         # is already active (the CLI's process span)
         tracer = Tracer(clock=self.clock, context=current_context())
         start = tracer.clock.now()
-        try:
-            with use_tracer(tracer), tracer.span(
-                "harness.run_suite",
-                questions=len(questions),
-                runs_per_question=runs,
-                workers=n_workers,
-            ):
-                ctx = tracer.context()
-                if n_workers <= 1 or len(grid) <= 1:
-                    outcomes = [self._execute_cell(q, ri, ctx) for q, ri in grid]
-                else:
-                    outcomes = self._run_parallel(grid, n_workers, ctx)
-            total_wall = tracer.clock.now() - start
-        finally:
-            if sink is not None:
-                bus.unsubscribe(sink)
-                sink.close()
+        with use_tracer(tracer), tracer.span(
+            "harness.run_suite",
+            questions=len(questions),
+            runs_per_question=runs,
+            workers=n_workers,
+        ):
+            ctx = tracer.context()
+            if n_workers <= 1 or len(grid) <= 1:
+                outcomes = [self._execute_cell(q, ri, ctx) for q, ri in grid]
+            else:
+                outcomes = self._run_parallel(grid, n_workers, ctx)
+        total_wall = tracer.clock.now() - start
 
         # canonical-order merge: outcomes arrive in grid order regardless
         # of which worker finished first, so the row list is identical to
@@ -312,8 +291,8 @@ class EvaluationHarness:
             obs_total = merge_snapshots(obs_total, outcome.obs_metrics)
             if outcome.report is not None:
                 kept.append(outcome.report)
-        if sink is None:
-            write_jsonl(all_spans, trace_path)
+        trace_path = self.workdir / "trace.jsonl"
+        write_jsonl(all_spans, trace_path)
         suite_cost = suite_ledger.as_dict()
         # persisted beside the trace so `repro cost` / `repro slo check`
         # can read a suite's spend and exact histogram extremes post-hoc
@@ -354,14 +333,11 @@ class EvaluationHarness:
             for future in futures:
                 outcome = future.result()
                 # cross-process propagation: fork children reset their
-                # ambient bus (they must not write into inherited sinks),
-                # so each cell's spans and counter deltas are re-published
-                # here as the future resolves — parenting rides on the
-                # span dicts' parent_id, so subscribers see the same
-                # canonical tree a sequential in-process run publishes
-                if bus is not NULL_BUS:
-                    replay_spans(bus, outcome.spans)
-                    replay_counters(bus, outcome.obs_metrics.get("counters", {}))
+                # ambient bus, so each cell's spans are re-published here
+                # as the future resolves — parenting rides on the span
+                # dicts' parent_id, so subscribers see the same canonical
+                # tree a sequential in-process run publishes
+                replay_spans(bus, outcome.spans)
                 outcomes.append(outcome)
             return outcomes
 

@@ -3,8 +3,8 @@
 Dependency-free observability for the whole assistant: hierarchical
 spans over supervisor steps, graph nodes, SQL, sandbox runs, retrieval
 and LLM exchanges (:mod:`repro.obs.tracer`); mergeable process-local
-counters/histograms (:mod:`repro.obs.metrics`); a bounded-queue
-streaming event bus with pluggable subscribers
+counters/histograms (:mod:`repro.obs.metrics`); a bus that hands each
+finished span to pluggable subscribers as it ends
 (:mod:`repro.obs.events`); the per-session cost ledger with attribution
 and hard token budgets (:mod:`repro.obs.cost`); a sampling profiler
 with flamegraph output (:mod:`repro.obs.profiler`); declarative SLO

@@ -24,8 +24,6 @@ import threading
 from dataclasses import dataclass, field, fields
 from typing import Any, Self
 
-from repro.obs.events import NULL_BUS, get_bus
-
 # default bounds (seconds) for latency-shaped histograms
 TIME_BUCKETS_S: tuple[float, ...] = (
     0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 60.0
@@ -43,9 +41,6 @@ class Counter:
         if amount < 0:
             raise ValueError("counters only go up")
         self.value += amount
-        bus = get_bus()
-        if bus is not NULL_BUS:
-            bus.publish_counter(self.name, amount)
 
 
 @dataclass

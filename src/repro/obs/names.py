@@ -53,10 +53,6 @@ PROFILE_CAPTURE_SPAN = "profile.capture"
 # parents the session / suite span; excluded from canonical trees
 CLI_PROCESS_SPAN = "cli.process"
 
-# counter-event name for per-morsel completions published by the SQL
-# engine on the querying thread (parented on the enclosing sql.execute span)
-MORSEL_EVENT = "sql.engine.morsel"
-
 # one per served request (repro.serve.worker); the session span of the
 # request's query parents under it, sharing its trace_id — which is the
 # key per-request SSE streams filter the process-wide bus on
@@ -117,6 +113,8 @@ SANDBOX_FLEET_ROUTES = "sandbox.fleet.routes"
 SANDBOX_FLEET_TRIPS = "sandbox.fleet.trips"
 SANDBOX_FLEET_RESPAWNS = "sandbox.fleet.respawns"
 SANDBOX_FLEET_FALLBACKS = "sandbox.fleet.fallbacks"
+# span-bus subscribers (repro.obs.events) that raised and were skipped
+OBS_BUS_SUBSCRIBER_ERRORS = "obs.bus.subscriber_errors"
 
 # ----------------------------------------------------------------------
 # canonical-tree exclusions

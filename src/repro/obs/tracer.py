@@ -244,9 +244,6 @@ class Tracer:
         self._stack().append(span)
         if _NOTE_SPANS:
             _SPAN_NOTES[threading.get_ident()] = name
-        bus = get_bus()
-        if bus is not NULL_BUS:
-            bus.publish_span_start(span.as_dict())
         return span
 
     def end_span(self, span: Span, exc: BaseException | None = None) -> None:
@@ -264,7 +261,7 @@ class Tracer:
             _SPAN_NOTES[threading.get_ident()] = stack[-1].name if stack else ""
         bus = get_bus()
         if bus is not NULL_BUS:
-            bus.publish_span_end(span.as_dict())
+            bus.publish(span.as_dict())
 
     @contextmanager
     def span(self, name: str, parent: Span | None = None, **attributes: Any) -> Iterator[Span]:

@@ -1,15 +1,15 @@
 """Per-request SSE progress streams over the process-wide event bus.
 
 One server process has one :class:`~repro.obs.events.EventBus`; every
-request's spans are published onto it tagged with the request's
-``trace_id``.  A streaming client (``POST /v1/query`` with
-``"stream": true``) gets those events fanned back out as a
+request's finished spans are published onto it, each dict carrying the
+request's ``trace_id``.  A streaming client (``POST /v1/query`` with
+``"stream": true``) gets those spans fanned back out as a
 ``text/event-stream``: the subscription filters the bus down to the one
 trace and buffers it (:func:`repro.obs.events.subscribe` with
 ``trace_id=`` and ``buffered=True``), so a slow or stalled HTTP client
-can never stall the workers publishing on the request path — events the
-client cannot absorb are dropped, counted, and reported in the terminal
-``result`` frame.
+can never stall the workers publishing on the request path — spans the
+client cannot absorb are dropped, counted, and reported as
+``stream_dropped_events`` in the terminal ``result`` frame.
 
 Progress lines reuse :meth:`LiveRenderer.format_event`, so what streams
 to a serve client is word-for-word what ``repro query --live`` prints.
@@ -21,7 +21,7 @@ import json
 import queue
 from typing import Any, Iterator
 
-from repro.obs.events import SPAN_END, Event, LiveRenderer, subscribe
+from repro.obs.events import LiveRenderer, subscribe
 from repro.obs.names import SERVE_REQUEST_SPAN
 
 
@@ -32,7 +32,7 @@ def sse_frame(event_name: str, data: dict[str, Any]) -> bytes:
 
 
 class EventStreamer:
-    """Bridge one request's bus events onto an SSE byte iterator."""
+    """Bridge one request's finished spans onto an SSE byte iterator."""
 
     def __init__(self, trace_id: str, verbose: bool = False, capacity: int = 4096):
         self.trace_id = trace_id
@@ -41,15 +41,15 @@ class EventStreamer:
         # buffered: the drain thread formats and enqueues; the publisher
         # (a worker thread mid-request) only ever appends to the buffer
         self._subscription = subscribe(
-            self._on_event, trace_id=trace_id, buffered=True, capacity=capacity
+            self._on_span, trace_id=trace_id, buffered=True, capacity=capacity
         )
 
-    def _on_event(self, event: Event) -> None:
-        line = LiveRenderer.format_event(event, verbose=self.verbose)
+    def _on_span(self, doc: dict[str, Any]) -> None:
+        line = LiveRenderer.format_event(doc, verbose=self.verbose)
         if line is not None:
             self._lines.put(line)
-        if event.kind == SPAN_END and event.name == SERVE_REQUEST_SPAN:
-            # the request's last event: wake frames() now, not a poll later
+        if doc.get("name") == SERVE_REQUEST_SPAN:
+            # the request's last span: wake frames() now, not a poll later
             self._lines.put(None)
 
     def frames(self, done, poll_s: float = 0.05) -> Iterator[bytes]:

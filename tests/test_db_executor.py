@@ -301,6 +301,18 @@ class TestEmptyProjectionDtypes:
         full = db.query("SELECT step, COUNT(*) AS n FROM halos GROUP BY step")
         assert np.asarray(full.column("n")).dtype == np.int64
 
+    def test_object_string_column_records_the_dtype_it_stores(self, tmp_path):
+        d = Database(tmp_path / "o.db", result_cache=False)
+        # groups of unequal string width: "abc" in the first, "f" in the last
+        kind = np.asarray(["abc", "de", "f"], dtype=object)
+        d.create_table("t", Frame({"kind": kind, "a": np.arange(3)}), row_group_size=2)
+        assert d.schema("t")["kind"] == "str96"
+        empty = d.query("SELECT kind FROM t WHERE a < 0")
+        full = d.query("SELECT kind FROM t")
+        assert empty.num_rows == 0
+        assert np.asarray(empty.column("kind")).dtype == np.asarray(full.column("kind")).dtype
+        assert np.asarray(full.column("kind")).dtype == np.dtype("<U3")
+
 
 class TestDensify:
     """_densify only copies mmap-backed columns."""
