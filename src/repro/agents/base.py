@@ -27,11 +27,11 @@ from typing import Any
 from repro.db import Database
 from repro.frame import Frame
 from repro.llm.base import ChatMessage, ChatResponse, MeteredModel
-from repro.obs.cost import get_ledger
 from repro.obs.metrics import get_registry
 from repro.obs.tracer import Tracer
 from repro.provenance import ProvenanceTracker
 from repro.rag import ColumnRetriever
+from repro.resilience import BudgetExceeded
 from repro.sandbox.client import InProcessClient
 
 
@@ -48,6 +48,8 @@ class AgentContext:
     # tracing is always on: a private tracer is created when the caller
     # (normally InferA.run_query) does not supply the session's
     tracer: Tracer = field(default_factory=Tracer)
+    # hard token ceiling for the session (InferAConfig.token_budget)
+    token_budget: int | None = None
 
     def chat(
         self,
@@ -77,14 +79,16 @@ class AgentContext:
         # hard token budget: checked at the agent boundary so a blown
         # budget surfaces as a classified BudgetExceeded (handled like any
         # resilience failure) instead of funding another redo iteration
-        ledger = get_ledger()
-        if ledger is not None:
-            ledger.check_budget()
+        spent, budget = self.llm.tokens, self.token_budget
+        if budget is not None and spent > budget:
+            raise BudgetExceeded(
+                f"token budget exceeded: {spent} tokens spent of {budget} budgeted"
+            )
         return response
 
     @property
     def total_tokens(self) -> int:
-        return self.llm.meter.total
+        return self.llm.tokens
 
 
 @dataclass

@@ -15,7 +15,6 @@ at the end.
 from __future__ import annotations
 
 import zlib
-from contextlib import nullcontext as _null_scope
 from dataclasses import dataclass, field
 
 from repro.agents.base import AgentContext
@@ -34,8 +33,8 @@ from repro.graph.state import (
     initial_state,
     merge_reducer,
 )
-from repro.obs.cost import cost_attribution, current_attribution, get_ledger, use_ledger
 from repro.obs.metrics import get_registry
+from repro.obs.names import QA_SPAN, STEP_SPAN_PREFIX, SUPERVISOR_SPAN
 from repro.obs.tracer import use_tracer
 from repro.resilience import BudgetExceeded
 
@@ -279,8 +278,8 @@ class Supervisor:
         position, attempt = state["step_index"], state["attempt"]
         step = state["plan"][position]
         with self.context.tracer.span(
-            f"step.{step['kind']}", parent=parent, step=position, attempt=attempt
-        ) as sp, cost_attribution(attempt=attempt):
+            STEP_SPAN_PREFIX + step["kind"], parent=parent, step=position, attempt=attempt
+        ) as sp:
             outcome = self.agents[step["kind"]].run_step(
                 step,
                 state["tables"],
@@ -319,9 +318,7 @@ class Supervisor:
         position, attempt, error = state["step_index"], state["attempt"], state["last_error"]
         step = state["plan"][position]
         facts = state["last_outcome"]
-        with self.context.tracer.span(
-            "qa.assess", step=position, attempt=attempt
-        ) as sp, cost_attribution(attempt=attempt):
+        with self.context.tracer.span(QA_SPAN, step=position, attempt=attempt) as sp:
             verdict = self.qa_agent.assess(
                 step,
                 self._step_key(state),
@@ -388,16 +385,14 @@ class Supervisor:
         plots = {p: {**state, **fresh, "step_index": p} for p in range(start, end)}
 
         tracer = self.context.tracer
-        parent, attribution, ledger = tracer.current(), current_attribution(), get_ledger()
+        parent = tracer.current()
 
         def attempt(plot: dict) -> dict:
             # pool threads start with an empty span stack and no active
-            # tracer, ledger or attribution (all context-scoped): re-enter
-            # the coordinator's, so spans stay inside this trace and LLM
-            # spend stays charged to this session and node
-            with use_tracer(tracer), (
-                use_ledger(ledger) if ledger is not None else _null_scope()
-            ), cost_attribution(**attribution):
+            # tracer (both context-scoped): re-enter the coordinator's and
+            # parent under its node span, so the attempt's spans, LLM
+            # spend included, stay inside this session's trace
+            with use_tracer(tracer):
                 return self._attempt(plot, parent=parent)
 
         pending = list(plots)
@@ -447,8 +442,11 @@ class Supervisor:
         state, failure = None, ""
         try:
             with tracer.span(
-                "supervisor.execute", thread=thread_id, plan_size=len(plan_steps)
-            ), cost_attribution(level=semantic_level):
+                SUPERVISOR_SPAN,
+                thread=thread_id,
+                plan_size=len(plan_steps),
+                semantic_level=semantic_level,
+            ):
                 state = graph.invoke(
                     {
                         "plan": [dict(s) for s in plan_steps],

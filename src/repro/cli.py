@@ -121,8 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     cost = sub.add_parser("cost", help="report a run's LLM spend")
     cost.add_argument("path",
-                      help="eval workdir (reads its cost_ledger.json) or a "
-                           "ledger .json file directly")
+                      help="trace .jsonl file or a workdir containing one "
+                           "(spend is read from its llm.chat spans)")
     cost.add_argument("--by", choices=("agent", "node", "session", "attempt", "level"),
                       default="agent",
                       help="attribution field for the breakdown table")
@@ -146,8 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="check: evaluate the policy and exit 1 on violations")
     slo.add_argument("path",
                      help="trace .jsonl file or a workdir containing one "
-                          "(metrics.json / cost_ledger.json beside the trace "
-                          "enable the histogram and spend gates)")
+                          "(a metrics.json beside the trace enables the "
+                          "histogram gates)")
     slo.add_argument("--policy", default=None,
                      help="policy JSON file (default: the built-in "
                           "machine-independent policy)")
@@ -176,8 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--request-timeout", type=float, default=120.0,
                        help="per-request deadline in seconds (queue wait counts)")
     serve.add_argument("--token-budget", type=int, default=None,
-                       help="hard per-session token ceiling across all of a "
-                            "tenant's requests")
+                       help="hard per-request token ceiling; exceeding it ends "
+                            "the request as a classified 'budget-exceeded' failure")
     serve.add_argument("--seed", type=int, default=0)
     serve.add_argument("--no-errors", action="store_true",
                        help="disable the calibrated LLM-error injection")
@@ -316,7 +316,7 @@ def _process_span(args: argparse.Namespace):
 
 
 def cmd_query(args: argparse.Namespace) -> int:
-    from repro.obs.export import write_jsonl
+    from repro.obs.export import token_totals, write_jsonl
 
     app = _assistant(
         args,
@@ -339,10 +339,10 @@ def cmd_query(args: argparse.Namespace) -> int:
     llm_s = report.run.llm_latency_s
     print(f"tokens: {report.tokens:,}  storage: {report.storage_bytes:,} bytes  "
           f"time: {report.time_s - llm_s:.2f} s wall + {llm_s:.1f} s simulated LLM")
-    totals = report.cost.get("totals", {})
-    if totals.get("calls"):
-        print(f"cost: ${report.cost_usd:.4f} over {totals['calls']} LLM calls "
-              f"({totals['total_tokens']:,} tokens)")
+    spend = token_totals(report.trace_spans)
+    if spend["calls"]:
+        print(f"cost: ${spend['cost_usd']:.4f} over {spend['calls']} LLM calls "
+              f"({spend['total_tokens']:,} tokens)")
     if report.run.failure:
         print(f"failure: {report.run.failure}")
     if report.run.load_report:
@@ -363,6 +363,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     from repro.eval.harness import EvaluationHarness, HarnessConfig
     from repro.eval.reporting import format_table2
     from repro.faults import FaultProfile
+    from repro.obs.export import token_totals
     from repro.sim.ensemble import Ensemble
 
     chaos = args.chaos
@@ -399,12 +400,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
                  "%d misses (%.1f%% hit ratio); %d invalidations",
                  qc.hits, qc.memory_hits, qc.disk_hits, qc.incremental_hits,
                  qc.misses, 100.0 * qc.hit_ratio, qc.invalidations)
-        totals = (perf.cost or {}).get("totals", {})
-        if totals.get("calls"):
+        spend = token_totals(result.spans)
+        if spend["calls"]:
             log.info("[cost] $%.4f over %d LLM calls (%s tokens); "
                      "details: repro cost %s",
-                     totals["cost_usd"], totals["calls"],
-                     f"{totals['total_tokens']:,}", args.workdir)
+                     spend["cost_usd"], spend["calls"],
+                     f"{spend['total_tokens']:,}", args.workdir)
         if chaos != "off" or perf.fault_counters:
             counters = perf.fault_counters
             injected = counters.get("faults.injected", 0)
@@ -581,29 +582,32 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_cost(args: argparse.Namespace) -> int:
-    path = Path(args.path)
-    ledger_path = path if path.is_file() else path / "cost_ledger.json"
-    if not ledger_path.is_file():
-        print(f"no cost ledger under {args.path} "
-              f"(run the eval harness with cost metering first)")
-        return 0
-    from repro.obs.cost import CostLedger
+    from repro.obs.export import (
+        find_trace_file,
+        growth_curve,
+        llm_spend,
+        read_spans,
+        token_totals,
+    )
 
-    ledger = CostLedger.from_dict(json.loads(ledger_path.read_text()))
-    totals = ledger.as_dict()["totals"]
-    budget = ledger.token_budget
-    budget_note = f" (budget {budget:,} tokens)" if budget else ""
-    print(f"cost ledger {ledger_path}")
+    try:
+        trace = find_trace_file(args.path)
+    except FileNotFoundError:
+        print(f"no trace under {args.path} (run a query or the eval harness first)")
+        return 0
+    spans = read_spans(trace)
+    totals = token_totals(spans)
+    print(f"llm spend in {trace}")
     print(f"  total: ${totals['cost_usd']:.4f} over {totals['calls']} LLM calls, "
           f"{totals['total_tokens']:,} tokens "
           f"({totals['prompt_tokens']:,} prompt + "
-          f"{totals['completion_tokens']:,} completion){budget_note}")
+          f"{totals['completion_tokens']:,} completion)")
     print(f"\nby {args.by}:")
     print(f"  {args.by:<16} {'calls':>6} {'tokens':>10} {'usd':>10}")
-    for name, entry in ledger.by_field(args.by).items():
-        print(f"  {name:<16} {entry.calls:>6} {entry.total_tokens:>10,} "
-              f"{entry.cost_usd:>10.4f}")
-    curve = ledger.growth_curve()
+    for (name,), entry in llm_spend(spans, args.by).items():
+        print(f"  {name:<16} {entry['calls']:>6} {entry['total_tokens']:>10,} "
+              f"{entry['cost_usd']:>10.4f}")
+    curve = growth_curve(spans)
     if curve:
         # the paper's §4.5 view: token spend per redo attempt, by tier
         print("\ntoken growth per redo attempt (by difficulty tier):")

@@ -35,9 +35,8 @@ from repro.frame import Frame
 from repro.graph.checkpoint import DurableCheckpointer
 from repro.llm import MockLLM
 from repro.llm.base import MeteredModel
-from repro.obs.cost import CostLedger, cost_attribution, use_ledger
 from repro.obs.metrics import get_registry
-from repro.obs.names import COST_LEDGER_SPAN, SESSION_SPAN
+from repro.obs.names import PLAN_SPAN, SESSION_SPAN
 from repro.obs.tracer import Tracer, current_context, use_tracer
 from repro.resilience import BudgetExceeded
 from repro.provenance import ProvenanceTracker
@@ -62,11 +61,9 @@ class QueryReport:
     session_dir: Path
     db_bytes: int
     # the session's execution trace as serialized span dicts (also written
-    # to the provenance trail as a kind="trace" JSONL artifact)
+    # to the provenance trail as a kind="trace" JSONL artifact); its
+    # llm.chat spans are the session's spend (repro.obs.export.llm_spend)
     trace_spans: list[dict] = field(default_factory=list)
-    # the session's cost ledger (CostLedger.as_dict()): per-(session,
-    # agent, node, attempt, level) token/USD spend plus derived totals
-    cost: dict = field(default_factory=dict)
 
     # convenience passthroughs -----------------------------------------
     @property
@@ -96,10 +93,6 @@ class QueryReport:
     @property
     def analysis_steps(self) -> int:
         return self.run.analysis_steps
-
-    @property
-    def cost_usd(self) -> float:
-        return float(self.cost.get("totals", {}).get("cost_usd", 0.0))
 
 
 class InferA:
@@ -191,6 +184,7 @@ class InferA:
             provenance=provenance,
             limited_context=cfg.limited_context,
             tracer=tracer,
+            token_budget=cfg.token_budget,
         )
         return context, db
 
@@ -227,21 +221,13 @@ class InferA:
         context, db = self._build_context(session_id, tracer, query_index)
         context.provenance.record_query(question)
 
-        # every session is metered: LLM spend lands in a per-session
-        # ledger attributed by (session, agent, node, attempt, level),
-        # with the optional hard token budget enforced at agent chats
-        ledger = CostLedger(token_budget=self.config.token_budget)
         plan_result: PlanningResult | None = None
-        with use_faults(self.fault_injector), use_tracer(tracer), use_ledger(
-            ledger
-        ), cost_attribution(session=session_id), tracer.span(
+        with use_faults(self.fault_injector), use_tracer(tracer), tracer.span(
             SESSION_SPAN, session_id=session_id
         ):
             try:
                 planner = PlanningAgent(context)
-                with tracer.span("plan.generate") as plan_span, cost_attribution(
-                    node="plan"
-                ):
+                with tracer.span(PLAN_SPAN) as plan_span:
                     plan_result = planner.plan(question, feedback=feedback)
                     plan_span.set(steps=len(plan_result.steps))
                 if plan_transform is not None:
@@ -291,15 +277,6 @@ class InferA:
                     llm_latency_s=context.simulated_latency_s,
                     failure=exc.classification,
                 )
-            # telemetry-only rollup span (canonical-tree excluded): the
-            # session's spend travels with its trace
-            with tracer.span(COST_LEDGER_SPAN) as cost_span:
-                cost_span.set(
-                    calls=ledger.total_calls(),
-                    total_tokens=ledger.total_tokens(),
-                    cost_usd=ledger.total_cost_usd(),
-                    budget_tokens=self.config.token_budget,
-                )
         spans = tracer.span_dicts()
         context.provenance.record_trace(spans)
         context.provenance.close()
@@ -309,7 +286,6 @@ class InferA:
             session_dir=context.provenance.root,
             db_bytes=db.nbytes(),
             trace_spans=spans,
-            cost=ledger.as_dict(),
         )
 
 

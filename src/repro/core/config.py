@@ -58,8 +58,8 @@ class InferAConfig:
     # turn defaults to off.  Injected faults are absorbed by the
     # resilience layer, so answers stay byte-identical to a fault-free run
     fault_profile: FaultProfile | None = None
-    # hard per-session token budget enforced by the cost ledger at the
-    # agent boundary (None = unbounded): crossing it raises a classified
+    # hard per-session token budget checked at the agent boundary
+    # (AgentContext.chat; None = unbounded): crossing it raises a classified
     # BudgetExceeded that ends the session like a resilience failure,
     # putting a ceiling on QA-redo token growth (§4.5)
     token_budget: int | None = None

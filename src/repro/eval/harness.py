@@ -44,7 +44,6 @@ from repro.eval.questions import (
 )
 from repro.faults import FaultProfile
 from repro.llm.errors import ErrorModel
-from repro.obs.cost import CostLedger
 from repro.obs.events import get_bus, replay_spans
 from repro.obs.export import phase_rollups, write_jsonl
 from repro.obs.metrics import (
@@ -93,9 +92,6 @@ class RunOutcome:
     # included); deltas from worker processes merge element-wise into
     # the suite total
     obs_metrics: dict = field(default_factory=empty_snapshot)
-    # the session's cost ledger (CostLedger.as_dict()); cell ledgers
-    # merge entry-wise into the suite ledger like metrics snapshots
-    cost: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -110,9 +106,6 @@ class HarnessPerf:
     # the merged suite trace, plus the merged obs-metrics snapshot
     span_rollups: dict = field(default_factory=dict)
     obs_metrics: dict = field(default_factory=empty_snapshot)
-    # the suite cost ledger (CostLedger.as_dict()): every cell's session
-    # ledger merged entry-wise, totals == Σ per-entry spend
-    cost: dict = field(default_factory=dict)
 
     @property
     def cache(self) -> CacheStats:
@@ -147,7 +140,6 @@ class HarnessPerf:
             "fault_counters": self.fault_counters,
             "span_rollups": dict(self.span_rollups),
             "obs_metrics": dict(self.obs_metrics),
-            "cost": dict(self.cost),
         }
 
 
@@ -279,13 +271,11 @@ class EvaluationHarness:
         # a sequential run's
         aggregator = MetricsAggregator()
         kept: list = []
-        suite_ledger = CostLedger()
         per_run_wall: list[float] = []
         all_spans: list[dict] = list(tracer.span_dicts())
         obs_total = empty_snapshot()
         for outcome in outcomes:
             aggregator.add(outcome.metrics)
-            suite_ledger.merge(outcome.cost)
             per_run_wall.append(outcome.wall_s)
             all_spans.extend(outcome.spans)
             obs_total = merge_snapshots(obs_total, outcome.obs_metrics)
@@ -293,10 +283,8 @@ class EvaluationHarness:
                 kept.append(outcome.report)
         trace_path = self.workdir / "trace.jsonl"
         write_jsonl(all_spans, trace_path)
-        suite_cost = suite_ledger.as_dict()
-        # persisted beside the trace so `repro cost` / `repro slo check`
-        # can read a suite's spend and exact histogram extremes post-hoc
-        (self.workdir / "cost_ledger.json").write_text(json.dumps(suite_cost, indent=1))
+        # persisted beside the trace so a later process (`repro slo check`,
+        # `repro cache stats`) can read the suite's counters and histograms
         (self.workdir / "metrics.json").write_text(json.dumps(obs_total, indent=1))
         perf = HarnessPerf(
             workers=n_workers,
@@ -305,7 +293,6 @@ class EvaluationHarness:
             per_run_wall_s=per_run_wall,
             span_rollups=phase_rollups(all_spans),
             obs_metrics=obs_total,
-            cost=suite_cost,
         )
         return HarnessResult(
             aggregator=aggregator,
@@ -384,7 +371,6 @@ class EvaluationHarness:
             report=report if self.config.keep_reports else None,
             spans=cell_tracer.span_dicts() + list(report.trace_spans),
             obs_metrics=snapshot_delta(get_registry().snapshot(), obs_before),
-            cost=report.cost,
         )
 
     def run_once(self, question: EvalQuestion, run_index: int):

@@ -7,13 +7,10 @@ from typing import Any, Callable
 
 from repro.graph.checkpoint import Checkpointer
 from repro.graph.state import Channel, apply_update, initial_state
-from repro.obs.cost import cost_attribution
+from repro.obs.names import NODE_SPAN_PREFIX
 from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
 
 END = "__end__"
-# every node execution is one span named this plus the node, carrying the
-# ``thread`` it ran on and its ``seq`` in that thread
-NODE_SPAN_PREFIX = "graph.node."
 
 NodeFn = Callable[[dict[str, Any]], dict[str, Any]]
 RouterFn = Callable[[dict[str, Any]], str]
@@ -179,10 +176,11 @@ class CompiledGraph:
             fn = self.nodes.get(current)
             if fn is None:
                 raise GraphError(f"unknown node {current!r}")
-            # LLM spend inside the node is attributed to it in the ledger
+            # every node execution is one span carrying the ``thread`` it
+            # ran on and its ``seq`` in that thread
             with self.tracer.span(
                 f"{NODE_SPAN_PREFIX}{current}", thread=thread_id, seq=self._seq.get(thread_id, 0)
-            ), cost_attribution(node=current):
+            ):
                 update = fn(run_state) or {}
                 if not isinstance(update, dict):
                     raise GraphError(f"node {current!r} must return a dict update")

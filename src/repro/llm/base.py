@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import json
 import re
+import threading
 from dataclasses import dataclass, field
 from typing import Protocol
 
-from repro.util.tokens import TokenMeter, count_tokens
+from repro.util.tokens import count_tokens
 
 
 @dataclass(frozen=True)
@@ -47,15 +48,18 @@ class ChatModel(Protocol):
 
 @dataclass
 class MeteredModel:
-    """Decorator adding shared token accounting to any ChatModel."""
+    """Decorator summing the tokens every exchange reports (the session's
+    Table 2 "Token Usage" and the number its token budget is checked on)."""
 
     inner: ChatModel
-    meter: TokenMeter = field(default_factory=TokenMeter)
+    tokens: int = 0
+    # parallel-viz attempts chat from pool threads
+    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def chat(self, messages: list[ChatMessage], role: str = "agent") -> ChatResponse:
         response = self.inner.chat(messages, role)
-        prompt_text = "\n".join(m.content for m in messages)
-        self.meter.record(prompt_text, response.content, role)
+        with self._lock:
+            self.tokens += response.total_tokens
         return response
 
 

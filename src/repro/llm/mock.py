@@ -33,7 +33,6 @@ from repro.llm.base import ChatMessage, ChatResponse, prompt_tokens_of
 from repro.llm.errors import ErrorModel, choose_corruptions
 from repro.llm.interpret import interpret_question
 from repro.llm.plan import expand_intent, semantic_level
-from repro.obs.cost import DEFAULT_MODEL, record_llm_call
 from repro.obs.names import LLM_CHAT_SPAN
 from repro.obs.tracer import get_tracer
 from repro.util.rngs import SeedSequenceFactory
@@ -51,6 +50,33 @@ _MISSELECTION = {
     "hist": "line",
     "heatmap": "line",
 }
+
+
+@dataclass(frozen=True)
+class ModelPrice:
+    """USD per 1000 tokens, split by direction like hosted chat APIs."""
+
+    prompt_usd_per_1k: float
+    completion_usd_per_1k: float
+
+    def cost(self, prompt_tokens: int, completion_tokens: int) -> float:
+        return (
+            prompt_tokens * self.prompt_usd_per_1k
+            + completion_tokens * self.completion_usd_per_1k
+        ) / 1000.0
+
+
+# offline stand-ins priced like the hosted models they mock, so relative
+# cost orderings (and the §4.5 growth curve in USD) are meaningful
+PRICE_TABLE: dict[str, ModelPrice] = {
+    "mock-gpt-4o": ModelPrice(0.0025, 0.010),
+    "mock-gpt-4o-mini": ModelPrice(0.00015, 0.0006),
+}
+DEFAULT_MODEL = "mock-gpt-4o"
+
+
+def price_of(model: str) -> ModelPrice:
+    return PRICE_TABLE.get(model, PRICE_TABLE[DEFAULT_MODEL])
 
 
 @dataclass
@@ -81,7 +107,7 @@ class MockLLM:
         self.truncated_calls = 0
         self._memory: dict[str, _StepMemory] = {}
         self._calls = 0
-        # priced model identity for the cost ledger (obs.cost.PRICE_TABLE)
+        # the PRICE_TABLE entry every exchange is priced as
         self.model = DEFAULT_MODEL
 
     # ------------------------------------------------------------------
@@ -124,17 +150,11 @@ class MockLLM:
                 prompt_tokens=response.prompt_tokens,
                 completion_tokens=response.completion_tokens,
                 latency_s=response.latency_s,
-            )
-            cost_usd = record_llm_call(
-                response.prompt_tokens,
-                response.completion_tokens,
+                cost_usd=price_of(self.model).cost(
+                    response.prompt_tokens, response.completion_tokens
+                ),
                 model=self.model,
-                agent=skill,
             )
-            if cost_usd is not None:
-                # COST_ATTRS: present only on metered runs, excluded from
-                # canonical trees so metered ≡ unmetered
-                sp.set(cost_usd=cost_usd, model=self.model)
         return response
 
     # ------------------------------------------------------------------

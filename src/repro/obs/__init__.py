@@ -1,16 +1,17 @@
-"""``repro.obs`` — end-to-end tracing, metrics, events, cost, and SLOs.
+"""``repro.obs`` — end-to-end tracing, metrics, events, and SLOs.
 
 Dependency-free observability for the whole assistant: hierarchical
 spans over supervisor steps, graph nodes, SQL, sandbox runs, retrieval
 and LLM exchanges (:mod:`repro.obs.tracer`); mergeable process-local
 counters/histograms (:mod:`repro.obs.metrics`); a bus that hands each
 finished span to pluggable subscribers as it ends
-(:mod:`repro.obs.events`); the per-session cost ledger with attribution
-and hard token budgets (:mod:`repro.obs.cost`); a sampling profiler
-with flamegraph output (:mod:`repro.obs.profiler`); declarative SLO
-gates (:mod:`repro.obs.slo`); shared span-name/attribute constants
+(:mod:`repro.obs.events`); a sampling profiler with flamegraph output
+(:mod:`repro.obs.profiler`); declarative SLO gates
+(:mod:`repro.obs.slo`); shared span-name/attribute constants
 (:mod:`repro.obs.names`); JSONL + Chrome-trace exporters and trace
-analyzers (:mod:`repro.obs.export`); and the single ``repro`` logging
+analyzers (:mod:`repro.obs.export`), LLM spend among them: each
+``llm.chat`` span carries its exchange's tokens and price, and its
+ancestor spans say whose spend it was; and the single ``repro`` logging
 hierarchy (:mod:`repro.obs.logsetup`).
 
 Import the module you need: the package re-exports nothing, so a command

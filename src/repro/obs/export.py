@@ -9,9 +9,10 @@ Two output formats:
 * **Chrome trace format** — a ``traceEvents`` JSON document loadable in
   ``chrome://tracing`` / Perfetto for flame views of a run.
 
-Plus the read-side helpers the ``repro trace`` CLI and the harness
-rollups share: per-phase wall-time rollups, token totals from LLM spans,
-an indented tree renderer, and a timing-free canonical tree used to
+Plus the read-side helpers the ``repro trace`` / ``repro cost`` CLI and
+the harness rollups share: per-phase wall-time rollups, LLM spend from
+``llm.chat`` spans attributed through their ancestors, an indented tree
+renderer, and a timing-free canonical tree used to
 assert that a parallel evaluation produced the same span structure as a
 sequential one.
 """
@@ -27,7 +28,13 @@ from repro.obs.names import (
     CLI_PROCESS_SPAN,
     INGEST_STEP_SPAN,
     LLM_CHAT_SPAN,
+    NODE_SPAN_PREFIX,
+    PLAN_SPAN,
+    QA_SPAN,
+    SESSION_SPAN,
     SQL_EXECUTE_SPAN,
+    STEP_SPAN_PREFIX,
+    SUPERVISOR_SPAN,
     WAL_RECOVER_SPAN,
     is_canonical_excluded_attr,
 )
@@ -159,23 +166,85 @@ def phase_rollups(spans: list[SpanLike]) -> dict[str, dict[str, float]]:
     return dict(sorted(rollups.items()))
 
 
-def token_totals(spans: list[SpanLike]) -> dict[str, int]:
-    """Cumulative LLM token counters carried on ``llm.chat`` spans."""
-    prompt = completion = calls = 0
-    for raw in spans:
-        span = _as_dict(raw)
+# whose spend one LLM exchange was, in key order: ``repro cost --by``
+# folds on one of these (see _attribution)
+SPEND_FIELDS = ("session", "agent", "node", "attempt", "level")
+_NO_SPEND = {
+    "calls": 0, "prompt_tokens": 0, "completion_tokens": 0,
+    "total_tokens": 0, "cost_usd": 0.0,
+}
+
+
+def _attribution(span: dict[str, Any], by_id: dict[str, dict]) -> dict[str, str]:
+    """The spend fields of one ``llm.chat`` span: its ``skill`` is the
+    agent, and the nearest ancestor of each kind names the rest — the
+    session, the graph node (``plan`` while planning), the redo attempt
+    of the step or QA verdict, and the plan's semantic level."""
+    found = {"agent": str(span.get("attributes", {}).get("skill", "?"))}
+    ancestor = by_id.get(span.get("parent_id"))
+    while ancestor is not None:
+        name, attrs = ancestor.get("name", ""), ancestor.get("attributes", {})
+        if name == SESSION_SPAN:
+            found.setdefault("session", str(attrs.get("session_id", "?")))
+        elif name.startswith(NODE_SPAN_PREFIX):
+            found.setdefault("node", name[len(NODE_SPAN_PREFIX):])
+        elif name == PLAN_SPAN:
+            found.setdefault("node", "plan")
+        elif name.startswith(STEP_SPAN_PREFIX) or name == QA_SPAN:
+            found.setdefault("attempt", str(attrs.get("attempt", "?")))
+        elif name == SUPERVISOR_SPAN:
+            found.setdefault("level", str(attrs.get("semantic_level", "?")))
+        ancestor = by_id.get(ancestor.get("parent_id"))
+    return found
+
+
+def llm_spend(spans: list[SpanLike], *fields: str) -> dict[tuple[str, ...], dict[str, Any]]:
+    """LLM spend folded by attribution, read from ``llm.chat`` spans.
+
+    Returns ``{key: {calls, prompt_tokens, completion_tokens,
+    total_tokens, cost_usd}}`` sorted by key, one key per distinct tuple
+    of ``fields`` values (:data:`SPEND_FIELDS`); no fields folds everything
+    into the ``()`` key.  A field no ancestor declares is ``"?"``.
+    """
+    unknown = sorted(set(fields) - set(SPEND_FIELDS))
+    if unknown:
+        raise ValueError(f"unknown spend field(s) {unknown}: use {SPEND_FIELDS}")
+    dicts = [_as_dict(s) for s in spans]
+    by_id = {s.get("span_id"): s for s in dicts} if fields else {}
+    spend: dict[tuple[str, ...], dict[str, Any]] = {}
+    for span in dicts:
         if span.get("name") != LLM_CHAT_SPAN:
             continue
         attrs = span.get("attributes", {})
-        prompt += int(attrs.get("prompt_tokens", 0))
-        completion += int(attrs.get("completion_tokens", 0))
-        calls += 1
-    return {
-        "calls": calls,
-        "prompt_tokens": prompt,
-        "completion_tokens": completion,
-        "total_tokens": prompt + completion,
-    }
+        found = _attribution(span, by_id) if fields else {}
+        entry = spend.setdefault(tuple(found.get(f, "?") for f in fields), dict(_NO_SPEND))
+        prompt = int(attrs.get("prompt_tokens", 0))
+        completion = int(attrs.get("completion_tokens", 0))
+        entry["calls"] += 1
+        entry["prompt_tokens"] += prompt
+        entry["completion_tokens"] += completion
+        entry["total_tokens"] += prompt + completion
+        entry["cost_usd"] += float(attrs.get("cost_usd", 0.0))
+    return dict(sorted(spend.items()))
+
+
+def token_totals(spans: list[SpanLike]) -> dict[str, Any]:
+    """Total LLM calls, tokens and USD carried on ``llm.chat`` spans."""
+    return llm_spend(spans).get((), dict(_NO_SPEND))
+
+
+def growth_curve(spans: list[SpanLike]) -> dict[str, dict[int, int]]:
+    """Tokens per redo attempt, by difficulty tier (§4.5).
+
+    Returns ``{level: {attempt: total_tokens}}``; a chat outside every
+    step attempt (planning, routing, documentation) counts as attempt 0.
+    """
+    curve: dict[str, dict[int, int]] = {}
+    for (level, attempt), entry in llm_spend(spans, "level", "attempt").items():
+        tier = curve.setdefault(level, {})
+        n = int(attempt) if attempt.isdigit() else 0
+        tier[n] = tier.get(n, 0) + entry["total_tokens"]
+    return {level: dict(sorted(tier.items())) for level, tier in curve.items()}
 
 
 def _children_index(spans: list[dict[str, Any]]) -> tuple[list[dict], dict[str, list[dict]]]:
@@ -225,13 +294,12 @@ def canonical_tree(spans: list[SpanLike]) -> tuple:
     start/end times, latency-shaped attributes, the worker count,
     cache-tier/scan-work, fault-absorption, and priced-cost attributes
     (the exclusion lists in :mod:`repro.obs.names`) are dropped, so a
-    parallel (or cache-warm, or chaos, or cost-metered) evaluation
-    compares equal to a sequential cold one whenever the same operations
-    happened with the same structure.  Spans named in
-    ``CANONICAL_EXCLUDED_SPANS`` (cost rollups, profiler captures, the
-    CLI's process root) are dropped and their children take their place:
-    they exist only when an optional telemetry layer or an outer entry
-    point is there.
+    parallel (or cache-warm, or chaos, or re-priced) evaluation compares
+    equal to a sequential cold one whenever the same operations happened
+    with the same structure.  Spans named in ``CANONICAL_EXCLUDED_SPANS``
+    (profiler captures, the CLI's process root) are dropped and their
+    children take their place: they exist only when an optional
+    telemetry layer or an outer entry point is there.
     """
     dicts = [_as_dict(s) for s in spans]
     roots, children = _children_index(dicts)

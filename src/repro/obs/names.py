@@ -6,8 +6,8 @@ independently in :mod:`repro.obs.export`, :mod:`repro.obs.tracer`
 docstrings, :mod:`repro.db.sql.executor`, and :mod:`repro.db.cache` —
 four places that had to agree by review alone.  Every instrumented
 component now imports the constants from here, so a new excluded span
-kind (the cost ledger's rollup span, the profiler's capture span) is
-declared once and every consumer — exporters, analyzers, the SLO gates —
+kind (the profiler's capture span, the CLI's process root) is declared
+once and every consumer — exporters, analyzers, the SLO gates —
 moves together.
 
 Two kinds of canonicalization exclusion:
@@ -15,7 +15,7 @@ Two kinds of canonicalization exclusion:
 * **attributes** (``TIMING_ATTRS`` / ``CACHE_ATTRS`` / ``FAULT_ATTRS`` /
   ``COST_ATTRS``) are dropped from a span's canonical form because they
   vary run to run without the traced *work* differing — latency-shaped
-  measurements, cache tiers, absorbed faults, priced-token accounting;
+  measurements, cache tiers, absorbed faults, prices;
 * **span names** (``CANONICAL_EXCLUDED_SPANS``) drop the span and put
   its children in its place, because the span only exists when an
   optional telemetry layer or an outer entry point is there — a profiled
@@ -32,18 +32,28 @@ from __future__ import annotations
 # query-result cache on every hit tier (repro.db.sql.executor,
 # repro.db.cache); analyzers key cache/engine accounting on it
 SQL_EXECUTE_SPAN = "sql.execute"
-# one per LLM exchange (repro.llm.mock); token and cost accounting ride
-# on its attributes
+# one per LLM exchange (repro.llm.mock); its tokens and price ride on
+# its attributes, and its ancestors below say whose spend it was
+# (repro.obs.export.llm_spend)
 LLM_CHAT_SPAN = "llm.chat"
 # the root span of one query session (repro.core.app)
 SESSION_SPAN = "session"
+# the session's planning phase (repro.core.app)
+PLAN_SPAN = "plan.generate"
+# one per executed plan (repro.agents.supervisor); carries the plan's
+# ``semantic_level``
+SUPERVISOR_SPAN = "supervisor.execute"
+# one per node execution of a state graph (repro.graph): this prefix
+# plus the node name
+NODE_SPAN_PREFIX = "graph.node."
+# one per attempt at a code-generating step (``step.sql`` / ``step.python``
+# / ``step.viz``) and one per QA verdict on it; both carry ``attempt``
+STEP_SPAN_PREFIX = "step."
+QA_SPAN = "qa.assess"
 # the suite root span of one evaluation-harness run (repro.eval.harness)
 HARNESS_SUITE_SPAN = "harness.run_suite"
 # one per (question, run) grid cell (repro.eval.harness)
 HARNESS_CELL_SPAN = "harness.cell"
-# per-session cost rollup stamped at session end (repro.obs.cost via
-# repro.core.app); telemetry-only, excluded from canonical trees
-COST_LEDGER_SPAN = "cost.ledger"
 # wraps a profiled run (repro.obs.profiler / ``repro profile``);
 # telemetry-only, excluded from canonical trees
 PROFILE_CAPTURE_SPAN = "profile.capture"
@@ -148,10 +158,10 @@ CACHE_ATTRS = frozenset(
 FAULT_ATTRS = frozenset(
     {"faults", "retries", "attempts", "degraded", "degraded_reason", "probe"}
 )
-# priced-token accounting stamped by the cost ledger: deterministic for a
-# given run but only present when a ledger is active, so a metered run
-# must canonicalize equal to an unmetered one
-COST_ATTRS = frozenset({"cost_usd", "model", "budget_tokens"})
+# the price of an LLM exchange and the model it was priced as: a
+# function of the price table (repro.llm.mock.PRICE_TABLE), not of the
+# traced work, so a re-priced run canonicalizes equal
+COST_ATTRS = frozenset({"cost_usd", "model"})
 # sandbox-fleet accounting (repro.sandbox.fleet): which worker served an
 # execution, how many times it re-routed/tripped/respawned, and which
 # degradation tier answered — placement details of a byte-identical
@@ -162,9 +172,7 @@ FLEET_ATTR_PREFIX = "fleet_"
 # spans that exist only when an optional telemetry layer is on or the
 # work was entered through the CLI; canonical trees drop them and keep
 # their children
-CANONICAL_EXCLUDED_SPANS = frozenset(
-    {COST_LEDGER_SPAN, PROFILE_CAPTURE_SPAN, CLI_PROCESS_SPAN}
-)
+CANONICAL_EXCLUDED_SPANS = frozenset({PROFILE_CAPTURE_SPAN, CLI_PROCESS_SPAN})
 
 
 def is_fault_attr(key: str) -> bool:

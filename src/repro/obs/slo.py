@@ -1,10 +1,9 @@
-"""Declarative SLO gates over traces, metrics, and cost ledgers.
+"""Declarative SLO gates over traces and metrics.
 
 A policy is a plain dict (authored inline or as JSON) of budgets:
 
 * ``trace``      — whole-trace invariants: open/error span ceilings,
-  token and USD spend ceilings (spend prefers the cost ledger when one
-  is available, else the ``llm.chat`` span counters);
+  token and USD spend ceilings (summed from the ``llm.chat`` spans);
 * ``phases``     — per-phase budgets keyed by the span-name prefix used
   by :func:`repro.obs.export.phase_rollups` (``max_total_s`` /
   ``max_errors`` / ``max_spans``);
@@ -109,40 +108,27 @@ class SLOPolicy:
         self,
         spans: list[dict[str, Any]],
         metrics: dict[str, Any] | None = None,
-        cost: dict[str, Any] | None = None,
     ) -> SLOReport:
         """Evaluate every budget in the policy; returns the full report.
 
-        ``metrics`` is a :meth:`MetricsRegistry.snapshot` document,
-        ``cost`` a :meth:`CostLedger.as_dict` document; both optional —
-        budgets that need an absent artifact are reported as skipped.
+        ``metrics`` is an optional :meth:`MetricsRegistry.snapshot`
+        document; histogram budgets without it are reported as skipped.
         """
         report = SLOReport()
-        self._check_trace(report, spans, cost)
+        self._check_trace(report, spans)
         self._check_phases(report, spans)
         self._check_histograms(report, metrics)
         return report
 
     # ------------------------------------------------------------------
-    def _check_trace(
-        self,
-        report: SLOReport,
-        spans: list[dict[str, Any]],
-        cost: dict[str, Any] | None,
-    ) -> None:
+    def _check_trace(self, report: SLOReport, spans: list[dict[str, Any]]) -> None:
         rules = self.doc.get("trace", {})
         if not rules:
             return
         open_spans = sum(1 for s in spans if s.get("status") == "open")
         error_spans = sum(1 for s in spans if s.get("status") == "error")
-        # the ledger is exact per-model spend; the span counters are the
-        # fallback when the run wasn't metered
-        if cost and cost.get("totals"):
-            tokens = int(cost["totals"].get("total_tokens", 0))
-            usd = float(cost["totals"].get("cost_usd", 0.0))
-        else:
-            tokens = token_totals(spans)["total_tokens"]
-            usd = None
+        spend = token_totals(spans)
+        tokens, usd = spend["total_tokens"], spend["cost_usd"]
         if "max_open_spans" in rules:
             limit = rules["max_open_spans"]
             report.checks.append(SLOCheck(
@@ -157,13 +143,8 @@ class SLOPolicy:
                 "trace.total_tokens", tokens, f"<= {limit}", tokens <= limit))
         if "max_cost_usd" in rules:
             limit = rules["max_cost_usd"]
-            if usd is None:
-                report.checks.append(SLOCheck(
-                    "trace.cost_usd", None, f"<= {limit}", True,
-                    skipped=True, note="no cost ledger recorded for this run"))
-            else:
-                report.checks.append(SLOCheck(
-                    "trace.cost_usd", round(usd, 6), f"<= {limit}", usd <= limit))
+            report.checks.append(SLOCheck(
+                "trace.cost_usd", round(usd, 6), f"<= {limit}", usd <= limit))
 
     def _check_phases(self, report: SLOReport, spans: list[dict[str, Any]]) -> None:
         budgets = self.doc.get("phases", {})
@@ -230,19 +211,16 @@ def check_workdir(
 ) -> SLOReport:
     """Check a trace file or harness workdir against a policy.
 
-    For a workdir this picks up the artifacts the harness leaves beside
-    the trace: ``metrics.json`` (histogram gates) and ``cost_ledger.json``
-    (spend gates).  For a bare trace file those gates are skipped.
+    The histogram gates read the ``metrics.json`` the harness leaves
+    beside the trace; beside a bare trace file there is none, and they
+    are skipped.
     """
     from repro.obs.export import find_trace_file, read_spans
 
     policy = policy or SLOPolicy.default()
     trace = find_trace_file(path)
-    spans = read_spans(trace)
-    side_dir = trace.parent
-    metrics = _load_optional(side_dir / "metrics.json")
-    cost = _load_optional(side_dir / "cost_ledger.json")
-    return policy.check(spans, metrics=metrics, cost=cost)
+    metrics = _load_optional(trace.parent / "metrics.json")
+    return policy.check(read_spans(trace), metrics=metrics)
 
 
 def _load_optional(path: Path) -> dict[str, Any] | None:

@@ -75,7 +75,7 @@ class DeadlineExceeded(ResilienceError):
 class BudgetExceeded(ResilienceError):
     """The session's token budget is spent (``InferAConfig.token_budget``).
 
-    Raised at the agent boundary by the cost ledger and handled like any
+    Raised at the agent boundary (``AgentContext.chat``) and handled like any
     other classified resilience failure: the session ends with a
     ``budget-exceeded`` classification instead of unbounded redo growth.
     """

@@ -10,8 +10,8 @@ caller and divided across the worker pool.
 
 The queue is deliberately FIFO and single-priority: requests are
 e2e-deterministic and short (seconds), so fairness across tenants comes
-from per-session token budgets (enforced by the cost ledger at agent
-chats), not from scheduling policy.
+from per-request token budgets (``InferAConfig.token_budget``, enforced
+at agent chats), not from scheduling policy.
 
 ``close()`` starts the drain: new submissions are refused with
 :class:`QueueClosed` (the HTTP layer maps it to 503) while workers keep

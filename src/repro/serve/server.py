@@ -26,11 +26,10 @@ connections never changes how many queries run at once.
 
 Graceful shutdown (:meth:`ReproServer.shutdown`) closes the admission
 queue (new work → 503), lets the workers drain every admitted request,
-checkpoints every session — per-session ``cost_ledger.json`` and the
-``sessions.json`` registry summary — publishes what the registry counted
-over the server's life as ``metrics.json`` (the evaluation harness's
-snapshot format, which ``repro sandbox stats`` reads), and only then
-stops listening.
+writes the ``sessions.json`` registry summary, publishes what the
+registry counted over the server's life as ``metrics.json`` (the
+evaluation harness's snapshot format, which ``repro sandbox stats``
+reads), and only then stops listening.
 """
 
 from __future__ import annotations
@@ -85,13 +84,10 @@ class ReproServer:
         self.config = config or InferAConfig()
         self.workdir = Path(workdir)
         self.state = WarmState(ensemble, self.workdir, self.config)
-        self.registry = SessionRegistry(
-            self.workdir, token_budget=self.config.token_budget
-        )
+        self.registry = SessionRegistry(self.workdir)
         self.queue = AdmissionQueue(depth=queue_depth, workers=app_workers)
         self.pool = WorkerPool(
             self.state,
-            self.registry,
             self.queue,
             workers=app_workers,
             llm_factory=llm_factory,
@@ -145,7 +141,7 @@ class ReproServer:
         self._draining = True
         # 1. refuse new admissions, let workers finish the backlog
         self.pool.stop(drain=True, timeout_s=timeout_s)
-        # 2. checkpoint every session: ledgers + registry summary
+        # 2. the registry summary: every session's requests and spend
         manifest = self.registry.checkpoint()
         # release warm resources that own workers (the sandbox fleet)
         # after the drain, so in-flight executions finished first

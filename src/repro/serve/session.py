@@ -11,16 +11,14 @@ caches.  Each session owns
   (``r0001_<slug>``, ``r0002_...``) — the session-relative index also
   seeds the request's RNG streams, which is what makes a served session
   byte-identical to the same questions asked through one-shot CLI runs;
-* a **cost ledger**: every request's per-query ledger is merged into the
-  session ledger (written to ``<session workdir>/cost_ledger.json`` on
-  checkpoint) *and* into the server's aggregate ledger, so both "what
-  did this tenant spend" and "what did the process spend" stay exact
-  under interleaving — the contextvar-scoped ambient ledger guarantees
-  concurrent requests never cross-charge.
+* **spend sums**: the tokens and USD of every request, read from the
+  ``llm.chat`` spans of its own trace, so concurrent requests never
+  cross-charge; ``/stats`` adds them up across sessions, and each
+  request's trail keeps the per-chat detail.
 
-:meth:`SessionRegistry.checkpoint` persists the registry (``sessions.json``
-+ per-session ledgers) and is called by graceful shutdown after the
-drain, so a restarted server can report on what past sessions spent.
+:meth:`SessionRegistry.checkpoint` writes ``sessions.json`` and is
+called by graceful shutdown after the drain, so a restarted server can
+report on what past sessions spent.
 """
 
 from __future__ import annotations
@@ -33,7 +31,6 @@ from pathlib import Path
 from typing import Any
 
 from repro.durable import atomic_publish
-from repro.obs.cost import CostLedger
 
 
 def _slug(text: str, max_len: int = 24) -> str:
@@ -57,7 +54,8 @@ class ServeSession:
     requests: int = 0
     completed: int = 0
     failed: int = 0
-    ledger: CostLedger = field(default_factory=CostLedger)
+    tokens: int = 0
+    cost_usd: float = 0.0
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def next_run_id(self, question: str) -> tuple[int, str]:
@@ -67,13 +65,14 @@ class ServeSession:
             index = self.requests
         return index, f"r{index:04d}_{_slug(question)}"
 
-    def record_result(self, cost: dict[str, Any], completed: bool) -> None:
+    def record_result(self, tokens: int, cost_usd: float, completed: bool) -> None:
         with self._lock:
             if completed:
                 self.completed += 1
             else:
                 self.failed += 1
-        self.ledger.merge(cost)
+            self.tokens += tokens
+            self.cost_usd += cost_usd
 
     def as_dict(self) -> dict[str, Any]:
         with self._lock:
@@ -83,27 +82,18 @@ class ServeSession:
                 "requests": self.requests,
                 "completed": self.completed,
                 "failed": self.failed,
-                "total_tokens": self.ledger.total_tokens(),
-                "cost_usd": self.ledger.total_cost_usd(),
+                "total_tokens": self.tokens,
+                "cost_usd": self.cost_usd,
             }
-
-    def checkpoint(self) -> None:
-        """Write this session's ledger to ``cost_ledger.json`` atomically."""
-        atomic_publish(
-            self.workdir / "cost_ledger.json",
-            json.dumps(self.ledger.as_dict(), indent=2, sort_keys=True).encode(),
-        )
 
 
 class SessionRegistry:
-    """All live sessions plus the server's aggregate ledger."""
+    """All live sessions."""
 
-    def __init__(self, root: str | Path, token_budget: int | None = None):
+    def __init__(self, root: str | Path):
         self.root = Path(root)
         self.sessions_root = self.root / "sessions"
         self.sessions_root.mkdir(parents=True, exist_ok=True)
-        self.token_budget = token_budget
-        self.aggregate = CostLedger()
         self._sessions: dict[str, ServeSession] = {}
         self._lock = threading.Lock()
 
@@ -117,20 +107,11 @@ class SessionRegistry:
             session = self._sessions.get(session_id)
             if session is None:
                 session = ServeSession(
-                    session_id=session_id,
-                    workdir=self.sessions_root / session_id,
-                    ledger=CostLedger(token_budget=self.token_budget),
+                    session_id=session_id, workdir=self.sessions_root / session_id
                 )
                 session.workdir.mkdir(parents=True, exist_ok=True)
                 self._sessions[session_id] = session
             return session
-
-    def record_result(
-        self, session: ServeSession, cost: dict[str, Any], completed: bool
-    ) -> None:
-        """Fold one request's ledger into its session and the aggregate."""
-        session.record_result(cost, completed)
-        self.aggregate.merge(cost)
 
     # ------------------------------------------------------------------
     def sessions(self) -> list[ServeSession]:
@@ -144,19 +125,13 @@ class SessionRegistry:
             "requests": sum(s.requests for s in sessions),
             "completed": sum(s.completed for s in sessions),
             "failed": sum(s.failed for s in sessions),
-            "total_tokens": self.aggregate.total_tokens(),
-            "cost_usd": self.aggregate.total_cost_usd(),
+            "total_tokens": sum(s.tokens for s in sessions),
+            "cost_usd": sum(s.cost_usd for s in sessions),
         }
 
     def checkpoint(self) -> Path:
-        """Persist every session ledger plus the registry summary."""
-        sessions = self.sessions()
-        for session in sessions:
-            session.checkpoint()
-        doc = {
-            "sessions": [s.as_dict() for s in sessions],
-            "aggregate": self.aggregate.as_dict(),
-        }
+        """Persist the registry summary: one record per session."""
+        doc = {"sessions": [s.as_dict() for s in self.sessions()]}
         target = self.root / "sessions.json"
         atomic_publish(target, json.dumps(doc, indent=2, sort_keys=True).encode())
         return target

@@ -15,8 +15,8 @@ Each worker thread loops on the admission queue; for every request it
    a consecutive-internal-error circuit breaker sheds load while the
    server is structurally broken instead of burning workers on doomed
    requests;
-4. folds the query's cost ledger into the session + server aggregate
-   and fulfils the caller's future.
+4. adds the query's tokens and USD, read from its ``llm.chat`` spans,
+   to its session and fulfils the caller's future.
 
 Results carry a **deterministic answer payload** — completion flag,
 failure classification, result tables serialized column-by-column, plan
@@ -34,12 +34,13 @@ import uuid
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.obs.export import token_totals
 from repro.obs.names import SERVE_REQUEST_SPAN
 from repro.obs.tracer import TraceContext, Tracer, use_tracer
 from repro.resilience import CircuitBreaker, Deadline, ResilienceError
 from repro.sandbox.serialize import frame_to_json
 from repro.serve.admission import AdmissionQueue
-from repro.serve.session import ServeSession, SessionRegistry
+from repro.serve.session import ServeSession
 from repro.serve.state import WarmState
 from repro.util.timing import WallClock
 
@@ -102,7 +103,6 @@ class WorkerPool:
     def __init__(
         self,
         state: WarmState,
-        registry: SessionRegistry,
         queue: AdmissionQueue,
         workers: int = 4,
         clock: WallClock | None = None,
@@ -110,7 +110,6 @@ class WorkerPool:
         breaker: CircuitBreaker | None = None,
     ):
         self.state = state
-        self.registry = registry
         self.queue = queue
         self.clock = clock or WallClock()
         self._llm_factory = llm_factory
@@ -220,6 +219,9 @@ class WorkerPool:
             self.breaker.record_failure()
             raise
         self.breaker.record_success()
-        self.registry.record_result(request.session, report.cost, report.completed)
+        spend = token_totals(report.trace_spans)
+        request.session.record_result(
+            spend["total_tokens"], spend["cost_usd"], report.completed
+        )
         request.status = "ok" if report.completed else "failed"
         return answer_payload(report)

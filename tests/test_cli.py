@@ -338,22 +338,44 @@ class TestTrace:
 
 class TestCostCommand:
     def test_missing_ledger_is_friendly(self, tmp_path, capsys):
+        # the trace is the ledger: no trace, nothing to report
         assert main(["cost", str(tmp_path)]) == 0
-        assert "no cost ledger" in capsys.readouterr().out
+        assert "no trace under" in capsys.readouterr().out
 
     def test_reports_spend_breakdown(self, tmp_path, capsys):
-        from repro.obs.cost import CostLedger
+        from repro.obs.export import write_jsonl
+        from repro.obs.tracer import Tracer
 
-        ledger = CostLedger(token_budget=50_000)
-        ledger.record(100, 50, agent="planner", level="1", attempt="0")
-        ledger.record(200, 80, agent="sql", level="1", attempt="1")
-        (tmp_path / "cost_ledger.json").write_text(json.dumps(ledger.as_dict()))
+        tracer = Tracer()
+        with tracer.span("supervisor.execute", semantic_level=1):
+            with tracer.span("step.sql", attempt=0):
+                with tracer.span("llm.chat", skill="planner", prompt_tokens=100,
+                                 completion_tokens=50, cost_usd=0.001):
+                    pass
+            with tracer.span("step.sql", attempt=1):
+                with tracer.span("llm.chat", skill="sql", prompt_tokens=200,
+                                 completion_tokens=80, cost_usd=0.002):
+                    pass
+        write_jsonl(tracer.span_dicts(), tmp_path / "trace.jsonl")
         capsys.readouterr()
         assert main(["cost", str(tmp_path)]) == 0
         out = capsys.readouterr().out
+        assert "$0.0030 over 2 LLM calls, 430 tokens (300 prompt + 130 completion)" in out
         assert "planner" in out and "sql" in out
         assert "token growth per redo attempt" in out
-        assert "attempt 0" in out and "attempt 1" in out
+        assert "level 1: attempt 0: 150  attempt 1: 280" in out
+
+    def test_reads_a_query_workdir(self, cli_ensemble, tmp_path, capsys):
+        workdir = tmp_path / "q"
+        assert main([
+            "query", "top 5 halos at timestep 624 in simulation 0",
+            "--ensemble", str(cli_ensemble), "--workdir", str(workdir), "--no-errors",
+        ]) == 0
+        tokens = re.search(r"tokens: ([\d,]+)  storage", capsys.readouterr().out).group(1)
+        assert main(["cost", str(workdir), "--by", "node"]) == 0
+        out = capsys.readouterr().out
+        assert f"LLM calls, {tokens} tokens" in out
+        assert "  plan " in out and "level ?: attempt 0:" in out
 
 
 class TestSloCommand:

@@ -41,10 +41,12 @@ class TestOddQuestions:
 class TestMeteredModel:
     def test_meter_counts_both_sides(self):
         model = MeteredModel(MockLLM(error_model=NO_ERRORS, latency_per_call_s=0.0))
-        model.chat([ChatMessage("user", "[[ROLE:doc]]\n[[PAYLOAD]]\n{\"completed_steps\": []}")], role="doc")
-        assert model.meter.prompt_tokens > 0
-        assert model.meter.completion_tokens > 0
-        assert model.meter.per_role.get("doc")
+        response = model.chat(
+            [ChatMessage("user", "[[ROLE:doc]]\n[[PAYLOAD]]\n{\"completed_steps\": []}")],
+            role="doc",
+        )
+        assert response.prompt_tokens > 0 and response.completion_tokens > 0
+        assert model.tokens == response.prompt_tokens + response.completion_tokens
 
 
 class TestSVGDocument:

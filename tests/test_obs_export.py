@@ -118,6 +118,7 @@ class TestRollups:
             "prompt_tokens": 100,
             "completion_tokens": 20,
             "total_tokens": 120,
+            "cost_usd": 0.0,
         }
 
 
@@ -161,10 +162,10 @@ class TestTreeViews:
         assert canonical_tree(wrapped) == canonical_tree(plain)
         assert "startup: 0.400 s of imports before `repro query`" in summarize(wrapped)
         # an excluded leaf goes, and nothing else with it
-        with_cost = build_reference_trace()
-        with_cost.append(dict(wrapped[-1], name="cost.ledger", span_id="cc00-0002",
-                              parent_id=with_cost[0]["span_id"]))
-        assert canonical_tree(with_cost) == canonical_tree(plain)
+        with_leaf = build_reference_trace()
+        with_leaf.append(dict(wrapped[-1], name="profile.capture", span_id="cc00-0002",
+                              parent_id=with_leaf[0]["span_id"]))
+        assert canonical_tree(with_leaf) == canonical_tree(plain)
 
     def test_canonical_tree_detects_structural_change(self):
         a, b = build_reference_trace(), build_reference_trace()

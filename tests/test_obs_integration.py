@@ -100,8 +100,19 @@ class TestHarnessTraceParity:
 
     def test_obs_counters_equal_across_modes(self, parity):
         seq, par = parity
-        assert seq.perf.obs_metrics["counters"] == par.perf.obs_metrics["counters"]
-        assert seq.perf.obs_metrics["counters"]["llm.calls"] > 0
+        # the query-embedding memo is per process, and the forked workers
+        # inherit the one the sequential run warmed: how its lookups split
+        # into hits and misses depends on what ran first in this
+        # interpreter, while the number of lookups does not
+        memo = ("rag.memo.hit", "rag.memo.miss")
+        seq_counters, par_counters = (
+            dict(r.perf.obs_metrics["counters"]) for r in (seq, par)
+        )
+        assert sum(seq_counters.pop(n, 0) for n in memo) == sum(
+            par_counters.pop(n, 0) for n in memo
+        )
+        assert seq_counters == par_counters
+        assert seq_counters["llm.calls"] > 0
 
     def test_trace_written_to_workdir(self, parity):
         seq, par = parity

@@ -17,8 +17,8 @@ def _span(name, duration=0.1, status="ok", **attrs):
 SPANS = [
     _span("session", 2.0),
     _span("sql.execute", 0.5),
-    _span("llm.chat", 0.1, prompt_tokens=100, completion_tokens=40),
-    _span("llm.chat", 0.1, prompt_tokens=60, completion_tokens=20),
+    _span("llm.chat", 0.1, prompt_tokens=100, completion_tokens=40, cost_usd=0.5),
+    _span("llm.chat", 0.1, prompt_tokens=60, completion_tokens=20, cost_usd=0.25),
 ]
 
 
@@ -36,22 +36,15 @@ class TestTraceGates:
         assert violation.rule == "trace.open_spans"
         assert "SLO: FAIL" in report.render()
 
-    def test_token_ceiling_uses_ledger_over_spans(self):
-        policy = SLOPolicy.from_dict({"trace": {"max_total_tokens": 200}})
-        # span counters say 220 -> violation without a ledger
-        assert not policy.check(SPANS).ok
-        # a ledger saying 150 wins (it is the exact metered number)
-        cost = {"totals": {"total_tokens": 150, "cost_usd": 0.1}}
-        assert policy.check(SPANS, cost=cost).ok
+    def test_token_ceiling_reads_span_counters(self):
+        # the llm.chat spans carry 220 tokens
+        assert not SLOPolicy.from_dict({"trace": {"max_total_tokens": 200}}).check(SPANS).ok
+        assert SLOPolicy.from_dict({"trace": {"max_total_tokens": 220}}).check(SPANS).ok
 
-    def test_cost_usd_gate_skipped_without_ledger(self):
-        policy = SLOPolicy.from_dict({"trace": {"max_cost_usd": 0.5}})
-        report = policy.check(SPANS)
-        assert report.ok
-        (check,) = report.checks
-        assert check.skipped and "SKIP" in check.render()
-        cost = {"totals": {"total_tokens": 1, "cost_usd": 0.75}}
-        assert not policy.check(SPANS, cost=cost).ok
+    def test_cost_usd_gate_reads_span_prices(self):
+        (check,) = SLOPolicy.from_dict({"trace": {"max_cost_usd": 0.5}}).check(SPANS).checks
+        assert not check.ok and check.observed == 0.75
+        assert SLOPolicy.from_dict({"trace": {"max_cost_usd": 1.0}}).check(SPANS).ok
 
     def test_error_span_gate(self):
         policy = SLOPolicy.from_dict({"trace": {"max_error_spans": 0}})
@@ -128,10 +121,8 @@ class TestCheckWorkdir:
         trace.write_text("".join(json.dumps(s) + "\n" for s in SPANS))
         (tmp_path / "metrics.json").write_text(json.dumps(
             {"histograms": {"h": {"count": 2, "min": 0.1, "max": 0.2}}}))
-        (tmp_path / "cost_ledger.json").write_text(json.dumps(
-            {"totals": {"total_tokens": 10, "cost_usd": 0.01}, "entries": []}))
         policy = SLOPolicy.from_dict({
-            "trace": {"max_total_tokens": 100, "max_cost_usd": 1.0},
+            "trace": {"max_total_tokens": 300, "max_cost_usd": 1.0},
             "histograms": {"h": {"max_p100": 1.0}},
         })
         report = check_workdir(tmp_path, policy=policy)
@@ -141,7 +132,7 @@ class TestCheckWorkdir:
     def test_bare_trace_file_skips_sidecar_gates(self, tmp_path):
         trace = tmp_path / "lone_trace.jsonl"
         trace.write_text("".join(json.dumps(s) + "\n" for s in SPANS))
-        policy = SLOPolicy.from_dict({"trace": {"max_cost_usd": 1.0}})
+        policy = SLOPolicy.from_dict({"histograms": {"h": {"max_p100": 1.0}}})
         report = check_workdir(trace, policy=policy)
         assert report.ok and report.checks[0].skipped
 

@@ -17,7 +17,9 @@ from repro.provenance.audit import AuditError, load_recorded_result
 
 @pytest.fixture()
 def tracker(tmp_path):
-    return ProvenanceTracker(tmp_path, "session01")
+    tracker = ProvenanceTracker(tmp_path, "session01")
+    yield tracker
+    tracker.close()
 
 
 class TestRecording:
@@ -159,13 +161,17 @@ class TestTrailHandle:
         assert len({json.loads(line)["meta"]["text"] for line in lines}) == 400
 
     def test_run_query_leaves_no_open_handle(self, clean_app):
+        # finalise what earlier tests left unreachable before recording, so
+        # only this run's own trail can warn below
+        gc.collect()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", ResourceWarning)
             report = clean_app.run_query("How many halos are in run 0?")
             assert clean_app._last_context.provenance._trail_fh is None
             clean_app._last_context = clean_app._last_supervisor = None
             gc.collect()  # an unclosed file warns from its finaliser here
-        assert not [w for w in caught if "trail.jsonl" in str(w.message)]
+        own_trail = str(report.session_dir / "trail.jsonl")
+        assert not [w for w in caught if own_trail in str(w.message)]
         assert verify_audit_trail(report.session_dir)[-1]["kind"] == "trace"
 
 

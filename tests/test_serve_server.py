@@ -464,18 +464,16 @@ def test_graceful_shutdown_drains_and_checkpoints(ensemble, tmp_path):
     assert len(results) == 2
     assert all(doc["status"] == "ok" for _, doc in results)
 
-    # sessions.json summarizes every session plus the aggregate ledger
+    # sessions.json summarizes every session: its spend is what the
+    # requests' own traces carried, and no ledger file is written
     doc = json.loads(manifest.read_text())
+    assert set(doc) == {"sessions"}
     assert {s["session_id"] for s in doc["sessions"]} == {"s1", "s2"}
-    assert doc["aggregate"]["totals"]["calls"] > 0
-    # per-session ledgers landed in each session workdir
-    for name in ("s1", "s2"):
-        ledger = json.loads(
-            (workdir / "sessions" / name / "cost_ledger.json").read_text()
-        )
-        assert ledger["totals"]["total_tokens"] > 0
-        # ledger entries are attributed to this session's run ids only
-        assert all(e["session"].startswith("r") for e in ledger["entries"])
+    replied = {reply["session"]: reply["result"]["tokens"] for _, reply in results}
+    assert {s["session_id"]: s["total_tokens"] for s in doc["sessions"]} == replied
+    assert all(tokens > 0 for tokens in replied.values())
+    assert all(s["cost_usd"] > 0 for s in doc["sessions"])
+    assert not list(workdir.rglob("cost_ledger.json"))
     # each session's record is written once, to sessions.json
     assert {(s["requests"], s["completed"]) for s in doc["sessions"]} == {(1, 1)}
     assert not (workdir / "server_checkpoints").exists()

@@ -273,7 +273,7 @@ def test_query_serve_and_ingest_leave_no_temp_files(ensemble, tmp_path):
             assert json.loads(response.read())["status"] == "ok"
     finally:
         server.shutdown()
-    for artifact in ("sessions.json", "metrics.json", "sessions/s/cost_ledger.json"):
+    for artifact in ("sessions.json", "metrics.json"):
         assert (tmp_path / "serve" / artifact).is_file(), artifact
 
     live = generate_ensemble(

@@ -10,7 +10,7 @@ from repro.db import Database
 from repro.graph import node_sequence
 from repro.llm import MockLLM, NO_ERRORS
 from repro.llm.base import MeteredModel
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import Tracer, use_tracer
 from repro.provenance import ProvenanceTracker
 from repro.rag import ColumnRetriever
 from repro.sandbox import InProcessClient, SandboxExecutor
@@ -88,10 +88,17 @@ class TestExecution:
         assert nodes and "documentation" not in nodes
 
     def test_tokens_accumulate_per_step(self, supervisor):
-        report = supervisor.execute("q", plan_steps(), 0, {})
+        with use_tracer(supervisor.context.tracer):
+            report = supervisor.execute("q", plan_steps(), 0, {})
         # supervisor + sql + python + 2 qa + doc exchanges at minimum
-        assert supervisor.context.llm.meter.invocations >= 6
-        assert report.tokens == supervisor.context.total_tokens
+        chats = [
+            s for s in supervisor.context.tracer.span_dicts() if s["name"] == "llm.chat"
+        ]
+        assert len(chats) >= 6
+        assert report.tokens == supervisor.context.total_tokens == sum(
+            s["attributes"]["prompt_tokens"] + s["attributes"]["completion_tokens"]
+            for s in chats
+        )
 
     def test_empty_plan_goes_straight_to_documentation(self, supervisor):
         report = supervisor.execute("q", [], 0, {})

@@ -1,8 +1,8 @@
-"""Tokenizer and token accounting."""
+"""The approximate tokenizer."""
 
 import pytest
 
-from repro.util.tokens import TokenMeter, count_tokens, tokenize
+from repro.util.tokens import count_tokens, tokenize
 
 
 class TestTokenize:
@@ -42,34 +42,3 @@ class TestTokenize:
         ratio = count_tokens(text) / (10 * 9)
         assert 0.8 < ratio < 2.5
 
-
-class TestTokenMeter:
-    def test_record_accumulates(self):
-        meter = TokenMeter()
-        meter.record("a prompt here", "a completion", role="sql")
-        assert meter.prompt_tokens > 0
-        assert meter.completion_tokens > 0
-        assert meter.invocations == 1
-        assert meter.total == meter.prompt_tokens + meter.completion_tokens
-
-    def test_per_role_split(self):
-        meter = TokenMeter()
-        meter.record("p", "c", role="sql")
-        meter.record("p", "c", role="viz")
-        assert set(meter.per_role) == {"sql", "viz"}
-
-    def test_merge(self):
-        a, b = TokenMeter(), TokenMeter()
-        a.record("one two three", "four", role="x")
-        b.record("five six", "seven eight", role="x")
-        total = a.total + b.total
-        a.merge(b)
-        assert a.total == total
-        assert a.invocations == 2
-
-    def test_snapshot_keys(self):
-        meter = TokenMeter()
-        meter.record("p", "c")
-        snap = meter.snapshot()
-        assert snap["total_tokens"] == meter.total
-        assert snap["invocations"] == 1
