@@ -8,9 +8,10 @@ Usage::
                    "ORDER BY fof_halo_count DESC LIMIT 20")
 
 The database is a directory: ``catalog.json``, ``wal.log`` and one
-column-segmented subdirectory per table (see :mod:`repro.db.storage`).
-``catalog.json`` is its only metadata file: per table, a ``version``, the
-``row_group_size`` and the table metadata (columns, row-group row counts,
+column-segmented subdirectory per table, holding one generation directory
+per create (see :mod:`repro.db.storage`).  ``catalog.json`` is its only
+metadata file: per table, a ``version``, the ``row_group_size``, the
+``generation`` and the table metadata (columns, row-group row counts,
 zone maps, blooms, checksums).  All query execution streams from disk.
 ``nbytes()`` reports exact on-disk footprint — the paper's storage-overhead
 metric counts these bytes.
@@ -39,10 +40,12 @@ Writes are crash-safe and reads are snapshot-isolated (MVCC-lite):
 from __future__ import annotations
 
 import json
+import os
 import re
+import shutil
 import threading
 import warnings
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 from typing import Iterator
 
@@ -68,6 +71,8 @@ from repro.obs.tracer import get_tracer
 log = get_logger("db.database")
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*$")
+# what a catalog entry carries besides its version and row-group size
+_ENTRY_KEYS = (*TABLE_META_KEYS, "generation")
 
 
 def _catalog_entry(db_path: Path, tables: dict[str, dict], name: str) -> dict:
@@ -76,7 +81,7 @@ def _catalog_entry(db_path: Path, tables: dict[str, dict], name: str) -> dict:
     entry = tables.get(name)
     if entry is None:
         raise UnknownTableError(name, sorted(tables))
-    missing = [key for key in TABLE_META_KEYS if key not in entry]
+    missing = [key for key in _ENTRY_KEYS if key not in entry]
     if missing:
         raise DBError(
             f"table {name!r} at {db_path / name} is in a format this version no "
@@ -84,6 +89,13 @@ def _catalog_entry(db_path: Path, tables: dict[str, dict], name: str) -> dict:
             f"regenerate the workdir"
         )
     return entry
+
+
+def _new_generation() -> str:
+    """A fresh name for the segment directory of one create.  Never reused
+    for a table name, so a snapshot that still lists a dropped table's
+    row groups cannot read a re-created table's segments."""
+    return f"g{os.urandom(6).hex()}"
 
 
 class CatalogSnapshot:
@@ -123,7 +135,10 @@ class CatalogSnapshot:
     def store(self, name: str) -> TableStore:
         cached = self._stores.get(name)
         if cached is None:
-            cached = self._stores[name] = TableStore(self.db_path / name, self.entry(name))
+            entry = self.entry(name)
+            cached = self._stores[name] = TableStore(
+                self.db_path / name / entry["generation"], entry
+            )
         return cached
 
     def table_state(self, name: str) -> str:
@@ -221,10 +236,9 @@ class Database:
         return _catalog_entry(self.path, self._tables, name)
 
     def _writer_store(self, name: str) -> TableStore:
-        """The committed state of ``name`` as the writer sees it; an empty
-        table when the catalog does not hold it."""
-        meta = self._entry(name) if name in self._tables else empty_table_meta()
-        return TableStore(self.path / name, meta)
+        """The committed state of ``name`` as the writer sees it."""
+        entry = self._entry(name)
+        return TableStore(self.path / name / entry["generation"], entry)
 
     def _flush_catalog(self, tables: dict[str, dict]) -> None:
         """Commit ``tables`` with one verified ``catalog.json`` publish (a
@@ -366,8 +380,10 @@ class Database:
             if skipped:
                 registry.counter(obs_names.WAL_SKIPPED_COMMITTED).inc(skipped)
             # even with no replayable record, a crashed stage may have left
-            # segment dirs past a table's committed row groups
-            for name in list(self._tables):
+            # segment dirs past a table's committed row groups, or a whole
+            # generation of a create that never committed
+            on_disk = {p.name for p in self.path.iterdir() if _NAME_RE.match(p.name)}
+            for name in sorted(on_disk | set(self._tables)):
                 orphans += self._discard_uncommitted(name)
             if orphans:
                 registry.counter(obs_names.WAL_ORPHAN_GROUPS_DROPPED).inc(orphans)
@@ -385,9 +401,23 @@ class Database:
             return report
 
     def _discard_uncommitted(self, name: str) -> int:
-        """Drop the segment directories past ``name``'s committed row
-        groups (recovery and roll-back helper)."""
-        return self._writer_store(name).discard_uncommitted()
+        """Drop what ``name``'s committed entry does not list: row groups
+        past its committed ones, and every generation directory it does not
+        name (a create that never committed).  Recovery and roll-back
+        helper; returns the number of row-group directories removed."""
+        table_dir = self.path / name
+        entry = self._tables.get(name)
+        dropped = 0
+        if table_dir.is_dir():
+            for gen_dir in table_dir.iterdir():
+                if gen_dir.is_dir() and (entry is None or gen_dir.name != entry["generation"]):
+                    dropped += sum(1 for _ in gen_dir.glob("rg*"))
+                    shutil.rmtree(gen_dir)
+        if entry is not None:
+            return dropped + self._writer_store(name).discard_uncommitted()
+        with suppress(OSError):
+            table_dir.rmdir()
+        return dropped
 
     def _commit(
         self,
@@ -409,7 +439,10 @@ class Database:
 
         if fire(faults.INGEST_KILL_APPLY):
             raise IngestKilled("apply", f"before staging row groups of {name!r}")
-        store = self._writer_store(name)
+        if kind == "append":
+            store = self._writer_store(name)
+        else:
+            store = TableStore(self.path / name / _new_generation(), empty_table_meta())
         if allow_kills:
             staged = store.stage_append(frame, row_group_size)
         else:
@@ -420,7 +453,12 @@ class Database:
                 "publish", f"row groups of {name!r} staged, catalog commit pending"
             )
         version = int(self._tables[name]["version"]) + 1 if kind == "append" else 1
-        entry = {"row_group_size": row_group_size, "version": version, **staged}
+        entry = {
+            "row_group_size": row_group_size,
+            "version": version,
+            "generation": store.path.name,
+            **staged,
+        }
         self._flush_catalog({**self._tables, name: entry})
 
     # ------------------------------------------------------------------
@@ -440,7 +478,12 @@ class Database:
         if frame is None or not frame.num_columns:
             # nothing to stage: the single catalog publish is already atomic
             with self._write_lock:
-                entry = {"row_group_size": row_group_size, "version": 1, **empty_table_meta()}
+                entry = {
+                    "row_group_size": row_group_size,
+                    "version": 1,
+                    "generation": _new_generation(),
+                    **empty_table_meta(),
+                }
                 self._flush_catalog({**self._tables, name: entry})
             return
         self._write(name, frame, kind="create", row_group_size=row_group_size)
@@ -499,10 +542,7 @@ class Database:
         ``_tables`` is still the published catalog: a commit replaces it
         only once it is on disk."""
         self._wal.truncate_to(log_offset)
-        if name in self._tables:
-            self._discard_uncommitted(name)
-        else:
-            self._writer_store(name).drop()  # a create that never committed
+        self._discard_uncommitted(name)
 
     def drop_table(self, name: str) -> None:
         with self._write_lock:

@@ -1,15 +1,19 @@
 """Row-group columnar storage.
 
-A table's rows live in its own directory::
+A table's rows live in a generation directory of their own, one per
+create::
 
-    <db>/<table>/
+    <db>/<table>/<generation>/
       rg00000/<column>.npy      # one contiguous array per column per group
 
-and its metadata (dtypes, row-group row counts, zone maps, blooms and
-per-segment checksums) in the table's entry of the database's
+and its metadata (generation, dtypes, row-group row counts, zone maps,
+blooms and per-segment checksums) in the table's entry of the database's
 ``catalog.json`` (:mod:`repro.db.database`).  A :class:`TableStore` is
 built from that entry and reads no metadata file: it sees exactly the row
 groups the entry lists, whatever a concurrent writer has staged on disk.
+A re-created table gets a new generation, so a store built from an entry
+of the dropped one reads that entry's bytes or fails with a
+:class:`~repro.db.errors.DBError`, never the new table's bytes.
 
 Row groups bound executor memory: a scan yields one group at a time, so a
 filter over a table of any size peaks at ``row_group_size`` rows — the
@@ -25,6 +29,7 @@ import json
 import shutil
 import zlib
 from collections.abc import Iterator, Sequence
+from contextlib import suppress
 from pathlib import Path
 
 import numpy as np
@@ -200,7 +205,14 @@ class TableStore:
             self.dtype_of(n)  # validate with a helpful error
         rg_dir = self.path / f"rg{index:05d}"
         mode = "r" if mmap else None
-        return Frame({n: load_npy(rg_dir / f"{n}.npy", mmap_mode=mode) for n in names})
+        try:
+            return Frame({n: load_npy(rg_dir / f"{n}.npy", mmap_mode=mode) for n in names})
+        except FileNotFoundError as exc:
+            raise DBError(
+                f"segment {Path(exc.filename).name} of row group {index} at {self.path} "
+                f"is gone: the table was dropped or re-created after this snapshot "
+                f"was taken"
+            ) from exc
 
     def zone_map(self, index: int) -> dict[str, tuple[float, float]]:
         """Per-column (min, max) of one row group."""
@@ -237,5 +249,9 @@ class TableStore:
         return concat([Frame({n: np.asarray(g.column(n)) for n in g.columns}) for g in groups])
 
     def drop(self) -> None:
+        """Remove this generation's segments, and the table directory once
+        no generation is left in it."""
         if self.path.exists():
             shutil.rmtree(self.path)
+        with suppress(OSError):
+            self.path.parent.rmdir()

@@ -186,7 +186,7 @@ class TestOneTableFormat:
     beside its version, and an entry without one of them is refused by
     name, not guessed at."""
 
-    @pytest.mark.parametrize("key", TABLE_META_KEYS)
+    @pytest.mark.parametrize("key", (*TABLE_META_KEYS, "generation"))
     def test_older_dialects_are_refused_by_name(self, db, key):
         path = db.path / "catalog.json"
         content = json.loads(path.read_text())
@@ -243,5 +243,6 @@ class TestOneCommitFile:
         files = sorted(
             str(p.relative_to(db.path)) for p in db.path.rglob("*") if p.is_file()
         )
-        assert files == ["catalog.json", *(f"t/rg{i:05d}/x.npy" for i in range(5)), "wal.log"]
+        gen = db.store("t").path.name
+        assert files == ["catalog.json", *(f"t/{gen}/rg{i:05d}/x.npy" for i in range(5)), "wal.log"]
         assert Database(db.path).store("t").num_rows == 58

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.db import Database
+from repro.db.errors import DBError
 from repro.frame import Frame
 
 N = 400
@@ -40,7 +41,7 @@ def raw(db):
 
 
 def drop_segment(db, table: str, row_group: int, column: str) -> None:
-    (db.path / table / f"rg{row_group:05d}" / f"{column}.npy").unlink()
+    (db.store(table).path / f"rg{row_group:05d}" / f"{column}.npy").unlink()
 
 
 class TestColumnsRead:
@@ -121,5 +122,5 @@ class TestUnreferencedSegmentsAreNeverOpened:
 
     def test_select_star_does_need_it(self, db):
         drop_segment(db, "t", 1, "name")
-        with pytest.raises(FileNotFoundError):
+        with pytest.raises(DBError, match="is gone"):
             db.query("SELECT * FROM t WHERE v > 0")

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.db.database import Database
+from repro.db.errors import DBError
 from repro.frame import Frame
 
 
@@ -156,6 +157,50 @@ class TestParsedOncePerCommit:
             assert (db.table_version("t"), db.store("t").num_rows) == (1, 48)
         assert db.snapshot() is not snap
         assert (db.table_version("t"), db.store("t").num_rows) == (2, 64)
+
+
+class TestPinAcrossDrop:
+    """A pin taken before another handle drops a table reads its own bytes
+    or raises a database error: never a re-created table's rows, never a
+    raw ``FileNotFoundError``."""
+
+    SUM = "SELECT SUM(a) AS s FROM t"
+
+    @pytest.fixture()
+    def pinned_db(self, tmp_path):
+        db = Database(tmp_path / "db", result_cache=False)
+        db.create_table("t", Frame({"a": np.arange(10)}))
+        return db, Database(tmp_path / "db", result_cache=False)
+
+    def test_a_re_created_table_is_never_read_through_an_older_pin(self, pinned_db):
+        db, other = pinned_db
+        with db.pinned():
+            assert db.query(self.SUM)["s"].tolist() == [45]
+            other.drop_table("t")
+            other.create_table("t", Frame({"a": np.arange(100, 110)}))
+            with pytest.raises(DBError, match="dropped or re-created"):
+                db.query(self.SUM)
+        assert db.query(self.SUM)["s"].tolist() == [1045]
+
+    def test_a_dropped_table_read_through_a_pin_is_a_database_error(self, pinned_db):
+        db, other = pinned_db
+        with db.pinned():
+            assert db.query(self.SUM)["s"].tolist() == [45]
+            other.drop_table("t")
+            with pytest.raises(DBError, match="dropped or re-created"):
+                db.query(self.SUM)
+        assert not (db.path / "t").exists()
+
+    def test_each_create_names_a_new_generation(self, pinned_db):
+        db, other = pinned_db
+        first = db.store("t").path
+        signature = db.store("t").content_signature()
+        other.drop_table("t")
+        other.create_table("t", Frame({"a": np.arange(10)}))
+        assert db.store("t").path.parent == first.parent
+        assert db.store("t").path != first and not first.exists()
+        # the content signature (and so every cache key) ignores the name
+        assert db.store("t").content_signature() == signature
 
 
 class TestConcurrentAppends:

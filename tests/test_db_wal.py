@@ -112,7 +112,7 @@ class TestCommitProtocol:
                 db.append("t", extra)
 
         # 40 rows are rg00000-rg00002; the 24 new ones would be rg00003-4
-        staged = [db.path / "t" / f"rg{i:05d}" for i in (3, 4)]
+        staged = [db.store("t").path / f"rg{i:05d}" for i in (3, 4)]
         if point_field == "ingest_kill_publish":
             for rg_dir, rows in zip(staged, (extra[:16], extra[16:])):
                 for column in rows.columns:

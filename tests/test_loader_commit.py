@@ -145,10 +145,12 @@ def assert_frames_equivalent(got: Frame, want: Frame):
 
 
 def table_bytes(db: Database, name: str) -> dict[str, bytes]:
-    root = db.path / name
+    """Every segment file of ``name`` by its path under the table's
+    generation directory (each create names a fresh one)."""
     return {
-        str(p.relative_to(root)): p.read_bytes()
-        for p in sorted(root.rglob("*"))
+        str(p.relative_to(gen)): p.read_bytes()
+        for gen in sorted((db.path / name).iterdir())
+        for p in sorted(gen.rglob("*"))
         if p.is_file()
     }
 

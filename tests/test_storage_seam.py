@@ -184,7 +184,8 @@ def test_wal_record_and_json_documents_keep_their_bytes(tmp_path):
     """``storage_bytes`` and ``eval.rows_digest`` hash the analysis-DB
     directory: the WAL record and ``catalog.json`` (the database's one
     metadata file) must not gain a field, reorder a key or change their
-    whitespace."""
+    whitespace.  The one random part, each create's generation name, has
+    a fixed width."""
     record = make_append_record("t", "append", 1, 16, {"a": np.arange(3)})
     wal = WriteAheadLog(tmp_path / "wal.log", fsync=False)
     wal.append(record)
@@ -196,19 +197,25 @@ def test_wal_record_and_json_documents_keep_their_bytes(tmp_path):
     db.create_table("t", Frame({"a": np.arange(5)}), row_group_size=4)
     db.create_table("empty")
     text = (db.path / "catalog.json").read_text()
+    generation = re.compile(r'"generation": "g[0-9a-f]{12}"')
+    assert len(generation.findall(text)) == 2
+    text = generation.sub('"generation": "g000000000000"', text)
     assert text.startswith(
-        '{"t": {"row_group_size": 4, "version": 1, "columns": {"a": "<i8"}, '
+        '{"t": {"row_group_size": 4, "version": 1, "generation": "g000000000000", '
+        '"columns": {"a": "<i8"}, '
         '"row_groups": [4, 1], "zone_maps": [{"a": [0.0, 3.0]}, {"a": [4.0, 4.0]}], '
         '"blooms": [{"a": {"m": 4096, "k": 4, "bits": "'
     )
     assert text.endswith(
         '"checksums": [{"a": 2432700938}, {"a": 3781742995}]}, '
-        '"empty": {"row_group_size": 65536, "version": 1, "columns": {}, '
+        '"empty": {"row_group_size": 65536, "version": 1, "generation": "g000000000000", '
+        '"columns": {}, '
         '"row_groups": [], "zone_maps": [], "blooms": [], "checksums": []}}'
     )
     assert text == json.dumps(json.loads(text))
+    # 31 bytes per entry more than before the generation was named
     assert (len(text), hashlib.sha256(text.encode()).hexdigest()) == (
-        2466, "7f0f48132cd99dd1c601427b0da295cb6798159250bfb06a13d1fb1da8949f3c"
+        2528, "fff47bce898989a4e2faed3d1cf7239c41b2128f53a95b228e25cb3a72ff5f56"
     )
     assert not list(db.path.rglob("meta.json"))
     assert db.path.joinpath("wal.log").read_bytes() == b""
