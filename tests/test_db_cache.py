@@ -1,6 +1,7 @@
 """Semantic query-result cache: byte-identity, invalidation, incremental
 re-execution, disk sharing, and bounded memory (repro.db.cache)."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -122,6 +123,51 @@ QUERIES = [
     "SELECT mass, x FROM halos WHERE mass < 0",
     "SELECT step, COUNT(*) AS n FROM halos WHERE mass < 0 GROUP BY step",
 ]
+
+
+# sha256 of each QUERIES result (per column: name, dtype, length, bytes)
+# on the oracle's 10-row-group table, in QUERIES order.  Recorded while
+# each row group still built partial accumulators that were merged into
+# the statement's; folding every row group into one set of accumulators
+# must reproduce them bit for bit.
+GOLDEN_DIGESTS = [
+    "31a59cd4ecf1fea47abeaf6753e23b5e926f58e7447069d05e9efb6ddb8383a1",
+    "9edef7cc23db6efb4e0d91e8424c7e153aa936445fd7397295d9ba0bd388cf19",
+    "8d41e794b9d7b9e6e67167c302e56df7b5a568f4d5f2515ec0e266b00cf3c78e",
+    "a558bdc3e140493f254c3a96699bc12fb095b50707386a0b278403c60fb6fb01",
+    "c1b94606aeef0b2b988505136c2cd393a074948a2d1e14d15a4e6e4be1e5027e",
+    "11287a55e3df75097b94b3267fd7211ea30eecd9d116d5ae535f5612ce4b64bc",
+    "df60ec5eef93c7c2aa399be00f24fa0b7e37fac18afadeb414eaf47b44ade6ef",
+    "e08d116eeabe72becc85daa5a4d63e94429713816b3caa33c3dd0b54793e310d",
+    "08560bac0b581bf82f9eb6f0b0055a0cb26360271ed86ba8928c7c5e2409bdd4",
+    "9dc4bde594bcf1261538ac8939995ffe689f77c4915ffdd69c395cee8880e988",
+    "465f610b3f65e46d3d412e39c989601eda6f9edf1a76ad7e8c15a041c216e36b",
+    "ada7c97c12eb8a0b87f6b98e9c46bde2a6485b836656efd5061ad3d46afbdaf5",
+    "36e9ff8bbda8127a2318840f8f78330e9407200a857c2a494351ce0c38d81bb0",
+    "cb1701c4e3c124c29f742758f5ebbb81bf6ab59fea857aaa931f8d441155df7e",
+    "61cc060bc927ddb39d2e5db24116d65e4166abf9e7e6dd6ac32d5191762f10f8",
+    "d62fc6b68e7f513bd4f514590c46444e9d54d92e9ab12e50f38850df1a4cb61f",
+    "41111158bcf0d3359786af580c78d4974a382688f25fb95f66f2c52d327392b1",
+    "d1efcab76ffd63c990bb171f83b38aeb6c4f3d0a7c3a04db94200cc1a69cad47",
+    "9c294722f919d193cc94f4b26ed75eb03e8d2e243d076232bb6230dc7b809699",
+    "988261555d3f2c831111b8399e66299eb6c8526a0c04fc1594ae30f95eb4d659",
+]
+
+
+def result_digest(frame: Frame) -> str:
+    digest = hashlib.sha256()
+    for name in frame.columns:
+        col = np.asarray(frame.column(name))
+        digest.update(f"{name}:{col.dtype.str}:{len(col)};".encode())
+        digest.update(col.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "sql, want", list(zip(QUERIES, GOLDEN_DIGESTS)), ids=[f"q{i:02d}" for i in range(len(QUERIES))]
+)
+def test_results_match_their_recorded_digests(oracle, sql, want):
+    assert result_digest(oracle.query(sql)) == want
 
 
 class TestByteIdentity:
