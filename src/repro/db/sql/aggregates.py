@@ -5,15 +5,12 @@ O(#groups) state (Welford-style moments for variance) so a GROUP BY over
 an arbitrarily large table peaks at row-group memory.  MEDIAN is the one
 holdout that must buffer values, documented as such.
 
-Every accumulator is also *mergeable*: the engine computes one partial
-accumulator per row group (a morsel), then folds partials into the
-global accumulator **in row-group order** via :meth:`Accumulator.merge`
-with a local→global group-index remap.  Merge is written to replay, bit
-for bit, the same floating-point operations a single globally-coded
-``update`` performs (partials are scattered into full-width arrays so
-untouched groups see the identical ``+ 0.0`` that bincount adds), so a
-result's bytes depend only on the stored row groups — the invariant the
-query-result cache, chaos suite, and canonical traces all depend on.
+A statement owns one accumulator per aggregate.  The engine calls
+:meth:`Accumulator.update` once per row group, **in row-group order**,
+with the statement's global dense group codes (``n_groups`` only ever
+grows), so a result's bytes depend only on the stored row groups — the
+invariant the query-result cache, chaos suite, and canonical traces all
+depend on.
 """
 
 from __future__ import annotations
@@ -29,31 +26,8 @@ class Accumulator:
     def update(self, group_idx: np.ndarray, values: np.ndarray | None, n_groups: int) -> None:
         raise NotImplementedError
 
-    def merge(self, other: "Accumulator", mapping: np.ndarray, n_groups: int) -> None:
-        """Fold a partial accumulator of the same kind into this one.
-
-        ``other`` was built by a single ``update`` over one morsel using
-        chunk-local dense group codes; ``mapping[local_idx]`` is the
-        global group index.  Called in row-group order by the engine's
-        fold, and required to be bitwise-equivalent to having called
-        ``update`` with globally-coded indices directly.
-        """
-        raise NotImplementedError
-
     def finalize(self, n_groups: int) -> np.ndarray:
         raise NotImplementedError
-
-
-def _scatter(partial: np.ndarray, mapping: np.ndarray, n_groups: int) -> np.ndarray:
-    """Spread a local-group-indexed partial onto the global index space.
-
-    Untouched groups hold exact zero, so folding the scattered array with
-    ``+=`` performs the identical additions (including ``x + 0.0``) the
-    sequential path's ``minlength=n_groups`` bincount performs.
-    """
-    out = np.zeros(n_groups, dtype=partial.dtype)
-    out[mapping[: len(partial)]] = partial
-    return out
 
 
 class CountAcc(Accumulator):
@@ -68,10 +42,6 @@ class CountAcc(Accumulator):
             group_idx, _ = _without_nan(group_idx, values)
             self.counts += np.bincount(group_idx, minlength=n_groups)
 
-    def merge(self, other, mapping, n_groups):
-        self.counts = _grow(self.counts, n_groups)
-        self.counts += _scatter(other.counts, mapping, n_groups)
-
     def finalize(self, n_groups):
         return _grow(self.counts, n_groups)
 
@@ -83,10 +53,6 @@ class SumAcc(Accumulator):
     def update(self, group_idx, values, n_groups):
         self.sums = _grow(self.sums, n_groups)
         self.sums += np.bincount(group_idx, weights=_clean(values), minlength=n_groups)
-
-    def merge(self, other, mapping, n_groups):
-        self.sums = _grow(self.sums, n_groups)
-        self.sums += _scatter(other.sums, mapping, n_groups)
 
     def finalize(self, n_groups):
         return _grow(self.sums, n_groups)
@@ -105,12 +71,6 @@ class MeanAcc(Accumulator):
             group_idx, weights=values.astype(np.float64, copy=False), minlength=n_groups
         )
         self.counts += np.bincount(group_idx, minlength=n_groups)
-
-    def merge(self, other, mapping, n_groups):
-        self.sums = _grow(self.sums, n_groups)
-        self.counts = _grow(self.counts, n_groups)
-        self.sums += _scatter(other.sums, mapping, n_groups)
-        self.counts += _scatter(other.counts, mapping, n_groups)
 
     def finalize(self, n_groups):
         sums = _grow(self.sums, n_groups)
@@ -139,20 +99,6 @@ class MinMaxAcc(Accumulator):
         per_group = reducer(vals, starts)
         self.best[gi[starts]] = op(self.best[gi[starts]], per_group)
 
-    def merge(self, other, mapping, n_groups):
-        fill = np.inf if self.is_min else -np.inf
-        if self.best is None:
-            self.best = np.full(n_groups, fill)
-        elif len(self.best) < n_groups:
-            self.best = np.concatenate([self.best, np.full(n_groups - len(self.best), fill)])
-        if other.best is None:
-            return
-        op = np.minimum if self.is_min else np.maximum
-        # every local group of a partial saw at least one row, so this is
-        # exactly the sequential per-present-group fold (min/max is exact)
-        target = mapping[: len(other.best)]
-        self.best[target] = op(self.best[target], other.best)
-
     def finalize(self, n_groups):
         fill = np.inf if self.is_min else -np.inf
         best = self.best if self.best is not None else np.full(n_groups, fill)
@@ -162,7 +108,8 @@ class MinMaxAcc(Accumulator):
 
 
 class MomentsAcc(Accumulator):
-    """Chan et al. parallel-merge mean/M2 for VAR/STDDEV."""
+    """VAR/STDDEV: per-group mean and M2, each chunk's moments combined
+    into the running ones with Chan et al.'s pairwise formula."""
 
     def __init__(self, want_std: bool) -> None:
         self.want_std = want_std
@@ -181,25 +128,6 @@ class MomentsAcc(Accumulator):
             mb = np.where(nb > 0, sb / np.maximum(nb, 1), 0.0)
         dev = vals - mb[group_idx]
         m2b = np.bincount(group_idx, weights=dev * dev, minlength=n_groups)
-        na = self.n
-        delta = mb - self.mean
-        tot = na + nb
-        with np.errstate(invalid="ignore", divide="ignore"):
-            self.mean = np.where(tot > 0, self.mean + delta * np.where(tot > 0, nb / np.maximum(tot, 1), 0), self.mean)
-            self.m2 = self.m2 + m2b + delta**2 * na * nb / np.maximum(tot, 1)
-        self.n = tot
-
-    def merge(self, other, mapping, n_groups):
-        # scatter the partial's (n, mean, m2) onto the global index space
-        # and replay the exact Chan combine the sequential update performs
-        # (a partial built by one update from fresh state holds precisely
-        # the (nb, mb, m2b) that update derived from the chunk)
-        self.n = _grow(self.n, n_groups)
-        self.mean = _grow(self.mean, n_groups)
-        self.m2 = _grow(self.m2, n_groups)
-        nb = _scatter(other.n, mapping, n_groups)
-        mb = _scatter(other.mean, mapping, n_groups)
-        m2b = _scatter(other.m2, mapping, n_groups)
         na = self.n
         delta = mb - self.mean
         tot = na + nb
@@ -238,12 +166,6 @@ class DistinctCountAcc(Accumulator):
         for g, c in zip(groups.tolist(), codes.tolist()):
             self.sets.setdefault(g, set()).add(uvals[c])
 
-    def merge(self, other, mapping, n_groups):
-        # set union is order-insensitive and len() is exact, so merging
-        # per-morsel distinct sets equals one update over every row
-        for local, s in other.sets.items():
-            self.sets.setdefault(int(mapping[local]), set()).update(s)
-
     def finalize(self, n_groups):
         out = np.zeros(n_groups, dtype=np.int64)
         for g, s in self.sets.items():
@@ -262,14 +184,6 @@ class MedianAcc(Accumulator):
     def update(self, group_idx, values, n_groups):
         self.values.append(values.astype(np.float64))
         self.groups.append(group_idx)
-
-    def merge(self, other, mapping, n_groups):
-        # partials merge in row-group order, so the concatenated buffers
-        # end up in the exact row order the sequential path builds; only
-        # the group codes need remapping
-        for vals, groups in zip(other.values, other.groups):
-            self.values.append(vals)
-            self.groups.append(mapping[groups])
 
     def finalize(self, n_groups):
         if not self.values:

@@ -4,11 +4,11 @@ Execution strategy by query shape:
 
 * plain SELECT (no grouping): stream row groups through WHERE + projection,
   with early termination when an un-ordered LIMIT is satisfied;
-* grouped / aggregate SELECT: each row group yields *partial* per-group
-  accumulators keyed by chunk-local dense codes, folded into the global
-  accumulators (via :meth:`Accumulator.merge`) in row-group order, then
-  SELECT expressions evaluate over the per-group frame (aggregate nodes
-  substituted for materialized columns) and HAVING applies;
+* grouped / aggregate SELECT: each row group's rows get the statement's
+  global group codes (first-appearance order) and update the statement's
+  one accumulator per aggregate; then SELECT expressions evaluate over
+  the per-group frame (aggregate nodes substituted for materialized
+  columns) and HAVING applies;
 * JOIN queries materialize both sides column-pruned, merge via the Frame
   join (:mod:`repro.frame.join`), then follow one of the two paths above
   in-memory.
@@ -16,16 +16,16 @@ Execution strategy by query shape:
 ORDER BY / LIMIT run last over the (result-sized) output.
 
 **Morsels.**  A morsel is one surviving row group's work — segment read,
-WHERE, projection, partial aggregation — run on the calling thread, one
-row group at a time, in **row-group order**.  Partials fold through
-:meth:`Accumulator.merge` in that order, so a result's bytes depend only
-on the stored row groups — the invariant the query-result cache, the
-chaos suite, and canonical traces all depend on.
+WHERE, projection or accumulator update — run on the calling thread, one
+row group at a time, in **row-group order**.  One fold per statement, in
+that order, means a result's bytes depend only on the stored row groups —
+the invariant the query-result cache, the chaos suite, and canonical
+traces all depend on.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import replace
 
 import numpy as np
@@ -34,7 +34,7 @@ from dataclasses import dataclass as _dataclass
 
 from repro.db.errors import UnsupportedSQLError
 from repro.db.sql import ast
-from repro.db.sql.aggregates import Accumulator, make_accumulator
+from repro.db.sql.aggregates import make_accumulator
 from repro.db.sql.expressions import evaluate, expr_name
 from repro.db.sql.normalize import referenced_column_names
 from repro.db.sql.pruning import skip_reason
@@ -229,13 +229,12 @@ def _materialize_join(
 # ----------------------------------------------------------------------
 # morsels
 # ----------------------------------------------------------------------
-def _piece_stream(source, work: Callable, stats: ScanStats | None):
-    """Per-chunk results of ``work``, yielded in row-group order."""
+def _morsels(source, stats: ScanStats | None) -> Iterator[Frame]:
+    """The source's chunks in row-group order, each counted as a morsel."""
     for chunk in source.chunks():
-        piece = work(chunk)
         if stats is not None:
             stats.morsels_executed += 1
-        yield piece
+        yield chunk
 
 
 def _execute_over_source(
@@ -246,19 +245,11 @@ def _execute_over_source(
     )
     schema = source.schema
     keep = _columns_after_where(stmt, schema)
+    chunks = _morsels(source, stats)
     if needs_group:
-        agg_calls = _collect_aggregates(stmt)
-        group_exprs = list(stmt.group_by)
-        pieces = _piece_stream(
-            source,
-            lambda chunk: _grouped_partial(stmt, chunk, keep, agg_calls, group_exprs),
-            stats,
-        )
-        result = _merge_grouped(stmt, pieces, agg_calls, group_exprs, schema)
+        result = _fold_grouped(stmt, chunks, keep, schema)
     else:
-        pieces = _piece_stream(
-            source, lambda chunk: _plain_piece(stmt, chunk, keep), stats
-        )
+        pieces = (_plain_piece(stmt, chunk, keep) for chunk in chunks)
         topk_key = _streaming_topk_key(stmt)
         if topk_key is not None:
             result = _fold_topk(stmt, pieces, topk_key, schema)
@@ -628,66 +619,39 @@ def _substitute(expr: ast.Expr, mapping: dict[ast.FuncCall, str]) -> ast.Expr:
     return expr
 
 
-def _grouped_partial(
-    stmt: ast.SelectStatement,
-    chunk: Frame,
-    keep: set[str] | None,
-    agg_calls: list[ast.FuncCall],
-    group_exprs: list[ast.Expr],
-) -> tuple[list[tuple], list[Accumulator]] | None:
-    """Per-morsel work of the grouped path: one partial accumulator per
-    aggregate, keyed by chunk-local dense codes.  Returns None for chunks
-    the WHERE clause empties."""
-    chunk = _filter_chunk(stmt, chunk, keep)
-    if chunk.num_rows == 0:
-        return None
-    if group_exprs:
-        key_arrays = [np.asarray(evaluate(g, chunk)) for g in group_exprs]
-        local_keys, local_codes = _local_codes(key_arrays)
-    else:
-        local_keys = [()]
-        local_codes = np.zeros(chunk.num_rows, dtype=np.int64)
-    n_local = len(local_keys)
-    partials: list[Accumulator] = []
-    for call in agg_calls:
-        acc = make_accumulator(call.name, distinct=call.distinct)
-        if call.args and not isinstance(call.args[0], ast.Star):
-            values = np.asarray(evaluate(call.args[0], chunk))
-        else:
-            values = None
-        if values is None and call.name != "COUNT":
-            raise UnsupportedSQLError(f"{call.name}(*) is not valid")
-        acc.update(local_codes, values, n_local)
-        partials.append(acc)
-    return local_keys, partials
-
-
-def _merge_grouped(
-    stmt: ast.SelectStatement,
-    pieces,
-    agg_calls: list[ast.FuncCall],
-    group_exprs: list[ast.Expr],
-    schema,
+def _fold_grouped(
+    stmt: ast.SelectStatement, chunks: Iterable[Frame], keep: set[str] | None, schema
 ) -> Frame:
-    """Fold per-morsel partials (consumed in row-group order) into the
-    global registry + accumulators, then finalize/project/HAVING."""
+    """Fold every chunk (in row-group order) into the statement's group
+    registry and its one accumulator per aggregate, then
+    finalize/project/HAVING."""
+    agg_calls = _collect_aggregates(stmt)
+    group_exprs = list(stmt.group_by)
     agg_names = {call: f"__agg{k}" for k, call in enumerate(agg_calls)}
-    accumulators: dict[ast.FuncCall, Accumulator] = {
-        call: make_accumulator(call.name, distinct=call.distinct)
-        for call in agg_calls
+    accumulators = {
+        call: make_accumulator(call.name, distinct=call.distinct) for call in agg_calls
     }
     registry = _GroupRegistry()
 
     saw_rows = False
-    for piece in pieces:
-        if piece is None:
+    for chunk in chunks:
+        chunk = _filter_chunk(stmt, chunk, keep)
+        if chunk.num_rows == 0:
             continue
         saw_rows = True
-        local_keys, partials = piece
-        mapping = registry.codes_for_keys(local_keys)
-        n_groups = registry.n_groups
-        for call, partial in zip(agg_calls, partials):
-            accumulators[call].merge(partial, mapping, n_groups)
+        if group_exprs:
+            codes = registry.codes_for([np.asarray(evaluate(g, chunk)) for g in group_exprs])
+        else:
+            registry.codes_for_keys([()])
+            codes = np.zeros(chunk.num_rows, dtype=np.int64)
+        for call, acc in accumulators.items():
+            if call.args and not isinstance(call.args[0], ast.Star):
+                values = np.asarray(evaluate(call.args[0], chunk))
+            elif call.name == "COUNT":
+                values = None
+            else:
+                raise UnsupportedSQLError(f"{call.name}(*) is not valid")
+            acc.update(codes, values, registry.n_groups)
 
     n_groups = registry.n_groups
     if n_groups == 0:

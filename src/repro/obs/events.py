@@ -23,12 +23,11 @@ live in the :mod:`repro.obs.metrics` registry.  Subscribers include
   (the lock is re-entrant) instead of deadlocking.
 * *Isolation* — a raising subscriber is skipped and counted in the
   registry (``obs.bus.subscriber_errors``); it can never fail the run it
-  observes.  A *slow* subscriber, however, stalls the publisher unless
-  wrapped: pass ``buffered=True`` to :func:`subscribe` to decouple it
-  onto a drain thread (:class:`BufferedSubscriber`), whose bounded
-  buffer drops the newest spans and counts them when the consumer falls
-  behind.  That is mandatory for anything doing I/O on the request path
-  (the serving layer's per-session streams are buffered).
+  observes.  A *slow* subscriber stalls the publisher, so anything that
+  does I/O must hand spans off instead of doing it in the callback: the
+  serving layer's per-session streams put each progress line into the
+  request's own bounded queue, which drops and counts what a stalled
+  client cannot take (:class:`repro.serve.streaming.EventStreamer`).
 * *Per-session filtering* — span dicts carry their ``trace_id``; pass
   ``trace_id=`` to :func:`subscribe` to see exactly one session's spans,
   which is how ``repro serve`` fans one process-wide bus out into
@@ -54,7 +53,6 @@ from __future__ import annotations
 import logging
 import os
 import threading
-from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator
@@ -235,68 +233,6 @@ class LiveRenderer:
         self.lines += 1
 
 
-class BufferedSubscriber:
-    """Decouple a slow subscriber from the publish path.
-
-    The bus-facing callable only appends to a bounded deque (newest
-    spans dropped and counted in ``dropped`` when the consumer falls
-    behind) and wakes a dedicated drain thread that invokes the wrapped
-    subscriber.  Publishers therefore pay O(1) per span no matter how
-    slow the consumer is — the regression the serving layer's
-    per-session SSE streams depend on, since a stalled HTTP client must
-    never stall the workers' request path.  A raising consumer is
-    counted like a raising direct subscriber.
-
-    ``close()`` drains what is buffered (bounded by ``timeout_s``) and
-    stops the thread; it is idempotent.
-    """
-
-    def __init__(self, fn: Subscriber, capacity: int = 4096):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.fn = fn
-        self.capacity = capacity
-        self.dropped = 0
-        self._queue: deque[dict[str, Any]] = deque()
-        self._cond = threading.Condition()
-        self._closed = False
-        self._thread = threading.Thread(
-            target=self._drain, name="repro-buffered-subscriber", daemon=True
-        )
-        self._thread.start()
-
-    def __call__(self, doc: dict[str, Any]) -> None:
-        with self._cond:
-            if self._closed:
-                return
-            if len(self._queue) >= self.capacity:
-                self.dropped += 1
-                return
-            self._queue.append(doc)
-            self._cond.notify()
-
-    def _drain(self) -> None:
-        while True:
-            with self._cond:
-                while not self._queue and not self._closed:
-                    self._cond.wait()
-                if not self._queue and self._closed:
-                    return
-                doc = self._queue.popleft()
-            try:
-                self.fn(doc)
-            except Exception:
-                _subscriber_failed(self.fn)
-
-    def close(self, timeout_s: float = 5.0) -> None:
-        with self._cond:
-            if self._closed:
-                return
-            self._closed = True
-            self._cond.notify_all()
-        self._thread.join(timeout=timeout_s)
-
-
 # ----------------------------------------------------------------------
 # the public subscription API
 # ----------------------------------------------------------------------
@@ -306,25 +242,13 @@ class Subscription:
 
     bus: EventBus
     attached: Subscriber
-    _buffered: BufferedSubscriber | None = None
-
-    @property
-    def dropped(self) -> int:
-        """Spans this subscription's own buffer dropped (0 unbuffered)."""
-        return self._buffered.dropped if self._buffered is not None else 0
 
     def close(self) -> None:
         self.bus.unsubscribe(self.attached)
-        if self._buffered is not None:
-            self._buffered.close()
 
 
 def subscribe(
-    fn: Subscriber,
-    bus: EventBus | None = None,
-    trace_id: str | None = None,
-    buffered: bool = False,
-    capacity: int = 4096,
+    fn: Subscriber, bus: EventBus | None = None, trace_id: str | None = None
 ) -> Subscription:
     """Attach ``fn`` to an event bus; the documented public hook.
 
@@ -332,21 +256,17 @@ def subscribe(
     real :class:`EventBus` — subscribing to the null bus is an error, not
     a silent no-op, because the caller clearly expects spans.
     ``trace_id`` keeps only that trace's spans (see the module
-    docstring's subscriber contract); ``buffered=True`` decouples a slow
-    ``fn`` from the publish path via a :class:`BufferedSubscriber` of
-    ``capacity`` spans.  Returns a :class:`Subscription` whose
-    ``close()`` detaches (and drains the buffer, when there is one).
+    docstring's subscriber contract).  Returns a :class:`Subscription`
+    whose ``close()`` detaches.
     """
     target = bus if bus is not None else get_bus()
     if not isinstance(target, EventBus):
         raise RuntimeError(
             "no active event bus to subscribe to; activate one with use_bus() first"
         )
-    buffered_sub = BufferedSubscriber(fn, capacity=capacity) if buffered else None
-    deliver: Subscriber = buffered_sub if buffered_sub is not None else fn
-    attached = deliver if trace_id is None else _only_trace(deliver, trace_id)
+    attached = fn if trace_id is None else _only_trace(fn, trace_id)
     target.subscribe(attached)
-    return Subscription(bus=target, attached=attached, _buffered=buffered_sub)
+    return Subscription(bus=target, attached=attached)
 
 
 def _only_trace(fn: Subscriber, trace_id: str) -> Subscriber:

@@ -5,10 +5,11 @@ request's finished spans are published onto it, each dict carrying the
 request's ``trace_id``.  A streaming client (``POST /v1/query`` with
 ``"stream": true``) gets those spans fanned back out as a
 ``text/event-stream``: the subscription filters the bus down to the one
-trace and buffers it (:func:`repro.obs.events.subscribe` with
-``trace_id=`` and ``buffered=True``), so a slow or stalled HTTP client
-can never stall the workers publishing on the request path — spans the
-client cannot absorb are dropped, counted, and reported as
+trace (:func:`repro.obs.events.subscribe` with ``trace_id=``), and each
+span's progress line goes straight into the request's own bounded queue,
+which the HTTP handler thread drains.  A slow or stalled HTTP client can
+never stall the workers publishing on the request path: progress lines
+the queue cannot take are dropped, counted, and reported as
 ``stream_dropped_events`` in the terminal ``result`` frame.
 
 Progress lines reuse :meth:`LiveRenderer.format_event`, so what streams
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import json
 import queue
+from contextlib import suppress
 from typing import Any, Iterator
 
 from repro.obs.events import LiveRenderer, subscribe
@@ -37,26 +39,31 @@ class EventStreamer:
     def __init__(self, trace_id: str, verbose: bool = False, capacity: int = 4096):
         self.trace_id = trace_id
         self.verbose = verbose
-        self._lines: queue.Queue[str | None] = queue.Queue()  # None: request over
-        # buffered: the drain thread formats and enqueues; the publisher
-        # (a worker thread mid-request) only ever appends to the buffer
-        self._subscription = subscribe(
-            self._on_span, trace_id=trace_id, buffered=True, capacity=capacity
-        )
+        # progress lines the full queue refused (the bus calls _on_span
+        # under its lock, so the count needs none of its own)
+        self.dropped = 0
+        # the publisher (a worker thread mid-request) formats each line and
+        # never waits on the client: a full queue drops the line
+        self._lines: queue.Queue[str | None] = queue.Queue(maxsize=capacity)  # None: request over
+        self._subscription = subscribe(self._on_span, trace_id=trace_id)
 
     def _on_span(self, doc: dict[str, Any]) -> None:
         line = LiveRenderer.format_event(doc, verbose=self.verbose)
         if line is not None:
-            self._lines.put(line)
+            try:
+                self._lines.put_nowait(line)
+            except queue.Full:
+                self.dropped += 1
         if doc.get("name") == SERVE_REQUEST_SPAN:
             # the request's last span: wake frames() now, not a poll later
-            self._lines.put(None)
+            with suppress(queue.Full):
+                self._lines.put_nowait(None)
 
     def frames(self, done, poll_s: float = 0.05) -> Iterator[bytes]:
         """Yield progress frames until ``done`` is set and lines are drained.
 
         The request's own span end wakes the wait; the ``poll_s`` look at
-        ``done`` stays for a request whose span end the buffer dropped.
+        ``done`` stays for a request whose wake-up a full queue refused.
         """
         over = False  # done seen: sweep the stragglers without blocking
         while True:
@@ -71,10 +78,6 @@ class EventStreamer:
                     yield sse_frame("progress", {"line": line})
                 else:  # the worker sets ``done`` right after that span
                     over = done.wait(poll_s)
-
-    @property
-    def dropped(self) -> int:
-        return self._subscription.dropped
 
     def close(self) -> None:
         self._subscription.close()

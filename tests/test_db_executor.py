@@ -215,6 +215,24 @@ class TestAggregation:
         with pytest.raises(UnsupportedSQLError):
             db.query("SELECT AVG(DISTINCT mass) FROM halos")
 
+    @pytest.mark.parametrize("group_by", ["", " GROUP BY k"], ids=["global", "grouped"])
+    def test_one_accumulator_per_aggregate_per_statement(self, tmp_path, monkeypatch, group_by):
+        """Every row group folds into the statement's accumulators; none
+        builds a partial of its own."""
+        from repro.db.sql import executor
+
+        made = []
+        real = executor.make_accumulator
+        monkeypatch.setattr(
+            executor, "make_accumulator", lambda *a, **kw: made.append(a) or real(*a, **kw)
+        )
+        d = Database(tmp_path / "one.db", result_cache=False)
+        d.create_table("t", Frame({"k": np.arange(40) % 3, "v": np.arange(40.0)}), row_group_size=8)
+        out = d.query(f"SELECT SUM(v) AS s, COUNT(*) AS n FROM t{group_by}")
+        assert d.last_scan_stats.morsels_executed == 5
+        assert int(out["n"].sum()) == 40 and float(out["s"].sum()) == 780.0
+        assert [name for name, *_ in made] == ["SUM", "COUNT"]
+
 
 class TestJoins:
     def test_inner_join_count(self, db, raw):

@@ -32,6 +32,7 @@ from repro.obs.export import canonical_tree, read_spans
 from repro.obs.metrics import get_registry
 from repro.obs.names import OBS_BUS_SUBSCRIBER_ERRORS, SQL_EXECUTE_SPAN
 from repro.obs.tracer import Tracer, use_tracer
+from repro.serve.streaming import EventStreamer
 from repro.serve.worker import answer_payload
 from repro.util.timing import SimulatedClock
 
@@ -395,7 +396,7 @@ class TestForkReset:
 
 
 class TestSubscribeAPI:
-    """The documented public hook: filtering, buffering, detachment."""
+    """The documented public hook: filtering and detachment."""
 
     def test_subscribe_requires_an_active_bus(self):
         assert get_bus() is NULL_BUS
@@ -413,57 +414,6 @@ class TestSubscribeAPI:
         bus.publish(_doc("d", trace_id="mine"))
         assert [d["name"] for d in got] == ["b"]  # detached
         assert bus.subscribers == ()
-
-    def test_slow_subscriber_does_not_stall_publishers(self):
-        """The serving-layer regression: a consumer sleeping per span
-        must not slow the publish path once wrapped with buffered=True."""
-        bus = EventBus()
-        delivered = []
-
-        def slow(doc):
-            time.sleep(0.05)
-            delivered.append(doc)
-
-        sub = subscribe(slow, bus=bus, buffered=True)
-        start = time.perf_counter()
-        n = 50
-        for i in range(n):
-            bus.publish(_doc(f"e{i}"))
-        publish_wall = time.perf_counter() - start
-        # unbuffered, this would take n * 0.05 = 2.5s on the publisher;
-        # buffered, publishing is decoupled from consumption entirely
-        assert publish_wall < 0.5, (
-            f"publishers stalled {publish_wall:.2f}s behind a slow subscriber"
-        )
-        sub.close()
-        assert len(delivered) + sub.dropped == n
-
-    def test_buffered_bounded_drop(self):
-        bus = EventBus()
-        release = threading.Event()
-        delivered = []
-
-        def blocked(doc):
-            release.wait(10.0)
-            delivered.append(doc)
-
-        sub = subscribe(blocked, bus=bus, buffered=True, capacity=4)
-        for i in range(20):
-            bus.publish(_doc(f"e{i}"))
-        assert sub.dropped > 0  # newest spans dropped, counted, no growth
-        release.set()
-        sub.close()
-        assert len(delivered) + sub.dropped == 20
-        assert sub.dropped >= 20 - 4 - 1  # at most capacity + in-flight kept
-
-    def test_buffered_preserves_order(self):
-        bus = EventBus()
-        got = []
-        sub = subscribe(lambda doc: got.append(doc["name"]), bus=bus, buffered=True)
-        for i in range(100):
-            bus.publish(_doc(f"e{i:03d}"))
-        sub.close()  # close drains the buffer before detaching
-        assert got == [f"e{i:03d}" for i in range(100)]
 
     def test_live_session_events_filterable_by_trace(self, ensemble, tmp_path):
         """End to end: one bus, two sessions, per-trace subscriptions see
@@ -490,3 +440,49 @@ class TestSubscribeAPI:
         names = {d["name"] for d in mine}
         assert "session" in names and "plan.generate" in names
         assert len(mine) == len(r1.trace_spans)
+
+
+
+class TestEventStreamer:
+    """A served request's progress lines: its spans are formatted on the
+    publishing thread into the request's own bounded queue, which a
+    stalled client can fill but never block."""
+
+    @staticmethod
+    def _stream(n, capacity=4096, name="llm.chat"):
+        bus = EventBus()
+        with use_bus(bus):
+            streamer = EventStreamer("t1", capacity=capacity)
+        start = time.perf_counter()
+        for i in range(n):
+            doc = _doc(name, span_id=f"s{i}")
+            doc["attributes"] = {"step": i}
+            bus.publish(doc)
+            bus.publish(_doc("sql.execute", span_id=f"x{i}"))  # no progress line
+            bus.publish(_doc(name, trace_id="other"))  # another request's span
+        publish_wall = time.perf_counter() - start
+        done = threading.Event()
+        done.set()
+        lines = [
+            json.loads(frame.decode().split("data: ", 1)[1])["line"]
+            for frame in streamer.frames(done, poll_s=0.01)
+        ]
+        streamer.close()
+        assert bus.subscribers == ()
+        return streamer, lines, publish_wall
+
+    def test_a_stalled_client_never_slows_publishing(self):
+        # nobody reads while 2 000 spans are published into a 4-line queue
+        streamer, lines, publish_wall = self._stream(2000, capacity=4)
+        assert publish_wall < 1.0, f"publishers stalled {publish_wall:.2f}s"
+        assert len(lines) == 4 and streamer.dropped == 1996
+
+    def test_delivered_plus_dropped_lines_equal_lines_published(self):
+        streamer, lines, _ = self._stream(20, capacity=7)
+        assert streamer.dropped > 0
+        assert len(lines) + streamer.dropped == 20
+
+    def test_order_is_kept(self):
+        streamer, lines, _ = self._stream(100)
+        assert streamer.dropped == 0
+        assert [line.split("step=")[1] for line in lines] == [str(i) for i in range(100)]

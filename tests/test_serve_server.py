@@ -334,6 +334,24 @@ def test_sse_stream_progress_then_result(server):
     assert doc["stream_dropped_events"] == 0
 
 
+def test_a_streamed_request_starts_no_drain_thread(server):
+    """The request's progress lines go straight into its own bounded
+    queue; no per-request thread moves them there."""
+    body = json.dumps(
+        {"question": "How many halos are in run 0?", "session": "sse-threads", "stream": True}
+    ).encode()
+    req = urllib.request.Request(
+        f"{server.url}/v1/query", data=body, headers={"Content-Type": "application/json"}
+    )
+    with urllib.request.urlopen(req, timeout=60.0) as resp:
+        first = resp.readline()
+        names = {t.name for t in threading.enumerate()}
+        rest = resp.read().decode()
+    assert first.startswith(b"event: progress")
+    assert "repro-buffered-subscriber" not in names
+    assert '"stream_dropped_events":0' in rest
+
+
 def test_sse_stream_does_not_wait_out_a_poll_after_the_worker_is_done(server):
     overheads = []
     for _ in range(5):
