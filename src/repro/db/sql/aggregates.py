@@ -5,6 +5,10 @@ O(#groups) state (Welford-style moments for variance) so a GROUP BY over
 an arbitrarily large table peaks at row-group memory.  MEDIAN is the one
 holdout that must buffer values, documented as such.
 
+NaN is SQL's NULL here: every aggregate skips it, so a group's result is
+the result over its non-NaN values.  Over no values COUNT is 0, SUM 0.0,
+VAR / STDDEV 0.0 (as for a single value) and every other aggregate NaN.
+
 A statement owns one accumulator per aggregate.  The engine calls
 :meth:`Accumulator.update` once per row group, **in row-group order**,
 with the statement's global dense group codes (``n_groups`` only ever
@@ -80,31 +84,27 @@ class MeanAcc(Accumulator):
 
 
 class MinMaxAcc(Accumulator):
+    """A group no value reached holds NaN; ``fmin`` / ``fmax`` take the
+    value over it."""
+
     def __init__(self, is_min: bool) -> None:
         self.is_min = is_min
-        self.best: np.ndarray | None = None
+        self.best = np.zeros(0)
 
     def update(self, group_idx, values, n_groups):
-        fill = np.inf if self.is_min else -np.inf
-        if self.best is None:
-            self.best = np.full(n_groups, fill)
-        elif len(self.best) < n_groups:
-            self.best = np.concatenate([self.best, np.full(n_groups - len(self.best), fill)])
-        op = np.minimum if self.is_min else np.maximum
-        reducer = op.reduceat
+        self.best = _grow(self.best, n_groups, np.nan)
+        group_idx, values = _without_nan(group_idx, values)
+        if not len(values):
+            return
         order = np.argsort(group_idx, kind="stable")
         gi = group_idx[order]
         vals = values[order].astype(np.float64)
         starts = np.flatnonzero(np.concatenate(([True], gi[1:] != gi[:-1])))
-        per_group = reducer(vals, starts)
-        self.best[gi[starts]] = op(self.best[gi[starts]], per_group)
+        reduce, keep = (np.minimum, np.fmin) if self.is_min else (np.maximum, np.fmax)
+        self.best[gi[starts]] = keep(self.best[gi[starts]], reduce.reduceat(vals, starts))
 
     def finalize(self, n_groups):
-        fill = np.inf if self.is_min else -np.inf
-        best = self.best if self.best is not None else np.full(n_groups, fill)
-        if len(best) < n_groups:
-            best = np.concatenate([best, np.full(n_groups - len(best), fill)])
-        return best
+        return _grow(self.best, n_groups, np.nan)
 
 
 class MomentsAcc(Accumulator):
@@ -121,6 +121,7 @@ class MomentsAcc(Accumulator):
         self.n = _grow(self.n, n_groups)
         self.mean = _grow(self.mean, n_groups)
         self.m2 = _grow(self.m2, n_groups)
+        group_idx, values = _without_nan(group_idx, values)
         vals = values.astype(np.float64, copy=False)
         nb = np.bincount(group_idx, minlength=n_groups).astype(np.float64)
         sb = np.bincount(group_idx, weights=vals, minlength=n_groups)
@@ -158,6 +159,7 @@ class DistinctCountAcc(Accumulator):
     def update(self, group_idx, values, n_groups):
         if values is None:
             raise ValueError("COUNT(DISTINCT *) is not valid")
+        group_idx, values = _without_nan(group_idx, values)
         uvals, inverse = np.unique(values, return_inverse=True)
         pair_codes = group_idx.astype(np.int64) * (len(uvals) + 1) + inverse
         unique_pairs = np.unique(pair_codes)
@@ -182,8 +184,10 @@ class MedianAcc(Accumulator):
         self.groups: list[np.ndarray] = []
 
     def update(self, group_idx, values, n_groups):
-        self.values.append(values.astype(np.float64))
-        self.groups.append(group_idx)
+        group_idx, values = _without_nan(group_idx, values)
+        if len(values):
+            self.values.append(values.astype(np.float64))
+            self.groups.append(group_idx)
 
     def finalize(self, n_groups):
         if not self.values:
@@ -224,10 +228,10 @@ def make_accumulator(name: str, distinct: bool = False) -> Accumulator:
     raise ValueError(f"unknown aggregate {name!r}")
 
 
-def _grow(arr: np.ndarray, n: int) -> np.ndarray:
+def _grow(arr: np.ndarray, n: int, fill=0) -> np.ndarray:
     if len(arr) >= n:
         return arr
-    pad = np.zeros(n - len(arr), dtype=arr.dtype)
+    pad = np.full(n - len(arr), fill, dtype=arr.dtype)
     return np.concatenate([arr, pad])
 
 

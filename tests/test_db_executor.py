@@ -234,6 +234,46 @@ class TestAggregation:
         assert [name for name, *_ in made] == ["SUM", "COUNT"]
 
 
+class TestNullHandling:
+    """NaN is NULL to every aggregate: each one skips it."""
+
+    SQL = (
+        "SELECT g, COUNT(v) AS c, SUM(v) AS s, AVG(v) AS a, MIN(v) AS lo, MAX(v) AS hi, "
+        "STDDEV(v) AS sd, VAR(v) AS var, MEDIAN(v) AS med, COUNT(DISTINCT v) AS d "
+        "FROM t GROUP BY g ORDER BY g"
+    )
+
+    @pytest.fixture()
+    def groups(self, tmp_path):
+        d = Database(tmp_path / "n.db", result_cache=False)
+        nan = np.nan
+        d.create_table(
+            "t",
+            Frame({"g": np.asarray([0, 0, 0, 1, 1, 2, 2]),
+                   "v": np.asarray([1.0, nan, 3.0, 5.0, 7.0, nan, nan])}),
+            row_group_size=2,
+        )
+        out = d.query(self.SQL)
+        return [{name: out[name][i].item() for name in out.columns} for i in range(3)]
+
+    def test_every_aggregate_skips_nan(self, groups):
+        spread = {"c": 2, "sd": np.sqrt(2.0), "var": 2.0, "d": 2}
+        assert groups[0] == {"g": 0, "s": 4.0, "a": 2.0, "lo": 1.0, "hi": 3.0, "med": 2.0,
+                             **spread}
+        assert groups[1] == {"g": 1, "s": 12.0, "a": 6.0, "lo": 5.0, "hi": 7.0, "med": 6.0,
+                             **spread}
+
+    def test_a_group_of_nan_only(self, groups):
+        nan_only = groups[2]
+        assert (nan_only["c"], nan_only["d"], nan_only["s"], nan_only["var"]) == (0, 0, 0.0, 0.0)
+        assert np.isnan([nan_only[n] for n in ("a", "lo", "hi", "med")]).all()
+
+    def test_min_max_over_no_rows_is_nan(self, db):
+        out = db.query("SELECT MIN(count) AS lo, MAX(count) AS hi FROM halos WHERE count < 0")
+        assert out.num_rows == 1
+        assert np.isnan(out["lo"][0]) and np.isnan(out["hi"][0])
+
+
 class TestJoins:
     def test_inner_join_count(self, db, raw):
         out = db.query("SELECT h.tag, gmass FROM halos h JOIN galaxies g ON tag = tag")
