@@ -126,6 +126,18 @@ class TableStore:
             col = np.asarray(frame.column(name))
             arrays[name] = col.astype(str) if col.dtype == object else col
         columns = self._meta["columns"] or {n: a.dtype.str for n, a in arrays.items()}
+        # an append of wider strings widens the recorded dtype (its
+        # segments keep every character), so schema and zero-row results
+        # are as wide as the widest stored value
+        wider = {
+            n: a.dtype.str
+            for n, a in arrays.items()
+            if a.dtype.kind in "US"
+            and a.dtype.kind == np.dtype(columns[n]).kind
+            and a.dtype.itemsize > np.dtype(columns[n]).itemsize
+        }
+        if wider:
+            columns = {**columns, **wider}
         # per-row-group docs are never mutated once appended, so the staged
         # doc shares them with ``self._meta`` and copies only the lists this
         # append grows

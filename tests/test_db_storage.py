@@ -101,6 +101,18 @@ class TestAppendScan:
         out = table.store.read_all()
         assert list(out["s"]) == ["aa", "bbb"]
 
+    def test_wider_strings_widen_the_recorded_dtype(self, table):
+        """An append never truncates and never leaves the schema narrower
+        than what it stored: empty and non-empty results agree."""
+        table.append(Frame({"s": np.asarray(["ab", "cd"])}))
+        table.append(Frame({"s": np.asarray(["abcdefgh"])}))
+        table.append(Frame({"s": np.asarray(["x"])}))
+        assert table.db.schema("t") == {"s": "str256"}
+        full = table.db.query("SELECT s FROM t")
+        empty = table.db.query("SELECT s FROM t WHERE s = 'none'")
+        assert full["s"].tolist() == ["ab", "cd", "abcdefgh", "x"]
+        assert full["s"].dtype == empty["s"].dtype == np.dtype("<U8")
+
     def test_nbytes_counts_segments(self, table):
         table.append(make_frame(100), row_group_size=50)
         assert table.store.nbytes() > 100 * 8
