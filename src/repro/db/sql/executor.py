@@ -632,17 +632,17 @@ def _fold_grouped(
         call: make_accumulator(call.name, distinct=call.distinct) for call in agg_calls
     }
     registry = _GroupRegistry()
+    if not group_exprs:
+        # a global aggregate is one row, even over an empty table
+        registry.codes_for_keys([()])
 
-    saw_rows = False
     for chunk in chunks:
         chunk = _filter_chunk(stmt, chunk, keep)
         if chunk.num_rows == 0:
             continue
-        saw_rows = True
         if group_exprs:
             codes = registry.codes_for([np.asarray(evaluate(g, chunk)) for g in group_exprs])
         else:
-            registry.codes_for_keys([()])
             codes = np.zeros(chunk.num_rows, dtype=np.int64)
         for call, acc in accumulators.items():
             if call.args and not isinstance(call.args[0], ast.Star):
@@ -655,12 +655,7 @@ def _fold_grouped(
 
     n_groups = registry.n_groups
     if n_groups == 0:
-        if group_exprs or saw_rows:
-            return _empty_projection(stmt, schema)
-        # global aggregate over an empty table still yields one row
-        registry.index[()] = 0
-        registry.keys.append(())
-        n_groups = 1
+        return _empty_projection(stmt, schema)
 
     # per-group frame: group-key columns + materialized aggregate columns
     group_cols: dict[str, np.ndarray] = {}
