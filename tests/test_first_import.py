@@ -115,8 +115,11 @@ def test_a_query_without_a_plot_loads_neither_scipy_nor_networkx(ensemble, tmp_p
 # writer were deleted, 18 818 before the span bus lost its other event
 # kinds, its queue and its incremental trace writer, 18 542 before LLM
 # spend became a read of the llm.chat spans (obs/cost.py, its attribution
-# scopes and TokenMeter deleted).
-QUERY_SOURCE_LINES = 18_236
+# scopes and TokenMeter deleted), 18 236 before the SQL engine folded each
+# row group into one set of accumulators (Accumulator.merge and the
+# per-row-group partials deleted) and the span bus lost its buffered,
+# thread-per-subscriber wrapper.
+QUERY_SOURCE_LINES = 18_101
 
 
 def test_a_query_imports_at_most_the_pinned_source_lines(ensemble, tmp_path):
