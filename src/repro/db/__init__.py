@@ -4,7 +4,7 @@ The paper funnels all selected data into a DuckDB database so that
 "data operations [run] on disk rather than in memory".  This package
 provides the same contract with no external dependency:
 
-* column-oriented on-disk storage in row-group segments (``.npy`` files),
+* column-oriented on-disk storage, one :mod:`repro.gio` file per row group,
 * a SQL subset (SELECT / WHERE / GROUP BY / HAVING / ORDER BY / LIMIT /
   JOIN / expression arithmetic / aggregate functions) with a hand-written
   lexer, recursive-descent parser, logical planner and a vectorized

@@ -19,8 +19,9 @@ databases (every harness run loads the same subset) share entries.
 
 1. in-process bounded LRU of result frames (shared by every Database in
    the process, across redo attempts and repeated questions);
-2. on-disk ``.npy`` columns + JSON sidecar under ``cache_dir``, published
-   atomically (write-temp-then-rename) and served memory-mapped, shared
+2. on-disk entries under ``cache_dir``, one :mod:`repro.gio` file each
+   (``q_<key>.gio``: every column, the key in the header), published with
+   :func:`repro.durable.atomic_publish` and served memory-mapped, shared
    across harness worker processes;
 3. **incremental re-execution**: when a redo's normalized plan targets
    the same table state as a recently cached statement and its WHERE is
@@ -34,10 +35,10 @@ Every tier outcome increments one ``db.cache.*`` counter of the
 and stamps a ``cache`` attribute on the ``sql.execute`` span;
 :class:`QueryCacheStats` is a typed read of those counters.
 
-**Self-healing.**  Every published column file carries a CRC32 in the
-sidecar.  A read that fails verification — a torn write that published a
-truncated column, a bit flipped on disk, a mangled sidecar — *quarantines*
-the entry (moved under ``<cache_dir>/.quarantine/``, counted as
+**Self-healing.**  Every column of an entry carries a CRC32 in the
+file's header.  A read that fails verification — a torn write that
+published a truncated file, a bit flipped on disk, a mangled header —
+*quarantines* the entry (moved under ``<cache_dir>/.quarantine/``, counted as
 ``db.cache.quarantine``) and falls through to recomputation, which
 re-publishes a good copy.  Corruption therefore costs one extra execution,
 never a wrong answer and never a crash.
@@ -46,16 +47,10 @@ never a wrong answer and never a crash.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
-import shutil
-import tempfile
-import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from pathlib import Path
-
-import numpy as np
 
 from repro import faults
 from repro.db.errors import UnknownTableError
@@ -68,17 +63,18 @@ from repro.db.sql.normalize import (
     referenced_column_names,
     residual_conjuncts,
 )
+from repro.durable import atomic_publish
 from repro.frame import Frame
+from repro.gio.format import GIOFormatError, encode_gio, read_gio_verified
 from repro.obs import names as obs_names
 from repro.obs.logsetup import get_logger
 from repro.obs.names import SQL_EXECUTE_SPAN
 from repro.obs.metrics import CounterView, counter_field, get_registry
 from repro.obs.tracer import get_tracer
-from repro.util.pyast import load_npy
 
 log = get_logger("db.cache")
 
-SIDECAR_NAME = "result.json"
+ENTRY_SUFFIX = ".gio"
 QUARANTINE_DIRNAME = ".quarantine"
 DEFAULT_MEMORY_ENTRIES = 128
 _PARENTS_PER_SCAFFOLD = 8
@@ -377,8 +373,8 @@ class QueryResultCache:
         _register_parent(plan, states, key, frame)
 
     # -- disk tier -----------------------------------------------------
-    def _entry_dir(self, key: str) -> Path | None:
-        return None if self.cache_dir is None else self.cache_dir / f"q_{key}"
+    def _entry_path(self, key: str) -> Path | None:
+        return None if self.cache_dir is None else self.cache_dir / f"q_{key}{ENTRY_SUFFIX}"
 
     def quarantined_entries(self) -> list[Path]:
         if self.cache_dir is None:
@@ -386,11 +382,11 @@ class QueryResultCache:
         qdir = self.cache_dir / QUARANTINE_DIRNAME
         if not qdir.is_dir():
             return []
-        return sorted(p for p in qdir.iterdir() if p.is_dir())
+        return sorted(qdir.iterdir())
 
     def _disk_load(self, key: str) -> Frame | None:
-        entry = self._entry_dir(key)
-        if entry is None or not entry.is_dir():
+        entry = self._entry_path(key)
+        if entry is None:
             return None
         try:
             return self._read_entry(entry, key)
@@ -398,52 +394,21 @@ class QueryResultCache:
             self._quarantine(entry, str(exc))
             return None
         except OSError:
-            return None  # raced with another process's quarantine/clear
+            return None  # absent, or raced with another process's quarantine/clear
 
     def _read_entry(self, entry: Path, key: str) -> Frame:
-        """Load and *verify* one published entry.
+        """Load and *verify* one published entry: every column's CRC
+        (one ``storage.bit_flip`` draw each) and the key in its header.
 
         Raises :class:`_CorruptEntry` for anything that should not be
-        possible under an intact publish: unreadable/mismatched sidecar,
-        a missing or CRC-failing column file, a row-count mismatch.
+        possible under an intact publish.
         """
-        injector = faults.get_injector()
         try:
-            meta = json.loads((entry / SIDECAR_NAME).read_text())
-        except FileNotFoundError:
-            raise _CorruptEntry("sidecar missing") from None
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise _CorruptEntry(f"sidecar unreadable: {exc}") from None
-        if not isinstance(meta, dict) or meta.get("key") != key:
-            raise _CorruptEntry("sidecar key mismatch")
-        try:
-            names = list(meta["columns"])
-            num_rows = int(meta["num_rows"])
-            crcs = [int(crc) for crc in meta["crc32"]]
-            if len(crcs) != len(names):
-                raise ValueError(f"{len(crcs)} CRCs for {len(names)} columns")
-        except (KeyError, TypeError, ValueError) as exc:
-            raise _CorruptEntry(f"sidecar schema: {exc}") from None
-        columns: dict[str, np.ndarray] = {}
-        for i, name in enumerate(names):
-            path = entry / f"col{i:05d}.npy"
-            try:
-                raw = path.read_bytes()
-            except FileNotFoundError:
-                raise _CorruptEntry(f"column file {path.name} missing") from None
-            if injector.fire(faults.STORAGE_BIT_FLIP):
-                raw = injector.flip_bit(faults.STORAGE_BIT_FLIP, raw)
-            if (zlib.crc32(raw) & 0xFFFFFFFF) != crcs[i]:
-                raise _CorruptEntry(f"column {name!r} failed CRC")
-            try:
-                arr = load_npy(path)
-            except (OSError, ValueError) as exc:
-                raise _CorruptEntry(f"column {name!r} unreadable: {exc}") from None
-            if len(arr) != num_rows:
-                raise _CorruptEntry(
-                    f"column {name!r} has {len(arr)} rows, sidecar says {num_rows}"
-                )
-            columns[name] = arr
+            attrs, columns = read_gio_verified(entry, fault_point=faults.STORAGE_BIT_FLIP)
+        except GIOFormatError as exc:
+            raise _CorruptEntry(str(exc)) from None
+        if attrs.get("key") != key:
+            raise _CorruptEntry("header key mismatch")
         return Frame(columns)
 
     def _quarantine(self, entry: Path, detail: str) -> None:
@@ -459,65 +424,36 @@ class QueryResultCache:
             qdir.mkdir(parents=True, exist_ok=True)
             os.replace(entry, qdir / entry.name)
         except OSError:
-            shutil.rmtree(entry, ignore_errors=True)
+            entry.unlink(missing_ok=True)
 
     def _disk_store(self, key: str, frame: Frame) -> None:
-        """Atomic write-temp-then-rename publish (racers lose quietly)."""
-        entry = self._entry_dir(key)
+        """Publish one entry file (racers lose quietly); the publish draws
+        ``storage.torn_write`` once, and a torn entry is published for the
+        read side to catch."""
+        entry = self._entry_path(key)
         if entry is None or entry.exists():
             return
         if any(frame.column(n).dtype == object for n in frame.columns):
-            return  # object columns don't round-trip .npy; memory tier only
+            return  # object columns don't round-trip; memory tier only
+        parts, _ = encode_gio({n: frame.column(n) for n in frame.columns}, {"key": key})
         try:
-            self.cache_dir.mkdir(parents=True, exist_ok=True)
-            tmp = Path(tempfile.mkdtemp(dir=self.cache_dir, prefix=".q_tmp_"))
+            atomic_publish(entry, b"".join(parts), fault_point=faults.STORAGE_TORN_WRITE)
         except OSError:
-            return  # read-only workdir degrades to in-process caching
-        try:
-            crcs: list[int] = []
-            for i, name in enumerate(frame.columns):
-                path = tmp / f"col{i:05d}.npy"
-                np.save(path, np.asarray(frame.column(name)), allow_pickle=False)
-                crcs.append(zlib.crc32(path.read_bytes()) & 0xFFFFFFFF)
-            sidecar = {
-                "key": key,
-                "columns": list(frame.columns),
-                "dtypes": [str(frame.column(n).dtype) for n in frame.columns],
-                "num_rows": frame.num_rows,
-                "crc32": crcs,
-            }
-            (tmp / SIDECAR_NAME).write_text(json.dumps(sidecar, indent=1))
-            injector = faults.get_injector()
-            if frame.columns and injector.fire(faults.STORAGE_TORN_WRITE):
-                # tear the first column file *after* its CRC was recorded:
-                # the publish "succeeds", and the read side must catch it
-                victim = tmp / "col00000.npy"
-                victim.write_bytes(
-                    injector.truncate(faults.STORAGE_TORN_WRITE, victim.read_bytes())
-                )
-            os.rename(tmp, entry)
-        except OSError:
-            shutil.rmtree(tmp, ignore_errors=True)
+            pass  # read-only workdir degrades to in-process caching
 
     # -- maintenance ---------------------------------------------------
     def disk_entries(self) -> list[Path]:
         if self.cache_dir is None or not self.cache_dir.is_dir():
             return []
-        return sorted(p for p in self.cache_dir.iterdir()
-                      if p.is_dir() and p.name.startswith("q_"))
+        return sorted(self.cache_dir.glob(f"q_*{ENTRY_SUFFIX}"))
 
     def footprint_bytes(self) -> int:
         """On-disk bytes held by published result entries."""
-        return sum(
-            f.stat().st_size
-            for entry in self.disk_entries()
-            for f in entry.iterdir()
-            if f.is_file()
-        )
+        return sum(entry.stat().st_size for entry in self.disk_entries())
 
     def clear_disk(self) -> int:
         """Remove every published entry; returns how many were dropped."""
         entries = self.disk_entries()
         for entry in entries:
-            shutil.rmtree(entry, ignore_errors=True)
+            entry.unlink(missing_ok=True)
         return len(entries)

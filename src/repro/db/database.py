@@ -103,8 +103,8 @@ class CatalogSnapshot:
 
     Entries are replaced on commit and never mutated, so a snapshot is
     immutable without a copy, and reads through it are repeatable for its
-    whole lifetime even while a writer appends: committed segment
-    directories are immutable and each store reads exactly the row groups
+    whole lifetime even while a writer appends: committed row-group
+    files are immutable and each store reads exactly the row groups
     its entry lists.  ``table_state`` comes from the same entry, so
     query-result cache keys taken under a pin match exactly the results a
     quiescent database at this version would produce.  Stores (with their
@@ -380,7 +380,7 @@ class Database:
             if skipped:
                 registry.counter(obs_names.WAL_SKIPPED_COMMITTED).inc(skipped)
             # even with no replayable record, a crashed stage may have left
-            # segment dirs past a table's committed row groups, or a whole
+            # row-group files past a table's committed ones, or a whole
             # generation of a create that never committed
             on_disk = {p.name for p in self.path.iterdir() if _NAME_RE.match(p.name)}
             for name in sorted(on_disk | set(self._tables)):
@@ -404,7 +404,7 @@ class Database:
         """Drop what ``name``'s committed entry does not list: row groups
         past its committed ones, and every generation directory it does not
         name (a create that never committed).  Recovery and roll-back
-        helper; returns the number of row-group directories removed."""
+        helper; returns the number of row-group files removed."""
         table_dir = self.path / name
         entry = self._tables.get(name)
         dropped = 0

@@ -4,7 +4,7 @@ A table's rows live in a generation directory of their own, one per
 create::
 
     <db>/<table>/<generation>/
-      rg00000/<column>.npy      # one contiguous array per column per group
+      rg00000                   # one repro.gio file per row group
 
 and its metadata (generation, dtypes, row-group row counts, zone maps,
 blooms and per-segment checksums) in the table's entry of the database's
@@ -17,9 +17,13 @@ of the dropped one reads that entry's bytes or fails with a
 
 Row groups bound executor memory: a scan yields one group at a time, so a
 filter over a table of any size peaks at ``row_group_size`` rows — the
-"on disk rather than in memory" property the paper gets from DuckDB.
-``.npy`` is used as the segment container because NumPy memory-maps it for
-free, giving zero-copy selective column reads.
+"on disk rather than in memory" property the paper gets from DuckDB.  A
+row-group file holds every column back to back, each aligned to 64 bytes,
+with the offsets in the file's own header (not the catalog: a group
+written before a string-widening append keeps its narrower dtype, so only
+the file knows its byte layout).  A read maps the file once and views the
+requested columns (:func:`repro.gio.format.map_gio`): zero-copy and
+selective, and the other columns' pages are never touched.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from __future__ import annotations
 import hashlib
 import json
 import shutil
-import zlib
 from collections.abc import Iterator, Sequence
 from contextlib import suppress
 from pathlib import Path
@@ -38,7 +41,7 @@ from repro import faults
 from repro.db.bloom import BloomFilter
 from repro.db.errors import DBError, IngestKilled, UnknownColumnError
 from repro.frame import Frame
-from repro.util.pyast import load_npy
+from repro.gio.format import GIOFormatError, encode_gio, map_gio
 
 DEFAULT_ROW_GROUP_SIZE = 65536
 # the table metadata every catalog entry carries; all but ``columns`` are
@@ -56,7 +59,7 @@ class TableStore:
 
     ``meta`` is never mutated: a write stages a new metadata doc
     (:meth:`stage_append`) and the database commits it as a new catalog
-    entry.  Committed segment directories are immutable (appends only ever
+    entry.  Committed row-group files are immutable (appends only ever
     add higher-numbered groups), so a store built from an older entry keeps
     reading exactly that entry's rows.  A store is shared by every
     statement and thread (serve workers read concurrently) reading through
@@ -103,7 +106,7 @@ class TableStore:
 
     def nbytes(self) -> int:
         """Bytes on disk across all segments (storage-overhead metric)."""
-        return sum(f.stat().st_size for f in self.path.rglob("*.npy"))
+        return sum(f.stat().st_size for f in self.path.glob("rg*"))
 
     # ------------------------------------------------------------------
     def stage_append(
@@ -115,7 +118,7 @@ class TableStore:
         Until the database publishes the returned doc in ``catalog.json``
         the staged groups are invisible: every store reads only the groups
         its catalog entry lists.  A crash mid-stage leaves only orphan
-        segment directories, which recovery discards or overwrites.  The
+        row-group files, which recovery discards or overwrites.  The
         caller has already checked the frame's columns against the table's.
         """
         # object columns are stored as fixed-width strings, converted once
@@ -147,14 +150,10 @@ class TableStore:
         for start in range(0, frame.num_rows, row_group_size):
             stop = start + row_group_size
             rg_index = len(staged["row_groups"])
-            rg_dir = self.path / f"rg{rg_index:05d}"
-            rg_dir.mkdir(parents=True, exist_ok=True)
+            group = {name: full[start:stop] for name, full in arrays.items()}
             zone_map: dict[str, list[float]] = {}
             blooms: dict[str, dict] = {}
-            checksums: dict[str, int] = {}
-            last_path: Path | None = None
-            for name, full in arrays.items():
-                col = full[start:stop]
+            for name, col in group.items():
                 if np.issubdtype(col.dtype, np.number) and len(col):
                     # a zone map is only sound when it bounds EVERY row:
                     # NaN/inf escape [min(finite), max(finite)], so groups
@@ -168,22 +167,17 @@ class TableStore:
                 bloom = BloomFilter.build(col)
                 if bloom is not None:
                     blooms[name] = bloom.to_meta()
-                checksums[name] = zlib.crc32(np.ascontiguousarray(col).tobytes())
-                last_path = rg_dir / f"{name}.npy"
-                np.save(last_path, col, allow_pickle=False)
-            if last_path is not None and faults.fire_ingest_kill(
-                faults.INGEST_PARTIAL_ROW_GROUP
-            ):
-                # die mid-segment: the last column file survives as a torn
+            parts, checksums = encode_gio(group)
+            rg_path = self.path / f"rg{rg_index:05d}"
+            with rg_path.open("wb") as fh:
+                fh.writelines(parts)
+            if group and faults.fire_ingest_kill(faults.INGEST_PARTIAL_ROW_GROUP):
+                # die mid-segment: the row-group file survives as a torn
                 # prefix, an orphan the commit never covers
                 injector = faults.get_injector()
-                data = last_path.read_bytes()
-                last_path.write_bytes(
-                    injector.truncate(faults.INGEST_PARTIAL_ROW_GROUP, data)
-                )
-                raise IngestKilled(
-                    "stage-row-group", f"torn segment {last_path.name} in rg{rg_index:05d}"
-                )
+                torn = injector.truncate(faults.INGEST_PARTIAL_ROW_GROUP, rg_path.read_bytes())
+                rg_path.write_bytes(torn)
+                raise IngestKilled("stage-row-group", f"torn segment rg{rg_index:05d}")
             staged["row_groups"].append(min(stop, frame.num_rows) - start)
             staged["zone_maps"].append(zone_map)
             staged["blooms"].append(blooms)
@@ -191,17 +185,17 @@ class TableStore:
         return staged
 
     def discard_uncommitted(self) -> int:
-        """Drop segment directories past this store's row groups: what a
-        crash or a failed statement staged and never committed.  Returns
-        the number of directories removed."""
+        """Drop row-group files past this store's row groups: what a crash
+        or a failed statement staged and never committed.  Returns the
+        number of files removed."""
         dropped = 0
-        for rg_dir in self.path.glob("rg*"):
+        for rg_path in self.path.glob("rg*"):
             try:
-                index = int(rg_dir.name[2:])
+                index = int(rg_path.name[2:])
             except ValueError:
                 continue
-            if index >= self.num_row_groups and rg_dir.is_dir():
-                shutil.rmtree(rg_dir)
+            if index >= self.num_row_groups:
+                rg_path.unlink()
                 dropped += 1
         return dropped
 
@@ -215,16 +209,19 @@ class TableStore:
         names = list(columns) if columns is not None else self.columns
         for n in names:
             self.dtype_of(n)  # validate with a helpful error
-        rg_dir = self.path / f"rg{index:05d}"
-        mode = "r" if mmap else None
+        rg_path = self.path / f"rg{index:05d}"
         try:
-            return Frame({n: load_npy(rg_dir / f"{n}.npy", mmap_mode=mode) for n in names})
-        except FileNotFoundError as exc:
+            arrays = map_gio(rg_path, names)
+        except FileNotFoundError:
             raise DBError(
-                f"segment {Path(exc.filename).name} of row group {index} at {self.path} "
-                f"is gone: the table was dropped or re-created after this snapshot "
-                f"was taken"
-            ) from exc
+                f"row group {index} at {self.path} is gone: the table was dropped "
+                f"or re-created after this snapshot was taken"
+            ) from None
+        except GIOFormatError as exc:
+            raise DBError(f"row group {index} is corrupt: {exc}") from None
+        if not mmap:
+            arrays = {n: np.array(col) for n, col in arrays.items()}
+        return Frame(arrays)
 
     def zone_map(self, index: int) -> dict[str, tuple[float, float]]:
         """Per-column (min, max) of one row group."""

@@ -8,7 +8,7 @@ bytes move, as one :func:`repro.durable.frame` record under the magic
 The commit protocol (driven by the database, not this module):
 
 1. frame + fsync the WAL record — the intent is durable;
-2. stage the new row-group segment directories (no metadata publish);
+2. stage the new row-group files (no metadata publish);
 3. publish ``catalog.json`` with the table's new entry (bumped version,
    row groups, zone maps, blooms, checksums) — **this single atomic
    rename is the commit point**;

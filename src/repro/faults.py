@@ -4,7 +4,7 @@
 ``center_x`` for ``fof_halo_center_x`` — from a dedicated RNG stream so
 the paper's QA-loop dynamics reproduce bit-for-bit.  This module extends
 the same philosophy to *infrastructure* faults: the HTTP sandbox gateway
-dropping a request, a query-cache ``.npy`` entry coming back with a
+dropping a request, a query-cache entry coming back with a
 flipped bit, a checkpoint blob corrupted on disk.  Each named fault point
 draws from its own derived RNG stream (:func:`repro.util.rngs.derive_seed`),
 so changing how often one component is exercised never perturbs another,
@@ -56,7 +56,7 @@ CHECKPOINT_CORRUPT = "checkpoint.corrupt"      # checkpoint blob corrupted on di
 # the same code but must never host a simulated kill.
 WAL_TORN_TAIL = "ingest.wal.torn_tail"             # die mid-WAL-append: torn tail
 INGEST_KILL_APPLY = "ingest.kill.apply"            # die before staging row groups
-INGEST_PARTIAL_ROW_GROUP = "ingest.partial_row_group"  # die mid-segment: torn .npy
+INGEST_PARTIAL_ROW_GROUP = "ingest.partial_row_group"  # die mid-segment: torn row group
 INGEST_KILL_PUBLISH = "ingest.kill.publish"        # die after staging, before the catalog commit
 
 FAULT_POINTS = (

@@ -8,19 +8,22 @@ evaluation run used to do — is redundant work on the hottest end-to-end
 path in the repo.
 
 This module builds the matrix once per (corpus-content-hash, embedder
-key), persists it as ``<key>.npy`` plus a JSON sidecar under a cache
-directory, and serves it back memory-mapped so that concurrent harness
-worker processes share one on-disk copy instead of each materializing
-hundreds of column embeddings.  Three tiers:
+key), persists it under a cache directory as one :mod:`repro.gio` file
+(``retrieval_<key>.gio``: the flattened matrix is its one column; key,
+embedder and shape are header ``attrs``), and serves it back
+memory-mapped so that concurrent harness worker processes share one
+on-disk copy instead of each materializing hundreds of column embeddings.
+Three tiers:
 
 1. in-process memo (dict, exact same object back);
-2. on-disk ``.npy`` opened with ``mmap_mode='r'`` (validated against the
-   sidecar's fingerprint and shape; matrices up to
-   ``MATERIALIZE_MAX_BYTES`` are then copied into memory, because MMR's
-   per-row indexed dot products are ~4x slower over a memmap);
-3. cold build via ``embedder.embed_batch`` followed by a
-   :func:`repro.durable.atomic_publish` of matrix then sidecar, so racing
-   processes never observe a half-written artifact.
+2. the on-disk file, mapped and CRC-checked
+   (:func:`repro.gio.format.read_gio_verified`), then validated against
+   its header's key and shape; matrices up to ``MATERIALIZE_MAX_BYTES``
+   are then returned as plain ndarrays, because MMR's per-row indexed
+   dot products are ~4x slower over a memmap subclass;
+3. cold build via ``embedder.embed_batch`` followed by one
+   :func:`repro.durable.atomic_publish` of the file, so racing processes
+   never observe a half-written artifact.
 
 Every tier outcome increments one ``rag.cache.*`` / ``rag.memo.*``
 counter of the :mod:`repro.obs.metrics` registry (names declared in
@@ -32,7 +35,6 @@ harness run's ``metrics.json``, ``HarnessResult.perf.cache`` and
 from __future__ import annotations
 
 import hashlib
-import json
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -41,13 +43,12 @@ from pathlib import Path
 import numpy as np
 
 from repro.durable import atomic_publish
+from repro.gio.format import GIOFormatError, encode_gio, read_gio_verified
 from repro.llm.embeddings import HashedEmbedder
 from repro.obs import names as obs_names
 from repro.obs.metrics import CounterView, counter_field, get_registry
-from repro.util.pyast import load_npy
 
-SIDECAR_SUFFIX = ".json"
-MATRIX_SUFFIX = ".npy"
+MATRIX_COLUMN = "matrix"
 QUERY_MEMO_MAX = 1024
 # below this size a disk-loaded matrix is copied into memory: MMR does
 # thousands of per-row indexed dot products per retrieval, which run
@@ -174,7 +175,7 @@ class RetrievalArtifactCache:
     """Builds/loads the corpus embedding matrix once per content key.
 
     ``matrix_for`` returns a read-only array: either the in-process memo,
-    a memory-mapped view of the persisted ``.npy`` (shared across worker
+    a memory-mapped view of the persisted file (shared across worker
     processes), or a freshly built matrix that is then published for
     everyone else.
     """
@@ -184,10 +185,7 @@ class RetrievalArtifactCache:
 
     # -- paths ---------------------------------------------------------
     def matrix_path(self, key: str) -> Path:
-        return self.cache_dir / f"retrieval_{key}{MATRIX_SUFFIX}"
-
-    def sidecar_path(self, key: str) -> Path:
-        return self.cache_dir / f"retrieval_{key}{SIDECAR_SUFFIX}"
+        return self.cache_dir / f"retrieval_{key}.gio"
 
     # -- api -----------------------------------------------------------
     def matrix_for(self, texts: list[str], embedder: HashedEmbedder) -> np.ndarray:
@@ -212,36 +210,28 @@ class RetrievalArtifactCache:
 
     # -- disk tier -----------------------------------------------------
     def _load(self, key: str, n_documents: int, dim: int) -> np.ndarray | None:
-        matrix_path = self.matrix_path(key)
-        sidecar_path = self.sidecar_path(key)
-        if not (matrix_path.exists() and sidecar_path.exists()):
-            return None
         try:
-            meta = json.loads(sidecar_path.read_text())
-            if meta.get("key") != key:
-                return None
-            matrix = load_npy(matrix_path)
-        except (OSError, ValueError, json.JSONDecodeError):
+            attrs, columns = read_gio_verified(self.matrix_path(key))
+        except (OSError, GIOFormatError):
             return None
-        if matrix.shape != (n_documents, dim):
+        flat = columns.get(MATRIX_COLUMN)
+        if attrs.get("key") != key or flat is None or len(flat) != n_documents * dim:
             return None
+        matrix = flat.reshape(n_documents, dim)
         if matrix.nbytes <= MATERIALIZE_MAX_BYTES:
             return np.ascontiguousarray(matrix)
         return matrix
 
     def _publish(self, key: str, matrix: np.ndarray, embedder: HashedEmbedder) -> None:
-        """Matrix first, sidecar last: ``_load`` needs both, so a reader
-        never pairs a new sidecar with a missing matrix."""
-        sidecar = {
+        attrs = {
             "key": key,
             "embedder": embedder.cache_key(),
             "n_documents": int(matrix.shape[0]),
             "dim": int(matrix.shape[1]),
-            "dtype": str(matrix.dtype),
         }
+        parts, _ = encode_gio({MATRIX_COLUMN: np.ravel(matrix)}, attrs)
         try:
-            atomic_publish(self.matrix_path(key), lambda fh: np.save(fh, matrix))
-            atomic_publish(self.sidecar_path(key), json.dumps(sidecar, indent=1).encode())
+            atomic_publish(self.matrix_path(key), lambda fh: fh.writelines(parts))
         except OSError:
             # a read-only workdir degrades to in-process caching only
             pass

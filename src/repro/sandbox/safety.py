@@ -16,8 +16,13 @@ that passes still runs without builtins that touch the host.
 from __future__ import annotations
 
 import ast
+import threading
 
-from repro.util.pyast import AST_LOCK
+# CPython 3.11 keeps the AST constructor's recursion counter per
+# interpreter, so two threads parsing at once (serve workers audit
+# concurrently) can fail with ``SystemError: AST constructor recursion
+# depth mismatch``: every parse in the process takes turns here
+AST_LOCK = threading.Lock()
 
 ALLOWED_IMPORTS = {
     "numpy",

@@ -1,6 +1,6 @@
 """Shared low-level utilities, one module each: ``tokens`` (tokenization
 and metering), ``rngs`` (seed derivation, numpy streams), ``timing`` (the
-injected clocks), ``text``, ``pyast`` (the lock every AST build takes).
+injected clocks), ``text``.
 
 Import the module you need: the package re-exports nothing, so taking a
 clock does not load numpy.

@@ -18,6 +18,7 @@ from repro.db.cache import (
 )
 from repro.faults import NO_FAULTS, FaultInjector, use_faults
 from repro.frame import Frame
+from repro.gio.format import GIOFile
 
 
 @pytest.fixture(autouse=True)
@@ -328,26 +329,28 @@ class TestDiskSharing:
     def test_corrupt_disk_entry_degrades_to_miss(self, db, tmp_path):
         sql = "SELECT mass FROM halos WHERE step = 1"
         expected = db.query(sql)
-        # truncate every column payload in the published entries
+        # replace every published entry with a few garbage bytes
         cache = db._result_cache
         for entry in cache.disk_entries():
-            for npy in entry.glob("col*.npy"):
-                npy.write_bytes(b"corrupt")
+            entry.write_bytes(b"corrupt")
         clear_memory_cache()
+        before = stats_snapshot()
         out = db.query(sql)
+        assert stats_snapshot().delta(before).quarantined == 1
         assert_frames_byte_identical(out, expected)
 
     def test_corrupt_column_quarantined_and_recomputed(self, db, tmp_path):
-        """A bit-flipped payload fails the CRC, the entry moves to
-        ``.quarantine/``, and recomputation restores byte-identity."""
+        """A bit flipped in a column's payload fails its CRC, the entry
+        moves to ``.quarantine/``, and recomputation restores
+        byte-identity."""
         sql = "SELECT mass FROM halos WHERE step = 2"
         expected = db.query(sql)
         cache = db._result_cache
         (entry,) = cache.disk_entries()
-        npy = sorted(entry.glob("col*.npy"))[0]
-        raw = bytearray(npy.read_bytes())
-        raw[len(raw) // 2] ^= 0x01  # single flipped bit
-        npy.write_bytes(bytes(raw))
+        column = GIOFile(entry)._entry("mass")
+        raw = bytearray(entry.read_bytes())
+        raw[column["offset"] + column["nbytes"] // 2] ^= 0x01  # single flipped bit
+        entry.write_bytes(bytes(raw))
 
         clear_memory_cache()
         before = stats_snapshot()
@@ -365,12 +368,14 @@ class TestDiskSharing:
         db.query(sql)
         assert stats_snapshot().delta(before).disk_hits == 1
 
-    def test_garbage_sidecar_quarantined(self, db):
+    def test_garbage_header_quarantined(self, db):
         sql = "SELECT count FROM halos WHERE step = 4"
         expected = db.query(sql)
         cache = db._result_cache
         (entry,) = cache.disk_entries()
-        (entry / qcache.SIDECAR_NAME).write_text("{truncated sidec")
+        raw = bytearray(entry.read_bytes())
+        raw[14:30] = b"{truncated heade"  # the JSON header starts at byte 14
+        entry.write_bytes(bytes(raw))
         clear_memory_cache()
         before = stats_snapshot()
         out = db.query(sql)
@@ -378,19 +383,21 @@ class TestDiskSharing:
         assert_frames_byte_identical(out, expected)
 
     @pytest.mark.parametrize("damage", ["stripped", "short"])
-    def test_sidecar_without_every_crc_is_quarantined(self, db, oracle, damage):
-        """The CRC check is not the entry's to opt out of: a sidecar with
-        no ``crc32`` (or one CRC too few) is corrupt, never served as is."""
+    def test_header_without_every_crc_is_quarantined(self, db, oracle, damage):
+        """The CRC check is not the entry's to opt out of: a header whose
+        columns carry no ``crc32`` (or one CRC too few) is corrupt, never
+        served as is."""
         sql = "SELECT mass, count FROM halos WHERE step = 5"
         db.query(sql)
         (entry,) = db._result_cache.disk_entries()
-        sidecar = entry / qcache.SIDECAR_NAME
-        meta = json.loads(sidecar.read_text())
-        if damage == "stripped":
-            del meta["crc32"]
-        else:
-            meta["crc32"].pop()
-        sidecar.write_text(json.dumps(meta))
+        raw = entry.read_bytes()
+        header_len = int.from_bytes(raw[6:14], "little")
+        doc = json.loads(raw[14 : 14 + header_len])
+        for column in doc["columns"] if damage == "stripped" else doc["columns"][-1:]:
+            del column["crc32"]
+        header = json.dumps(doc).encode().ljust(header_len)
+        assert len(header) == header_len
+        entry.write_bytes(raw[:14] + header + raw[14 + header_len :])
         clear_memory_cache()
         before = stats_snapshot()
         out = db.query(sql)
@@ -399,17 +406,17 @@ class TestDiskSharing:
         assert_frames_byte_identical(out, oracle.query(sql))
 
     def test_injected_torn_write_never_published(self, db, oracle):
-        """With storage.torn_write at rate 1.0 every publish attempt tears
-        a column mid-write; the entry must not land in the disk tier, and
-        results stay byte-identical via recomputation."""
+        """With storage.torn_write at rate 1.0 every store publishes a torn
+        entry file; no read serves it, and results stay byte-identical via
+        recomputation."""
         injector = FaultInjector(NO_FAULTS.with_rates(storage_torn_write=1.0))
         sql = "SELECT mass, count FROM halos WHERE step = 3"
         with use_faults(injector):
             out = db.query(sql)
         assert injector.schedule()[faults.STORAGE_TORN_WRITE] >= 1
         assert_frames_byte_identical(out, oracle.query(sql))
-        # the torn tmp dir was either never renamed or fails CRC on read;
-        # a fresh-process read must not serve torn bytes
+        # the torn entry was published and fails its check on read; a
+        # fresh-process read must not serve torn bytes
         clear_memory_cache()
         warm = db.query(sql)
         assert_frames_byte_identical(warm, oracle.query(sql))

@@ -222,7 +222,7 @@ class TestOneCommitFile:
     ):
         """A populated create or append is one verified publish (of
         ``catalog.json``), as is a drop; the directory then holds only the
-        catalog, the log and row-group segment directories."""
+        catalog, the log and one file per row group."""
         import repro.durable as durable_mod
 
         published, real_replace = [], durable_mod.os.replace
@@ -244,5 +244,5 @@ class TestOneCommitFile:
             str(p.relative_to(db.path)) for p in db.path.rglob("*") if p.is_file()
         )
         gen = db.store("t").path.name
-        assert files == ["catalog.json", *(f"t/{gen}/rg{i:05d}/x.npy" for i in range(5)), "wal.log"]
+        assert files == ["catalog.json", *(f"t/{gen}/rg{i:05d}" for i in range(5)), "wal.log"]
         assert Database(db.path).store("t").num_rows == 58

@@ -48,7 +48,7 @@ class TestStagedIsInvisible:
         on_disk = (db.path / "catalog.json").read_bytes()
 
         def staged_but_not_committed(handle, tables):
-            assert (db.store("t").path / "rg00005").is_dir()
+            assert (db.store("t").path / "rg00005").is_file()
             assert len(tables["t"]["row_groups"]) == 6
             assert handle._tables["t"] == entry
             assert (db.path / "catalog.json").read_bytes() == on_disk
@@ -89,7 +89,7 @@ class TestStagedIsInvisible:
         with faults.use_faults(faults.FaultInjector(profile)), faults.arm_ingest_kills():
             with pytest.raises(IngestKilled, match="rg00006"):
                 db.append("t", make_frame(60, offset=25))
-        assert (db.store("t").path / "rg00005").is_dir()
+        assert (db.store("t").path / "rg00005").is_file()
         assert db._tables["t"] == entry
         assert Database(db.path)._tables["t"] == entry
         assert db.store("t").num_row_groups == 3

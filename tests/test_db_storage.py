@@ -10,7 +10,8 @@ import pytest
 from repro.db import Database
 from repro.db.errors import DBError, UnknownColumnError
 from repro.frame import Frame
-from repro.util.pyast import AST_LOCK
+from repro.gio.format import ALIGNMENT, GIOFile
+from repro.sandbox.safety import AST_LOCK
 
 
 def make_frame(n, offset=0):
@@ -128,10 +129,10 @@ class TestAppendScan:
         assert isinstance(chunk["a"], np.ndarray)
         assert chunk["a"][5] == 5
 
-    def test_segment_opens_wait_for_the_ast_lock(self, table):
-        """NumPy parses ``.npy`` headers with ``ast``; CPython 3.11 cannot
-        build ASTs on two threads at once, so a segment open waits while
-        anything else holds :data:`AST_LOCK`."""
+    def test_segment_read_does_not_wait_for_the_ast_lock(self, table):
+        """A row-group read parses a JSON header, never a Python AST, so
+        it completes while another thread holds :data:`AST_LOCK` (the
+        sandbox audit's lock)."""
         table.append(make_frame(10))
         opened = []
         reader = threading.Thread(
@@ -139,10 +140,38 @@ class TestAppendScan:
         )
         with AST_LOCK:
             reader.start()
-            reader.join(timeout=0.2)
-            assert reader.is_alive() and not opened
-        reader.join(timeout=10.0)
+            reader.join(timeout=10.0)
+            assert not reader.is_alive()
         assert len(opened) == 1 and list(opened[0]["a"]) == list(range(10))
+
+    def test_one_file_per_row_group_with_every_column(self, table):
+        """A row group is one ``repro.gio`` file holding every column,
+        each 64-byte aligned, its checksums equal to the catalog's."""
+        table.append(make_frame(250), row_group_size=100)
+        files = sorted(p.name for p in table.store.path.iterdir())
+        assert files == ["rg00000", "rg00001", "rg00002"]
+        entry = json.loads((table.db.path / "catalog.json").read_text())["t"]
+        for index, name in enumerate(files):
+            gio = GIOFile(table.store.path / name)
+            assert gio.columns == ["a", "x"]
+            assert all(gio._entry(c)["offset"] % ALIGNMENT == 0 for c in gio.columns)
+            assert {c: gio._entry(c)["crc32"] for c in gio.columns} == entry["checksums"][index]
+            assert np.array_equal(gio.read_column("a"), table.store.read_row_group(index)["a"])
+
+    def test_segment_reads_stay_memory_mapped(self, table):
+        table.append(make_frame(1000), row_group_size=100)
+        chunk = table.store.read_row_group(3, ["x", "a"])
+        assert all(isinstance(chunk[c], np.memmap) for c in ("x", "a"))
+        copied = table.store.read_row_group(3, ["x"], mmap=False)["x"]
+        assert not isinstance(copied, np.memmap) and copied.base is None
+
+    def test_corrupt_row_group_is_a_db_error(self, table):
+        table.append(make_frame(100), row_group_size=50)
+        path = table.store.path / "rg00001"
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(DBError, match="row group 1 is corrupt.*truncated column 'x'"):
+            table.store.read_row_group(1, ["x"])
+        assert list(table.store.read_row_group(0, ["a"])["a"]) == list(range(50))
 
 
 class TestVersioningAndSignatures:
@@ -205,6 +234,6 @@ class TestCrashSafeMeta:
             table.append(make_frame(10))
         monkeypatch.undo()
         assert (table.db.path / "catalog.json").read_text() == good
-        assert not (table.db.path / "t" / "rg00001").exists()
+        assert not list(table.db.path.glob("t/*/rg00001"))
         reloaded = Database(table.db.path)
         assert reloaded.table_version("t") == 1 and reloaded.store("t").num_rows == 10

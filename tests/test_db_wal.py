@@ -24,6 +24,7 @@ from repro.db.wal import _MAGIC as WAL_MAGIC
 from repro.db.wal import WriteAheadLog, make_append_record
 from repro.durable import frame, scan_frames
 from repro.frame import Frame
+from repro.gio.format import GIOFile
 from repro.graph.checkpoint import _MAGIC as CHECKPOINT_MAGIC
 from repro.obs import names as obs_names
 from repro.obs.metrics import get_registry
@@ -114,10 +115,10 @@ class TestCommitProtocol:
         # 40 rows are rg00000-rg00002; the 24 new ones would be rg00003-4
         staged = [db.store("t").path / f"rg{i:05d}" for i in (3, 4)]
         if point_field == "ingest_kill_publish":
-            for rg_dir, rows in zip(staged, (extra[:16], extra[16:])):
+            for rg_path, rows in zip(staged, (extra[:16], extra[16:])):
+                segment = GIOFile(rg_path)
                 for column in rows.columns:
-                    segment = np.load(rg_dir / f"{column}.npy")
-                    assert np.array_equal(segment, rows.column(column))
+                    assert np.array_equal(segment.read_column(column), rows.column(column))
         # a fresh handle (= a reader process) sees only the committed state
         reader = open_db(tmp_path / "db")
         assert reader.table_version("t") == pre_version
@@ -128,7 +129,7 @@ class TestCommitProtocol:
 
         # recovery drops what was staged, replays the durable intent and
         # lands post-append
-        orphans = sum(rg_dir.is_dir() for rg_dir in staged)
+        orphans = sum(rg_path.is_file() for rg_path in staged)
         assert orphans == {"ingest_kill_apply": 0, "ingest_partial_row_group": 1,
                            "ingest_kill_publish": 2}[point_field]
         report = db.recover()

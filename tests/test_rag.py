@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.gio import GIOFile, write_gio
 from repro.llm import HashedEmbedder
 from repro.rag import (
     ColumnRetriever,
@@ -118,7 +119,7 @@ class TestRetrievalArtifactCache:
         clear_memory_cache()
         return RetrievalArtifactCache(tmp_path / "cache")
 
-    def test_cold_build_persists_npy_and_sidecar(self, tmp_path):
+    def test_cold_build_persists_one_file(self, tmp_path):
         cache = self._fresh(tmp_path)
         embedder = HashedEmbedder(64)
         texts = ["halo mass", "galaxy stellar mass", "velocity dispersion"]
@@ -127,8 +128,10 @@ class TestRetrievalArtifactCache:
         delta = stats_snapshot().delta(before)
         assert delta.builds == 1 and delta.matrix_hits == 0
         key = corpus_key(texts, embedder.cache_key())
-        assert cache.matrix_path(key).exists()
-        assert cache.sidecar_path(key).exists()
+        assert [p.name for p in (tmp_path / "cache").iterdir()] == [cache.matrix_path(key).name]
+        assert GIOFile(cache.matrix_path(key)).attrs == {
+            "key": key, "embedder": embedder.cache_key(), "n_documents": 3, "dim": 64,
+        }
         assert matrix.shape == (3, 64)
 
     def test_memory_hit_returns_same_object(self, tmp_path):
@@ -184,7 +187,9 @@ class TestRetrievalArtifactCache:
         texts = ["one", "two"]
         cache.matrix_for(texts, embedder)
         key = corpus_key(texts, embedder.cache_key())
-        np.save(cache.matrix_path(key), np.zeros((5, 5)))  # corrupt
+        # a well-formed file under the right key holding a 5x5 matrix
+        write_gio(cache.matrix_path(key), {"matrix": np.zeros(25)},
+                  {"key": key, "n_documents": 5, "dim": 5})
         clear_memory_cache()
         before = stats_snapshot()
         matrix = cache.matrix_for(texts, embedder)

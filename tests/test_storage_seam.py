@@ -43,12 +43,13 @@ PUBLISH_CALLS = re.compile(
 )
 ALLOWED = {
     SRC / "durable.py": "the seam itself",
-    # a cache entry is a *directory* of column files + sidecar, renamed into
-    # place whole, and a corrupt one is moved to .quarantine/ whole: folding
-    # either into atomic_publish would make it branch on its caller
-    SRC / "db" / "cache.py": "directory publish and quarantine move",
+    # a corrupt cache entry is moved to .quarantine/, not published: its
+    # bytes are already on disk and must not be rewritten
+    SRC / "db" / "cache.py": "quarantine move",
 }
 HEADER_ARITHMETIC = re.compile(r"to_bytes\(|from_bytes\(")
+# how columns become bytes is repro/gio/format.py's alone
+NUMPY_FILE_IO = re.compile(r"np\.(save|savez|load|memmap|fromfile)\(")
 
 
 def _offenders(pattern: re.Pattern, paths) -> list[str]:
@@ -70,6 +71,16 @@ def test_only_the_seam_publishes_files():
     assert not offenders, (
         "temp-file publish outside repro/durable.py (call atomic_publish):\n"
         + "\n".join(offenders)
+    )
+
+
+def test_only_the_gio_format_turns_columns_into_files():
+    offenders = _offenders(
+        NUMPY_FILE_IO, (p for p in sorted(SRC.rglob("*.py")) if p != SRC / "gio" / "format.py")
+    )
+    assert not offenders, (
+        "NumPy file I/O outside repro/gio/format.py (use encode_gio / map_gio / "
+        "read_gio_verified):\n" + "\n".join(offenders)
     )
 
 
@@ -167,6 +178,58 @@ class TestAtomicPublish:
         with pytest.raises(OSError):
             atomic_publish(tmp_path / "a.json", b"{}")
         assert list(tmp_path.iterdir()) == []
+
+
+# ----------------------------------------------------------------------
+# files per write
+# ----------------------------------------------------------------------
+def _files_created(root: Path, monkeypatch, action) -> int:
+    """Files ``action`` creates under ``root``: new paths, plus one per
+    temp file renamed into place (a publish over an existing file is a
+    new file too)."""
+    import repro.durable as durable_mod
+
+    renamed: list[Path] = []
+    real_replace = durable_mod.os.replace
+
+    def spy(src, dst):
+        renamed.append(Path(dst))
+        return real_replace(src, dst)
+
+    def files() -> set[Path]:
+        return {p for p in root.rglob("*") if p.is_file()}
+
+    before = files()
+    with monkeypatch.context() as patched:
+        patched.setattr(durable_mod.os, "replace", spy)
+        action()
+    return len(files() - before - set(renamed)) + len(renamed)
+
+
+def test_each_write_creates_one_file_per_unit(tmp_path, monkeypatch):
+    """A row group, a result-cache entry and a retrieval matrix are one
+    file each: a 56-row, 11-column create writes its row group, the
+    catalog and the log (13 files with one segment file per column), a
+    cached result one entry, a retrieval build one matrix."""
+    from repro.llm import HashedEmbedder
+    from repro.rag import RetrievalArtifactCache
+    from repro.rag.cache import clear_memory_cache as clear_rag_memory
+    from repro.db.cache import clear_memory_cache as clear_query_memory
+
+    db = Database(tmp_path / "a.db", cache_dir=tmp_path / "qc")
+    frame = Frame({f"c{i}": np.arange(56) * (i + 1) for i in range(11)})
+    assert _files_created(tmp_path, monkeypatch, lambda: db.create_table("t", frame)) <= 3
+
+    clear_query_memory()
+    sql = "SELECT c0, c3 FROM t WHERE c1 > 20"
+    assert _files_created(tmp_path / "qc", monkeypatch, lambda: db.query(sql)) == 1
+    clear_query_memory()
+
+    clear_rag_memory()
+    cache = RetrievalArtifactCache(tmp_path / "rc")
+    build = lambda: cache.matrix_for(["halo mass", "stellar mass"], HashedEmbedder(16))  # noqa: E731
+    assert _files_created(tmp_path, monkeypatch, build) == 1
+    clear_rag_memory()
 
 
 # ----------------------------------------------------------------------
