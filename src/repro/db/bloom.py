@@ -1,146 +1,148 @@
 """Per-row-group bloom filters for equality segment pruning.
 
-Zone maps refute range predicates, but an equality probe against a row
-group whose [min, max] interval happens to straddle the probe value — or
-against a *string* column, which has no interval at all — always falls
-through to a full segment read.  A small fixed-size bloom filter per
-(row group, column), built over the group's **distinct** values at append
-time and persisted in the table's ``catalog.json`` entry next to the
-zone maps, lets the
-pruner refute ``col = literal`` and ``col IN (...)`` without touching the
-segment's bytes.
-
-**Soundness.**  A bloom filter has false positives, never false
-negatives: ``might_contain`` returning False is a *proof* the value is
-absent (both the build and the probe canonicalize values through the same
-:func:`value_token`), so pruning on it can never change results — the
-same conservative contract as the zone maps.
-
-**Sizing.**  With ``m`` bits, ``k`` hashes and ``n`` distinct values the
-false-positive rate is ``(1 - e^(-kn/m))^k``.  The defaults (m=4096,
-k=4) give ~0.0003 at 128 distinct values and ~0.012 at 512.  Filters
-whose expected load would exceed 1-1/e (``k*n > m``), or whose measured
-load exceeds :data:`MAX_LOAD`, are not persisted at all: a saturated
-filter refutes nothing and would only burn probe time and metadata bytes.
-High-cardinality columns therefore simply opt out, while low-cardinality
-ones (category/kind-style strings, timestep sets) prune aggressively.
+One fixed-size filter per (row group, column), built at append time and
+kept in the row group's ``repro.gio`` header, refutes ``col = literal``
+and ``col IN (...)`` where zone maps cannot: a value inside [min, max],
+or any string.  A column hashes in one numpy pass and a probe through the
+same functions.  A filter holds one *kind* of value: numbers as float64
+bits (−0.0 folded to 0.0, NaN dropped), text as a polynomial over UTF-32
+code points to which zero padding adds nothing.  Duplicates set the same
+bits, so no distinct set is computed.  ``might_contain`` returning False
+proves absence among values of the filter's kind; a doc naming another
+:data:`HASH_SCHEME` is never parsed.  A filter loaded past
+:data:`MAX_LOAD` is not kept, and load only grows, so a build stops at
+the first prefix past it (DESIGN.md §9).
 """
 
 from __future__ import annotations
 
-import hashlib
-import struct
+from functools import lru_cache
 
 import numpy as np
 
 DEFAULT_BITS = 4096
 DEFAULT_HASHES = 4
-# filters more than half full are dropped: refutation power has decayed
-# past usefulness (worst-case persisted FP rate is 0.5^k ≈ 6%)
+# a fuller filter refutes too little to keep (worst-case FP rate 0.5^k)
 MAX_LOAD = 0.5
+# names the key and position functions below; change it with them
+HASH_SCHEME = "f64bits-utf32poly-mix64"
+
+_NUMBER, _TEXT = "number", "text"
+_DTYPE_KINDS = {"b": _NUMBER, "i": _NUMBER, "u": _NUMBER, "f": _NUMBER, "U": _TEXT}
+_U64 = np.uint64
+# odd multipliers of the splitmix64 finalizer, and the string polynomial's base
+_MIX1, _MIX2 = _U64(0xBF58476D1CE4E5B9), _U64(0x94D049BB133111EB)
+_POLY = 0x9E3779B97F4A7C15
 
 
-def value_token(value) -> bytes | None:
-    """Canonical hash token for a value, or None for unhashable-by-design.
-
-    Numbers of every width collapse to their float64 bytes so a probe for
-    the literal ``42`` matches int64 and float64 columns alike (equality
-    in the executor compares through NumPy promotion the same way).
-    Strings hash their UTF-8 bytes.  NaN returns None — SQL equality is
-    always false for NaN, so it is never added and never refuted.
-    """
-    if isinstance(value, (bool, np.bool_)):
-        return struct.pack("<d", float(value))
-    if isinstance(value, (int, float, np.integer, np.floating)):
-        f = float(value)
-        if f != f:  # NaN
-            return None
-        return struct.pack("<d", f)
-    return str(value).encode("utf-8")
+def value_kind(value) -> str | None:
+    """The filter kind a probe value belongs to, if any."""
+    if isinstance(value, (bool, int, float, np.bool_, np.integer, np.floating)):
+        return _NUMBER
+    return _TEXT if isinstance(value, str) else None
 
 
-def _positions(token: bytes, k: int, m: int) -> list[int]:
-    """k bit positions via double hashing over one blake2b digest."""
-    digest = hashlib.blake2b(token, digest_size=16).digest()
-    h1 = int.from_bytes(digest[:8], "little")
-    h2 = int.from_bytes(digest[8:], "little") | 1
-    return [(h1 + i * h2) % m for i in range(k)]
+def _keys(values: np.ndarray, kind: str) -> np.ndarray:
+    """One uint64 per (non-NaN) value: float64 bits or a string's polynomial."""
+    if kind == _NUMBER:
+        as_float = values.astype(np.float64) + 0.0  # -0.0 + 0.0 is 0.0
+        return as_float[~np.isnan(as_float)].view(_U64)
+    width = values.dtype.itemsize // 4
+    codes = np.ascontiguousarray(values, dtype=f"=U{width}").view(np.uint32)
+    # sum of code[j] * POLY**(j+1), wrapping mod 2**64: a NUL adds nothing
+    weights = np.array([pow(_POLY, j + 1, 1 << 64) for j in range(width)], dtype=_U64)
+    return codes.reshape(len(values), width).astype(_U64) @ weights
+
+
+def _positions(keys: np.ndarray, k: int, m: int) -> np.ndarray:
+    """``(k, len(keys))`` positions: double hashing over splitmix64 halves."""
+    h = keys.copy()
+    h ^= h >> _U64(30)
+    h *= _MIX1
+    h ^= h >> _U64(27)
+    h *= _MIX2
+    h ^= h >> _U64(31)
+    pos = (h & _U64(0xFFFFFFFF)) + np.arange(k, dtype=_U64)[:, None] * ((h >> _U64(32)) | _U64(1))
+    # for a power of two, & is the same as % and cheaper
+    return (pos % _U64(m) if m & (m - 1) else pos & _U64(m - 1)).view(np.intp)
+
+
+@lru_cache(maxsize=4096)
+def _probe_positions(kind: str, value, k: int, m: int) -> tuple[int, ...]:
+    """One probe's positions (none for NaN), memoised across row groups."""
+    keys = _keys(np.asarray([value]), kind)
+    return tuple(_positions(keys, k, m)[:, 0].tolist()) if len(keys) else ()
 
 
 class BloomFilter:
-    """Fixed-size bitset with k double-hashed probe positions."""
+    """Fixed-size bitset of one value kind with k double-hashed probe
+    positions per value."""
 
-    __slots__ = ("m", "k", "bits")
+    __slots__ = ("m", "k", "kind", "bits")
 
     def __init__(self, m: int = DEFAULT_BITS, k: int = DEFAULT_HASHES,
-                 bits: bytes | bytearray | None = None):
+                 bits: bytes | bytearray | None = None, kind: str = _NUMBER):
         self.m = int(m)
         self.k = int(k)
+        self.kind = kind
         nbytes = (self.m + 7) // 8
-        if bits is None:
-            self.bits = bytearray(nbytes)
-        else:
-            self.bits = bytearray(bits)
-            if len(self.bits) != nbytes:
-                raise ValueError(f"bloom bitset is {len(self.bits)} bytes, want {nbytes}")
-
-    # ------------------------------------------------------------------
-    def add(self, value) -> None:
-        token = value_token(value)
-        if token is None:
-            return
-        for pos in _positions(token, self.k, self.m):
-            self.bits[pos >> 3] |= 1 << (pos & 7)
+        self.bits = bytearray(nbytes if bits is None else bits)
+        if len(self.bits) != nbytes:
+            raise ValueError(f"bloom bitset is {len(self.bits)} bytes, want {nbytes}")
 
     def might_contain(self, value) -> bool:
-        """False is a proof of absence; True means "cannot refute"."""
-        token = value_token(value)
-        if token is None:
+        """False is a proof that no value of this filter's kind equal to
+        ``value`` was added; True means "cannot refute"."""
+        kind = value_kind(value)
+        if kind == _NUMBER:
+            try:
+                value = float(value)
+            except OverflowError:  # an int past float64: never refuted
+                return True
+        elif kind != _TEXT:
             return True
-        return all(
-            self.bits[pos >> 3] & (1 << (pos & 7))
-            for pos in _positions(token, self.k, self.m)
-        )
+        positions = _probe_positions(kind, value, self.k, self.m)
+        if not positions:
+            return True  # NaN
+        return all(self.bits[pos >> 3] & (1 << (pos & 7)) for pos in positions)
 
     @property
     def load(self) -> float:
         """Fraction of bits set (refutation power decays as this grows)."""
         return int.from_bytes(self.bits, "little").bit_count() / self.m
 
-    # ------------------------------------------------------------------
-    # persistence (embeddable in a catalog entry)
-    # ------------------------------------------------------------------
+    # persistence: a JSON doc, kept in the row group's header attrs
     def to_meta(self) -> dict:
-        return {"m": self.m, "k": self.k, "bits": bytes(self.bits).hex()}
+        return {"hash": HASH_SCHEME, "kind": self.kind, "m": self.m, "k": self.k,
+                "bits": bytes(self.bits).hex()}
 
     @classmethod
     def from_meta(cls, doc) -> "BloomFilter | None":
-        """Parse a persisted filter; tolerant of foreign/corrupt docs
-        (pruning just proceeds without the filter)."""
+        """Parse a persisted filter, or None for a doc of another hash
+        scheme or a corrupt one (pruning just proceeds without it)."""
         try:
-            return cls(int(doc["m"]), int(doc["k"]), bytes.fromhex(doc["bits"]))
+            if doc["hash"] != HASH_SCHEME or doc["kind"] not in (_NUMBER, _TEXT):
+                return None
+            return cls(int(doc["m"]), int(doc["k"]), bytes.fromhex(doc["bits"]), doc["kind"])
         except (KeyError, TypeError, ValueError):
             return None
 
     @classmethod
     def build(cls, values: np.ndarray, m: int = DEFAULT_BITS,
               k: int = DEFAULT_HASHES) -> "BloomFilter | None":
-        """Build over the distinct values of one segment column.
-
-        Returns None when the column's cardinality saturates the bitset —
-        callers persist nothing and the pruner falls back to zone maps.
+        """Build over one segment column, or None for a column of no
+        filter kind or one loading the bitset past :data:`MAX_LOAD` (the
+        pruner then falls back to zone maps).  Rows are hashed m/k, 2m/k,
+        ... then m at a time, and the first prefix past the bound ends it.
         """
-        if values.size == 0:
-            return cls(m, k)  # empty segment: refutes every probe
-        try:
-            distinct = np.unique(values)
-        except TypeError:
-            return None  # unsortable object column: no filter
-        if len(distinct) * k > m:
-            return None  # expected load beyond 1 - 1/e: saturated
-        bf = cls(m, k)
-        for v in distinct.tolist():
-            bf.add(v)
-        if bf.load > MAX_LOAD:
+        kind = _DTYPE_KINDS.get(values.dtype.kind)
+        if kind is None:
             return None
-        return bf
+        flags = np.zeros(m, dtype=bool)
+        start, chunk = 0, max(1, m // k)
+        while start < len(values):
+            flags[_positions(_keys(values[start:start + chunk], kind), k, m).ravel()] = True
+            if np.count_nonzero(flags) > MAX_LOAD * m:
+                return None
+            start, chunk = start + chunk, min(2 * chunk, m)
+        return cls(m, k, np.packbits(flags, bitorder="little").tobytes(), kind)

@@ -12,9 +12,9 @@ column-segmented subdirectory per table, holding one generation directory
 per create (see :mod:`repro.db.storage`).  ``catalog.json`` is its only
 metadata file: per table, a ``version``, the ``row_group_size``, the
 ``generation`` and the table metadata (columns, row-group row counts,
-zone maps, blooms, checksums).  All query execution streams from disk.
-``nbytes()`` reports exact on-disk footprint — the paper's storage-overhead
-metric counts these bytes.
+zone maps, checksums; blooms sit in row-group headers).  All query
+execution streams from disk.  ``nbytes()`` reports exact on-disk
+footprint — the paper's storage-overhead metric counts these bytes.
 
 Every catalog entry carries a monotonic ``version`` bumped on
 create/append; combined with the store's content signature it forms the
@@ -57,6 +57,7 @@ from repro.db.sql.parser import parse_sql
 from repro.db.storage import (
     DEFAULT_ROW_GROUP_SIZE,
     TABLE_META_KEYS,
+    BloomCache,
     TableStore,
     empty_table_meta,
 )
@@ -107,14 +108,15 @@ class CatalogSnapshot:
     files are immutable and each store reads exactly the row groups
     its entry lists.  ``table_state`` comes from the same entry, so
     query-result cache keys taken under a pin match exactly the results a
-    quiescent database at this version would produce.  Stores (with their
-    bloom caches) and states are built once and shared by every statement
-    and thread that reads through the snapshot.
+    quiescent database at this version would produce.  Stores and states
+    are built once and shared by every statement and thread that reads
+    through the snapshot, and ``bloom_cache`` by every snapshot.
     """
 
-    def __init__(self, db_path: Path, tables: dict[str, dict]):
+    def __init__(self, db_path: Path, tables: dict[str, dict], bloom_cache: BloomCache):
         self.db_path = Path(db_path)
         self.tables = tables
+        self._bloom_cache = bloom_cache
         self._stores: dict[str, TableStore] = {}
         self._states: dict[str, str] = {}
 
@@ -137,7 +139,7 @@ class CatalogSnapshot:
         if cached is None:
             entry = self.entry(name)
             cached = self._stores[name] = TableStore(
-                self.db_path / name / entry["generation"], entry
+                self.db_path / name / entry["generation"], entry, self._bloom_cache
             )
         return cached
 
@@ -179,11 +181,17 @@ class Database:
         self.path = Path(path)
         self.path.mkdir(parents=True, exist_ok=True)
         self._catalog_path = self.path / "catalog.json"
+        # row-group path -> parsed bloom filters, shared by every snapshot of
+        # this handle, so one taken after an append parses only new headers.
+        # Sound because a committed row-group file never changes until its
+        # generation is dropped, generation names are never reused, and only
+        # committed groups are probed: a staged file never enters it.
+        self._bloom_cache: BloomCache = {}
         # the catalog bytes last parsed or published (None: no catalog.json
         # yet) and their snapshot, swapped as one tuple so a racing reader
         # never pairs one commit's bytes with another's parse
         self._parsed: tuple[bytes | None, CatalogSnapshot] = (
-            None, CatalogSnapshot(self.path, {})
+            None, CatalogSnapshot(self.path, {}, self._bloom_cache)
         )
         # the writer's catalog: replaced, never mutated, once a commit is on disk
         self._tables = self.snapshot().tables
@@ -255,7 +263,7 @@ class Database:
             error=DBError,
         )
         self._tables = tables
-        self._parsed = (data, CatalogSnapshot(self.path, tables))
+        self._parsed = (data, CatalogSnapshot(self.path, tables, self._bloom_cache))
 
     # ------------------------------------------------------------------
     # snapshots (MVCC-lite)
@@ -282,7 +290,7 @@ class Database:
                 tables = json.loads(data) if data is not None else {}
             except ValueError as exc:
                 raise DBError(f"corrupt catalog at {self._catalog_path}: {exc}") from exc
-            snap = CatalogSnapshot(self.path, tables)
+            snap = CatalogSnapshot(self.path, tables, self._bloom_cache)
             self._parsed = (data, snap)
         return snap
 
@@ -553,6 +561,9 @@ class Database:
             # death after it leaves only segments no catalog entry lists
             self._flush_catalog({n: e for n, e in self._tables.items() if n != name})
             store.drop()
+            for key in list(self._bloom_cache):  # a copy: readers may be filling it
+                if key.startswith(f"{store.path}{os.sep}"):
+                    self._bloom_cache.pop(key, None)
 
     # ------------------------------------------------------------------
     # querying

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -160,7 +161,7 @@ class _StoreSource:
             if stats is not None:
                 stats.row_groups_total += 1
             if where is not None:
-                reason = skip_reason(where, store.zone_map(i), store.blooms(i))
+                reason = skip_reason(where, store.zone_map(i), partial(store.blooms, i))
                 if reason is not None:
                     if stats is not None:
                         if reason == "zone":

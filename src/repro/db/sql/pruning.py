@@ -1,60 +1,44 @@
 """Zone-map + bloom-filter predicate pushdown.
 
-Each row group stores per-column min/max statistics ("zone maps") and,
-for low-cardinality columns, fixed-size bloom filters over the group's
-distinct values (:mod:`repro.db.bloom`).  Before a filtered scan touches
-a row group's bytes, the WHERE predicate is evaluated against those
-statistics; a row group whose predicate is *provably false for every
-row* is skipped without any I/O.  This is the classic segment-skipping
-optimization of columnar engines (DuckDB, Parquet readers) and is what
-makes highly selective queries — e.g. ``WHERE step = 624`` over a table
-holding every timestep — touch a fraction of the table.
-
-Zone maps refute through interval logic (ranges, comparisons); bloom
-filters refute equality and ``IN`` membership, including over *string*
-columns, which have no interval statistics at all.  The two compose
-through AND/OR recursion: a conjunct refuted by either statistic kills
-the whole conjunction.
-
-The analysis is conservative: anything it cannot prove returns
-"might match", never the reverse, so pruning can never change results.
-:func:`skip_reason` attributes each skip to the statistic that proved it
-("zone" when intervals alone suffice, "bloom" when a filter was needed)
-so the engine's counters report the marginal value of each index kind.
+Before a filtered scan touches a row group's bytes, the WHERE predicate is
+evaluated against the group's per-column min/max ("zone maps") and, for
+low-cardinality columns, its bloom filters (:mod:`repro.db.bloom`); a
+group whose predicate is *provably false for every row* is skipped
+without I/O, as DuckDB and Parquet readers do.  Zone maps refute through
+interval logic; bloom filters refute equality and ``IN``, also over
+strings.  The two compose through AND/OR recursion.  The analysis is
+conservative: what it cannot prove "might match", so pruning never
+changes a result.  :func:`skip_reason` credits each skip to "zone" when
+intervals suffice, else "bloom"; filters are fetched only then, and only
+at an equality a filter could answer.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 
+from repro.db.bloom import value_kind
 from repro.db.sql import ast
 
 Stats = dict[str, tuple[float, float]]
-# column name -> object with might_contain(value) -> bool (see repro.db.bloom)
-Blooms = Mapping[str, object]
-
-
-def can_skip_row_group(
-    where: ast.Expr | None, stats: Stats, blooms: Blooms | None = None
-) -> bool:
-    """True iff ``where`` is provably false for every row of the group."""
-    return skip_reason(where, stats, blooms) is not None
+Blooms = Mapping[str, object]  # column -> a repro.db.bloom.BloomFilter
 
 
 def skip_reason(
-    where: ast.Expr | None, stats: Stats, blooms: Blooms | None = None
+    where: ast.Expr | None, stats: Stats, blooms: Callable[[], Blooms] | None = None
 ) -> str | None:
     """Why this row group can be skipped: "zone", "bloom", or None.
 
     "zone" means interval logic alone refutes the predicate; "bloom"
     means the bloom filters were needed (the marginal skip a zone map
-    could not prove).
+    could not prove).  ``blooms`` returns the group's filters; it is
+    called only after the zone maps failed, at a ``column = literal``.
     """
     if where is None:
         return None
     if stats and _always_false(where, stats, None):
         return "zone"
-    if blooms and _always_false(where, stats, blooms):
+    if blooms is not None and _always_false(where, stats, blooms):
         return "bloom"
     return None
 
@@ -81,22 +65,23 @@ def _bounds(expr: ast.Expr, stats: Stats) -> tuple[float, float] | None:
 
 
 def _bloom_refutes(
-    column: ast.Expr, literal: ast.Expr, blooms: Blooms | None
+    column: ast.Expr, literal: ast.Expr, blooms: Callable[[], Blooms] | None
 ) -> bool:
-    """True iff a bloom filter proves ``column = literal`` matches no row."""
-    if not blooms:
+    """True iff a bloom filter proves ``column = literal`` matches no row.
+    Only a literal of the filter's kind is probed: the executor compares
+    a number with text by printed form (``498 = '498'`` holds), and NULL
+    equality is its own semantics."""
+    if blooms is None or not isinstance(column, ast.Column):
         return False
-    if not isinstance(column, ast.Column) or not isinstance(literal, ast.Literal):
-        return False
-    if literal.value is None:
-        return False  # NULL equality is its own semantics; never prune
-    bloom = blooms.get(column.name)
-    if bloom is None:
+    bloom = blooms().get(column.name) if isinstance(literal, ast.Literal) else None
+    if bloom is None or value_kind(literal.value) != bloom.kind:
         return False
     return not bloom.might_contain(literal.value)
 
 
-def _always_false(expr: ast.Expr, stats: Stats, blooms: Blooms | None) -> bool:
+def _always_false(
+    expr: ast.Expr, stats: Stats, blooms: Callable[[], Blooms] | None
+) -> bool:
     if isinstance(expr, ast.Binary):
         op = expr.op
         if op == "AND":

@@ -6,14 +6,15 @@ create::
     <db>/<table>/<generation>/
       rg00000                   # one repro.gio file per row group
 
-and its metadata (generation, dtypes, row-group row counts, zone maps,
-blooms and per-segment checksums) in the table's entry of the database's
-``catalog.json`` (:mod:`repro.db.database`).  A :class:`TableStore` is
-built from that entry and reads no metadata file: it sees exactly the row
-groups the entry lists, whatever a concurrent writer has staged on disk.
-A re-created table gets a new generation, so a store built from an entry
-of the dropped one reads that entry's bytes or fails with a
-:class:`~repro.db.errors.DBError`, never the new table's bytes.
+and its metadata (generation, dtypes, row-group row counts, zone maps
+and per-segment checksums) in the table's entry of the database's
+``catalog.json`` (:mod:`repro.db.database`); each group's bloom filters
+(:mod:`repro.db.bloom`) sit in its file's header ``attrs``.  A
+:class:`TableStore` is built from that entry and reads no metadata file:
+it sees exactly the row groups the entry lists, whatever a concurrent
+writer has staged on disk.  A re-created table gets a new generation, so
+a store built from an entry of the dropped one reads that entry's bytes or
+fails with a :class:`~repro.db.errors.DBError`, never the new table's.
 
 Row groups bound executor memory: a scan yields one group at a time, so a
 filter over a table of any size peaks at ``row_group_size`` rows — the
@@ -41,17 +42,18 @@ from repro import faults
 from repro.db.bloom import BloomFilter
 from repro.db.errors import DBError, IngestKilled, UnknownColumnError
 from repro.frame import Frame
-from repro.gio.format import GIOFormatError, encode_gio, map_gio
+from repro.gio.format import GIOFile, GIOFormatError, encode_gio, map_gio
 
 DEFAULT_ROW_GROUP_SIZE = 65536
 # the table metadata every catalog entry carries; all but ``columns`` are
 # per-row-group lists, one entry per group
-TABLE_META_KEYS = ("columns", "row_groups", "zone_maps", "blooms", "checksums")
+TABLE_META_KEYS = ("columns", "row_groups", "zone_maps", "checksums")
+BloomCache = dict[str, dict[str, BloomFilter]]  # row-group path -> filters
 
 
 def empty_table_meta() -> dict:
     """The metadata of a table that has no columns and no rows yet."""
-    return {"columns": {}, "row_groups": [], "zone_maps": [], "blooms": [], "checksums": []}
+    return {"columns": {}, "row_groups": [], "zone_maps": [], "checksums": []}
 
 
 class TableStore:
@@ -63,14 +65,15 @@ class TableStore:
     add higher-numbered groups), so a store built from an older entry keeps
     reading exactly that entry's rows.  A store is shared by every
     statement and thread (serve workers read concurrently) reading through
-    the same catalog snapshot; its only mutable state is the bloom cache,
-    whose racing fills build equal filters.
+    the same catalog snapshot.  ``bloom_cache`` (row-group path → parsed
+    filters) is the database handle's (:class:`repro.db.Database`); racing
+    fills parse equal filters.
     """
 
-    def __init__(self, path: Path, meta: dict):
+    def __init__(self, path: Path, meta: dict, bloom_cache: BloomCache | None = None):
         self.path = Path(path)
         self._meta = meta
-        self._bloom_cache: dict[int, dict[str, BloomFilter]] = {}
+        self._bloom_cache: BloomCache = {} if bloom_cache is None else bloom_cache
 
     # ------------------------------------------------------------------
     @property
@@ -162,12 +165,12 @@ class TableStore:
                     as_float = col.astype(np.float64)
                     if np.isfinite(as_float).all():
                         zone_map[name] = [float(as_float.min()), float(as_float.max())]
-                # equality-pruning bloom filter over the group's distinct
-                # values; saturated (high-cardinality) columns persist none
+                # equality-pruning bloom filter, kept in the group's own
+                # header; saturated (high-cardinality) columns persist none
                 bloom = BloomFilter.build(col)
                 if bloom is not None:
                     blooms[name] = bloom.to_meta()
-            parts, checksums = encode_gio(group)
+            parts, checksums = encode_gio(group, {"blooms": blooms})
             rg_path = self.path / f"rg{rg_index:05d}"
             with rg_path.open("wb") as fh:
                 fh.writelines(parts)
@@ -180,7 +183,6 @@ class TableStore:
                 raise IngestKilled("stage-row-group", f"torn segment rg{rg_index:05d}")
             staged["row_groups"].append(min(stop, frame.num_rows) - start)
             staged["zone_maps"].append(zone_map)
-            staged["blooms"].append(blooms)
             staged["checksums"].append(checksums)
         return staged
 
@@ -209,9 +211,8 @@ class TableStore:
         names = list(columns) if columns is not None else self.columns
         for n in names:
             self.dtype_of(n)  # validate with a helpful error
-        rg_path = self.path / f"rg{index:05d}"
         try:
-            arrays = map_gio(rg_path, names)
+            arrays = map_gio(self.path / f"rg{index:05d}", names)
         except FileNotFoundError:
             raise DBError(
                 f"row group {index} at {self.path} is gone: the table was dropped "
@@ -228,19 +229,19 @@ class TableStore:
         return {k: (v[0], v[1]) for k, v in self._meta["zone_maps"][index].items()}
 
     def blooms(self, index: int) -> dict[str, BloomFilter]:
-        """Per-column equality bloom filters of one row group.
-
-        Empty for columns whose cardinality saturated the bitset at
-        append time.
-        """
-        cached = self._bloom_cache.get(index)
+        """Per-column bloom filters of one committed row group, parsed from its
+        header once per path; none (uncached) if the file is gone or corrupt."""
+        if not (0 <= index < self.num_row_groups):
+            raise DBError(f"row group {index} out of range [0, {self.num_row_groups})")
+        path = str(self.path / f"rg{index:05d}")
+        cached = self._bloom_cache.get(path)
         if cached is None:
-            cached = {}
-            for name, doc in self._meta["blooms"][index].items():
-                bloom = BloomFilter.from_meta(doc)
-                if bloom is not None:
-                    cached[name] = bloom
-            self._bloom_cache[index] = cached
+            try:
+                docs = GIOFile(path).attrs.get("blooms", {})
+            except (OSError, GIOFormatError):
+                return {}
+            parsed = {name: BloomFilter.from_meta(doc) for name, doc in docs.items()}
+            cached = self._bloom_cache[path] = {n: b for n, b in parsed.items() if b is not None}
         return cached
 
     def scan(self, columns: Sequence[str] | None = None) -> Iterator[Frame]:

@@ -5,12 +5,16 @@ import pytest
 
 from repro.db import Database
 from repro.db.sql.parser import parse_sql
-from repro.db.sql.pruning import can_skip_row_group
+from repro.db.sql.pruning import skip_reason
 from repro.frame import Frame
 
 
 def where_of(sql: str):
     return parse_sql(sql).where
+
+
+def can_skip_row_group(where, stats) -> bool:
+    return skip_reason(where, stats) is not None
 
 
 class TestIntervalLogic:

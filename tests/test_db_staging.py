@@ -13,7 +13,7 @@ from repro.db import Database
 from repro.db.errors import IngestKilled
 from repro.frame import Frame
 
-PER_GROUP_KEYS = ("zone_maps", "blooms", "checksums")
+PER_GROUP_KEYS = ("zone_maps", "checksums")
 
 
 def make_frame(n, offset=0):
