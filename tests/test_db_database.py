@@ -182,7 +182,7 @@ def _assert_refused(path, key):
 
 class TestOneTableFormat:
     """``catalog.json`` is a database's only metadata file: every entry
-    carries the table metadata (columns and the four per-row-group lists)
+    carries the table metadata (columns and the three per-row-group lists)
     beside its version, and an entry without one of them is refused by
     name, not guessed at."""
 
