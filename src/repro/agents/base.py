@@ -27,7 +27,6 @@ from typing import Any
 from repro.db import Database
 from repro.frame import Frame
 from repro.llm.base import ChatMessage, ChatResponse, MeteredModel
-from repro.obs.metrics import get_registry
 from repro.obs.tracer import Tracer
 from repro.provenance import ProvenanceTracker
 from repro.rag import ColumnRetriever
@@ -68,10 +67,6 @@ class AgentContext:
         prompt = "\n\n".join(parts)
         response = self.llm.chat([ChatMessage("user", prompt)], role=role)
         self.simulated_latency_s += response.latency_s
-        registry = get_registry()
-        registry.counter("llm.calls").inc()
-        registry.counter("llm.prompt_tokens").inc(response.prompt_tokens)
-        registry.counter("llm.completion_tokens").inc(response.completion_tokens)
         self.message_log.append(f"[{role}] {response.content[:400]}")
         self.provenance.record_llm_exchange(
             role, response.prompt_tokens, response.completion_tokens, step_index

@@ -33,7 +33,6 @@ from repro.graph.state import (
     initial_state,
     merge_reducer,
 )
-from repro.obs.metrics import get_registry
 from repro.obs.names import QA_SPAN, STEP_SPAN_PREFIX, SUPERVISOR_SPAN
 from repro.obs.tracer import use_tracer
 from repro.resilience import BudgetExceeded
@@ -330,7 +329,6 @@ class Supervisor:
             passed = verdict.passed and not error
             sp.set(passed=passed)
         if not passed and attempt < self.max_revisions:
-            get_registry().counter("qa.redo").inc()
             return {
                 "attempt": attempt + 1,
                 "redo_iterations": 1,
@@ -458,7 +456,6 @@ class Supervisor:
         except BudgetExceeded as exc:
             # a blown token budget ends the session as a classified
             # failure instead of funding further redo growth
-            get_registry().counter("cost.budget_exceeded").inc()
             failure = exc.classification
         return RunReport.from_state(
             self.context,

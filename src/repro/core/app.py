@@ -35,7 +35,6 @@ from repro.frame import Frame
 from repro.graph.checkpoint import DurableCheckpointer
 from repro.llm import MockLLM
 from repro.llm.base import MeteredModel
-from repro.obs.metrics import get_registry
 from repro.obs.names import PLAN_SPAN, SESSION_SPAN
 from repro.obs.tracer import Tracer, current_context, use_tracer
 from repro.resilience import BudgetExceeded
@@ -262,7 +261,6 @@ class InferA:
             except BudgetExceeded as exc:
                 # budget blown during planning, before the supervisor's own
                 # handler could take over: classify and end the session
-                get_registry().counter("cost.budget_exceeded").inc()
                 if plan_result is None:
                     plan_result = PlanningResult(
                         intent={}, steps=[], semantic_level=0,

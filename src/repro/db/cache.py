@@ -313,9 +313,6 @@ class QueryResultCache:
 
     def _record_hit(self, tier: str, plan: NormalizedPlan, frame: Frame) -> Frame:
         get_registry().counter(_HIT_COUNTERS[tier]).inc()
-        # every SELECT counts as a query regardless of how it was served,
-        # so "sql.queries" stays identical between cached and cold runs
-        get_registry().counter(obs_names.SQL_QUERIES).inc()
         if tier != "incremental":  # incremental emits its own sql.execute span
             with get_tracer().span(SQL_EXECUTE_SPAN, cache=tier, **_shape_attrs(plan)) as sp:
                 sp.set(rows=frame.num_rows)

@@ -385,16 +385,12 @@ class Database:
                 )
                 replayed += 1
                 registry.counter(obs_names.WAL_REPLAYED).inc()
-            if skipped:
-                registry.counter(obs_names.WAL_SKIPPED_COMMITTED).inc(skipped)
             # even with no replayable record, a crashed stage may have left
             # row-group files past a table's committed ones, or a whole
             # generation of a create that never committed
             on_disk = {p.name for p in self.path.iterdir() if _NAME_RE.match(p.name)}
             for name in sorted(on_disk | set(self._tables)):
                 orphans += self._discard_uncommitted(name)
-            if orphans:
-                registry.counter(obs_names.WAL_ORPHAN_GROUPS_DROPPED).inc(orphans)
             self._wal.clear()
             report = {
                 "replayed": replayed,

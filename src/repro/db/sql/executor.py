@@ -41,8 +41,7 @@ from repro.db.sql.normalize import referenced_column_names
 from repro.db.sql.pruning import skip_reason
 from repro.frame import Frame, concat
 from repro.frame.join import merge
-from repro.obs.metrics import get_registry
-from repro.obs.names import SQL_EXECUTE_SPAN, SQL_QUERIES
+from repro.obs.names import SQL_EXECUTE_SPAN
 from repro.obs.tracer import get_tracer
 
 
@@ -105,11 +104,6 @@ def execute(
             row_groups_skipped_zone=stats.row_groups_skipped_zone,
             row_groups_skipped_bloom=stats.row_groups_skipped_bloom,
         )
-    registry = get_registry()
-    registry.counter(SQL_QUERIES).inc()
-    registry.counter("sql.engine.morsels").inc(stats.morsels_executed)
-    registry.counter("sql.engine.skipped.zone").inc(stats.row_groups_skipped_zone)
-    registry.counter("sql.engine.skipped.bloom").inc(stats.row_groups_skipped_bloom)
     return result
 
 

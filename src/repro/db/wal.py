@@ -103,7 +103,6 @@ class WriteAheadLog:
                 os.fsync(fh.fileno())
         if torn is not None:
             raise IngestKilled("wal-append", f"torn tail at {len(torn)}/{len(framed)} bytes")
-        get_registry().counter(obs_names.WAL_APPENDS).inc()
 
     # ------------------------------------------------------------------
     def scan(self) -> FrameScan:

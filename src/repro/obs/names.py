@@ -79,25 +79,19 @@ INGEST_STEP_SPAN = "ingest.step"
 # one per WAL recovery pass (repro.db.database.Database.recover)
 WAL_RECOVER_SPAN = "wal.recover"
 
-# WAL / ingest counter names (repro.obs.metrics registry).  Classified
-# recovery outcomes: a torn tail (short record) and a corrupt record (CRC
-# mismatch on a complete frame) are counted separately so the property
-# tests can assert *why* a tail was dropped, not just that it was.
-# ``repro.db.wal.WalStats`` reads the ones ``/stats`` reports.
-WAL_APPENDS = "wal.appends"
+# WAL / ingest counter names (repro.obs.metrics registry), the ones
+# ``repro.db.wal.WalStats`` reads for ``/stats``.  Classified recovery
+# outcomes: a torn tail (short record) and a corrupt record (CRC mismatch
+# on a complete frame) are counted separately so the property tests can
+# assert *why* a tail was dropped, not just that it was.  Rows, steps,
+# skipped records and orphan row groups are attributes of the
+# ``ingest.step`` / ``wal.recover`` spans, not counters.
 WAL_COMMITS = "wal.commits"
 WAL_REPLAYED = "wal.replayed"
-WAL_SKIPPED_COMMITTED = "wal.skipped_committed"
 WAL_TORN_TAIL_DROPPED = "wal.torn_tail_dropped"
 WAL_CORRUPT_DROPPED = "wal.corrupt_record_dropped"
-WAL_ORPHAN_GROUPS_DROPPED = "wal.orphan_row_groups_dropped"
-INGEST_STEPS = "ingest.steps"
-INGEST_ROWS = "ingest.rows"
 INGEST_KILLS = "ingest.kills"
 
-# one per SELECT however it was served (repro.db.sql.executor on a miss,
-# repro.db.cache on a hit), so it is equal between cached and cold runs
-SQL_QUERIES = "sql.queries"
 # query-result cache counters (repro.db.cache), one per tier outcome;
 # ``QueryCacheStats`` is a typed read of exactly these
 DB_CACHE_HIT_MEMORY = "db.cache.hit.memory"

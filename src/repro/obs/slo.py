@@ -1,4 +1,4 @@
-"""Declarative SLO gates over traces and metrics.
+"""Declarative SLO gates over traces.
 
 A policy is a plain dict (authored inline or as JSON) of budgets:
 
@@ -6,18 +6,17 @@ A policy is a plain dict (authored inline or as JSON) of budgets:
   token and USD spend ceilings (summed from the ``llm.chat`` spans);
 * ``phases``     — per-phase budgets keyed by the span-name prefix used
   by :func:`repro.obs.export.phase_rollups` (``max_total_s`` /
-  ``max_errors`` / ``max_spans``);
-* ``histograms`` — true-extremes gates on metrics snapshots using the
-  streaming min/max tracked by :class:`repro.obs.metrics.Histogram`
-  (``min_p0`` / ``max_p100`` / ``max_underflow``).
+  ``max_errors`` / ``max_spans``).
 
 Every budget is opt-in; :meth:`SLOPolicy.default` carries only the
 machine-independent invariants (no span left open, a generous token
 ceiling), so ``repro slo check`` is useful with zero configuration and
 strict exactly where a config says to be.  Wall-clock performance is
 not an SLO family: it is measured by ``benchmarks/e2e/run.py`` in paired
-parent/change runs (``BENCHMARK.json``), so a policy that still carries
-the retired ``bench`` section is refused by name.
+parent/change runs (``BENCHMARK.json``).  A policy that still carries a
+retired section is refused by name: ``bench``, or ``histograms``, whose
+gates read latency histograms the metrics registry no longer keeps
+(a span's duration is its one record, budgeted by ``phases``).
 """
 
 from __future__ import annotations
@@ -37,7 +36,14 @@ DEFAULT_POLICY: dict[str, Any] = {
         "max_total_tokens": 2_000_000,
     },
     "phases": {},
-    "histograms": {},
+}
+
+# gate families that were removed, and where their subject went
+RETIRED_SECTIONS: dict[str, str] = {
+    "bench": "wall-clock performance is measured by benchmarks/e2e/run.py, "
+             "see BENCHMARK.json",
+    "histograms": "the metrics registry keeps counters only; budget span "
+                  "time with a 'phases' max_total_s",
 }
 
 
@@ -47,14 +53,10 @@ class SLOCheck:
 
     rule: str
     observed: Any
-    bound: str          # e.g. '<= 1.02' or '>= 0'
+    bound: str          # e.g. '<= 1.02'
     ok: bool
-    skipped: bool = False
-    note: str = ""
 
     def render(self) -> str:
-        if self.skipped:
-            return f"SKIP  {self.rule}: {self.note}"
         mark = "ok  " if self.ok else "FAIL"
         return f"{mark}  {self.rule}: observed {self.observed} (budget {self.bound})"
 
@@ -67,7 +69,7 @@ class SLOReport:
 
     @property
     def violations(self) -> list[SLOCheck]:
-        return [c for c in self.checks if not c.ok and not c.skipped]
+        return [c for c in self.checks if not c.ok]
 
     @property
     def ok(self) -> bool:
@@ -83,12 +85,12 @@ class SLOPolicy:
     """A set of declarative budgets, checkable against run artifacts."""
 
     def __init__(self, doc: dict[str, Any]):
-        if "bench" in doc:
-            raise ValueError(
-                "SLO policy carries a 'bench' section: that gate family is "
-                "retired (wall-clock performance is measured by "
-                "benchmarks/e2e/run.py, see BENCHMARK.json); remove the section"
-            )
+        for section, why in RETIRED_SECTIONS.items():
+            if section in doc:
+                raise ValueError(
+                    f"SLO policy carries a {section!r} section: that gate family "
+                    f"is retired ({why}); remove the section"
+                )
         self.doc = doc
 
     @classmethod
@@ -104,20 +106,11 @@ class SLOPolicy:
         return cls(json.loads(Path(path).read_text()))
 
     # ------------------------------------------------------------------
-    def check(
-        self,
-        spans: list[dict[str, Any]],
-        metrics: dict[str, Any] | None = None,
-    ) -> SLOReport:
-        """Evaluate every budget in the policy; returns the full report.
-
-        ``metrics`` is an optional :meth:`MetricsRegistry.snapshot`
-        document; histogram budgets without it are reported as skipped.
-        """
+    def check(self, spans: list[dict[str, Any]]) -> SLOReport:
+        """Evaluate every budget in the policy; returns the full report."""
         report = SLOReport()
         self._check_trace(report, spans)
         self._check_phases(report, spans)
-        self._check_histograms(report, metrics)
         return report
 
     # ------------------------------------------------------------------
@@ -170,63 +163,12 @@ class SLOPolicy:
                     f"phase.{phase}.spans", int(agg["spans"]), f"<= {limit}",
                     agg["spans"] <= limit))
 
-    def _check_histograms(
-        self, report: SLOReport, metrics: dict[str, Any] | None
-    ) -> None:
-        budgets = self.doc.get("histograms", {})
-        if not budgets:
-            return
-        hists = (metrics or {}).get("histograms", {})
-        for name, rules in sorted(budgets.items()):
-            doc = hists.get(name)
-            if doc is None or not doc.get("count"):
-                report.checks.append(SLOCheck(
-                    f"hist.{name}", None, "", True,
-                    skipped=True, note="histogram absent or empty"))
-                continue
-            # streaming extremes give true p0/p100, not bucket edges
-            if "max_p100" in rules:
-                limit = rules["max_p100"]
-                observed = doc.get("max")
-                report.checks.append(SLOCheck(
-                    f"hist.{name}.p100", observed, f"<= {limit}",
-                    observed is not None and observed <= limit))
-            if "min_p0" in rules:
-                limit = rules["min_p0"]
-                observed = doc.get("min")
-                report.checks.append(SLOCheck(
-                    f"hist.{name}.p0", observed, f">= {limit}",
-                    observed is not None and observed >= limit))
-            if "max_underflow" in rules:
-                limit = rules["max_underflow"]
-                observed = int(doc.get("underflow", 0))
-                report.checks.append(SLOCheck(
-                    f"hist.{name}.underflow", observed, f"<= {limit}",
-                    observed <= limit))
-
 
 def check_workdir(
     path: str | Path,
     policy: SLOPolicy | None = None,
 ) -> SLOReport:
-    """Check a trace file or harness workdir against a policy.
+    """Check a trace file or a workdir's trace against a policy."""
+    from repro.obs.export import read_spans
 
-    The histogram gates read the ``metrics.json`` the harness leaves
-    beside the trace; beside a bare trace file there is none, and they
-    are skipped.
-    """
-    from repro.obs.export import find_trace_file, read_spans
-
-    policy = policy or SLOPolicy.default()
-    trace = find_trace_file(path)
-    metrics = _load_optional(trace.parent / "metrics.json")
-    return policy.check(read_spans(trace), metrics=metrics)
-
-
-def _load_optional(path: Path) -> dict[str, Any] | None:
-    if not path.is_file():
-        return None
-    try:
-        return json.loads(path.read_text())
-    except json.JSONDecodeError:
-        return None
+    return (policy or SLOPolicy.default()).check(read_spans(path))

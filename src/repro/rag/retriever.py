@@ -13,7 +13,6 @@ import threading
 from dataclasses import dataclass, field
 
 from repro.llm.embeddings import HashedEmbedder
-from repro.obs.metrics import get_registry
 from repro.obs.tracer import get_tracer
 from repro.rag.cache import RetrievalArtifactCache, query_memo_capacity
 from repro.rag.documents import ColumnDocument, build_documents
@@ -111,7 +110,4 @@ class ColumnRetriever:
                         merged.setdefault(doc.doc_id, doc)
                 per_prompt[name] = ids
             sp.set(documents=len(merged))
-        registry = get_registry()
-        registry.counter("retrieval.requests").inc()
-        registry.counter("retrieval.documents").inc(len(merged))
         return RetrievalResult(documents=list(merged.values()), per_prompt=per_prompt)

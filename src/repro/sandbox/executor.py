@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.frame import Frame, concat
 from repro.frame.frame import ColumnMismatchError
-from repro.obs.metrics import get_registry
 from repro.obs.tracer import get_tracer
 from repro.sandbox.safety import SafetyViolation, audit_code
 from repro.viz import Figure, Scene3D
@@ -82,23 +81,15 @@ class SandboxExecutor:
     def execute(self, code: str, tables: dict[str, Frame]) -> ExecutionResult:
         """Audit + run ``code``; never mutates the caller's frames.
 
-        Every execution is traced (span ``sandbox.execute``) and charged to
-        the sandbox wall-time histogram — the dominant cost the paper's
-        future-work parallelization targets.
+        Every execution is one ``sandbox.execute`` span: its duration, ``ok``
+        and ``error_type`` are the one record of sandbox time and failures —
+        the dominant cost the paper's future-work parallelization targets.
         """
-        tracer = get_tracer()
-        t0 = tracer.clock.now()
-        with tracer.span(
+        with get_tracer().span(
             "sandbox.execute", code_lines=code.count("\n") + 1, n_tables=len(tables)
         ) as sp:
             result = self._run(code, tables)
             sp.set(ok=result.ok, error_type=result.error_type)
-        wall = tracer.clock.now() - t0
-        registry = get_registry()
-        registry.counter("sandbox.executions").inc()
-        if not result.ok:
-            registry.counter("sandbox.errors").inc()
-        registry.histogram("sandbox.wall_s").observe(wall)
         return result
 
     def _run(self, code: str, tables: dict[str, Frame]) -> ExecutionResult:

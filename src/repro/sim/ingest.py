@@ -151,7 +151,6 @@ class StreamingIngester:
         """
         step = int(step) if step is not None else self.next_step()
         started = self.clock.now()
-        registry = get_registry()
         with get_tracer().span(obs_names.INGEST_STEP_SPAN) as span:
             span.set(step=step)
             if self.arm_faults:
@@ -164,8 +163,6 @@ class StreamingIngester:
                 rows=int(sum(report.rows.values())),
                 ensemble_version=report.ensemble_version,
             )
-            registry.counter(obs_names.INGEST_STEPS).inc()
-            registry.counter(obs_names.INGEST_ROWS).inc(sum(report.rows.values()))
         self.last_report = report
         return report
 

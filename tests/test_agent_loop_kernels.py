@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from repro.db.bloom import BloomFilter
 from repro.eval.questions import QUESTION_SUITE
 from repro.rag import ColumnRetriever, mmr_select
-from repro.obs.metrics import get_registry
+from repro.obs.tracer import Tracer, use_tracer
 from repro.rag.cache import (
     clear_memory_cache,
     query_memo_capacity,
@@ -230,14 +230,12 @@ class TestSelectionMemo:
             set_query_memo_capacity(capacity)
 
     def test_a_memo_hit_still_counts_as_a_retrieval(self, retriever):
-        registry = get_registry()
-        requests = registry.counter("retrieval.requests")
-        documents = registry.counter("retrieval.documents")
         first = retriever.retrieve("largest halos by mass", task="load halos")
-        r0, d0 = requests.value, documents.value
-        again = retriever.retrieve("largest halos by mass", task="load halos")
-        assert requests.value == r0 + 1
-        assert documents.value == d0 + len(again.documents)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            again = retriever.retrieve("largest halos by mass", task="load halos")
+        (span,) = [s for s in tracer.span_dicts() if s["name"] == "rag.retrieve"]
+        assert span["attributes"]["documents"] == len(again.documents)
         assert again.per_prompt == first.per_prompt
         assert [d.doc_id for d in again.documents] == [d.doc_id for d in first.documents]
 

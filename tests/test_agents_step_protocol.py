@@ -24,7 +24,7 @@ from repro.db import Database
 from repro.db.errors import DBError
 from repro.frame import Frame
 from repro.llm.base import ChatResponse, MeteredModel
-from repro.obs.metrics import get_registry
+from repro.obs.names import QA_SPAN
 from repro.provenance import ProvenanceTracker
 from repro.rag import ColumnRetriever
 from repro.sandbox import InProcessClient, SandboxExecutor
@@ -321,15 +321,21 @@ def state_for(attempt=0, error=""):
     }
 
 
-def redo_count():
-    return get_registry().counter("qa.redo").value
+def redo_count(supervisor):
+    """Redos so far, read from their record: the QA verdicts that failed
+    with revisions left (``qa.assess`` spans)."""
+    return sum(
+        1 for s in supervisor.context.tracer.span_dicts()
+        if s["name"] == QA_SPAN and not s["attributes"]["passed"]
+        and s["attributes"]["attempt"] < supervisor.max_revisions
+    )
 
 
 class TestJudge:
     @pytest.mark.parametrize("error, verdict, decision, next_error", JUDGE_TABLE)
     def test_qa_node(self, supervisor, monkeypatch, error, verdict, decision, next_error):
         asked = script_qa(supervisor, monkeypatch, [verdict])
-        before = redo_count()
+        before = redo_count(supervisor)
         update = supervisor._judge(state_for(attempt=1, error=error))
         # QA is asked about every attempt, failed executions included
         assert asked == [(supervisor._step_key(state_for()), 1, 7, error, False)]
@@ -341,10 +347,10 @@ class TestJudge:
                     status="ok", attempts=2, redo_iterations=1,
                 ),
             }
-            assert redo_count() == before
+            assert redo_count(supervisor) == before
         else:
             assert update == {"attempt": 2, "redo_iterations": 1, "last_error": next_error}
-            assert redo_count() == before + 1
+            assert redo_count(supervisor) == before + 1
 
     @pytest.mark.parametrize("error, verdict, decision, next_error", JUDGE_TABLE)
     def test_viz_batch(self, supervisor, monkeypatch, error, verdict, decision, next_error):
@@ -352,14 +358,14 @@ class TestJudge:
         # then (after a redo) one that runs clean and passes
         asked = script_qa(supervisor, monkeypatch, [verdict, QAVerdict(True, 90, "fine")])
         given = script_viz(supervisor, monkeypatch, [error, ""])
-        before = redo_count()
+        before = redo_count(supervisor)
         update = supervisor._node_viz_batch(dict(state_for(), step_results=[], figures=[]))
         key = supervisor._step_key(state_for())
         redos = 0 if decision == "pass" else 1
         assert given == [(key, 0, ""), (key, 1, next_error)][: redos + 1]
         assert [a[:2] for a in asked] == [(key, 0), (key, 1)][: redos + 1]
         assert update["step_index"] == 1 and "status" not in update
-        assert update["redo_iterations"] == redos == redo_count() - before
+        assert update["redo_iterations"] == redos == redo_count(supervisor) - before
         assert update["step_results"] == [dict(
             FACTS, index=0, kind="viz", description=VIZ_PLAN[0]["description"],
             status="ok", attempts=redos + 1, redo_iterations=redos,
@@ -369,7 +375,7 @@ class TestJudge:
 
     def test_qa_node_fails_the_run_when_the_budget_is_spent(self, supervisor, monkeypatch):
         script_qa(supervisor, monkeypatch, [QAVerdict(False, 10, "no")])
-        before = redo_count()
+        before = redo_count(supervisor)
         update = supervisor._judge(state_for(attempt=2, error="KeyError: 'x'"))
         assert update == {
             "status": "failed", "failed_at_step": 0,
@@ -382,16 +388,16 @@ class TestJudge:
             # the known double count: the two redos were already added one by one
             "redo_iterations": 2,
         }
-        assert redo_count() == before  # exhaustion is not a redo
+        assert redo_count(supervisor) == before  # exhaustion is not a redo
 
     def test_viz_batch_fails_the_run_when_the_budget_is_spent(self, supervisor, monkeypatch):
         script_qa(supervisor, monkeypatch, [QAVerdict(False, 10, "no")] * 3)
         given = script_viz(supervisor, monkeypatch, ["KeyError: 'x'"] * 3)
-        before = redo_count()
+        before = redo_count(supervisor)
         update = supervisor._node_viz_batch(dict(state_for(), step_results=[], figures=[]))
         assert [g[1:] for g in given] == [(0, ""), (1, "KeyError: 'x'"), (2, "KeyError: 'x'")]
         assert update["status"] == "failed" and update["failed_at_step"] == 0
         assert [r["status"] for r in update["step_results"]] == ["failed"]
         assert update["step_results"][0]["attempts"] == 3
         assert update["redo_iterations"] == 2 + 2  # as the serial path counts it
-        assert redo_count() == before + 2
+        assert redo_count(supervisor) == before + 2

@@ -195,10 +195,8 @@ class TestCommitProtocol:
         )
         WriteAheadLog(tmp_path / "db" / "wal.log", fsync=False).append(stale)
 
-        before = counter(obs_names.WAL_SKIPPED_COMMITTED)
         report = open_db(tmp_path / "db").recover()
         assert report["replayed"] == 0 and report["skipped"] == 1
-        assert counter(obs_names.WAL_SKIPPED_COMMITTED) == before + 1
         assert open_db(tmp_path / "db").store("t").content_signature() == committed
 
     def test_recovery_is_idempotent(self, tmp_path):
@@ -248,13 +246,11 @@ class TestFailedStatement:
         db = self._two_tables(tmp_path / "db")
         before = _tree_bytes(tmp_path / "db" / "a")
         version = db.table_version("a")
-        appends = counter(obs_names.WAL_APPENDS)
 
         with pytest.raises(DBError, match="schema mismatch"):
             db.append("a", Frame({"a": np.arange(3), "other": np.arange(3)}))
 
-        # refused before the intent was logged
-        assert counter(obs_names.WAL_APPENDS) == appends
+        # nothing of the refused statement is left in the log
         assert not WriteAheadLog(tmp_path / "db" / "wal.log").exists_nonempty()
         # the same handle and a fresh one both keep writing, to any table
         db.append("b", make_frame(4, start=8))

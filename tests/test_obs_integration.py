@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.db.cache import QueryCacheStats
 from repro.eval.harness import EvaluationHarness, HarnessConfig
 from repro.eval.questions import QUESTION_SUITE
 from repro.graph import Channel, END, StateGraph
@@ -112,7 +113,7 @@ class TestHarnessTraceParity:
             par_counters.pop(n, 0) for n in memo
         )
         assert seq_counters == par_counters
-        assert seq_counters["llm.calls"] > 0
+        assert QueryCacheStats.from_counters(seq_counters).requests > 0
 
     def test_trace_written_to_workdir(self, parity):
         seq, par = parity
