@@ -93,8 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
                                "them (fault counters are reported after the table)")
     evaluate.add_argument("--live", action="store_true",
                           help="stream cell/session completions to stderr as they "
-                               "happen (also switches the merged trace to "
-                               "incremental writes)")
+                               "happen (the merged trace is written once, at the "
+                               "end, either way)")
 
     sql = sub.add_parser("sql", help="run SQL against an analysis database")
     sql.add_argument("statement")
@@ -141,13 +141,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="output base path; writes <out>.collapsed and "
                               "<out>.svg (default <workdir>/profile)")
 
-    slo = sub.add_parser("slo", help="check SLO budgets against run artifacts")
+    slo = sub.add_parser("slo", help="check SLO budgets against a trace")
     slo.add_argument("action", choices=("check",),
                      help="check: evaluate the policy and exit 1 on violations")
-    slo.add_argument("path",
-                     help="trace .jsonl file or a workdir containing one "
-                          "(a metrics.json beside the trace enables the "
-                          "histogram gates)")
+    slo.add_argument("path", help="trace .jsonl file or a workdir containing one")
     slo.add_argument("--policy", default=None,
                      help="policy JSON file (default: the built-in "
                           "machine-independent policy)")
@@ -422,6 +419,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_cache(args: argparse.Namespace) -> int:
     from repro.db import cache as query_cache
+    from repro.obs.metrics import SnapshotUnreadable, read_snapshot_counters
     from repro.rag import cache as rag_cache
 
     workdir = Path(args.workdir)
@@ -453,9 +451,11 @@ def cmd_cache(args: argparse.Namespace) -> int:
     # counters live in the process that counted them: a later process
     # can only report what a run persisted (the harness's metrics.json)
     metrics_path = workdir / "metrics.json"
-    counters = (
-        json.loads(metrics_path.read_text())["counters"] if metrics_path.is_file() else None
-    )
+    try:
+        counters = read_snapshot_counters(metrics_path)
+    except SnapshotUnreadable as exc:
+        print(f"unreadable: {exc}")
+        return 1
     print(f"query result cache ({store.cache_dir})")
     print(f"  disk: {len(store.disk_entries())} entries, {store.footprint_bytes():,} bytes")
     quarantined_disk = len(store.quarantined_entries())
@@ -547,6 +547,7 @@ def cmd_chat(args: argparse.Namespace) -> int:
 
 def cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs.export import (
+        TraceUnreadable,
         read_spans,
         render_tree,
         summarize,
@@ -562,6 +563,9 @@ def cmd_trace(args: argparse.Namespace) -> int:
         print(f"no trace yet under {args.path} "
               f"(run a query or the eval harness first)")
         return 0
+    except TraceUnreadable as exc:
+        print(f"unreadable: {exc}")
+        return 1
     if not spans:
         print(f"trace at {args.path} is empty (no spans recorded yet)")
         return 0
@@ -583,6 +587,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 def cmd_cost(args: argparse.Namespace) -> int:
     from repro.obs.export import (
+        TraceUnreadable,
         find_trace_file,
         growth_curve,
         llm_spend,
@@ -592,10 +597,13 @@ def cmd_cost(args: argparse.Namespace) -> int:
 
     try:
         trace = find_trace_file(args.path)
+        spans = read_spans(trace)
     except FileNotFoundError:
         print(f"no trace under {args.path} (run a query or the eval harness first)")
         return 0
-    spans = read_spans(trace)
+    except TraceUnreadable as exc:
+        print(f"unreadable: {exc}")
+        return 1
     totals = token_totals(spans)
     print(f"llm spend in {trace}")
     print(f"  total: ${totals['cost_usd']:.4f} over {totals['calls']} LLM calls, "
@@ -650,6 +658,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 
 def cmd_slo(args: argparse.Namespace) -> int:
+    from repro.obs.export import TraceUnreadable
     from repro.obs.slo import SLOPolicy, check_workdir
 
     try:
@@ -663,22 +672,31 @@ def cmd_slo(args: argparse.Namespace) -> int:
         print(f"no trace yet under {args.path} "
               f"(run a query or the eval harness first)")
         return 0
+    except TraceUnreadable as exc:
+        print(f"unreadable: {exc}")
+        return 1
     print(report.render())
     return 0 if report.ok else 1
 
 
 def cmd_sandbox(args: argparse.Namespace) -> int:
+    from repro.obs.metrics import SnapshotUnreadable, read_snapshot_counters
     from repro.sandbox.fleet import FleetStats
 
     # like `repro cache stats`: a later process can only report what a run
     # persisted, and live per-member state is in the server's /stats
     metrics_path = Path(args.workdir) / "metrics.json"
-    if not metrics_path.is_file():
+    try:
+        counters = read_snapshot_counters(metrics_path)
+    except SnapshotUnreadable as exc:
+        print(f"unreadable: {exc}")
+        return 1
+    if counters is None:
         print(f"no counters under {args.workdir}: {metrics_path.name} is written "
               f"when `repro serve` drains and by `repro eval`; for a `repro query` "
               f"workdir, `repro trace summary {args.workdir}` has a sandbox fleet line")
         return 0
-    fleet = FleetStats.from_counters(json.loads(metrics_path.read_text())["counters"])
+    fleet = FleetStats.from_counters(counters)
     print(f"sandbox fleet ({metrics_path})")
     print(f"  counters: routes={fleet.routes} trips={fleet.trips} "
           f"respawns={fleet.respawns} fallbacks={fleet.fallbacks}")

@@ -36,6 +36,7 @@ from pathlib import Path
 from repro.agents.planner import AutoApprove
 from repro.core import InferA, InferAConfig
 from repro.db.cache import QueryCacheStats
+from repro.durable import atomic_publish
 from repro.eval.metrics import MetricsAggregator, RunMetrics, oracle_assess
 from repro.eval.questions import (
     QUESTION_SUITE,
@@ -94,6 +95,11 @@ class RunOutcome:
     obs_metrics: dict = field(default_factory=empty_snapshot)
 
 
+# the counters ``HarnessPerf.fault_counters`` reports, by name prefix
+FAULT_COUNTER_PREFIXES = ("faults.", "resilience.", "checkpoint.corrupt",
+                          "db.cache.quarantine", "storage.write_verify_retry")
+
+
 @dataclass
 class HarnessPerf:
     """Throughput and cache instrumentation for one ``run_suite`` call."""
@@ -121,12 +127,10 @@ class HarnessPerf:
     def fault_counters(self) -> dict[str, int]:
         """Chaos accounting: injected faults and the recoveries that
         absorbed them, pulled from the merged obs-metrics counters."""
-        prefixes = ("faults.", "resilience.", "checkpoint.corrupt",
-                    "db.cache.quarantine", "storage.write_verify_retry")
         return {
             name: value
-            for name, value in sorted(self.obs_metrics.get("counters", {}).items())
-            if name.startswith(prefixes)
+            for name, value in sorted(self.obs_metrics["counters"].items())
+            if name.startswith(FAULT_COUNTER_PREFIXES)
         }
 
     def as_dict(self) -> dict:
@@ -283,9 +287,9 @@ class EvaluationHarness:
                 kept.append(outcome.report)
         trace_path = self.workdir / "trace.jsonl"
         write_jsonl(all_spans, trace_path)
-        # persisted beside the trace so a later process (`repro slo check`,
-        # `repro cache stats`) can read the suite's counters and histograms
-        (self.workdir / "metrics.json").write_text(json.dumps(obs_total, indent=1))
+        # persisted beside the trace so a later process (`repro cache stats`,
+        # `repro sandbox stats`) can read the suite's counters
+        atomic_publish(self.workdir / "metrics.json", json.dumps(obs_total, indent=1).encode())
         perf = HarnessPerf(
             workers=n_workers,
             total_wall_s=total_wall,

@@ -83,15 +83,27 @@ def find_trace_file(path: str | Path) -> Path:
     raise FileNotFoundError(f"no trace at {path}")
 
 
+class TraceUnreadable(ValueError):
+    """A trace file line that is not a span, such as a torn last line."""
+
+
 def read_spans(path: str | Path) -> list[dict[str, Any]]:
-    """Load span dicts from a trace file or a session directory."""
+    """Load span dicts from a trace file or a session directory; a line
+    that is not a span raises :class:`TraceUnreadable` naming it."""
     trace_path = find_trace_file(path)
     spans: list[dict[str, Any]] = []
-    with trace_path.open() as fh:
-        for line in fh:
+    with trace_path.open("rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
-            if line:
-                spans.append(json.loads(line))
+            if not line:
+                continue
+            try:
+                span = json.loads(line)
+            except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+                raise TraceUnreadable(f"{trace_path}:{lineno}: not JSON ({exc})") from None
+            if not isinstance(span, dict):
+                raise TraceUnreadable(f"{trace_path}:{lineno}: not a span object")
+            spans.append(span)
     return spans
 
 

@@ -16,8 +16,10 @@ counters, from the live registry or from any snapshot.
 
 from __future__ import annotations
 
+import json
 import threading
 from dataclasses import dataclass, field, fields
+from pathlib import Path
 from typing import Any, Self
 
 
@@ -74,6 +76,29 @@ def snapshot_delta(after: dict[str, Any], before: dict[str, Any]) -> dict[str, A
         for name, value in after["counters"].items()
         if value != prior.get(name, 0)
     }}
+
+
+class SnapshotUnreadable(ValueError):
+    """A snapshot file that is torn or was not written as one."""
+
+
+def read_snapshot_counters(path: Path) -> dict[str, float] | None:
+    """The ``counters`` of a snapshot file such as ``metrics.json``, or
+    None when there is no file; a torn or foreign file raises
+    :class:`SnapshotUnreadable` naming the file and what is wrong."""
+    if not path.is_file():
+        return None
+    try:
+        counters = json.loads(path.read_bytes())["counters"]
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise SnapshotUnreadable(f"{path} is not JSON ({exc})") from None
+    except (KeyError, TypeError):
+        raise SnapshotUnreadable(f"{path} has no 'counters' section") from None
+    if not isinstance(counters, dict) or not all(
+        isinstance(v, (int, float)) for v in counters.values()
+    ):
+        raise SnapshotUnreadable(f"{path}: 'counters' is not a name-to-number map")
+    return counters
 
 
 # the process-wide registry library instrumentation records into

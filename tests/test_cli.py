@@ -472,12 +472,54 @@ class TestArtifactCompat:
     def test_sandbox_stats_current_schema_has_no_note(self, tmp_path, capsys):
         counters = {"sandbox.fleet.routes": 7, "sandbox.fleet.trips": 1, "db.cache.miss": 3}
         (tmp_path / "metrics.json").write_text(
-            json.dumps({"counters": counters, "histograms": {}})
+            json.dumps({"counters": counters})
         )
         assert main(["sandbox", "stats", "--workdir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "routes=7 trips=1 respawns=0 fallbacks=0" in out
         assert "no counters" not in out
+
+
+class TestTornArtifacts:
+    """A killed writer can leave ``metrics.json`` or ``trace.jsonl`` cut
+    mid-line: each reader says so in one line and exits 1, with no
+    traceback."""
+
+    @pytest.mark.parametrize(
+        "body, reason",
+        [('{"counters": {"db.cache.miss": 3', "is not JSON"),
+         ('{"histograms": {}}', "has no 'counters' section")],
+        ids=["torn", "no-counters"],
+    )
+    @pytest.mark.parametrize("command", ["cache", "sandbox"])
+    def test_stats_name_an_unreadable_metrics_file(self, tmp_path, capsys, command, body, reason):
+        (tmp_path / ".query_cache").mkdir()
+        (tmp_path / "metrics.json").write_text(body)
+        assert main([command, "stats", "--workdir", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith(f"unreadable: {tmp_path / 'metrics.json'} {reason}")
+        assert len(out.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "command", [["trace", "summary"], ["trace", "tree"], ["trace", "export"], ["cost"], ["slo", "check"]],
+        ids=lambda c: " ".join(c),
+    )
+    def test_a_torn_trace_line_is_named(self, tmp_path, capsys, command):
+        from repro.obs.export import write_jsonl
+        from repro.obs.tracer import Tracer
+
+        tracer = Tracer()
+        with tracer.span("session"):
+            with tracer.span("llm.chat", prompt_tokens=10, completion_tokens=5):
+                pass
+        trace = tmp_path / "trace.jsonl"
+        write_jsonl(tracer.span_dicts(), trace)
+        trace.write_bytes(trace.read_bytes()[:-20])  # the last line cut short
+        capsys.readouterr()
+        assert main([*command, str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith(f"unreadable: {trace}:2: not JSON (")
+        assert len(out.splitlines()) == 1
 
 
 class TestParser:
