@@ -160,6 +160,11 @@ UNREAD_ALLOWED = {
 }
 
 
+def _module(path: Path):
+    name = ".".join(("repro", *path.relative_to(SRC).with_suffix("").parts))
+    return importlib.import_module(name.removesuffix(".__init__"))
+
+
 def _counted_names() -> list[tuple[str, str, bool]]:
     """``(where, name, is_prefix)`` for every ``.counter(`` call in src:
     a constant or named constant is a name, an f-string its literal
@@ -169,9 +174,7 @@ def _counted_names() -> list[tuple[str, str, bool]]:
         text = path.read_text()
         if ".counter(" not in text:
             continue
-        module = importlib.import_module(
-            "repro." + ".".join(path.relative_to(SRC).with_suffix("").parts)
-        )
+        module = _module(path)
         for node in ast.walk(ast.parse(text)):
             if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                     and node.func.attr == "counter"):
@@ -193,7 +196,7 @@ def _read_names() -> tuple[set[str], tuple[str, ...]]:
     """Exact names some reader reads, and the prefixes it reads by."""
     for path in sorted(SRC.rglob("*.py")):
         if "(CounterView)" in path.read_text():
-            importlib.import_module("repro." + ".".join(path.relative_to(SRC).with_suffix("").parts))
+            _module(path)
     views, exact = list(CounterView.__subclasses__()), set()
     while views:
         view = views.pop()
