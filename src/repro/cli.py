@@ -31,7 +31,7 @@ import argparse
 import json
 import sys
 import time
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from pathlib import Path
 
 from repro.obs.logsetup import get_logger, setup_logging
@@ -257,14 +257,12 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 
 def _live(args: argparse.Namespace):
-    """A scope streaming span completions to stderr under ``--live``."""
+    """The listener printing span completions to stderr under ``--live``."""
     if not args.live:
-        return nullcontext()
-    from repro.obs.events import EventBus, LiveRenderer, use_bus
+        return None
+    from repro.obs.events import LiveRenderer
 
-    bus = EventBus()
-    bus.subscribe(LiveRenderer(stream=sys.stderr, verbose=args.verbose > 0))
-    return use_bus(bus)
+    return LiveRenderer(stream=sys.stderr, verbose=args.verbose > 0)
 
 
 def _config(args: argparse.Namespace, **fields):
@@ -293,13 +291,16 @@ def _process_span(args: argparse.Namespace):
     It starts where ``python -m repro`` stamped the clock, before the
     first ``repro`` import, and ``import_s`` is how much of it had gone by
     when the handler had imported its subsystem; the session (or suite)
-    span parents under it.  Yields the span, finished on exit, for the
-    handler to write beside the trace it parents.
+    span parents under it and inherits the ``--live`` listener.  Yields
+    the span, finished on exit, for the handler to write beside the trace
+    it parents.
     """
-    from repro.obs.names import CLI_PROCESS_SPAN
-    from repro.obs.tracer import Tracer, use_tracer
+    import uuid
 
-    tracer = Tracer()
+    from repro.obs.names import CLI_PROCESS_SPAN
+    from repro.obs.tracer import TraceContext, Tracer, use_tracer
+
+    tracer = Tracer(context=TraceContext(uuid.uuid4().hex, None, _live(args)))
     ready = tracer.clock.now()
     span = tracer.start_span(
         CLI_PROCESS_SPAN, command=args.command, import_s=ready - args.process_start
@@ -309,6 +310,7 @@ def _process_span(args: argparse.Namespace):
         try:
             yield span
         finally:
+            tracer.listener = None  # --live reports the work, not the process
             tracer.end_span(span)
 
 
@@ -323,7 +325,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     )
     log.info("running query against %s (seed=%d)", args.ensemble, args.seed)
     try:
-        with _process_span(args) as process, _live(args):
+        with _process_span(args) as process:
             report = app.run_query(args.question)
     finally:
         app.close()  # stop any sandbox fleet
@@ -377,7 +379,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             fault_profile=fault_profile,
         ),
     )
-    with _process_span(args) as process, _live(args):
+    with _process_span(args) as process:
         result = harness.run_suite()
     if result.trace_path is not None:
         with result.trace_path.open("a") as fh:

@@ -45,7 +45,7 @@ from repro.eval.questions import (
 )
 from repro.faults import FaultProfile
 from repro.llm.errors import ErrorModel
-from repro.obs.events import get_bus, replay_spans
+from repro.obs.events import replay_spans
 from repro.obs.export import phase_rollups, write_jsonl
 from repro.obs.metrics import (
     empty_snapshot,
@@ -311,9 +311,8 @@ class EvaluationHarness:
         self,
         grid: list[tuple[EvalQuestion, int]],
         n_workers: int,
-        ctx: TraceContext | None,
+        ctx: TraceContext,
     ) -> list[RunOutcome]:
-        bus = get_bus()
         with ProcessPoolExecutor(
             max_workers=n_workers,
             initializer=_pool_init,
@@ -323,12 +322,12 @@ class EvaluationHarness:
             outcomes: list[RunOutcome] = []
             for future in futures:
                 outcome = future.result()
-                # cross-process propagation: fork children reset their
-                # ambient bus, so each cell's spans are re-published here
-                # as the future resolves — parenting rides on the span
-                # dicts' parent_id, so subscribers see the same canonical
-                # tree a sequential in-process run publishes
-                replay_spans(bus, outcome.spans)
+                # cross-process propagation: a pickled context drops its
+                # listener, so each cell's spans are handed to it here as
+                # the future resolves — parenting rides on the span dicts'
+                # parent_id, so the listener sees the same canonical tree
+                # a sequential in-process run delivers
+                replay_spans(ctx.listener, outcome.spans)
                 outcomes.append(outcome)
             return outcomes
 

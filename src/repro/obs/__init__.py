@@ -5,8 +5,8 @@ spans over supervisor steps, graph nodes, SQL, sandbox runs, retrieval
 and LLM exchanges (:mod:`repro.obs.tracer`), whose attributes are the
 one record of each unit of work; mergeable process-local counters, kept
 only where a live or cross-process reader needs them
-(:mod:`repro.obs.metrics`); a bus that hands each
-finished span to pluggable subscribers as it ends
+(:mod:`repro.obs.metrics`); a trace's live listener, which hears each
+finished span as it ends, and its ``--live`` renderer
 (:mod:`repro.obs.events`); a sampling profiler with flamegraph output
 (:mod:`repro.obs.profiler`); declarative SLO gates
 (:mod:`repro.obs.slo`); shared span-name/attribute constants

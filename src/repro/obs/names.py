@@ -64,8 +64,8 @@ PROFILE_CAPTURE_SPAN = "profile.capture"
 CLI_PROCESS_SPAN = "cli.process"
 
 # one per served request (repro.serve.worker); the session span of the
-# request's query parents under it, sharing its trace_id — which is the
-# key per-request SSE streams filter the process-wide bus on
+# request's query parents under it, sharing its trace_id and its
+# listener; its end closes the request's SSE progress stream
 SERVE_REQUEST_SPAN = "serve.request"
 # wraps server warm-up (repro.serve.state): pre-building the shared
 # read-only state before the first request arrives
@@ -117,7 +117,7 @@ SANDBOX_FLEET_ROUTES = "sandbox.fleet.routes"
 SANDBOX_FLEET_TRIPS = "sandbox.fleet.trips"
 SANDBOX_FLEET_RESPAWNS = "sandbox.fleet.respawns"
 SANDBOX_FLEET_FALLBACKS = "sandbox.fleet.fallbacks"
-# span-bus subscribers (repro.obs.events) that raised and were skipped
+# trace listeners (repro.obs.events) that raised and were skipped
 OBS_BUS_SUBSCRIBER_ERRORS = "obs.bus.subscriber_errors"
 
 # ----------------------------------------------------------------------

@@ -19,25 +19,47 @@ Design constraints, in order:
 * **clock-injected** — the tracer never calls ``time`` APIs directly
   (DESIGN's determinism invariant), so traces taken under
   ``SimulatedClock`` are bit-stable;
-* **process-portable** — :class:`TraceContext` is a two-string dataclass
-  that pickles across the evaluation harness's process pool, and span ids
-  carry a per-tracer random prefix so spans minted in different worker
-  processes never collide when merged into one trace.
+* **process-portable** — :class:`TraceContext` is two strings (and, in
+  its own process, the trace's live listener) that pickle across the
+  evaluation harness's process pool, and span ids carry a per-tracer
+  random prefix so spans minted in different worker processes never
+  collide when merged into one trace;
+* **observable per trace** — a context's listener hears every span its
+  tracers end (:mod:`repro.obs.events` states the contract); a trace
+  with none pays one attribute check per span end.
 """
 
 from __future__ import annotations
 
+import logging
+import os
 import threading
 import uuid
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
-from repro.obs.events import NULL_BUS, get_bus
+from repro.obs.metrics import get_registry
+from repro.obs.names import OBS_BUS_SUBSCRIBER_ERRORS
 from repro.util.timing import SimulatedClock, WallClock
 
 Clock = WallClock | SimulatedClock
+# called with each finished span's dict (Span.as_dict)
+Listener = Callable[[dict[str, Any]], None]
+
+log = logging.getLogger(__name__)
+
+
+def notify(listener: Listener, doc: dict[str, Any]) -> None:
+    """Hand one finished span's dict to ``listener``; one that raises is
+    counted (``obs.bus.subscriber_errors``) and never fails the run."""
+    try:
+        listener(doc)
+    except Exception:
+        get_registry().counter(OBS_BUS_SUBSCRIBER_ERRORS).inc()
+        log.debug("span listener %r raised", listener, exc_info=True)
+
 
 # ----------------------------------------------------------------------
 # span notes: the profiler's view of "what span is this thread inside?"
@@ -74,11 +96,17 @@ class TraceContext:
     """The portable coordinates of a position inside a trace.
 
     Pickles across process boundaries; a tracer built ``Tracer(context=ctx)``
-    mints spans in ``ctx.trace_id`` whose roots hang off ``ctx.span_id``.
+    mints spans in ``ctx.trace_id`` whose roots hang off ``ctx.span_id``
+    and calls ``ctx.listener`` with each span it ends.  The listener stays
+    in its process: a pickled context carries none.
     """
 
     trace_id: str
     span_id: str | None = None
+    listener: Listener | None = None
+
+    def __reduce__(self):
+        return (TraceContext, (self.trace_id, self.span_id))
 
     def as_dict(self) -> dict[str, Any]:
         return {"trace_id": self.trace_id, "span_id": self.span_id}
@@ -201,6 +229,13 @@ class Tracer:
         self._id_prefix = id_prefix or uuid.uuid4().hex[:8]
         self._counter = 0
         self._lock = threading.Lock()
+        self.listener = context.listener if context is not None else None
+        # one listener call at a time, even when threads end spans at once;
+        # re-entrant, so a listener that ends a span is served inline
+        self._listener_lock = threading.RLock()
+        # the listener stays in this process: a forked child ending spans
+        # on its inherited copy of the tracer calls nobody
+        self._pid = os.getpid()
         self._stacks = threading.local()
         self.spans: list[Span] = []
 
@@ -224,7 +259,9 @@ class Tracer:
     def context(self) -> TraceContext:
         """Portable coordinates of the innermost open span (or the root)."""
         cur = self.current()
-        return TraceContext(self.trace_id, cur.span_id if cur else self._root_parent)
+        return TraceContext(
+            self.trace_id, cur.span_id if cur else self._root_parent, self.listener
+        )
 
     # ------------------------------------------------------------------
     def start_span(self, name: str, parent: Span | None = None, **attributes: Any) -> Span:
@@ -259,9 +296,9 @@ class Tracer:
             stack.remove(span)
         if _NOTE_SPANS:
             _SPAN_NOTES[threading.get_ident()] = stack[-1].name if stack else ""
-        bus = get_bus()
-        if bus is not NULL_BUS:
-            bus.publish(span.as_dict())
+        if self.listener is not None and os.getpid() == self._pid:
+            with self._listener_lock:
+                notify(self.listener, span.as_dict())
 
     @contextmanager
     def span(self, name: str, parent: Span | None = None, **attributes: Any) -> Iterator[Span]:

@@ -14,7 +14,7 @@ A stdlib-only long-running server over one warm process:
   stay byte-identical to a quiescent run at their pinned snapshot
   version.
 * ``GET /healthz`` — liveness plus drain state.
-* ``GET /stats`` — queue, session, breaker, cache, bus, and live-ingest
+* ``GET /stats`` — queue, session, breaker, cache, and live-ingest
   (snapshot version + WAL) telemetry.  Every count in it is a read of the
   :mod:`repro.obs.metrics` registry or live state; nothing is counted
   twice.
@@ -42,8 +42,8 @@ from typing import Any
 
 from repro.core.config import InferAConfig
 from repro.durable import atomic_publish
-from repro.obs.events import EventBus, use_bus
 from repro.obs.metrics import get_registry, snapshot_delta
+from repro.obs.tracer import Listener
 from repro.resilience import Deadline
 from repro.sandbox.server import (
     DEFAULT_MAX_BODY_BYTES,
@@ -93,8 +93,6 @@ class ReproServer:
             llm_factory=llm_factory,
         )
         self.request_timeout_s = float(request_timeout_s)
-        self.bus = EventBus()
-        self._bus_scope = None
         # live ingestion: built lazily on the first /v1/ingest (serving a
         # static ensemble must not pay for a writer it never uses); the
         # lock makes the server a single-writer system
@@ -113,10 +111,6 @@ class ReproServer:
     def start(self):
         """Warm shared state, start workers, bind and serve; returns the
         warm-up report."""
-        # one process-wide bus for the server's lifetime: workers publish
-        # finished spans onto it, per-request SSE subscriptions filter it
-        self._bus_scope = use_bus(self.bus)
-        self._bus_scope.__enter__()
         self._metrics_at_start = get_registry().snapshot()
         report = self.state.warm()
         self.pool.start()
@@ -156,9 +150,6 @@ class ReproServer:
             self._httpd.server_close()
         if self._http_thread is not None:
             self._http_thread.join(timeout_s)
-        if self._bus_scope is not None:
-            self._bus_scope.__exit__(None, None, None)
-            self._bus_scope = None
         return manifest
 
     @property
@@ -166,8 +157,11 @@ class ReproServer:
         return f"http://{self.host}:{self.port}"
 
     # -- request handling (called from HTTP threads) --------------------
-    def admit(self, question: str, session_id: str) -> ServeRequest:
-        """Create, register, and enqueue one request (may raise
+    def admit(
+        self, question: str, session_id: str, listener: Listener | None = None
+    ) -> ServeRequest:
+        """Create, register, and enqueue one request whose finished spans
+        reach ``listener`` (may raise
         :class:`QueueFull`/:class:`QueueClosed`/:class:`InvalidSessionId`)."""
         session = self.registry.get_or_create(session_id)
         index, run_id = session.next_run_id(question)
@@ -178,6 +172,7 @@ class ReproServer:
             request_index=index,
             deadline=Deadline(self.request_timeout_s, clock=self.pool.clock),
             submitted_at=self.pool.clock.now(),
+            listener=listener,
         )
         self.queue.submit(request)
         return request
@@ -217,7 +212,7 @@ class ReproServer:
             raise IngestBusy()
         try:
             ingester = self._ensure_ingester()
-            with use_bus(self.bus), faults.use_faults(self._ingest_injector):
+            with faults.use_faults(self._ingest_injector):
                 report = ingester.ingest_step_resilient(step)
             # publish the committed manifest to the warm shared handle:
             # requests admitted from now on pin the new snapshot version
@@ -254,7 +249,6 @@ class ReproServer:
             "warmup": self.state.report.as_dict() if self.state.report else None,
             "query_cache": {**qstats.as_dict(), "hit_ratio": round(qstats.hit_ratio, 4)},
             "retrieval_cache": CacheStats.from_counters(counters).as_dict(),
-            "bus": {"subscribers": len(self.bus.subscribers)},
             # snapshot version queries pin against + WAL/kill counters;
             # "live" carries writer detail once the first ingest ran
             "ingest": {
@@ -339,37 +333,15 @@ def _make_handler(server: ReproServer):
                 return
             question = doc["question"]
             session_id = str(doc.get("session") or "default")
-            stream = bool(doc.get("stream", False))
-            streamer = None
+            streamer = EventStreamer() if doc.get("stream", False) else None
             try:
-                if stream:
-                    # subscribe before admission so no event is missed;
-                    # needs the trace_id, which admission mints — so
-                    # build the request first, then enqueue
-                    session = server.registry.get_or_create(session_id)
-                    index, run_id = session.next_run_id(question)
-                    request = ServeRequest(
-                        question=question,
-                        session=session,
-                        run_id=run_id,
-                        request_index=index,
-                        deadline=Deadline(
-                            server.request_timeout_s, clock=server.pool.clock
-                        ),
-                        submitted_at=server.pool.clock.now(),
-                    )
-                    streamer = EventStreamer(request.trace_id)
-                    server.queue.submit(request)
-                else:
-                    request = server.admit(question, session_id)
+                request = server.admit(
+                    question, session_id, streamer.on_span if streamer else None
+                )
             except InvalidSessionId as exc:
-                if streamer is not None:
-                    streamer.close()
                 self._send_json(400, {"error": "bad-session", "detail": str(exc)})
                 return
             except QueueFull as exc:
-                if streamer is not None:
-                    streamer.close()
                 self._send_json(
                     429,
                     {
@@ -382,12 +354,10 @@ def _make_handler(server: ReproServer):
                 )
                 return
             except QueueClosed:
-                if streamer is not None:
-                    streamer.close()
                 self._send_json(503, {"error": "draining", "detail": "server is shutting down"})
                 return
 
-            if stream:
+            if streamer is not None:
                 self._stream_response(request, streamer)
             else:
                 self._block_response(request)
@@ -469,7 +439,5 @@ def _make_handler(server: ReproServer):
                 self.wfile.flush()
             except (BrokenPipeError, ConnectionResetError):
                 pass  # client went away; the request still completes
-            finally:
-                streamer.close()
 
     return Handler

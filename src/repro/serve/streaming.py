@@ -1,16 +1,15 @@
-"""Per-request SSE progress streams over the process-wide event bus.
+"""Per-request SSE progress streams fed by the request's own trace.
 
-One server process has one :class:`~repro.obs.events.EventBus`; every
-request's finished spans are published onto it, each dict carrying the
-request's ``trace_id``.  A streaming client (``POST /v1/query`` with
-``"stream": true``) gets those spans fanned back out as a
-``text/event-stream``: the subscription filters the bus down to the one
-trace (:func:`repro.obs.events.subscribe` with ``trace_id=``), and each
-span's progress line goes straight into the request's own bounded queue,
-which the HTTP handler thread drains.  A slow or stalled HTTP client can
-never stall the workers publishing on the request path: progress lines
-the queue cannot take are dropped, counted, and reported as
-``stream_dropped_events`` in the terminal ``result`` frame.
+A streaming client (``POST /v1/query`` with ``"stream": true``) gets its
+request's finished spans as a ``text/event-stream``.  The handler hands
+:meth:`EventStreamer.on_span` to the request as its trace listener
+(:class:`~repro.obs.tracer.TraceContext`), so exactly that request's
+spans reach it, and each span's progress line goes straight into the
+request's own bounded queue, which the HTTP handler thread drains.  A
+slow or stalled HTTP client can never stall the worker ending spans on
+the request path: progress lines the queue cannot take are dropped,
+counted, and reported as ``stream_dropped_events`` in the terminal
+``result`` frame.
 
 Progress lines reuse :meth:`LiveRenderer.format_event`, so what streams
 to a serve client is word-for-word what ``repro query --live`` prints.
@@ -23,7 +22,7 @@ import queue
 from contextlib import suppress
 from typing import Any, Iterator
 
-from repro.obs.events import LiveRenderer, subscribe
+from repro.obs.events import LiveRenderer
 from repro.obs.names import SERVE_REQUEST_SPAN
 
 
@@ -36,18 +35,16 @@ def sse_frame(event_name: str, data: dict[str, Any]) -> bytes:
 class EventStreamer:
     """Bridge one request's finished spans onto an SSE byte iterator."""
 
-    def __init__(self, trace_id: str, verbose: bool = False, capacity: int = 4096):
-        self.trace_id = trace_id
+    def __init__(self, verbose: bool = False, capacity: int = 4096):
         self.verbose = verbose
-        # progress lines the full queue refused (the bus calls _on_span
-        # under its lock, so the count needs none of its own)
+        # progress lines the full queue refused (the tracer calls on_span
+        # one span at a time, so the count needs no lock of its own)
         self.dropped = 0
-        # the publisher (a worker thread mid-request) formats each line and
-        # never waits on the client: a full queue drops the line
+        # the worker ending a span formats its line and never waits on the
+        # client: a full queue drops the line
         self._lines: queue.Queue[str | None] = queue.Queue(maxsize=capacity)  # None: request over
-        self._subscription = subscribe(self._on_span, trace_id=trace_id)
 
-    def _on_span(self, doc: dict[str, Any]) -> None:
+    def on_span(self, doc: dict[str, Any]) -> None:
         line = LiveRenderer.format_event(doc, verbose=self.verbose)
         if line is not None:
             try:
@@ -78,6 +75,3 @@ class EventStreamer:
                     yield sse_frame("progress", {"line": line})
                 else:  # the worker sets ``done`` right after that span
                     over = done.wait(poll_s)
-
-    def close(self) -> None:
-        self._subscription.close()

@@ -3,8 +3,10 @@
 Each worker thread loops on the admission queue; for every request it
 
 1. opens a fresh per-request :class:`~repro.obs.tracer.Tracer` whose
-   ``serve.request`` root span records the queue-wait/execution split —
-   its ``trace_id`` is the request's handle for SSE filtering;
+   ``serve.request`` root span records the queue-wait/execution split;
+   its context carries the request's listener (a streaming client's
+   :class:`~repro.serve.streaming.EventStreamer`), so the request's spans,
+   and only they, reach its SSE stream;
 2. builds a fresh per-request app (:meth:`WarmState.build_app`) on the
    session's workdir with a deterministically derived seed, so the run
    is byte-identical to the same question asked via a one-shot CLI
@@ -36,7 +38,7 @@ from typing import Any
 
 from repro.obs.export import token_totals
 from repro.obs.names import SERVE_REQUEST_SPAN
-from repro.obs.tracer import TraceContext, Tracer, use_tracer
+from repro.obs.tracer import Listener, TraceContext, Tracer, use_tracer
 from repro.resilience import CircuitBreaker, Deadline, ResilienceError
 from repro.sandbox.serialize import frame_to_json
 from repro.serve.admission import AdmissionQueue
@@ -77,9 +79,10 @@ class ServeRequest:
     run_id: str
     request_index: int
     deadline: Deadline
-    # minted at admission (not at execution) so a streaming client can
-    # subscribe to the request's events before a worker picks it up
     trace_id: str = field(default_factory=lambda: uuid.uuid4().hex)
+    # hears each of the request's finished spans (a streaming client's
+    # EventStreamer.on_span); set before the request is queued
+    listener: Listener | None = None
     submitted_at: float = 0.0
     # fulfilled by the worker
     result: dict[str, Any] | None = None
@@ -160,7 +163,8 @@ class WorkerPool:
         t_start = self.clock.now()
         request.queue_wait_s = max(0.0, t_start - request.submitted_at)
         tracer = Tracer(
-            clock=self.clock, context=TraceContext(request.trace_id, None)
+            clock=self.clock,
+            context=TraceContext(request.trace_id, None, request.listener),
         )
         try:
             with use_tracer(tracer), tracer.span(

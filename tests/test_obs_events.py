@@ -1,13 +1,17 @@
-"""The span bus: each finished span's dict reaches every subscriber once,
-in end order, one callback at a time — in-process and replayed from the
-harness process pool — and nothing else ever rides on it."""
+"""A trace's listener: each finished span's dict reaches it once, in end
+order, one call at a time — in-process and replayed from the harness
+process pool — it never runs in another process, and nothing but spans
+ever reaches it."""
 
 import json
 import os
+import pickle
 import sys
 import threading
 import time
+import uuid
 from collections import Counter
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -19,19 +23,11 @@ from repro.eval.questions import QUESTION_SUITE
 from repro.faults import FaultProfile
 from repro.frame import Frame
 from repro.llm.errors import NO_ERRORS
-from repro.obs.events import (
-    NULL_BUS,
-    EventBus,
-    LiveRenderer,
-    get_bus,
-    replay_spans,
-    subscribe,
-    use_bus,
-)
+from repro.obs.events import LiveRenderer, replay_spans
 from repro.obs.export import canonical_tree, read_spans
 from repro.obs.metrics import get_registry
 from repro.obs.names import OBS_BUS_SUBSCRIBER_ERRORS, SQL_EXECUTE_SPAN
-from repro.obs.tracer import Tracer, use_tracer
+from repro.obs.tracer import TraceContext, Tracer, use_tracer
 from repro.serve.streaming import EventStreamer
 from repro.serve.worker import answer_payload
 from repro.util.timing import SimulatedClock
@@ -51,6 +47,19 @@ def _subscriber_errors() -> float:
     return get_registry().snapshot()["counters"].get(OBS_BUS_SUBSCRIBER_ERRORS, 0)
 
 
+def _heard_by(listener, clock=None) -> Tracer:
+    """A tracer whose spans, and its children's, reach ``listener``."""
+    return Tracer(clock=clock, context=TraceContext(uuid.uuid4().hex, None, listener))
+
+
+@contextmanager
+def _listening(listener):
+    """Library work in the block (a session, a suite) reaches ``listener``:
+    it builds its tracer from the active one's context."""
+    with use_tracer(_heard_by(listener)):
+        yield
+
+
 def _assert_each_span_once_with_parents(delivered, spans):
     """``delivered`` holds every span of ``spans`` exactly once, and every
     parent a delivered span names was delivered too (roots excepted)."""
@@ -63,43 +72,46 @@ def _assert_each_span_once_with_parents(delivered, spans):
 
 class TestEventBusCore:
     def test_dispatch_preserves_publication_order(self):
-        bus = EventBus()
         seen = []
-        bus.subscribe(seen.append)
+        tracer = _heard_by(seen.append)
         for i in range(10):
-            bus.publish(_doc(f"s{i}"))
+            with tracer.span(f"s{i}"):
+                pass
         assert [d["name"] for d in seen] == [f"s{i}" for i in range(10)]
 
     def test_subscriber_exceptions_are_counted_not_raised(self):
-        bus = EventBus()
         healthy = []
 
-        def broken(doc):
-            raise RuntimeError("observer bug")
+        def broken_once(doc):
+            if doc["name"] == "x":
+                raise RuntimeError("observer bug")
+            healthy.append(doc)
 
-        bus.subscribe(broken)
-        bus.subscribe(healthy.append)
+        tracer = _heard_by(broken_once)
         before = _subscriber_errors()
-        bus.publish(_doc("x"))
+        with tracer.span("x"):
+            pass
+        with tracer.span("y"):
+            pass
         assert _subscriber_errors() - before == 1
-        assert len(healthy) == 1  # later subscribers still served
+        assert [d["name"] for d in healthy] == ["y"]  # later spans still served
 
     def test_subscriber_publishing_reentrantly_does_not_deadlock(self):
-        bus = EventBus()
         seen = []
 
         def echo_once(doc):
             if doc["name"] == "ping":
-                bus.publish(_doc("pong"))
+                with tracer.span("pong"):
+                    pass
+            seen.append(doc)
 
-        bus.subscribe(echo_once)
-        bus.subscribe(seen.append)
-        bus.publish(_doc("ping"))
-        # served inline on the publishing thread: the echo lands first
+        tracer = _heard_by(echo_once)
+        with tracer.span("ping"):
+            pass
+        # served inline on the ending thread: the echo lands first
         assert [d["name"] for d in seen] == ["pong", "ping"]
 
     def test_callbacks_never_run_at_once(self):
-        bus = EventBus()
         inside = []
         overlaps = []
         seen = []
@@ -112,14 +124,16 @@ class TestEventBusCore:
             seen.append(doc["name"])
             inside.pop()
 
-        bus.subscribe(slow)
+        tracer = _heard_by(slow)
 
-        def publisher(t):
+        def ender(t):
             for i in range(20):
-                bus.publish(_doc(f"t{t}-{i}"))
+                with tracer.span(f"t{t}-{i}"):
+                    pass
 
-        # more publishers than cores, switching threads as often as possible
-        threads = [threading.Thread(target=publisher, args=(t,)) for t in range(4)]
+        # more threads than cores ending spans on one tracer (as the
+        # parallel-viz batch does), switching threads as often as possible
+        threads = [threading.Thread(target=ender, args=(t,)) for t in range(4)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -133,40 +147,17 @@ class TestEventBusCore:
         assert overlaps == []
         assert len(seen) == 80
 
-    def test_use_bus_nests_and_restores(self):
-        assert get_bus() is NULL_BUS
-        outer, inner = EventBus(), EventBus()
-        with use_bus(outer):
-            assert get_bus() is outer
-            with use_bus(inner):
-                assert get_bus() is inner
-            assert get_bus() is outer
-        assert get_bus() is NULL_BUS
-
-    def test_unsubscribe(self):
-        bus = EventBus()
-        seen = []
-        bus.subscribe(seen.append)
-        bus.publish(_doc("a"))
-        bus.unsubscribe(seen.append)
-        bus.publish(_doc("b"))
-        assert [d["name"] for d in seen] == ["a"]
-        assert bus.subscribers == ()
-
 
 class TestTracerPublishing:
     def test_span_end_publishes_the_finished_span_dict(self):
         clock = SimulatedClock()
-        tracer = Tracer(clock=clock)
-        bus = EventBus()
         seen = []
-        bus.subscribe(seen.append)
-        with use_bus(bus):
-            with tracer.span("outer"):
-                clock.advance(1.0)
-                with tracer.span("inner"):
-                    clock.advance(0.5)
-                    assert seen == []  # nothing until a span ends
+        tracer = _heard_by(seen.append, clock=clock)
+        with tracer.span("outer"):
+            clock.advance(1.0)
+            with tracer.span("inner"):
+                clock.advance(0.5)
+                assert seen == []  # nothing until a span ends
         assert [d["name"] for d in seen] == ["inner", "outer"]
         inner, outer = seen
         assert inner["duration"] == pytest.approx(0.5)
@@ -175,24 +166,22 @@ class TestTracerPublishing:
         assert sorted(seen, key=lambda d: d["start"]) == tracer.span_dicts()
 
     def test_each_span_reaches_every_subscriber_once(self):
-        tracer = Tracer(clock=SimulatedClock())
-        bus = EventBus()
-        first, second = [], []
-        bus.subscribe(first.append)
-        bus.subscribe(second.append)
-        with use_bus(bus), use_tracer(tracer), tracer.span("root"):
+        seen = []
+        parent = _heard_by(seen.append, clock=SimulatedClock())
+        with use_tracer(parent), parent.span("root"):
+            # a child tracer built from the parent's context, as a session's is
+            child = Tracer(clock=parent.clock, context=parent.context())
             for i in range(3):
-                with tracer.span("step", step=i), tracer.span("leaf"):
+                with child.span("step", step=i), child.span("leaf"):
                     pass
-        spans = tracer.span_dicts()
-        assert first == second
-        _assert_each_span_once_with_parents(first, spans)
+        spans = parent.span_dicts() + child.span_dicts()
+        _assert_each_span_once_with_parents(seen, spans)
 
     def test_no_bus_publishes_nothing(self):
         tracer = Tracer(clock=SimulatedClock())
+        assert tracer.listener is None and tracer.context().listener is None
         with tracer.span("quiet"):
-            pass
-        assert get_bus() is NULL_BUS  # and nothing raised
+            pass  # and nothing raised
 
 
 class TestReplay:
@@ -208,22 +197,18 @@ class TestReplay:
 
     def test_replay_spans_in_end_order(self):
         docs = self._spans()
-        bus = EventBus()
         seen = []
-        bus.subscribe(seen.append)
-        assert replay_spans(bus, docs) == 2
+        assert replay_spans(seen.append, docs) == 2
         assert [d["name"] for d in seen] == ["b", "a"]
 
     def test_replay_matches_live_canonical_structure(self):
         docs = self._spans()
-        bus = EventBus()
         seen = []
-        bus.subscribe(seen.append)
-        replay_spans(bus, docs)
+        replay_spans(seen.append, docs)
         assert canonical_tree(seen) == canonical_tree(docs)
 
     def test_replay_on_null_bus_is_free(self):
-        assert replay_spans(NULL_BUS, self._spans()) == 0
+        assert replay_spans(None, self._spans()) == 0
 
 
 class TestLiveRenderer:
@@ -262,15 +247,13 @@ class TestOnlySpansOnTheBus:
         return db
 
     def test_counters_and_scans_deliver_only_span_dicts(self, db):
-        tracer = Tracer(clock=SimulatedClock())
-        bus = EventBus()
         seen = []
-        bus.subscribe(seen.append)
-        with use_bus(bus), use_tracer(tracer):
+        tracer = _heard_by(seen.append, clock=SimulatedClock())
+        with use_tracer(tracer):
             get_registry().counter("test.bus.quiet").inc(3)
-            assert seen == []  # a counter increment publishes nothing
+            assert seen == []  # a counter increment delivers nothing
             db.query("SELECT step, SUM(mass) FROM halos GROUP BY step")
-        assert seen, "the scan's span never reached the bus"
+        assert seen, "the scan's span never reached the listener"
         assert all(set(d) == SPAN_KEYS and d["status"] != "open" for d in seen)
         (sql,) = [d for d in seen if d["name"] == SQL_EXECUTE_SPAN]
         assert sql["attributes"]["morsels"] > 1  # a multi-row-group scan
@@ -279,23 +262,21 @@ class TestOnlySpansOnTheBus:
 
 @pytest.fixture(scope="module")
 def bus_suite(ensemble, tmp_path_factory):
-    """One 2-worker harness run with the bus active."""
-    bus = EventBus()
+    """One 2-worker harness run with a listener on its trace."""
     seen = []
-    bus.subscribe(seen.append)
     harness = EvaluationHarness(
         ensemble,
         tmp_path_factory.mktemp("bus_suite") / "wd",
         HarnessConfig(runs_per_question=1, workers=2, error_model=NO_ERRORS),
     )
-    with use_bus(bus):
+    with _listening(seen.append):
         result = harness.run_suite(questions=QUESTION_SUITE[:2])
     return result, seen
 
 
 @pytest.fixture(scope="module")
 def plain_suite(ensemble, tmp_path_factory):
-    """The same grid, sequential, with no bus."""
+    """The same grid, sequential, with no listener."""
     harness = EvaluationHarness(
         ensemble,
         tmp_path_factory.mktemp("plain_suite") / "wd",
@@ -318,7 +299,7 @@ class TestProcessPoolPropagation:
         assert {"harness.run_suite", "harness.cell", "session", "llm.chat"} <= names
         by_id = {d["span_id"]: d for d in seen}
         sessions = [d for d in seen if d["name"] == "session"]
-        assert sessions, "no worker session spans reached the parent bus"
+        assert sessions, "no worker session spans reached the parent's listener"
         for doc in sessions:
             assert by_id[doc["parent_id"]]["name"] == "harness.cell"
 
@@ -334,27 +315,24 @@ class TestProcessPoolPropagation:
 
 
 class TestBusDoesNotPerturbRuns:
-    def _run(self, ensemble, workdir, question, subscribers=(), **config):
+    def _run(self, ensemble, workdir, question, listener=None, **config):
         app = InferA(
             ensemble, workdir,
             InferAConfig(error_model=NO_ERRORS, llm_latency_s=0.0, **config),
         )
-        if not subscribers:
+        if listener is None:
             return app.run_query(question)
-        bus = EventBus()
-        for fn in subscribers:
-            bus.subscribe(fn)
-        with use_bus(bus):
+        with _listening(listener):
             return app.run_query(question)
 
     def test_chaos_query_identical_with_bus_enabled(self, ensemble, tmp_path):
         """Observability must be read-only: the same chaos-profile query
-        run with and without the bus produces identical results."""
+        run with and without a listener produces identical results."""
         question = "Plot the halo mass distribution for run 1"
         chaos = FaultProfile.named("light", seed=5)
         plain = self._run(ensemble, tmp_path / "plain", question, fault_profile=chaos)
         observed = self._run(
-            ensemble, tmp_path / "observed", question, [[].append], fault_profile=chaos
+            ensemble, tmp_path / "observed", question, [].append, fault_profile=chaos
         )
         assert plain.completed == observed.completed
         assert plain.tokens == observed.tokens
@@ -364,16 +342,15 @@ class TestBusDoesNotPerturbRuns:
 
     def test_raising_subscriber_is_counted_and_answers_unchanged(self, ensemble, tmp_path):
         question = "How many halos are in run 0?"
+        published = []
 
         def broken(doc):
+            published.append(doc)
             raise RuntimeError("observer bug")
 
         plain = self._run(ensemble, tmp_path / "plain", question)
         before = _subscriber_errors()
-        published = []
-        observed = self._run(
-            ensemble, tmp_path / "observed", question, [broken, published.append]
-        )
+        observed = self._run(ensemble, tmp_path / "observed", question, broken)
         # one error per finished span, and the run never saw any of them
         assert len(published) >= len(observed.trace_spans) > 0
         assert _subscriber_errors() - before == len(published)
@@ -383,83 +360,77 @@ class TestBusDoesNotPerturbRuns:
 
 
 class TestForkReset:
-    @pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="no fork hooks")
-    def test_child_process_sees_null_bus(self):
-        bus = EventBus()
-        with use_bus(bus):
-            pid = os.fork()
-            if pid == 0:  # child
-                ok = get_bus() is NULL_BUS
-                os._exit(0 if ok else 1)
-            _, status = os.waitpid(pid, 0)
+    def test_a_pickled_context_carries_no_listener(self):
+        ctx = TraceContext("t1", "s1", [].append)
+        copy = pickle.loads(pickle.dumps(ctx))
+        assert (copy.trace_id, copy.span_id, copy.listener) == ("t1", "s1", None)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork")
+    def test_a_forked_child_does_not_call_the_parents_listener(self):
+        read_fd, write_fd = os.pipe()
+        tracer = _heard_by(lambda doc: os.write(write_fd, doc["name"].encode() + b"\n"))
+        with tracer.span("parent"):
+            pass
+        pid = os.fork()
+        if pid == 0:  # child: ends a span on its inherited tracer
+            try:
+                with tracer.span("child"):
+                    pass
+            finally:
+                os._exit(0)
+        _, status = os.waitpid(pid, 0)
         assert os.waitstatus_to_exitcode(status) == 0
+        os.close(write_fd)
+        with os.fdopen(read_fd) as pipe:
+            assert pipe.read().split() == ["parent"]
 
 
-class TestSubscribeAPI:
-    """The documented public hook: filtering and detachment."""
+class TestPerTraceListeners:
+    def test_two_concurrent_sessions_each_hear_only_their_own_spans(self, ensemble, tmp_path):
+        """Two sessions run at once on two threads, each with its own
+        listener: each listener hears exactly its session's spans (the
+        per-request SSE contract)."""
+        questions = ("How many halos are in run 0?",
+                     "What is the average halo mass at timestep 624?")
+        heard = ([], [])
+        reports = [None, None]
 
-    def test_subscribe_requires_an_active_bus(self):
-        assert get_bus() is NULL_BUS
-        with pytest.raises(RuntimeError, match="no active event bus"):
-            subscribe(lambda doc: None)
+        def session(i):
+            app = InferA(
+                ensemble, tmp_path / f"w{i}",
+                InferAConfig(error_model=NO_ERRORS, llm_latency_s=0.0),
+            )
+            with _listening(heard[i].append):
+                reports[i] = app.run_query(questions[i])
 
-    def test_trace_filtering(self):
-        bus = EventBus()
-        got = []
-        sub = subscribe(got.append, bus=bus, trace_id="mine")
-        bus.publish(_doc("b", trace_id="mine"))
-        bus.publish(_doc("c", trace_id="other"))
-        assert [d["name"] for d in got] == ["b"]
-        sub.close()
-        bus.publish(_doc("d", trace_id="mine"))
-        assert [d["name"] for d in got] == ["b"]  # detached
-        assert bus.subscribers == ()
-
-    def test_live_session_events_filterable_by_trace(self, ensemble, tmp_path):
-        """End to end: one bus, two sessions, per-trace subscriptions see
-        only their own session's spans (the per-request SSE contract)."""
-        app = InferA(
-            ensemble, tmp_path / "w",
-            InferAConfig(error_model=NO_ERRORS, llm_latency_s=0.0),
-        )
-        bus = EventBus()
-        everything = []
-        bus.subscribe(everything.append)
-        with use_bus(bus):
-            r1 = app.run_query("How many halos are in run 0?")
-            r2 = app.run_query("What is the average halo mass at timestep 624?")
-        t1 = r1.trace_spans[0]["trace_id"]
-        t2 = r2.trace_spans[0]["trace_id"]
-        assert t1 != t2
-        mine = []
-        replayed = EventBus()
-        subscribe(mine.append, bus=replayed, trace_id=t1)
-        for doc in everything:
-            replayed.publish(doc)
-        assert {d["trace_id"] for d in mine} == {t1}
-        names = {d["name"] for d in mine}
-        assert "session" in names and "plan.generate" in names
-        assert len(mine) == len(r1.trace_spans)
-
+        threads = [threading.Thread(target=session, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        trace_ids = [r.trace_spans[0]["trace_id"] for r in reports]
+        assert trace_ids[0] != trace_ids[1]
+        for mine, report, trace_id in zip(heard, reports, trace_ids):
+            assert {d["trace_id"] for d in mine} == {trace_id}
+            names = {d["name"] for d in mine}
+            assert "session" in names and "plan.generate" in names
+            assert len(mine) == len(report.trace_spans)
 
 
 class TestEventStreamer:
     """A served request's progress lines: its spans are formatted on the
-    publishing thread into the request's own bounded queue, which a
+    thread that ends them into the request's own bounded queue, which a
     stalled client can fill but never block."""
 
     @staticmethod
     def _stream(n, capacity=4096, name="llm.chat"):
-        bus = EventBus()
-        with use_bus(bus):
-            streamer = EventStreamer("t1", capacity=capacity)
+        streamer = EventStreamer(capacity=capacity)
         start = time.perf_counter()
         for i in range(n):
             doc = _doc(name, span_id=f"s{i}")
             doc["attributes"] = {"step": i}
-            bus.publish(doc)
-            bus.publish(_doc("sql.execute", span_id=f"x{i}"))  # no progress line
-            bus.publish(_doc(name, trace_id="other"))  # another request's span
+            streamer.on_span(doc)
+            streamer.on_span(_doc("sql.execute", span_id=f"x{i}"))  # no progress line
         publish_wall = time.perf_counter() - start
         done = threading.Event()
         done.set()
@@ -467,8 +438,6 @@ class TestEventStreamer:
             json.loads(frame.decode().split("data: ", 1)[1])["line"]
             for frame in streamer.frames(done, poll_s=0.01)
         ]
-        streamer.close()
-        assert bus.subscribers == ()
         return streamer, lines, publish_wall
 
     def test_a_stalled_client_never_slows_publishing(self):

@@ -23,6 +23,7 @@ from repro.core import InferA, InferAConfig
 from repro.db.cache import QueryCacheStats
 from repro.llm import MockLLM
 from repro.llm.errors import NO_ERRORS
+from repro.obs.tracer import Tracer
 from repro.rag.cache import CacheStats
 from repro.serve import ReproServer
 from repro.serve.worker import answer_payload
@@ -54,11 +55,47 @@ def get_json(url: str):
         return resp.status, json.loads(resp.read())
 
 
+def post_stream(url: str, question: str, session: str) -> tuple[list[str], dict]:
+    """A ``"stream": true`` query: its progress lines and its result frame."""
+    body = json.dumps({"question": question, "session": session, "stream": True}).encode()
+    req = urllib.request.Request(
+        f"{url}/v1/query", data=body, headers={"Content-Type": "application/json"}
+    )
+    with urllib.request.urlopen(req, timeout=60.0) as resp:
+        assert resp.headers["Content-Type"] == "text/event-stream"
+        raw = resp.read().decode()
+    frames = [f for f in raw.split("\n\n") if f.strip()]
+    assert frames[-1].startswith("event: result")
+    progress = [
+        json.loads(f.split("data: ", 1)[1])["line"]
+        for f in frames if f.startswith("event: progress")
+    ]
+    return progress, json.loads(frames[-1].split("data: ", 1)[1])
+
+
 @pytest.fixture(scope="module")
 def server(ensemble, tmp_path_factory):
     srv = make_server(ensemble, tmp_path_factory.mktemp("serve"))
     yield srv
     srv.shutdown()
+
+
+# ----------------------------------------------------------------------
+# servers in one process share nothing a shutdown can take away (first
+# in the module, so the shared server below is not yet running)
+# ----------------------------------------------------------------------
+def test_a_server_shutting_down_leaves_another_servers_streams_alone(ensemble, tmp_path):
+    a = make_server(ensemble, tmp_path / "a")
+    b = make_server(ensemble, tmp_path / "b")
+    try:
+        a.shutdown()
+        progress, doc = post_stream(b.url, "How many halos are in run 0?", "after-a")
+        assert progress and all(line.startswith("[live] ") for line in progress)
+        assert doc["status"] == "ok" and doc["result"]["completed"] is True
+    finally:
+        b.shutdown()
+    # and neither left a listener behind for later work in the process
+    assert Tracer().listener is None
 
 
 # ----------------------------------------------------------------------
@@ -96,8 +133,7 @@ def test_stats_endpoint(server):
     assert doc["breaker"]["state"] == "closed"
     assert doc["warmup"]["total_s"] > 0
     assert "hit_ratio" in doc["query_cache"]
-    assert list(doc["bus"]) == ["subscribers"]  # the bus keeps no counts
-    assert isinstance(doc["bus"]["subscribers"], int)
+    assert "bus" not in doc  # a stream's listener rides on its request's trace
 
 
 def test_stats_counter_sections_are_registry_deltas(server):
@@ -307,28 +343,13 @@ def test_backpressure_structured_429_and_drain_503(ensemble, tmp_path):
 # streaming
 # ----------------------------------------------------------------------
 def test_sse_stream_progress_then_result(server):
-    body = json.dumps(
-        {
-            "question": "How many halos are there in run 0 at the final timestep?",
-            "session": "sse",
-            "stream": True,
-        }
-    ).encode()
-    req = urllib.request.Request(
-        f"{server.url}/v1/query", data=body, headers={"Content-Type": "application/json"}
+    progress, doc = post_stream(
+        server.url, "How many halos are there in run 0 at the final timestep?", "sse"
     )
-    with urllib.request.urlopen(req, timeout=60.0) as resp:
-        assert resp.headers["Content-Type"] == "text/event-stream"
-        raw = resp.read().decode()
-    frames = [f for f in raw.split("\n\n") if f.strip()]
-    progress = [f for f in frames if f.startswith("event: progress")]
     assert progress, "no live progress frames streamed"
     # progress frames carry LiveRenderer-formatted lines
-    first = json.loads(progress[0].split("data: ", 1)[1])
-    assert first["line"].startswith("[live] ")
+    assert progress[0].startswith("[live] ")
     # the terminal frame is the result
-    assert frames[-1].startswith("event: result")
-    doc = json.loads(frames[-1].split("data: ", 1)[1])
     assert doc["status"] == "ok"
     assert doc["result"]["completed"] is True
     assert doc["stream_dropped_events"] == 0
