@@ -7,9 +7,9 @@ deadline, a dependency flapping.  Three primitives, all clock-injected
 (DESIGN's determinism invariant) and all observable through
 :mod:`repro.obs`:
 
-* :func:`call_with_retries` / :func:`retrying` — bounded retries with
-  deterministic jittered exponential backoff.  Jitter comes from a caller
-  -supplied ``numpy`` Generator (derive it with
+* :func:`call_with_retries` — bounded retries with deterministic
+  jittered exponential backoff.  Jitter comes from a caller-supplied
+  ``numpy`` Generator (derive it with
   :func:`repro.util.rngs.derive_seed`), so two runs with the same seed
   wait the exact same schedule.
 * :class:`Deadline` — a shrinking time budget shared across retries, so
@@ -24,9 +24,9 @@ sandbox fleet's routing tiebreak and admission control's ``Retry-After``
 estimate, lives here too.
 
 Failures escalate into *classified* errors (:class:`RetriesExhausted`,
-:class:`CircuitOpen`, :class:`DeadlineExceeded`) so callers and
-provenance records see a named degradation, never a raw traceback from
-deep inside a transport stack.
+:class:`DeadlineExceeded`) so callers and provenance records see a named
+degradation, never a raw traceback from deep inside a transport stack;
+:func:`classify` reads the label.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -58,12 +58,6 @@ class RetriesExhausted(ResilienceError):
     def __init__(self, message: str, last_error: BaseException | None = None):
         super().__init__(message)
         self.last_error = last_error
-
-
-class CircuitOpen(ResilienceError):
-    """The breaker is open and the operation was rejected fast."""
-
-    classification = "circuit-open"
 
 
 class DeadlineExceeded(ResilienceError):
@@ -161,30 +155,6 @@ def call_with_retries(
     ) from last
 
 
-def retrying(
-    policy: RetryPolicy | None = None,
-    retryable: tuple[type[BaseException], ...] = (ConnectionError, TimeoutError, OSError),
-    **kwargs: Any,
-):
-    """Decorator form of :func:`call_with_retries`."""
-
-    def deco(fn: Callable[..., Any]) -> Callable[..., Any]:
-        def wrapper(*args: Any, **kw: Any) -> Any:
-            return call_with_retries(
-                lambda: fn(*args, **kw),
-                policy=policy,
-                retryable=retryable,
-                op=kwargs.get("op", fn.__name__),
-                **{k: v for k, v in kwargs.items() if k != "op"},
-            )
-
-        wrapper.__name__ = fn.__name__
-        wrapper.__doc__ = fn.__doc__
-        return wrapper
-
-    return deco
-
-
 # ----------------------------------------------------------------------
 # deadlines
 # ----------------------------------------------------------------------
@@ -207,10 +177,6 @@ class Deadline:
     def clamp(self, timeout_s: float, floor_s: float = 0.001) -> float:
         """A per-attempt timeout that cannot outlive the deadline."""
         return max(min(timeout_s, self.remaining), floor_s)
-
-    def check(self, op: str = "op") -> None:
-        if self.expired:
-            raise DeadlineExceeded(f"{op}: {self.total_s:.3f} s budget spent")
 
 
 # ----------------------------------------------------------------------
@@ -282,18 +248,6 @@ class CircuitBreaker:
             self.opened_at = self.clock.now()
             self._transition(OPEN)
 
-    def call(self, fn: Callable[[], Any], op: str = "op") -> Any:
-        """Convenience wrapper: gate, run, record."""
-        if not self.allow():
-            raise CircuitOpen(f"{op}: circuit {self.name!r} is open")
-        try:
-            result = fn()
-        except BaseException:
-            self.record_failure()
-            raise
-        self.record_success()
-        return result
-
 
 class ServiceEWMA:
     """Thread-safe exponentially weighted moving average of service times.
@@ -329,25 +283,3 @@ def classify(exc: BaseException) -> str:
     if isinstance(exc, ResilienceError):
         return exc.classification
     return type(exc).__name__
-
-
-def classify_chain(exc: BaseException) -> list[str]:
-    """Classification of an exception and its ``__cause__`` chain."""
-    out: list[str] = []
-    seen: set[int] = set()
-    current: BaseException | None = exc
-    while current is not None and id(current) not in seen:
-        seen.add(id(current))
-        out.append(classify(current))
-        current = current.__cause__
-    return out
-
-
-def is_transient(exc: BaseException, extra: Iterable[type[BaseException]] = ()) -> bool:
-    """Default transience test shared by the sandbox client and tests."""
-    transient: tuple[type[BaseException], ...] = (
-        ConnectionError,
-        TimeoutError,
-        *extra,
-    )
-    return isinstance(exc, transient)
