@@ -105,7 +105,9 @@ def test_help_and_trace_summary_load_no_subsystem(tmp_path):
 def test_a_query_without_a_plot_loads_neither_scipy_nor_networkx(ensemble, tmp_path):
     argv = ["query", "top 5 halos at timestep 624 in simulation 0",
             "--ensemble", str(ensemble.root), "--workdir", str(tmp_path / "w"), "--no-errors"]
-    assert loaded(run_cli(argv), HEAVY + ("repro.eval", "repro.serve", "concurrent.futures")) == []
+    # nor the --live renderer: a trace without a listener needs no events module
+    forbidden = HEAVY + ("repro.eval", "repro.serve", "concurrent.futures", "repro.obs.events")
+    assert loaded(run_cli(argv), forbidden) == []
     assert (tmp_path / "w" / "trace.jsonl").exists()
 
 
@@ -122,8 +124,11 @@ def test_a_query_without_a_plot_loads_neither_scipy_nor_networkx(ensemble, tmp_p
 # entries and the retrieval matrix became repro.gio files (util/pyast.py,
 # the cache sidecars and the per-column .npy writers deleted), 18 057
 # before the metrics registry lost its histograms and the counters nothing
-# read (obs/metrics.py is on the query path; obs/slo.py is not).
-QUERY_SOURCE_LINES = 17_902
+# read (obs/metrics.py is on the query path; obs/slo.py is not), 17 902
+# before the process-wide span bus gave way to a listener on each trace
+# (obs/events.py, now only the --live renderer and replay, left the plain
+# query path) and resilience.py lost the helpers nothing called.
+QUERY_SOURCE_LINES = 17_596
 
 
 def test_a_query_imports_at_most_the_pinned_source_lines(ensemble, tmp_path):

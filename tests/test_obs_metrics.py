@@ -155,7 +155,7 @@ UNREAD_ALLOWED = {
                           "connection (tests/test_sandbox_fleet.py)",
     "sandbox.conn.reuses": "the only record that a request rode a pooled "
                            "keep-alive connection (tests/test_sandbox_fleet.py)",
-    "obs.bus.subscriber_errors": "the only record of a raising bus subscriber "
+    "obs.bus.subscriber_errors": "the only record of a raising trace listener "
                                  "skipped without failing the span (tests/test_obs_events.py)",
 }
 
