@@ -38,8 +38,8 @@ SPAN_KEYS = {
 }
 
 
-def _doc(name, trace_id="t1", span_id="s1"):
-    return {"name": name, "trace_id": trace_id, "span_id": span_id,
+def _doc(name, span_id="s1"):
+    return {"name": name, "trace_id": "t1", "span_id": span_id,
             "duration": 0.01, "status": "ok", "attributes": {}}
 
 
