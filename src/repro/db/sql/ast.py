@@ -59,7 +59,7 @@ class FuncCall(Expr):
 
     @property
     def is_aggregate(self) -> bool:
-        from repro.db.sql.aggregates import AGGREGATE_NAMES
+        from repro.frame.aggregates import AGGREGATE_NAMES
 
         return self.name in AGGREGATE_NAMES
 

@@ -35,11 +35,11 @@ from dataclasses import dataclass as _dataclass
 
 from repro.db.errors import UnsupportedSQLError
 from repro.db.sql import ast
-from repro.db.sql.aggregates import make_accumulator
 from repro.db.sql.expressions import evaluate, expr_name
 from repro.db.sql.normalize import referenced_column_names
 from repro.db.sql.pruning import skip_reason
 from repro.frame import Frame, concat
+from repro.frame.aggregates import factorize, key_tuples, make_accumulator
 from repro.frame.join import merge
 from repro.obs.names import SQL_EXECUTE_SPAN
 from repro.obs.tracer import get_tracer
@@ -427,116 +427,6 @@ def _empty_projection(
 # ----------------------------------------------------------------------
 # grouped / aggregate path
 # ----------------------------------------------------------------------
-def _pykey(value):
-    """Python-native key element (matches what ``ndarray.tolist`` yields)."""
-    return value.item() if isinstance(value, np.generic) else value
-
-
-def _local_codes_slow(key_arrays: list[np.ndarray]) -> tuple[list[tuple], np.ndarray]:
-    """Dict-loop fallback for key columns ``np.unique`` cannot factorize."""
-    n = len(key_arrays[0]) if key_arrays else 0
-    index: dict[tuple, int] = {}
-    keys: list[tuple] = []
-    codes = np.empty(n, dtype=np.int64)
-    for i, key in enumerate(zip(*[a.tolist() for a in key_arrays])):
-        idx = index.get(key)
-        if idx is None:
-            idx = len(keys)
-            index[key] = idx
-            keys.append(key)
-        codes[i] = idx
-    return keys, codes
-
-
-# a key column (or combined code word) is coded through an offset lookup
-# table, with no sort, when its value span is at most this many table
-# entries per chunk row; wider spans take the sort-based factorisation
-_DENSE_SPAN_PER_ROW = 4
-
-
-def _dense_offsets(arr: np.ndarray) -> tuple[np.ndarray, int] | None:
-    """``(arr - min, span)`` for an integer / bool column whose value span
-    is small next to its row count, else None.  The table a caller
-    allocates from ``span`` is bounded by the chunk, never by the dtype."""
-    if arr.dtype.kind not in "iub":
-        return None
-    lo, hi = arr.min(), arr.max()
-    span = int(hi) - int(lo) + 1
-    if span > _DENSE_SPAN_PER_ROW * len(arr):
-        return None
-    # no offset exceeds the span, so the subtraction cannot wrap once the
-    # narrow dtypes are widened (int64 / uint64 are wide enough as they are)
-    wide = arr if arr.dtype.itemsize == 8 else arr.astype(np.int64)
-    return (wide - wide.dtype.type(lo)).astype(np.int64, copy=False), span
-
-
-def _first_appearance_codes(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Factorize one non-empty column: ``(first, codes)`` with ``codes``
-    dense in order of first appearance and ``first[c]`` the row where
-    code ``c`` first occurs."""
-    dense = _dense_offsets(arr)
-    if dense is None:
-        # slots are the sorted distinct values, all occupied
-        _, first_at, slots = np.unique(
-            arr, return_index=True, return_inverse=True, equal_nan=False
-        )
-    else:
-        # slots are the offsets; reversed scatter, so a slot's last write
-        # is its first row, and -1 marks a slot no row falls in
-        slots, span = dense
-        first_at = np.full(span, -1, dtype=np.int64)
-        first_at[slots[::-1]] = np.arange(len(arr) - 1, -1, -1, dtype=np.int64)
-    occupied = np.flatnonzero(first_at >= 0)
-    by_first_row = occupied[np.argsort(first_at[occupied], kind="stable")]
-    first = first_at[by_first_row]
-    first_at[by_first_row] = np.arange(len(by_first_row), dtype=np.int64)  # now slot -> code
-    return first, first_at[slots]
-
-
-def _code_word(key_arrays: list[np.ndarray]) -> np.ndarray | None:
-    """Several key columns as one int64 word per row, equal exactly where
-    every key is equal; None when the word would not fit."""
-    word = None
-    capacity = 1
-    for arr in key_arrays:
-        dense = _dense_offsets(arr)
-        if dense is None:
-            uniq, digits = np.unique(arr, return_inverse=True, equal_nan=False)
-            base = len(uniq)
-        else:
-            digits, base = dense
-        capacity *= base
-        if capacity > 2**62:
-            return None
-        word = digits if word is None else word * base + digits
-    return word
-
-
-def _local_codes(key_arrays: list[np.ndarray]) -> tuple[list[tuple], np.ndarray]:
-    """Chunk-local dense group coding, vectorized.
-
-    One factorisation per statement key: a single key column is coded
-    directly, several are first packed into one int64 word per row.
-    Integer / bool keys (and words) of small span go through an offset
-    lookup table, everything else through one ``np.unique``.  Either way
-    codes are ranked by *first appearance*, so local code assignment
-    matches the order a sequential row-by-row registry would produce (NaN
-    keys stay distinct per row, like dict keys).  One Python-level step
-    per *distinct* key, not per row.
-    """
-    if not len(key_arrays[0]):
-        return [], np.empty(0, dtype=np.int64)
-    try:
-        word = key_arrays[0] if len(key_arrays) == 1 else _code_word(key_arrays)
-        if word is None:
-            return _local_codes_slow(key_arrays)
-        first, codes = _first_appearance_codes(word)
-    except (TypeError, ValueError):
-        return _local_codes_slow(key_arrays)
-    keys = [tuple(_pykey(a[row]) for a in key_arrays) for row in first.tolist()]
-    return keys, codes
-
-
 class _GroupRegistry:
     """Maps group-key tuples to stable dense indices across row groups."""
 
@@ -557,8 +447,8 @@ class _GroupRegistry:
         return mapping
 
     def codes_for(self, key_arrays: list[np.ndarray]) -> np.ndarray:
-        local_keys, local_codes = _local_codes(key_arrays)
-        mapping = self.codes_for_keys(local_keys)
+        first, local_codes = factorize(key_arrays)
+        mapping = self.codes_for_keys(key_tuples(key_arrays, first))
         return mapping[local_codes]
 
     @property

@@ -11,7 +11,7 @@ from repro.frame.frame import Frame, ColumnMismatchError
 from repro.frame.groupby import GroupBy
 from repro.frame.join import merge
 from repro.frame.io import read_csv, write_csv
-from repro.frame.ops import concat, describe
+from repro.frame.ops import concat
 
 __all__ = [
     "Frame",
@@ -21,5 +21,4 @@ __all__ = [
     "read_csv",
     "write_csv",
     "concat",
-    "describe",
 ]

@@ -1,23 +1,28 @@
-"""Streaming aggregate accumulators.
+"""The group-by kernel both table engines share: a key factoriser and
+streaming aggregate accumulators.
 
-Aggregation runs over row groups one at a time; each accumulator keeps
-O(#groups) state (Welford-style moments for variance) so a GROUP BY over
-an arbitrarily large table peaks at row-group memory.  MEDIAN is the one
+``factorize`` codes rows by their key columns; ``Frame.groupby`` codes a
+frame once, the SQL executor codes each row group and maps the codes
+onto the statement's global ones.  Each accumulator keeps O(#groups)
+state (Welford-style moments for variance) so a GROUP BY over an
+arbitrarily large table peaks at row-group memory.  MEDIAN is the one
 holdout that must buffer values, documented as such.
 
-NaN is SQL's NULL here: every aggregate skips it, so a group's result is
-the result over its non-NaN values.  Over no values COUNT is 0, SUM 0.0,
-VAR / STDDEV 0.0 (as for a single value) and every other aggregate NaN.
+NaN follows one rule (DESIGN.md §2): every aggregate skips it, so a
+group's result is the result over its non-NaN values.  Over no values
+COUNT is 0 and SUM 0.0; VAR / STDDEV of fewer than two values and every
+other aggregate over none are NaN.  NaN keys form one group.
 
-A statement owns one accumulator per aggregate.  The engine calls
-:meth:`Accumulator.update` once per row group, **in row-group order**,
-with the statement's global dense group codes (``n_groups`` only ever
-grows), so a result's bytes depend only on the stored row groups — the
-invariant the query-result cache, chaos suite, and canonical traces all
-depend on.
+A caller owns one accumulator per aggregate and calls
+:meth:`Accumulator.update` once per chunk, **in row order**, with dense
+group codes (``n_groups`` only ever grows), so a result's bytes depend
+only on the rows and how they were chunked — the invariant the
+query-result cache, chaos suite, and canonical traces all depend on.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -141,7 +146,7 @@ class MomentsAcc(Accumulator):
         n = _grow(self.n, n_groups)
         m2 = _grow(self.m2, n_groups)
         with np.errstate(invalid="ignore", divide="ignore"):
-            var = np.where(n > 1, m2 / np.maximum(n - 1, 1), 0.0)
+            var = np.where(n > 1, m2 / np.maximum(n - 1, 1), np.nan)
         return np.sqrt(var) if self.want_std else var
 
 
@@ -256,3 +261,129 @@ def _clean(values: np.ndarray) -> np.ndarray:
         if nan.any():
             return np.where(nan, 0.0, vals)
     return vals
+
+
+# ----------------------------------------------------------------------
+# key factoriser
+# ----------------------------------------------------------------------
+# a key column (or combined code word) is coded through an offset lookup
+# table, with no sort, when its value span is at most this many table
+# entries per row; wider spans take the sort-based factorisation
+_DENSE_SPAN_PER_ROW = 4
+
+# the one NaN every key tuple holds, so a dict finds a NaN key again
+# (two NaN floats are neither equal nor, since Python 3.10, equal-hashed)
+_NAN = float("nan")
+
+
+def factorize(key_arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Dense group codes for rows keyed by equal-length columns, vectorized.
+
+    Returns ``(first, codes)``: ``codes`` are ranked by *first appearance*
+    and ``first[c]`` is the row where code ``c`` first occurs, so
+    ``first`` ascends.  NaN keys are one key; -0.0 and 0.0 are one key.
+
+    One factorisation per call: a single key column is coded directly,
+    several are first packed into one int64 word per row.  Integer /
+    bool keys (and words) of small span go through an offset lookup
+    table, everything else through one ``np.unique``.  Keys ``np.unique``
+    cannot order, or a word past 2**62, take the dict loop.
+    """
+    if not len(key_arrays[0]):
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    try:
+        word = key_arrays[0] if len(key_arrays) == 1 else _code_word(key_arrays)
+        if word is not None:
+            return _first_appearance_codes(word)
+    except (TypeError, ValueError):
+        pass
+    return _factorize_slow(key_arrays)
+
+
+def key_tuples(key_arrays: Sequence[np.ndarray], rows: np.ndarray) -> list[tuple]:
+    """The keys of ``rows`` as tuples of Python values (what
+    ``ndarray.tolist`` yields), every NaN the one ``_NAN``."""
+    return [tuple(_pykey(a[row]) for a in key_arrays) for row in rows.tolist()]
+
+
+def _pykey(value):
+    value = value.item() if isinstance(value, np.generic) else value
+    return _NAN if value != value else value
+
+
+def _factorize_slow(key_arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Dict-loop ``factorize``: the fallback for keys ``np.unique`` cannot
+    order, and the reference the vectorized routes are tested against."""
+    n = len(key_arrays[0])
+    index: dict[tuple, int] = {}
+    first: list[int] = []
+    codes = np.empty(n, dtype=np.int64)
+    for i, key in enumerate(zip(*[a.tolist() for a in key_arrays])):
+        key = tuple(map(_pykey, key))
+        idx = index.get(key)
+        if idx is None:
+            idx = index[key] = len(first)
+            first.append(i)
+        codes[i] = idx
+    return np.asarray(first, dtype=np.int64), codes
+
+
+def _dense_offsets(arr: np.ndarray) -> tuple[np.ndarray, int] | None:
+    """``(arr - min, span)`` for an integer / bool column whose value span
+    is small next to its row count, else None.  The table a caller
+    allocates from ``span`` is bounded by the rows, never by the dtype."""
+    if arr.dtype.kind not in "iub":
+        return None
+    lo, hi = arr.min(), arr.max()
+    span = int(hi) - int(lo) + 1
+    if span > _DENSE_SPAN_PER_ROW * len(arr):
+        return None
+    # no offset exceeds the span, so the subtraction cannot wrap once the
+    # narrow dtypes are widened (int64 / uint64 are wide enough as they are)
+    wide = arr if arr.dtype.itemsize == 8 else arr.astype(np.int64)
+    return (wide - wide.dtype.type(lo)).astype(np.int64, copy=False), span
+
+
+def _first_appearance_codes(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Factorize one non-empty column: ``(first, codes)`` as ``factorize``.
+
+    Neither route assigns the final codes itself: each yields, per
+    distinct key, the row where it first occurs (the table by a reversed
+    scatter, so an offset's last write is its first row; ``np.unique`` by
+    its stable ``return_index``), and codes are the rank of those rows."""
+    dense = _dense_offsets(arr)
+    if dense is None:
+        # slots are the sorted distinct values, all occupied
+        _, first_at, slots = np.unique(
+            arr, return_index=True, return_inverse=True, equal_nan=True
+        )
+    else:
+        # slots are the offsets; reversed scatter, so a slot's last write
+        # is its first row, and -1 marks a slot no row falls in
+        slots, span = dense
+        first_at = np.full(span, -1, dtype=np.int64)
+        first_at[slots[::-1]] = np.arange(len(arr) - 1, -1, -1, dtype=np.int64)
+    occupied = np.flatnonzero(first_at >= 0)
+    by_first_row = occupied[np.argsort(first_at[occupied], kind="stable")]
+    first = first_at[by_first_row]
+    first_at[by_first_row] = np.arange(len(by_first_row), dtype=np.int64)  # now slot -> code
+    return first, first_at[slots]
+
+
+def _code_word(key_arrays: Sequence[np.ndarray]) -> np.ndarray | None:
+    """Several key columns as one int64 word per row, equal exactly where
+    every key is equal; None when the word would not fit."""
+    word = None
+    capacity = 1
+    for arr in key_arrays:
+        dense = _dense_offsets(arr)
+        if dense is None:
+            uniq, digits = np.unique(arr, return_inverse=True, equal_nan=True)
+            base = len(uniq)
+        else:
+            digits, base = dense
+        capacity *= base
+        if capacity > 2**62:
+            return None
+        word = digits if word is None else word * base + digits
+    return word

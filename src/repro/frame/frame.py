@@ -14,6 +14,8 @@ from typing import Any, Callable
 
 import numpy as np
 
+from repro.frame.aggregates import factorize
+
 
 class ColumnMismatchError(KeyError):
     """Raised when code references a column that does not exist.
@@ -185,49 +187,32 @@ class Frame:
         return self[: max(0, n)]
 
     def sort_values(self, by: str | Sequence[str], ascending: bool | Sequence[bool] = True) -> "Frame":
-        """Stable multi-key sort."""
+        """Stable multi-key sort; NaN sorts last in both directions."""
         keys = [by] if isinstance(by, str) else list(by)
         orders = [ascending] * len(keys) if isinstance(ascending, bool) else list(ascending)
         if len(orders) != len(keys):
             raise ValueError("ascending list must match sort keys")
-        idx = np.arange(self.num_rows)
-        # apply keys last-to-first with a stable sort => lexicographic order
-        for key, asc in list(zip(keys, orders))[::-1]:
-            col = self.column(key)[idx]
-            order = np.argsort(col, kind="stable")
-            if not asc:
-                order = order[::-1]
-                # keep stability for equal keys under descending order:
-                # mirror each run [start, end) of equal keys about its own
-                # midpoint (p -> start + end - 1 - p), which puts ties back
-                # in their original relative order (NaN never equals NaN,
-                # so every NaN is a run of one and stays where it is)
-                col_sorted = col[order]
-                starts = np.flatnonzero(
-                    np.concatenate(([True], col_sorted[1:] != col_sorted[:-1]))
-                )
-                ends = np.append(starts[1:], len(order))
-                mirror = np.repeat(starts + ends - 1, ends - starts)
-                order = order[mirror - np.arange(len(order))]
-            idx = idx[order]
-        return self.take(idx)
+        return self.take(_sort_order([self.column(k) for k in keys], orders, self.num_rows))
 
     def nlargest(self, n: int, column: str) -> "Frame":
-        """Top-n rows by ``column`` (descending)."""
-        col = self.column(column)
+        """Top-n rows by ``column`` (descending); NaN rows are dropped."""
+        frame = self.dropna([column])
+        col = frame.column(column)
         if n >= len(col):
-            return self.sort_values(column, ascending=False)
+            return frame.sort_values(column, ascending=False)
         part = np.argpartition(col, len(col) - n)[len(col) - n :]
         part = part[np.argsort(col[part], kind="stable")[::-1]]
-        return self.take(part)
+        return frame.take(part)
 
     def nsmallest(self, n: int, column: str) -> "Frame":
-        col = self.column(column)
+        """Bottom-n rows by ``column`` (ascending); NaN rows are dropped."""
+        frame = self.dropna([column])
+        col = frame.column(column)
         if n >= len(col):
-            return self.sort_values(column, ascending=True)
+            return frame.sort_values(column, ascending=True)
         part = np.argpartition(col, n)[:n]
         part = part[np.argsort(col[part], kind="stable")]
-        return self.take(part)
+        return frame.take(part)
 
     def unique(self, column: str) -> np.ndarray:
         return np.unique(self.column(column))
@@ -235,9 +220,9 @@ class Frame:
     def value_counts(self, column: str) -> "Frame":
         """Distinct values of ``column`` with their frequencies, most
         frequent first (ties broken by value order)."""
-        values, counts = np.unique(self.column(column), return_counts=True)
-        order = np.argsort(counts, kind="stable")[::-1]
-        return Frame({column: values[order], "count": counts[order]})
+        sizes = self.select([column]).rename({column: "value"}).groupby("value").size()
+        order = np.argsort(sizes["size"], kind="stable")[::-1]
+        return Frame({column: sizes["value"][order], "count": sizes["size"][order]})
 
     def quantile(self, column: str, q: float | Sequence[float]) -> float | np.ndarray:
         """Quantile(s) of a numeric column (linear interpolation)."""
@@ -251,9 +236,8 @@ class Frame:
         names = [subset] if isinstance(subset, str) else list(subset or self.columns)
         if not names:
             return self
-        key = _row_group_codes(self, names)
-        _, first = np.unique(key, return_index=True)
-        return self.take(np.sort(first))
+        first, _ = factorize([self.column(n) for n in names])
+        return self.take(first)
 
     def dropna(self, subset: Sequence[str] | None = None) -> "Frame":
         """Drop rows with NaN in any of the (float) subset columns."""
@@ -263,7 +247,7 @@ class Frame:
             col = self.column(n)
             if np.issubdtype(col.dtype, np.floating):
                 mask &= ~np.isnan(col)
-        return self.filter(mask)
+        return self if mask.all() else self.filter(mask)
 
     # ------------------------------------------------------------------
     # reductions and grouping
@@ -272,15 +256,22 @@ class Frame:
         from repro.frame.groupby import GroupBy
 
         keys = [by] if isinstance(by, str) else list(by)
+        if not keys:
+            raise ValueError("groupby needs at least one key column")
         for k in keys:
             self.column(k)  # validate early with a good error
         return GroupBy(self, keys)
 
     def agg(self, spec: Mapping[str, str | Callable]) -> dict[str, Any]:
-        """Whole-frame aggregation: ``{"mass": "mean"}`` -> scalar dict."""
-        from repro.frame.groupby import apply_agg
+        """Whole-frame aggregation: ``{"mass": "mean"}`` -> scalar dict;
+        the one-group case of :meth:`GroupBy.agg`."""
+        from repro.frame.groupby import fold
 
-        return {c: apply_agg(self.column(c), how) for c, how in spec.items()}
+        one = np.zeros(self.num_rows, dtype=np.int64)
+        return {
+            c: how(self.column(c)) if callable(how) else fold(how, one, self.column(c), 1)[0].item()
+            for c, how in spec.items()
+        }
 
     # ------------------------------------------------------------------
     # joins
@@ -318,13 +309,27 @@ class Frame:
         return True
 
 
-def _row_group_codes(frame: Frame, names: Sequence[str]) -> np.ndarray:
-    """Encode rows by the named key columns into dense integer group codes."""
-    codes = np.zeros(frame.num_rows, dtype=np.int64)
-    multiplier = 1
-    for name in names:
-        col = frame.column(name)
-        _, inverse = np.unique(col, return_inverse=True)
-        codes = codes + inverse * multiplier
-        multiplier *= int(inverse.max(initial=0)) + 1
-    return codes
+def _sort_order(keys: Sequence[np.ndarray], ascending: Sequence[bool], n: int) -> np.ndarray:
+    """Row order of a stable lexicographic sort over ``keys`` (``n`` rows);
+    NaN sorts last whichever the direction."""
+    idx = np.arange(n)
+    # apply keys last-to-first with a stable sort => lexicographic order
+    for col, asc in list(zip(keys, ascending))[::-1]:
+        col = col[idx]
+        order = np.argsort(col, kind="stable")
+        if not asc:
+            # NaN rows end the ascending order; reverse the rest, and keep
+            # equal keys in their original relative order by mirroring each
+            # run [start, end) of them about its own midpoint
+            # (p -> start + end - 1 - p)
+            valid = len(order) - (int(np.isnan(col).sum()) if col.dtype.kind == "f" else 0)
+            head = order[:valid][::-1]
+            col_sorted = col[head]
+            starts = np.flatnonzero(
+                np.concatenate(([True], col_sorted[1:] != col_sorted[:-1]))
+            )
+            ends = np.append(starts[1:], valid)
+            mirror = np.repeat(starts + ends - 1, ends - starts)
+            order = np.concatenate((head[mirror - np.arange(valid)], order[valid:]))
+        idx = idx[order]
+    return idx

@@ -1,8 +1,10 @@
-"""Vectorized groupby-aggregate for Frame.
+"""Groupby-aggregate for Frame, through the kernel the SQL engine folds
+with (:mod:`repro.frame.aggregates`).
 
-Group codes are built with ``np.unique(return_inverse=True)`` and every
-aggregate is computed with ``np.bincount``/sorted-segment reductions — no
-per-group Python loops, per the HPC guide's vectorization idiom.
+Rows are coded once by ``factorize``; every named aggregate is one
+accumulator update over those codes, so both engines skip NaN the same
+way (DESIGN.md §2).  Groups come out in sorted key order, as in pandas:
+the finished groups are sorted by their keys, never the rows.
 """
 
 from __future__ import annotations
@@ -12,37 +14,15 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.frame.frame import Frame
+from repro.frame.aggregates import factorize, make_accumulator
+from repro.frame.frame import Frame, _sort_order
 
-_SEGMENT_AGGS = {"min", "max", "first", "last", "median", "std", "var"}
 
-
-def apply_agg(values: np.ndarray, how: str | Callable) -> Any:
-    """Apply a whole-column aggregate by name or callable."""
-    if callable(how):
-        return how(values)
-    name = how.lower()
-    if name == "mean":
-        return float(np.mean(values))
-    if name == "sum":
-        return values.sum()
-    if name == "min":
-        return values.min()
-    if name == "max":
-        return values.max()
-    if name == "count":
-        return int(len(values))
-    if name == "median":
-        return float(np.median(values))
-    if name == "std":
-        return float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
-    if name == "var":
-        return float(np.var(values, ddof=1)) if len(values) > 1 else 0.0
-    if name == "first":
-        return values[0]
-    if name == "last":
-        return values[-1]
-    raise ValueError(f"unknown aggregate {how!r}")
+def fold(how: str, codes: np.ndarray, values: np.ndarray | None, n_groups: int) -> np.ndarray:
+    """One named aggregate per group of coded rows (``values`` None: rows)."""
+    acc = make_accumulator(how)
+    acc.update(codes, values, n_groups)
+    return acc.finalize(n_groups)
 
 
 class GroupBy:
@@ -51,23 +31,13 @@ class GroupBy:
     def __init__(self, frame: Frame, keys: Sequence[str]):
         self._frame = frame
         self._keys = list(keys)
-        self._codes, self._key_rows = self._build_codes()
-
-    def _build_codes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Return (group code per row, representative row index per group)."""
-        n = self._frame.num_rows
-        if n == 0:
-            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-        # mixed-radix encode the key tuple, then re-densify
-        codes = np.zeros(n, dtype=np.int64)
-        multiplier = 1
-        for name in self._keys:
-            _, inverse = np.unique(self._frame.column(name), return_inverse=True)
-            codes = codes + inverse * multiplier
-            multiplier *= int(inverse.max(initial=0)) + 1
-        uniq, first_rows, dense = np.unique(codes, return_index=True, return_inverse=True)
-        del uniq
-        return dense.astype(np.int64), first_rows
+        key_arrays = [frame.column(k) for k in self._keys]
+        first, codes = factorize(key_arrays)
+        order = _sort_order([a[first] for a in key_arrays], [True] * len(key_arrays), len(first))
+        rank = np.empty(len(order), dtype=np.int64)
+        rank[order] = np.arange(len(order), dtype=np.int64)
+        self._codes = rank[codes]
+        self._key_rows = first[order]
 
     @property
     def num_groups(self) -> int:
@@ -75,8 +45,7 @@ class GroupBy:
 
     def size(self) -> Frame:
         """Group sizes as a Frame with the key columns plus ``size``."""
-        counts = np.bincount(self._codes, minlength=self.num_groups)
-        return self._with_keys({"size": counts})
+        return self._with_keys({"size": fold("count", self._codes, None, self.num_groups)})
 
     def agg(self, spec: Mapping[str, str | Callable] | str) -> Frame:
         """Aggregate value columns per group.
@@ -95,8 +64,10 @@ class GroupBy:
         out: dict[str, np.ndarray] = {}
         for col_name, how in spec.items():
             values = self._frame.column(col_name)
-            out_name = col_name if not isinstance(how, str) else f"{col_name}_{how}"
-            out[out_name] = self._aggregate_column(values, how)
+            if callable(how):
+                out[col_name] = np.asarray([how(values[rows]) for rows in self._group_rows()])
+            else:
+                out[f"{col_name}_{how}"] = fold(how, self._codes, values, self.num_groups)
         return self._with_keys(out)
 
     def apply(self, fn: Callable[[Frame], Mapping[str, Any]]) -> Frame:
@@ -105,69 +76,21 @@ class GroupBy:
         The escape hatch for aggregates with no vectorized form (e.g. the
         per-seed-mass SMHM regression in the hard evaluation question).
         """
-        order = np.argsort(self._codes, kind="stable")
-        sorted_codes = self._codes[order]
-        boundaries = np.flatnonzero(sorted_codes[1:] != sorted_codes[:-1]) + 1
-        rows_per_group = np.split(order, boundaries)
         records: dict[str, list] = {}
-        for rows in rows_per_group:
+        for rows in self._group_rows():
             result = fn(self._frame.take(rows))
             for k, v in result.items():
                 records.setdefault(k, []).append(v)
         out = {k: np.asarray(v) for k, v in records.items()}
         return self._with_keys(out)
 
-    def _aggregate_column(self, values: np.ndarray, how: str | Callable) -> np.ndarray:
-        ng = self.num_groups
-        counts = np.bincount(self._codes, minlength=ng)
-        if callable(how):
-            return self._segment_apply(values, how)
-        name = how.lower()
-        if name == "count":
-            return counts
-        if name == "sum":
-            return np.bincount(self._codes, weights=values.astype(np.float64), minlength=ng)
-        if name == "mean":
-            sums = np.bincount(self._codes, weights=values.astype(np.float64), minlength=ng)
-            return sums / np.maximum(counts, 1)
-        if name in _SEGMENT_AGGS:
-            return self._segment_reduce(values, name)
-        raise ValueError(f"unknown aggregate {how!r}")
-
-    def _sorted_segments(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _group_rows(self) -> list[np.ndarray]:
+        """Each group's row indices, in group order, rows in frame order."""
+        if not self.num_groups:
+            return []
         order = np.argsort(self._codes, kind="stable")
-        sorted_vals = values[order]
-        sorted_codes = self._codes[order]
-        starts = np.flatnonzero(
-            np.concatenate(([True], sorted_codes[1:] != sorted_codes[:-1]))
-        )
-        return sorted_vals, starts
-
-    def _segment_reduce(self, values: np.ndarray, name: str) -> np.ndarray:
-        sorted_vals, starts = self._sorted_segments(values)
-        ends = np.concatenate((starts[1:], [len(sorted_vals)]))
-        if name == "min":
-            return np.minimum.reduceat(sorted_vals, starts)
-        if name == "max":
-            return np.maximum.reduceat(sorted_vals, starts)
-        if name == "first":
-            return sorted_vals[starts]
-        if name == "last":
-            return sorted_vals[ends - 1]
-        # median/std/var need per-segment slices; still O(n log n) overall
-        segs = np.split(sorted_vals, starts[1:])
-        if name == "median":
-            return np.asarray([float(np.median(s)) for s in segs])
-        if name == "std":
-            return np.asarray([float(np.std(s, ddof=1)) if len(s) > 1 else 0.0 for s in segs])
-        if name == "var":
-            return np.asarray([float(np.var(s, ddof=1)) if len(s) > 1 else 0.0 for s in segs])
-        raise ValueError(f"unknown segment aggregate {name!r}")
-
-    def _segment_apply(self, values: np.ndarray, fn: Callable) -> np.ndarray:
-        sorted_vals, starts = self._sorted_segments(values)
-        segs = np.split(sorted_vals, starts[1:])
-        return np.asarray([fn(s) for s in segs])
+        sizes = np.bincount(self._codes, minlength=self.num_groups)
+        return np.split(order, np.cumsum(sizes)[:-1])
 
     def _with_keys(self, data: dict[str, np.ndarray]) -> Frame:
         cols: dict[str, np.ndarray] = {

@@ -1,4 +1,4 @@
-"""Frame-level utilities: concatenation and summary statistics."""
+"""Frame-level utilities: concatenation."""
 
 from __future__ import annotations
 
@@ -26,18 +26,3 @@ def concat(frames: Sequence[Frame]) -> Frame:
             )
     return Frame({n: np.concatenate([f.column(n) for f in frames]) for n in names})
 
-
-def describe(frame: Frame) -> Frame:
-    """Per-numeric-column summary (count/mean/std/min/max) as a Frame."""
-    stats: dict[str, list] = {"column": [], "count": [], "mean": [], "std": [], "min": [], "max": []}
-    for name in frame.columns:
-        col = frame.column(name)
-        if not np.issubdtype(col.dtype, np.number):
-            continue
-        stats["column"].append(name)
-        stats["count"].append(len(col))
-        stats["mean"].append(float(np.mean(col)) if len(col) else float("nan"))
-        stats["std"].append(float(np.std(col, ddof=1)) if len(col) > 1 else 0.0)
-        stats["min"].append(float(np.min(col)) if len(col) else float("nan"))
-        stats["max"].append(float(np.max(col)) if len(col) else float("nan"))
-    return Frame({k: np.asarray(v) for k, v in stats.items()})

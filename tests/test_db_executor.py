@@ -265,8 +265,35 @@ class TestNullHandling:
 
     def test_a_group_of_nan_only(self, groups):
         nan_only = groups[2]
-        assert (nan_only["c"], nan_only["d"], nan_only["s"], nan_only["var"]) == (0, 0, 0.0, 0.0)
-        assert np.isnan([nan_only[n] for n in ("a", "lo", "hi", "med")]).all()
+        assert (nan_only["c"], nan_only["d"], nan_only["s"]) == (0, 0, 0.0)
+        # VAR / STDDEV of fewer than two values is NaN (DESIGN.md §2)
+        assert np.isnan([nan_only[n] for n in ("a", "lo", "hi", "med", "sd", "var")]).all()
+
+    @pytest.fixture()
+    def nan_keyed(self, tmp_path):
+        d = Database(tmp_path / "k.db", result_cache=False)
+        nan = np.nan
+        # the two NaN keys fall in different row groups
+        d.create_table(
+            "t",
+            Frame({"k": np.asarray([1.0, nan, nan, 2.0]), "x": np.asarray([2.0, nan, 5.0, 1.0])}),
+            row_group_size=2,
+        )
+        return d
+
+    def test_nan_keys_form_one_group(self, nan_keyed):
+        out = nan_keyed.query("SELECT k, COUNT(*) AS n FROM t GROUP BY k")
+        assert out.num_rows == 3
+        assert out["n"].tolist() == [1, 2, 1]
+        assert out.num_rows == nan_keyed.query("SELECT DISTINCT k FROM t").num_rows
+
+    def test_nan_sorts_last_in_both_directions(self, nan_keyed):
+        top = nan_keyed.query("SELECT x FROM t ORDER BY x DESC LIMIT 1")
+        assert top["x"].tolist() == nan_keyed.query("SELECT MAX(x) AS m FROM t")["m"].tolist()
+        assert top["x"].tolist() == [5.0]
+        for direction in ("ASC", "DESC"):
+            ordered = nan_keyed.query(f"SELECT x FROM t ORDER BY x {direction}")["x"]
+            assert np.isnan(ordered[-1]) and not np.isnan(ordered[:-1]).any()
 
     def test_min_max_over_no_rows_is_nan(self, db):
         out = db.query("SELECT MIN(count) AS lo, MAX(count) AS hi FROM halos WHERE count < 0")
@@ -397,7 +424,8 @@ class TestVectorizedRegistry:
     first-appearance code assignment exactly."""
 
     def test_codes_match_dict_loop(self):
-        from repro.db.sql.executor import _GroupRegistry, _local_codes_slow
+        from repro.db.sql.executor import _GroupRegistry
+        from repro.frame.aggregates import _factorize_slow
 
         rng = np.random.default_rng(3)
         arrays = [
@@ -405,7 +433,7 @@ class TestVectorizedRegistry:
             rng.choice(np.asarray(["a", "b", "c"]), 200),
         ]
         fast = _GroupRegistry().codes_for(arrays)
-        keys, slow = _local_codes_slow([np.asarray(a) for a in arrays])
+        _, slow = _factorize_slow([np.asarray(a) for a in arrays])
         assert fast.tolist() == slow.tolist()
 
     def test_registry_order_is_first_appearance(self):

@@ -109,27 +109,24 @@ def key_columns(draw, max_rows=40):
     return columns
 
 
-def _same_keys(got: list[tuple], want: list[tuple]) -> bool:
-    # repr tells nan from nan apart from nothing, -0.0 from 0.0, True from 1
-    return [repr(k) for k in got] == [repr(k) for k in want]
-
-
 @given(key_columns())
 @settings(max_examples=150, deadline=None)
 def test_local_codes_match_the_dict_loop(columns):
-    from repro.db.sql.executor import _local_codes, _local_codes_slow
+    """The vectorized factoriser hands out the dict loop's codes and first
+    rows (NaN keys one group, -0.0 and 0.0 one group)."""
+    from repro.frame.aggregates import _factorize_slow, factorize
 
-    keys, codes = _local_codes(columns)
-    slow_keys, slow_codes = _local_codes_slow(columns)
-    assert codes.dtype == np.int64
+    first, codes = factorize(columns)
+    slow_first, slow_codes = _factorize_slow(columns)
+    assert codes.dtype == np.int64 and first.dtype == np.int64
     assert codes.tolist() == slow_codes.tolist()
-    assert _same_keys(keys, slow_keys)
+    assert first.tolist() == slow_first.tolist()
 
 
 def test_dense_table_is_bounded_by_the_chunk_not_the_dtype(monkeypatch):
     """A 50-row chunk spanning 60k values must sort, never allocate a
     60k-entry table; the same values over many rows take the table."""
-    from repro.db.sql import executor
+    from repro.frame import aggregates
 
     sizes = []
     real_full = np.full
@@ -141,19 +138,19 @@ def test_dense_table_is_bounded_by_the_chunk_not_the_dtype(monkeypatch):
     monkeypatch.setattr(np, "full", recording)
     rng = np.random.default_rng(2)
     few = rng.integers(0, 60_000, 50)
-    keys, codes = executor._local_codes([few])
+    _, codes = aggregates.factorize([few])
     assert not sizes
     many = np.concatenate([few] * 400)
-    executor._local_codes([many])
-    assert sizes and max(sizes) <= executor._DENSE_SPAN_PER_ROW * len(many)
-    assert executor._local_codes_slow([few])[1].tolist() == codes.tolist()
+    aggregates.factorize([many])
+    assert sizes and max(sizes) <= aggregates._DENSE_SPAN_PER_ROW * len(many)
+    assert aggregates._factorize_slow([few])[1].tolist() == codes.tolist()
 
 
 @given(key_columns(), st.integers(0, 2**31))
 @example([np.asarray([], dtype="<U2")], 0)  # no groups: `want` must not default to float64
 @settings(max_examples=25, deadline=None)
 def test_group_by_matches_the_dict_loop_across_row_groups(tmp_path_factory, columns, seed):
-    from repro.db.sql.executor import _local_codes_slow
+    from repro.frame.aggregates import _factorize_slow
 
     n = len(columns[0])
     rng = np.random.default_rng(seed)
@@ -168,11 +165,11 @@ def test_group_by_matches_the_dict_loop_across_row_groups(tmp_path_factory, colu
     )
     out = db.query(sql)
     # groups come out in first-appearance order with the dict loop's keys
-    slow_keys, slow_codes = _local_codes_slow(columns)
+    first, slow_codes = _factorize_slow(columns)
     for i, name in enumerate(names):
-        want = np.asarray([key[i] for key in slow_keys], dtype=columns[i].dtype)
+        want = columns[i][first]
         assert np.array_equal(out[name], want, equal_nan=want.dtype.kind == "f")
-    assert out["n"].tolist() == np.bincount(slow_codes, minlength=len(slow_keys)).tolist()
+    assert out["n"].tolist() == np.bincount(slow_codes, minlength=len(first)).tolist()
 
 
 @st.composite
@@ -193,7 +190,7 @@ def grouped_values(draw):
 def test_accumulators_skip_the_gather_without_changing_a_bit(case):
     """With or without NaN in the chunk, MEAN / SUM / COUNT(col) hold the
     bits of the always-gather formulation; no update touches its input."""
-    from repro.db.sql.aggregates import make_accumulator
+    from repro.frame.aggregates import make_accumulator
 
     group_idx, values, n_groups = case
     kept_idx, kept_values = group_idx.copy(), values.copy()

@@ -143,6 +143,14 @@ class TestFilterSort:
         f = Frame({"a": [5, 3, 9, 1]})
         assert list(f.nsmallest(2, "a")["a"]) == [1, 3]
 
+    def test_nan_sorts_last_and_nlargest_drops_it(self):
+        f = Frame({"x": np.asarray([2.0, np.nan, 5.0, 1.0])})
+        assert f.nlargest(2, "x")["x"].tolist() == [5.0, 2.0]
+        assert f.nsmallest(2, "x")["x"].tolist() == [1.0, 2.0]
+        assert f.nlargest(10, "x")["x"].tolist() == [5.0, 2.0, 1.0]
+        desc = f.sort_values("x", ascending=False)["x"]
+        assert desc[:3].tolist() == [5.0, 2.0, 1.0] and np.isnan(desc[3])
+
 
 class TestDedupNa:
     def test_unique(self):

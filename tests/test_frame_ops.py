@@ -1,9 +1,9 @@
-"""concat and describe."""
+"""concat."""
 
 import numpy as np
 import pytest
 
-from repro.frame import Frame, concat, describe
+from repro.frame import Frame, concat
 
 
 class TestConcat:
@@ -30,17 +30,3 @@ class TestConcat:
         out = concat([Frame(), Frame({"x": [1]})])
         assert out.num_rows == 1
 
-
-class TestDescribe:
-    def test_stats_values(self):
-        f = Frame({"v": np.asarray([1.0, 2.0, 3.0, 4.0]), "s": np.asarray(["a"] * 4, dtype=object)})
-        d = describe(f)
-        assert list(d["column"]) == ["v"]  # strings skipped
-        assert d["mean"][0] == pytest.approx(2.5)
-        assert d["min"][0] == 1.0
-        assert d["max"][0] == 4.0
-        assert d["count"][0] == 4
-
-    def test_single_row_std_zero(self):
-        d = describe(Frame({"v": [5.0]}))
-        assert d["std"][0] == 0.0

@@ -41,10 +41,8 @@ def _is_nan(value) -> bool:
 def sort_reference(columns: dict[str, np.ndarray], keys, orders) -> list[int]:
     """Row order of a stable lexicographic sort, one key at a time.
 
-    Ascending puts NaN keys last in their original order.  Descending
-    puts them first in *reverse* original order (each NaN is its own tie
-    group, so nothing restores their order after the reversal) and keeps
-    ties among ordinary keys in original order.
+    NaN keys go last in their original order, ascending or descending
+    (DESIGN.md §2); ties among ordinary keys keep their original order.
     """
     rows = list(range(len(next(iter(columns.values())))))
     for key, asc in reversed(list(zip(keys, orders))):
@@ -52,7 +50,7 @@ def sort_reference(columns: dict[str, np.ndarray], keys, orders) -> list[int]:
         nans = [r for r in rows if _is_nan(values[r])]
         rest = [r for r in rows if not _is_nan(values[r])]
         rest.sort(key=lambda r: values[r], reverse=not asc)  # list.sort is stable
-        rows = rest + nans if asc else nans[::-1] + rest
+        rows = rest + nans
     return rows
 
 
@@ -85,10 +83,10 @@ class TestSortDifferential:
             want = {n: c[np.asarray(rows, dtype=np.int64)] for n, c in columns.items()}
             assert_same_frame(frame.sort_values(keys, ascending=orders), want)
 
-    def test_descending_nans_lead_in_reverse_original_order(self):
+    def test_descending_nans_trail_in_original_order(self):
         frame = Frame({"v": [1.0, np.nan, 2.0, np.nan, 2.0, np.nan], "row": np.arange(6)})
         out = frame.sort_values("v", ascending=False)
-        assert out["row"].tolist() == [5, 3, 1, 2, 4, 0]
+        assert out["row"].tolist() == [2, 4, 0, 1, 3, 5]
 
 
 # ----------------------------------------------------------------------
