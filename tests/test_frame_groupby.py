@@ -67,6 +67,9 @@ class TestAgg:
 
     def test_multi_key(self, frame):
         result = frame.groupby(["k", "j"]).agg({"v": "sum"})
+        # groups in pandas' order: sorted by the first key, then the second
+        pairs = list(zip(result["k"].tolist(), result["j"].tolist()))
+        assert pairs == sorted(pairs)
         for i in range(result.num_rows):
             mask = (frame["k"] == result["k"][i]) & (frame["j"] == result["j"][i])
             assert result["v_sum"][i] == pytest.approx(frame["v"][mask].sum())
