@@ -753,8 +753,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     injector = faults.FaultInjector(faults.FaultProfile.named(args.chaos, seed=args.seed))
     with faults.use_faults(injector):
         recovery = ingester.recover()
-        if recovery["replayed"] or recovery["torn_tail"] or recovery["corrupt"]:
-            print(f"recovered interrupted commit: {recovery}")
+        if any(recovery.values()):
+            print(f"settled interrupted commit: {recovery}")
         if args.bootstrap:
             rows = ingester.bootstrap()
             if rows:

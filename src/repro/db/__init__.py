@@ -27,7 +27,6 @@ from repro.db.errors import (
     UnknownColumnError,
     UnknownTableError,
 )
-from repro.db.wal import WriteAheadLog
 
 __all__ = [
     "CatalogSnapshot",
@@ -39,5 +38,4 @@ __all__ = [
     "SQLSyntaxError",
     "UnknownColumnError",
     "UnknownTableError",
-    "WriteAheadLog",
 ]

@@ -7,14 +7,15 @@ Usage::
     top = db.query("SELECT fof_halo_tag, fof_halo_count FROM halos "
                    "ORDER BY fof_halo_count DESC LIMIT 20")
 
-The database is a directory: ``catalog.json``, ``wal.log`` and one
+The database is a directory: its metadata, a checkpoint ``catalog.json``
+plus the catalog log that continues it (:mod:`repro.db.wal`), and one
 column-segmented subdirectory per table, holding one generation directory
-per create (see :mod:`repro.db.storage`).  ``catalog.json`` is its only
-metadata file: per table, a ``version``, the ``row_group_size``, the
-``generation`` and the table metadata (columns, row-group row counts,
-zone maps, checksums; blooms sit in row-group headers).  All query
-execution streams from disk.  ``nbytes()`` reports exact on-disk
-footprint — the paper's storage-overhead metric counts these bytes.
+per create (see :mod:`repro.db.storage`).  Per table the catalog holds a
+``version``, the ``row_group_size``, the ``generation`` and the table
+metadata (columns, row-group row counts, zone maps, checksums; blooms sit
+in row-group headers).  All query execution streams from disk.
+``nbytes()`` reports the exact on-disk footprint of the row groups — the
+paper's storage-overhead metric counts these bytes.
 
 Every catalog entry carries a monotonic ``version`` bumped on
 create/append; combined with the store's content signature it forms the
@@ -24,22 +25,21 @@ cached result computed over the old contents.
 
 Writes are crash-safe and reads are snapshot-isolated (MVCC-lite):
 
-* every populated create/append first lands in a CRC-framed, fsynced
-  write-ahead log (:mod:`repro.db.wal`), then stages its row-group
-  segments, and only *commits* via a single atomic ``catalog.json``
-  publish carrying the table's new entry — a kill at any byte offset
-  recovers to exactly the pre- or post-append table, never a hybrid;
-* readers pin a :class:`CatalogSnapshot` — one parsed catalog, whose
+* a populated create or append stages its row-group files, fsyncs them,
+  then *commits* by appending one fsynced record with the table's delta
+  to the catalog log — a kill at any byte offset, or a power loss,
+  leaves exactly the pre- or post-append table, never a hybrid, and a
+  write is acknowledged only once its record is durable;
+* readers pin a :class:`CatalogSnapshot` — one committed catalog, whose
   stores read exactly the row groups their entries list — for the
   duration of a query (automatic) or a whole session
   (:meth:`Database.pinned`), so concurrent appends land new groups
-  without perturbing in-flight work.  A handle re-parses the catalog only
-  when its bytes change.
+  without perturbing in-flight work.  A handle parses only the log bytes
+  past the last commit it saw.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import shutil
@@ -56,13 +56,13 @@ from repro.db.sql.executor import execute
 from repro.db.sql.parser import parse_sql
 from repro.db.storage import (
     DEFAULT_ROW_GROUP_SIZE,
+    GROUP_KEYS,
     TABLE_META_KEYS,
     BloomCache,
     TableStore,
     empty_table_meta,
 )
-from repro.db.wal import WriteAheadLog, make_append_record
-from repro.durable import atomic_publish
+from repro.db.wal import CHECKPOINT_EVERY, CatalogLog, CatalogState
 from repro.frame import Frame
 from repro.obs import names as obs_names
 from repro.obs.logsetup import get_logger
@@ -100,7 +100,7 @@ def _new_generation() -> str:
 
 
 class CatalogSnapshot:
-    """One parsed ``catalog.json``: table name → entry.
+    """One committed catalog: table name → entry.
 
     Entries are replaced on commit and never mutated, so a snapshot is
     immutable without a copy, and reads through it are repeatable for its
@@ -113,9 +113,10 @@ class CatalogSnapshot:
     through the snapshot, and ``bloom_cache`` by every snapshot.
     """
 
-    def __init__(self, db_path: Path, tables: dict[str, dict], bloom_cache: BloomCache):
+    def __init__(self, db_path: Path, state: CatalogState, bloom_cache: BloomCache):
         self.db_path = Path(db_path)
-        self.tables = tables
+        self.state = state
+        self.tables = state.tables
         self._bloom_cache = bloom_cache
         self._stores: dict[str, TableStore] = {}
         self._states: dict[str, str] = {}
@@ -139,7 +140,8 @@ class CatalogSnapshot:
         if cached is None:
             entry = self.entry(name)
             cached = self._stores[name] = TableStore(
-                self.db_path / name / entry["generation"], entry, self._bloom_cache
+                self.db_path / name / entry["generation"], entry, self._bloom_cache,
+                self.state.folds.get(name),
             )
         return cached
 
@@ -163,6 +165,9 @@ class Database:
 
     ``num_threads`` is deprecated and ignored: the engine runs every
     query on the calling thread.
+
+    One handle writes a directory at a time (its writes are serialised);
+    any number of handles, in any process, read it.
     """
 
     def __init__(
@@ -180,22 +185,14 @@ class Database:
             )
         self.path = Path(path)
         self.path.mkdir(parents=True, exist_ok=True)
-        self._catalog_path = self.path / "catalog.json"
+        self._log = CatalogLog(self.path)
         # row-group path -> parsed bloom filters, shared by every snapshot of
         # this handle, so one taken after an append parses only new headers.
         # Sound because a committed row-group file never changes until its
         # generation is dropped, generation names are never reused, and only
         # committed groups are probed: a staged file never enters it.
         self._bloom_cache: BloomCache = {}
-        # the catalog bytes last parsed or published (None: no catalog.json
-        # yet) and their snapshot, swapped as one tuple so a racing reader
-        # never pairs one commit's bytes with another's parse
-        self._parsed: tuple[bytes | None, CatalogSnapshot] = (
-            None, CatalogSnapshot(self.path, {}, self._bloom_cache)
-        )
-        # the writer's catalog: replaced, never mutated, once a commit is on disk
-        self._tables = self.snapshot().tables
-        self._wal = WriteAheadLog(self.path / "wal.log")
+        self._snap = self._publish(self._log.load()[0])  # the last commit seen
         self._write_lock = threading.Lock()
         self._pins = threading.local()
         if result_cache:
@@ -240,30 +237,9 @@ class Database:
         """
         return self._view().table_state(name)
 
-    def _entry(self, name: str) -> dict:
-        return _catalog_entry(self.path, self._tables, name)
-
-    def _writer_store(self, name: str) -> TableStore:
-        """The committed state of ``name`` as the writer sees it."""
-        entry = self._entry(name)
-        return TableStore(self.path / name / entry["generation"], entry)
-
-    def _flush_catalog(self, tables: dict[str, dict]) -> None:
-        """Commit ``tables`` with one verified ``catalog.json`` publish (a
-        commit that dies mid-write must not corrupt the catalog).  This
-        rename is the commit point of every write; the handle takes
-        ``tables`` as its catalog only once it is on disk."""
-        data = json.dumps(tables).encode("utf-8")
-        atomic_publish(
-            self._catalog_path,
-            data,
-            verify=True,
-            fault_point=faults.STORAGE_TORN_WRITE,
-            what="catalog.json",
-            error=DBError,
-        )
-        self._tables = tables
-        self._parsed = (data, CatalogSnapshot(self.path, tables, self._bloom_cache))
+    def _publish(self, state: CatalogState) -> CatalogSnapshot:
+        self._snap = snap = CatalogSnapshot(self.path, state, self._bloom_cache)
+        return snap
 
     # ------------------------------------------------------------------
     # snapshots (MVCC-lite)
@@ -271,28 +247,18 @@ class Database:
     def snapshot(self) -> CatalogSnapshot:
         """The current committed catalog as an immutable snapshot.
 
-        Reads ``catalog.json`` so a long-lived handle observes commits by
-        other handles/threads since it was opened (the snapshot is taken at
-        *call* time; it never moves afterwards), and parses it only when
-        its bytes differ from the last ones this handle parsed or
-        published: calls with no commit between them return the same
-        snapshot, stores and cache-key states included.
+        Taken at *call* time, so a long-lived handle observes commits by
+        other handles/threads since it was opened (it never moves
+        afterwards).  Parses only the log bytes past the last commit this
+        handle saw: calls with no commit between them cost a stat or two
+        and return the same snapshot, stores and cache-key states included.
         """
+        snap = self._snap
         try:
-            data = self._catalog_path.read_bytes()
-        except FileNotFoundError:
-            data = None
+            fresh = self._log.refresh(snap.state)
         except OSError as exc:
-            raise DBError(f"unreadable catalog at {self._catalog_path}: {exc}") from exc
-        parsed, snap = self._parsed
-        if data != parsed:
-            try:
-                tables = json.loads(data) if data is not None else {}
-            except ValueError as exc:
-                raise DBError(f"corrupt catalog at {self._catalog_path}: {exc}") from exc
-            snap = CatalogSnapshot(self.path, tables, self._bloom_cache)
-            self._parsed = (data, snap)
-        return snap
+            raise DBError(f"unreadable catalog at {self.path}: {exc}") from exc
+        return snap if fresh is snap.state else self._publish(fresh)
 
     def _pin_stack(self) -> list[CatalogSnapshot]:
         stack = getattr(self._pins, "stack", None)
@@ -331,16 +297,13 @@ class Database:
                 yield snap
 
     # ------------------------------------------------------------------
-    # WAL commit protocol + recovery
+    # commit protocol + recovery
     # ------------------------------------------------------------------
     def recover(self) -> dict:
-        """Replay the WAL: truncate torn tails, finish or discard
-        interrupted commits, drop orphan row groups.
-
-        Idempotent and safe to call any time a writer (re)opens the
-        database; read paths never trigger it.  Returns an accounting doc
-        (also stamped on a ``wal.recover`` span).
-        """
+        """Settle what a dead writer left: cut a torn or corrupt log tail,
+        drop row groups no entry lists (so a killed, unacknowledged write
+        is absent), and checkpoint the catalog.  Idempotent; read paths
+        never trigger it.  Returns an accounting doc, also on a span."""
         with self._write_lock:
             return self._recover_locked()
 
@@ -349,68 +312,48 @@ class Database:
         with get_tracer().span(obs_names.WAL_RECOVER_SPAN) as span:
             # a restarted process must judge the durable state, not a
             # stale in-memory image
-            self._tables = self.snapshot().tables
-            records, scan = self._wal.pending()
-            replayed = skipped = orphans = 0
-            for record in records:
-                name = record.get("table")
-                kind = record.get("kind")
-                entry = self._tables.get(name)
-                base = int(record.get("base_version", 0))
-                if kind == "create":
-                    if entry is not None:
-                        skipped += 1  # commit already published
-                        continue
-                elif kind == "append":
-                    if entry is None:
-                        skipped += 1  # table dropped after the record landed
-                        continue
-                    if int(entry["version"]) > base:
-                        skipped += 1  # commit already published
-                        continue
+            state, scan = self._log.load()
+            if scan.dropped_bytes:
+                self._log.truncate(state)
+                if scan.torn_tail:
+                    kind = "torn tail"
+                    registry.counter(obs_names.WAL_TORN_TAIL_DROPPED).inc()
                 else:
-                    skipped += 1
-                    continue
-                # the killed write may have staged segments; replay restarts
-                # from the committed row groups (none, for a create) so the
-                # staged groups cannot double up
-                orphans += self._discard_uncommitted(name)
-                frame = Frame(dict(record["columns"]))
-                self._commit(
-                    name,
-                    frame,
-                    kind=kind,
-                    row_group_size=int(record["row_group_size"]),
-                    allow_kills=False,
-                )
-                replayed += 1
-                registry.counter(obs_names.WAL_REPLAYED).inc()
-            # even with no replayable record, a crashed stage may have left
-            # row-group files past a table's committed ones, or a whole
-            # generation of a create that never committed
+                    kind = "corrupt record"
+                    registry.counter(obs_names.WAL_CORRUPT_DROPPED).inc()
+                log.warning("catalog log %s: dropping %d bytes after offset %d of %s",
+                            kind, scan.dropped_bytes, state.offset, self._log.log_path(state))
+            # a dead stage leaves row groups past a table's committed ones,
+            # or a whole generation of a create that never committed
             on_disk = {p.name for p in self.path.iterdir() if _NAME_RE.match(p.name)}
-            for name in sorted(on_disk | set(self._tables)):
-                orphans += self._discard_uncommitted(name)
-            self._wal.clear()
-            report = {
-                "replayed": replayed,
-                "skipped": skipped,
-                "torn_tail": int(scan.torn_tail),
-                "corrupt": int(scan.corrupt_record),
-                "orphan_groups": orphans,
-            }
+            orphans = sum(
+                self._discard_uncommitted(name, state.tables)
+                for name in sorted(on_disk | set(state.tables))
+            )
+            self._publish(self._checkpoint(state))
+            report = {"torn_tail": int(scan.torn_tail), "corrupt": int(scan.corrupt_record),
+                      "orphan_groups": orphans}
             span.set(**{f"wal_{k}": v for k, v in report.items()})
-            if replayed or scan.torn_tail or scan.corrupt_record or orphans:
-                log.info("WAL recovery at %s: %s", self.path, report)
+            if scan.dropped_bytes or orphans:
+                log.info("recovery at %s: %s", self.path, report)
             return report
 
-    def _discard_uncommitted(self, name: str) -> int:
-        """Drop what ``name``'s committed entry does not list: row groups
-        past its committed ones, and every generation directory it does not
-        name (a create that never committed).  Recovery and roll-back
-        helper; returns the number of row-group files removed."""
+    def _checkpoint(self, state: CatalogState) -> CatalogState:
+        """Fold the log into ``catalog.json``: only an optimisation, since
+        the log holds every commit, so a failed publish changes nothing."""
+        try:
+            return self._log.checkpoint(state)
+        except (DBError, OSError) as exc:
+            log.warning("checkpoint of %s failed; the log keeps every commit: %s",
+                        self.path, exc)
+            return state
+
+    def _discard_uncommitted(self, name: str, tables: dict[str, dict]) -> int:
+        """Drop the row groups ``name``'s entry in ``tables`` does not
+        list, and every generation directory it does not name; returns the
+        number of row-group files removed."""
         table_dir = self.path / name
-        entry = self._tables.get(name)
+        entry = tables.get(name)
         dropped = 0
         if table_dir.is_dir():
             for gen_dir in table_dir.iterdir():
@@ -418,52 +361,30 @@ class Database:
                     dropped += sum(1 for _ in gen_dir.glob("rg*"))
                     shutil.rmtree(gen_dir)
         if entry is not None:
-            return dropped + self._writer_store(name).discard_uncommitted()
+            return dropped + TableStore(table_dir / entry["generation"], entry).discard_uncommitted()
         with suppress(OSError):
             table_dir.rmdir()
         return dropped
 
-    def _commit(
-        self,
-        name: str,
-        frame: Frame,
-        kind: str,
-        row_group_size: int,
-        allow_kills: bool = True,
-    ) -> None:
-        """Stage segments, then commit the table's new entry via the catalog.
+    def _writer_state(self) -> CatalogState:
+        """The latest commit, with the log's tail clean for the next frame
+        (a writer that died mid-frame left bytes past it: recovery cuts
+        them).  Refreshed from disk, never a racing reader's stale state."""
+        if self._log.has_tail(self.snapshot().state):
+            self._recover_locked()
+        return self.snapshot().state
 
-        ``allow_kills=False`` disarms the simulated-death fault points —
-        recovery replays must run to completion deterministically (replay
-        is idempotent, so a *real* crash during recovery still only loses
-        the in-flight record to the next recovery pass).
-        """
-        def fire(point: str) -> bool:
-            return allow_kills and faults.fire_ingest_kill(point)
+    def _flush_catalog(self, state: CatalogState, record: dict) -> CatalogState:
+        """Commit ``record``, one table's delta: the commit point."""
+        state = self._log.append(state, record)
+        self._publish(state)
+        return state
 
-        if fire(faults.INGEST_KILL_APPLY):
-            raise IngestKilled("apply", f"before staging row groups of {name!r}")
-        if kind == "append":
-            store = self._writer_store(name)
-        else:
-            store = TableStore(self.path / name / _new_generation(), empty_table_meta())
-        if allow_kills:
-            staged = store.stage_append(frame, row_group_size)
-        else:
-            with faults.use_faults(faults.NULL_INJECTOR):
-                staged = store.stage_append(frame, row_group_size)
-        if fire(faults.INGEST_KILL_PUBLISH):
-            raise IngestKilled(
-                "publish", f"row groups of {name!r} staged, catalog commit pending"
-            )
-        version = int(self._tables[name]["version"]) + 1 if kind == "append" else 1
-        entry = {
-            "row_group_size": row_group_size,
-            "version": version,
-            "generation": store.path.name,
-            **staged,
-        }
-        self._flush_catalog({**self._tables, name: entry})
+    def _committed(self, state: CatalogState) -> None:
+        """After a commit, outside any roll-back: checkpoint every
+        ``CHECKPOINT_EVERY`` commits."""
+        if state.seq - state.base >= CHECKPOINT_EVERY:
+            self._publish(self._checkpoint(state))
 
     # ------------------------------------------------------------------
     # DDL / loading
@@ -477,89 +398,79 @@ class Database:
         """Create (and optionally populate) a table."""
         if not _NAME_RE.match(name):
             raise DBError(f"invalid table name {name!r}")
-        if name in self._tables:
-            raise DBError(f"table {name!r} already exists")
-        if frame is None or not frame.num_columns:
-            # nothing to stage: the single catalog publish is already atomic
-            with self._write_lock:
-                entry = {
-                    "row_group_size": row_group_size,
-                    "version": 1,
-                    "generation": _new_generation(),
-                    **empty_table_meta(),
-                }
-                self._flush_catalog({**self._tables, name: entry})
-            return
-        self._write(name, frame, kind="create", row_group_size=row_group_size)
+        self._write(name, frame if frame is not None else Frame(), row_group_size)
 
     def append(self, name: str, frame: Frame) -> None:
-        """Append rows to an existing table (schema must match).
+        """Append rows to an existing table (schema must match); they show
+        with the commit record, after their row groups are fsynced."""
+        self._write(name, frame)
 
-        Crash-safe: the frame is WAL-logged before any table bytes move,
-        and becomes visible only at the atomic catalog publish.
-        """
-        row_group_size = int(self._entry(name)["row_group_size"])
-        self._write(name, frame, kind="append", row_group_size=row_group_size)
-
-    def _write(self, name: str, frame: Frame, kind: str, row_group_size: int) -> None:
+    def _write(self, name: str, frame: Frame, row_group_size: int | None = None) -> None:
+        """A populated create (``row_group_size`` given) or an append."""
         with self._write_lock:
-            if self._wal.exists_nonempty():
-                # a previous writer died mid-commit; settle its state first
-                self._recover_locked()
-                if kind == "append" and name not in self._tables:
-                    raise UnknownTableError(name, sorted(self._tables))
-                if kind == "create" and name in self._tables:
+            state = self._writer_state()
+            if row_group_size is not None:
+                if name in state.tables:
                     raise DBError(f"table {name!r} already exists")
-            # whatever can be refused is refused before the intent is logged
-            columns = self._entry(name)["columns"] if kind == "append" else {}
-            if columns and set(columns) != set(frame.columns):
-                raise DBError(
-                    f"append schema mismatch: table has {sorted(columns)}, "
-                    f"frame has {sorted(frame.columns)}"
-                )
-            base = int(self._tables[name]["version"]) if kind == "append" else 0
-            log_offset = self._wal.size_bytes()
-            try:
-                self._wal.append(
-                    make_append_record(
-                        name,
-                        kind,
-                        base_version=base,
-                        row_group_size=row_group_size,
-                        columns={c: frame.column(c) for c in frame.columns},
+                entry = None
+                store = TableStore(self.path / name / _new_generation(), empty_table_meta())
+            else:
+                entry = _catalog_entry(self.path, state.tables, name)
+                store = TableStore(self.path / name / entry["generation"], entry)
+                row_group_size = int(entry["row_group_size"])
+                columns = entry["columns"]
+                if columns and set(columns) != set(frame.columns):
+                    raise DBError(
+                        f"append schema mismatch: table has {sorted(columns)}, "
+                        f"frame has {sorted(frame.columns)}"
                     )
-                )
-                self._commit(name, frame, kind=kind, row_group_size=row_group_size)
+            try:
+                if faults.fire_ingest_kill(faults.INGEST_KILL_APPLY):
+                    raise IngestKilled("apply", f"before staging row groups of {name!r}")
+                staged = store.stage_append(frame, row_group_size)
+                if faults.fire_ingest_kill(faults.INGEST_KILL_PUBLISH):
+                    raise IngestKilled(
+                        "publish", f"row groups of {name!r} staged, commit record pending"
+                    )
+                record = {"table": name}
+                if entry is None:
+                    record.update(kind="create", version=1, generation=store.path.name,
+                                  row_group_size=row_group_size, columns=staged["columns"])
+                else:
+                    record.update(kind="append", version=int(entry["version"]) + 1)
+                    if staged["columns"] != entry["columns"]:
+                        record["columns"] = staged["columns"]  # a first or widening append
+                record.update((key, staged[key]) for key in GROUP_KEYS)
+                committed = self._flush_catalog(state, record)
             except IngestKilled:
-                raise  # a death: the record stays for recovery to judge
+                raise  # a death: what it left is recovery's to judge
             except Exception:
-                self._roll_back(name, log_offset)
+                self._roll_back(name, state)
                 raise
-            self._wal.clear()
             get_registry().counter(obs_names.WAL_COMMITS).inc()
+            self._committed(committed)
 
-    def _roll_back(self, name: str, log_offset: int) -> None:
+    def _roll_back(self, name: str, state: CatalogState) -> None:
         """Undo a statement that failed short of a death, so the handle
-        equals a fresh one on this directory: the log loses the
-        statement's record (nothing will replay it) and whatever the
-        statement staged past the table's committed row groups is dropped.
-        ``_tables`` is still the published catalog: a commit replaces it
-        only once it is on disk."""
-        self._wal.truncate_to(log_offset)
-        self._discard_uncommitted(name)
+        equals a fresh one on this directory: whatever it wrote to the log
+        is cut off, and whatever it staged past the table's committed row
+        groups is dropped."""
+        self._log.truncate(state)
+        self._discard_uncommitted(name, state.tables)
 
     def drop_table(self, name: str) -> None:
         with self._write_lock:
-            if name not in self._tables:
-                raise UnknownTableError(name, sorted(self._tables))
-            store = self._writer_store(name)
-            # publish first: a failed publish leaves the table whole, and a
+            state = self._writer_state()
+            entry = _catalog_entry(self.path, state.tables, name)
+            store = TableStore(self.path / name / entry["generation"], entry)
+            # commit first: a failed commit leaves the table whole, and a
             # death after it leaves only segments no catalog entry lists
-            self._flush_catalog({n: e for n, e in self._tables.items() if n != name})
+            committed = self._flush_catalog(state, {"table": name, "kind": "drop"})
             store.drop()
             for key in list(self._bloom_cache):  # a copy: readers may be filling it
                 if key.startswith(f"{store.path}{os.sep}"):
                     self._bloom_cache.pop(key, None)
+            self._committed(committed)
 
     # ------------------------------------------------------------------
     # querying
@@ -604,7 +515,8 @@ class Database:
     # ------------------------------------------------------------------
     def nbytes(self) -> int:
         """Total on-disk bytes across all tables."""
-        return sum(self._writer_store(n).nbytes() for n in self._tables)
+        snap = self.snapshot()
+        return sum(snap.store(n).nbytes() for n in snap.tables)
 
     def describe(self) -> str:
         lines = [f"Database at {self.path} ({self.nbytes():,} bytes)"]

@@ -54,7 +54,7 @@ class UnsupportedSQLError(DBError):
 
 
 class IngestKilled(DBError):
-    """A simulated ingester death at a named point of the WAL commit protocol.
+    """A simulated ingester death at a named point of the commit protocol.
 
     Raised by the commit path when an armed ingest kill fault fires (see
     :func:`repro.faults.arm_ingest_kills`).  The exception *is* the crash:

@@ -115,14 +115,6 @@ class Join:
     kind: str                  # 'inner' | 'left'
     keys: tuple[tuple[Column, Column], ...]  # (left, right) equality pairs
 
-    @property
-    def left_key(self) -> Column:
-        return self.keys[0][0]
-
-    @property
-    def right_key(self) -> Column:
-        return self.keys[0][1]
-
 
 @dataclass(frozen=True)
 class OrderItem:

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import shutil
 from collections.abc import Iterator, Sequence
 from contextlib import suppress
@@ -41,6 +42,7 @@ import numpy as np
 from repro import faults
 from repro.db.bloom import BloomFilter
 from repro.db.errors import DBError, IngestKilled, UnknownColumnError
+from repro.durable import fsync_dir
 from repro.frame import Frame
 from repro.gio.format import GIOFile, GIOFormatError, encode_gio, map_gio
 
@@ -48,12 +50,22 @@ DEFAULT_ROW_GROUP_SIZE = 65536
 # the table metadata every catalog entry carries; all but ``columns`` are
 # per-row-group lists, one entry per group
 TABLE_META_KEYS = ("columns", "row_groups", "zone_maps", "checksums")
+GROUP_KEYS = TABLE_META_KEYS[1:]
 BloomCache = dict[str, dict[str, BloomFilter]]  # row-group path -> filters
 
 
 def empty_table_meta() -> dict:
     """The metadata of a table that has no columns and no rows yet."""
     return {"columns": {}, "row_groups": [], "zone_maps": [], "checksums": []}
+
+
+def fold_groups(fold: bytes, row_groups: Sequence[int], checksums: Sequence[dict]) -> bytes:
+    """Roll ``fold`` (``b""`` before any group) over more row groups'
+    (rows, checksums), in order: a commit rolls it over its new groups."""
+    for rows, sums in zip(row_groups, checksums):
+        token = f"{rows}:{json.dumps(sums, sort_keys=True)}".encode()
+        fold = hashlib.blake2b(fold + token, digest_size=16).digest()
+    return fold
 
 
 class TableStore:
@@ -70,10 +82,12 @@ class TableStore:
     fills parse equal filters.
     """
 
-    def __init__(self, path: Path, meta: dict, bloom_cache: BloomCache | None = None):
+    def __init__(self, path: Path, meta: dict, bloom_cache: BloomCache | None = None,
+                 fold: bytes | None = None):
         self.path = Path(path)
         self._meta = meta
         self._bloom_cache: BloomCache = {} if bloom_cache is None else bloom_cache
+        self._fold = fold  # fold_groups over meta's row groups, if the caller has it
 
     # ------------------------------------------------------------------
     @property
@@ -89,17 +103,14 @@ class TableStore:
         return len(self._meta["row_groups"])
 
     def content_signature(self) -> str:
-        """Content hash over schema + per-segment checksums.
-
-        The query-result cache keys cached frames on this signature, which
-        makes results shareable across databases (and across harness
-        worker processes) that hold byte-identical tables.
-        """
-        doc = json.dumps(
-            [self._meta["columns"], self._meta["row_groups"], self._meta["checksums"]],
-            sort_keys=True,
-        )
-        return hashlib.blake2b(doc.encode(), digest_size=16).hexdigest()
+        """Content hash over the schema and the fold of every row group's
+        (rows, checksums).  Equal across databases holding the same bytes,
+        however commits split them, so the query-result cache it keys is
+        shareable (harness worker processes share one on disk)."""
+        if self._fold is None:
+            self._fold = fold_groups(b"", self._meta["row_groups"], self._meta["checksums"])
+        doc = json.dumps(self._meta["columns"], sort_keys=True).encode()
+        return hashlib.blake2b(doc + self._fold, digest_size=16).hexdigest()
 
     def dtype_of(self, name: str) -> np.dtype:
         try:
@@ -115,15 +126,12 @@ class TableStore:
     def stage_append(
         self, frame: Frame, row_group_size: int = DEFAULT_ROW_GROUP_SIZE
     ) -> dict:
-        """Write the frame's rows as new row-group segments; return the
-        table metadata with them added, *without committing it*.
-
-        Until the database publishes the returned doc in ``catalog.json``
-        the staged groups are invisible: every store reads only the groups
-        its catalog entry lists.  A crash mid-stage leaves only orphan
-        row-group files, which recovery discards or overwrites.  The
-        caller has already checked the frame's columns against the table's.
-        """
+        """Write the frame's rows as new, fsynced row-group files; return,
+        *without committing it*, the table's columns (wider where the
+        frame's strings are) and the new groups' rows, zone maps and
+        checksums.  Until the database commits that doc no store reads
+        the staged groups; a crash mid-stage leaves orphan files, which
+        recovery discards.  The caller has checked the frame's columns."""
         # object columns are stored as fixed-width strings, converted once
         # over the whole frame so that every group a create writes and the
         # dtype its catalog entry records are the same
@@ -144,15 +152,14 @@ class TableStore:
         }
         if wider:
             columns = {**columns, **wider}
-        # per-row-group docs are never mutated once appended, so the staged
-        # doc shares them with ``self._meta`` and copies only the lists this
-        # append grows
-        staged = {"columns": columns}
-        staged.update((key, list(self._meta[key])) for key in TABLE_META_KEYS[1:])
+        staged = {"columns": columns, "row_groups": [], "zone_maps": [], "checksums": []}
+        if not frame.num_rows:
+            return staged
+        new_dir = not self.path.is_dir()
         self.path.mkdir(parents=True, exist_ok=True)
         for start in range(0, frame.num_rows, row_group_size):
             stop = start + row_group_size
-            rg_index = len(staged["row_groups"])
+            rg_index = self.num_row_groups + len(staged["row_groups"])
             group = {name: full[start:stop] for name, full in arrays.items()}
             zone_map: dict[str, list[float]] = {}
             blooms: dict[str, dict] = {}
@@ -174,16 +181,21 @@ class TableStore:
             rg_path = self.path / f"rg{rg_index:05d}"
             with rg_path.open("wb") as fh:
                 fh.writelines(parts)
-            if group and faults.fire_ingest_kill(faults.INGEST_PARTIAL_ROW_GROUP):
-                # die mid-segment: the row-group file survives as a torn
-                # prefix, an orphan the commit never covers
-                injector = faults.get_injector()
-                torn = injector.truncate(faults.INGEST_PARTIAL_ROW_GROUP, rg_path.read_bytes())
-                rg_path.write_bytes(torn)
-                raise IngestKilled("stage-row-group", f"torn segment rg{rg_index:05d}")
+                if group and faults.fire_ingest_kill(faults.INGEST_PARTIAL_ROW_GROUP):
+                    # die mid-segment: the row-group file survives as a torn
+                    # prefix, an orphan the commit never covers
+                    fh.truncate(len(faults.get_injector().truncate(
+                        faults.INGEST_PARTIAL_ROW_GROUP, b"".join(parts)
+                    )))
+                    raise IngestKilled("stage-row-group", f"torn segment rg{rg_index:05d}")
+                fh.flush()
+                os.fsync(fh.fileno())
             staged["row_groups"].append(min(stop, frame.num_rows) - start)
             staged["zone_maps"].append(zone_map)
             staged["checksums"].append(checksums)
+        # the files' names are durable too, and a new generation's own
+        for directory in (self.path, *(self.path.parents[:2] if new_dir else ())):
+            fsync_dir(directory)
         return staged
 
     def discard_uncommitted(self) -> int:

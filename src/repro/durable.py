@@ -53,6 +53,7 @@ def atomic_publish(
     data: bytes | Callable[[BinaryIO], Any],
     *,
     verify: bool = False,
+    fsync: bool = False,
     fault_point: str | None = None,
     what: str | None = None,
     error: type[Exception] = PublishError,
@@ -61,6 +62,9 @@ def atomic_publish(
 
     ``data`` is the bytes themselves or a writer called with the open
     temp file (so an array can be saved without a second in-memory copy).
+
+    ``fsync`` makes the publish survive power loss: the temp file's bytes
+    are fsynced before the rename and the directory after it.
 
     ``verify`` reads the temp file back and compares it with ``data``
     (bytes only) before the rename; a mismatch — the ``fault_point``
@@ -88,8 +92,13 @@ def atomic_publish(
                     fh.write(injector.truncate(fault_point, data))
                 else:
                     fh.write(data)
+                if fsync:
+                    fh.flush()
+                    os.fsync(fh.fileno())
             if not verify or tmp.read_bytes() == data:
                 os.replace(tmp, path)
+                if fsync:
+                    fsync_dir(path.parent)
                 return
             get_registry().counter("storage.write_verify_retry").inc()
             log.warning(
@@ -101,6 +110,16 @@ def atomic_publish(
         with contextlib.suppress(OSError):
             tmp.unlink()
         raise
+
+
+def fsync_dir(path: str | Path) -> None:
+    """Make the names in directory ``path`` durable (a file's own fsync
+    does not cover the entry that names it)."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def frame(magic: bytes, payload: bytes) -> bytes:

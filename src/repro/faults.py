@@ -49,15 +49,15 @@ STORAGE_BIT_FLIP = "storage.bit_flip"          # one bit flips on a disk read
 CHECKPOINT_CORRUPT = "checkpoint.corrupt"      # checkpoint blob corrupted on disk
 
 # Ingest-path kill faults.  These simulate the *ingester process dying* at
-# a precise point of the WAL commit protocol (see repro.db.wal), so unlike
+# a precise point of the commit protocol (see repro.db.wal), so unlike
 # the fault points above they abort the operation in flight rather than
 # degrade it.  They only ever fire inside an armed scope
 # (:func:`arm_ingest_kills`) — the query path's data-loading appends share
 # the same code but must never host a simulated kill.
-WAL_TORN_TAIL = "ingest.wal.torn_tail"             # die mid-WAL-append: torn tail
+WAL_TORN_TAIL = "ingest.wal.torn_tail"             # die mid-record: a torn commit frame
 INGEST_KILL_APPLY = "ingest.kill.apply"            # die before staging row groups
 INGEST_PARTIAL_ROW_GROUP = "ingest.partial_row_group"  # die mid-segment: torn row group
-INGEST_KILL_PUBLISH = "ingest.kill.publish"        # die after staging, before the catalog commit
+INGEST_KILL_PUBLISH = "ingest.kill.publish"        # die after staging, before the commit record
 
 FAULT_POINTS = (
     SANDBOX_DROP,
@@ -299,7 +299,7 @@ def use_faults(injector: FaultInjector) -> Iterator[FaultInjector]:
 # ----------------------------------------------------------------------
 # ingest kill-fault arming
 # ----------------------------------------------------------------------
-# The WAL commit protocol (repro.db.wal / repro.db.database) is shared by
+# The commit protocol (repro.db.wal / repro.db.database) is shared by
 # every append in the system, including the query path's data-loading
 # appends.  Kill-style ingest faults must only strike the *live ingester*
 # — a query session dying because the chaos profile shot the loader would

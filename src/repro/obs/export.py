@@ -401,7 +401,7 @@ def summarize(spans: list[SpanLike]) -> str:
         lines.append(
             f"live ingest: {ingest['steps']} snapshot(s) committed "
             f"({ingest['rows']} rows), {ingest['recoveries']} WAL recoveries "
-            f"(replayed {ingest['replayed']}, torn tails {ingest['torn_tail']}, "
+            f"(torn tails {ingest['torn_tail']}, "
             f"corrupt {ingest['corrupt']}, orphan groups {ingest['orphan_groups']})"
         )
     return "\n".join(lines)
@@ -410,13 +410,12 @@ def summarize(spans: list[SpanLike]) -> str:
 def ingest_counts(spans: list[SpanLike]) -> dict[str, int]:
     """Live-ingestion accounting from ``ingest.step`` / ``wal.recover``
     spans: snapshots committed, rows appended, and how each WAL recovery
-    pass classified what it found (replayed commits, torn tails dropped,
-    corrupt records dropped, orphan row groups discarded)."""
+    pass classified what it found (torn tails dropped, corrupt records
+    dropped, orphan row groups discarded)."""
     counts = {
         "steps": 0,
         "rows": 0,
         "recoveries": 0,
-        "replayed": 0,
         "torn_tail": 0,
         "corrupt": 0,
         "orphan_groups": 0,
@@ -429,7 +428,6 @@ def ingest_counts(spans: list[SpanLike]) -> dict[str, int]:
             counts["rows"] += int(attrs.get("rows", 0))
         elif doc.get("name") == WAL_RECOVER_SPAN:
             counts["recoveries"] += 1
-            counts["replayed"] += int(attrs.get("wal_replayed", 0))
             counts["torn_tail"] += int(attrs.get("wal_torn_tail", 0))
             counts["corrupt"] += int(attrs.get("wal_corrupt", 0))
             counts["orphan_groups"] += int(attrs.get("wal_orphan_groups", 0))

@@ -72,22 +72,22 @@ SERVE_REQUEST_SPAN = "serve.request"
 SERVE_WARMUP_SPAN = "serve.warmup"
 
 # one per ingested snapshot (repro.sim.ingest.StreamingIngester): wraps
-# ensemble extension plus the WAL-protected table appends; WAL accounting
-# (commits / replays / torn tails) rides on its attributes, which is what
+# ensemble extension plus the table appends' commits; rows and the
+# ensemble version ride on its attributes, which is what
 # ``repro trace summary`` folds into its ingest line
 INGEST_STEP_SPAN = "ingest.step"
-# one per WAL recovery pass (repro.db.database.Database.recover)
+# one per recovery pass (repro.db.database.Database.recover)
 WAL_RECOVER_SPAN = "wal.recover"
 
-# WAL / ingest counter names (repro.obs.metrics registry), the ones
-# ``repro.db.wal.WalStats`` reads for ``/stats``.  Classified recovery
-# outcomes: a torn tail (short record) and a corrupt record (CRC mismatch
-# on a complete frame) are counted separately so the property tests can
-# assert *why* a tail was dropped, not just that it was.  Rows, steps,
-# skipped records and orphan row groups are attributes of the
+# commit-log / ingest counter names (repro.obs.metrics registry), the
+# ones ``repro.db.wal.WalStats`` reads for ``/stats``: one per
+# acknowledged populated create or append, and the classified recovery
+# outcomes.  A torn tail (short frame) and a corrupt record (CRC or
+# sequence mismatch on a complete frame) are counted separately so the
+# property tests can assert *why* a tail was dropped, not just that it
+# was.  Rows, steps and orphan row groups are attributes of the
 # ``ingest.step`` / ``wal.recover`` spans, not counters.
 WAL_COMMITS = "wal.commits"
-WAL_REPLAYED = "wal.replayed"
 WAL_TORN_TAIL_DROPPED = "wal.torn_tail_dropped"
 WAL_CORRUPT_DROPPED = "wal.corrupt_record_dropped"
 INGEST_KILLS = "ingest.kills"

@@ -4,16 +4,17 @@ The paper's ensembles are static at load time; :class:`StreamingIngester`
 makes them *live*.  Each :meth:`ingest_step` deterministically extends the
 ensemble with one more timestep (:func:`repro.sim.ensemble.append_snapshot`
 — byte-identical to having generated the step up front) and appends the
-new halo/galaxy rows to a live analysis database through the WAL commit
+new halo/galaxy rows to a live analysis database through its commit
 protocol (:mod:`repro.db.wal`), so queries racing ingestion only ever see
 a committed snapshot and a killed ingester recovers exactly.
 
 This is the *only* component that arms the simulated-death fault points
 (:func:`repro.faults.arm_ingest_kills`): under a chaos profile the
-ingester can die mid-WAL-append, mid-segment, or after staging and before
-the catalog publish — :meth:`ingest_step` raises
+ingester can die before staging, mid-segment, after staging and before
+the commit record, or mid-record — :meth:`ingest_step` raises
 :class:`repro.db.errors.IngestKilled` at the exact point a SIGKILL would
-have struck, and a retry after :meth:`recover` completes the append.
+have struck.  The killed append was never acknowledged, so
+:meth:`recover` drops it, and the retry sends it again.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ class IngestReport:
     rows: dict[str, int] = field(default_factory=dict)
     table_versions: dict[str, int] = field(default_factory=dict)
     kills: int = 0          # simulated deaths absorbed before the commit landed
-    recoveries: int = 0     # WAL recovery passes run between retries
+    recoveries: int = 0     # recovery passes run between retries
     wall_s: float = 0.0
 
     def as_dict(self) -> dict:
@@ -68,7 +69,7 @@ class StreamingIngester:
     """Single live writer for one ensemble + its live analysis database.
 
     ``arm_faults=True`` lets the active chaos profile kill the ingester at
-    the WAL protocol's fault points (the query path never arms them);
+    the commit protocol's fault points (the query path never arms them);
     ``max_attempts`` bounds the kill/recover/retry loop of
     :meth:`ingest_step_resilient`.
     """
@@ -173,8 +174,8 @@ class StreamingIngester:
         report = IngestReport(step=step, ensemble_version=self.ensemble.version)
         for kind in self.tables:
             # one combined frame per table: the step's rows for all runs
-            # land in a single WAL-protected append, so the commit is
-            # atomic per table and a retry can skip tables that made it
+            # land in a single append, so the commit is atomic per table
+            # and a retry can skip tables that made it
             frame = concat(
                 [
                     self._annotated(run, step, kind)
@@ -182,8 +183,8 @@ class StreamingIngester:
                 ]
             )
             if not self._step_ingested(kind, step):
-                # (a killed attempt whose commit recovery already finished
-                # lands here as already-ingested and is simply skipped)
+                # (a table whose append committed before a later death
+                # lands here as already-ingested and is skipped)
                 if not self.db.has_table(kind):
                     self.db.create_table(kind, frame)
                 else:
@@ -193,7 +194,7 @@ class StreamingIngester:
         return report
 
     def _step_ingested(self, kind: str, step: int) -> bool:
-        """Whether a prior (killed) attempt already committed this step.
+        """Whether a prior attempt already committed this step.
 
         Steps are appended in increasing order, so the table's maximum
         committed ``step`` lives in its last committed row group; the
@@ -217,10 +218,10 @@ class StreamingIngester:
         """Kill/recover/retry until the snapshot commit lands.
 
         This is the restart loop a supervised ingester process would run:
-        every simulated death is followed by a WAL recovery pass (exactly
-        what a fresh process would do on open), then the append retries.
-        Appends are idempotent under retry — recovery either finished the
-        interrupted commit (the retry skips it) or discarded it cleanly.
+        every simulated death is followed by a recovery pass (exactly what
+        a fresh process would do on open), then the step retries.  Retries
+        are idempotent: recovery discards the unacknowledged append, so
+        the retry sends it again, and skips every table that committed.
         """
         step = int(step) if step is not None else self.next_step()
         kills = recoveries = 0
@@ -253,7 +254,7 @@ class StreamingIngester:
         return Frame(columns)
 
     def stats(self) -> dict:
-        """Snapshot/WAL accounting for ``/stats`` and the CLI."""
+        """Snapshot/commit accounting for ``/stats`` and the CLI."""
         doc = {
             "schema": 1,
             "ensemble_version": self.ensemble.version,

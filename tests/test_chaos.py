@@ -480,7 +480,8 @@ class TestLoaderKillChaos:
         db = Database(tmp_path / "chaos" / "a.db")
         agent = DataLoadingAgent(make_context(tmp_path / "chaos", db), ensemble)
         # one injector across attempts, so the seeded schedule advances;
-        # recovery runs outside it, as a restarted process's would
+        # recovery runs under it too: its checkpoint publish may be torn
+        # three times over, and the log still holds every commit
         injector = FaultInjector(FaultProfile.named("heavy", seed=31))
         stages, loads = [], 0
         for _ in range(64):
@@ -489,7 +490,8 @@ class TestLoaderKillChaos:
                     agent.load(HALO_LOAD, question="q")
             except IngestKilled as exc:
                 stages.append(exc.stage)
-                db.recover()
+                with use_faults(injector):
+                    db.recover()
                 assert_absent_or_whole(Database(db.path), "halos", whole)
                 continue
             loads += 1

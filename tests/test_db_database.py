@@ -137,18 +137,25 @@ class TestCrashSafeCatalog:
         assert list(db.path.glob("catalog.*.tmp")) == []
 
     def test_failed_flush_preserves_catalog(self, tmp_path, monkeypatch):
-        import repro.durable as durable_mod
+        """A commit record whose write fails part-way (a full disk) is cut
+        back off the log, and the create's staged row groups go with it."""
+        from repro.db.wal import CatalogLog
 
         db = Database(tmp_path / "c.db")
         db.create_table("t", Frame({"x": np.arange(5)}))
-        good = (db.path / "catalog.json").read_text()
-        monkeypatch.setattr(
-            durable_mod.os, "replace",
-            lambda s, d: (_ for _ in ()).throw(OSError("simulated crash")),
-        )
+        (log,) = db.path.glob("catalog.*.log")
+        good = log.read_bytes()
+
+        def short_write(self, state, record):
+            with open(self.log_path(state), "ab") as fh:
+                fh.write(b"RCAT1\n\x40")
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(CatalogLog, "append", short_write)
         with pytest.raises(OSError):
             db.create_table("u", Frame({"y": np.arange(3)}))
-        assert (db.path / "catalog.json").read_text() == good
+        assert log.read_bytes() == good
+        assert not (db.path / "u").exists()
         assert Database(tmp_path / "c.db").list_tables() == ["t"]
 
     def test_failed_drop_publish_keeps_the_table_readable(self, tmp_path, monkeypatch):
@@ -157,8 +164,8 @@ class TestCrashSafeCatalog:
         db = Database(tmp_path / "c.db")
         db.create_table("t", Frame({"a": np.arange(5)}))
 
-        def failing_flush(tables):
-            raise OSError("simulated publish failure")
+        def failing_flush(state, record):
+            raise OSError("simulated commit failure")
 
         monkeypatch.setattr(db, "_flush_catalog", failing_flush)
         with pytest.raises(OSError):
@@ -181,35 +188,47 @@ def _assert_refused(path, key):
 
 
 class TestOneTableFormat:
-    """``catalog.json`` is a database's only metadata file: every entry
-    carries the table metadata (columns and the three per-row-group lists)
-    beside its version, and an entry without one of them is refused by
-    name, not guessed at."""
+    """The catalog (``catalog.json`` plus its log) is a database's only
+    metadata: every entry carries the table metadata (columns and the
+    three per-row-group lists) beside its version, and an entry without
+    one of them is refused by name, not guessed at."""
 
     @pytest.mark.parametrize("key", (*TABLE_META_KEYS, "generation"))
     def test_older_dialects_are_refused_by_name(self, db, key):
+        db.recover()  # folds the log into catalog.json
         path = db.path / "catalog.json"
         content = json.loads(path.read_text())
-        del content["halos"][key]
+        del content["tables"]["halos"][key]
         path.write_text(json.dumps(content))
         _assert_refused(db.path, key)
 
     def test_a_catalog_with_per_table_meta_files_is_refused(self, db):
         """The layout that kept the metadata in ``<table>/meta.json`` and a
         ``committed_row_groups`` clamp in the catalog entry."""
+        db.recover()
         path = db.path / "catalog.json"
-        entry = json.loads(path.read_text())["halos"]
+        content = json.loads(path.read_text())
+        entry = content["tables"]["halos"]
         meta = {key: entry[key] for key in TABLE_META_KEYS}
         (db.path / "halos" / "meta.json").write_text(json.dumps({**meta, "version": 1}))
         old = {"row_group_size": 32, "version": 1, "committed_row_groups": 4,
                "committed_rows": 100}
-        path.write_text(json.dumps({"halos": old}, indent=1))
+        path.write_text(json.dumps({**content, "tables": {"halos": old}}, indent=1))
         _assert_refused(db.path, ", ".join(TABLE_META_KEYS))
+
+    def test_a_catalog_without_a_commit_sequence_is_refused(self, db):
+        """A ``catalog.json`` written before the catalog log: one bare
+        entry per table, republished by every commit."""
+        db.recover()
+        path = db.path / "catalog.json"
+        path.write_text(json.dumps(json.loads(path.read_text())["tables"]))
+        with pytest.raises(DBError, match=r"\(no commit sequence\); regenerate the workdir"):
+            Database(db.path)
 
     def test_table_created_empty_has_no_meta_and_opens(self, tmp_path):
         d = Database(tmp_path / "e.db")
         d.create_table("t")
-        assert [p.name for p in d.path.iterdir()] == ["catalog.json"]
+        assert [p.name for p in d.path.iterdir()] == ["catalog.0.log"]
         reopened = Database(d.path)
         assert reopened.store("t").num_rows == 0
         reopened.append("t", Frame({"x": np.arange(3)}))
@@ -217,32 +236,40 @@ class TestOneTableFormat:
 
 
 class TestOneCommitFile:
-    def test_every_write_publishes_the_catalog_once_and_nothing_else(
+    def test_every_write_appends_one_record_and_nothing_else(
         self, tmp_path, monkeypatch
     ):
-        """A populated create or append is one verified publish (of
-        ``catalog.json``), as is a drop; the directory then holds only the
-        catalog, the log and one file per row group."""
+        """A populated create or append, and a drop, each append one record
+        to the catalog log and publish no file; the directory then holds
+        only the log and one file per row group."""
         import repro.durable as durable_mod
+        from repro.db.wal import CatalogLog
 
         published, real_replace = [], durable_mod.os.replace
+        appended, real_append = [], CatalogLog.append
 
         def counting_replace(src, dst):
             published.append(Path(dst).name)
             return real_replace(src, dst)
 
+        def counting_append(self, state, record):
+            appended.append(record["kind"])
+            return real_append(self, state, record)
+
         db = Database(tmp_path / "f.db", result_cache=False)
         with monkeypatch.context() as patched:
             patched.setattr(durable_mod.os, "replace", counting_replace)
+            patched.setattr(CatalogLog, "append", counting_append)
             db.create_table("t", Frame({"x": np.arange(50)}), row_group_size=16)
             db.append("t", Frame({"x": np.arange(8)}))
             db.create_table("u", Frame({"y": np.arange(3)}))
             db.drop_table("u")
-        assert published == ["catalog.json"] * 4
+        assert published == []
+        assert appended == ["create", "append", "create", "drop"]
 
         files = sorted(
             str(p.relative_to(db.path)) for p in db.path.rglob("*") if p.is_file()
         )
         gen = db.store("t").path.name
-        assert files == ["catalog.json", *(f"t/{gen}/rg{i:05d}" for i in range(5)), "wal.log"]
+        assert files == ["catalog.0.log", *(f"t/{gen}/rg{i:05d}" for i in range(5))]
         assert Database(db.path).store("t").num_rows == 58

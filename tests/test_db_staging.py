@@ -1,7 +1,7 @@
 """Staging through ``Database``: a write's new row groups are on disk
-before its catalog entry is, and nothing of them shows until that entry is
-published; the new entry shares the per-row-group docs of the old one and
-copies only the lists it grows."""
+before its commit record is, and nothing of them shows until that record
+is appended to the catalog log; the new entry shares the per-row-group
+docs of the old one and copies only the lists it grows."""
 
 import copy
 
@@ -28,14 +28,14 @@ def db(tmp_path):
 
 
 def on_publish(monkeypatch, check):
-    """Run ``check(handle, tables)`` just before each catalog publish."""
+    """Run ``check(handle, record)`` just before each commit record."""
     real = Database._flush_catalog
     calls = []
 
-    def checked(self, tables):
-        check(self, tables)
-        calls.append(tables)
-        real(self, tables)
+    def checked(self, state, record):
+        check(self, record)
+        calls.append(record)
+        return real(self, state, record)
 
     monkeypatch.setattr(Database, "_flush_catalog", checked)
     return calls
@@ -43,15 +43,16 @@ def on_publish(monkeypatch, check):
 
 class TestStagedIsInvisible:
     def test_until_published(self, db, monkeypatch):
-        entry = copy.deepcopy(db._tables["t"])
+        entry = copy.deepcopy(db.snapshot().entry("t"))
         version, signature = db.table_version("t"), db.store("t").content_signature()
-        on_disk = (db.path / "catalog.json").read_bytes()
+        (log,) = db.path.glob("catalog.*.log")
+        on_disk = log.read_bytes()
 
-        def staged_but_not_committed(handle, tables):
+        def staged_but_not_committed(handle, record):
             assert (db.store("t").path / "rg00005").is_file()
-            assert len(tables["t"]["row_groups"]) == 6
-            assert handle._tables["t"] == entry
-            assert (db.path / "catalog.json").read_bytes() == on_disk
+            assert record["row_groups"] == [10, 10, 5]  # only the new groups
+            assert handle.snapshot().entry("t") == entry
+            assert log.read_bytes() == on_disk
             for reader in (handle, Database(db.path, result_cache=False)):
                 store = reader.store("t")
                 assert (reader.table_version("t"), store.content_signature()) == (
@@ -66,15 +67,15 @@ class TestStagedIsInvisible:
         assert (db.table_version("t"), store.num_row_groups, store.num_rows) == (
             version + 1, 6, 50
         )
-        assert Database(db.path)._tables == db._tables
+        assert Database(db.path).snapshot().tables == db.snapshot().tables
 
     def test_first_append_stages_its_schema_aside(self, tmp_path, monkeypatch):
         db = Database(tmp_path / "db", result_cache=False)
         db.create_table("new")
 
-        def schema_staged_aside(handle, tables):
-            assert list(tables["new"]["columns"]) == ["a", "x"]
-            assert handle._tables["new"]["columns"] == {}
+        def schema_staged_aside(handle, record):
+            assert list(record["columns"]) == ["a", "x"]
+            assert handle.snapshot().entry("new")["columns"] == {}
             assert handle.store("new").columns == []
 
         calls = on_publish(monkeypatch, schema_staged_aside)
@@ -82,7 +83,7 @@ class TestStagedIsInvisible:
         assert len(calls) == 1 and db.store("new").columns == ["a", "x"]
 
     def test_kill_mid_stage_leaves_meta_untouched(self, db):
-        entry = copy.deepcopy(db._tables["t"])
+        entry = copy.deepcopy(db.snapshot().entry("t"))
         # at this seed the kill strikes the fourth new group, after three
         # have been staged
         profile = faults.FaultProfile(seed=6, ingest_partial_row_group=0.5)
@@ -90,8 +91,8 @@ class TestStagedIsInvisible:
             with pytest.raises(IngestKilled, match="rg00006"):
                 db.append("t", make_frame(60, offset=25))
         assert (db.store("t").path / "rg00005").is_file()
-        assert db._tables["t"] == entry
-        assert Database(db.path)._tables["t"] == entry
+        assert db.snapshot().entry("t") == entry
+        assert Database(db.path).snapshot().entry("t") == entry
         assert db.store("t").num_row_groups == 3
 
 
@@ -102,10 +103,10 @@ class TestStagingCost:
         db.create_table("t")
         copied = 0
         for i in range(200):
-            old = db._tables["t"]
+            old = db.snapshot().entry("t")
             before = {id(doc) for key in PER_GROUP_KEYS for doc in old[key]}
             db.append("t", make_frame(4, offset=4 * i))
-            new = db._tables["t"]
+            new = db.snapshot().entry("t")
             copied += sum(
                 id(doc) not in before for key in PER_GROUP_KEYS for doc in new[key]
             )
@@ -114,5 +115,5 @@ class TestStagingCost:
         assert copied == 200 * len(PER_GROUP_KEYS)
         assert db.store("t").num_row_groups == 200 and db.table_version("t") == 201
         reopened = Database(db.path)
-        assert reopened._tables == db._tables
+        assert reopened.snapshot().tables == db.snapshot().tables
         assert np.array_equal(reopened.store("t").read_all(["a"])["a"], np.arange(800))

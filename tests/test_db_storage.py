@@ -150,7 +150,8 @@ class TestAppendScan:
         table.append(make_frame(250), row_group_size=100)
         files = sorted(p.name for p in table.store.path.iterdir())
         assert files == ["rg00000", "rg00001", "rg00002"]
-        entry = json.loads((table.db.path / "catalog.json").read_text())["t"]
+        table.db.recover()  # folds the log into catalog.json
+        entry = json.loads((table.db.path / "catalog.json").read_text())["tables"]["t"]
         for index, name in enumerate(files):
             gio = GIOFile(table.store.path / name)
             assert gio.columns == ["a", "x"]
@@ -213,27 +214,29 @@ class TestCrashSafeMeta:
 
     def test_meta_always_valid_json(self, table):
         table.append(make_frame(10))
-        entry = json.loads((table.db.path / "catalog.json").read_text())["t"]
+        table.db.recover()
+        entry = json.loads((table.db.path / "catalog.json").read_text())["tables"]["t"]
         assert entry["version"] == 1
         assert len(entry["checksums"]) == len(entry["row_groups"])
         assert not list(table.db.path.rglob("meta.json"))
 
     def test_failed_write_preserves_old_meta(self, table, monkeypatch):
-        """If the replace step never happens, the previous catalog
+        """If the commit record never lands, the previous catalog
         survives and the staged row group is discarded."""
-        import repro.durable as durable_mod
+        from repro.db.wal import CatalogLog
 
         table.append(make_frame(10))
-        good = (table.db.path / "catalog.json").read_text()
+        (log,) = table.db.path.glob("catalog.*.log")
+        good = log.read_bytes()
 
-        def exploding_replace(src, dst):
+        def exploding_append(self, state, record):
             raise OSError("simulated crash")
 
-        monkeypatch.setattr(durable_mod.os, "replace", exploding_replace)
+        monkeypatch.setattr(CatalogLog, "append", exploding_append)
         with pytest.raises(OSError):
             table.append(make_frame(10))
         monkeypatch.undo()
-        assert (table.db.path / "catalog.json").read_text() == good
+        assert log.read_bytes() == good
         assert not list(table.db.path.glob("t/*/rg00001"))
         reloaded = Database(table.db.path)
         assert reloaded.table_version("t") == 1 and reloaded.store("t").num_rows == 10

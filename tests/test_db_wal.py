@@ -1,17 +1,16 @@
-"""WAL framing, the append commit protocol, and crash recovery.
+"""The catalog log's framing, the commit protocol, and crash recovery.
 
 The contract under test: a simulated ingester death at *any* point of the
-commit protocol — mid-WAL-append, before staging, mid-segment, after
-staging but before the catalog publish — leaves readers on exactly the
-pre-append table, and one recovery pass lands the database on a state
-byte-identical to a quiescent twin (or exactly back on pre-append when the
-WAL record itself was lost).  Damage to the log (truncation at every byte boundary,
+commit protocol — before staging, mid-segment, after staging but before
+the commit record, mid-record — leaves readers on exactly the pre-write
+table, and one recovery pass drops what the dead write left, so an
+unacknowledged write is absent and its retry lands the bytes of a
+quiescent twin.  Damage to the log (truncation at every byte boundary,
 single bit flips) is always classified: torn tail vs corrupt record,
 never a crash or a hybrid table.
 """
 
 import json
-import pickle
 
 import numpy as np
 import pytest
@@ -20,8 +19,8 @@ from repro import faults
 from repro.db.database import Database
 from repro.db.errors import DBError, IngestKilled
 from repro.db.storage import TableStore
-from repro.db.wal import _MAGIC as WAL_MAGIC
-from repro.db.wal import WriteAheadLog, make_append_record
+from repro.db.wal import MAGIC as CATALOG_MAGIC
+from repro.db.wal import CatalogLog, CatalogState
 from repro.durable import frame, scan_frames
 from repro.frame import Frame
 from repro.gio.format import GIOFile
@@ -52,30 +51,37 @@ def killing(point_field: str):
 # ----------------------------------------------------------------------
 # framing
 # ----------------------------------------------------------------------
+def create_record(name: str, rows: list[int]) -> dict:
+    return {"table": name, "kind": "create", "version": 1, "generation": "g0",
+            "row_group_size": 64, "columns": {"a": "<i8"}, "row_groups": rows,
+            "zone_maps": [{} for _ in rows], "checksums": [{"a": r} for r in rows]}
+
+
 def test_append_scan_roundtrip(tmp_path):
-    wal = WriteAheadLog(tmp_path / "wal.log", fsync=False)
-    records = [
-        make_append_record("t", "append", base_version=i, row_group_size=64,
-                           columns={"a": np.arange(i + 1, dtype=np.int64)})
-        for i in range(3)
-    ]
-    for record in records:
-        wal.append(record)
-    result = wal.scan()
-    assert not result.torn_tail and not result.corrupt_record
-    assert result.good_bytes == wal.size_bytes()
-    assert [r["base_version"] for r in result.records] == [0, 1, 2]
-    for got, sent in zip(result.records, records):
-        assert np.array_equal(got["columns"]["a"], sent["columns"]["a"])
+    log = CatalogLog(tmp_path)
+    state = CatalogState()
+    for record in (create_record("t", [3]),
+                   {"table": "t", "kind": "append", "version": 2, "row_groups": [4, 5],
+                    "zone_maps": [{}, {}], "checksums": [{"a": 4}, {"a": 5}]},
+                   create_record("u", []),
+                   {"table": "u", "kind": "drop"}):
+        state = log.append(state, record)
+    loaded, scan = log.load()
+    assert not scan.torn_tail and not scan.corrupt_record
+    assert scan.good_bytes == loaded.offset == log.log_path(state).stat().st_size
+    assert [r["seq"] for r in scan.records] == [1, 2, 3, 4]
+    assert loaded.tables == state.tables and loaded.folds == state.folds
+    assert loaded.tables["t"]["row_groups"] == [3, 4, 5] and loaded.tables["t"]["version"] == 2
+    assert list(loaded.tables) == ["t"]
 
 
 def test_pending_on_missing_or_empty_log(tmp_path):
-    wal = WriteAheadLog(tmp_path / "wal.log", fsync=False)
-    records, scan = wal.pending()
-    assert records == [] and not scan.torn_tail and not scan.corrupt_record
-    wal.path.write_bytes(b"")
-    records, scan = wal.pending()
-    assert records == [] and scan.good_bytes == 0
+    log = CatalogLog(tmp_path)
+    for _ in range(2):
+        state, scan = log.load()
+        assert state == CatalogState() and scan.good_bytes == 0
+        assert not scan.torn_tail and not scan.corrupt_record
+        log.log_path(state).write_bytes(b"")
 
 
 # ----------------------------------------------------------------------
@@ -88,22 +94,23 @@ class TestCommitProtocol:
         db.create_table("t", base, row_group_size=16)
         return db, base, extra
 
-    def _twin_signature(self, path, base: Frame, extra: Frame) -> str:
+    def _twin_signature(self, path, base: Frame, *extras: Frame) -> str:
         twin = open_db(path)
         twin.create_table("t", base, row_group_size=16)
-        twin.append("t", extra)
+        for extra in extras:
+            twin.append("t", extra)
         return twin.store("t").content_signature()
 
     @pytest.mark.parametrize(
         "point_field",
         ["ingest_kill_apply", "ingest_partial_row_group", "ingest_kill_publish"],
     )
-    def test_kill_is_invisible_then_recovery_completes(self, tmp_path, point_field):
+    def test_kill_is_invisible_then_recovery_drops_it(self, tmp_path, point_field):
         """A kill anywhere leaves exactly the pre-append table — even after
         ``ingest_kill_publish``, when every new segment is complete on disk,
         because a store reads only the row groups its catalog entry lists —
-        and recovery drops what was staged and replays the WAL record to
-        the exact post-append state."""
+        and recovery drops what was staged: the append was never
+        acknowledged, so it is absent until the writer sends it again."""
         db, base, extra = self._seeded(tmp_path / "db")
         pre_version = db.table_version("t")
         pre_signature = db.store("t").content_signature()
@@ -127,22 +134,23 @@ class TestCommitProtocol:
         count = reader.query("SELECT COUNT(*) AS n FROM t")
         assert int(count.column("n")[0]) == base.num_rows
 
-        # recovery drops what was staged, replays the durable intent and
-        # lands post-append
+        # recovery drops what was staged and leaves the table pre-append
         orphans = sum(rg_path.is_file() for rg_path in staged)
         assert orphans == {"ingest_kill_apply": 0, "ingest_partial_row_group": 1,
                            "ingest_kill_publish": 2}[point_field]
         report = db.recover()
-        assert (report["replayed"], report["orphan_groups"]) == (1, orphans)
+        assert report == {"torn_tail": 0, "corrupt": 0, "orphan_groups": orphans}
+        assert not any(rg_path.exists() for rg_path in staged)
         after = open_db(tmp_path / "db")
-        assert after.table_version("t") == pre_version + 1
-        assert after.store("t").num_rows == base.num_rows + extra.num_rows
-        assert after.store("t").content_signature() == self._twin_signature(
-            tmp_path / "twin", base, extra
-        )
+        assert after.table_version("t") == pre_version
+        assert after.store("t").content_signature() == pre_signature
+        # the supervised retry lands the bytes of a twin never killed
+        db.append("t", extra)
+        assert open_db(tmp_path / "db").store("t").content_signature() == \
+            self._twin_signature(tmp_path / "twin", base, extra)
 
     def test_torn_wal_append_recovers_to_pre_append(self, tmp_path):
-        """Dying mid-WAL-append loses the record itself: recovery drops the
+        """Dying mid-record leaves a torn commit frame: recovery drops the
         torn tail and the table stays exactly pre-append; the retried
         append then lands the same bytes as a never-killed twin."""
         db, base, extra = self._seeded(tmp_path / "db")
@@ -150,10 +158,10 @@ class TestCommitProtocol:
 
         before = counter(obs_names.WAL_TORN_TAIL_DROPPED)
         with killing("wal_torn_tail"), faults.arm_ingest_kills():
-            with pytest.raises(IngestKilled):
+            with pytest.raises(IngestKilled, match="commit-frame"):
                 db.append("t", extra)
         report = db.recover()
-        assert report["torn_tail"] == 1 and report["replayed"] == 0
+        assert report["torn_tail"] == 1 and report["orphan_groups"] == 2
         assert counter(obs_names.WAL_TORN_TAIL_DROPPED) == before + 1
         assert open_db(tmp_path / "db").store("t").content_signature() == pre_signature
 
@@ -163,40 +171,40 @@ class TestCommitProtocol:
         )
 
     def test_next_write_settles_interrupted_commit_first(self, tmp_path):
-        """A writer reopening after a kill need not call recover() by hand:
-        the first write replays the pending record before its own."""
+        """A writer reopening after a death mid-record need not call
+        recover() by hand: its first write cuts the torn frame off before
+        appending its own, which would otherwise sit unreadable behind it."""
         db, base, extra = self._seeded(tmp_path / "db")
-        with killing("ingest_kill_publish"), faults.arm_ingest_kills():
+        with killing("wal_torn_tail"), faults.arm_ingest_kills():
             with pytest.raises(IngestKilled):
                 db.append("t", extra)
 
         writer = open_db(tmp_path / "db")
         tail = make_frame(8, start=64)
-        writer.append("t", tail)  # triggers recovery, then appends
+        writer.append("t", tail)  # settles the torn tail, then appends
 
-        twin = open_db(tmp_path / "twin")
-        twin.create_table("t", base, row_group_size=16)
-        twin.append("t", extra)
-        twin.append("t", tail)
-        assert writer.store("t").content_signature() == \
-            twin.store("t").content_signature()
+        twin = self._twin_signature(tmp_path / "twin", base, tail)
+        assert writer.store("t").content_signature() == twin
+        assert open_db(tmp_path / "db").store("t").content_signature() == twin
 
     def test_recovery_skips_already_committed_record(self, tmp_path):
-        """A crash *after* the catalog publish but before the WAL truncate
-        leaves a stale record; replay must not double-apply it."""
+        """A crash *after* a checkpoint publish but before the old log is
+        removed leaves that log behind, holding records the checkpoint
+        already has; they must not apply twice."""
         db, base, extra = self._seeded(tmp_path / "db")
         db.append("t", extra)
         committed = db.store("t").content_signature()
+        (old_log,) = db.path.glob("catalog.*.log")
+        kept = old_log.read_bytes()
+        db.recover()  # checkpoints both commits, removes the old log
+        old_log.write_bytes(kept)  # ... as if the crash came first
 
-        # re-plant the already-committed record (base_version is stale now)
-        stale = make_append_record(
-            "t", "append", base_version=1, row_group_size=16,
-            columns={c: extra.column(c) for c in extra.columns},
-        )
-        WriteAheadLog(tmp_path / "db" / "wal.log", fsync=False).append(stale)
-
+        for handle in (open_db(tmp_path / "db"), db):
+            assert handle.store("t").content_signature() == committed
+            assert handle.table_version("t") == 2
         report = open_db(tmp_path / "db").recover()
-        assert report["replayed"] == 0 and report["skipped"] == 1
+        assert report == {"torn_tail": 0, "corrupt": 0, "orphan_groups": 0}
+        assert not old_log.exists()
         assert open_db(tmp_path / "db").store("t").content_signature() == committed
 
     def test_recovery_is_idempotent(self, tmp_path):
@@ -205,26 +213,76 @@ class TestCommitProtocol:
             with pytest.raises(IngestKilled):
                 db.append("t", extra)
         first = db.recover()
-        assert first["replayed"] == 1
+        assert first["orphan_groups"] == 2
         second = db.recover()
-        assert second == {"replayed": 0, "skipped": 0, "torn_tail": 0,
-                          "corrupt": 0, "orphan_groups": 0}
+        assert second == {"torn_tail": 0, "corrupt": 0, "orphan_groups": 0}
 
     def test_killed_create_restarts_from_nothing(self, tmp_path):
-        """A create killed after staging must not double its row groups on
-        replay (replay drops the orphan staged segments first)."""
+        """A create killed after staging leaves no table, and recovery drops
+        its generation, so the retried create cannot double its row
+        groups."""
         db = open_db(tmp_path / "db")
         frame = make_frame(40)
         with killing("ingest_kill_publish"), faults.arm_ingest_kills():
             with pytest.raises(IngestKilled):
                 db.create_table("t", frame, row_group_size=16)
         assert not open_db(tmp_path / "db").has_table("t")
-        report = db.recover()
-        assert report["replayed"] == 1
+        assert db.recover()["orphan_groups"] == 3
+        assert not (tmp_path / "db" / "t").exists()
+        db.create_table("t", frame, row_group_size=16)
         twin = open_db(tmp_path / "twin")
         twin.create_table("t", frame, row_group_size=16)
         assert open_db(tmp_path / "db").store("t").content_signature() == \
             twin.store("t").content_signature()
+
+
+def _bytes_written() -> int:
+    """Bytes this process has passed to ``write`` so far."""
+    with open("/proc/self/io") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("wchar:"))
+
+
+class TestCommitCost:
+    """An append's cost does not grow with the table: its commit record is
+    its own delta, and what it writes is its row group plus that record
+    (and a share of each ``CHECKPOINT_EVERY``-th commit's checkpoint)."""
+
+    def test_commit_frames_and_bytes_written_do_not_grow_with_the_table(
+        self, tmp_path, monkeypatch
+    ):
+        rng = np.random.default_rng(9)
+        rows = 1024
+
+        def frame(i: int) -> Frame:
+            return Frame({
+                "id": np.arange(i * rows, (i + 1) * rows, dtype=np.int64),
+                "step": np.full(rows, 624, dtype=np.int64),
+                "run": rng.integers(0, 8, rows),
+                "mass": rng.lognormal(3.0, 1.0, rows),
+                "x": rng.normal(0.0, 1.0, rows),
+                "y": rng.normal(0.0, 1.0, rows),
+            })
+
+        db = open_db(tmp_path / "db")
+        db.create_table("t", frame(0), row_group_size=rows)
+        frames, real_append = [], CatalogLog.append
+
+        def measured(self, state, record):
+            new = real_append(self, state, record)
+            frames.append(new.offset - state.offset)
+            return new
+
+        monkeypatch.setattr(CatalogLog, "append", measured)
+        written = 0
+        for i in range(1, 201):
+            data = frame(i)
+            before = _bytes_written()
+            db.append("t", data)
+            written += _bytes_written() - before
+        assert len(frames) == 200
+        assert abs(frames[199] - frames[9]) <= 64, (frames[9], frames[199])
+        row_group = (db.store("t").path / "rg00200").stat().st_size
+        assert written / 200 <= 1.1 * row_group, (written / 200, row_group)
 
 
 def _tree_bytes(root) -> dict[str, bytes]:
@@ -233,8 +291,8 @@ def _tree_bytes(root) -> dict[str, bytes]:
 
 class TestFailedStatement:
     """A statement that fails short of a death leaves nothing behind: no
-    log record for a later write to replay, no staged row groups, and a
-    handle equal to a fresh one on the same directory."""
+    bytes in the log, no staged row groups, and a handle equal to a fresh
+    one on the same directory."""
 
     def _two_tables(self, path) -> Database:
         db = open_db(path)
@@ -246,18 +304,20 @@ class TestFailedStatement:
         db = self._two_tables(tmp_path / "db")
         before = _tree_bytes(tmp_path / "db" / "a")
         version = db.table_version("a")
+        log = tmp_path / "db" / "catalog.0.log"
+        logged = log.read_bytes()
 
         with pytest.raises(DBError, match="schema mismatch"):
             db.append("a", Frame({"a": np.arange(3), "other": np.arange(3)}))
 
         # nothing of the refused statement is left in the log
-        assert not WriteAheadLog(tmp_path / "db" / "wal.log").exists_nonempty()
+        assert log.read_bytes() == logged
         # the same handle and a fresh one both keep writing, to any table
         db.append("b", make_frame(4, start=8))
         fresh = open_db(tmp_path / "db")
         fresh.append("b", make_frame(4, start=12))
         assert fresh.store("b").num_rows == 16
-        assert fresh.recover()["replayed"] == 0
+        assert fresh.recover()["orphan_groups"] == 0
         # and ``a`` is what it was, byte for byte
         assert _tree_bytes(tmp_path / "db" / "a") == before
         assert fresh.table_version("a") == version
@@ -286,17 +346,14 @@ class TestFailedStatement:
             with pytest.raises(DBError, match="disk says no"):
                 db.create_table("c", extra, row_group_size=16)
 
-        # log cut back, staged groups gone, catalog untouched, handle equal
-        # to a fresh one
+        # log untouched, staged groups gone, handle equal to a fresh one
         after = _tree_bytes(tmp_path / "db")
-        assert after["wal.log"] == b""
         assert after == before
         assert not (tmp_path / "db" / "c").exists()
         fresh = open_db(tmp_path / "db")
-        assert db._tables == fresh._tables
+        assert db.snapshot().tables == fresh.snapshot().tables
         assert db.list_tables() == ["a", "b"]
-        assert fresh.recover() == {"replayed": 0, "skipped": 0, "torn_tail": 0,
-                                   "corrupt": 0, "orphan_groups": 0}
+        assert fresh.recover() == {"torn_tail": 0, "corrupt": 0, "orphan_groups": 0}
         # the retried statements land the bytes of a twin that never failed
         db.append("a", extra)
         db.create_table("c", extra, row_group_size=16)
@@ -310,9 +367,10 @@ class TestFailedStatement:
 
 
 class TestOtherTablesEntries:
-    """Every commit rewrites the whole catalog: a write to ``a`` that dies
-    at any stage, or fails and rolls back, and the recovery after it, must
-    leave ``b``'s entry and content signature exactly as they were."""
+    """A commit record names one table: a write to ``a`` that dies at any
+    stage, or fails and rolls back, and the recovery after it, must leave
+    ``b``'s entry and content signature exactly as they were, and ``a``
+    as it was."""
 
     @pytest.mark.parametrize(
         "failure",
@@ -326,12 +384,11 @@ class TestOtherTablesEntries:
         db.create_table("a", make_frame(40), row_group_size=16)
         db.create_table("b", make_frame(20), row_group_size=16)
         db.append("b", make_frame(8, start=20))
-        catalog = db.path / "catalog.json"
-        entry, signature = json.loads(catalog.read_text())["b"], db.store("b").content_signature()
+        entry, signature = db.snapshot().entry("b"), db.store("b").content_signature()
 
         def b_is_unchanged():
-            assert json.loads(catalog.read_text())["b"] == entry
             for handle in (db, open_db(db.path)):
+                assert handle.snapshot().entry("b") == entry
                 assert handle.store("b").content_signature() == signature
                 assert handle.table_version("b") == 2
 
@@ -349,9 +406,9 @@ class TestOtherTablesEntries:
                 with pytest.raises(IngestKilled):
                     db.append("a", extra)
         b_is_unchanged()
-        report = db.recover()
-        assert report["replayed"] == int(failure not in ("wal_torn_tail", "_flush_catalog"))
+        db.recover()
         b_is_unchanged()
+        assert (db.table_version("a"), db.store("a").num_rows) == (1, 40)
         db.append("a", make_frame(4, start=64))
         b_is_unchanged()
 
@@ -361,18 +418,16 @@ class TestOtherTablesEntries:
 # verdict is repro.durable.scan_frames', so both users of the framing (this
 # log, the checkpoint blobs) are inputs; what the log adds is tested after.
 # ----------------------------------------------------------------------
-MAGICS = (WAL_MAGIC, CHECKPOINT_MAGIC)
+MAGICS = (CATALOG_MAGIC, CHECKPOINT_MAGIC)
 
 
 def _damage_log(magic: bytes) -> tuple[bytes, list[int]]:
     """Three framed records plus the byte offsets of the frame boundaries."""
     data, boundaries = b"", [0]
     for i in range(3):
-        record = make_append_record(
-            "t", "append", base_version=i, row_group_size=32,
-            columns={"a": np.arange(10 * (i + 1), dtype=np.int64)},
-        )
-        data += frame(magic, pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL))
+        record = {"seq": i, "table": "t", "kind": "append", "version": i + 2,
+                  "row_groups": [10 * (i + 1)], "zone_maps": [{}], "checksums": [{"a": i}]}
+        data += frame(magic, json.dumps(record).encode())
         boundaries.append(len(data))
     return data, boundaries
 
@@ -384,9 +439,9 @@ def test_truncation_at_every_byte_boundary_classified():
     for magic in MAGICS:
         data, boundaries = _damage_log(magic)
         for cut in range(len(data) + 1):
-            scan = scan_frames(magic, data[:cut], pickle.loads)
+            scan = scan_frames(magic, data[:cut], json.loads)
             keep = max(i for i, b in enumerate(boundaries) if b <= cut)
-            assert [r["base_version"] for r in scan.records] == list(range(keep)), (magic, cut)
+            assert [r["seq"] for r in scan.records] == list(range(keep)), (magic, cut)
             assert scan.good_bytes == boundaries[keep]
             assert scan.dropped_bytes == cut - boundaries[keep]
             assert scan.torn_tail == (cut not in boundaries), (magic, cut)
@@ -405,18 +460,30 @@ def test_single_bit_flips_classified_and_recovered():
         for pos in sorted(int(p) for p in positions):
             flipped = bytearray(data)
             flipped[pos] ^= 1 << int(rng.integers(8))
-            scan = scan_frames(magic, bytes(flipped), pickle.loads)
+            scan = scan_frames(magic, bytes(flipped), json.loads)
 
             # the damaged frame and everything after it are dropped
             damaged = max(i for i, b in enumerate(boundaries) if b <= pos)
-            assert [r["base_version"] for r in scan.records] == list(range(damaged)), (magic, pos)
+            assert [r["seq"] for r in scan.records] == list(range(damaged)), (magic, pos)
             assert scan.torn_tail != scan.corrupt_record, (magic, pos)  # exactly one class
             assert scan.good_bytes == boundaries[damaged]
             assert scan.dropped_bytes == len(data) - boundaries[damaged]
 
-            rescan = scan_frames(magic, bytes(flipped[: scan.good_bytes]), pickle.loads)
+            rescan = scan_frames(magic, bytes(flipped[: scan.good_bytes]), json.loads)
             assert len(rescan.records) == damaged
             assert not rescan.torn_tail and not rescan.corrupt_record
+
+
+def _three_commits(path) -> tuple[Database, list[int]]:
+    """``t`` created and appended to twice, plus the log's frame boundaries."""
+    db = open_db(path)
+    db.create_table("t", make_frame(20), row_group_size=16)
+    log = path / "catalog.0.log"
+    boundaries = [0, log.stat().st_size]
+    for i in range(2):
+        db.append("t", make_frame(8, start=20 + 8 * i))
+        boundaries.append(log.stat().st_size)
+    return db, boundaries
 
 
 @pytest.mark.parametrize(
@@ -424,31 +491,36 @@ def test_single_bit_flips_classified_and_recovered():
     [("cut", obs_names.WAL_TORN_TAIL_DROPPED), ("flip", obs_names.WAL_CORRUPT_DROPPED)],
 )
 def test_pending_counts_the_drop_and_cuts_the_log(tmp_path, damage, counted):
-    """The log's own half: ``pending`` counts the scan's verdict once under
-    its classified name and physically truncates to the good prefix, after
-    which the log holds exactly the records it returned."""
-    data, boundaries = _damage_log(WAL_MAGIC)
-    raw = bytearray(data)
+    """Recovery counts the scan's verdict once under its classified name
+    and cuts the log to the good prefix, after which the catalog holds
+    exactly the commits before the damage; a second recovery finds
+    nothing."""
+    db, boundaries = _three_commits(tmp_path / "db")
+    log = tmp_path / "db" / "catalog.0.log"
+    raw = bytearray(log.read_bytes())
     if damage == "cut":
         del raw[boundaries[2] + 5:]  # inside the third frame's header
     else:
         raw[boundaries[2] - 3] ^= 0x10  # inside the second frame's payload
-    wal = WriteAheadLog(tmp_path / "wal.log", fsync=False)
-    wal.path.write_bytes(bytes(raw))
+    log.write_bytes(bytes(raw))
     names = (obs_names.WAL_TORN_TAIL_DROPPED, obs_names.WAL_CORRUPT_DROPPED)
     before = {name: counter(name) for name in names}
 
-    records, scan = wal.pending()
+    # readers stop at the damage and leave the bytes alone
     kept = 2 if damage == "cut" else 1
-    assert [r["base_version"] for r in records] == list(range(kept))
-    assert wal.size_bytes() == scan.good_bytes == boundaries[kept]
+    assert open_db(tmp_path / "db").table_version("t") == kept
+    assert log.read_bytes() == bytes(raw)
+
+    report = db.recover()
+    assert (report["torn_tail"], report["corrupt"]) == (damage == "cut", damage == "flip")
     assert {name: counter(name) - before[name] for name in names} == {
         name: int(name == counted) for name in names
     }
+    assert open_db(tmp_path / "db").table_version("t") == kept
+    assert db.store("t").num_rows == 20 + 8 * (kept - 1)
 
-    again, rescan = wal.pending()
-    assert [r["base_version"] for r in again] == list(range(kept))
-    assert not rescan.torn_tail and not rescan.corrupt_record
+    assert open_db(tmp_path / "db").recover() == {"torn_tail": 0, "corrupt": 0,
+                                                  "orphan_groups": 0}
     assert {name: counter(name) - before[name] for name in names} == {
         name: int(name == counted) for name in names
     }
@@ -456,24 +528,54 @@ def test_pending_counts_the_drop_and_cuts_the_log(tmp_path, damage, counted):
 
 def test_corrupt_record_mid_log_drops_suffix(tmp_path):
     """Damage to an *interior* record drops it and every later record —
-    replay order is the append order, so a suffix cannot replay over a
-    hole — and the database-level recovery classifies it."""
-    db = open_db(tmp_path / "db")
-    db.create_table("t", make_frame(20), row_group_size=16)
-    # plant two pending records, then damage the second one's payload
-    wal = WriteAheadLog(tmp_path / "db" / "wal.log", fsync=False)
-    for i in range(2):
-        wal.append(
-            make_append_record(
-                "t", "append", base_version=1 + i, row_group_size=16,
-                columns={c: make_frame(8, start=100 + 8 * i).column(c)
-                         for c in ("a", "b")},
-            )
-        )
-    raw = bytearray(wal.path.read_bytes())
-    raw[len(raw) - 10] ^= 0xFF  # inside the second record's payload
-    wal.path.write_bytes(bytes(raw))
+    the log applies in commit order, so a suffix cannot apply over a
+    hole — and the database-level recovery classifies it and drops the
+    row groups only the dropped records listed."""
+    db, boundaries = _three_commits(tmp_path / "db")
+    log = tmp_path / "db" / "catalog.0.log"
+    raw = bytearray(log.read_bytes())
+    raw[boundaries[1] + 30] ^= 0xFF  # inside the second record
+    log.write_bytes(bytes(raw))
 
     report = open_db(tmp_path / "db").recover()
-    assert report["corrupt"] == 1
-    assert report["replayed"] == 1  # only the undamaged first record
+    assert report == {"torn_tail": 0, "corrupt": 1, "orphan_groups": 2}
+    fresh = open_db(tmp_path / "db")
+    assert fresh.table_version("t") == 1 and fresh.store("t").num_rows == 20
+
+
+def test_a_stale_handle_follows_checkpoints(tmp_path):
+    """A reader handle opened before any number of checkpoints, and one
+    whose log was rotated away under it, still sees every commit."""
+    db = open_db(tmp_path / "db")
+    reader = open_db(tmp_path / "db")
+    db.create_table("t", make_frame(4), row_group_size=4)
+    assert reader.store("t").num_rows == 4
+    for i in range(80):
+        db.append("t", make_frame(1, start=4 + i))
+        if i % 29 == 0:
+            assert reader.store("t").num_rows == 5 + i
+    assert reader.table_version("t") == 81
+    assert open_db(tmp_path / "db").store("t").content_signature() == \
+        reader.store("t").content_signature() == db.store("t").content_signature()
+    db.drop_table("t")
+    assert reader.list_tables() == []
+
+
+def test_recovery_survives_a_checkpoint_torn_three_times(tmp_path):
+    """The log is authoritative and the checkpoint only an optimisation: a
+    recovery whose ``catalog.json`` publish is torn on every attempt still
+    succeeds, and the database reads every commit from the log."""
+    db = open_db(tmp_path / "db")
+    db.create_table("t", make_frame(20), row_group_size=16)
+    db.append("t", make_frame(8, start=20))
+    signature = db.store("t").content_signature()
+    torn = faults.FaultProfile(seed=3, storage_torn_write=1.0)
+    with faults.use_faults(faults.FaultInjector(torn)):
+        assert db.recover() == {"torn_tail": 0, "corrupt": 0, "orphan_groups": 0}
+    assert not (tmp_path / "db" / "catalog.json").exists()
+    for handle in (db, open_db(tmp_path / "db")):
+        assert handle.store("t").content_signature() == signature
+    db.append("t", make_frame(4, start=28))
+    db.recover()
+    assert (tmp_path / "db" / "catalog.json").exists()
+    assert open_db(tmp_path / "db").store("t").num_rows == 32

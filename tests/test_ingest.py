@@ -153,6 +153,26 @@ class TestStreamingIngester:
         assert kills >= 1, "heavy profile fired no ingest kills; weak test"
         assert signatures(ingester.db) == self._quiescent_twin(tmp_path)
 
+    def test_a_death_after_staging_is_sent_again(self, tmp_path):
+        """A death after an append's row groups are staged leaves the step
+        unacknowledged: recovery drops it, ``_step_ingested`` reads the
+        last committed group's zone map and says so, and the retry sends
+        the rows again, once per table."""
+        live = generate_ensemble(tmp_path / "live", small_spec(BASE_STEPS, particles=False))
+        ingester = StreamingIngester(live.root, db_path=tmp_path / "live.db", arm_faults=True)
+        ingester.bootstrap()
+        versions = {k: ingester.db.table_version(k) for k in ingester.tables}
+        profile = faults.FaultProfile(seed=4, ingest_kill_publish=0.5)
+        with faults.use_faults(faults.FaultInjector(profile)):
+            for step in LIVE_STEPS:
+                report = ingester.ingest_step_resilient(step)
+                assert all(ingester._step_ingested(k, step) for k in ingester.tables)
+                assert report.kills >= 1, step
+        assert {k: ingester.db.table_version(k) for k in ingester.tables} == {
+            k: v + len(LIVE_STEPS) for k, v in versions.items()
+        }
+        assert signatures(ingester.db) == self._quiescent_twin(tmp_path)
+
     def test_stats_schema(self, tmp_path):
         live = generate_ensemble(tmp_path / "live", small_spec(BASE_STEPS, particles=False))
         ingester = StreamingIngester(live.root, db_path=tmp_path / "live.db")

@@ -1,8 +1,8 @@
 """The data loader's write contract: one durable commit per entity per load.
 
 A load of R runs x S steps writes each entity table with a single
-``Database.create_table`` of the concatenated per-file frames -- one WAL
-record, one catalog publish, row groups of up to ``row_group_size`` rows
+``Database.create_table`` of the concatenated per-file frames -- one
+commit record, row groups of up to ``row_group_size`` rows
 -- instead of one commit (and one ~26-row row group) per source file.
 Three properties are pinned here:
 
@@ -11,11 +11,11 @@ Three properties are pinned here:
   the public API (``create_table`` + per-file ``append``), for the SQL
   every suite question generates;
 * all-or-nothing under every ingest kill point: after recovery a killed
-  load's table is absent or whole, never a prefix of the files.
+  load's table is absent (it was never acknowledged), never a prefix of
+  the files, and the retried load lands the bytes of one never killed.
 """
 
 import copy
-import json
 import math
 
 import numpy as np
@@ -174,7 +174,7 @@ class TestLoadLayout:
         assert wal_commits() == before + len(LOAD_PARAMS["entities"])
         assert report.files_read == 2 * 4 * len(WIDE_TIMESTEPS)
 
-        catalog = json.loads((db.path / "catalog.json").read_text())
+        catalog = db.snapshot().tables
         for entity in LOAD_PARAMS["entities"]:
             frames = report_frames(wide_ensemble, report, entity, ["M_seed"])
             rows = sum(f.num_rows for f in frames)
@@ -298,8 +298,8 @@ class TestLoadIsAllOrNothing:
         return out
 
     def _kill_recover_retry(self, ensemble, workdir, unkilled, db_class, profile, match=None):
-        """Kill a load, recover, retry; returns whether recovery replayed
-        the load, and the segment bytes the dead load had staged."""
+        """Kill a load, recover, retry; returns whether the table was there
+        after recovery, and the segment bytes the dead load had staged."""
         whole, twin_bytes, twin_signature = unkilled[db_class]
         db = db_class(workdir / "a.db")
         agent = DataLoadingAgent(make_context(workdir, db), ensemble)
@@ -309,17 +309,15 @@ class TestLoadIsAllOrNothing:
         # a reader process sees nothing of the dead load ...
         assert not db_class(workdir / "a.db").has_table("halos")
         staged = table_bytes(db, "halos") if (db.path / "halos").exists() else {}
-        # ... and recovery drops what it staged and settles it to nothing
-        # or to all 24 files
+        # ... and recovery drops what it staged: an unacknowledged load
+        # leaves nothing
         report = db.recover()
         assert report["orphan_groups"] == len({name.split("/")[0] for name in staged})
         present = assert_absent_or_whole(db_class(workdir / "a.db"), "halos", whole)
-        assert present == (report["replayed"] == 1)
-        if present:
-            assert db.store("halos").content_signature() == twin_signature
         agent.load(HALO_LOAD, question="q")  # the retried load
         assert db.table_version("halos") == 1
         assert table_bytes(db, "halos") == twin_bytes
+        assert db.store("halos").content_signature() == twin_signature
         return present, staged
 
     @pytest.mark.parametrize("db_class", [Database, SmallGroupDatabase])
@@ -331,8 +329,8 @@ class TestLoadIsAllOrNothing:
         present, staged = self._kill_recover_retry(
             wide_ensemble, tmp_path, unkilled, db_class, profile
         )
-        # only a torn WAL record loses the intent; every later death replays
-        assert present == (point_field != "wal_torn_tail")
+        # no death, however late, leaves the load behind
+        assert not present
         # a death after staging, before the catalog commit, left every
         # segment of the load complete on disk, and no catalog entry
         if point_field == "ingest_kill_publish":
@@ -344,13 +342,14 @@ class TestLoadIsAllOrNothing:
         present, staged = self._kill_recover_retry(
             wide_ensemble, tmp_path, unkilled, SmallGroupDatabase, profile, match="rg00003"
         )
-        assert present and sorted({name.split("/")[0] for name in staged}) == [
+        assert not present and sorted({name.split("/")[0] for name in staged}) == [
             f"rg{i:05d}" for i in range(4)
         ]
 
     def test_killed_reload_never_keeps_a_prefix(self, wide_ensemble, tmp_path, unkilled):
-        """A redo's reload that dies leaves the table absent or whole --
-        the old one is dropped first, so never a stale/partial mix."""
+        """A redo's reload that dies leaves the table absent -- the old one
+        is dropped first, and the new one was never acknowledged -- so never
+        a stale/partial mix."""
         whole, twin_bytes, _ = unkilled[Database]
         db = Database(tmp_path / "a.db")
         agent = DataLoadingAgent(make_context(tmp_path, db), wide_ensemble)
@@ -360,6 +359,6 @@ class TestLoadIsAllOrNothing:
             with pytest.raises(IngestKilled):
                 agent.load(HALO_LOAD, question="q")
         db.recover()
-        assert assert_absent_or_whole(Database(tmp_path / "a.db"), "halos", whole)
+        assert not assert_absent_or_whole(Database(tmp_path / "a.db"), "halos", whole)
         agent.load(HALO_LOAD, question="q")
         assert table_bytes(db, "halos") == twin_bytes

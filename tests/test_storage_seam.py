@@ -4,8 +4,8 @@
 Three kinds of check: a source lint in the style of
 ``test_no_direct_time.py`` (nobody else renames a temp file into place or
 does header arithmetic), unit tests of the seam itself, and pins on the
-bytes other layers rely on (the ``RWAL1`` header, the JSON key order of
-``catalog.json``) so a refactor of the seam cannot move
+bytes other layers rely on (the ``RCAT1`` commit record, the JSON key
+order of ``catalog.json``) so a refactor of the seam cannot move
 ``eval.rows_digest`` or the bytes-on-disk metrics unnoticed.
 """
 
@@ -26,7 +26,7 @@ from repro import faults
 from repro.core import InferA, InferAConfig
 from repro.db import Database, DBError
 from repro.sim.ingest import StreamingIngester
-from repro.db.wal import WriteAheadLog, make_append_record
+from repro.db.wal import MAGIC as CATALOG_MAGIC
 from repro.durable import PUBLISH_ATTEMPTS, PublishError, atomic_publish, frame, scan_frames
 from repro.faults import NO_FAULTS, FaultInjector, use_faults
 from repro.frame import Frame
@@ -209,8 +209,8 @@ def _files_created(root: Path, monkeypatch, action) -> int:
 
 def test_each_write_creates_one_file_per_unit(tmp_path, monkeypatch):
     """A row group, a result-cache entry and a retrieval matrix are one
-    file each: a 56-row, 11-column create writes its row group, the
-    catalog and the log (13 files with one segment file per column), a
+    file each: a 56-row, 11-column create writes its row group and the
+    catalog log (13 files with one segment file per column), a
     cached result one entry, a retrieval build one matrix."""
     from repro.llm import HashedEmbedder
     from repro.rag import RetrievalArtifactCache
@@ -237,41 +237,51 @@ def test_each_write_creates_one_file_per_unit(tmp_path, monkeypatch):
 # pinned bytes
 # ----------------------------------------------------------------------
 def test_frame_layout_is_magic_len8_crc4_payload():
-    assert frame(b"RWAL1\n", b"abc") == (
-        b"RWAL1\n" b"\x03\x00\x00\x00\x00\x00\x00\x00" b"\xc2\x41\x24\x35" b"abc"
+    assert frame(b"RCAT1\n", b"abc") == (
+        b"RCAT1\n" b"\x03\x00\x00\x00\x00\x00\x00\x00" b"\xc2\x41\x24\x35" b"abc"
     )
-    scan = scan_frames(b"RWAL1\n", frame(b"RWAL1\n", pickle.dumps({"k": 1})), pickle.loads)
+    scan = scan_frames(b"RCAT1\n", frame(b"RCAT1\n", pickle.dumps({"k": 1})), pickle.loads)
     assert scan.records == [{"k": 1}] and not scan.dropped_bytes
 
 
 def test_wal_record_and_json_documents_keep_their_bytes(tmp_path):
     """``storage_bytes`` and ``eval.rows_digest`` hash the analysis-DB
-    directory: the WAL record and ``catalog.json`` (the database's one
-    metadata file) must not gain a field, reorder a key or change their
-    whitespace.  The one random part, each create's generation name, has
-    a fixed width."""
-    record = make_append_record("t", "append", 1, 16, {"a": np.arange(3)})
-    wal = WriteAheadLog(tmp_path / "wal.log", fsync=False)
-    wal.append(record)
-    assert wal.path.read_bytes() == frame(
-        b"RWAL1\n", pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
-    )
-
+    directory: the commit records of the catalog log and the
+    ``catalog.json`` checkpoint recovery folds them into must not gain a
+    field, reorder a key or change their whitespace.  The one random part,
+    each create's generation name, has a fixed width."""
     db = Database(tmp_path / "p.db")
     db.create_table("t", Frame({"a": np.arange(5)}), row_group_size=4)
     db.create_table("empty")
+    generation = re.compile(r'"generation": ?"g[0-9a-f]{12}"')
+    log = db.path / "catalog.0.log"
+    data = log.read_bytes()
+    payloads = scan_frames(CATALOG_MAGIC, data, bytes).records
+    assert data == b"".join(frame(CATALOG_MAGIC, p) for p in payloads)
+    assert [generation.sub('"generation":"g0"', p.decode()) for p in payloads] == [
+        '{"seq":1,"table":"t","kind":"create","version":1,"generation":"g0",'
+        '"row_group_size":4,"columns":{"a":"<i8"},"row_groups":[4,1],'
+        '"zone_maps":[{"a":[0.0,3.0]},{"a":[4.0,4.0]}],'
+        '"checksums":[{"a":2432700938},{"a":3781742995}]}',
+        '{"seq":2,"table":"empty","kind":"create","version":1,"generation":"g0",'
+        '"row_group_size":65536,"columns":{},"row_groups":[],"zone_maps":[],"checksums":[]}',
+    ]
+
+    db.recover()  # folds the log into catalog.json and starts an empty log
+    assert sorted(p.name for p in db.path.glob("catalog*")) == ["catalog.2.log", "catalog.json"]
+    assert (db.path / "catalog.2.log").read_bytes() == b""
     text = (db.path / "catalog.json").read_text()
-    generation = re.compile(r'"generation": "g[0-9a-f]{12}"')
     assert len(generation.findall(text)) == 2
     text = generation.sub('"generation": "g000000000000"', text)
     assert text == (
+        '{"seq": 2, "tables": '
         '{"t": {"row_group_size": 4, "version": 1, "generation": "g000000000000", '
         '"columns": {"a": "<i8"}, '
         '"row_groups": [4, 1], "zone_maps": [{"a": [0.0, 3.0]}, {"a": [4.0, 4.0]}], '
         '"checksums": [{"a": 2432700938}, {"a": 3781742995}]}, '
         '"empty": {"row_group_size": 65536, "version": 1, "generation": "g000000000000", '
         '"columns": {}, '
-        '"row_groups": [], "zone_maps": [], "checksums": []}}'
+        '"row_groups": [], "zone_maps": [], "checksums": []}}}'
     )
     assert text == json.dumps(json.loads(text))
     # a row group's bloom filters sit in its own header, naming their hash
@@ -283,7 +293,6 @@ def test_wal_record_and_json_documents_keep_their_bytes(tmp_path):
         "e41b543f92d153036171df29edd3f165c8c95d70eb05b9da6e2412f7bd07a8d8"
     )
     assert not list(db.path.rglob("meta.json"))
-    assert db.path.joinpath("wal.log").read_bytes() == b""
 
 
 def test_length_less_checkpoint_blob_reads_as_a_corrupt_tail(tmp_path):
