@@ -520,13 +520,16 @@ def _fold_grouped(
     if not group_exprs:
         # a global aggregate is one row, even over an empty table
         registry.codes_for_keys([()])
+    key_dtypes: list[np.dtype] = []  # the registry holds keys as Python scalars
 
     for chunk in chunks:
         chunk = _filter_chunk(stmt, chunk, keep)
         if chunk.num_rows == 0:
             continue
         if group_exprs:
-            codes = registry.codes_for([np.asarray(evaluate(g, chunk)) for g in group_exprs])
+            key_arrays = [np.asarray(evaluate(g, chunk)) for g in group_exprs]
+            key_dtypes = [a.dtype for a in key_arrays]
+            codes = registry.codes_for(key_arrays)
         else:
             codes = np.zeros(chunk.num_rows, dtype=np.int64)
         for call, acc in accumulators.items():
@@ -546,7 +549,9 @@ def _fold_grouped(
     group_cols: dict[str, np.ndarray] = {}
     for gi, gexpr in enumerate(group_exprs):
         name = expr_name(gexpr)
-        group_cols[name] = np.asarray([key[gi] for key in registry.keys])
+        # a numeric key keeps its stored dtype; a string key is as wide as its longest
+        dtype = key_dtypes[gi] if key_dtypes[gi].kind not in "US" else None
+        group_cols[name] = np.asarray([key[gi] for key in registry.keys], dtype=dtype)
     for call, acc in accumulators.items():
         group_cols[agg_names[call]] = acc.finalize(n_groups)
     group_frame = Frame(group_cols)

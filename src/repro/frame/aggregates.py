@@ -130,14 +130,15 @@ class MomentsAcc(Accumulator):
         vals = values.astype(np.float64, copy=False)
         nb = np.bincount(group_idx, minlength=n_groups).astype(np.float64)
         sb = np.bincount(group_idx, weights=vals, minlength=n_groups)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            mb = np.where(nb > 0, sb / np.maximum(nb, 1), 0.0)
-        dev = vals - mb[group_idx]
-        m2b = np.bincount(group_idx, weights=dev * dev, minlength=n_groups)
         na = self.n
-        delta = mb - self.mean
         tot = na + nb
-        with np.errstate(invalid="ignore", divide="ignore"):
+        # a group holding ±inf has a NaN variance, and says so without a
+        # warning
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            mb = np.where(nb > 0, sb / np.maximum(nb, 1), 0.0)
+            dev = vals - mb[group_idx]
+            m2b = np.bincount(group_idx, weights=dev * dev, minlength=n_groups)
+            delta = mb - self.mean
             self.mean = np.where(tot > 0, self.mean + delta * np.where(tot > 0, nb / np.maximum(tot, 1), 0), self.mean)
             self.m2 = self.m2 + m2b + delta**2 * na * nb / np.maximum(tot, 1)
         self.n = tot

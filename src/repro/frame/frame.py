@@ -219,9 +219,9 @@ class Frame:
 
     def value_counts(self, column: str) -> "Frame":
         """Distinct values of ``column`` with their frequencies, most
-        frequent first (ties broken by value order)."""
+        frequent first, ties in ascending value order (NaN last)."""
         sizes = self.select([column]).rename({column: "value"}).groupby("value").size()
-        order = np.argsort(sizes["size"], kind="stable")[::-1]
+        order = np.argsort(-sizes["size"], kind="stable")  # groups come in key order
         return Frame({column: sizes["value"][order], "count": sizes["size"][order]})
 
     def quantile(self, column: str, q: float | Sequence[float]) -> float | np.ndarray:

@@ -399,6 +399,35 @@ class TestEmptyProjectionDtypes:
         assert np.asarray(full.column("kind")).dtype == np.dtype("<U3")
 
 
+class TestGroupKeyDtypes:
+    """A GROUP BY key column comes back in the key's stored dtype, as
+    ``SELECT k`` and ``Frame.groupby`` return it, whatever the number of
+    groups and row groups."""
+
+    @pytest.fixture(scope="class")
+    def db(self, tmp_path_factory):
+        d = Database(tmp_path_factory.mktemp("keys") / "k.db", result_cache=False)
+        d.create_table("t", Frame({
+            "k": np.asarray([1, 2, 2, 3, 1], dtype=np.int32),
+            "f": np.asarray([0.5, 1.5, 1.5, np.nan, 0.5], dtype=np.float32),
+            "v": np.arange(5.0),
+        }), row_group_size=2)
+        return d
+
+    @pytest.mark.parametrize("sql, rows", [
+        ("SELECT k, f, SUM(v) AS s FROM t GROUP BY k, f ORDER BY k", 3),
+        ("SELECT k, f, COUNT(*) AS n FROM t WHERE v > 9 GROUP BY k, f", 0),
+        ("SELECT k, f, COUNT(*) AS n FROM t GROUP BY k, f HAVING COUNT(*) > 9", 0),
+    ])
+    def test_int32_and_float32_keys_keep_their_dtype(self, db, sql, rows):
+        out = db.query(sql)
+        assert out.num_rows == rows
+        assert (out["k"].dtype, out["f"].dtype) == (np.dtype(np.int32), np.dtype(np.float32))
+        if rows:
+            assert out["k"].tolist() == [1, 2, 3]
+            assert out["f"][:2].tolist() == [0.5, 1.5] and np.isnan(out["f"][2])
+
+
 class TestDensify:
     """_densify only copies mmap-backed columns."""
 

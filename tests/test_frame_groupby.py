@@ -188,3 +188,28 @@ def test_frame_groupby_equals_sql_group_by(tmp_path_factory, table):
         assert_same_bytes(got[f"v_{how}"], grouped[f"a_{how}"])
         want = whole[f"a_{how}"]
         assert_same_bytes(np.asarray(frame.agg({"v": how})["v"], dtype=want.dtype), want)
+
+
+def test_value_counts_breaks_ties_by_ascending_value_nan_last():
+    """Most frequent first; equal counts in ascending value order with NaN
+    last, the order ``groupby`` gives its keys (DESIGN.md section 2)."""
+    values = np.asarray([3.0, 1.0, nan, 2.0, 1.0, 3.0, nan, 2.0, 2.0])
+    counts = Frame({"v": values}).value_counts("v")
+    assert counts["count"].tolist() == [3, 2, 2, 2]
+    assert counts["v"][:3].tolist() == [2.0, 1.0, 3.0] and np.isnan(counts["v"][3])
+    words = Frame({"w": np.asarray(["b", "a", "c", "a", "c"])}).value_counts("w")
+    assert words["w"].tolist() == ["a", "c", "b"] and words["count"].tolist() == [2, 2, 1]
+
+
+def test_variance_of_a_group_holding_inf_warns_nothing(tmp_path):
+    """Its answer is NaN in both engines, and neither says so twice."""
+    import warnings
+
+    frame = Frame({"k": np.asarray([0, 0, 1, 1]), "v": np.asarray([np.inf, 1.0, -np.inf, 2.0])})
+    db = Database(tmp_path / "w.db", result_cache=False)
+    db.create_table("t", frame)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = frame.groupby("k").agg({"v": "var"})["v_var"]
+        sql = db.query("SELECT k, VAR(v) AS s, STDDEV(v) AS d FROM t GROUP BY k ORDER BY k")
+    assert np.isnan(got).all() and np.isnan(sql["s"]).all() and np.isnan(sql["d"]).all()
