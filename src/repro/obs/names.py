@@ -81,11 +81,11 @@ WAL_RECOVER_SPAN = "wal.recover"
 
 # commit-log / ingest counter names (repro.obs.metrics registry), the
 # ones ``repro.db.wal.WalStats`` reads for ``/stats``: one per
-# acknowledged populated create or append, and the classified recovery
-# outcomes.  A torn tail (short frame) and a corrupt record (CRC or
-# sequence mismatch on a complete frame) are counted separately so the
-# property tests can assert *why* a tail was dropped, not just that it
-# was.  Rows, steps and orphan row groups are attributes of the
+# acknowledged create or append (drops are not counted), and the
+# classified recovery outcomes.  A torn tail (short frame) and a corrupt
+# record (a complete frame failing its CRC) are counted separately so
+# the property tests can assert *why* a tail was dropped, not just that
+# it was.  Rows, steps and orphan row groups are attributes of the
 # ``ingest.step`` / ``wal.recover`` spans, not counters.
 WAL_COMMITS = "wal.commits"
 WAL_TORN_TAIL_DROPPED = "wal.torn_tail_dropped"

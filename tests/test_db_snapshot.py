@@ -338,3 +338,48 @@ class TestConcurrentAppends:
         for snap, seen in raced:
             with reader.pinned(snap):
                 assert frame_bytes(reader.query(SQL)) == seen
+
+    def test_a_writer_and_readers_sharing_one_handle_never_lose_a_commit(self, tmp_path):
+        """The ``ingest_live`` shape: one handle, a writer thread and four
+        reader threads, a short switch interval, and enough appends to
+        rotate the catalog log through several checkpoints.  A reader may
+        publish a snapshot older than the writer's last commit; the
+        writer's next commit must still land after it, every count a
+        thread sees is a committed total that never shrinks, and a fresh
+        handle reads every acknowledged row."""
+        import sys
+
+        from repro.db.wal import CHECKPOINT_EVERY
+
+        db = Database(tmp_path / "db", result_cache=False)
+        db.create_table("t", make_frame(4), row_group_size=4)
+        batches = 3 * CHECKPOINT_EVERY
+        done, observed, errors = threading.Event(), {}, []
+
+        def read_loop(tid):
+            counts = observed[tid] = []
+            try:
+                while not done.is_set():
+                    counts.append(int(db.query(COUNT).column("n")[0]))
+            except Exception as exc:  # pragma: no cover - surfaced below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [threading.Thread(target=read_loop, args=(i,)) for i in range(4)]
+            for worker in workers:
+                worker.start()
+            for i in range(batches):
+                db.append("t", make_frame(1, start=4 + i))
+        finally:
+            done.set()
+            for worker in workers:
+                worker.join(timeout=60.0)
+            sys.setswitchinterval(interval)
+        assert not errors and not any(w.is_alive() for w in workers)
+        for counts in observed.values():
+            assert counts == sorted(counts) and set(counts) <= set(range(4, 5 + batches))
+        fresh = Database(tmp_path / "db", result_cache=False)
+        assert fresh.table_version("t") == 1 + batches
+        assert np.array_equal(fresh.table_frame("t")["a"], np.arange(4 + batches))
