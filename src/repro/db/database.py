@@ -192,7 +192,7 @@ class Database:
         # generation is dropped, generation names are never reused, and only
         # committed groups are probed: a staged file never enters it.
         self._bloom_cache: BloomCache = {}
-        self._snap = self._publish(self._log.load()[0])  # the last commit seen
+        self._publish(self._log.load()[0])  # sets ``_snap``, the last commit seen
         self._write_lock = threading.Lock()
         self._pins = threading.local()
         if result_cache:
@@ -361,7 +361,8 @@ class Database:
                     dropped += sum(1 for _ in gen_dir.glob("rg*"))
                     shutil.rmtree(gen_dir)
         if entry is not None:
-            return dropped + TableStore(table_dir / entry["generation"], entry).discard_uncommitted()
+            store = TableStore(table_dir / entry["generation"], entry)
+            return dropped + store.discard_uncommitted()
         with suppress(OSError):
             table_dir.rmdir()
         return dropped
@@ -380,7 +381,7 @@ class Database:
         self._publish(state)
         return state
 
-    def _committed(self, state: CatalogState) -> None:
+    def _checkpoint_if_due(self, state: CatalogState) -> None:
         """After a commit, outside any roll-back: checkpoint every
         ``CHECKPOINT_EVERY`` commits."""
         if state.seq - state.base >= CHECKPOINT_EVERY:
@@ -448,7 +449,7 @@ class Database:
                 self._roll_back(name, state)
                 raise
             get_registry().counter(obs_names.WAL_COMMITS).inc()
-            self._committed(committed)
+            self._checkpoint_if_due(committed)
 
     def _roll_back(self, name: str, state: CatalogState) -> None:
         """Undo a statement that failed short of a death, so the handle
@@ -470,7 +471,7 @@ class Database:
             for key in list(self._bloom_cache):  # a copy: readers may be filling it
                 if key.startswith(f"{store.path}{os.sep}"):
                     self._bloom_cache.pop(key, None)
-            self._committed(committed)
+            self._checkpoint_if_due(committed)
 
     # ------------------------------------------------------------------
     # querying

@@ -220,7 +220,7 @@ class CatalogLog:
         data = json.dumps({"seq": state.seq, "tables": state.tables}).encode()
         new = replace(state, base=state.seq, offset=0)
         log_path = self.log_path(new)
-        log_path.touch()
+        log_path.touch()  # before the publish: a reader that finds no log re-reads the checkpoint
         atomic_publish(self.checkpoint_path, data, verify=True, fsync=True,
                        fault_point=faults.STORAGE_TORN_WRITE, what=CHECKPOINT, error=DBError)
         new = replace(new, checkpoint=self._checkpoint_identity())
