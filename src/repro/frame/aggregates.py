@@ -132,8 +132,7 @@ class MomentsAcc(Accumulator):
         sb = np.bincount(group_idx, weights=vals, minlength=n_groups)
         na = self.n
         tot = na + nb
-        # a group holding ±inf has a NaN variance, and says so without a
-        # warning
+        # a group holding ±inf has a NaN variance, without a warning
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             mb = np.where(nb > 0, sb / np.maximum(nb, 1), 0.0)
             dev = vals - mb[group_idx]
@@ -204,8 +203,9 @@ class MedianAcc(Accumulator):
         order = np.argsort(groups, kind="stable")
         gs, vs = groups[order], vals[order]
         starts = np.flatnonzero(np.concatenate(([True], gs[1:] != gs[:-1])))
-        for seg, grp in zip(np.split(vs, starts[1:]), gs[starts]):
-            out[grp] = float(np.median(seg))
+        with np.errstate(invalid="ignore"):  # a median between -inf and inf is NaN
+            for seg, grp in zip(np.split(vs, starts[1:]), gs[starts]):
+                out[grp] = float(np.median(seg))
         return out
 
 

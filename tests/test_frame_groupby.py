@@ -202,14 +202,19 @@ def test_value_counts_breaks_ties_by_ascending_value_nan_last():
 
 
 def test_variance_of_a_group_holding_inf_warns_nothing(tmp_path):
-    """Its answer is NaN in both engines, and neither says so twice."""
+    """VAR and STDDEV of a group holding ±inf, and the MEDIAN of one
+    holding both, are NaN in both engines, without a warning."""
     import warnings
 
-    frame = Frame({"k": np.asarray([0, 0, 1, 1]), "v": np.asarray([np.inf, 1.0, -np.inf, 2.0])})
+    frame = Frame({"k": np.asarray([0, 0, 1, 1, 2, 2]),
+                   "v": np.asarray([np.inf, 1.0, -np.inf, 2.0, np.inf, -np.inf])})
     db = Database(tmp_path / "w.db", result_cache=False)
     db.create_table("t", frame)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = frame.groupby("k").agg({"v": "var"})["v_var"]
-        sql = db.query("SELECT k, VAR(v) AS s, STDDEV(v) AS d FROM t GROUP BY k ORDER BY k")
+        median = frame.groupby("k").agg({"v": "median"})["v_median"]
+        sql = db.query("SELECT k, VAR(v) AS s, STDDEV(v) AS d, MEDIAN(v) AS m "
+                       "FROM t GROUP BY k ORDER BY k")
     assert np.isnan(got).all() and np.isnan(sql["s"]).all() and np.isnan(sql["d"]).all()
+    assert np.isnan(median[2]) and np.isnan(sql["m"][2])
