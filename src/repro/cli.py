@@ -425,29 +425,26 @@ def cmd_cache(args: argparse.Namespace) -> int:
     from repro.rag import cache as rag_cache
 
     workdir = Path(args.workdir)
-    store = query_cache.QueryResultCache(workdir / ".query_cache")
-    retrieval_dir = workdir / ".retrieval_cache"
-    retrieval_files = (
-        sorted(retrieval_dir.glob("retrieval_*")) if retrieval_dir.is_dir() else []
-    )
-    retrieval_bytes = sum(f.stat().st_size for f in retrieval_files)
+    stores = {
+        "query result cache": query_cache.QueryResultCache(workdir / ".query_cache").store,
+        "retrieval artifact cache":
+            rag_cache.RetrievalArtifactCache(workdir / ".retrieval_cache").store,
+    }
 
     if args.action == "clear":
         query_cache.clear_memory_cache()
         rag_cache.clear_memory_cache()
-        dropped = store.clear_disk()
-        for f in retrieval_files:
-            f.unlink(missing_ok=True)
-        print(f"query cache: dropped {dropped} result entries under {store.cache_dir}")
-        print(f"retrieval cache: dropped {len(retrieval_files)} artifacts "
-              f"({retrieval_bytes:,} bytes) under {retrieval_dir}")
+        for label, store in stores.items():
+            size = store.footprint_bytes()
+            print(f"{label}: dropped {store.clear_disk()} entries "
+                  f"({size:,} bytes) under {store.directory}")
         return 0
 
-    if not store.cache_dir.is_dir() and not retrieval_dir.is_dir():
+    if not any(store.directory.is_dir() for store in stores.values()):
         # a fresh or foreign workdir: say so instead of a wall of zeros
-        print(f"no caches under {workdir} "
-              f"(neither {store.cache_dir.name} nor {retrieval_dir.name} exists yet); "
-              f"run a query or the eval harness first")
+        print(f"no caches under {workdir} (neither "
+              f"{' nor '.join(store.directory.name for store in stores.values())} "
+              f"exists yet); run a query or the eval harness first")
         return 0
 
     # counters live in the process that counted them: a later process
@@ -458,28 +455,33 @@ def cmd_cache(args: argparse.Namespace) -> int:
     except SnapshotUnreadable as exc:
         print(f"unreadable: {exc}")
         return 1
-    print(f"query result cache ({store.cache_dir})")
-    print(f"  disk: {len(store.disk_entries())} entries, {store.footprint_bytes():,} bytes")
-    quarantined_disk = len(store.quarantined_entries())
-    if quarantined_disk:
-        print(f"  quarantined: {quarantined_disk} corrupt entries moved aside")
+    counter_lines: dict[str, list[str]] = {label: [] for label in stores}
     if counters is not None:
         qstats = query_cache.QueryCacheStats.from_counters(counters)
-        print(f"  counters: memory={qstats.memory_hits} disk={qstats.disk_hits} "
-              f"incremental={qstats.incremental_hits} miss={qstats.misses} "
-              f"(hit ratio {qstats.hit_ratio:.1%} of {qstats.requests})")
-        print(f"  stores={qstats.stores} evictions={qstats.evictions} "
-              f"invalidations={qstats.invalidations} quarantined={qstats.quarantined}")
-    print(f"retrieval artifact cache ({retrieval_dir})")
-    print(f"  disk: {len(retrieval_files)} files, {retrieval_bytes:,} bytes")
-    if counters is not None:
         rstats = rag_cache.CacheStats.from_counters(counters)
-        print(f"  counters: memory={rstats.memory_hits} disk={rstats.disk_hits} "
-              f"builds={rstats.builds}")
-        print(f"  query memo: {rstats.query_memo_hits}/"
-              f"{rstats.query_memo_hits + rstats.query_memo_misses} hits, "
-              f"{rstats.query_memo_evictions} evictions")
-    else:
+        counter_lines["query result cache"] = [
+            f"counters: memory={qstats.memory_hits} disk={qstats.disk_hits} "
+            f"incremental={qstats.incremental_hits} miss={qstats.misses} "
+            f"(hit ratio {qstats.hit_ratio:.1%} of {qstats.requests})",
+            f"stores={qstats.stores} evictions={qstats.evictions} "
+            f"invalidations={qstats.invalidations} quarantined={qstats.quarantined}",
+        ]
+        counter_lines["retrieval artifact cache"] = [
+            f"counters: memory={rstats.memory_hits} disk={rstats.disk_hits} "
+            f"builds={rstats.builds}",
+            f"query memo: {rstats.query_memo_hits}/"
+            f"{rstats.query_memo_hits + rstats.query_memo_misses} hits, "
+            f"{rstats.query_memo_evictions} evictions",
+        ]
+    for label, store in stores.items():
+        print(f"{label} ({store.directory})")
+        print(f"  disk: {len(store.entries())} entries, {store.footprint_bytes():,} bytes")
+        quarantined = len(store.quarantined())
+        if quarantined:
+            print(f"  quarantined: {quarantined} corrupt entries moved aside")
+        for line in counter_lines[label]:
+            print(f"  {line}")
+    if counters is None:
         print(f"no counters: {metrics_path.name} is written by `repro eval`")
     return 0
 

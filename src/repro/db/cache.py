@@ -15,44 +15,29 @@ checksums, so appending rows changes every affected key — stale results
 are unreachable by construction, and byte-identical tables in *different*
 databases (every harness run loads the same subset) share entries.
 
-**Tiers** (mirroring :mod:`repro.rag.cache`):
-
-1. in-process bounded LRU of result frames (shared by every Database in
-   the process, across redo attempts and repeated questions);
-2. on-disk entries under ``cache_dir``, one :mod:`repro.gio` file each
-   (``q_<key>.gio``: every column, the key in the header), published with
-   :func:`repro.durable.atomic_publish` and served memory-mapped, shared
-   across harness worker processes;
-3. **incremental re-execution**: when a redo's normalized plan targets
-   the same table state as a recently cached statement and its WHERE is
-   equal or strictly narrower (conjunct superset), the residual
-   predicates re-filter the cached parent frame through the ordinary
-   executor pipeline instead of re-scanning row groups from disk;
-4. cold miss: full streaming execution, then publish for everyone else.
+**Tiers.**  Results live in a :class:`repro.gio.store.TieredStore`, the
+retrieval cache's store too: a bounded LRU of result frames shared by
+every Database in the process, over one ``q_<key>.gio`` file per entry
+under ``cache_dir``, shared across worker processes (a corrupt one is
+quarantined and recomputed).  A memory and disk miss tries **incremental
+re-execution**: when a redo's normalized plan targets the same table
+state as a recently cached statement and its WHERE is equal or strictly
+narrower (conjunct superset), the residual predicates re-filter the
+cached parent frame instead of re-scanning row groups.  Only then does a
+cold miss execute in full and publish for everyone else.
 
 Every tier outcome increments one ``db.cache.*`` counter of the
 :mod:`repro.obs.metrics` registry (names declared in :mod:`repro.obs.names`)
 and stamps a ``cache`` attribute on the ``sql.execute`` span;
 :class:`QueryCacheStats` is a typed read of those counters.
-
-**Self-healing.**  Every column of an entry carries a CRC32 in the
-file's header.  A read that fails verification — a torn write that
-published a truncated file, a bit flipped on disk, a mangled header —
-*quarantines* the entry (moved under ``<cache_dir>/.quarantine/``, counted as
-``db.cache.quarantine``) and falls through to recomputation, which
-re-publishes a good copy.  Corruption therefore costs one extra execution,
-never a wrong answer and never a crash.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from repro import faults
 from repro.db.errors import UnknownTableError
 from repro.db.sql import ast
 from repro.db.sql.executor import ScanStats, execute as sql_execute, execute_over_frame
@@ -63,19 +48,13 @@ from repro.db.sql.normalize import (
     referenced_column_names,
     residual_conjuncts,
 )
-from repro.durable import atomic_publish
 from repro.frame import Frame
-from repro.gio.format import GIOFormatError, encode_gio, read_gio_verified
+from repro.gio.store import LRU, TieredStore
 from repro.obs import names as obs_names
-from repro.obs.logsetup import get_logger
 from repro.obs.names import SQL_EXECUTE_SPAN
 from repro.obs.metrics import CounterView, counter_field, get_registry
 from repro.obs.tracer import get_tracer
 
-log = get_logger("db.cache")
-
-ENTRY_SUFFIX = ".gio"
-QUARANTINE_DIRNAME = ".quarantine"
 DEFAULT_MEMORY_ENTRIES = 128
 _PARENTS_PER_SCAFFOLD = 8
 _MAX_SCAFFOLDS = 256
@@ -123,15 +102,17 @@ _HIT_COUNTERS = {
     "incremental": obs_names.DB_CACHE_HIT_INCREMENTAL,
 }
 
-# tier 1: key -> result Frame, LRU over insertion/use order
-_MEMORY: OrderedDict[str, Frame] = OrderedDict()
-_MEMORY_CAPACITY = DEFAULT_MEMORY_ENTRIES
+# tier 1: key -> result Frame
+_MEMORY: LRU[str, Frame] = LRU(
+    DEFAULT_MEMORY_ENTRIES,
+    evicted=lambda n: get_registry().counter(obs_names.DB_CACHE_EVICTION).inc(n),
+)
 
 # incremental-parent registry: "<table>@<state>" -> recent eligible parents
-_PARENTS: OrderedDict[str, list["_ParentRecord"]] = OrderedDict()
+_PARENTS: LRU[str, tuple["_ParentRecord", ...]] = LRU(_MAX_SCAFFOLDS)
 
 # fingerprint -> last-seen table-states key (invalidation accounting)
-_LAST_STATES: OrderedDict[str, str] = OrderedDict()
+_LAST_STATES: LRU[str, str] = LRU(_MAX_TRACKED_FINGERPRINTS)
 
 
 def stats_snapshot() -> QueryCacheStats:
@@ -141,13 +122,11 @@ def stats_snapshot() -> QueryCacheStats:
 
 def set_memory_capacity(entries: int) -> None:
     """Resize the in-process result LRU (evicting down if needed)."""
-    global _MEMORY_CAPACITY
-    _MEMORY_CAPACITY = max(0, int(entries))
-    _evict_to_capacity()
+    _MEMORY.resize(entries)
 
 
 def memory_capacity() -> int:
-    return _MEMORY_CAPACITY
+    return _MEMORY.capacity
 
 
 def clear_memory_cache() -> None:
@@ -155,31 +134,6 @@ def clear_memory_cache() -> None:
     _MEMORY.clear()
     _PARENTS.clear()
     _LAST_STATES.clear()
-
-
-def _evict_to_capacity() -> None:
-    while len(_MEMORY) > _MEMORY_CAPACITY:
-        _MEMORY.popitem(last=False)
-        get_registry().counter(obs_names.DB_CACHE_EVICTION).inc()
-
-
-def _memory_put(key: str, frame: Frame) -> None:
-    _MEMORY[key] = frame
-    _MEMORY.move_to_end(key)
-    _evict_to_capacity()
-
-
-def _memory_get(key: str) -> Frame | None:
-    frame = _MEMORY.get(key)
-    if frame is not None:
-        _MEMORY.move_to_end(key)
-    return frame
-
-
-def _view(frame: Frame) -> Frame:
-    """A fresh Frame over the same column arrays (callers may reshape the
-    column dict; by repo convention nobody mutates arrays in place)."""
-    return Frame({name: frame.column(name) for name in frame.columns})
 
 
 # ----------------------------------------------------------------------
@@ -231,19 +185,13 @@ def _register_parent(
     if not _parent_eligible(plan):
         return
     star = any(isinstance(i.expr, ast.Star) for i in plan.statement.items)
-    record = _ParentRecord(
-        key=key,
-        conjunct_keys=plan.conjunct_keys,
-        columns=tuple(frame.columns),
-        star=star,
-    )
-    bucket = _PARENTS.setdefault(_scaffold_state(plan, states), [])
-    bucket[:] = [r for r in bucket if r.key != key]
+    record = _ParentRecord(key, plan.conjunct_keys, tuple(frame.columns), star)
+    scaffold = _scaffold_state(plan, states)
+    # racing registrations may drop one record: a lost parent costs a
+    # miss, never a wrong answer
+    bucket = [r for r in _PARENTS.get(scaffold, ()) if r.key != key]
     bucket.append(record)
-    del bucket[:-_PARENTS_PER_SCAFFOLD]
-    _PARENTS.move_to_end(_scaffold_state(plan, states))
-    while len(_PARENTS) > _MAX_SCAFFOLDS:
-        _PARENTS.popitem(last=False)
+    _PARENTS.put(scaffold, tuple(bucket[-_PARENTS_PER_SCAFFOLD:]))
 
 
 def _shape_attrs(plan: NormalizedPlan) -> dict:
@@ -262,10 +210,6 @@ def _shape_attrs(plan: NormalizedPlan) -> dict:
 # ----------------------------------------------------------------------
 # the cache
 # ----------------------------------------------------------------------
-class _CorruptEntry(ValueError):
-    """A published disk entry failed verification; quarantine it."""
-
-
 class QueryResultCache:
     """Tiered result store driving ``Database.query`` SELECT execution.
 
@@ -275,7 +219,11 @@ class QueryResultCache:
     """
 
     def __init__(self, cache_dir: str | Path | None = None):
-        self.cache_dir = Path(cache_dir) if cache_dir is not None else None
+        self.store = TieredStore(
+            cache_dir, "q_", _MEMORY,
+            decode=lambda attrs, columns: Frame(columns),
+            quarantined=lambda: get_registry().counter(obs_names.DB_CACHE_QUARANTINE).inc(),
+        )
 
     # -- orchestration -------------------------------------------------
     def execute(self, db, stmt: ast.SelectStatement, scan_stats: ScanStats | None) -> Frame:
@@ -293,39 +241,33 @@ class QueryResultCache:
             f"{plan.fingerprint}|{states_key}".encode(), digest_size=16
         ).hexdigest()
 
-        frame = _memory_get(key)
-        if frame is not None:
-            return self._record_hit("memory", plan, frame)
-
-        frame = self._disk_load(key)
-        if frame is not None:
-            _memory_put(key, frame)
-            return self._record_hit("disk", plan, frame)
+        hit = self.store.get(key)
+        if hit is not None:
+            return self._record_hit(*hit, plan)
 
         frame = self._try_incremental(plan, states, key)
         if frame is not None:
-            return self._record_hit("incremental", plan, frame)
+            return self._record_hit("incremental", frame, plan)
 
         get_registry().counter(obs_names.DB_CACHE_MISS).inc()
         frame = sql_execute(db, stmt, scan_stats, cache_outcome="miss")
         self._store(key, plan, states, frame)
         return frame
 
-    def _record_hit(self, tier: str, plan: NormalizedPlan, frame: Frame) -> Frame:
+    def _record_hit(self, tier: str, frame: Frame, plan: NormalizedPlan) -> Frame:
         get_registry().counter(_HIT_COUNTERS[tier]).inc()
         if tier != "incremental":  # incremental emits its own sql.execute span
             with get_tracer().span(SQL_EXECUTE_SPAN, cache=tier, **_shape_attrs(plan)) as sp:
                 sp.set(rows=frame.num_rows)
-        return _view(frame)
+        # a fresh Frame over the same arrays: callers may reshape the column
+        # dict (by repo convention nobody mutates arrays in place)
+        return frame.select(frame.columns)
 
     def _track_invalidation(self, fingerprint: str, states_key: str) -> None:
         previous = _LAST_STATES.get(fingerprint)
         if previous is not None and previous != states_key:
             get_registry().counter(obs_names.DB_CACHE_INVALIDATION).inc()
-        _LAST_STATES[fingerprint] = states_key
-        _LAST_STATES.move_to_end(fingerprint)
-        while len(_LAST_STATES) > _MAX_TRACKED_FINGERPRINTS:
-            _LAST_STATES.popitem(last=False)
+        _LAST_STATES.put(fingerprint, states_key)
 
     # -- incremental re-execution --------------------------------------
     def _try_incremental(
@@ -335,7 +277,7 @@ class QueryResultCache:
             return None
         stmt = plan.statement
         needed = referenced_column_names(stmt)
-        for record in reversed(_PARENTS.get(_scaffold_state(plan, states), [])):
+        for record in reversed(_PARENTS.get(_scaffold_state(plan, states), ())):
             residual = residual_conjuncts(plan, record.conjunct_keys)
             if residual is None:
                 continue
@@ -344,7 +286,7 @@ class QueryResultCache:
                     continue
             elif not needed <= set(record.columns):
                 continue
-            parent = _memory_get(record.key) or self._disk_load(record.key)
+            parent = self.store.memory.get(record.key) or self.store.load(record.key)
             if parent is None:
                 continue  # evicted since it was registered
             residual_stmt = replace(stmt, where=conjoin(residual))
@@ -365,92 +307,5 @@ class QueryResultCache:
         self, key: str, plan: NormalizedPlan, states: tuple[str, ...], frame: Frame
     ) -> None:
         get_registry().counter(obs_names.DB_CACHE_STORE).inc()
-        _memory_put(key, frame)
-        self._disk_store(key, frame)
+        self.store.put(key, frame, {n: frame.column(n) for n in frame.columns})
         _register_parent(plan, states, key, frame)
-
-    # -- disk tier -----------------------------------------------------
-    def _entry_path(self, key: str) -> Path | None:
-        return None if self.cache_dir is None else self.cache_dir / f"q_{key}{ENTRY_SUFFIX}"
-
-    def quarantined_entries(self) -> list[Path]:
-        if self.cache_dir is None:
-            return []
-        qdir = self.cache_dir / QUARANTINE_DIRNAME
-        if not qdir.is_dir():
-            return []
-        return sorted(qdir.iterdir())
-
-    def _disk_load(self, key: str) -> Frame | None:
-        entry = self._entry_path(key)
-        if entry is None:
-            return None
-        try:
-            return self._read_entry(entry, key)
-        except _CorruptEntry as exc:
-            self._quarantine(entry, str(exc))
-            return None
-        except OSError:
-            return None  # absent, or raced with another process's quarantine/clear
-
-    def _read_entry(self, entry: Path, key: str) -> Frame:
-        """Load and *verify* one published entry: every column's CRC
-        (one ``storage.bit_flip`` draw each) and the key in its header.
-
-        Raises :class:`_CorruptEntry` for anything that should not be
-        possible under an intact publish.
-        """
-        try:
-            attrs, columns = read_gio_verified(entry, fault_point=faults.STORAGE_BIT_FLIP)
-        except GIOFormatError as exc:
-            raise _CorruptEntry(str(exc)) from None
-        if attrs.get("key") != key:
-            raise _CorruptEntry("header key mismatch")
-        return Frame(columns)
-
-    def _quarantine(self, entry: Path, detail: str) -> None:
-        """Move a corrupt entry aside so the next execution re-publishes."""
-        get_registry().counter(obs_names.DB_CACHE_QUARANTINE).inc()
-        span = get_tracer().current()
-        if span is not None:
-            attrs = span.attributes
-            attrs["cache_quarantined"] = int(attrs.get("cache_quarantined", 0)) + 1
-        log.warning("quarantining corrupt cache entry %s: %s", entry.name, detail)
-        qdir = entry.parent / QUARANTINE_DIRNAME
-        try:
-            qdir.mkdir(parents=True, exist_ok=True)
-            os.replace(entry, qdir / entry.name)
-        except OSError:
-            entry.unlink(missing_ok=True)
-
-    def _disk_store(self, key: str, frame: Frame) -> None:
-        """Publish one entry file (racers lose quietly); the publish draws
-        ``storage.torn_write`` once, and a torn entry is published for the
-        read side to catch."""
-        entry = self._entry_path(key)
-        if entry is None or entry.exists():
-            return
-        if any(frame.column(n).dtype == object for n in frame.columns):
-            return  # object columns don't round-trip; memory tier only
-        parts, _ = encode_gio({n: frame.column(n) for n in frame.columns}, {"key": key})
-        try:
-            atomic_publish(entry, b"".join(parts), fault_point=faults.STORAGE_TORN_WRITE)
-        except OSError:
-            pass  # read-only workdir degrades to in-process caching
-
-    # -- maintenance ---------------------------------------------------
-    def disk_entries(self) -> list[Path]:
-        if self.cache_dir is None or not self.cache_dir.is_dir():
-            return []
-        return sorted(self.cache_dir.glob(f"q_*{ENTRY_SUFFIX}"))
-
-    def footprint_bytes(self) -> int:
-        """On-disk bytes held by published result entries."""
-        return sum(entry.stat().st_size for entry in self.disk_entries())
-
-    def clear_disk(self) -> int:
-        """Remove every published entry; returns how many were dropped."""
-        entries = self.disk_entries()
-        for entry in entries:
-            entry.unlink(missing_ok=True)
-        return len(entries)

@@ -474,9 +474,10 @@ def _collect_aggregates(stmt: ast.SelectStatement) -> list[ast.FuncCall]:
     return list(seen)
 
 
-def _substitute(expr: ast.Expr, mapping: dict[ast.FuncCall, str]) -> ast.Expr:
-    """Rewrite aggregate calls to references of materialized agg columns."""
-    if isinstance(expr, ast.FuncCall) and expr in mapping:
+def _substitute(expr: ast.Expr, mapping: dict[ast.Expr, str]) -> ast.Expr:
+    """Rewrite aggregate calls and GROUP BY expressions to references of
+    the group frame's materialized columns."""
+    if expr in mapping:
         return ast.Column(mapping[expr])
     if isinstance(expr, ast.Unary):
         return replace(expr, operand=_substitute(expr.operand, mapping))
@@ -555,6 +556,12 @@ def _fold_grouped(
     for call, acc in accumulators.items():
         group_cols[agg_names[call]] = acc.finalize(n_groups)
     group_frame = Frame(group_cols)
+    # a term equal to a GROUP BY expression reads its key column: the
+    # group frame holds no source column to re-evaluate it over
+    agg_names = {
+        **{g: expr_name(g) for g in group_exprs if not isinstance(g, ast.Column)},
+        **agg_names,
+    }
 
     if stmt.having is not None:
         mask = evaluate(_substitute(stmt.having, agg_names), group_frame).astype(bool)
@@ -578,10 +585,9 @@ _ORDER_PREFIX = "__order"
 def _attach_order_keys(stmt, agg_names, group_frame, result: Frame) -> Frame:
     extra = {}
     for k, item in enumerate(stmt.order_by):
-        if ast.contains_aggregate(item.expr):
-            extra[f"{_ORDER_PREFIX}{k}"] = evaluate(
-                _substitute(item.expr, agg_names), group_frame
-            )
+        key = _substitute(item.expr, agg_names)
+        if key != item.expr:
+            extra[f"{_ORDER_PREFIX}{k}"] = evaluate(key, group_frame)
     return result.assign(**extra) if extra else result
 
 

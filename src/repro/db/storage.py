@@ -119,8 +119,11 @@ class TableStore:
             raise UnknownColumnError(name, self.columns) from None
 
     def nbytes(self) -> int:
-        """Bytes on disk across all segments (storage-overhead metric)."""
-        return sum(f.stat().st_size for f in self.path.glob("rg*"))
+        """Bytes on disk across the row groups this store lists (storage-
+        overhead metric): staged files no commit names are not the table's."""
+        return sum(
+            (self.path / f"rg{i:05d}").stat().st_size for i in range(self.num_row_groups)
+        )
 
     # ------------------------------------------------------------------
     def stage_append(

@@ -8,22 +8,13 @@ evaluation run used to do — is redundant work on the hottest end-to-end
 path in the repo.
 
 This module builds the matrix once per (corpus-content-hash, embedder
-key), persists it under a cache directory as one :mod:`repro.gio` file
-(``retrieval_<key>.gio``: the flattened matrix is its one column; key,
-embedder and shape are header ``attrs``), and serves it back
-memory-mapped so that concurrent harness worker processes share one
-on-disk copy instead of each materializing hundreds of column embeddings.
-Three tiers:
-
-1. in-process memo (dict, exact same object back);
-2. the on-disk file, mapped and CRC-checked
-   (:func:`repro.gio.format.read_gio_verified`), then validated against
-   its header's key and shape; matrices up to ``MATERIALIZE_MAX_BYTES``
-   are then returned as plain ndarrays, because MMR's per-row indexed
-   dot products are ~4x slower over a memmap subclass;
-3. cold build via ``embedder.embed_batch`` followed by one
-   :func:`repro.durable.atomic_publish` of the file, so racing processes
-   never observe a half-written artifact.
+key) and keeps it in a :class:`repro.gio.store.TieredStore`, the result
+cache's store too: a bounded memo (the same object back) over one
+``retrieval_<key>.gio`` file (the flattened matrix is its one column;
+key, embedder and shape are header ``attrs``), so concurrent worker
+processes share one on-disk copy.  A file that fails its CRC or whose
+shape is not the corpus's is quarantined and rebuilt.  Matrices up to
+``MATERIALIZE_MAX_BYTES`` come back from disk as plain ndarrays.
 
 Every tier outcome increments one ``rag.cache.*`` / ``rag.memo.*``
 counter of the :mod:`repro.obs.metrics` registry (names declared in
@@ -35,21 +26,19 @@ harness run's ``metrics.json``, ``HarnessResult.perf.cache`` and
 from __future__ import annotations
 
 import hashlib
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from repro.durable import atomic_publish
-from repro.gio.format import GIOFormatError, encode_gio, read_gio_verified
+from repro.gio.store import LRU, TieredStore
 from repro.llm.embeddings import HashedEmbedder
 from repro.obs import names as obs_names
 from repro.obs.metrics import CounterView, counter_field, get_registry
 
 MATRIX_COLUMN = "matrix"
 QUERY_MEMO_MAX = 1024
+MATRIX_MEMO_MAX = 16
 # below this size a disk-loaded matrix is copied into memory: MMR does
 # thousands of per-row indexed dot products per retrieval, which run
 # ~4x slower over a memmap subclass than over a plain ndarray.  Large
@@ -81,18 +70,23 @@ class CacheStats(CounterView):
         return self.memory_hits + self.disk_hits + self.builds
 
 
-# in-process matrix memo: key -> ndarray (tier 1)
-_MATRIX_MEMO: dict[str, np.ndarray] = {}
+# the counter each matrix tier increments
+_HIT_COUNTERS = {
+    "memory": obs_names.RAG_CACHE_HIT_MEMORY,
+    "disk": obs_names.RAG_CACHE_HIT_DISK,
+}
+
+# the store's memory tier: corpus key -> matrix
+_MATRIX_MEMO: LRU[str, np.ndarray] = LRU(MATRIX_MEMO_MAX)
 
 # shared query-embedding memo: (embedder key, query text) -> vector.
-# Bounded LRU shared by every VectorIndex in the process — the agents
-# re-embed the same handful of prompts across retrieve calls, redo
-# attempts, and harness runs, so one memo beats one per index instance.
-_QUERY_MEMO: OrderedDict[tuple[str, str], np.ndarray] = OrderedDict()
-_QUERY_MEMO_CAPACITY = QUERY_MEMO_MAX
-# every lookup, reorder, insert and eviction of the memo holds this: a
-# concurrent eviction between a hit's get and its reorder raised KeyError
-_QUERY_MEMO_LOCK = threading.Lock()
+# Shared by every VectorIndex in the process — the agents re-embed the
+# same handful of prompts across retrieve calls, redo attempts, and
+# harness runs, so one memo beats one per index instance.
+_QUERY_MEMO: LRU[tuple[str, str], np.ndarray] = LRU(
+    QUERY_MEMO_MAX,
+    evicted=lambda n: get_registry().counter(obs_names.RAG_MEMO_EVICTION).inc(n),
+)
 
 
 def stats_snapshot() -> CacheStats:
@@ -103,50 +97,30 @@ def stats_snapshot() -> CacheStats:
 def clear_memory_cache() -> None:
     """Drop the in-process memos (tests use this to force disk reads)."""
     _MATRIX_MEMO.clear()
-    with _QUERY_MEMO_LOCK:
-        _QUERY_MEMO.clear()
+    _QUERY_MEMO.clear()
 
 
 def query_memo_capacity() -> int:
-    return _QUERY_MEMO_CAPACITY
+    return _QUERY_MEMO.capacity
 
 
 def set_query_memo_capacity(entries: int) -> None:
     """Resize the shared query-embedding LRU (evicting down if needed)."""
-    global _QUERY_MEMO_CAPACITY
-    with _QUERY_MEMO_LOCK:
-        _QUERY_MEMO_CAPACITY = max(0, int(entries))
-        _evict_query_memo()
-
-
-def query_memo_size() -> int:
-    return len(_QUERY_MEMO)
-
-
-def _evict_query_memo() -> None:
-    """Drop least-recently-used entries down to capacity (lock held)."""
-    while len(_QUERY_MEMO) > _QUERY_MEMO_CAPACITY:
-        _QUERY_MEMO.popitem(last=False)
-        get_registry().counter(obs_names.RAG_MEMO_EVICTION).inc()
+    _QUERY_MEMO.resize(entries)
 
 
 def memoized_query_embedding(embedder: HashedEmbedder, query: str) -> np.ndarray:
     """Embed ``query``, served from the shared bounded LRU when possible."""
     key = (embedder.cache_key(), query)
-    with _QUERY_MEMO_LOCK:
-        vec = _QUERY_MEMO.get(key)
-        if vec is not None:
-            _QUERY_MEMO.move_to_end(key)
+    vec = _QUERY_MEMO.get(key)
     if vec is not None:
         get_registry().counter(obs_names.RAG_MEMO_HIT).inc()
         return vec
     get_registry().counter(obs_names.RAG_MEMO_MISS).inc()
-    # outside the lock: two threads missing on one key both embed it, and
-    # the second insert replaces an equal vector
+    # two threads missing on one key both embed it, and the second put
+    # replaces an equal vector
     vec = embedder.embed(query)
-    with _QUERY_MEMO_LOCK:
-        _QUERY_MEMO[key] = vec
-        _evict_query_memo()
+    _QUERY_MEMO.put(key, vec)
     return vec
 
 
@@ -171,6 +145,19 @@ def corpus_key(texts: list[str], embedder_key: str) -> str:
 # ----------------------------------------------------------------------
 # the cache
 # ----------------------------------------------------------------------
+def _decode_matrix(attrs: dict, columns: dict[str, np.ndarray]) -> np.ndarray | None:
+    """The matrix of a verified entry whose header carries the corpus's
+    shape (``matrix_for`` expects it), or None if the column disagrees."""
+    flat = columns.get(MATRIX_COLUMN)
+    shape = (attrs["n_documents"], attrs["dim"])
+    if flat is None or len(flat) != shape[0] * shape[1]:
+        return None
+    matrix = flat.reshape(shape)
+    if matrix.nbytes <= MATERIALIZE_MAX_BYTES:
+        return np.ascontiguousarray(matrix)
+    return matrix
+
+
 class RetrievalArtifactCache:
     """Builds/loads the corpus embedding matrix once per content key.
 
@@ -181,57 +168,18 @@ class RetrievalArtifactCache:
     """
 
     def __init__(self, cache_dir: str | Path):
-        self.cache_dir = Path(cache_dir)
+        self.store = TieredStore(cache_dir, "retrieval_", _MATRIX_MEMO, decode=_decode_matrix)
 
-    # -- paths ---------------------------------------------------------
-    def matrix_path(self, key: str) -> Path:
-        return self.cache_dir / f"retrieval_{key}.gio"
-
-    # -- api -----------------------------------------------------------
     def matrix_for(self, texts: list[str], embedder: HashedEmbedder) -> np.ndarray:
         key = corpus_key(texts, embedder.cache_key())
-
-        cached = _MATRIX_MEMO.get(key)
-        if cached is not None:
-            get_registry().counter(obs_names.RAG_CACHE_HIT_MEMORY).inc()
-            return cached
-
-        loaded = self._load(key, n_documents=len(texts), dim=embedder.dim)
-        if loaded is not None:
-            get_registry().counter(obs_names.RAG_CACHE_HIT_DISK).inc()
-            _MATRIX_MEMO[key] = loaded
-            return loaded
+        hit = self.store.get(key, expect={"n_documents": len(texts), "dim": embedder.dim})
+        if hit is not None:
+            tier, matrix = hit
+            get_registry().counter(_HIT_COUNTERS[tier]).inc()
+            return matrix
 
         get_registry().counter(obs_names.RAG_CACHE_BUILD).inc()
         matrix = embedder.embed_batch(texts)
-        self._publish(key, matrix, embedder)
-        _MATRIX_MEMO[key] = matrix
+        attrs = {"embedder": embedder.cache_key(), "n_documents": len(texts), "dim": embedder.dim}
+        self.store.put(key, matrix, {MATRIX_COLUMN: np.ravel(matrix)}, attrs)
         return matrix
-
-    # -- disk tier -----------------------------------------------------
-    def _load(self, key: str, n_documents: int, dim: int) -> np.ndarray | None:
-        try:
-            attrs, columns = read_gio_verified(self.matrix_path(key))
-        except (OSError, GIOFormatError):
-            return None
-        flat = columns.get(MATRIX_COLUMN)
-        if attrs.get("key") != key or flat is None or len(flat) != n_documents * dim:
-            return None
-        matrix = flat.reshape(n_documents, dim)
-        if matrix.nbytes <= MATERIALIZE_MAX_BYTES:
-            return np.ascontiguousarray(matrix)
-        return matrix
-
-    def _publish(self, key: str, matrix: np.ndarray, embedder: HashedEmbedder) -> None:
-        attrs = {
-            "key": key,
-            "embedder": embedder.cache_key(),
-            "n_documents": int(matrix.shape[0]),
-            "dim": int(matrix.shape[1]),
-        }
-        parts, _ = encode_gio({MATRIX_COLUMN: np.ravel(matrix)}, attrs)
-        try:
-            atomic_publish(self.matrix_path(key), lambda fh: fh.writelines(parts))
-        except OSError:
-            # a read-only workdir degrades to in-process caching only
-            pass

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.llm.embeddings import HashedEmbedder
-from repro.rag.cache import QUERY_MEMO_MAX, memoized_query_embedding  # noqa: F401
+from repro.rag.cache import memoized_query_embedding
 from repro.rag.documents import ColumnDocument
 
 

@@ -9,9 +9,9 @@ retrieving up to 80 total documents."
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
+from repro.gio.store import LRU
 from repro.llm.embeddings import HashedEmbedder
 from repro.obs.tracer import get_tracer
 from repro.rag.cache import RetrievalArtifactCache, query_memo_capacity
@@ -66,20 +66,17 @@ class ColumnRetriever:
         )
         # index, lambda and matrix are fixed for the retriever's life, so the
         # MMR selection is a pure function of (prompt, k): memoised up to
-        # query_memo_capacity() entries, oldest out first; racing fills
-        # store equal lists
-        self._chosen: dict[tuple[str, int], list[int]] = {}
-        self._chosen_lock = threading.Lock()
+        # query_memo_capacity() entries, least recently used out first;
+        # racing fills store equal lists
+        self._chosen: LRU[tuple[str, int], list[int]] = LRU(query_memo_capacity())
 
     def _select(self, prompt: str, k: int) -> list[int]:
         chosen = self._chosen.get((prompt, k))
         if chosen is None:
             sims = self.index.similarities(prompt)
             chosen = mmr_select(sims, self.index.embedding_matrix(), k, self.lambda_mult)
-            with self._chosen_lock:
-                self._chosen[(prompt, k)] = chosen
-                while len(self._chosen) > query_memo_capacity():
-                    del self._chosen[next(iter(self._chosen))]
+            self._chosen.resize(query_memo_capacity())
+            self._chosen.put((prompt, k), chosen)
         return chosen
 
     def retrieve(

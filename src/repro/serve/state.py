@@ -144,8 +144,7 @@ class WarmState:
 
         with self._timed(report, "query_cache"):
             self.query_cache_dir.mkdir(parents=True, exist_ok=True)
-            store = QueryResultCache(self.query_cache_dir)
-            entries = len(store.disk_entries())
+            entries = len(QueryResultCache(self.query_cache_dir).store.entries())
         report.details["query_cache"] = f"{entries} disk entries"
 
     def _warm_catalogs(self, report: WarmupReport) -> None:

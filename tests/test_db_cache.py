@@ -10,15 +10,11 @@ import pytest
 from repro import faults
 from repro.db import Database
 from repro.db import cache as qcache
-from repro.db.cache import (
-    QUARANTINE_DIRNAME,
-    QueryCacheStats,
-    clear_memory_cache,
-    stats_snapshot,
-)
+from repro.db.cache import QueryCacheStats, clear_memory_cache, stats_snapshot
 from repro.faults import NO_FAULTS, FaultInjector, use_faults
 from repro.frame import Frame
 from repro.gio.format import GIOFile
+from repro.gio.store import QUARANTINE_DIRNAME
 
 
 @pytest.fixture(autouse=True)
@@ -331,7 +327,7 @@ class TestDiskSharing:
         expected = db.query(sql)
         # replace every published entry with a few garbage bytes
         cache = db._result_cache
-        for entry in cache.disk_entries():
+        for entry in cache.store.entries():
             entry.write_bytes(b"corrupt")
         clear_memory_cache()
         before = stats_snapshot()
@@ -346,7 +342,7 @@ class TestDiskSharing:
         sql = "SELECT mass FROM halos WHERE step = 2"
         expected = db.query(sql)
         cache = db._result_cache
-        (entry,) = cache.disk_entries()
+        (entry,) = cache.store.entries()
         column = GIOFile(entry)._entry("mass")
         raw = bytearray(entry.read_bytes())
         raw[column["offset"] + column["nbytes"] // 2] ^= 0x01  # single flipped bit
@@ -359,7 +355,7 @@ class TestDiskSharing:
         assert delta.quarantined == 1 and delta.misses == 1
         assert delta.disk_hits == 0
         assert_frames_byte_identical(out, expected)
-        quarantined = cache.quarantined_entries()
+        quarantined = cache.store.quarantined()
         assert len(quarantined) == 1
         assert quarantined[0].parent.name == QUARANTINE_DIRNAME
         # the healed entry is republished: next cold read is a disk hit
@@ -372,7 +368,7 @@ class TestDiskSharing:
         sql = "SELECT count FROM halos WHERE step = 4"
         expected = db.query(sql)
         cache = db._result_cache
-        (entry,) = cache.disk_entries()
+        (entry,) = cache.store.entries()
         raw = bytearray(entry.read_bytes())
         raw[14:30] = b"{truncated heade"  # the JSON header starts at byte 14
         entry.write_bytes(bytes(raw))
@@ -389,7 +385,7 @@ class TestDiskSharing:
         served as is."""
         sql = "SELECT mass, count FROM halos WHERE step = 5"
         db.query(sql)
-        (entry,) = db._result_cache.disk_entries()
+        (entry,) = db._result_cache.store.entries()
         raw = entry.read_bytes()
         header_len = int.from_bytes(raw[6:14], "little")
         doc = json.loads(raw[14 : 14 + header_len])
@@ -437,16 +433,16 @@ class TestDiskSharing:
     def test_object_dtype_results_stay_memory_only(self, db):
         cache = db._result_cache
         frame = Frame({"o": np.asarray([{"a": 1}, None], dtype=object)})
-        cache._disk_store("deadbeef", frame)
-        assert cache.disk_entries() == []
+        cache.store.put("deadbeef", frame, {"o": frame.column("o")})
+        assert cache.store.entries() == []
 
     def test_footprint_and_clear(self, db):
         db.query("SELECT mass FROM halos WHERE step = 1")
         cache = db._result_cache
-        assert len(cache.disk_entries()) == 1
-        assert cache.footprint_bytes() > 0
-        assert cache.clear_disk() == 1
-        assert cache.footprint_bytes() == 0
+        assert len(cache.store.entries()) == 1
+        assert cache.store.footprint_bytes() > 0
+        assert cache.store.clear_disk() == 1
+        assert cache.store.footprint_bytes() == 0
 
 
 class TestBoundedMemory:
@@ -469,6 +465,49 @@ class TestBoundedMemory:
             assert stats_snapshot().delta(before).disk_hits == 1
         finally:
             qcache.set_memory_capacity(old)
+
+
+    def test_concurrent_queries_over_a_one_entry_cache(self, db, oracle):
+        """Threads share the process's result LRU (a server's app workers
+        do).  With one entry, each thread asking its own statement, and
+        thread switches forced every microsecond, hits race evictions: an
+        unlocked map let another thread evict a hit's key between its
+        lookup and its reorder, and the reorder raised KeyError.  No query
+        raises, and every answer is the uncached one."""
+        import sys
+        import threading
+
+        statements = [f"SELECT mass FROM halos WHERE step = {step}" for step in (1, 2)]
+        answers: list[tuple[int, Frame]] = []
+        errors: list[BaseException] = []
+
+        def queries(worker: int) -> None:
+            k = worker % 2
+            for _ in range(2500):
+                try:
+                    answers.append((k, db.query(statements[k])))
+                except BaseException as exc:  # surfaced below
+                    errors.append(exc)
+
+        old = qcache.memory_capacity()
+        interval = sys.getswitchinterval()
+        qcache.set_memory_capacity(1)
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=queries, args=(w,)) for w in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+            qcache.set_memory_capacity(old)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        expected = [oracle.query(sql) for sql in statements]
+        assert len(answers) == 4 * 2500
+        for k, answer in answers:
+            assert_frames_byte_identical(answer, expected[k])
 
 
 class TestStats:

@@ -428,6 +428,36 @@ class TestGroupKeyDtypes:
             assert out["f"][:2].tolist() == [0.5, 1.5] and np.isnan(out["f"][2])
 
 
+
+class TestGroupByExpression:
+    """A select, HAVING or ORDER BY term equal to a GROUP BY expression
+    reads that key column: the group frame holds no source column to
+    re-evaluate ``run + 1`` over."""
+
+    SQL = (
+        "SELECT run + 1 AS r1, COUNT(*) AS n, AVG(mass) AS m FROM halos "
+        "GROUP BY run + 1 HAVING run + 1 > 1 ORDER BY run + 1 DESC"
+    )
+
+    def test_matches_numpy_cold_and_as_a_cache_hit(self, db, raw):
+        from repro.db.cache import clear_memory_cache, stats_snapshot
+
+        keys = np.unique(raw["run"] + 1)
+        keys = keys[keys > 1][::-1]
+        counts = [int((raw["run"] + 1 == k).sum()) for k in keys]
+        means = [raw["mass"][raw["run"] + 1 == k].mean() for k in keys]
+        clear_memory_cache()
+        before = stats_snapshot()
+        cold = db.query(self.SQL)
+        hit = db.query(self.SQL)
+        delta = stats_snapshot().delta(before)
+        assert (delta.misses, delta.memory_hits) == (1, 1)
+        for out in (cold, hit):
+            assert list(out.columns) == ["r1", "n", "m"]
+            assert out["r1"].tolist() == keys.tolist()
+            assert out["n"].tolist() == counts
+            assert out["m"].tolist() == pytest.approx(means)
+
 class TestDensify:
     """_densify only copies mmap-backed columns."""
 

@@ -207,6 +207,19 @@ class TestCommitProtocol:
         assert not old_log.exists()
         assert open_db(tmp_path / "db").store("t").content_signature() == committed
 
+    def test_nbytes_counts_only_listed_row_groups(self, tmp_path):
+        """Between a death and ``recover()`` the staged row groups are on
+        disk but no entry lists them: they are not the table's bytes."""
+        db, _, extra = self._seeded(tmp_path / "db")
+        before = db.nbytes()
+        with killing("ingest_kill_publish"), faults.arm_ingest_kills():
+            with pytest.raises(IngestKilled):
+                db.append("t", extra)
+        assert (db.store("t").path / "rg00004").is_file()
+        assert db.nbytes() == open_db(tmp_path / "db").nbytes() == before
+        assert db.recover()["orphan_groups"] == 2
+        assert db.nbytes() == before
+
     def test_recovery_is_idempotent(self, tmp_path):
         db, _, extra = self._seeded(tmp_path / "db")
         with killing("ingest_kill_publish"), faults.arm_ingest_kills():

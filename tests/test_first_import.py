@@ -133,8 +133,11 @@ def test_a_query_without_a_plot_loads_neither_scipy_nor_networkx(ensemble, tmp_p
 # query path) and resilience.py lost the helpers nothing called, 17 596
 # before Frame's group-by folded through the SQL engine's accumulators and
 # factoriser (now repro.frame.aggregates; Frame's own reductions, the
-# executor's factoriser and frame.ops.describe deleted).
-QUERY_SOURCE_LINES = 17_529
+# executor's factoriser and frame.ops.describe deleted), 17 529 before
+# both caches moved onto one tiered store and one locked LRU
+# (repro/gio/store.py; each cache's disk tier, memory tier and eviction
+# loop deleted).
+QUERY_SOURCE_LINES = 17_524
 
 
 def test_a_query_imports_at_most_the_pinned_source_lines(ensemble, tmp_path):

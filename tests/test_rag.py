@@ -128,8 +128,8 @@ class TestRetrievalArtifactCache:
         delta = stats_snapshot().delta(before)
         assert delta.builds == 1 and delta.matrix_hits == 0
         key = corpus_key(texts, embedder.cache_key())
-        assert [p.name for p in (tmp_path / "cache").iterdir()] == [cache.matrix_path(key).name]
-        assert GIOFile(cache.matrix_path(key)).attrs == {
+        assert [p.name for p in (tmp_path / "cache").iterdir()] == [cache.store.path(key).name]
+        assert GIOFile(cache.store.path(key)).attrs == {
             "key": key, "embedder": embedder.cache_key(), "n_documents": 3, "dim": 64,
         }
         assert matrix.shape == (3, 64)
@@ -188,7 +188,7 @@ class TestRetrievalArtifactCache:
         cache.matrix_for(texts, embedder)
         key = corpus_key(texts, embedder.cache_key())
         # a well-formed file under the right key holding a 5x5 matrix
-        write_gio(cache.matrix_path(key), {"matrix": np.zeros(25)},
+        write_gio(cache.store.path(key), {"matrix": np.zeros(25)},
                   {"key": key, "n_documents": 5, "dim": 5})
         clear_memory_cache()
         before = stats_snapshot()
@@ -196,6 +196,31 @@ class TestRetrievalArtifactCache:
         delta = stats_snapshot().delta(before)
         assert delta.builds == 1
         assert matrix.shape == (2, 64)
+        # the stale file was moved aside and a good one published
+        assert [p.name for p in cache.store.quarantined()] == [cache.store.path(key).name]
+        clear_memory_cache()
+        before = stats_snapshot()
+        np.testing.assert_array_equal(cache.matrix_for(texts, embedder), matrix)
+        assert stats_snapshot().delta(before).disk_hits == 1
+
+    def test_corrupt_matrix_quarantined_and_rebuilt(self, tmp_path):
+        """A byte flipped mid-file fails the matrix column's CRC: the file
+        moves to ``.quarantine/`` and the rebuilt matrix is the same."""
+        cache = self._fresh(tmp_path)
+        embedder = HashedEmbedder(64)
+        texts = ["halo mass", "galaxy stellar mass", "velocity dispersion"]
+        built = np.array(cache.matrix_for(texts, embedder))
+        path = cache.store.path(corpus_key(texts, embedder.cache_key()))
+        raw = bytearray(path.read_bytes())
+        raw[len(raw) // 2] ^= 0xFF
+        path.write_bytes(bytes(raw))
+        clear_memory_cache()
+        before = stats_snapshot()
+        np.testing.assert_array_equal(cache.matrix_for(texts, embedder), built)
+        delta = stats_snapshot().delta(before)
+        assert (delta.disk_hits, delta.builds) == (0, 1)
+        assert [p.name for p in cache.store.quarantined()] == [path.name]
+        assert path.read_bytes() != bytes(raw)
 
     def test_cold_vs_warm_retriever_results_identical(self, tmp_path):
         """The parity the harness relies on: a retriever built from the
@@ -263,7 +288,7 @@ class TestQueryMemo:
             cache.set_query_memo_capacity(8)
             for i in range(20):
                 index.similarities(f"query {i}")
-            assert cache.query_memo_size() <= 8
+            assert len(cache._QUERY_MEMO) <= 8
             delta = stats_snapshot().delta(before)
             assert delta.query_memo_evictions == 20 - 8
             # LRU: the most recent query is still memoized
@@ -273,52 +298,44 @@ class TestQueryMemo:
         finally:
             cache.set_query_memo_capacity(old_cap)
 
-    def test_eviction_between_a_hits_lookup_and_reorder(self, monkeypatch):
-        """Another thread evicts while a hit is between ``get`` and
-        ``move_to_end``: the evictor waits for the hit to finish, where
-        it used to remove the key and make ``move_to_end`` raise KeyError."""
+    def test_eviction_between_a_hits_lookup_and_reorder(self):
+        """Another thread evicts while a hit is between its lookup and its
+        reorder: the evictor waits for the hit to finish, where with no
+        lock it removed the key and made ``move_to_end`` raise KeyError."""
         import threading
         from collections import OrderedDict
 
-        from repro.rag import cache
+        from repro.gio.store import LRU
 
-        embedder = HashedEmbedder()
+        memo: LRU[str, int] = LRU(1)
         evictor: list[threading.Thread] = []
 
         class EvictedMidHit(OrderedDict):
             def move_to_end(self, key, last=True):
                 if not evictor:
-                    # a miss on another query fills the 1-entry memo
-                    thread = threading.Thread(
-                        target=cache.memoized_query_embedding, args=(embedder, "other")
-                    )
+                    # a put of another key fills the 1-entry memo
+                    thread = threading.Thread(target=memo.put, args=("other", 2))
                     evictor.append(thread)
                     thread.start()
                     thread.join(timeout=0.5)  # done here unless the memo is locked
                 super().move_to_end(key, last)
 
-        monkeypatch.setattr(cache, "_QUERY_MEMO", EvictedMidHit())
-        monkeypatch.setattr(cache, "_QUERY_MEMO_CAPACITY", 1)
-        first = cache.memoized_query_embedding(embedder, "halo mass")
-        again = cache.memoized_query_embedding(embedder, "halo mass")
+        memo._items = EvictedMidHit({"halo mass": 1})
+        assert memo.get("halo mass") == 1
         evictor[0].join(timeout=30)
         assert not evictor[0].is_alive()
-        assert again is first
-        assert list(cache._QUERY_MEMO) == [(embedder.cache_key(), "other")]
+        assert list(memo._items) == ["other"]
 
-    def test_concurrent_lookups_over_a_tiny_memo(self, monkeypatch):
-        """Eight threads hit and evict a 2-entry memo with thread switches
-        forced every microsecond: no call raises, and every call counts
-        as exactly one hit or one miss."""
+    def test_concurrent_lookups_over_a_tiny_memo(self):
+        """Eight threads hit and evict the shared memo, resized to two
+        entries, with thread switches forced every microsecond: no call
+        raises, and every call counts as exactly one hit or one miss."""
         import sys
         import threading
-        from collections import OrderedDict
 
         from repro.rag import cache
 
         embedder = HashedEmbedder()
-        monkeypatch.setattr(cache, "_QUERY_MEMO", OrderedDict())
-        monkeypatch.setattr(cache, "_QUERY_MEMO_CAPACITY", 2)
         errors: list[BaseException] = []
 
         def lookups(worker: int) -> None:
@@ -328,8 +345,11 @@ class TestQueryMemo:
             except BaseException as exc:  # surfaced below
                 errors.append(exc)
 
+        clear_memory_cache()
+        capacity = cache.query_memo_capacity()
         before = stats_snapshot()
         interval = sys.getswitchinterval()
+        cache.set_query_memo_capacity(2)
         sys.setswitchinterval(1e-6)
         try:
             threads = [threading.Thread(target=lookups, args=(w,)) for w in range(8)]
@@ -339,11 +359,13 @@ class TestQueryMemo:
                 thread.join(timeout=60)
         finally:
             sys.setswitchinterval(interval)
+            size = len(cache._QUERY_MEMO)
+            cache.set_query_memo_capacity(capacity)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
         delta = stats_snapshot().delta(before)
         assert delta.query_memo_hits + delta.query_memo_misses == 8 * 200
-        assert cache.query_memo_size() <= 2
+        assert size <= 2
 
 
 class TestColumnRetriever:

@@ -1,9 +1,11 @@
 """The storage seam: one atomic publish, one record framing, both in
-``repro/durable.py`` (DESIGN.md §8).
+``repro/durable.py``, and one tiered store with one bounded map, in
+``repro/gio/store.py`` (DESIGN.md §7, §8).
 
 Three kinds of check: a source lint in the style of
-``test_no_direct_time.py`` (nobody else renames a temp file into place or
-does header arithmetic), unit tests of the seam itself, and pins on the
+``test_no_direct_time.py`` (nobody else renames a temp file into place,
+does header arithmetic or keeps an LRU of its own), unit tests of the
+seam itself, and pins on the
 bytes other layers rely on (the ``RCAT1`` commit record, the JSON key
 order of ``catalog.json``) so a refactor of the seam cannot move
 ``eval.rows_digest`` or the bytes-on-disk metrics unnoticed.
@@ -46,8 +48,10 @@ ALLOWED = {
     SRC / "durable.py": "the seam itself",
     # a corrupt cache entry is moved to .quarantine/, not published: its
     # bytes are already on disk and must not be rewritten
-    SRC / "db" / "cache.py": "quarantine move",
+    SRC / "gio" / "store.py": "quarantine move",
 }
+# every bounded in-process map is repro/gio/store.py's LRU
+BOUNDED_MAP_CALLS = re.compile(r"OrderedDict\(|popitem\(|move_to_end\(")
 HEADER_ARITHMETIC = re.compile(r"to_bytes\(|from_bytes\(")
 # how columns become bytes is repro/gio/format.py's alone
 NUMPY_FILE_IO = re.compile(r"np\.(save|savez|load|memmap|fromfile)\(")
@@ -82,6 +86,16 @@ def test_only_the_gio_format_turns_columns_into_files():
     assert not offenders, (
         "NumPy file I/O outside repro/gio/format.py (use encode_gio / map_gio / "
         "read_gio_verified):\n" + "\n".join(offenders)
+    )
+
+
+def test_only_the_store_keeps_a_bounded_map():
+    offenders = _offenders(
+        BOUNDED_MAP_CALLS, (p for p in sorted(SRC.rglob("*.py")) if p != SRC / "gio" / "store.py")
+    )
+    assert not offenders, (
+        "a hand-written eviction loop outside repro/gio/store.py (use its LRU):\n"
+        + "\n".join(offenders)
     )
 
 
