@@ -166,12 +166,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8642,
                        help="listen port (0 = pick a free one)")
     serve.add_argument("--app-workers", type=int, default=4,
-                       help="worker threads executing queries concurrently")
+                       help="queries executing at once")
     serve.add_argument("--queue-depth", type=int, default=32,
-                       help="admission queue bound; beyond it requests get "
-                            "a structured 429 with a retry-after hint")
+                       help="how many requests may wait for a slot; beyond it "
+                            "requests get a structured 429 with a retry-after hint")
     serve.add_argument("--request-timeout", type=float, default=120.0,
-                       help="per-request deadline in seconds (queue wait counts)")
+                       help="per-request deadline in seconds (the wait for a slot counts)")
     serve.add_argument("--token-budget", type=int, default=None,
                        help="hard per-request token ceiling; exceeding it ends "
                             "the request as a classified 'budget-exceeded' failure")
@@ -181,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--llm-latency", type=float, default=0.0,
                        help="simulated seconds per LLM call (models a hosted "
                             "API; makes requests latency- rather than "
-                            "CPU-bound, which is what the worker pool overlaps)")
+                            "CPU-bound, which is what concurrent slots overlap)")
     serve.add_argument("--sandbox-workers", type=int, default=None,
                        help="warm sandbox fleet size shared by all sessions "
                             "(0 = one per core; default: REPRO_SANDBOX_WORKERS "
@@ -811,7 +811,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     report = server.start()
     print(report.render())
     print(f"serving {args.ensemble} at {server.url} "
-          f"({args.app_workers} workers, queue depth {args.queue_depth})")
+          f"({args.app_workers} queries at once, queue depth {args.queue_depth})")
     print("POST /v1/query   POST /v1/ingest   GET /healthz   GET /stats   "
           "(ctrl-c drains and exits)")
     try:

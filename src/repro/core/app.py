@@ -16,7 +16,6 @@ evaluation tables are computed from.
 
 from __future__ import annotations
 
-import re
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -42,6 +41,7 @@ from repro.provenance import ProvenanceTracker
 from repro.rag import ColumnRetriever, RetrievalArtifactCache
 from repro.sandbox import configured_sandbox
 from repro.sim.ensemble import Ensemble
+from repro.util.text import slug
 from repro.util.timing import SimulatedClock, WallClock
 from repro.sim.schema import (
     COLUMN_DESCRIPTIONS,
@@ -212,7 +212,7 @@ class InferA:
         with self._count_lock:
             self._query_count += 1
             query_index = self._query_count
-        session_id = session_id or f"query_{query_index:03d}_{_slug(question)}"
+        session_id = session_id or f"query_{query_index:03d}_{slug(question)}"
         # the session tracer parents itself under whatever trace is already
         # active (e.g. the evaluation harness's suite trace) so multi-process
         # runs merge into one coherent tree
@@ -285,8 +285,3 @@ class InferA:
             db_bytes=db.nbytes(),
             trace_spans=spans,
         )
-
-
-def _slug(text: str, max_len: int = 24) -> str:
-    slug = re.sub(r"[^a-z0-9]+", "_", text.lower()).strip("_")
-    return slug[:max_len]

@@ -76,7 +76,7 @@ class TableStore:
     entry.  Committed row-group files are immutable (appends only ever
     add higher-numbered groups), so a store built from an older entry keeps
     reading exactly that entry's rows.  A store is shared by every
-    statement and thread (serve workers read concurrently) reading through
+    statement and thread (served requests read concurrently) reading through
     the same catalog snapshot.  ``bloom_cache`` (row-group path → parsed
     filters) is the database handle's (:class:`repro.db.Database`); racing
     fills parse equal filters.

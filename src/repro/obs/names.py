@@ -63,9 +63,9 @@ PROFILE_CAPTURE_SPAN = "profile.capture"
 # parents the session / suite span; excluded from canonical trees
 CLI_PROCESS_SPAN = "cli.process"
 
-# one per served request (repro.serve.worker); the session span of the
+# one per served request (repro.serve.request); the session span of the
 # request's query parents under it, sharing its trace_id and its
-# listener; its end closes the request's SSE progress stream
+# listener; its end is the last span that listener hears
 SERVE_REQUEST_SPAN = "serve.request"
 # wraps server warm-up (repro.serve.state): pre-building the shared
 # read-only state before the first request arrives

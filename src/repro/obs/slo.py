@@ -13,8 +13,10 @@ machine-independent invariants (no span left open, a generous token
 ceiling), so ``repro slo check`` is useful with zero configuration and
 strict exactly where a config says to be.  Wall-clock performance is
 not an SLO family: it is measured by ``benchmarks/e2e/run.py`` in paired
-parent/change runs (``BENCHMARK.json``).  A policy that still carries a
-retired section is refused by name: ``bench``, or ``histograms``, whose
+parent/change runs (``BENCHMARK.json``).  A policy is refused, by name,
+for any section or rule that no check evaluates, so a misspelled budget
+fails loudly instead of passing while checking nothing; a retired
+section says where its subject went: ``bench``, or ``histograms``, whose
 gates read latency histograms the metrics registry no longer keeps
 (a span's duration is its one record, budgeted by ``phases``).
 """
@@ -36,6 +38,18 @@ DEFAULT_POLICY: dict[str, Any] = {
         "max_total_tokens": 2_000_000,
     },
     "phases": {},
+}
+
+# rule -> what it bounds: each section evaluates exactly these rules, in
+# this order ("phases" per phase), and a policy naming any other is refused
+RULES: dict[str, dict[str, str]] = {
+    "trace": {
+        "max_open_spans": "open_spans",
+        "max_error_spans": "error_spans",
+        "max_total_tokens": "total_tokens",
+        "max_cost_usd": "cost_usd",
+    },
+    "phases": {"max_total_s": "total_s", "max_errors": "errors", "max_spans": "spans"},
 }
 
 # gate families that were removed, and where their subject went
@@ -85,12 +99,31 @@ class SLOPolicy:
     """A set of declarative budgets, checkable against run artifacts."""
 
     def __init__(self, doc: dict[str, Any]):
-        for section, why in RETIRED_SECTIONS.items():
-            if section in doc:
+        if not isinstance(doc, dict):
+            raise ValueError("SLO policy must be an object of sections")
+        for section, rules in doc.items():
+            if section in RETIRED_SECTIONS:
                 raise ValueError(
                     f"SLO policy carries a {section!r} section: that gate family "
-                    f"is retired ({why}); remove the section"
+                    f"is retired ({RETIRED_SECTIONS[section]}); remove the section"
                 )
+            if section not in RULES:
+                raise ValueError(
+                    f"SLO policy carries an unknown section {section!r}: "
+                    f"use {' or '.join(map(repr, RULES))}"
+                )
+            groups = {section: rules}
+            if section == "phases" and isinstance(rules, dict):
+                groups = {f"phases.{phase}": named for phase, named in rules.items()}
+            for where, named in groups.items():
+                if not isinstance(named, dict):
+                    raise ValueError(f"SLO policy {where!r} must be an object of rules")
+                unknown = sorted(set(named) - set(RULES[section]))
+                if unknown:
+                    raise ValueError(
+                        f"SLO policy {where!r} has unknown rule(s) {', '.join(unknown)}: "
+                        f"use {', '.join(RULES[section])}"
+                    )
         self.doc = doc
 
     @classmethod
@@ -118,26 +151,13 @@ class SLOPolicy:
         rules = self.doc.get("trace", {})
         if not rules:
             return
-        open_spans = sum(1 for s in spans if s.get("status") == "open")
-        error_spans = sum(1 for s in spans if s.get("status") == "error")
-        spend = token_totals(spans)
-        tokens, usd = spend["total_tokens"], spend["cost_usd"]
-        if "max_open_spans" in rules:
-            limit = rules["max_open_spans"]
-            report.checks.append(SLOCheck(
-                "trace.open_spans", open_spans, f"<= {limit}", open_spans <= limit))
-        if "max_error_spans" in rules:
-            limit = rules["max_error_spans"]
-            report.checks.append(SLOCheck(
-                "trace.error_spans", error_spans, f"<= {limit}", error_spans <= limit))
-        if "max_total_tokens" in rules:
-            limit = rules["max_total_tokens"]
-            report.checks.append(SLOCheck(
-                "trace.total_tokens", tokens, f"<= {limit}", tokens <= limit))
-        if "max_cost_usd" in rules:
-            limit = rules["max_cost_usd"]
-            report.checks.append(SLOCheck(
-                "trace.cost_usd", round(usd, 6), f"<= {limit}", usd <= limit))
+        statuses = [s.get("status") for s in spans]
+        observed = {
+            "open_spans": statuses.count("open"),
+            "error_spans": statuses.count("error"),
+            **token_totals(spans),
+        }
+        _gate(report, "trace", rules, observed, "trace.")
 
     def _check_phases(self, report: SLOReport, spans: list[dict[str, Any]]) -> None:
         budgets = self.doc.get("phases", {})
@@ -146,22 +166,20 @@ class SLOPolicy:
         rollups = phase_rollups(spans)
         for phase, rules in sorted(budgets.items()):
             agg = rollups.get(phase, {"spans": 0, "total_s": 0.0, "errors": 0})
-            if "max_total_s" in rules:
-                limit = rules["max_total_s"]
-                observed = round(agg["total_s"], 6)
-                report.checks.append(SLOCheck(
-                    f"phase.{phase}.total_s", observed, f"<= {limit}",
-                    agg["total_s"] <= limit))
-            if "max_errors" in rules:
-                limit = rules["max_errors"]
-                report.checks.append(SLOCheck(
-                    f"phase.{phase}.errors", int(agg["errors"]), f"<= {limit}",
-                    agg["errors"] <= limit))
-            if "max_spans" in rules:
-                limit = rules["max_spans"]
-                report.checks.append(SLOCheck(
-                    f"phase.{phase}.spans", int(agg["spans"]), f"<= {limit}",
-                    agg["spans"] <= limit))
+            _gate(report, "phases", rules, agg, f"phase.{phase}.")
+
+
+def _gate(
+    report: SLOReport, section: str, rules: dict, observed: dict, prefix: str
+) -> None:
+    """One check per rule of ``section`` that ``rules`` sets, in order."""
+    for rule, key in RULES[section].items():
+        if rule in rules:
+            limit, value = rules[rule], observed[key]
+            shown = round(value, 6) if isinstance(value, float) else value
+            report.checks.append(
+                SLOCheck(prefix + key, shown, f"<= {limit}", value <= limit)
+            )
 
 
 def check_workdir(

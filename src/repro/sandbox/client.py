@@ -142,7 +142,7 @@ class SandboxClient:
         # persistent-connection pool: keep-alive sockets to the gateway,
         # reused across executions (the server speaks HTTP/1.1).  Guarded
         # by a lock because the serving layer shares one client across
-        # worker threads.  A stale pooled socket (server restarted or
+        # the threads executing its requests.  A stale pooled socket (server restarted or
         # reaped the idle connection) surfaces as a transport error that
         # is classified retryable — the retry dials a fresh connection.
         parts = urllib.parse.urlsplit(self.url)

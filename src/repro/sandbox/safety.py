@@ -19,7 +19,7 @@ import ast
 import threading
 
 # CPython 3.11 keeps the AST constructor's recursion counter per
-# interpreter, so two threads parsing at once (serve workers audit
+# interpreter, so two threads parsing at once (served requests audit
 # concurrently) can fail with ``SystemError: AST constructor recursion
 # depth mismatch``: every parse in the process takes turns here
 AST_LOCK = threading.Lock()

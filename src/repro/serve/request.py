@@ -1,24 +1,27 @@
-"""The request path: worker threads executing queries over warm state.
+"""The request path: one query executed on the thread that read it.
 
-Each worker thread loops on the admission queue; for every request it
+The HTTP handler thread that read a ``/v1/query`` body submits it to the
+admission gate and then calls :meth:`RequestExecutor.execute`, which
 
-1. opens a fresh per-request :class:`~repro.obs.tracer.Tracer` whose
-   ``serve.request`` root span records the queue-wait/execution split;
+1. waits for an execution slot in arrival order; the request's
+   :class:`~repro.resilience.Deadline` ticks while it waits, and a
+   request whose deadline runs out first leaves the line and is answered
+   ``rejected`` without executing;
+2. opens a fresh per-request :class:`~repro.obs.tracer.Tracer` whose
+   ``serve.request`` root span records the slot-wait/execution split;
    its context carries the request's listener (a streaming client's
    :class:`~repro.serve.streaming.EventStreamer`), so the request's spans,
    and only they, reach its SSE stream;
-2. builds a fresh per-request app (:meth:`WarmState.build_app`) on the
+3. builds a fresh per-request app (:meth:`WarmState.build_app`) on the
    session's workdir with a deterministically derived seed, so the run
    is byte-identical to the same question asked via a one-shot CLI
    invocation — freshness of the app is what keeps per-query LLM seeds
    independent of arrival order;
-3. enforces resilience on the path: an expired request deadline fails
-   fast *before* execution starts (queued time counts against it), and
-   a consecutive-internal-error circuit breaker sheds load while the
-   server is structurally broken instead of burning workers on doomed
-   requests;
-4. adds the query's tokens and USD, read from its ``llm.chat`` spans,
-   to its session and fulfils the caller's future.
+4. sheds load while the server is structurally broken: a
+   consecutive-internal-error circuit breaker refuses requests instead
+   of burning slots on doomed ones;
+5. adds the query's tokens and USD, read from its ``llm.chat`` spans,
+   to its session, and gives the slot back.
 
 Results carry a **deterministic answer payload** — completion flag,
 failure classification, result tables serialized column-by-column, plan
@@ -30,7 +33,6 @@ shape, token totals — and deliberately exclude anything run-varying
 from __future__ import annotations
 
 import hashlib
-import threading
 import traceback
 import uuid
 from dataclasses import dataclass, field
@@ -39,7 +41,7 @@ from typing import Any
 from repro.obs.export import token_totals
 from repro.obs.names import SERVE_REQUEST_SPAN
 from repro.obs.tracer import Listener, TraceContext, Tracer, use_tracer
-from repro.resilience import CircuitBreaker, Deadline, ResilienceError
+from repro.resilience import CircuitBreaker, Deadline, DeadlineExceeded, ResilienceError
 from repro.sandbox.serialize import frame_to_json
 from repro.serve.admission import AdmissionQueue
 from repro.serve.session import ServeSession
@@ -70,9 +72,9 @@ def answer_payload(report: Any) -> dict[str, Any]:
     }
 
 
-@dataclass
+@dataclass(eq=False)  # the admission line tells requests apart by identity
 class ServeRequest:
-    """One admitted request travelling queue → worker → response."""
+    """One admitted request, filled in as it executes."""
 
     question: str
     session: ServeSession
@@ -81,10 +83,10 @@ class ServeRequest:
     deadline: Deadline
     trace_id: str = field(default_factory=lambda: uuid.uuid4().hex)
     # hears each of the request's finished spans (a streaming client's
-    # EventStreamer.on_span); set before the request is queued
+    # EventStreamer.on_span)
     listener: Listener | None = None
     submitted_at: float = 0.0
-    # fulfilled by the worker
+    # filled in by RequestExecutor.execute
     result: dict[str, Any] | None = None
     error: str | None = None
     status: str = "queued"
@@ -94,79 +96,39 @@ class ServeRequest:
     # snapshot-isolation receipt a client needs to pick the matching
     # fault-free baseline for byte-comparison
     snapshot_version: int | None = None
-    done: threading.Event = field(default_factory=threading.Event)
-
-    def wait(self, timeout_s: float | None = None) -> bool:
-        return self.done.wait(timeout_s)
 
 
-class WorkerPool:
-    """N daemon threads draining the admission queue over shared state."""
+class RequestExecutor:
+    """Runs admitted requests, each on the thread that calls :meth:`execute`."""
 
-    def __init__(
-        self,
-        state: WarmState,
-        queue: AdmissionQueue,
-        workers: int = 4,
-        clock: WallClock | None = None,
-        llm_factory=None,
-        breaker: CircuitBreaker | None = None,
-    ):
+    def __init__(self, state: WarmState, queue: AdmissionQueue, llm_factory=None):
         self.state = state
         self.queue = queue
-        self.clock = clock or WallClock()
+        self.clock = WallClock()
         self._llm_factory = llm_factory
         # trips on consecutive *internal* errors (bugs, broken state) —
         # classified application failures are results, not breaker food
-        self.breaker = breaker or CircuitBreaker(
+        self.breaker = CircuitBreaker(
             failure_threshold=5, reset_timeout_s=10.0, clock=self.clock, name="serve"
         )
-        self._threads = [
-            threading.Thread(
-                target=self._run, name=f"repro-serve-worker-{i}", daemon=True
+
+    def execute(self, request: ServeRequest) -> None:
+        """Wait for a slot, run ``request`` on this thread, give the slot back."""
+        if not self.queue.acquire(request, request.deadline):
+            request.queue_wait_s = max(0.0, self.clock.now() - request.submitted_at)
+            request.status = "rejected"
+            request.error = (
+                f"{DeadlineExceeded.classification}: request deadline expired "
+                f"after {request.queue_wait_s:.2f}s waiting for a slot"
             )
-            for i in range(max(1, workers))
-        ]
-        self._stop = threading.Event()
-        self.executed = 0
-
-    @property
-    def alive_workers(self) -> int:
-        return sum(t.is_alive() for t in self._threads)
-
-    # -- lifecycle -----------------------------------------------------
-    def start(self) -> None:
-        for t in self._threads:
-            t.start()
-
-    def stop(self, drain: bool = True, timeout_s: float = 30.0) -> None:
-        """Close the queue and stop workers; with ``drain`` they finish
-        every already-admitted request first."""
-        self.queue.close()
-        if not drain:
-            self._stop.set()
-        for t in self._threads:
-            t.join(timeout_s)
-        self._stop.set()
-
-    # -- the worker loop -----------------------------------------------
-    def _run(self) -> None:
-        while not self._stop.is_set():
-            request = self.queue.pop(timeout_s=0.2)
-            if request is None:
-                if self.queue.closed and len(self.queue) == 0:
-                    return
-                continue
-            self._execute(request)
-
-    def _execute(self, request: ServeRequest) -> None:
+            return
         t_start = self.clock.now()
         request.queue_wait_s = max(0.0, t_start - request.submitted_at)
-        tracer = Tracer(
-            clock=self.clock,
-            context=TraceContext(request.trace_id, None, request.listener),
-        )
         try:
+            tracer = Tracer(
+                clock=self.clock,
+                context=TraceContext(request.trace_id, None, request.listener),
+            )
             with use_tracer(tracer), tracer.span(
                 SERVE_REQUEST_SPAN,
                 session=request.session.session_id,
@@ -180,8 +142,8 @@ class WorkerPool:
                 )
             request.result = payload
         except ResilienceError as exc:
-            # deadline blown in the queue, breaker open: classified
-            # shed-load outcomes, not bugs — the breaker is not charged
+            # breaker open: a classified shed-load outcome, not a bug —
+            # the breaker is not charged
             request.status = "rejected"
             request.error = f"{exc.classification}: {exc}"
         except Exception as exc:  # pragma: no cover - defensive
@@ -192,14 +154,9 @@ class WorkerPool:
         finally:
             request.exec_s = self.clock.now() - t_start
             self.queue.service_time.observe(request.queue_wait_s + request.exec_s)
-            self.executed += 1
-            request.done.set()
+            self.queue.release()
 
     def _guarded_run(self, request: ServeRequest) -> dict[str, Any]:
-        if request.deadline.expired:
-            raise ResilienceError(
-                f"request deadline expired after {request.queue_wait_s:.2f}s in queue"
-            )
         if not self.breaker.allow():
             raise ResilienceError("server circuit breaker is open")
         # pin the ensemble manifest as of *now*: snapshots committed by the

@@ -3,10 +3,12 @@
 A stdlib-only long-running server over one warm process:
 
 * ``POST /v1/query`` — run one question in one tenant session.  The
-  request is admitted through the bounded queue (429 + ``Retry-After``
-  when full, 503 while draining) and executed by the worker pool over
-  the shared warm state; with ``"stream": true`` the response is an SSE
-  stream of live progress lines followed by a terminal ``result`` frame.
+  request is admitted through the bounded admission gate (429 +
+  ``Retry-After`` when too many wait, 503 while draining) and executed
+  over the shared warm state on the handler thread that read it, once
+  it holds one of ``app_workers`` execution slots; with ``"stream":
+  true`` the response is an SSE stream of live progress lines followed
+  by a terminal ``result`` frame.
 * ``POST /v1/ingest`` — append one generated snapshot to the live
   ensemble (and its live analysis database) through the WAL commit
   protocol.  Single-writer: concurrent ingests get 409, draining
@@ -20,12 +22,13 @@ A stdlib-only long-running server over one warm process:
   twice.
 
 The HTTP threads (one per connection, via
-:class:`~http.server.ThreadingHTTPServer`) do *admission and waiting*
-only; execution happens on the worker pool, so the number of concurrent
-connections never changes how many queries run at once.
+:class:`~http.server.ThreadingHTTPServer`) are the only threads the
+server runs besides its listener: each executes the queries its
+connection sends, and the execution slots, not the number of
+connections, bound how many queries run at once.
 
 Graceful shutdown (:meth:`ReproServer.shutdown`) closes the admission
-queue (new work → 503), lets the workers drain every admitted request,
+gate (new work → 503), waits until every admitted request has run,
 writes the ``sessions.json`` registry summary, publishes what the
 registry counted over the server's life as ``metrics.json`` (the
 evaluation harness's snapshot format, which ``repro sandbox stats``
@@ -53,10 +56,10 @@ from repro.sandbox.server import (
     send_json_reply,
 )
 from repro.serve.admission import AdmissionQueue, QueueClosed, QueueFull
+from repro.serve.request import RequestExecutor, ServeRequest
 from repro.serve.session import InvalidSessionId, SessionRegistry
 from repro.serve.state import WarmState
-from repro.serve.streaming import EventStreamer, sse_frame
-from repro.serve.worker import ServeRequest, WorkerPool
+from repro.serve.streaming import EventStreamer
 from repro.sim.ensemble import Ensemble
 
 DEFAULT_REQUEST_TIMEOUT_S = 120.0
@@ -67,7 +70,7 @@ class IngestBusy(Exception):
 
 
 class ReproServer:
-    """Owns warm state, sessions, queue, workers, and the HTTP listener."""
+    """Owns warm state, sessions, the admission gate, and the HTTP listener."""
 
     def __init__(
         self,
@@ -85,13 +88,9 @@ class ReproServer:
         self.workdir = Path(workdir)
         self.state = WarmState(ensemble, self.workdir, self.config)
         self.registry = SessionRegistry(self.workdir)
-        self.queue = AdmissionQueue(depth=queue_depth, workers=app_workers)
-        self.pool = WorkerPool(
-            self.state,
-            self.queue,
-            workers=app_workers,
-            llm_factory=llm_factory,
-        )
+        self.queue = AdmissionQueue(depth=queue_depth, slots=app_workers)
+        self.executor = RequestExecutor(self.state, self.queue, llm_factory=llm_factory)
+        self.clock = self.executor.clock
         self.request_timeout_s = float(request_timeout_s)
         # live ingestion: built lazily on the first /v1/ingest (serving a
         # static ensemble must not pay for a writer it never uses); the
@@ -109,11 +108,9 @@ class ReproServer:
 
     # -- lifecycle -----------------------------------------------------
     def start(self):
-        """Warm shared state, start workers, bind and serve; returns the
-        warm-up report."""
+        """Warm shared state, bind and serve; returns the warm-up report."""
         self._metrics_at_start = get_registry().snapshot()
         report = self.state.warm()
-        self.pool.start()
         handler = _make_handler(self)
         self._httpd = ThreadingHTTPServer((self.host, self.port), handler)
         self.port = self._httpd.server_address[1]
@@ -124,7 +121,7 @@ class ReproServer:
             daemon=True,
         )
         self._http_thread.start()
-        self._started_at = self.pool.clock.now()
+        self._started_at = self.clock.now()
         return report
 
     def shutdown(self, timeout_s: float = 30.0) -> Path:
@@ -133,8 +130,9 @@ class ReproServer:
         Returns the path of the persisted ``sessions.json``.
         """
         self._draining = True
-        # 1. refuse new admissions, let workers finish the backlog
-        self.pool.stop(drain=True, timeout_s=timeout_s)
+        # 1. refuse new admissions, let every admitted request run
+        self.queue.close()
+        self.queue.wait_idle(timeout_s)
         # 2. the registry summary: every session's requests and spend
         manifest = self.registry.checkpoint()
         # release warm resources that own workers (the sandbox fleet)
@@ -160,9 +158,10 @@ class ReproServer:
     def admit(
         self, question: str, session_id: str, listener: Listener | None = None
     ) -> ServeRequest:
-        """Create, register, and enqueue one request whose finished spans
-        reach ``listener`` (may raise
-        :class:`QueueFull`/:class:`QueueClosed`/:class:`InvalidSessionId`)."""
+        """Create one request whose finished spans reach ``listener`` and
+        put it in line for a slot (may raise
+        :class:`QueueFull`/:class:`QueueClosed`/:class:`InvalidSessionId`);
+        :meth:`RequestExecutor.execute` runs it."""
         session = self.registry.get_or_create(session_id)
         index, run_id = session.next_run_id(question)
         request = ServeRequest(
@@ -170,8 +169,8 @@ class ReproServer:
             session=session,
             run_id=run_id,
             request_index=index,
-            deadline=Deadline(self.request_timeout_s, clock=self.pool.clock),
-            submitted_at=self.pool.clock.now(),
+            deadline=Deadline(self.request_timeout_s, clock=self.clock),
+            submitted_at=self.clock.now(),
             listener=listener,
         )
         self.queue.submit(request)
@@ -231,20 +230,22 @@ class ReproServer:
         ensemble = self.state.ensemble
         return {
             "uptime_s": (
-                round(self.pool.clock.now() - self._started_at, 3)
+                round(self.clock.now() - self._started_at, 3)
                 if self._started_at is not None
                 else 0.0
             ),
             "draining": self._draining,
+            # execution slots (every one always available) and the
+            # requests that have held one
             "workers": {
-                "alive": self.pool.alive_workers,
-                "executed": self.pool.executed,
+                "alive": self.queue.slots,
+                "executed": self.queue.executed,
             },
             "queue": self.queue.stats(),
             "sessions": self.registry.stats(),
             "breaker": {
-                "state": self.pool.breaker.state,
-                "consecutive_failures": self.pool.breaker.consecutive_failures,
+                "state": self.executor.breaker.state,
+                "consecutive_failures": self.executor.breaker.consecutive_failures,
             },
             "warmup": self.state.report.as_dict() if self.state.report else None,
             "query_cache": {**qstats.as_dict(), "hit_ratio": round(qstats.hit_ratio, 4)},
@@ -276,7 +277,8 @@ def _make_handler(server: ReproServer):
         # keep-alive: one client reuses one socket (and one HTTP thread)
         # across requests; the socket timeout closes a connection whose
         # body read stalls or that sits idle, so neither pins the thread.
-        # A blocking request waits on its worker's Event, not the socket.
+        # A request executing on the thread reads nothing from the
+        # socket, so it may run past the timeout.
         protocol_version = "HTTP/1.1"
         server_version = "repro-serve"
         timeout = server.request_timeout_s
@@ -310,7 +312,7 @@ def _make_handler(server: ReproServer):
                     {
                         "status": "draining" if server._draining else "ok",
                         "warmed": server.state.warmed,
-                        "workers": server.pool.alive_workers,
+                        "workers": server.queue.slots,
                     },
                 )
             elif self.path == "/stats":
@@ -333,7 +335,7 @@ def _make_handler(server: ReproServer):
                 return
             question = doc["question"]
             session_id = str(doc.get("session") or "default")
-            streamer = EventStreamer() if doc.get("stream", False) else None
+            streamer = EventStreamer(self.wfile) if doc.get("stream", False) else None
             try:
                 request = server.admit(
                     question, session_id, streamer.on_span if streamer else None
@@ -414,12 +416,7 @@ def _make_handler(server: ReproServer):
             }
 
         def _block_response(self, request: ServeRequest) -> None:
-            finished = request.wait(server.request_timeout_s + 5.0)
-            if not finished:
-                self._send_json(
-                    504, {"error": "timeout", "run_id": request.run_id}
-                )
-                return
+            server.executor.execute(request)
             code = 200 if request.status in ("ok", "failed") else 500
             self._send_json(code, self._result_doc(request))
 
@@ -428,16 +425,12 @@ def _make_handler(server: ReproServer):
             self.send_header("Content-Type", "text/event-stream")
             self.send_header("Cache-Control", "no-cache")
             self.send_header("Connection", "close")
-            self.end_headers()
             try:
-                for frame in streamer.frames(request.done):
-                    self.wfile.write(frame)
-                    self.wfile.flush()
-                doc = self._result_doc(request)
-                doc["stream_dropped_events"] = streamer.dropped
-                self.wfile.write(sse_frame("result", doc))
-                self.wfile.flush()
-            except (BrokenPipeError, ConnectionResetError):
-                pass  # client went away; the request still completes
+                self.end_headers()
+            except OSError:
+                streamer.broken = True  # client gone; the request still runs
+            # progress frames are written as the request's spans end
+            server.executor.execute(request)
+            streamer.send("result", self._result_doc(request))
 
     return Handler

@@ -10,15 +10,19 @@ caches.  Each session owns
 * a **request counter** that names runs deterministically
   (``r0001_<slug>``, ``r0002_...``) — the session-relative index also
   seeds the request's RNG streams, which is what makes a served session
-  byte-identical to the same questions asked through one-shot CLI runs;
+  byte-identical to the same questions asked through one-shot CLI runs.
+  A session opened on a workdir that already holds runs continues past
+  the highest ``rNNNN_`` run directory in it, so a restarted server
+  (even one killed before it wrote ``sessions.json``) never reuses a run
+  id and never mixes two runs into one provenance trail;
 * **spend sums**: the tokens and USD of every request, read from the
   ``llm.chat`` spans of its own trace, so concurrent requests never
   cross-charge; ``/stats`` adds them up across sessions, and each
   request's trail keeps the per-chat detail.
 
-:meth:`SessionRegistry.checkpoint` writes ``sessions.json`` and is
-called by graceful shutdown after the drain, so a restarted server can
-report on what past sessions spent.
+:meth:`SessionRegistry.checkpoint` writes ``sessions.json``, a summary
+of what this server's life served and spent, and is called by graceful
+shutdown after the drain; nothing reads it back.
 """
 
 from __future__ import annotations
@@ -31,14 +35,16 @@ from pathlib import Path
 from typing import Any
 
 from repro.durable import atomic_publish
-
-
-def _slug(text: str, max_len: int = 24) -> str:
-    slug = re.sub(r"[^a-z0-9]+", "_", text.lower()).strip("_")
-    return slug[:max_len] or "q"
-
+from repro.util.text import slug
 
 _SESSION_ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
+_RUN_DIR_RE = re.compile(r"^r(\d{4,})_")
+
+
+def _highest_run_index(workdir: Path) -> int:
+    """The index of the highest ``rNNNN_`` run directory in ``workdir``."""
+    found = (_RUN_DIR_RE.match(path.name) for path in workdir.iterdir() if path.is_dir())
+    return max((int(match.group(1)) for match in found if match), default=0)
 
 
 class InvalidSessionId(ValueError):
@@ -56,14 +62,17 @@ class ServeSession:
     failed: int = 0
     tokens: int = 0
     cost_usd: float = 0.0
+    # the highest run index claimed so far, runs of earlier servers included
+    last_index: int = 0
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def next_run_id(self, question: str) -> tuple[int, str]:
         """Claim the next session-relative request index and its run id."""
         with self._lock:
             self.requests += 1
-            index = self.requests
-        return index, f"r{index:04d}_{_slug(question)}"
+            self.last_index += 1
+            index = self.last_index
+        return index, f"r{index:04d}_{slug(question)}"
 
     def record_result(self, tokens: int, cost_usd: float, completed: bool) -> None:
         with self._lock:
@@ -106,10 +115,13 @@ class SessionRegistry:
         with self._lock:
             session = self._sessions.get(session_id)
             if session is None:
+                workdir = self.sessions_root / session_id
+                workdir.mkdir(parents=True, exist_ok=True)
                 session = ServeSession(
-                    session_id=session_id, workdir=self.sessions_root / session_id
+                    session_id=session_id,
+                    workdir=workdir,
+                    last_index=_highest_run_index(workdir),
                 )
-                session.workdir.mkdir(parents=True, exist_ok=True)
                 self._sessions[session_id] = session
             return session
 

@@ -186,10 +186,10 @@ class WarmState:
         retriever, sandbox, and both on-disk cache tiers are the
         server-shared instances.
 
-        ``ensemble`` lets the worker hand the app a *pinned* manifest view
-        (:meth:`repro.sim.ensemble.Ensemble.pinned`), so a request racing
-        live ingestion runs start to finish against one consistent
-        snapshot; default is the live shared handle.
+        ``ensemble`` lets the request path hand the app a *pinned*
+        manifest view (:meth:`repro.sim.ensemble.Ensemble.pinned`), so a
+        request racing live ingestion runs start to finish against one
+        consistent snapshot; default is the live shared handle.
         """
         from repro.core.app import InferA
 

@@ -1,4 +1,4 @@
-"""Small text helpers shared by the RAG layer and the mock LLM."""
+"""Small text helpers shared by the RAG layer, the mock LLM and run naming."""
 
 from __future__ import annotations
 
@@ -10,6 +10,11 @@ _WS_RE = re.compile(r"\s+")
 def normalize_ws(text: str) -> str:
     """Collapse runs of whitespace to single spaces and strip the ends."""
     return _WS_RE.sub(" ", text).strip()
+
+
+def slug(text: str, max_len: int = 24) -> str:
+    """``"How many?"`` -> ``how_many``: a run name; ``q`` if nothing is left."""
+    return re.sub(r"[^a-z0-9]+", "_", text.lower()).strip("_")[:max_len] or "q"
 
 
 def snake_words(identifier: str) -> list[str]:

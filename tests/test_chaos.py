@@ -375,7 +375,7 @@ class TestLiveIngestChaos:
         import urllib.request
 
         from repro.serve import ReproServer
-        from repro.serve.worker import answer_payload
+        from repro.serve.request import answer_payload
         from repro.sim import generate_ensemble
         from repro.sim.ensemble import Ensemble
 

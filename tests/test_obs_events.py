@@ -29,7 +29,7 @@ from repro.obs.metrics import get_registry
 from repro.obs.names import OBS_BUS_SUBSCRIBER_ERRORS, SQL_EXECUTE_SPAN
 from repro.obs.tracer import TraceContext, Tracer, use_tracer
 from repro.serve.streaming import EventStreamer
-from repro.serve.worker import answer_payload
+from repro.serve.request import answer_payload
 from repro.util.timing import SimulatedClock
 
 SPAN_KEYS = {
@@ -418,40 +418,44 @@ class TestPerTraceListeners:
 
 
 class TestEventStreamer:
-    """A served request's progress lines: its spans are formatted on the
-    thread that ends them into the request's own bounded queue, which a
-    stalled client can fill but never block."""
+    """A served request's progress lines: each span's line is one SSE
+    frame written to the request's socket by the thread that ended the
+    span, and a client that is gone stops the writing, not the request."""
+
+    class _Socket:
+        def __init__(self, fail_after=None):
+            self.frames: list[bytes] = []
+            self.fail_after = fail_after
+            self.writes = 0
+
+        def write(self, frame):
+            self.writes += 1
+            if self.fail_after is not None and len(self.frames) >= self.fail_after:
+                raise BrokenPipeError("client went away")
+            self.frames.append(frame)
+
+        def flush(self):
+            pass
 
     @staticmethod
-    def _stream(n, capacity=4096, name="llm.chat"):
-        streamer = EventStreamer(capacity=capacity)
-        start = time.perf_counter()
+    def _publish(streamer, n):
         for i in range(n):
-            doc = _doc(name, span_id=f"s{i}")
+            doc = _doc("llm.chat", span_id=f"s{i}")
             doc["attributes"] = {"step": i}
             streamer.on_span(doc)
             streamer.on_span(_doc("sql.execute", span_id=f"x{i}"))  # no progress line
-        publish_wall = time.perf_counter() - start
-        done = threading.Event()
-        done.set()
-        lines = [
-            json.loads(frame.decode().split("data: ", 1)[1])["line"]
-            for frame in streamer.frames(done, poll_s=0.01)
-        ]
-        return streamer, lines, publish_wall
 
-    def test_a_stalled_client_never_slows_publishing(self):
-        # nobody reads while 2 000 spans are published into a 4-line queue
-        streamer, lines, publish_wall = self._stream(2000, capacity=4)
-        assert publish_wall < 1.0, f"publishers stalled {publish_wall:.2f}s"
-        assert len(lines) == 4 and streamer.dropped == 1996
-
-    def test_delivered_plus_dropped_lines_equal_lines_published(self):
-        streamer, lines, _ = self._stream(20, capacity=7)
-        assert streamer.dropped > 0
-        assert len(lines) + streamer.dropped == 20
-
-    def test_order_is_kept(self):
-        streamer, lines, _ = self._stream(100)
-        assert streamer.dropped == 0
+    def test_each_line_is_one_frame_in_order(self):
+        sock = self._Socket()
+        self._publish(EventStreamer(sock), 100)
+        lines = [json.loads(f.decode().split("data: ", 1)[1])["line"] for f in sock.frames]
+        assert all(f.startswith(b"event: progress\n") for f in sock.frames)
         assert [line.split("step=")[1] for line in lines] == [str(i) for i in range(100)]
+
+    def test_a_failed_write_ends_the_stream_without_raising(self):
+        sock = self._Socket(fail_after=3)
+        streamer = EventStreamer(sock)
+        self._publish(streamer, 20)
+        streamer.send("result", {"status": "ok"})
+        # the one write that failed was the last one tried
+        assert streamer.broken and len(sock.frames) == 3 and sock.writes == 4

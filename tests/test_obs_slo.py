@@ -86,6 +86,28 @@ class TestPolicyLoading:
         with pytest.raises(ValueError, match="'histograms' section.*phases"):
             SLOPolicy.from_dict({"histograms": {"sql.latency_s": {"max_p100": 1.0}}})
 
+    @pytest.mark.parametrize(
+        "doc, named",
+        [
+            ({"trace": {"max_total_token": 1}}, "max_total_token"),
+            ({"trac": {"max_total_tokens": 1}}, "'trac'"),
+            ({"phases": {"llm": {"max_total": 0}}}, "max_total:"),
+        ],
+        ids=["trace-rule", "section", "phase-rule"],
+    )
+    def test_a_misspelled_budget_is_refused_by_name(self, tmp_path, capsys, doc, named):
+        # each of these used to evaluate 0 checks and print SLO: PASS
+        with pytest.raises(ValueError, match=named):
+            SLOPolicy.from_dict(doc)
+        from repro.cli import main
+
+        policy = tmp_path / "typo.json"
+        policy.write_text(json.dumps(doc))
+        assert main(["slo", "check", str(tmp_path), "--policy", str(policy)]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith(f"cannot use policy {policy}") and named in out
+        assert "SLO:" not in out
+
 
 class TestCheckWorkdir:
     def test_checks_the_workdir_trace(self, tmp_path):

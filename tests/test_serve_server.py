@@ -26,7 +26,7 @@ from repro.llm.errors import NO_ERRORS
 from repro.obs.tracer import Tracer
 from repro.rag.cache import CacheStats
 from repro.serve import ReproServer
-from repro.serve.worker import answer_payload
+from repro.serve.request import answer_payload
 from tests.test_sandbox_server import KeepAliveSocket, fake_handler, two_write_reply
 
 
@@ -105,7 +105,7 @@ def test_healthz(server):
     status, doc = get_json(f"{server.url}/healthz")
     assert status == 200
     assert doc["status"] == "ok" and doc["warmed"] is True
-    assert doc["workers"] == 2  # alive worker threads, not executed count
+    assert doc["workers"] == 2  # execution slots, not the executed count
 
 
 def test_query_roundtrip(server):
@@ -269,28 +269,32 @@ def _assert_served_concurrently_equals_one_shot(ensemble, tmp_path, sandbox_work
 # ----------------------------------------------------------------------
 # backpressure and drain
 # ----------------------------------------------------------------------
+class GatedLLM:
+    """Blocks every chat until ``gate`` is set: holds an execution slot."""
+
+    def __init__(self, inner: MockLLM, gate: threading.Event):
+        self._inner, self._gate = inner, gate
+
+    def chat(self, messages, role="agent"):
+        self._gate.wait(30.0)
+        return self._inner.chat(messages, role)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+def gated(gate: threading.Event):
+    return lambda seed: GatedLLM(MockLLM(seed=seed, error_model=NO_ERRORS), gate)
+
+
 def test_backpressure_structured_429_and_drain_503(ensemble, tmp_path):
     gate = threading.Event()
-
-    class GatedLLM:
-        """Blocks the first chat until released: holds a worker busy."""
-
-        def __init__(self, inner: MockLLM):
-            self._inner = inner
-
-        def chat(self, messages, role="agent"):
-            gate.wait(30.0)
-            return self._inner.chat(messages, role)
-
-        def __getattr__(self, name):
-            return getattr(self._inner, name)
-
     server = make_server(
         ensemble,
         tmp_path / "serve",
         app_workers=1,
         queue_depth=1,
-        llm_factory=lambda seed: GatedLLM(MockLLM(seed=seed, error_model=NO_ERRORS)),
+        llm_factory=gated(gate),
     )
     try:
         results = []
@@ -302,13 +306,13 @@ def test_backpressure_structured_429_and_drain_503(ensemble, tmp_path):
             )
             for _ in range(2)
         ]
-        threads[0].start()  # occupies the single worker (gated)
+        threads[0].start()  # occupies the single slot (gated)
         while server.queue.stats()["admitted"] < 1:
             time.sleep(0.005)
         threads[1].start()  # sits in the depth-1 queue
         while server.queue.stats()["admitted"] < 2:
             time.sleep(0.005)
-        while len(server.queue) < 1:  # worker holds #1, #2 is queued
+        while len(server.queue) < 1:  # #1 holds the slot, #2 waits
             time.sleep(0.005)
 
         # third request: queue full -> structured 429 with retry-after
@@ -340,6 +344,112 @@ def test_backpressure_structured_429_and_drain_503(ensemble, tmp_path):
 
 
 # ----------------------------------------------------------------------
+# the request path: a query runs on the thread that read it, in a slot
+# ----------------------------------------------------------------------
+def recording_build_app(server, monkeypatch) -> list[str]:
+    """The sessions whose requests started executing, in start order."""
+    started: list[str] = []
+    build_app = server.state.build_app
+
+    def recording(session_workdir, *args, **kwargs):
+        started.append(session_workdir.name)
+        return build_app(session_workdir, *args, **kwargs)
+
+    monkeypatch.setattr(server.state, "build_app", recording)
+    return started
+
+
+def test_the_only_server_thread_besides_connections_is_the_listener(ensemble, tmp_path):
+    gate = threading.Event()
+    before = set(threading.enumerate())
+    server = make_server(ensemble, tmp_path / "serve", llm_factory=gated(gate))
+    try:
+        def started_threads() -> set[str]:
+            return {t.name for t in threading.enumerate() if t not in before}
+
+        assert started_threads() == {"repro-serve-http"}
+        client = threading.Thread(
+            target=post_query, args=(server.url, "How many halos are in run 0?", "threads")
+        )
+        client.start()
+        while server.queue.stats()["admitted"] < 1:
+            time.sleep(0.005)
+        # mid-request: the listener and the connection's handler thread,
+        # which is executing the query itself
+        during = started_threads() - {client.name}
+        assert len(during) == 2 and "repro-serve-http" in during
+        assert all("worker" not in name for name in during)
+        gate.set()
+        client.join(timeout=60.0)
+        deadline = time.monotonic() + 5.0
+        while started_threads() != {"repro-serve-http"} and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert started_threads() == {"repro-serve-http"}
+    finally:
+        gate.set()
+        server.shutdown()
+
+
+def test_a_request_whose_deadline_expires_waiting_for_a_slot_never_executes(
+    ensemble, tmp_path, monkeypatch
+):
+    gate = threading.Event()
+    server = make_server(
+        ensemble, tmp_path / "serve", app_workers=1, request_timeout_s=0.3,
+        llm_factory=gated(gate),
+    )
+    started = recording_build_app(server, monkeypatch)
+    try:
+        holder = threading.Thread(
+            target=post_query, args=(server.url, "How many halos are in run 0?", "holder")
+        )
+        holder.start()
+        while started != ["holder"]:
+            time.sleep(0.005)
+        with pytest.raises(urllib.error.HTTPError) as exc:
+            post_query(server.url, "How many halos are in run 0?", "late")
+        assert exc.value.code == 500
+        doc = json.loads(exc.value.read())
+        assert doc["status"] == "rejected" and doc["result"] is None
+        assert doc["error"].startswith("deadline-exceeded: ")
+        assert doc["timing"]["queue_wait_s"] >= 0.3 and doc["timing"]["exec_s"] == 0
+        assert len(server.queue) == 0  # it left the line
+        gate.set()
+        holder.join(timeout=60.0)
+    finally:
+        gate.set()
+        server.shutdown()
+    assert started == ["holder"]
+    assert not (tmp_path / "serve" / "sessions" / "late" / doc["run_id"]).exists()
+
+
+def test_waiting_requests_start_in_arrival_order(ensemble, tmp_path, monkeypatch):
+    gate = threading.Event()
+    server = make_server(
+        ensemble, tmp_path / "serve", app_workers=1, llm_factory=gated(gate)
+    )
+    started = recording_build_app(server, monkeypatch)
+    sessions = ["first", "second", "third", "fourth"]
+    clients = [
+        threading.Thread(target=post_query, args=(server.url, "How many halos are in run 0?", s))
+        for s in sessions
+    ]
+    try:
+        for i, client in enumerate(clients, start=1):
+            client.start()
+            while server.queue.stats()["admitted"] < i:
+                time.sleep(0.005)
+        assert started == ["first"] and len(server.queue) == 3
+        gate.set()
+        for client in clients:
+            client.join(timeout=60.0)
+    finally:
+        gate.set()
+        server.shutdown()
+    assert started == sessions
+
+
+# ----------------------------------------------------------------------
 # streaming
 # ----------------------------------------------------------------------
 def test_sse_stream_progress_then_result(server):
@@ -352,12 +462,13 @@ def test_sse_stream_progress_then_result(server):
     # the terminal frame is the result
     assert doc["status"] == "ok"
     assert doc["result"]["completed"] is True
-    assert doc["stream_dropped_events"] == 0
+    # the request's lines go straight to the socket: none can be dropped
+    assert "stream_dropped_events" not in doc
 
 
 def test_a_streamed_request_starts_no_drain_thread(server):
-    """The request's progress lines go straight into its own bounded
-    queue; no per-request thread moves them there."""
+    """The request's progress lines go straight to its socket; no
+    per-request thread moves them there."""
     body = json.dumps(
         {"question": "How many halos are in run 0?", "session": "sse-threads", "stream": True}
     ).encode()
@@ -370,7 +481,34 @@ def test_a_streamed_request_starts_no_drain_thread(server):
         rest = resp.read().decode()
     assert first.startswith(b"event: progress")
     assert "repro-buffered-subscriber" not in names
-    assert '"stream_dropped_events":0' in rest
+    assert rest.split("\n\n")[-2].startswith("event: result")
+
+
+def test_a_stream_client_that_leaves_after_one_frame_does_not_fail_its_request(server):
+    host, port = server.url.removeprefix("http://").split(":")
+    body = json.dumps(
+        {"question": "How many halos are in run 0?", "session": "sse-gone", "stream": True}
+    ).encode()
+    with socket.create_connection((host, int(port)), timeout=60.0) as sock:
+        sock.sendall(
+            b"POST /v1/query HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\n"
+            + f"Content-Length: {len(body)}\r\n\r\n".encode() + body
+        )
+        received = b""
+        while b"event: progress" not in received or not received.endswith(b"\n\n"):
+            received += sock.recv(1)
+    session = server.registry.get_or_create("sse-gone")
+    deadline = time.monotonic() + 60.0
+    while session.completed + session.failed < 1 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    # the request ran to completion without its client ...
+    assert (session.completed, session.failed) == (1, 0)
+    # ... the lost writes charged nothing ...
+    assert server.executor.breaker.state == "closed"
+    assert server.executor.breaker.consecutive_failures == 0
+    # ... and the next request on a new connection is served as usual
+    status, doc = post_query(server.url, "How many halos are in run 0?", "sse-gone")
+    assert status == 200 and doc["status"] == "ok" and doc["run_id"].startswith("r0002_")
 
 
 def test_sse_stream_does_not_wait_out_a_poll_after_the_worker_is_done(server):
@@ -520,6 +658,27 @@ def test_graceful_shutdown_drains_and_checkpoints(ensemble, tmp_path):
     metrics = json.loads((workdir / "metrics.json").read_text())
     assert set(metrics) == {"counters"}
     assert QueryCacheStats.from_counters(metrics["counters"]).requests > 0
+
+
+def test_a_restarted_server_never_reuses_a_run_id(ensemble, tmp_path):
+    workdir = tmp_path / "serve"
+    run_ids = []
+    for _life in range(2):
+        server = make_server(ensemble, workdir)
+        try:
+            status, doc = post_query(server.url, "How many halos are there?", "tenant")
+            assert status == 200 and doc["status"] == "ok"
+            run_ids.append(doc["run_id"])
+        finally:
+            server.shutdown()
+        # the next index is read from the run directories, not from the
+        # registry summary a killed server would never have written
+        (workdir / "sessions.json").unlink()
+    assert run_ids == ["r0001_how_many_halos_are_there", "r0002_how_many_halos_are_there"]
+    for run_id in run_ids:
+        trail = workdir / "sessions" / "tenant" / run_id / "trail.jsonl"
+        kinds = [json.loads(line)["kind"] for line in trail.read_text().splitlines()]
+        assert kinds.count("query") == 1, run_id
 
 
 def test_sandbox_stats_reports_the_routes_of_a_drained_fleet_server(ensemble, tmp_path):

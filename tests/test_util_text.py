@@ -1,6 +1,6 @@
-"""Text helpers: identifier splitting, edit distance."""
+"""Text helpers: identifier splitting, edit distance, run-name slugs."""
 
-from repro.util.text import best_match, levenshtein, normalize_ws, snake_words
+from repro.util.text import best_match, levenshtein, normalize_ws, slug, snake_words
 
 
 class TestNormalizeWs:
@@ -9,6 +9,16 @@ class TestNormalizeWs:
 
     def test_strips_ends(self):
         assert normalize_ws("  x  ") == "x"
+
+
+class TestSlug:
+    def test_question_becomes_a_short_name(self):
+        assert slug("How many halos are there?") == "how_many_halos_are_there"
+        assert len(slug("x" * 100)) == 24
+
+    def test_text_without_letters_or_digits_is_q(self):
+        # one-shot session dirs once ended in a bare "query_001_" for this
+        assert slug("???") == "q"
 
 
 class TestSnakeWords:
